@@ -66,27 +66,6 @@ let ibits_of = function
   | Types.TPtr _ -> 64
   | t -> Util.failf "Exec.ibits_of: %s" (Types.to_string t)
 
-(* Allocation-free per-instruction cache-line dedup. A warp touches at
-   most one address per lane per instruction, so a lanes-sized scratch
-   pair suffices; duplicates are found by linear scan (<= 64 entries).
-   Kept first-occurrence order, which for the executors below means the
-   reference interpreter's descending-lane order. *)
-type linedup = { la_buf : int array; mutable la_n : int }
-
-let linedup_create lanes = { la_buf = Array.make (max 1 lanes) 0; la_n = 0 }
-let linedup_reset d = d.la_n <- 0
-
-let linedup_add d (la : int) : bool =
-  let fresh = ref true in
-  for k = 0 to d.la_n - 1 do
-    if d.la_buf.(k) = la then fresh := false
-  done;
-  if !fresh then begin
-    d.la_buf.(d.la_n) <- la;
-    d.la_n <- d.la_n + 1
-  end;
-  !fresh
-
 (* ------------------------------------------------------------------ *)
 
 (* Per-kernel preparation shared by all warps of a launch: block map
@@ -182,16 +161,16 @@ let run_warp (env : kernel_env) (f : Mach.mfunc) (prep : prep) (w : wstate)
   in
   (* memory access with coalescing; returns the number of distinct
      cache lines the access touched, and updates counters *)
-  let dedup = linedup_create lanes in
+  let dedup = Tcode.linedup_create lanes in
   let touch_lines addrs =
     (* unique cache lines among lane addresses *)
     let line = env.device.Device.l2_line in
-    linedup_reset dedup;
+    Tcode.linedup_reset dedup;
     let fresh = ref 0 in
     List.iter
       (fun a ->
         let la = Int64.to_int a / line in
-        if linedup_add dedup la then begin
+        if Tcode.linedup_add dedup la then begin
           incr fresh;
           c.Counters.mem_lines <- c.Counters.mem_lines + 1;
           if L2cache.access env.l2 a then c.Counters.l2_hits <- c.Counters.l2_hits + 1
@@ -645,50 +624,6 @@ external b_set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 external b_get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external b_set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* Reusable per-warp buffers; zero-filled before each warp so reuse is
-   indistinguishable from the reference's fresh allocations. Integer
-   banks are byte buffers holding one int64 cell per register (see the
-   unboxing note above); float banks are flat float arrays, which OCaml
-   already stores unboxed. *)
-type tbufs = {
-  bvi : Bytes.t; (* vregs * lanes int64 cells *)
-  bvf : float array;
-  bsi : Bytes.t; (* sregs int64 cells *)
-  bsf : float array;
-  bspi : Bytes.t; (* spill_slots * lanes int64 cells *)
-  bspf : float array;
-  bsspi : Bytes.t; (* spill_slots int64 cells *)
-  bsspf : float array;
-  babuf : int array; (* per-instruction address collection *)
-  bdedup : linedup;
-}
-
-let tbufs_create (f : Mach.mfunc) lanes =
-  let nvr = max 1 f.Mach.vregs and nsr = max 1 f.Mach.sregs in
-  let nsp = max 1 f.Mach.spill_slots in
-  {
-    bvi = Bytes.make (nvr * lanes * 8) '\000';
-    bvf = Array.make (nvr * lanes) 0.0;
-    bsi = Bytes.make (nsr * 8) '\000';
-    bsf = Array.make nsr 0.0;
-    bspi = Bytes.make (nsp * lanes * 8) '\000';
-    bspf = Array.make (nsp * lanes) 0.0;
-    bsspi = Bytes.make (nsp * 8) '\000';
-    bsspf = Array.make nsp 0.0;
-    babuf = Array.make (max 1 lanes) 0;
-    bdedup = linedup_create lanes;
-  }
-
-let tbufs_reset b =
-  Bytes.fill b.bvi 0 (Bytes.length b.bvi) '\000';
-  Array.fill b.bvf 0 (Array.length b.bvf) 0.0;
-  Bytes.fill b.bsi 0 (Bytes.length b.bsi) '\000';
-  Array.fill b.bsf 0 (Array.length b.bsf) 0.0;
-  Bytes.fill b.bspi 0 (Bytes.length b.bspi) '\000';
-  Array.fill b.bspf 0 (Array.length b.bspf) 0.0;
-  Bytes.fill b.bsspi 0 (Bytes.length b.bsspi) '\000';
-  Array.fill b.bsspf 0 (Array.length b.bsspf) 0.0
-
 (* Integer binop with the exact semantics of
    [Konst.as_int (Konst.binop op (kint ~bits x) (kint ~bits y))]:
    both inputs sign-normalised to [bits], operate, renormalise. *)
@@ -766,17 +701,25 @@ let math2_eval (op : Tcode.math2) x y =
   | Tcode.M2Atan2 -> Float.atan2 x y
   | Tcode.M2Gen n -> Ir.Intrinsics.eval_math_binary n x y
 
-let texec_warp (env : tenv) (p : Tcode.program) (b : tbufs) ~(lanes : int)
-    ~(first_thread : int) ~(bix : int) ~(btx : int) (init_mask : int64) : unit =
+(* Build the warp runner for one launch of [p] into buffers [b]. The
+   ~30 operand accessors and vector loops below are closures over the
+   launch environment; building them once per launch rather than per
+   warp leaves the per-warp setup allocation-free. The returned
+   function runs one warp; its coordinates reach the closures through
+   the refs below. [b] is zero-filled by the caller before each warp. *)
+let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : int) :
+    first_thread:int -> bix:int -> btx:int -> int64 -> unit =
   let c = env.tc in
   let frame = p.Tcode.tf.Mach.frame in
   let mem = env.tmem in
   (* the arena never grows mid-kernel (execution performs no device
-     allocation), so its backing buffer is hoisted for the whole warp *)
+     allocation), so its backing buffer is hoisted for the whole launch *)
   let data = mem.Gmem.data in
   let dlen = Bytes.length data in
-  let bvi = b.bvi and bvf = b.bvf and bsi = b.bsi and bsf = b.bsf in
-  let babuf = b.babuf in
+  let bvi = b.Tcode.bvi and bvf = b.Tcode.bvf and bsi = b.Tcode.bsi and bsf = b.Tcode.bsf in
+  let bspi = b.Tcode.bspi and bspf = b.Tcode.bspf in
+  let bsspi = b.Tcode.bsspi and bsspf = b.Tcode.bsspf in
+  let babuf = b.Tcode.babuf and bdedup = b.Tcode.bdedup in
   let tline = env.tline in
   (* line addresses are non-negative, so when the line size is a power
      of two (it is on every modelled device) the division by [tline]
@@ -784,14 +727,16 @@ let texec_warp (env : tenv) (p : Tcode.program) (b : tbufs) ~(lanes : int)
   let tlsh =
     match Util.pow2_log2 (Int64.of_int tline) with Some k -> k | None -> -1
   in
-  let scratch0 = Int64.to_int env.tscratch_base + (first_thread * env.tthread_frame) in
-  let spill0 = scratch0 + (lanes * frame) in
+  (* the current warp: block index, thread id of lane 0 within the
+     block, and the byte offsets of lane 0's frame and spill area *)
+  let bix = ref 0 and btx = ref 0 in
+  let scratch0 = ref 0 and spill0 = ref 0 in
   let nref = ref 0 in
   (* active-lane index list for the current execution mask, refreshed
      at every [run] entry: vector loops iterate [blanes.(0..act-1)]
      instead of testing a mask bit per lane, so fully-divergent warps
      pay only for their live lanes *)
-  let blanes = Array.make 64 0 in
+  let blanes = b.Tcode.blanes in
   (* ---- operand access (scalar / cold paths; the vector loops below
      inline these matches so intermediates stay unboxed) ---- *)
   let src_i (s : Tcode.isrc) lane : int64 =
@@ -830,10 +775,10 @@ let texec_warp (env : tenv) (p : Tcode.program) (b : tbufs) ~(lanes : int)
      Returns a plain int (immediate), so per-lane calls do not box. *)
   let query_int (q : Tcode.tquery) lane : int =
     match q with
-    | Tcode.QTidX -> (btx + lane) mod env.tbx
-    | Tcode.QTidY -> (btx + lane) / env.tbx mod 1
-    | Tcode.QTidZ -> (btx + lane) / env.tbx / 1
-    | Tcode.QCtaidX -> bix
+    | Tcode.QTidX -> (!btx + lane) mod env.tbx
+    | Tcode.QTidY -> (!btx + lane) / env.tbx mod 1
+    | Tcode.QTidZ -> (!btx + lane) / env.tbx / 1
+    | Tcode.QCtaidX -> !bix
     | Tcode.QCtaidY | Tcode.QCtaidZ -> 0
     | Tcode.QNtidX -> env.tbx
     | Tcode.QNtidY | Tcode.QNtidZ -> 1
@@ -853,18 +798,17 @@ let texec_warp (env : tenv) (p : Tcode.program) (b : tbufs) ~(lanes : int)
      interpreter prepends to a list and so touches lines in descending
      lane order - walk backwards to preserve the exact L2 sequence. *)
   let touch_collected n =
-    let d = b.bdedup in
-    linedup_reset d;
+    Tcode.linedup_reset bdedup;
     for k = n - 1 downto 0 do
       let a = Array.unsafe_get babuf k in
       let la = if tlsh >= 0 then a lsr tlsh else a / tline in
-      if linedup_add d la then touch_line la
+      if Tcode.linedup_add bdedup la then touch_line la
     done
   in
   let touch_one (ai : int) =
-    linedup_reset b.bdedup;
+    Tcode.linedup_reset bdedup;
     let la = if tlsh >= 0 then ai lsr tlsh else ai / tline in
-    if linedup_add b.bdedup la then touch_line la
+    if Tcode.linedup_add bdedup la then touch_line la
   in
   (* out-of-range arena access: identical failure to Gmem.check *)
   let oob ai len = Util.failf "device memory access out of range: 0x%x (+%d)" ai len in
@@ -1698,10 +1642,11 @@ let texec_warp (env : tenv) (p : Tcode.program) (b : tbufs) ~(lanes : int)
     | Tcode.TBarrier -> c.Counters.warp_instrs <- c.Counters.warp_instrs + 1
     | Tcode.TFrame (d, off) ->
         count_alu (is_scalar d) act;
+        let s0 = !scratch0 in
         for j = 0 to act - 1 do
           let l = Array.unsafe_get blanes j in
           begin
-            let v = Int64.add (Int64.of_int (scratch0 + (l * frame))) off in
+            let v = Int64.add (Int64.of_int (s0 + (l * frame))) off in
             match d with
             | Tcode.DV r -> b_set64u bvi (((r * lanes) + l) lsl 3) v
             | Tcode.DS r -> b_set64u bsi (r lsl 3) v
@@ -1740,23 +1685,24 @@ let texec_warp (env : tenv) (p : Tcode.program) (b : tbufs) ~(lanes : int)
         c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
         c.Counters.spill_st <- c.Counters.spill_st + 1;
         c.Counters.smem <- c.Counters.smem + 1;
-        b_set64u b.bsspi (slot lsl 3) (b_get64u bsi (rid lsl 3));
-        b.bsspf.(slot) <- bsf.(rid)
+        b_set64u bsspi (slot lsl 3) (b_get64u bsi (rid lsl 3));
+        bsspf.(slot) <- bsf.(rid)
     | Tcode.TSpillStV (slot, rid) ->
         c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
         c.Counters.spill_st <- c.Counters.spill_st + 1;
         c.Counters.scratch_st <- c.Counters.scratch_st + 1;
         c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
         nref := 0;
+        let sp = !spill0 + (slot * 8 * lanes) in
         for j = 0 to act - 1 do
           let l = Array.unsafe_get blanes j in
           begin
-            babuf.(!nref) <- spill0 + (slot * 8 * lanes) + (l * 8);
+            babuf.(!nref) <- sp + (l * 8);
             incr nref;
-            b_set64u b.bspi
+            b_set64u bspi
               (((slot * lanes) + l) lsl 3)
               (b_get64u bvi (((rid * lanes) + l) lsl 3));
-            b.bspf.((slot * lanes) + l) <- bvf.((rid * lanes) + l)
+            bspf.((slot * lanes) + l) <- bvf.((rid * lanes) + l)
           end
         done;
         touch_collected !nref
@@ -1766,28 +1712,29 @@ let texec_warp (env : tenv) (p : Tcode.program) (b : tbufs) ~(lanes : int)
         match d with
         | Tcode.DS rid ->
             c.Counters.smem <- c.Counters.smem + 1;
-            b_set64u bsi (rid lsl 3) (b_get64u b.bsspi (slot lsl 3));
-            bsf.(rid) <- b.bsspf.(slot)
+            b_set64u bsi (rid lsl 3) (b_get64u bsspi (slot lsl 3));
+            bsf.(rid) <- bsspf.(slot)
         | Tcode.DV rid ->
             c.Counters.scratch_ld <- c.Counters.scratch_ld + 1;
             c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
             nref := 0;
+            let sp = !spill0 + (slot * 8 * lanes) in
             for j = 0 to act - 1 do
               let l = Array.unsafe_get blanes j in
               begin
-                babuf.(!nref) <- spill0 + (slot * 8 * lanes) + (l * 8);
+                babuf.(!nref) <- sp + (l * 8);
                 incr nref;
                 b_set64u bvi
                   (((rid * lanes) + l) lsl 3)
-                  (b_get64u b.bspi (((slot * lanes) + l) lsl 3));
-                bvf.((rid * lanes) + l) <- b.bspf.((slot * lanes) + l)
+                  (b_get64u bspi (((slot * lanes) + l) lsl 3));
+                bvf.((rid * lanes) + l) <- bspf.((slot * lanes) + l)
               end
             done;
             touch_collected !nref)
   in
   (* ---- SIMT control flow over integer block ids ---- *)
   (* stop sentinel -2 = the reference's "<never>" (ipdom exit is -1) *)
-  let fuel = ref 1_000_000_000 in
+  let fuel = ref 0 in
   let blocks = p.Tcode.blocks in
   let ipdom = p.Tcode.ipdom in
   let rec run (bid : int) (mask : int64) (stop : int) : int64 =
@@ -1860,8 +1807,14 @@ let texec_warp (env : tenv) (p : Tcode.program) (b : tbufs) ~(lanes : int)
           end
     end
   in
-  let _ = run p.Tcode.entry init_mask (-2) in
-  ()
+  fun ~first_thread ~bix:bx ~btx:tx init_mask ->
+    let s0 = Int64.to_int env.tscratch_base + (first_thread * env.tthread_frame) in
+    scratch0 := s0;
+    spill0 := s0 + (lanes * frame);
+    bix := bx;
+    btx := tx;
+    fuel := 1_000_000_000;
+    ignore (run p.Tcode.entry init_mask (-2))
 
 (* ------------------------------------------------------------------ *)
 (* Kernel launch: iterate blocks and warps.                            *)
@@ -1873,24 +1826,26 @@ type launch_result = {
   engine : string; (* "reference" | "threaded" | "multicore" *)
 }
 
-(* Run the warps of thread-block [blk] through the threaded engine. *)
-let trun_block (env : tenv) (p : Tcode.program) (bufs : tbufs) ~warp ~block
-    ~nwarps_per_block blk =
+(* Run the warps of thread-block [blk] through the threaded engine:
+   [trun_block env p bufs ~warp ~block ~nwarps_per_block] builds the
+   warp runner once, and each application to a block index reuses it. *)
+let trun_block (env : tenv) (p : Tcode.program) (bufs : Tcode.tbufs) ~warp ~block
+    ~nwarps_per_block =
   let c = env.tc in
-  for wi = 0 to nwarps_per_block - 1 do
-    let base_lane = wi * warp in
-    let lanes_active = min warp (block - base_lane) in
-    let mask =
-      if lanes_active >= 64 then -1L
-      else Int64.sub (Int64.shift_left 1L lanes_active) 1L
-    in
-    tbufs_reset bufs;
-    texec_warp env p bufs ~lanes:warp
-      ~first_thread:((blk * block) + base_lane)
-      ~bix:blk ~btx:base_lane mask;
-    c.Counters.warps <- c.Counters.warps + 1;
-    c.Counters.threads <- c.Counters.threads + lanes_active
-  done
+  let run_warp = texec_launch env p bufs ~lanes:warp in
+  fun blk ->
+    for wi = 0 to nwarps_per_block - 1 do
+      let base_lane = wi * warp in
+      let lanes_active = min warp (block - base_lane) in
+      let mask =
+        if lanes_active >= 64 then -1L
+        else Int64.sub (Int64.shift_left 1L lanes_active) 1L
+      in
+      Tcode.tbufs_reset bufs;
+      run_warp ~first_thread:((blk * block) + base_lane) ~bix:blk ~btx:base_lane mask;
+      c.Counters.warps <- c.Counters.warps + 1;
+      c.Counters.threads <- c.Counters.threads + lanes_active
+    done
 
 let launch ?(reference = false) ?domains ?tcode ~(device : Device.t) ~(mem : Gmem.t)
     ~(l2 : L2cache.t) ~(symbols : string -> int64) (f : Mach.mfunc) ~(grid : int)
@@ -1993,10 +1948,12 @@ let launch ?(reference = false) ?domains ?tcode ~(device : Device.t) ~(mem : Gme
       in
       if ndom <= 1 || grid <= 1 || not (Tcode.parallel_safe p) then begin
         let env = mkenv counters Direct in
-        let bufs = tbufs_create f warp in
+        let bufs = Tcode.acquire p ~lanes:warp in
+        let run_block = trun_block env p bufs ~warp ~block ~nwarps_per_block in
         for blk = 0 to grid - 1 do
-          trun_block env p bufs ~warp ~block ~nwarps_per_block blk
+          run_block blk
         done;
+        Tcode.release p bufs;
         "threaded"
       end
       else begin
@@ -2018,8 +1975,9 @@ let launch ?(reference = false) ?domains ?tcode ~(device : Device.t) ~(mem : Gme
             (fun i ->
               let blk = !start + i in
               let env = mkenv per_block.(i) (Record traces.(i)) in
-              let bufs = tbufs_create f warp in
-              trun_block env p bufs ~warp ~block ~nwarps_per_block blk)
+              let bufs = Tcode.acquire p ~lanes:warp in
+              trun_block env p bufs ~warp ~block ~nwarps_per_block blk;
+              Tcode.release p bufs)
             n;
           for i = 0 to n - 1 do
             Counters.add counters per_block.(i);

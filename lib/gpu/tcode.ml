@@ -10,10 +10,11 @@
    int-context / float-context accessors - the classic
    threaded-code/pre-decoding transformation (OCamlJIT 2.0 lineage).
 
-   A decoded [program] is immutable and carries no launch state, so one
-   decode is shared by every launch of the kernel (Gpurt keeps a
-   per-kernel program; the JIT attaches programs to code-cache entries
-   as a third cache tier) and by all domains of a multicore launch.
+   A decoded [program] is immutable apart from one spare set of
+   executor buffers (see [acquire]), so one decode is shared by every
+   launch of the kernel (Gpurt keeps a per-kernel program; the JIT
+   attaches programs to code-cache entries as a third cache tier) and
+   by all domains of a multicore launch.
 
    Semantics note: every operation here must be bit-identical to the
    reference interpreter - the differential qcheck/HeCBench tests and
@@ -130,6 +131,80 @@ type tterm = TTbr of int | TTcbr of isrc * int * int | TTret
 
 type tblock = { tcode : tinstr array; tterm : tterm }
 
+(* ---- executor buffers ---- *)
+
+(* Allocation-free per-instruction cache-line dedup. A warp touches at
+   most one address per lane per instruction, so a lanes-sized scratch
+   pair suffices; duplicates are found by linear scan (<= 64 entries).
+   Kept first-occurrence order, which for the executors means the
+   reference interpreter's descending-lane order. *)
+type linedup = { la_buf : int array; mutable la_n : int }
+
+let linedup_create lanes = { la_buf = Array.make (max 1 lanes) 0; la_n = 0 }
+let linedup_reset d = d.la_n <- 0
+
+let linedup_add d (la : int) : bool =
+  let fresh = ref true in
+  for k = 0 to d.la_n - 1 do
+    if d.la_buf.(k) = la then fresh := false
+  done;
+  if !fresh then begin
+    d.la_buf.(d.la_n) <- la;
+    d.la_n <- d.la_n + 1
+  end;
+  !fresh
+
+(* Per-warp buffers of the threaded executor, sized for one program
+   and one warp width; zero-filled before each warp, so reuse is
+   indistinguishable from the reference's fresh allocations. Integer
+   banks are byte buffers holding one int64 cell per register (see the
+   unboxing note in Exec); float banks are flat float arrays, which
+   OCaml already stores unboxed. *)
+type tbufs = {
+  tb_lanes : int; (* warp width the banks are sized for *)
+  bvi : Bytes.t; (* vregs * lanes int64 cells *)
+  bvf : float array;
+  bsi : Bytes.t; (* sregs int64 cells *)
+  bsf : float array;
+  bspi : Bytes.t; (* spill_slots * lanes int64 cells *)
+  bspf : float array;
+  bsspi : Bytes.t; (* spill_slots int64 cells *)
+  bsspf : float array;
+  babuf : int array; (* per-instruction address collection *)
+  bdedup : linedup;
+  blanes : int array; (* active-lane indices of the current mask *)
+}
+
+let tbufs_create (f : Mach.mfunc) lanes =
+  let nvr = max 1 f.Mach.vregs and nsr = max 1 f.Mach.sregs in
+  let nsp = max 1 f.Mach.spill_slots in
+  {
+    tb_lanes = lanes;
+    bvi = Bytes.make (nvr * lanes * 8) '\000';
+    bvf = Array.make (nvr * lanes) 0.0;
+    bsi = Bytes.make (nsr * 8) '\000';
+    bsf = Array.make nsr 0.0;
+    bspi = Bytes.make (nsp * lanes * 8) '\000';
+    bspf = Array.make (nsp * lanes) 0.0;
+    bsspi = Bytes.make (nsp * 8) '\000';
+    bsspf = Array.make nsp 0.0;
+    babuf = Array.make (max 1 lanes) 0;
+    bdedup = linedup_create lanes;
+    blanes = Array.make 64 0;
+  }
+
+(* Zero the register and spill banks; [babuf], [bdedup] and [blanes]
+   are rewritten before every read. *)
+let tbufs_reset b =
+  Bytes.fill b.bvi 0 (Bytes.length b.bvi) '\000';
+  Array.fill b.bvf 0 (Array.length b.bvf) 0.0;
+  Bytes.fill b.bsi 0 (Bytes.length b.bsi) '\000';
+  Array.fill b.bsf 0 (Array.length b.bsf) 0.0;
+  Bytes.fill b.bspi 0 (Bytes.length b.bspi) '\000';
+  Array.fill b.bspf 0 (Array.length b.bspf) 0.0;
+  Bytes.fill b.bsspi 0 (Bytes.length b.bsspi) '\000';
+  Array.fill b.bsspf 0 (Array.length b.bsspf) 0.0
+
 type program = {
   tf : Mach.mfunc; (* the decoded function; used for identity checks *)
   entry : int;
@@ -138,6 +213,8 @@ type program = {
   ipdom : int array; (* block id -> reconvergence block id, -1 = <exit> *)
   has_atomics : bool; (* forces the serial (single-domain) schedule *)
   has_barriers : bool;
+  spare : tbufs option Atomic.t;
+      (* executor buffers between launches; empty while a launch holds them *)
 }
 
 exception Decode_error of string
@@ -417,7 +494,24 @@ let decode (f : Mach.mfunc) : program =
     ipdom;
     has_atomics = !has_atomics;
     has_barriers = !has_barriers;
+    spare = Atomic.make None;
   }
+
+(* Executor buffers for one launch of [p] on a [lanes]-wide warp: the
+   program's spare set when the slot holds one of that width, else a
+   fresh set. The exchange empties the slot, so a concurrent launch of
+   the same program (serve tenants on other domains share one cache
+   entry's program) never sees buffers in use and allocates its own.
+   The spare lives and dies with the program: no table outside it can
+   keep buffers alive. *)
+let acquire p ~lanes : tbufs =
+  match Atomic.exchange p.spare None with
+  | Some b when b.tb_lanes = lanes -> b
+  | _ -> tbufs_create p.tf lanes
+
+(* Hand buffers back after a launch. If two launches overlapped, the
+   last to finish keeps its set and the other is left to the GC. *)
+let release p (b : tbufs) = Atomic.set p.spare (Some b)
 
 (* A program may be scheduled across domains when re-ordering its
    thread-blocks cannot change results: atomics serialize through

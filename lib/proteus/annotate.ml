@@ -36,7 +36,13 @@ let mask_of_args (args : int list) : int64 =
       if i >= 1 && i <= 64 then Int64.logor acc (Int64.shift_left 1L (i - 1)) else acc)
     0L args
 
+(* Walk the mask from bit 63 down, consing each set bit's argument
+   index, so the list comes out ascending with no intermediate list. *)
 let args_of_mask (mask : int64) : int list =
-  List.filter
-    (fun i -> not (Int64.equal (Int64.logand mask (Int64.shift_left 1L (i - 1))) 0L))
-    (List.init 64 (fun i -> i + 1))
+  let rec go bit acc =
+    if bit < 0 then acc
+    else
+      let set = not (Int64.equal (Int64.logand mask (Int64.shift_left 1L bit)) 0L) in
+      go (bit - 1) (if set then (bit + 1) :: acc else acc)
+  in
+  go 63 []

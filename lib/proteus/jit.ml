@@ -402,9 +402,12 @@ let compile_specialization (t : t) ~(bitcode : string) ~(sym : string)
 let qkey t ~mid ~sym =
   (match t.tenant with Some tn -> tn ^ ":" | None -> "") ^ mid ^ "/" ^ sym
 
-let qstate t ~mid ~sym : qstate =
-  let k = qkey t ~mid ~sym in
-  match Hashtbl.find_opt t.quarantine k with
+(* The quarantine record of [qk], created by its first failure: a
+   healthy kernel has none, so a healthy launch only looks it up. An
+   absent record means what a fresh one would (no failures, no
+   cooldown, the configured backoff). *)
+let qstate t qk : qstate =
+  match Hashtbl.find_opt t.quarantine qk with
   | Some q -> q
   | None ->
       let q =
@@ -414,7 +417,7 @@ let qstate t ~mid ~sym : qstate =
           cur_backoff = max t.config.Config.quarantine_backoff 0;
         }
       in
-      Hashtbl.replace t.quarantine k q;
+      Hashtbl.replace t.quarantine qk q;
       q
 
 let quarantined_kernels t =
@@ -440,7 +443,10 @@ let note_failure t (q : qstate) =
     end
   end
 
-let note_success t ~mid ~sym = Hashtbl.remove t.quarantine (qkey t ~mid ~sym)
+(* A success clears the kernel's streak. The usual table is empty, and
+   the length test then skips hashing [qk]. *)
+let note_success t qk =
+  if Hashtbl.length t.quarantine > 0 then Hashtbl.remove t.quarantine qk
 
 (* ---- specialization policy (SpecAdvisor) ------------------------- *)
 
@@ -449,10 +455,9 @@ let note_success t ~mid ~sym = Hashtbl.remove t.quarantine (qkey t ~mid ~sym)
    Runs inside the same Fetch_bitcode/Decode containment stages as
    compilation, so advisor failures are contained, counted and
    quarantined exactly like compile failures. *)
-let advised_impact (t : t) ~(mid : string) ~(sym : string) :
+let advised_impact (t : t) ~(qk : string) ~(sym : string) :
     Proteus_analysis.Specadvisor.kernel_impact option =
-  let k = qkey t ~mid ~sym in
-  match Hashtbl.find_opt t.advice k with
+  match Hashtbl.find_opt t.advice qk with
   | Some r -> r
   | None ->
       let t0 = Unix.gettimeofday () in
@@ -469,7 +474,7 @@ let advised_impact (t : t) ~(mid : string) ~(sym : string) :
       charge t
         (float_of_int (String.length bitcode)
         *. t.rt.Gpurt.cost.Costmodel.bitcode_parse_per_byte_s);
-      Hashtbl.replace t.advice k impact;
+      Hashtbl.replace t.advice qk impact;
       impact
 
 (* The advisor's static score threshold assumes a nominal reuse of
@@ -481,19 +486,19 @@ let advised_impact (t : t) ~(mid : string) ~(sym : string) :
    break-even. Without tiering (no profile), the static model stands. *)
 let nominal_reuse = 10
 
-let effective_spec_threshold (t : t) ~(mid : string) ~(sym : string) : float =
+let effective_spec_threshold (t : t) ~(qk : string) : float =
   let base = t.config.Config.spec_threshold in
   if not t.config.Config.tier then base
   else
-    let launches = Stats.kernel_launch_count t.stats (qkey t ~mid ~sym) in
+    let launches = Stats.kernel_launch_count t.stats qk in
     if launches <= nominal_reuse then base
     else base *. float_of_int nominal_reuse /. float_of_int launches
 
-let advised_args (t : t) ~(mid : string) ~(sym : string) : int list =
-  match advised_impact t ~mid ~sym with
+let advised_args (t : t) ~(qk : string) ~(sym : string) : int list =
+  match advised_impact t ~qk ~sym with
   | None -> []
   | Some ki ->
-      let eff = effective_spec_threshold t ~mid ~sym in
+      let eff = effective_spec_threshold t ~qk in
       List.filter_map
         (fun (a : Proteus_analysis.Specadvisor.arg_impact) ->
           if
@@ -508,21 +513,26 @@ let advised_args (t : t) ~(mid : string) ~(sym : string) : int list =
 
 (* Apply the configured specialization policy to the annotated values.
    The filtered list feeds BOTH the cache key and the specializer, so
-   a cached object is always exactly the code the key describes. *)
-let policy_spec_values (t : t) ~(mid : string) ~(sym : string)
+   a cached object is always exactly the code the key describes.
+   [qk] is the launch's [qkey]. *)
+let policy_values (t : t) ~(qk : string) ~(sym : string)
     (spec_values : (int * Konst.t) list) : (int * Konst.t) list =
   if spec_values = [] then spec_values
   else begin
     let policy = t.config.Config.spec_policy in
     let recommended =
       match policy with
-      | Config.Spec_advise -> advised_args t ~mid ~sym
+      | Config.Spec_advise -> advised_args t ~qk ~sym
       | Config.Spec_all | Config.Spec_none -> []
     in
     let keep, skipped = Speckey.apply_policy ~policy ~recommended spec_values in
     t.stats.Stats.spec_skipped_args <- t.stats.Stats.spec_skipped_args + skipped;
     keep
   end
+
+let policy_spec_values (t : t) ~(mid : string) ~(sym : string)
+    (spec_values : (int * Konst.t) list) : (int * Konst.t) list =
+  policy_values t ~qk:(qkey t ~mid ~sym) ~sym spec_values
 
 (* ---- launch ------------------------------------------------------ *)
 
@@ -573,12 +583,13 @@ let maybe_enqueue_tier (t : t) ~(mid : string) ~(sym : string) ~(key : Speckey.t
 (* The JIT path proper: raises Stage_failure on any contained error.
    Returns the tier that served the launch: 1 for a specialized cached
    object, 0 for the AOT artifact a cold tiered launch dispatches while
-   its O3 compile waits in the background queue. *)
-let jit_launch (t : t) ~(mid : string) ~(sym : string) ~(grid : int) ~(block : int)
-    ~(args : Konst.t array) ~(spec_mask : int64) : int =
+   its O3 compile waits in the background queue. [qk] is the launch's
+   [qkey], built once by [launch]. *)
+let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : int)
+    ~(block : int) ~(args : Konst.t array) ~(spec_mask : int64) : int =
   let cost = t.rt.Gpurt.cost in
   let clock_before = Clock.read t.rt.Gpurt.clock in
-  ignore (Stats.record_kernel_launch t.stats (qkey t ~mid ~sym));
+  ignore (Stats.record_kernel_launch t.stats qk);
   let spec_values =
     if t.config.Config.enable_rcf || t.config.Config.enable_lb then
       List.filter_map
@@ -589,7 +600,7 @@ let jit_launch (t : t) ~(mid : string) ~(sym : string) ~(grid : int) ~(block : i
   (* The specialization policy filters the values before they reach
      either the key or the specializer. *)
   let spec_values =
-    if t.config.Config.enable_rcf then policy_spec_values t ~mid ~sym spec_values
+    if t.config.Config.enable_rcf then policy_values t ~qk ~sym spec_values
     else spec_values
   in
   (* Hash always encodes what the generated code depends on. *)
@@ -600,7 +611,7 @@ let jit_launch (t : t) ~(mid : string) ~(sym : string) ~(grid : int) ~(block : i
   in
   charge t cost.Costmodel.cache_hash_s;
   let key_str = Speckey.to_string key in
-  ignore (Stats.record_key_launch t.stats key_str);
+  let profile = Stats.record_key_launch t.stats key_str in
   let served =
     match
       in_stage t Fault.Cache_read (fun () ->
@@ -712,7 +723,7 @@ let jit_launch (t : t) ~(mid : string) ~(sym : string) ~(grid : int) ~(block : i
   in
   (* per-key kernel-time profile: simulated seconds this key spent
      executing, the observed side of the tier-up payoff model *)
-  Stats.record_kernel_time t.stats key_str (Clock.read t.rt.Gpurt.clock -. kernel_t0);
+  Stats.record_kernel_time profile (Clock.read t.rt.Gpurt.clock -. kernel_t0);
   tier
 
 (* Launch the AOT-compiled kernel embedded in the fatbinary: the
@@ -797,7 +808,7 @@ let drain_tier (t : t) : unit =
             t.stats.Stats.tierups <- t.stats.Stats.tierups + 1;
             Hist.record t.stats.Stats.swap_hist
               (Clock.read t.rt.Gpurt.clock -. job.tj_enqueued_s);
-            note_success t ~mid:job.tj_mid ~sym:job.tj_sym
+            note_success t (qkey t ~mid:job.tj_mid ~sym:job.tj_sym)
         | exception e ->
             let stage_name =
               match e with
@@ -811,7 +822,7 @@ let drain_tier (t : t) : unit =
             | _ -> ());
             t.stats.Stats.tierup_failures <- t.stats.Stats.tierup_failures + 1;
             Stats.record_failure t.stats stage_name;
-            note_failure t (qstate t ~mid:job.tj_mid ~sym:job.tj_sym))
+            note_failure t (qstate t (qkey t ~mid:job.tj_mid ~sym:job.tj_sym)))
       completed
   end
 
@@ -845,62 +856,62 @@ let launch (t : t) ~(mid : string) ~(sym : string) ~(grid : int) ~(block : int)
      aot_fallback t ~sym ~grid ~block ~args
    end
    else
-     let q = qstate t ~mid ~sym in
-     if q.cooldown > 0 then begin
-       (* quarantined: serve from the AOT binary, tick down the backoff *)
-       if q.cooldown <> max_int then q.cooldown <- q.cooldown - 1;
-       t.stats.Stats.quarantined_launches <- t.stats.Stats.quarantined_launches + 1;
-       if q.cooldown = 0 then
-         t.stats.Stats.quarantine_retries <- t.stats.Stats.quarantine_retries + 1;
-       aot_fallback t ~sym ~grid ~block ~args
-     end
-     else
-       let rec attempt (n : int) : unit =
-         match jit_launch t ~mid ~sym ~grid ~block ~args ~spec_mask with
-         | tier ->
-             if n > 0 then
-               t.stats.Stats.retry_successes <- t.stats.Stats.retry_successes + 1;
-             (* a tier-0 serve says nothing about JIT pipeline health:
-                it must not clear the consecutive-failure streak a
-                failed background compile is building toward quarantine *)
-             if tier > 0 then note_success t ~mid ~sym
-         | exception e ->
-             let transient =
-               match e with
-               | Stage_failure (_, inner) ->
-                   Fault.classify_exn inner = Fault.Transient
-               | _ -> false
-             in
-             if transient && n < t.config.Config.retry_max then begin
-               t.stats.Stats.retries <- t.stats.Stats.retries + 1;
-               (* jittered exponential backoff, charged to the simulated
-                  clock (deterministic: the jitter comes from a seeded
-                  Rng, the clock from the cost model) *)
-               let delay_ms =
-                 Deadline.backoff_ms ~base_ms:t.config.Config.retry_backoff_ms
-                   ~attempt:n ~rand:(Util.Rng.float t.rng) ()
-               in
-               charge t (delay_ms *. 1e-3);
-               attempt (n + 1)
-             end
-             else begin
-               let stage_name =
+     let qk = qkey t ~mid ~sym in
+     match Hashtbl.find_opt t.quarantine qk with
+     | Some q when q.cooldown > 0 ->
+         (* quarantined: serve from the AOT binary, tick down the backoff *)
+         if q.cooldown <> max_int then q.cooldown <- q.cooldown - 1;
+         t.stats.Stats.quarantined_launches <- t.stats.Stats.quarantined_launches + 1;
+         if q.cooldown = 0 then
+           t.stats.Stats.quarantine_retries <- t.stats.Stats.quarantine_retries + 1;
+         aot_fallback t ~sym ~grid ~block ~args
+     | _ ->
+         let rec attempt (n : int) : unit =
+           match jit_launch t ~qk ~mid ~sym ~grid ~block ~args ~spec_mask with
+           | tier ->
+               if n > 0 then
+                 t.stats.Stats.retry_successes <- t.stats.Stats.retry_successes + 1;
+               (* a tier-0 serve says nothing about JIT pipeline health:
+                  it must not clear the consecutive-failure streak a
+                  failed background compile is building toward quarantine *)
+               if tier > 0 then note_success t qk
+           | exception e ->
+               let transient =
                  match e with
-                 | Stage_failure (p, _) -> Fault.point_name p
-                 | _ -> "launch" (* escaped outside any instrumented stage *)
+                 | Stage_failure (_, inner) ->
+                     Fault.classify_exn inner = Fault.Transient
+                 | _ -> false
                in
-               (match e with
-               | Stage_failure (Fault.Verify, _) ->
-                   t.stats.Stats.verify_rejections <-
-                     t.stats.Stats.verify_rejections + 1
-               | _ -> ());
-               t.stats.Stats.fallbacks <- t.stats.Stats.fallbacks + 1;
-               Stats.record_failure t.stats stage_name;
-               note_failure t q;
-               aot_fallback t ~sym ~grid ~block ~args
-             end
-       in
-       attempt 0);
+               if transient && n < t.config.Config.retry_max then begin
+                 t.stats.Stats.retries <- t.stats.Stats.retries + 1;
+                 (* jittered exponential backoff, charged to the simulated
+                    clock (deterministic: the jitter comes from a seeded
+                    Rng, the clock from the cost model) *)
+                 let delay_ms =
+                   Deadline.backoff_ms ~base_ms:t.config.Config.retry_backoff_ms
+                     ~attempt:n ~rand:(Util.Rng.float t.rng) ()
+                 in
+                 charge t (delay_ms *. 1e-3);
+                 attempt (n + 1)
+               end
+               else begin
+                 let stage_name =
+                   match e with
+                   | Stage_failure (p, _) -> Fault.point_name p
+                   | _ -> "launch" (* escaped outside any instrumented stage *)
+                 in
+                 (match e with
+                 | Stage_failure (Fault.Verify, _) ->
+                     t.stats.Stats.verify_rejections <-
+                       t.stats.Stats.verify_rejections + 1
+                 | _ -> ());
+                 t.stats.Stats.fallbacks <- t.stats.Stats.fallbacks + 1;
+                 Stats.record_failure t.stats stage_name;
+                 note_failure t (qstate t qk);
+                 aot_fallback t ~sym ~grid ~block ~args
+               end
+         in
+         attempt 0);
   sync_cache_counters t
 
 (* --------------------------------------------------------------- *)

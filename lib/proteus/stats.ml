@@ -117,16 +117,15 @@ let profile t key : key_profile =
       Hashtbl.add t.profiles key p;
       p
 
-(* Record one launch of [key]: bump its count (returning the new one)
-   and remember the most recent per-launch overhead for the
-   first/steady latency ledger. *)
-let record_key_launch t key : int =
+(* Record one launch of [key] and return its profile, which the
+   launch then hands to [record_kernel_time]: one table lookup per
+   launch, not two. *)
+let record_key_launch t key : key_profile =
   let p = profile t key in
   p.kp_launches <- p.kp_launches + 1;
-  p.kp_launches
+  p
 
-let record_kernel_time t key (seconds : float) =
-  let p = profile t key in
+let record_kernel_time (p : key_profile) (seconds : float) =
   p.kp_kernel_s <- p.kp_kernel_s +. seconds
 
 let key_launches t key =

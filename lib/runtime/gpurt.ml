@@ -49,10 +49,12 @@ type ctx = {
   mutable exec_reference : bool;
 }
 
-let create ?(cost = Costmodel.default) (device : Device.t) : ctx =
+(* [mem_bytes] is the device arena's initial capacity (Gmem's default
+   when absent); the arena grows on demand past it. *)
+let create ?(cost = Costmodel.default) ?mem_bytes (device : Device.t) : ctx =
   {
     device;
-    mem = Gmem.create ();
+    mem = Gmem.create ?capacity:mem_bytes ();
     l2 = L2cache.create device;
     clock = Clock.create ();
     cost;

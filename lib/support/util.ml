@@ -2,29 +2,47 @@
 
 let failf fmt = Format.kasprintf failwith fmt
 
-(* FNV-1a 64-bit hashing; used for specialization keys and module ids. *)
+(* FNV-1a 64-bit hashing; used for specialization keys and module ids.
+   The folds keep the running hash in a local that no closure captures,
+   so the native compiler holds it unboxed and each call boxes only its
+   result. *)
 module Fnv = struct
   let offset_basis = 0xcbf29ce484222325L
   let prime = 0x100000001b3L
 
-  let add_byte h b =
-    Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
-
   let add_string h s =
     let h = ref h in
-    String.iter (fun c -> h := add_byte !h (Char.code c)) s;
+    for i = 0 to String.length s - 1 do
+      h :=
+        Int64.mul
+          (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+          prime
+    done;
     !h
 
+  (* the 8 bytes of [x], least significant first *)
   let add_int64 h (x : int64) =
     let h = ref h in
     for i = 0 to 7 do
-      h := add_byte !h (Int64.to_int (Int64.shift_right_logical x (8 * i)))
+      h :=
+        Int64.mul
+          (Int64.logxor !h (Int64.logand (Int64.shift_right_logical x (8 * i)) 0xffL))
+          prime
     done;
     !h
 
   let add_int h x = add_int64 h (Int64.of_int x)
+
   let string s = add_string offset_basis s
-  let to_hex h = Printf.sprintf "%016Lx" h
+
+  (* 16 lowercase hex digits, most significant first (= "%016Lx") *)
+  let to_hex h =
+    let b = Bytes.create 16 in
+    for i = 0 to 15 do
+      let d = Int64.to_int (Int64.shift_right_logical h (60 - (4 * i))) land 0xf in
+      Bytes.unsafe_set b i (String.unsafe_get "0123456789abcdef" d)
+    done;
+    Bytes.unsafe_to_string b
 end
 
 let hash_hex s = Fnv.to_hex (Fnv.string s)

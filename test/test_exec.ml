@@ -147,6 +147,197 @@ let test_parallel_safe_goes_multicore () =
   in
   check Alcotest.string "atomic-free kernel parallelizes" "multicore" engine
 
+(* ---- executor buffers reused across launches ---- *)
+
+(* The threaded engine keeps its register banks on the decoded program
+   between launches (Tcode.acquire / release) and zero-fills them per
+   warp. Reuse must be invisible: a launch sequence that interleaves
+   programs of different register and spill shapes, and survives a
+   launch that fails mid-kernel, matches the reference interpreter
+   launch for launch. *)
+
+(* ~20 mutually-live doubles under a 32-register cap: spills *)
+let spill_kernel () =
+  let terms =
+    List.init 20 (fun j ->
+        Printf.sprintf "double t%d = v[i + %d] * %d.5 + (double)i;" j j (j + 1))
+  in
+  let reduce =
+    String.concat " + "
+      (List.init 20 (fun j -> Printf.sprintf "t%d * t%d" j ((j + 7) mod 20)))
+  in
+  let src =
+    Printf.sprintf
+      {|__global__ void hot(double* v, double* out, int n) {
+          int i = blockIdx.x * blockDim.x + threadIdx.x;
+          if (i < n - 32) {
+            %s
+            out[i] = %s;
+          }
+        }|}
+      (String.concat "\n" terms) reduce
+  in
+  let m = (Compile.compile ~vendor:Lower.Hip src).Compile.device in
+  ignore (Proteus_opt.Pipeline.optimize_o3 m);
+  let mf = Isel.lower_func m (Ir.find_func m "hot") in
+  Regalloc.apply mf
+    { Regalloc.cap_v = 32; cap_s = 102; rematerialize = false;
+      reg_units = (fun ty -> max 1 (Types.size_of ty / 4)) };
+  mf
+
+(* Hand-written machine code that reads an integer vreg, a float vreg,
+   a vector spill slot and a scalar register before writing them, stores
+   what it read ([out] + 32 * tid), then dirties all four. Compiled
+   kernels never read a register first, so this is the kernel that sees
+   whether a warp starts from zeroed banks, as the reference engine's
+   fresh arrays do. *)
+let stale_kernel () =
+  let v rid = { Mach.rid; rcls = Mach.CV } and sc rid = { Mach.rid; rcls = Mach.CS } in
+  let i op dst srcs = { Mach.op; dst; srcs } in
+  let add d a k = i (Mach.Obin (Ops.Add, Types.i64)) (Some (v d)) [ Mach.Rs (v a); Mach.Ki (Konst.ki64 k) ] in
+  let st ty x a = i (Mach.Ost (Mach.SGlobal, ty)) None [ Mach.Rs (v x); Mach.Rs (v a) ] in
+  let code =
+    [
+      i (Mach.Oarg 0) (Some (v 0)) [];
+      i (Mach.Oquery "gpu.tid.x") (Some (v 1)) [];
+      i (Mach.Obin (Ops.Mul, Types.i64)) (Some (v 2)) [ Mach.Rs (v 1); Mach.Ki (Konst.ki64 32) ];
+      i (Mach.Obin (Ops.Add, Types.i64)) (Some (v 3)) [ Mach.Rs (v 0); Mach.Rs (v 2) ];
+      (* read before write *)
+      st Types.i64 4 3;
+      add 6 3 8;
+      st (Types.TFloat 64) 5 6;
+      i (Mach.Ospill_ld 0) (Some (v 7)) [];
+      add 8 3 16;
+      st Types.i64 7 8;
+      i (Mach.Omov Types.i64) (Some (v 9)) [ Mach.Rs (sc 0) ];
+      add 10 3 24;
+      st Types.i64 9 10;
+      (* dirty *)
+      add 4 1 1000;
+      i (Mach.Ocast (Ops.SiToFp, Types.TFloat 64, Types.i64)) (Some (v 5)) [ Mach.Rs (v 4) ];
+      i (Mach.Ospill_st 0) None [ Mach.Rs (v 4) ];
+      i (Mach.Omov Types.i64) (Some (sc 0)) [ Mach.Ki (Konst.ki64 77) ];
+    ]
+  in
+  {
+    Mach.sym = "stale";
+    blocks = [ { Mach.mlab = "entry"; code; term = Mach.Tret } ];
+    params = [];
+    arg_tys = [ Types.ptr Types.i64 ];
+    vregs = 11;
+    sregs = 1;
+    frame = 0;
+    spill_slots = 1;
+    launch_bounds = None;
+    max_pressure_v = 0;
+    max_pressure_s = 0;
+  }
+
+type step = Diff of float * int | Hot of int | Diff_oob | Stale
+
+(* One device universe running [steps] in order: the diff kernel [kd],
+   the spilling [kh] and the stale-read [ks], through their decoded
+   programs [pd] / [ph] / [ps] unless [reference]. Returns per launch
+   the output bytes and counters, or the failure message. *)
+type kernels = {
+  kd : Mach.mfunc; pd : Tcode.program;
+  kh : Mach.mfunc; ph : Tcode.program;
+  ks : Mach.mfunc; ps : Tcode.program;
+}
+
+let reuse_kernels () =
+  let kd = compile_kernel diff_kernel_src "f" and kh = spill_kernel () in
+  let ks = stale_kernel () in
+  { kd; pd = Tcode.decode kd; kh; ph = Tcode.decode kh; ks; ps = Tcode.decode ks }
+
+let run_steps ~reference ks steps =
+  let dev = Device.mi250x in
+  let mem = Gmem.create () and l2 = L2cache.create dev in
+  let n = 200 in
+  let bytes = 128 * 32 in
+  let v = Gmem.alloc mem bytes and out = Gmem.alloc mem bytes in
+  for i = 0 to n + 63 do
+    Gmem.write_f64 mem (Int64.add v (Int64.of_int (i * 8))) (0.01 *. float_of_int i)
+  done;
+  let snap () =
+    String.init bytes (fun i -> Char.chr (Gmem.read_u8 mem (Int64.add out (Int64.of_int i))))
+  in
+  let launch k p ~grid args =
+    let tcode = if reference then None else Some p in
+    match
+      Exec.launch ~reference ~domains:1 ?tcode ~device:dev ~mem ~l2
+        ~symbols:(fun _ -> 0L) k ~grid ~block:64 ~args
+    with
+    | r -> Ok (snap (), r.Exec.counters)
+    | exception Failure msg -> Error msg
+  in
+  List.map
+    (function
+      | Diff (a, n) ->
+          launch ks.kd ks.pd ~grid:((n + 63) / 64)
+            [| Konst.kint ~bits:64 out; Konst.kint ~bits:64 v; Konst.kf64 a; Konst.ki32 n |]
+      | Diff_oob ->
+          (* [out] 512 bytes short of the arena's end: block 0's 64
+             stores land, block 1 runs off the end and fails mid-kernel *)
+          let edge = Int64.of_int (Bytes.length mem.Gmem.data - 512) in
+          launch ks.kd ks.pd ~grid:4
+            [| Konst.kint ~bits:64 edge; Konst.kint ~bits:64 v; Konst.kf64 1.0; Konst.ki32 256 |]
+      | Hot n ->
+          launch ks.kh ks.ph ~grid:((n + 63) / 64)
+            [| Konst.kint ~bits:64 v; Konst.kint ~bits:64 out; Konst.ki32 n |]
+      | Stale -> launch ks.ks ks.ps ~grid:2 [| Konst.kint ~bits:64 out |])
+    steps
+
+let test_buffer_reuse_interleaved () =
+  let ks = reuse_kernels () in
+  Alcotest.(check bool) "shapes differ" true
+    (ks.kd.Mach.vregs <> ks.kh.Mach.vregs
+    && ks.kd.Mach.spill_slots = 0 && ks.kh.Mach.spill_slots > 0);
+  let steps =
+    [ Diff (1.5, 200); Hot 200; Stale; Diff (-2.0, 100); Hot 130; Diff_oob; Stale;
+      Diff (0.5, 200); Hot 200; Stale; Diff (3.0, 70) ]
+  in
+  let expect = run_steps ~reference:true ks steps in
+  let got = run_steps ~reference:false ks steps in
+  List.iteri
+    (fun i (e, g) ->
+      match (e, g) with
+      | Ok (se, ce), Ok (sg, cg) ->
+          check Alcotest.string (Printf.sprintf "launch %d output" i) se sg;
+          Alcotest.(check bool) (Printf.sprintf "launch %d counters" i) true (ce = cg)
+      | Error me, Error mg -> check Alcotest.string (Printf.sprintf "launch %d failure" i) me mg
+      | _ -> Alcotest.failf "launch %d: engines disagree on failure" i)
+    (List.combine expect got);
+  Alcotest.(check bool) "the failing launch failed" true
+    (match List.nth got 5 with Error _ -> true | Ok _ -> false);
+  (* and the buffers really were reused: a further launch hands back
+     the very set the program holds now *)
+  let held = Atomic.get ks.pd.Tcode.spare in
+  Alcotest.(check bool) "program holds spare buffers" true (held <> None);
+  ignore (run_steps ~reference:false ks [ Diff (1.0, 64) ]);
+  Alcotest.(check bool) "same buffers after another launch" true
+    (match (held, Atomic.get ks.pd.Tcode.spare) with
+    | Some a, Some b -> a == b
+    | _ -> false)
+
+(* Two domains launching one shared program concurrently each get
+   whole buffers: 200 launches per domain match the same launches run
+   serially. *)
+let test_buffer_reuse_two_domains () =
+  let ks = reuse_kernels () in
+  let steps d =
+    List.init 200 (fun i ->
+        if i mod 10 = 9 then Stale else Diff (float_of_int ((i * 7) + d) *. 0.25, 65 + (i mod 130)))
+  in
+  let serial = List.map (fun d -> run_steps ~reference:false ks (steps d)) [ 0; 1 ] in
+  let doms =
+    List.map (fun d -> Domain.spawn (fun () -> run_steps ~reference:false ks (steps d))) [ 0; 1 ]
+  in
+  List.iteri
+    (fun d (dom, ser) ->
+      Alcotest.(check bool) (Printf.sprintf "domain %d matches serial" d) true (Domain.join dom = ser))
+    (List.combine doms serial)
+
 (* ---- whole-application differential: the full HeCBench suite ---- *)
 
 (* Run an app end to end (AOT-compiled, so only the executor varies)
@@ -187,6 +378,10 @@ let () =
             test_atomics_take_serial_fallback;
           Alcotest.test_case "atomic-free kernels parallelize" `Quick
             test_parallel_safe_goes_multicore;
+          Alcotest.test_case "reused buffers match the reference" `Quick
+            test_buffer_reuse_interleaved;
+          Alcotest.test_case "two domains share one program" `Quick
+            test_buffer_reuse_two_domains;
         ] );
       ( "hecbench",
         List.map

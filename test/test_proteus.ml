@@ -53,9 +53,17 @@ let test_annotations_parsed () =
   check Alcotest.string "stub annotated" "__stub_daxpy"
     (List.hd host_annots).Annotate.kernel
 
+(* The generated argument lists are mixed with the two edge masks: 0
+   (no argument) and bit 63 alone (argument 64, the sign bit). *)
 let qcheck_mask_roundtrip =
   QCheck.Test.make ~name:"spec-arg mask roundtrip" ~count:200
-    QCheck.(list_of_size (Gen.int_range 0 10) (int_range 1 64))
+    QCheck.(
+      frequency
+        [
+          (1, always []);
+          (1, always [ 64 ]);
+          (18, list_of_size (Gen.int_range 0 10) (int_range 1 64));
+        ])
     (fun args ->
       let uniq = List.sort_uniq compare args in
       Annotate.args_of_mask (Annotate.mask_of_args uniq) = uniq)
@@ -172,6 +180,30 @@ let test_speckey_sensitivity () =
     (key () = key ~vals:[ (2, Konst.kf64 2.0) ] ());
   Alcotest.(check bool) "launch bounds" false (key () = key ~lb:(Some 128) ());
   Alcotest.(check bool) "lb none vs some" false (key () = key ~lb:None ())
+
+(* Keys name cache files, so their bytes are a persistent format: these
+   hex digests were computed before the hash was rewritten to run
+   unboxed and must never change. *)
+let test_speckey_golden () =
+  let golden name expected ~mid ~sym vals lb =
+    check Alcotest.string name expected
+      (Speckey.to_string (Speckey.compute ~mid ~sym ~spec_values:vals ~launch_bounds:lb))
+  in
+  golden "float and int values, lb" "b4816b43611b8034" ~mid:"m0" ~sym:"daxpy"
+    [ (1, Konst.KFloat (3.0, 64)); (4, Konst.KInt (256L, 32)) ]
+    (Some 64);
+  golden "negative int, no lb" "ca6f397bf2ac1a93" ~mid:"ca-0123" ~sym:"serve_k7"
+    [ (1, Konst.KInt (-9L, 64)) ]
+    None;
+  golden "bools and f32, lb" "eb391d93997c4a6b" ~mid:"mod" ~sym:"k"
+    [ (2, Konst.KBool true); (3, Konst.KFloat (-0.5, 32)); (5, Konst.KBool false) ]
+    (Some 256);
+  golden "empty everything" "8cf51a8bfca3883d" ~mid:"" ~sym:"" [] None;
+  check Alcotest.string "cache file name" "cache-jit-ed6c07d77994732a.o"
+    (Speckey.cache_filename
+       (Speckey.compute ~mid:"m0" ~sym:"daxpy" ~spec_values:[] ~launch_bounds:None));
+  check Alcotest.string "content module id" "ca-4b63f8a7e6e6dafa"
+    (Speckey.content_mid ~device_ir:"\x00\xff abc" ~backend:"amd")
 
 let qcheck_speckey_value_sensitivity =
   QCheck.Test.make ~name:"distinct values give distinct keys" ~count:200
@@ -554,6 +586,7 @@ let () =
       ( "speckey",
         [
           Alcotest.test_case "sensitivity" `Quick test_speckey_sensitivity;
+          Alcotest.test_case "golden keys" `Quick test_speckey_golden;
           qtest qcheck_speckey_value_sensitivity;
         ] );
       ( "cache",

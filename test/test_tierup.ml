@@ -181,6 +181,7 @@ let test_tcode_invalidation () =
       ipdom = [||];
       has_atomics = false;
       has_barriers = false;
+      spare = Atomic.make None;
     }
   in
   Hashtbl.replace rt.Gpurt.tcodes "swapped" prog;
