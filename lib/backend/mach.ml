@@ -81,6 +81,13 @@ let successors = function
   | Tcbr (_, t, e) -> if t = e then [ t ] else [ t; e ]
   | Tret -> []
 
+(* Successors of [blocks.(i)] as indices into [blocks], the shape
+   Dom.ipostdoms takes. *)
+let succ_indices (blocks : mblock array) : int -> int list =
+  let index = Hashtbl.create (2 * Array.length blocks) in
+  Array.iteri (fun i b -> Hashtbl.replace index b.mlab i) blocks;
+  fun i -> List.map (Hashtbl.find index) (successors blocks.(i).term)
+
 let is_mem_op = function Old _ | Ost _ | Oatomic _ -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)

@@ -105,37 +105,32 @@ let term_regs = function
 (* Divergent-branch regions: for every conditional branch on a vector
    (per-lane) register, the set of blocks the SIMT engines may execute
    under a partial mask before reconverging at the branch block's
-   immediate postdominator, plus that reconvergence label. *)
-let divergent_regions (f : Mach.mfunc) : (string list * string) list =
-  let labels = List.map (fun (b : Mach.mblock) -> b.Mach.mlab) f.Mach.blocks in
-  let succs l =
-    match List.find_opt (fun (b : Mach.mblock) -> b.Mach.mlab = l) f.Mach.blocks with
-    | Some b -> Mach.successors b.Mach.term
-    | None -> []
-  in
-  let ipdom = Uniformity.ipostdoms labels succs in
+   immediate postdominator, plus that reconvergence label (None when
+   the paths only meet at exit). *)
+let divergent_regions (f : Mach.mfunc) : (string list * string option) list =
+  let blocks = Array.of_list f.Mach.blocks in
+  let n = Array.length blocks in
+  let succs = Mach.succ_indices blocks in
+  let ipdom = Dom.ipostdoms n succs in
   List.filter_map
-    (fun (b : Mach.mblock) ->
-      match b.Mach.term with
+    (fun i ->
+      match blocks.(i).Mach.term with
       | Mach.Tcbr (Mach.Rs { Mach.rcls = Mach.CV; _ }, _, _) ->
-          let stop =
-            match Util.Smap.find_opt b.Mach.mlab ipdom with
-            | Some j -> j
-            | None -> "<exit>"
-          in
+          let stop = ipdom.(i) in
           (* all blocks reachable from the successors short of the
              reconvergence point (not just the postdominator chains) *)
-          let seen = ref Util.Sset.empty in
-          let rec go l =
-            if l <> stop && l <> "<exit>" && not (Util.Sset.mem l !seen) then begin
-              seen := Util.Sset.add l !seen;
-              List.iter go (succs l)
+          let seen = Array.make n false and region = ref [] in
+          let rec go j =
+            if j <> stop && not seen.(j) then begin
+              seen.(j) <- true;
+              region := blocks.(j).Mach.mlab :: !region;
+              List.iter go (succs j)
             end
           in
-          List.iter go (succs b.Mach.mlab);
-          Some (Util.Sset.elements !seen, stop)
+          List.iter go (succs i);
+          Some (!region, if stop < 0 then None else Some blocks.(stop).Mach.mlab)
       | _ -> None)
-    f.Mach.blocks
+    (List.init n Fun.id)
 
 (* Per-class liveness and intervals. Returns (start, end, reg) list.
 
@@ -148,7 +143,7 @@ let divergent_regions (f : Mach.mfunc) : (string list * string) list =
    same-register def on the then side even though no CFG path connects
    them (per-lane vector writes are masked and safe). *)
 let intervals (f : Mach.mfunc) (lin : linear) (cls : Mach.cls)
-    ~(regions : (string list * string) list) : (int * int * int) list =
+    ~(regions : (string list * string option) list) : (int * int * int) list =
   let key r = r.Mach.rid in
   let in_cls r = r.Mach.rcls = cls in
   (* block-level use/def *)
@@ -253,7 +248,7 @@ let intervals (f : Mach.mfunc) (lin : linear) (cls : Mach.cls)
               live := Util.Iset.union !live (Hashtbl.find live_in lbl)
           | None -> ())
         blocks;
-      (match Hashtbl.find_opt live_in join with
+      (match Option.bind join (Hashtbl.find_opt live_in) with
       | Some s -> live := Util.Iset.union !live s
       | None -> ());
       if !lo <= !hi then

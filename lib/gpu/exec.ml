@@ -70,14 +70,21 @@ let ibits_of = function
 
 (* Per-kernel preparation shared by all warps of a launch: block map
    and reconvergence points. *)
-type prep = { pblocks : (string, Mach.mblock) Hashtbl.t; pipdom : string Util.Smap.t }
+type prep = {
+  pblocks : (string, Mach.mblock) Hashtbl.t;
+  pipdom : string Util.Smap.t; (* absent: reconverges at exit *)
+}
 
 let prepare (f : Mach.mfunc) : prep =
   let pblocks : (string, Mach.mblock) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun (b : Mach.mblock) -> Hashtbl.replace pblocks b.Mach.mlab b) f.Mach.blocks;
-  let labels = List.map (fun (b : Mach.mblock) -> b.Mach.mlab) f.Mach.blocks in
-  let succs l = Mach.successors (Hashtbl.find pblocks l).Mach.term in
-  { pblocks; pipdom = Uniformity.ipostdoms labels succs }
+  let blocks = Array.of_list f.Mach.blocks in
+  let pipdom = ref Util.Smap.empty in
+  Array.iteri
+    (fun i r ->
+      if r >= 0 then pipdom := Util.Smap.add blocks.(i).Mach.mlab blocks.(r).Mach.mlab !pipdom)
+    (Dom.ipostdoms (Array.length blocks) (Mach.succ_indices blocks));
+  { pblocks; pipdom = !pipdom }
 
 let run_warp (env : kernel_env) (f : Mach.mfunc) (prep : prep) (w : wstate)
     (init_mask : int64) : unit =
@@ -524,8 +531,9 @@ let run_warp (env : kernel_env) (f : Mach.mfunc) (prep : prep) (w : wstate)
   in
   (* ---- SIMT control flow ---- *)
   let fuel = ref 1_000_000_000 in
-  let rec run (label : string) (mask : int64) (stop : string) : int64 =
-    if label = stop || Int64.equal mask 0L then mask
+  (* [stop]: the reconvergence label that ends this walk; None = never *)
+  let rec run (label : string) (mask : int64) (stop : string option) : int64 =
+    if stop = Some label || Int64.equal mask 0L then mask
     else begin
       let b = block label in
       site_lab := label;
@@ -555,25 +563,20 @@ let run_warp (env : kernel_env) (f : Mach.mfunc) (prep : prep) (w : wstate)
           if Int64.equal em 0L then run t mask stop
           else if Int64.equal !tm 0L then run e mask stop
           else begin
-            let reconv =
-              match Util.Smap.find_opt label ipdom with
-              | Some r when r <> "<exit>" -> Some r
-              | _ -> None
-            in
-            match reconv with
+            match Util.Smap.find_opt label ipdom with
             | Some r ->
-                let m1 = run t !tm r in
-                let m2 = run e em r in
+                let m1 = run t !tm (Some r) in
+                let m2 = run e em (Some r) in
                 let joined = Int64.logor m1 m2 in
-                if r = stop then joined else run r joined stop
+                if stop = Some r then joined else run r joined stop
             | None ->
-                let _ = run t !tm "<never>" in
-                let _ = run e em "<never>" in
+                let _ = run t !tm None in
+                let _ = run e em None in
                 0L
           end
     end
   in
-  let _ = run (List.hd f.Mach.blocks).Mach.mlab init_mask "<never>" in
+  let _ = run (List.hd f.Mach.blocks).Mach.mlab init_mask None in
   ignore (popcount init_mask)
 
 (* ------------------------------------------------------------------ *)
@@ -1733,7 +1736,8 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
             touch_collected !nref)
   in
   (* ---- SIMT control flow over integer block ids ---- *)
-  (* stop sentinel -2 = the reference's "<never>" (ipdom exit is -1) *)
+  (* stop sentinel -2 matches no block, like the reference's None
+     (ipdom exit is -1) *)
   let fuel = ref 0 in
   let blocks = p.Tcode.blocks in
   let ipdom = p.Tcode.ipdom in

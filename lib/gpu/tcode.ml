@@ -21,7 +21,6 @@
    the "paper tables unchanged" gate both depend on it. When editing,
    change Exec.run_warp first and mirror the semantics here. *)
 
-open Proteus_support
 open Proteus_ir
 open Proteus_backend
 
@@ -210,7 +209,7 @@ type program = {
   entry : int;
   blocks : tblock array;
   labels : string array; (* block id -> label, for trap messages *)
-  ipdom : int array; (* block id -> reconvergence block id, -1 = <exit> *)
+  ipdom : int array; (* block id -> reconvergence block id, -1 = exit *)
   has_atomics : bool; (* forces the serial (single-domain) schedule *)
   has_barriers : bool;
   spare : tbufs option Atomic.t;
@@ -475,16 +474,12 @@ let decode (f : Mach.mfunc) : program =
          f.Mach.blocks)
   in
   (* int-indexed immediate-postdominator table (reconvergence points) *)
-  let lab_list = Array.to_list labels in
-  let succs l = Mach.successors (List.nth f.Mach.blocks (bid l)).Mach.term in
-  let ipdom_s = Uniformity.ipostdoms lab_list succs in
   let ipdom =
-    Array.map
-      (fun l ->
-        match Util.Smap.find_opt l ipdom_s with
-        | Some r when r <> "<exit>" -> bid r
-        | _ -> -1)
-      labels
+    Dom.ipostdoms n (fun i ->
+        match blocks.(i).tterm with
+        | TTbr l -> [ l ]
+        | TTcbr (_, t, e) -> [ t; e ]
+        | TTret -> [])
   in
   {
     tf = f;

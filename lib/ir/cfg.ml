@@ -44,6 +44,13 @@ let build (f : Ir.func) =
   let rpo = !post in
   { func = f; succs; preds = !preds; postorder = List.rev rpo; rpo }
 
+(* Successors of [blocks.(i)] as indices into [blocks], the shape
+   Dom.ipostdoms takes. *)
+let succ_indices (blocks : Ir.block array) : int -> int list =
+  let index = Hashtbl.create (2 * Array.length blocks) in
+  Array.iteri (fun i (b : Ir.block) -> Hashtbl.replace index b.label i) blocks;
+  fun i -> List.map (Hashtbl.find index) (Ir.successors blocks.(i).term)
+
 let succs t l = try Util.Smap.find l t.succs with Not_found -> []
 let preds t l = try Util.Smap.find l t.preds with Not_found -> []
 let reachable t = Util.Sset.of_list t.rpo

@@ -1,5 +1,6 @@
-(* Dominator tree and dominance frontiers, after Cooper, Harvey &
-   Kennedy, "A Simple, Fast Dominance Algorithm". *)
+(* Dominator tree, dominance frontiers and immediate postdominators,
+   after Cooper, Harvey & Kennedy, "A Simple, Fast Dominance
+   Algorithm". *)
 
 open Proteus_support
 
@@ -104,3 +105,51 @@ let preorder t =
   let entry = match t.cfg.Cfg.rpo with e :: _ -> e | [] -> Util.failf "Dom.preorder" in
   let rec go l = l :: List.concat_map go (children t l) in
   go entry
+
+(* Immediate postdominators over blocks [0, n): the same iteration run
+   on the reverse graph, rooted at a virtual exit that every block
+   without successors flows into. [ipdom.(b)] is the block where all
+   paths from [b] reconverge; -1 means they reconverge only at exit,
+   which is also the answer for a block with no path to a return. *)
+let ipostdoms (n : int) (succs : int -> int list) : int array =
+  let exit = n in
+  (* reverse-graph successors: the exit's are the returning blocks *)
+  let outs = Array.init n (fun b -> match succs b with [] -> [ exit ] | ss -> ss) in
+  let ins = Array.make (n + 1) [] in
+  Array.iteri (fun b ss -> List.iter (fun s -> ins.(s) <- b :: ins.(s)) ss) outs;
+  let visited = Array.make (n + 1) false in
+  let rpo = ref [] in
+  let rec dfs b =
+    if not visited.(b) then begin
+      visited.(b) <- true;
+      List.iter dfs ins.(b);
+      rpo := b :: !rpo
+    end
+  in
+  dfs exit;
+  let order = Array.make (n + 1) 0 in
+  List.iteri (fun i b -> order.(b) <- i) !rpo;
+  let idom = Array.make (n + 1) (-1) in (* -1 = not yet processed *)
+  idom.(exit) <- exit;
+  let rec intersect a b =
+    if a = b then a
+    else if order.(a) > order.(b) then intersect idom.(a) b
+    else intersect a idom.(b)
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun b ->
+        if b <> exit then
+          match List.filter (fun s -> idom.(s) >= 0) outs.(b) with
+          | [] -> ()
+          | first :: rest ->
+              let d = List.fold_left intersect first rest in
+              if idom.(b) <> d then begin
+                idom.(b) <- d;
+                changed := true
+              end)
+      !rpo
+  done;
+  Array.init n (fun b -> if idom.(b) = exit then -1 else idom.(b))

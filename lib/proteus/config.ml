@@ -52,9 +52,9 @@ type t = {
       (* PROTEUS_VERIFY_STRICT: treat an unproven TransVal verdict at
          verify level 2 as a rejection instead of a counted warning *)
   exec_domains : int;
-      (* PROTEUS_EXEC_DOMAINS: domains the executor schedules
-         thread-blocks across; 0 = automatic (the executor picks the
-         recommended domain count); 1 forces serial execution *)
+      (* domains the executor schedules thread-blocks across; 0 =
+         automatic (Pool.default_domains: PROTEUS_EXEC_DOMAINS if set,
+         else the recommended domain count); 1 forces serial execution *)
   spec_policy : spec_policy; (* PROTEUS_SPEC_POLICY=all|advise|none *)
   spec_threshold : float;
       (* PROTEUS_SPEC_THRESHOLD: minimum SpecAdvisor score an argument
@@ -142,7 +142,7 @@ let default =
     verify_jit = env_verify_level "PROTEUS_VERIFY" 0 >= 1;
     verify_level = env_verify_level "PROTEUS_VERIFY" 0;
     verify_strict = env_bool "PROTEUS_VERIFY_STRICT" false;
-    exec_domains = env_int "PROTEUS_EXEC_DOMAINS" 0;
+    exec_domains = 0;
     spec_policy = env_policy "PROTEUS_SPEC_POLICY" Spec_all;
     spec_threshold =
       env_float "PROTEUS_SPEC_THRESHOLD" Proteus_analysis.Specadvisor.default_threshold;

@@ -1,7 +1,6 @@
 (* KernelSan tests: the bundled programs analyze clean; broken fixtures
    produce exactly the expected findings with source locations; the
-   analysis-side uniformity agrees with the backend's; the hardened IR
-   verifier rejects corrupted modules; O3 on clean code stays clean
+   hardened IR verifier rejects corrupted modules; O3 on clean code stays clean
    (property); and the JIT verify gate turns injected IR corruption
    into counted AOT fallbacks. *)
 
@@ -123,28 +122,6 @@ let test_info_findings_under_all () =
     (List.length (Kernelsan.reportable findings));
   Alcotest.(check bool) "visible under --all" true
     (Kernelsan.reportable ~all:true findings <> [])
-
-(* ---- uniformity: the analysis-side dataflow agrees with the backend
-   codegen's divergence analysis on every bundled kernel ---- *)
-
-let test_uniformity_cross_check () =
-  List.iter
-    (fun (name, src) ->
-      let m = Kernelsan.normalize (compile name src) in
-      List.iter
-        (fun (f : Ir.func) ->
-          if f.Ir.blocks <> [] then begin
-            let backend = Proteus_backend.Uniformity.compute f in
-            let analysis = Uniformity.compute f in
-            for r = 0 to Ir.nregs f - 1 do
-              check Alcotest.bool
-                (Printf.sprintf "%s/%s r%d" name f.Ir.fname r)
-                (Proteus_backend.Uniformity.is_divergent backend r)
-                (Uniformity.is_divergent analysis r)
-            done
-          end)
-        m.Ir.funcs)
-    bundled
 
 (* ---- hardened IR verifier: corrupted modules are rejected ---- *)
 
@@ -434,11 +411,6 @@ let () =
           Alcotest.test_case "lane shapes" `Quick test_affine_shapes;
           Alcotest.test_case "interval evaluation" `Quick test_affine_eval;
           Alcotest.test_case "guard narrowing (clamp)" `Quick test_affine_clamp;
-        ] );
-      ( "uniformity",
-        [
-          Alcotest.test_case "analysis agrees with backend codegen" `Quick
-            test_uniformity_cross_check;
         ] );
       ( "normalize",
         [

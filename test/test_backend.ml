@@ -2,6 +2,7 @@
    allocation (with and without pressure), PTX round-tripping and the
    vendor register-budget rules. *)
 
+open Proteus_support
 open Proteus_ir
 open Proteus_frontend
 open Proteus_backend
@@ -66,7 +67,38 @@ let test_uniformity_control_dependence () =
       | Ir.IPhi (d, _) -> phi_div := Some (Uniformity.is_divergent uni d)
       | Ir.ISelect (d, _, _, _) -> phi_div := Some (Uniformity.is_divergent uni d)
       | _ -> ());
-  check Alcotest.(option bool) "phi under divergent branch" (Some true) !phi_div
+  check Alcotest.(option bool) "phi under divergent branch" (Some true) !phi_div;
+  (* a divergent branch's region is its then-side only: not the branch
+     block, not the join, and nothing under a later uniform branch *)
+  let m =
+    device_of
+      {|__global__ void k(int* v, int n) {
+          int i = blockIdx.x * blockDim.x + threadIdx.x;
+          if (i < n) { v[i] = 1; }
+          if (n > 4) { v[n] = 2; }
+          v[i + n] = 3;
+        }|}
+  in
+  let f = Ir.find_func m "k" in
+  let uni = Uniformity.compute f in
+  let storing k =
+    (List.find
+       (fun (b : Ir.block) ->
+         List.exists
+           (function Ir.IStore (Ir.Imm c, _) -> Konst.as_int c = k | _ -> false)
+           b.Ir.insts)
+       f.Ir.blocks)
+      .Ir.label
+  in
+  let entry = (List.hd f.Ir.blocks).Ir.label in
+  check Alcotest.(list string) "divergent branch blocks" [ entry ]
+    (Util.Sset.elements uni.Uniformity.divergent_branch_blocks);
+  check Alcotest.(list string) "divergent region" [ storing 1L ]
+    (Util.Sset.elements uni.Uniformity.divergent_region);
+  Alcotest.(check bool) "uniform-branch side outside the region" false
+    (Uniformity.in_divergent_region uni (storing 2L));
+  Alcotest.(check bool) "join outside the region" false
+    (Uniformity.in_divergent_region uni (storing 3L))
 
 (* ---- isel ---- *)
 

@@ -478,6 +478,173 @@ let test_interp_fuel () =
   Alcotest.check_raises "out of fuel" Interp.Out_of_fuel (fun () ->
       ignore (Interp.run env m "spin" []))
 
+(* ------------------------------------------------------------------ *)
+(* Postdominators *)
+
+(* The definition, by brute force: [p] postdominates [b] iff deleting
+   [p] disconnects [b] from every return. A block with no path to a
+   return reconverges only at exit (-1), like one whose paths meet
+   nowhere before exit. *)
+let ipostdoms_oracle (n : int) (succs : int -> int list) : int array =
+  let reaches_return ~without b =
+    let seen = Array.make n false in
+    let rec go v =
+      v <> without && (not seen.(v))
+      && begin
+           seen.(v) <- true;
+           succs v = [] || List.exists go (succs v)
+         end
+    in
+    go b
+  in
+  let pdoms b =
+    List.filter (fun p -> p <> b && not (reaches_return ~without:p b)) (List.init n Fun.id)
+  in
+  Array.init n (fun b ->
+      if not (reaches_return ~without:(-1) b) then -1
+      else
+        let ps = pdoms b in
+        (* the nearest one: every other postdominator of [b] postdominates it *)
+        match
+          List.filter
+            (fun p -> List.for_all (fun q -> q = p || List.mem q (pdoms p)) ps)
+            ps
+        with
+        | [ p ] -> p
+        | [] -> -1
+        | _ -> Alcotest.fail "postdominators of a block must form a chain")
+
+let check_ipostdoms name n succs =
+  check Alcotest.(array int) name (ipostdoms_oracle n succs) (Dom.ipostdoms n succs)
+
+let bundled_sources =
+  List.map
+    (fun (a : Proteus_hecbench.App.t) ->
+      (a.Proteus_hecbench.App.name, a.Proteus_hecbench.App.source))
+    Proteus_hecbench.Suite.apps
+  @ List.map
+      (fun (e : Proteus_examples.Sources.t) ->
+        (e.Proteus_examples.Sources.name, e.Proteus_examples.Sources.source))
+      Proteus_examples.Sources.all
+
+let vendors = [ (Proteus_gpu.Device.Amd, "amd"); (Proteus_gpu.Device.Nvidia, "nvidia") ]
+
+let aot_kernels vendor (name, src) =
+  (Proteus_driver.Driver.compile ~name ~vendor ~mode:Proteus_driver.Driver.Aot src)
+    .Proteus_driver.Driver.fatbin.Proteus_backend.Mach.kernels
+
+(* every bundled and HeCBench kernel, as O3 IR and as machine code for
+   both vendors *)
+let test_ipostdoms_bundled () =
+  List.iter
+    (fun (name, src) ->
+      let m = Proteus_frontend.Compile.compile_device_only ~name src in
+      ignore (Proteus_opt.Pipeline.optimize_o3 m);
+      List.iter
+        (fun (f : Ir.func) ->
+          let blocks = Array.of_list f.Ir.blocks in
+          check_ipostdoms
+            (Printf.sprintf "%s/%s IR" name f.Ir.fname)
+            (Array.length blocks) (Cfg.succ_indices blocks))
+        m.Ir.funcs;
+      List.iter
+        (fun (vendor, vn) ->
+          List.iter
+            (fun (k : Proteus_backend.Mach.mfunc) ->
+              let blocks = Array.of_list k.Proteus_backend.Mach.blocks in
+              check_ipostdoms
+                (Printf.sprintf "%s/%s %s" name k.Proteus_backend.Mach.sym vn)
+                (Array.length blocks)
+                (Proteus_backend.Mach.succ_indices blocks))
+            (aot_kernels vendor (name, src)))
+        vendors)
+    bundled_sources
+
+(* 0 -> 1 | 4; 1 -> 1 | 2 (self-loop); 2 -> 3 -> 3 (no return from 2 or
+   3); 4 returns; 5 is unreachable from 0 and falls into 4 *)
+let test_ipostdoms_corner_cases () =
+  let succs = function
+    | 0 -> [ 1; 4 ]
+    | 1 -> [ 1; 2 ]
+    | 2 -> [ 3 ]
+    | 3 -> [ 3 ]
+    | 5 -> [ 4 ]
+    | _ -> []
+  in
+  check Alcotest.(array int) "ipdoms" [| 4; -1; -1; -1; -1; 4 |] (Dom.ipostdoms 6 succs);
+  check_ipostdoms "oracle" 6 succs
+
+(* random CFGs: self-loops, blocks unreachable from the entry and blocks
+   that cannot reach a return all occur *)
+let qcheck_ipostdoms_random =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 10 >>= fun n ->
+      list_repeat n (int_range 0 2 >>= fun k -> list_repeat k (int_range 0 (n - 1))))
+  in
+  let print g = String.concat "; " (List.map (fun ss -> String.concat "," (List.map string_of_int ss)) g) in
+  QCheck.Test.make ~name:"ipostdoms matches the brute-force definition" ~count:500
+    (QCheck.make ~print gen) (fun g ->
+      let succ = Array.of_list g in
+      let succs b = succ.(b) in
+      let n = Array.length succ in
+      Dom.ipostdoms n succs = ipostdoms_oracle n succs)
+
+(* Tcode's reconvergence table for every HeCBench kernel on both
+   vendors, as the earlier set-based postdominator routine computed it *)
+let ipdom_golden =
+  [
+    ("ADAM", "amd", "adam", [| 1; 3; 5; -1; 5; 1; 5 |]);
+    ("ADAM", "nvidia", "adam", [| 1; 3; 5; -1; 5; 1; 5 |]);
+    ("RSBENCH", "amd", "rs_xs", [| 2; 3; -1; 5; 3; 2; 2 |]);
+    ("RSBENCH", "amd", "rs_init", [| 2; 2; 4; 4; -1; 2; 4 |]);
+    ("RSBENCH", "nvidia", "rs_xs", [| 2; 3; -1; 5; 3; 2; 2 |]);
+    ("RSBENCH", "nvidia", "rs_init", [| 2; 2; 4; 4; -1; 2; 4 |]);
+    ("WSM5", "amd", "wsm5", [| 2; 3; -1; 5; 3; 2; 2 |]);
+    ("WSM5", "nvidia", "wsm5", [| 2; 3; -1; 5; 3; 2; 2 |]);
+    ("FEY-KAC", "amd", "feykac", [| 2; 3; -1; 6; 9; 3; 2; 9; 9; 5; 9; 9; 9; 9; 5; 2; 5 |]);
+    ("FEY-KAC", "nvidia", "feykac", [| 2; 3; -1; 6; 9; 3; 2; 9; 9; 5; 9; 9; 9; 9; 5; 2; 5 |]);
+    ("LULESH", "amd", "lulesh_init", [| 2; 2; -1; 2 |]);
+    ("LULESH", "amd", "calc_force", [| 2; 2; 4; 6; -1; 6; 4; 2; 4; 6 |]);
+    ("LULESH", "amd", "integrate", [| 2; 2; -1; 2 |]);
+    ("LULESH", "nvidia", "lulesh_init", [| 2; 2; -1; 2 |]);
+    ("LULESH", "nvidia", "calc_force", [| 2; 2; 4; 6; -1; 6; 4; 2; 4; 6 |]);
+    ("LULESH", "nvidia", "integrate", [| 2; 2; -1; 2 |]);
+    ("SW4CK", "amd", "sw4_k1", [| 2; 2; 4; 4; -1; 2; 4 |]);
+    ("SW4CK", "amd", "sw4_k2", [| 2; 2; 4; 4; -1; 2; 4 |]);
+    ("SW4CK", "amd", "sw4_k3", [| 2; 2; 4; 4; -1; 2; 4 |]);
+    ("SW4CK", "amd", "sw4_k4", [| 2; 2; 4; 5; -1; 7; 5; 4; 2; 4 |]);
+    ("SW4CK", "amd", "sw4_k5", [| 2; 2; 4; 4; -1; 2; 4 |]);
+    ("SW4CK", "nvidia", "sw4_k1", [| 2; 2; 4; 4; -1; 2; 4 |]);
+    ("SW4CK", "nvidia", "sw4_k2", [| 2; 2; 4; 4; -1; 2; 4 |]);
+    ("SW4CK", "nvidia", "sw4_k3", [| 2; 2; 4; 4; -1; 2; 4 |]);
+    ("SW4CK", "nvidia", "sw4_k4", [| 2; 2; 4; 5; -1; 7; 5; 4; 2; 4 |]);
+    ("SW4CK", "nvidia", "sw4_k5", [| 2; 2; 4; 4; -1; 2; 4 |]);
+  ]
+
+let test_ipdom_golden () =
+  let got =
+    List.concat_map
+      (fun (a : Proteus_hecbench.App.t) ->
+        List.concat_map
+          (fun (vendor, vn) ->
+            List.map
+              (fun (k : Proteus_backend.Mach.mfunc) ->
+                ( a.Proteus_hecbench.App.name,
+                  vn,
+                  k.Proteus_backend.Mach.sym,
+                  (Proteus_gpu.Tcode.decode k).Proteus_gpu.Tcode.ipdom ))
+              (aot_kernels vendor (a.Proteus_hecbench.App.name, a.Proteus_hecbench.App.source)))
+          vendors)
+      Proteus_hecbench.Suite.apps
+  in
+  check Alcotest.int "13 kernels x 2 vendors" 26 (List.length got);
+  List.iter2
+    (fun (app, vn, sym, want) (app', vn', sym', ipdom) ->
+      check Alcotest.(list string) "kernel" [ app; vn; sym ] [ app'; vn'; sym' ];
+      check Alcotest.(array int) (Printf.sprintf "%s/%s %s" app sym vn) want ipdom)
+    ipdom_golden got
+
 let () =
   Alcotest.run "ir"
     [
@@ -540,5 +707,14 @@ let () =
           Alcotest.test_case "loop semantics" `Quick test_loop_interp;
           Alcotest.test_case "unreachable removal" `Quick test_remove_unreachable;
           Alcotest.test_case "interpreter fuel" `Quick test_interp_fuel;
+        ] );
+      ( "postdominators",
+        [
+          Alcotest.test_case "bundled kernels match the definition" `Quick
+            test_ipostdoms_bundled;
+          Alcotest.test_case "self-loop, unreachable, no return" `Quick
+            test_ipostdoms_corner_cases;
+          qtest qcheck_ipostdoms_random;
+          Alcotest.test_case "HeCBench Tcode ipdom golden" `Quick test_ipdom_golden;
         ] );
     ]
