@@ -21,9 +21,16 @@
 
 open Proteus_gpu
 open Proteus_hecbench
+module Json = Proteus_support.Json
 
 let vname = function Device.Amd -> "AMD" | Device.Nvidia -> "NVIDIA"
 let vendors = [ Device.Amd; Device.Nvidia ]
+
+(* --json rows: every per-(app, vendor) section row starts with these
+   two fields, and times are written in milliseconds (a NaN from an
+   n/a cell prints as null) *)
+let cell_fields name vendor = [ ("app", Json.Str name); ("vendor", Json.Str (vname vendor)) ]
+let json_ms (s : float) = Json.Num (s *. 1e3)
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -290,24 +297,25 @@ int main() { return 0; }
       (Staged.stage (fun () -> ignore (Proteus_ir.Bitcode.decode_module bitcode)))
   in
   let test_o3 =
-    Test.make ~name:"opt:O3 pipeline on daxpy"
+    Test.make ~name:"opt:decode+O3 pipeline on daxpy"
       (Staged.stage (fun () ->
+           (* O3 rewrites its module in place, so every run decodes a
+              fresh one *)
            let m = Proteus_ir.Bitcode.decode_module bitcode in
            ignore (Proteus_opt.Pipeline.optimize_o3 m)))
   in
+  (* codegen reads its module without changing it (Isel lowers a clone
+     of each function), so one O3 module serves every timed run *)
+  let o3 = Proteus_ir.Bitcode.decode_module bitcode in
+  ignore (Proteus_opt.Pipeline.optimize_o3 o3);
   let test_gcn =
     Test.make ~name:"backend:GCN codegen daxpy"
-      (Staged.stage (fun () ->
-           let m = Proteus_ir.Bitcode.decode_module bitcode in
-           ignore (Proteus_opt.Pipeline.optimize_o3 m);
-           ignore (Proteus_backend.Gcn.compile m)))
+      (Staged.stage (fun () -> ignore (Proteus_backend.Gcn.compile o3)))
   in
   let test_ptx =
     Test.make ~name:"backend:PTX emit+ptxas daxpy"
       (Staged.stage (fun () ->
-           let m = Proteus_ir.Bitcode.decode_module bitcode in
-           ignore (Proteus_opt.Pipeline.optimize_o3 m);
-           ignore (Proteus_backend.Ptxas.compile (Proteus_backend.Ptx.emit m))))
+           ignore (Proteus_backend.Ptxas.compile (Proteus_backend.Ptx.emit o3))))
   in
   let test_hash =
     Test.make ~name:"cache:specialization hash"
@@ -390,22 +398,7 @@ let analyze_bench () =
    below threshold stop multiplying keys). Any output divergence or a
    compile/entry regression fails the run (exit 1).                   *)
 
-type advise_row = {
-  ar_app : string;
-  ar_vendor : Device.vendor;
-  ar_ok : bool;
-  ar_compiles_all : int;
-  ar_compiles_adv : int;
-  ar_compiles_none : int;
-  ar_entries_all : int;
-  ar_entries_adv : int;
-  ar_hits_all : int;
-  ar_hits_adv : int;
-  ar_skipped : int;
-  ar_advise_s : float;
-}
-
-let advise_rows : advise_row list ref = ref []
+let advise_rows : Json.t list ref = ref []
 
 let advise_bench () =
   header "SpecAdvisor policy: full vs advised vs no specialization (Proteus, cold)";
@@ -433,35 +426,35 @@ let advise_bench () =
           let compiles m = (st m).Stats.compiles in
           let hits m = (st m).Stats.mem_hits + (st m).Stats.disk_hits in
           let entries m = Stats.cache_entries_total (st m) in
+          let c_all = compiles m_all and c_adv = compiles m_adv in
+          let e_all = entries m_all and e_adv = entries m_adv in
+          let skipped = (st m_adv).Stats.spec_skipped_args in
           let ok =
             m_all.Harness.ok && m_adv.Harness.ok && m_none.Harness.ok
             && m_adv.Harness.output = m_all.Harness.output
             && m_none.Harness.output = m_all.Harness.output
-            && compiles m_adv <= compiles m_all
-            && entries m_adv <= entries m_all
+            && c_adv <= c_all && e_adv <= e_all
           in
           if not ok then incr failures;
-          let row =
-            {
-              ar_app = a.App.name;
-              ar_vendor = vendor;
-              ar_ok = ok;
-              ar_compiles_all = compiles m_all;
-              ar_compiles_adv = compiles m_adv;
-              ar_compiles_none = compiles m_none;
-              ar_entries_all = entries m_all;
-              ar_entries_adv = entries m_adv;
-              ar_hits_all = hits m_all;
-              ar_hits_adv = hits m_adv;
-              ar_skipped = (st m_adv).Stats.spec_skipped_args;
-              ar_advise_s = (st m_adv).Stats.advise_time_s;
-            }
-          in
-          advise_rows := row :: !advise_rows;
+          advise_rows :=
+            Json.Obj
+              (cell_fields a.App.name vendor
+              @ [
+                  ("ok", Json.Bool ok);
+                  ("compiles_all", Json.int c_all);
+                  ("compiles_advise", Json.int c_adv);
+                  ("compiles_none", Json.int (compiles m_none));
+                  ("cache_entries_all", Json.int e_all);
+                  ("cache_entries_advise", Json.int e_adv);
+                  ("hits_all", Json.int (hits m_all));
+                  ("hits_advise", Json.int (hits m_adv));
+                  ("skipped_args", Json.int skipped);
+                  ("advise_ms", json_ms (st m_adv).Stats.advise_time_s);
+                ])
+            :: !advise_rows;
           Printf.printf "%-9s %-7s %8d/%-4d %11d/%-4d %10d %4d/%-3d %10d %7s\n"
-            a.App.name (vname vendor) row.ar_compiles_all row.ar_hits_all
-            row.ar_compiles_adv row.ar_hits_adv row.ar_compiles_none
-            row.ar_entries_all row.ar_entries_adv row.ar_skipped
+            a.App.name (vname vendor) c_all (hits m_all) c_adv (hits m_adv)
+            (compiles m_none) e_all e_adv skipped
             (if ok then "same" else "DIFF"))
         Suite.apps)
     vendors;
@@ -559,17 +552,7 @@ let inject_faults () =
    the machine code executes. The gate is >= 90% interval agreement
    per app x vendor.                                                  *)
 
-type perf_row = {
-  pr_app : string;
-  pr_vendor : Device.vendor;
-  pr_static : int; (* classifiable (non-scratch) static sites *)
-  pr_matched : int; (* of those, executed at least once *)
-  pr_agreed : int;
-  pr_accuracy : float; (* percent, 100.0 when nothing matched *)
-  pr_by_class : (string * int * int) list; (* class, matched, agreed *)
-}
-
-let perf_rows : perf_row list ref = ref []
+let perf_rows : Json.t list ref = ref []
 
 let perf_validate () =
   header
@@ -600,16 +583,24 @@ let perf_validate () =
           let acc = Pl.accuracy_pct v in
           let ok = m.Harness.ok && acc >= 90.0 in
           if not ok then incr failures;
+          (* static_sites: classifiable (non-scratch) static sites;
+             matched: of those, executed at least once; accuracy:
+             percent, 100.0 when nothing matched *)
           perf_rows :=
-            {
-              pr_app = a.App.name;
-              pr_vendor = vendor;
-              pr_static = v.Pl.v_static;
-              pr_matched = v.Pl.v_matched;
-              pr_agreed = v.Pl.v_agree;
-              pr_accuracy = acc;
-              pr_by_class = v.Pl.v_by_class;
-            }
+            Json.Obj
+              (cell_fields a.App.name vendor
+              @ [
+                  ("static_sites", Json.int v.Pl.v_static);
+                  ("matched", Json.int v.Pl.v_matched);
+                  ("agreed", Json.int v.Pl.v_agree);
+                  ("accuracy", Json.Num acc);
+                  ( "classes",
+                    Json.Obj
+                      (List.map
+                         (fun (c, mm, g) ->
+                           (c, Json.Obj [ ("matched", Json.int mm); ("agreed", Json.int g) ]))
+                         v.Pl.v_by_class) );
+                ])
             :: !perf_rows;
           Printf.printf "%-9s %-7s %7d %8d %7d %8.1f%%  %s%s\n" a.App.name
             (vname vendor) v.Pl.v_static v.Pl.v_matched v.Pl.v_agree acc
@@ -647,17 +638,7 @@ let perf_validate () =
    the run (exit 1); an unproven kernel is reported but tolerated -
    the validator is deliberately incomplete.                          *)
 
-type tv_row = {
-  tv_app : string;
-  tv_vendor : Device.vendor;
-  tv_kernels : int;
-  tv_proven : int;
-  tv_unproven : int;
-  tv_refuted : int;
-  tv_s : float; (* validation wall time for the whole program *)
-}
-
-let tv_rows : tv_row list ref = ref []
+let tv_rows : Json.t list ref = ref []
 
 let transval_bench () =
   header "TransVal: O0 vs O3 translation validation (all bundled programs)";
@@ -692,15 +673,16 @@ let transval_bench () =
           let refuted = n (function Tv.Refuted _ -> true | _ -> false) in
           refuted_total := !refuted_total + refuted;
           tv_rows :=
-            {
-              tv_app = name;
-              tv_vendor = vendor;
-              tv_kernels = List.length verdicts;
-              tv_proven = proven;
-              tv_unproven = unproven;
-              tv_refuted = refuted;
-              tv_s = dt;
-            }
+            Json.Obj
+              (cell_fields name vendor
+              @ [
+                  ("kernels", Json.int (List.length verdicts));
+                  ("proven", Json.int proven);
+                  ("unproven", Json.int unproven);
+                  ("refuted", Json.int refuted);
+                  (* validation wall time for the whole program *)
+                  ("validate_ms", json_ms dt);
+                ])
             :: !tv_rows;
           Printf.printf "%-14s %-7s %7d %7d %9d %8d %7.1fms%s\n" name
             (vname vendor) (List.length verdicts) proven unproven refuted
@@ -731,22 +713,7 @@ let transval_bench () =
    must match the all-O3 path, and at least one background compile must
    have been published.  Any violation fails the run (exit 1).        *)
 
-type tier_row = {
-  tr_app : string;
-  tr_vendor : Device.vendor;
-  tr_ok : bool;
-  tr_first_off_s : float;
-  tr_first_tier_s : float;
-  tr_steady_off_s : float;
-  tr_steady_tier_s : float;
-  tr_tierups : int;
-  tr_tier_launches : int;
-  tr_swap_p50_s : float; (* nan when no tier-up published *)
-  tr_compiles_off : int;
-  tr_compiles_tier : int;
-}
-
-let tier_rows : tier_row list ref = ref []
+let tier_rows : Json.t list ref = ref []
 
 let tier_bench () =
   header "Tiered compilation: cold-launch latency, tier off vs on (Proteus, cold)";
@@ -786,30 +753,30 @@ let tier_bench () =
             && s_tier.Stats.tier_launches >= 1
           in
           if not ok then incr failures;
-          let row =
-            {
-              tr_app = a.App.name;
-              tr_vendor = vendor;
-              tr_ok = ok;
-              tr_first_off_s = s_off.Stats.first_launch_s;
-              tr_first_tier_s = s_tier.Stats.first_launch_s;
-              tr_steady_off_s = s_off.Stats.steady_launch_s;
-              tr_steady_tier_s = s_tier.Stats.steady_launch_s;
-              tr_tierups = s_tier.Stats.tierups;
-              tr_tier_launches = s_tier.Stats.tier_launches;
-              tr_swap_p50_s = swap_p50;
-              tr_compiles_off = s_off.Stats.compiles;
-              tr_compiles_tier = s_tier.Stats.compiles;
-            }
-          in
-          tier_rows := row :: !tier_rows;
+          tier_rows :=
+            Json.Obj
+              (cell_fields a.App.name vendor
+              @ [
+                  ("ok", Json.Bool ok);
+                  ("first_launch_ms_off", json_ms s_off.Stats.first_launch_s);
+                  ("first_launch_ms_tier", json_ms s_tier.Stats.first_launch_s);
+                  ("steady_launch_ms_off", json_ms s_off.Stats.steady_launch_s);
+                  ("steady_launch_ms_tier", json_ms s_tier.Stats.steady_launch_s);
+                  ("tierup_count", Json.int s_tier.Stats.tierups);
+                  ("tier_launches", Json.int s_tier.Stats.tier_launches);
+                  (* null when no tier-up was published *)
+                  ("swap_latency_ms", json_ms swap_p50);
+                  ("compiles_off", Json.int s_off.Stats.compiles);
+                  ("compiles_tier", Json.int s_tier.Stats.compiles);
+                ])
+            :: !tier_rows;
           Printf.printf "%-9s %-7s %6.2f/%-7.2f %6.3f/%-7.3f %8d %7d %9.2fms %7s\n"
             a.App.name (vname vendor)
-            (row.tr_first_off_s *. 1e3)
-            (row.tr_first_tier_s *. 1e3)
-            (row.tr_steady_off_s *. 1e3)
-            (row.tr_steady_tier_s *. 1e3)
-            row.tr_tierups row.tr_tier_launches (swap_p50 *. 1e3)
+            (s_off.Stats.first_launch_s *. 1e3)
+            (s_tier.Stats.first_launch_s *. 1e3)
+            (s_off.Stats.steady_launch_s *. 1e3)
+            (s_tier.Stats.steady_launch_s *. 1e3)
+            s_tier.Stats.tierups s_tier.Stats.tier_launches (swap_p50 *. 1e3)
             (if ok then "same" else "DIFF"))
         Suite.apps)
     vendors;
@@ -827,35 +794,7 @@ let tier_bench () =
    smaller fault-isolation pass (corrupting tenant T0's specializer
    must leave T1..'s outputs untouched). *)
 
-type serve_row = {
-  sr_tenant : string;
-  sr_launches : int;
-  sr_hits : int;
-  sr_compiles : int;
-  sr_hit_rate : float;
-  sr_p50_ms : float;
-  sr_p99_ms : float;
-  sr_fallbacks : int;
-  sr_quarantined : int;
-  sr_resident_bytes : int;
-}
-
-type serve_summary = {
-  ss_tenants : int;
-  ss_kernels : int;
-  ss_launches : int;
-  ss_seed : int;
-  ss_skew : float;
-  ss_domains : int;
-  ss_replay_identical : bool;
-  ss_isolation_ok : bool;
-  ss_ok : bool;
-  ss_rows : serve_row list;
-  ss_total : serve_row;
-  ss_wall_s : float;
-}
-
-let serve_summary : serve_summary option ref = ref None
+let serve_summary : Json.t option ref = ref None
 
 let serve_bench () =
   header "Multi-tenant serve: shared store, seeded Zipf workload";
@@ -876,29 +815,15 @@ let serve_bench () =
   Serve.run_sharded sv ~domains w.Workload.schedule;
   Serve.finish sv;
   let wall = Unix.gettimeofday () -. t0 in
-  let row_of (r : Serve.tenant_report) =
-    {
-      sr_tenant = r.Serve.tr_tenant;
-      sr_launches = r.tr_launches;
-      sr_hits = r.tr_hits;
-      sr_compiles = r.tr_compiles;
-      sr_hit_rate = r.tr_hit_rate;
-      sr_p50_ms = r.tr_p50_ms;
-      sr_p99_ms = r.tr_p99_ms;
-      sr_fallbacks = r.tr_fallbacks;
-      sr_quarantined = r.tr_quarantined;
-      sr_resident_bytes = r.tr_resident_bytes;
-    }
-  in
-  let rows = List.map row_of (Serve.report sv) in
-  let total = row_of (Serve.total sv) in
+  let rows = Serve.report sv in
+  let total = Serve.total sv in
   Printf.printf "%-8s %9s %9s %9s %9s %9s %6s %10s\n" "tenant" "launches"
     "hit-rate" "compiles" "p50-ms" "p99-ms" "fback" "resident";
   List.iter
-    (fun r ->
-      Printf.printf "%-8s %9d %9.4f %9d %9.4f %9.4f %6d %10d\n" r.sr_tenant
-        r.sr_launches r.sr_hit_rate r.sr_compiles r.sr_p50_ms r.sr_p99_ms
-        r.sr_fallbacks r.sr_resident_bytes)
+    (fun (r : Serve.tenant_report) ->
+      Printf.printf "%-8s %9d %9.4f %9d %9.4f %9.4f %6d %10d\n" r.Serve.tr_tenant
+        r.tr_launches r.tr_hit_rate r.tr_compiles r.tr_p50_ms r.tr_p99_ms
+        r.tr_fallbacks r.tr_resident_bytes)
     (rows @ [ total ]);
   (* gate 1: concurrent outputs bit-identical to serial replay *)
   let replay_identical =
@@ -944,11 +869,13 @@ let serve_bench () =
     done;
     !ok
   in
-  let sane r = r.sr_p50_ms <= r.sr_p99_ms && r.sr_hit_rate >= 0.0 && r.sr_hit_rate <= 1.0 in
+  let sane (r : Serve.tenant_report) =
+    r.Serve.tr_p50_ms <= r.tr_p99_ms && r.tr_hit_rate >= 0.0 && r.tr_hit_rate <= 1.0
+  in
   let ok =
     replay_identical && isolation_ok
     && List.for_all sane (total :: rows)
-    && total.sr_launches = launches
+    && total.Serve.tr_launches = launches
   in
   Printf.printf
     "serve: %d launches, %d domains in %.1fs (%.0f launches/s); replay %s, \
@@ -957,22 +884,38 @@ let serve_bench () =
     (float_of_int launches /. wall)
     (if replay_identical then "identical" else "DIVERGED")
     (if isolation_ok then "held" else "LEAKED");
+  let row_json (r : Serve.tenant_report) =
+    Json.Obj
+      [
+        ("tenant", Json.Str r.Serve.tr_tenant);
+        ("launches", Json.int r.tr_launches);
+        ("hits", Json.int r.tr_hits);
+        ("compiles", Json.int r.tr_compiles);
+        ("hit_rate", Json.Num r.tr_hit_rate);
+        ("p50_ms", Json.Num r.tr_p50_ms);
+        ("p99_ms", Json.Num r.tr_p99_ms);
+        ("fallbacks", Json.int r.tr_fallbacks);
+        ("quarantined", Json.int r.tr_quarantined);
+        ("resident_bytes", Json.int r.tr_resident_bytes);
+      ]
+  in
   serve_summary :=
     Some
-      {
-        ss_tenants = tenants;
-        ss_kernels = kernels;
-        ss_launches = launches;
-        ss_seed = seed;
-        ss_skew = skew;
-        ss_domains = domains;
-        ss_replay_identical = replay_identical;
-        ss_isolation_ok = isolation_ok;
-        ss_ok = ok;
-        ss_rows = rows;
-        ss_total = total;
-        ss_wall_s = wall;
-      };
+      (Json.Obj
+         [
+           ("tenants", Json.int tenants);
+           ("kernels", Json.int kernels);
+           ("launches", Json.int launches);
+           ("seed", Json.int seed);
+           ("skew", Json.Num skew);
+           ("domains", Json.int domains);
+           ("ok", Json.Bool ok);
+           ("replay_identical", Json.Bool replay_identical);
+           ("isolation_ok", Json.Bool isolation_ok);
+           ("wall_s", Json.Num wall);
+           ("total", row_json total);
+           ("per_tenant", Json.Arr (List.map row_json rows));
+         ]);
   if not ok then begin
     Printf.printf "\nserve gate failed\n";
     exit 1
@@ -981,195 +924,47 @@ let serve_bench () =
 (* ------------------------------------------------------------------ *)
 (* --json: machine-readable run summary.                               *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* N/A cells carry NaN times; JSON has no literal for those, so they
-   serialize as null *)
-let json_ms (s : float) =
-  if Float.is_finite s then Printf.sprintf "%.6f" (s *. 1e3) else "null"
-
 let write_json path ~(target_times : (string * float) list) ~(total_s : float) =
   let cells =
     Hashtbl.fold (fun _ m acc -> m :: acc) sweep_cache []
-    |> List.sort (fun (a : Harness.measurement) b -> compare (a.Harness.app, a.Harness.meth) (b.Harness.app, b.Harness.meth))
+    |> List.sort (fun (a : Harness.measurement) b ->
+           compare (a.Harness.app, a.Harness.meth) (b.Harness.app, b.Harness.meth))
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"targets\": {\n";
-  List.iteri
-    (fun i (name, s) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %.3f%s\n" (json_escape name) s
-           (if i = List.length target_times - 1 then "" else ",")))
-    (List.rev target_times);
-  Buffer.add_string buf "  },\n";
-  Buffer.add_string buf (Printf.sprintf "  \"total_wall_s\": %.3f,\n" total_s);
-  Buffer.add_string buf "  \"cells\": [\n";
-  List.iteri
-    (fun i (m : Harness.measurement) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"app\": \"%s\", \"vendor\": \"%s\", \"method\": \"%s\", \
-            \"na\": %b, \"e2e_ms\": %s, \"kernel_ms\": %s, \
-            \"jit_overhead_ms\": %s, \"cache_bytes\": %d}%s\n"
-           (json_escape m.Harness.app)
-           (vname m.Harness.vendor)
-           (json_escape m.Harness.meth) m.Harness.na (json_ms m.Harness.e2e_s)
-           (json_ms m.Harness.kernel_s)
-           (json_ms m.Harness.jit_overhead_s)
-           m.Harness.cache_bytes
-           (if i = List.length cells - 1 then "" else ",")))
-    cells;
-  Buffer.add_string buf "  ]";
-  (* SpecAdvisor policy comparison, present when the advise target ran *)
-  let arows =
-    List.sort
-      (fun a b -> compare (a.ar_app, a.ar_vendor) (b.ar_app, b.ar_vendor))
-      !advise_rows
+  let cell_json (m : Harness.measurement) =
+    Json.Obj
+      (cell_fields m.Harness.app m.Harness.vendor
+      @ [
+          ("method", Json.Str m.Harness.meth);
+          ("na", Json.Bool m.Harness.na);
+          ("e2e_ms", json_ms m.Harness.e2e_s);
+          ("kernel_ms", json_ms m.Harness.kernel_s);
+          ("jit_overhead_ms", json_ms m.Harness.jit_overhead_s);
+          ("cache_bytes", Json.int m.Harness.cache_bytes);
+        ])
   in
-  if arows <> [] then begin
-    Buffer.add_string buf ",\n  \"advise\": [\n";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"app\": \"%s\", \"vendor\": \"%s\", \"ok\": %b, \
-              \"compiles_all\": %d, \"compiles_advise\": %d, \"compiles_none\": %d, \
-              \"cache_entries_all\": %d, \"cache_entries_advise\": %d, \
-              \"hits_all\": %d, \"hits_advise\": %d, \"skipped_args\": %d, \
-              \"advise_ms\": %s}%s\n"
-             (json_escape r.ar_app) (vname r.ar_vendor) r.ar_ok r.ar_compiles_all
-             r.ar_compiles_adv r.ar_compiles_none r.ar_entries_all r.ar_entries_adv
-             r.ar_hits_all r.ar_hits_adv r.ar_skipped
-             (json_ms r.ar_advise_s)
-             (if i = List.length arows - 1 then "" else ",")))
-      arows;
-    Buffer.add_string buf "  ]"
-  end;
-  (* PerfLint validation table, present when perf-validate ran *)
-  let prows =
-    List.sort
-      (fun a b -> compare (a.pr_app, a.pr_vendor) (b.pr_app, b.pr_vendor))
-      !perf_rows
+  (* each target's section is present when that target ran, its rows
+     sorted by (app, vendor) *)
+  let section name rows =
+    let key r = (Json.field r "app", Json.field r "vendor") in
+    if rows = [] then []
+    else [ (name, Json.Arr (List.sort (fun a b -> compare (key a) (key b)) rows)) ]
   in
-  if prows <> [] then begin
-    Buffer.add_string buf ",\n  \"perf\": [\n";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"app\": \"%s\", \"vendor\": \"%s\", \"static_sites\": %d, \
-              \"matched\": %d, \"agreed\": %d, \"accuracy\": %.2f, \
-              \"classes\": {%s}}%s\n"
-             (json_escape r.pr_app) (vname r.pr_vendor) r.pr_static r.pr_matched
-             r.pr_agreed r.pr_accuracy
-             (String.concat ", "
-                (List.map
-                   (fun (c, m, g) ->
-                     Printf.sprintf
-                       "\"%s\": {\"matched\": %d, \"agreed\": %d}"
-                       (json_escape c) m g)
-                   r.pr_by_class))
-             (if i = List.length prows - 1 then "" else ",")))
-      prows;
-    Buffer.add_string buf "  ]"
-  end;
-  (* translation-validation table, present when the transval target ran *)
-  let tvrows =
-    List.sort
-      (fun a b -> compare (a.tv_app, a.tv_vendor) (b.tv_app, b.tv_vendor))
-      !tv_rows
+  let doc =
+    Json.Obj
+      ([
+         ("targets", Json.Obj (List.rev_map (fun (t, s) -> (t, Json.Num s)) target_times));
+         ("total_wall_s", Json.Num total_s);
+         ("cells", Json.Arr (List.map cell_json cells));
+       ]
+      @ section "advise" !advise_rows
+      @ section "perf" !perf_rows
+      @ section "transval" !tv_rows
+      @ section "tier" !tier_rows
+      @ match !serve_summary with Some s -> [ ("serve", s) ] | None -> [])
   in
-  if tvrows <> [] then begin
-    Buffer.add_string buf ",\n  \"transval\": [\n";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"app\": \"%s\", \"vendor\": \"%s\", \"kernels\": %d, \
-              \"proven\": %d, \"unproven\": %d, \"refuted\": %d, \
-              \"validate_ms\": %s}%s\n"
-             (json_escape r.tv_app) (vname r.tv_vendor) r.tv_kernels
-             r.tv_proven r.tv_unproven r.tv_refuted (json_ms r.tv_s)
-             (if i = List.length tvrows - 1 then "" else ",")))
-      tvrows;
-    Buffer.add_string buf "  ]"
-  end;
-  (* tiered-compilation comparison, present when the tier target ran *)
-  let trows =
-    List.sort
-      (fun a b -> compare (a.tr_app, a.tr_vendor) (b.tr_app, b.tr_vendor))
-      !tier_rows
-  in
-  if trows <> [] then begin
-    Buffer.add_string buf ",\n  \"tier\": [\n";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"app\": \"%s\", \"vendor\": \"%s\", \"ok\": %b, \
-              \"first_launch_ms_off\": %s, \"first_launch_ms_tier\": %s, \
-              \"steady_launch_ms_off\": %s, \"steady_launch_ms_tier\": %s, \
-              \"tierup_count\": %d, \"tier_launches\": %d, \
-              \"swap_latency_ms\": %s, \"compiles_off\": %d, \
-              \"compiles_tier\": %d}%s\n"
-             (json_escape r.tr_app) (vname r.tr_vendor) r.tr_ok
-             (json_ms r.tr_first_off_s) (json_ms r.tr_first_tier_s)
-             (json_ms r.tr_steady_off_s) (json_ms r.tr_steady_tier_s)
-             r.tr_tierups r.tr_tier_launches
-             (json_ms r.tr_swap_p50_s)
-             r.tr_compiles_off r.tr_compiles_tier
-             (if i = List.length trows - 1 then "" else ",")))
-      trows;
-    Buffer.add_string buf "  ]"
-  end;
-  (* multi-tenant serve summary, present when the serve target ran *)
-  (match !serve_summary with
-  | None -> ()
-  | Some s ->
-      let row_json (r : serve_row) =
-        Printf.sprintf
-          "{\"tenant\": \"%s\", \"launches\": %d, \"hits\": %d, \
-           \"compiles\": %d, \"hit_rate\": %.6f, \"p50_ms\": %.6f, \
-           \"p99_ms\": %.6f, \"fallbacks\": %d, \"quarantined\": %d, \
-           \"resident_bytes\": %d}"
-          (json_escape r.sr_tenant) r.sr_launches r.sr_hits r.sr_compiles
-          r.sr_hit_rate r.sr_p50_ms r.sr_p99_ms r.sr_fallbacks r.sr_quarantined
-          r.sr_resident_bytes
-      in
-      Buffer.add_string buf ",\n  \"serve\": {\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    \"tenants\": %d, \"kernels\": %d, \"launches\": %d, \
-            \"seed\": %d, \"skew\": %.3f, \"domains\": %d,\n\
-            \    \"ok\": %b, \"replay_identical\": %b, \"isolation_ok\": %b, \
-            \"wall_s\": %.3f,\n"
-           s.ss_tenants s.ss_kernels s.ss_launches s.ss_seed s.ss_skew
-           s.ss_domains s.ss_ok s.ss_replay_identical s.ss_isolation_ok
-           s.ss_wall_s);
-      Buffer.add_string buf
-        (Printf.sprintf "    \"total\": %s,\n" (row_json s.ss_total));
-      Buffer.add_string buf "    \"per_tenant\": [\n";
-      List.iteri
-        (fun i r ->
-          Buffer.add_string buf
-            (Printf.sprintf "      %s%s\n" (row_json r)
-               (if i = List.length s.ss_rows - 1 then "" else ",")))
-        s.ss_rows;
-      Buffer.add_string buf "    ]\n  }");
-  Buffer.add_string buf "\n}\n";
   let oc = open_out path in
-  output_string oc (Buffer.contents buf);
+  output_string oc (Json.to_string doc);
+  output_char oc '\n';
   close_out oc;
   Printf.printf "[json summary written to %s]\n" path
 
@@ -1185,10 +980,13 @@ let () =
   let targets = match targets with [] -> [ "all" ] | ts -> ts in
   let target_times = ref [] in
   let t0 = Unix.gettimeofday () in
+  (* a target listed twice accumulates into one entry *)
   let timed name f =
     let s = Unix.gettimeofday () in
     f ();
-    target_times := (name, Unix.gettimeofday () -. s) :: !target_times
+    let before = Option.value ~default:0.0 (List.assoc_opt name !target_times) in
+    target_times :=
+      (name, before +. Unix.gettimeofday () -. s) :: List.remove_assoc name !target_times
   in
   let run = function
     | "table1" -> timed "table1" table1

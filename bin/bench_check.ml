@@ -1,171 +1,29 @@
 (* Smoke checker for `proteus bench --json`, `proteus advise
    --format machine`, the bench harness perf block (--perf) and SARIF
    exports (--sarif), run from the @bench-smoke, @advise and @perflint
-   aliases (part of runtest). Parses the JSON strictly with a
-   self-contained recursive-descent reader (no JSON library in the
-   environment) and asserts the respective schema: for measurements, a
-   non-empty array of objects, every required field present and
-   well-typed, every method either ok or explicitly n/a, and n/a rows
-   carrying null timings rather than garbage; for advise reports
+   aliases (part of runtest). Parses the JSON with the strict reader
+   in Proteus_support.Json and asserts the respective schema: for
+   measurements, a non-empty array of objects, every required field
+   present and well-typed, every method either ok or explicitly n/a,
+   and n/a rows carrying null timings rather than garbage; for advise reports
    (--advise FILE), a non-empty array of per-kernel impact objects
    with a consistent argument table (scores sorted descending, the
    recommended list matching per-argument flags, no pointer argument
    recommended). *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+open Proteus_support.Json
 
 exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
-(* ---- minimal strict JSON parser ---- *)
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some x when x = c -> advance ()
-    | Some x -> bad "at byte %d: expected %c, found %c" !pos c x
-    | None -> bad "at byte %d: expected %c, found end of input" !pos c
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin pos := !pos + l; v end
-    else bad "at byte %d: expected %s" !pos word
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> bad "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some '"' -> Buffer.add_char b '"'; advance ()
-          | Some '\\' -> Buffer.add_char b '\\'; advance ()
-          | Some '/' -> Buffer.add_char b '/'; advance ()
-          | Some 'n' -> Buffer.add_char b '\n'; advance ()
-          | Some 't' -> Buffer.add_char b '\t'; advance ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance ()
-          | Some 'b' -> Buffer.add_char b '\b'; advance ()
-          | Some 'f' -> Buffer.add_char b '\012'; advance ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then bad "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-              pos := !pos + 4;
-              (* measurements are ASCII; reject anything exotic *)
-              if code > 127 then bad "non-ASCII \\u escape in measurement"
-              else Buffer.add_char b (Char.chr code)
-          | _ -> bad "at byte %d: bad escape" !pos);
-          go ()
-      | Some c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> bad "at byte %d: malformed number" start
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> Str (string_lit ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some c -> bad "at byte %d: unexpected %c" !pos c
-    | None -> bad "unexpected end of input"
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then begin advance (); Arr [] end
-    else begin
-      let items = ref [ value () ] in
-      skip_ws ();
-      while peek () = Some ',' do
-        advance ();
-        items := value () :: !items;
-        skip_ws ()
-      done;
-      expect ']';
-      Arr (List.rev !items)
-    end
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then begin advance (); Obj [] end
-    else begin
-      let field () =
-        skip_ws ();
-        let k = string_lit () in
-        skip_ws ();
-        expect ':';
-        (k, value ())
-      in
-      let fields = ref [ field () ] in
-      skip_ws ();
-      while peek () = Some ',' do
-        advance ();
-        fields := field () :: !fields;
-        skip_ws ()
-      done;
-      expect '}';
-      Obj (List.rev !fields)
-    end
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then bad "trailing bytes after JSON value (byte %d of %d)" !pos n;
-  v
-
 (* ---- schema assertions ---- *)
 
-let field obj name =
-  match obj with
-  | Obj fs -> (
-      match List.assoc_opt name fs with
-      | Some v -> v
-      | None -> bad "measurement is missing field %S" name)
-  | _ -> bad "expected an object"
-
-let as_bool what = function Bool b -> b | _ -> bad "%s: expected a boolean" what
-let as_str what = function Str s -> s | _ -> bad "%s: expected a string" what
-
 let check_row row =
-  let meth = as_str "method" (field row "method") in
-  let _bench = as_str "benchmark" (field row "benchmark") in
-  let na = as_bool "na" (field row "na") in
-  let ok = as_bool "ok" (field row "ok") in
+  let meth = to_str "method" (field row "method") in
+  let _bench = to_str "benchmark" (field row "benchmark") in
+  let na = to_bool "na" (field row "na") in
+  let ok = to_bool "ok" (field row "ok") in
   if not (ok || na) then bad "method %s reports ok=false" meth;
   List.iter
     (fun f ->
@@ -225,41 +83,35 @@ let check_row row =
 
 (* ---- advise report schema (proteus advise --format machine) ---- *)
 
-let as_num what = function Num v -> v | _ -> bad "%s: expected a number" what
-let as_int what v =
-  let f = as_num what v in
-  if Float.is_integer f then int_of_float f else bad "%s: expected an integer" what
-let as_arr what = function Arr xs -> xs | _ -> bad "%s: expected an array" what
-
 let check_advise_arg kernel a =
   let ctx what = Printf.sprintf "kernel %s: %s" kernel what in
-  let index = as_int (ctx "index") (field a "index") in
+  let index = to_int (ctx "index") (field a "index") in
   if index < 0 then bad "%s" (ctx "negative argument index");
-  ignore (as_str (ctx "name") (field a "name"));
-  ignore (as_str (ctx "type") (field a "type"));
-  let ptr = as_bool (ctx "ptr") (field a "ptr") in
+  ignore (to_str (ctx "name") (field a "name"));
+  ignore (to_str (ctx "type") (field a "type"));
+  let ptr = to_bool (ctx "ptr") (field a "ptr") in
   List.iter
     (fun f ->
-      if as_int (ctx f) (field a f) < 0 then bad "%s" (ctx (f ^ " is negative")))
+      if to_int (ctx f) (field a f) < 0 then bad "%s" (ctx (f ^ " is negative")))
     [ "folds"; "uses"; "branches"; "loops"; "loop_insts"; "addrs" ];
-  let score = as_num (ctx "score") (field a "score") in
+  let score = to_num (ctx "score") (field a "score") in
   if Float.is_nan score || score < 0.0 then bad "%s" (ctx "bad score");
-  let recommended = as_bool (ctx "recommended") (field a "recommended") in
+  let recommended = to_bool (ctx "recommended") (field a "recommended") in
   if recommended && ptr then bad "%s" (ctx "pointer argument recommended");
   (index, score, recommended)
 
 let check_advise_row row =
-  ignore (as_str "program" (field row "program"));
-  let kernel = as_str "kernel" (field row "kernel") in
-  let nparams = as_int "nparams" (field row "nparams") in
-  let threshold = as_num "threshold" (field row "threshold") in
-  let advise_ms = as_num "advise_ms" (field row "advise_ms") in
+  ignore (to_str "program" (field row "program"));
+  let kernel = to_str "kernel" (field row "kernel") in
+  let nparams = to_int "nparams" (field row "nparams") in
+  let threshold = to_num "threshold" (field row "threshold") in
+  let advise_ms = to_num "advise_ms" (field row "advise_ms") in
   if advise_ms < 0.0 then bad "kernel %s: negative advise_ms" kernel;
-  ignore (as_bool "launch_bounds" (field row "launch_bounds"));
+  ignore (to_bool "launch_bounds" (field row "launch_bounds"));
   let rec_list =
-    List.map (as_int "recommended entry") (as_arr "recommended" (field row "recommended"))
+    List.map (to_int "recommended entry") (to_list "recommended" (field row "recommended"))
   in
-  let args = List.map (check_advise_arg kernel) (as_arr "args" (field row "args")) in
+  let args = List.map (check_advise_arg kernel) (to_list "args" (field row "args")) in
   (* one row per parameter plus the launch pseudo-argument *)
   if List.length args <> nparams + 1 then
     bad "kernel %s: %d arg rows for %d parameters" kernel (List.length args) nparams;
@@ -286,18 +138,18 @@ let check_advise_row row =
 (* ---- perf block (bench --perf-validate --json) ---- *)
 
 let check_perf_row row =
-  let app = as_str "app" (field row "app") in
-  let vendor = as_str "vendor" (field row "vendor") in
+  let app = to_str "app" (field row "app") in
+  let vendor = to_str "vendor" (field row "vendor") in
   let ctx what = Printf.sprintf "%s/%s: %s" app vendor what in
   if vendor <> "AMD" && vendor <> "NVIDIA" then bad "%s" (ctx "unknown vendor");
-  let stat = as_int (ctx "static_sites") (field row "static_sites") in
-  let matched = as_int (ctx "matched") (field row "matched") in
-  let agreed = as_int (ctx "agreed") (field row "agreed") in
+  let stat = to_int (ctx "static_sites") (field row "static_sites") in
+  let matched = to_int (ctx "matched") (field row "matched") in
+  let agreed = to_int (ctx "agreed") (field row "agreed") in
   (* monotone class counts: agreed <= matched <= static sites *)
   if stat < 0 || matched < 0 || agreed < 0 then bad "%s" (ctx "negative count");
   if matched > stat then bad "%s" (ctx "matched exceeds static_sites");
   if agreed > matched then bad "%s" (ctx "agreed exceeds matched");
-  let acc = as_num (ctx "accuracy") (field row "accuracy") in
+  let acc = to_num (ctx "accuracy") (field row "accuracy") in
   if Float.is_nan acc || acc < 0.0 || acc > 100.0 then
     bad "%s" (ctx "accuracy outside [0,100]");
   let expected =
@@ -315,8 +167,8 @@ let check_perf_row row =
   let sum_m = ref 0 and sum_g = ref 0 in
   List.iter
     (fun (cname, c) ->
-      let m = as_int (ctx (cname ^ " matched")) (field c "matched") in
-      let g = as_int (ctx (cname ^ " agreed")) (field c "agreed") in
+      let m = to_int (ctx (cname ^ " matched")) (field c "matched") in
+      let g = to_int (ctx (cname ^ " agreed")) (field c "agreed") in
       if m < 0 || g < 0 || g > m then bad "%s" (ctx ("bad class counts for " ^ cname));
       sum_m := !sum_m + m;
       sum_g := !sum_g + g)
@@ -326,7 +178,7 @@ let check_perf_row row =
   (app, vendor)
 
 let check_perf json =
-  let rows = as_arr "perf" (field json "perf") in
+  let rows = to_list "perf" (field json "perf") in
   if rows = [] then bad "empty perf block";
   let cells = List.map check_perf_row rows in
   let uniq = List.sort_uniq compare cells in
@@ -336,13 +188,13 @@ let check_perf json =
 (* ---- tier block (bench tier --json / BENCH_PR8.json) ---- *)
 
 let check_tier_row row =
-  let app = as_str "app" (field row "app") in
-  let vendor = as_str "vendor" (field row "vendor") in
+  let app = to_str "app" (field row "app") in
+  let vendor = to_str "vendor" (field row "vendor") in
   let ctx what = Printf.sprintf "%s/%s: %s" app vendor what in
   if vendor <> "AMD" && vendor <> "NVIDIA" then bad "%s" (ctx "unknown vendor");
-  if not (as_bool (ctx "ok") (field row "ok")) then bad "%s" (ctx "cell not ok");
+  if not (to_bool (ctx "ok") (field row "ok")) then bad "%s" (ctx "cell not ok");
   let num f =
-    let v = as_num (ctx f) (field row f) in
+    let v = to_num (ctx f) (field row f) in
     if Float.is_nan v || v < 0.0 then bad "%s" (ctx ("bad " ^ f));
     v
   in
@@ -354,13 +206,13 @@ let check_tier_row row =
     bad "%s" (ctx "tiered first launch slower than non-tiered");
   ignore (num "steady_launch_ms_off");
   ignore (num "steady_launch_ms_tier");
-  let tierups = as_int (ctx "tierup_count") (field row "tierup_count") in
+  let tierups = to_int (ctx "tierup_count") (field row "tierup_count") in
   if tierups < 1 then bad "%s" (ctx "no tier-ups published");
-  if as_int (ctx "tier_launches") (field row "tier_launches") < 1 then
+  if to_int (ctx "tier_launches") (field row "tier_launches") < 1 then
     bad "%s" (ctx "no tier-0 launches recorded");
   List.iter
     (fun f ->
-      if as_int (ctx f) (field row f) < 0 then bad "%s" (ctx (f ^ " is negative")))
+      if to_int (ctx f) (field row f) < 0 then bad "%s" (ctx (f ^ " is negative")))
     [ "compiles_off"; "compiles_tier" ];
   (match field row "swap_latency_ms" with
   | Num v -> if Float.is_nan v || v < 0.0 then bad "%s" (ctx "bad swap_latency_ms")
@@ -369,7 +221,7 @@ let check_tier_row row =
   (app, vendor)
 
 let check_tier json =
-  let rows = as_arr "tier" (field json "tier") in
+  let rows = to_list "tier" (field json "tier") in
   if rows = [] then bad "empty tier block";
   let cells = List.map check_tier_row rows in
   let uniq = List.sort_uniq compare cells in
@@ -379,14 +231,14 @@ let check_tier json =
 (* ---- transval block (bench transval --json / BENCH_PR10.json) ---- *)
 
 let check_transval_row row =
-  let app = as_str "app" (field row "app") in
-  let vendor = as_str "vendor" (field row "vendor") in
+  let app = to_str "app" (field row "app") in
+  let vendor = to_str "vendor" (field row "vendor") in
   let ctx what = Printf.sprintf "%s/%s: %s" app vendor what in
   if vendor <> "AMD" && vendor <> "NVIDIA" then bad "%s" (ctx "unknown vendor");
-  let kernels = as_int (ctx "kernels") (field row "kernels") in
-  let proven = as_int (ctx "proven") (field row "proven") in
-  let unproven = as_int (ctx "unproven") (field row "unproven") in
-  let refuted = as_int (ctx "refuted") (field row "refuted") in
+  let kernels = to_int (ctx "kernels") (field row "kernels") in
+  let proven = to_int (ctx "proven") (field row "proven") in
+  let unproven = to_int (ctx "unproven") (field row "unproven") in
+  let refuted = to_int (ctx "refuted") (field row "refuted") in
   if kernels < 1 then bad "%s" (ctx "no kernels validated");
   if proven < 0 || unproven < 0 || refuted < 0 then bad "%s" (ctx "negative count");
   if proven + unproven + refuted <> kernels then
@@ -395,12 +247,12 @@ let check_transval_row row =
      semantics, and the coverage gate: every kernel must actually prove *)
   if refuted > 0 then bad "%s" (ctx "refuted kernel(s)");
   if proven <> kernels then bad "%s" (ctx "not all kernels proven");
-  let ms = as_num (ctx "validate_ms") (field row "validate_ms") in
+  let ms = to_num (ctx "validate_ms") (field row "validate_ms") in
   if Float.is_nan ms || ms < 0.0 then bad "%s" (ctx "bad validate_ms");
   (app, vendor, kernels)
 
 let check_transval json =
-  let rows = as_arr "transval" (field json "transval") in
+  let rows = to_list "transval" (field json "transval") in
   if rows = [] then bad "empty transval block";
   let cells = List.map check_transval_row rows in
   let keys = List.map (fun (a, v, _) -> (a, v)) cells in
@@ -418,10 +270,10 @@ let check_transval json =
 (* ---- serve block (bench serve --json / BENCH_PR9.json) ---- *)
 
 let check_serve_row ~(what : string) row =
-  let tenant = as_str (what ^ " tenant") (field row "tenant") in
+  let tenant = to_str (what ^ " tenant") (field row "tenant") in
   let ctx msg = Printf.sprintf "%s %s: %s" what tenant msg in
   let count f =
-    let v = as_int (ctx f) (field row f) in
+    let v = to_int (ctx f) (field row f) in
     if v < 0 then bad "%s" (ctx (f ^ " is negative"));
     v
   in
@@ -432,7 +284,7 @@ let check_serve_row ~(what : string) row =
   let quarantined = count "quarantined" in
   let resident = count "resident_bytes" in
   if hits > launches then bad "%s" (ctx "hits exceed launches");
-  let rate = as_num (ctx "hit_rate") (field row "hit_rate") in
+  let rate = to_num (ctx "hit_rate") (field row "hit_rate") in
   if Float.is_nan rate || rate < 0.0 || rate > 1.0 then
     bad "%s" (ctx "hit_rate outside [0,1]");
   let expected =
@@ -440,8 +292,8 @@ let check_serve_row ~(what : string) row =
   in
   if Float.abs (rate -. expected) > 1e-4 then
     bad "%s" (ctx "hit_rate inconsistent with hits/launches");
-  let p50 = as_num (ctx "p50_ms") (field row "p50_ms") in
-  let p99 = as_num (ctx "p99_ms") (field row "p99_ms") in
+  let p50 = to_num (ctx "p50_ms") (field row "p50_ms") in
+  let p99 = to_num (ctx "p99_ms") (field row "p99_ms") in
   if Float.is_nan p50 || p50 < 0.0 then bad "%s" (ctx "bad p50_ms");
   if Float.is_nan p99 || p99 < 0.0 then bad "%s" (ctx "bad p99_ms");
   if p50 > p99 +. 1e-9 then bad "%s" (ctx "p50 exceeds p99");
@@ -449,19 +301,19 @@ let check_serve_row ~(what : string) row =
 
 let check_serve json =
   let s = field json "serve" in
-  let tenants = as_int "tenants" (field s "tenants") in
+  let tenants = to_int "tenants" (field s "tenants") in
   if tenants < 1 then bad "serve: no tenants";
-  if as_int "kernels" (field s "kernels") < 1 then bad "serve: no kernels";
-  let launches = as_int "launches" (field s "launches") in
+  if to_int "kernels" (field s "kernels") < 1 then bad "serve: no kernels";
+  let launches = to_int "launches" (field s "launches") in
   if launches < 1 then bad "serve: no launches";
-  if not (as_bool "ok" (field s "ok")) then bad "serve: run not ok";
-  if not (as_bool "replay_identical" (field s "replay_identical")) then
+  if not (to_bool "ok" (field s "ok")) then bad "serve: run not ok";
+  if not (to_bool "replay_identical" (field s "replay_identical")) then
     bad "serve: concurrent run diverged from serial replay";
-  if not (as_bool "isolation_ok" (field s "isolation_ok")) then
+  if not (to_bool "isolation_ok" (field s "isolation_ok")) then
     bad "serve: tenant fault isolation violated";
   let total = check_serve_row ~what:"total" (field s "total") in
   let rows =
-    List.map (check_serve_row ~what:"tenant") (as_arr "per_tenant" (field s "per_tenant"))
+    List.map (check_serve_row ~what:"tenant") (to_list "per_tenant" (field s "per_tenant"))
   in
   if List.length rows <> tenants then
     bad "serve: %d per-tenant rows for %d tenants" (List.length rows) tenants;
@@ -491,44 +343,44 @@ let check_serve json =
 (* ---- SARIF 2.1.0 schema check (proteus ... --format sarif) ---- *)
 
 let check_sarif json =
-  let version = as_str "version" (field json "version") in
+  let version = to_str "version" (field json "version") in
   if version <> "2.1.0" then bad "sarif: version %s, expected 2.1.0" version;
-  ignore (as_str "$schema" (field json "$schema"));
-  let runs = as_arr "runs" (field json "runs") in
+  ignore (to_str "$schema" (field json "$schema"));
+  let runs = to_list "runs" (field json "runs") in
   (match runs with [ _ ] -> () | _ -> bad "sarif: expected exactly one run");
   let run = List.hd runs in
   let driver = field (field run "tool") "driver" in
-  ignore (as_str "driver.name" (field driver "name"));
+  ignore (to_str "driver.name" (field driver "name"));
   let rule_ids =
     List.map
-      (fun r -> as_str "rule id" (field r "id"))
-      (as_arr "rules" (field driver "rules"))
+      (fun r -> to_str "rule id" (field r "id"))
+      (to_list "rules" (field driver "rules"))
   in
   if List.sort_uniq compare rule_ids <> List.sort compare rule_ids then
     bad "sarif: duplicate rule ids";
-  let results = as_arr "results" (field run "results") in
+  let results = to_list "results" (field run "results") in
   List.iter
     (fun r ->
-      let rule = as_str "ruleId" (field r "ruleId") in
+      let rule = to_str "ruleId" (field r "ruleId") in
       if not (List.mem rule rule_ids) then
         bad "sarif: result ruleId %s not in driver.rules" rule;
-      (match as_str "level" (field r "level") with
+      (match to_str "level" (field r "level") with
       | "note" | "warning" | "error" -> ()
       | l -> bad "sarif: bad level %s" l);
-      ignore (as_str "message.text" (field (field r "message") "text"));
+      ignore (to_str "message.text" (field (field r "message") "text"));
       List.iter
         (fun loc ->
           let ph = field loc "physicalLocation" in
-          ignore (as_str "artifact uri" (field (field ph "artifactLocation") "uri"));
+          ignore (to_str "artifact uri" (field (field ph "artifactLocation") "uri"));
           match ph with
           | Obj fs when List.mem_assoc "region" fs ->
               let reg = List.assoc "region" fs in
-              if as_int "startLine" (field reg "startLine") < 1 then
+              if to_int "startLine" (field reg "startLine") < 1 then
                 bad "sarif: startLine < 1";
-              if as_int "startColumn" (field reg "startColumn") < 1 then
+              if to_int "startColumn" (field reg "startColumn") < 1 then
                 bad "sarif: startColumn < 1"
           | _ -> ())
-        (as_arr "locations" (field r "locations")))
+        (to_list "locations" (field r "locations")))
     results;
   (List.length rule_ids, List.length results)
 
@@ -586,6 +438,6 @@ let () =
           [ "AOT"; "Proteus"; "Proteus+$"; "Jitify" ];
         Printf.printf "bench_check: %s ok (%d measurements)\n" path (List.length rows)
     | `Bench, _ -> bad "top level is not an array"
-  with Bad msg ->
+  with Bad msg | Proteus_support.Json.Error msg ->
     Printf.eprintf "bench_check: %s: %s\n" path msg;
     exit 1

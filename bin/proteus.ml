@@ -246,9 +246,10 @@ let advise_cmd =
         Printf.printf "advised %d program(s), %d kernel(s)\n" (List.length advised)
           (List.fold_left (fun acc (_, _, ks) -> acc + List.length ks) 0 advised)
     | `Machine ->
-        print_string
-          (Specadvisor.json_of_programs
-             (List.map (fun (name, _, ks) -> (name, ks)) advised)));
+        print_endline
+          (Proteus_support.Json.to_string
+             (Specadvisor.json_of_programs
+                (List.map (fun (name, _, ks) -> (name, ks)) advised))));
     if auto then
       List.iter
         (fun (name, source, reports) ->
@@ -561,57 +562,34 @@ let bench_cmd =
     let methods = [ Harness.AOT; Harness.Proteus_cold; Harness.Proteus_warm; Harness.Jitify_m ] in
     let results = List.map (fun meth -> (meth, Harness.run a vendor meth)) methods in
     if json then begin
-      (* n/a rows have no timings (nan is not valid JSON): emit null *)
-      let ms v = if Float.is_nan v then "null" else Printf.sprintf "%.6f" (v *. 1e3) in
-      (* per-launch JIT overhead percentiles; AOT rows have no JIT and
-         carry null, like the n/a timing fields *)
-      let pct (m : Harness.measurement) f =
-        match m.Harness.stats with
-        | Some s
-          when Proteus_support.Hist.count s.Proteus_core.Stats.launch_hist > 0 ->
-            Printf.sprintf "%.6f" (f s.Proteus_core.Stats.launch_hist *. 1e3)
-        | _ -> "null"
+      let open Proteus_support in
+      let module Stats = Proteus_core.Stats in
+      (* n/a rows carry NaN timings, which print as null; rows with no
+         JIT (AOT, n/a) carry null percentiles and tiering fields *)
+      let ms v = Json.Num (v *. 1e3) in
+      let hist_ms h f = if Hist.count h > 0 then ms (f h) else Json.Null in
+      let row (meth, (m : Harness.measurement)) =
+        let stat f = match m.Harness.stats with Some s -> f s | None -> Json.Null in
+        let launch_pct p = stat (fun s -> hist_ms s.Stats.launch_hist p) in
+        Json.Obj
+          [
+            ("benchmark", Json.Str name);
+            ("method", Json.Str (Harness.method_name meth));
+            ("na", Json.Bool m.Harness.na);
+            ("ok", Json.Bool m.Harness.ok);
+            ("e2e_ms", ms m.Harness.e2e_s);
+            ("kernel_ms", ms m.Harness.kernel_s);
+            ("jit_overhead_ms", ms m.Harness.jit_overhead_s);
+            ("p50_ms", launch_pct Hist.p50);
+            ("p90_ms", launch_pct Hist.p90);
+            ("p99_ms", launch_pct Hist.p99);
+            ("first_launch_ms", stat (fun s -> ms s.Stats.first_launch_s));
+            ("steady_launch_ms", stat (fun s -> ms s.Stats.steady_launch_s));
+            ("tierup_count", stat (fun s -> Json.int s.Stats.tierups));
+            ("swap_latency_ms", stat (fun s -> hist_ms s.Stats.swap_hist Hist.p50));
+          ]
       in
-      (* tiered-compilation fields: null on rows with no JIT stats
-         (AOT, n/a) and on runs where tiering recorded nothing *)
-      let stat_ms (m : Harness.measurement) f =
-        match m.Harness.stats with Some s -> ms (f s) | None -> "null"
-      in
-      let tierups (m : Harness.measurement) =
-        match m.Harness.stats with
-        | Some s -> string_of_int s.Proteus_core.Stats.tierups
-        | None -> "null"
-      in
-      let swap_ms (m : Harness.measurement) =
-        match m.Harness.stats with
-        | Some s
-          when Proteus_support.Hist.count s.Proteus_core.Stats.swap_hist > 0 ->
-            Printf.sprintf "%.6f"
-              (Proteus_support.Hist.p50 s.Proteus_core.Stats.swap_hist *. 1e3)
-        | _ -> "null"
-      in
-      print_string "[\n";
-      List.iteri
-        (fun i (meth, m) ->
-          Printf.printf
-            "  {\"benchmark\": %S, \"method\": %S, \"na\": %b, \"ok\": %b, \
-             \"e2e_ms\": %s, \"kernel_ms\": %s, \"jit_overhead_ms\": %s, \
-             \"p50_ms\": %s, \"p90_ms\": %s, \"p99_ms\": %s, \
-             \"first_launch_ms\": %s, \"steady_launch_ms\": %s, \
-             \"tierup_count\": %s, \"swap_latency_ms\": %s}%s\n"
-            name
-            (Harness.method_name meth)
-            m.Harness.na m.Harness.ok (ms m.Harness.e2e_s) (ms m.Harness.kernel_s)
-            (ms m.Harness.jit_overhead_s)
-            (pct m Proteus_support.Hist.p50)
-            (pct m Proteus_support.Hist.p90)
-            (pct m Proteus_support.Hist.p99)
-            (stat_ms m (fun s -> s.Proteus_core.Stats.first_launch_s))
-            (stat_ms m (fun s -> s.Proteus_core.Stats.steady_launch_s))
-            (tierups m) (swap_ms m)
-            (if i < List.length results - 1 then "," else ""))
-        results;
-      print_string "]\n"
+      print_endline (Json.to_string (Json.Arr (List.map row results)))
     end
     else
       List.iter

@@ -94,22 +94,6 @@ let dedup_sort (ts : t list) : t list =
 (* SARIF 2.1.0 export (minimal static-analysis profile: one run, one
    driver, results with physical locations).                           *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let sarif_level = function
   | Info -> "note"
   | Warning -> "warning"
@@ -148,51 +132,47 @@ let rule_default_severity k =
 (* [files] pairs a source-file uri with its findings; each file's list
    is dedup_sorted here, so the export is deterministic. *)
 let to_sarif ~(tool : string) (files : (string * t list) list) : string =
-  let b = Buffer.create 4096 in
+  let open Proteus_support.Json in
   let rules =
     files
     |> List.concat_map (fun (_, ts) -> List.map (fun t -> t.kind) ts)
     |> List.sort_uniq Stdlib.compare
   in
-  Buffer.add_string b
-    "{\"version\":\"2.1.0\",\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"runs\":[{\"tool\":{\"driver\":{\"name\":\"";
-  Buffer.add_string b (json_escape tool);
-  Buffer.add_string b "\",\"rules\":[";
-  List.iteri
-    (fun i k ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"id\":\"%s\",\"shortDescription\":{\"text\":\"%s\"},\"defaultConfiguration\":{\"level\":\"%s\"}}"
-           (json_escape (kind_to_string k))
-           (json_escape (rule_description k))
-           (sarif_level (rule_default_severity k))))
-    rules;
-  Buffer.add_string b "]}},\"results\":[";
-  let first = ref true in
-  List.iter
-    (fun (file, ts) ->
-      List.iter
-        (fun t ->
-          if !first then first := false else Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "{\"ruleId\":\"%s\",\"level\":\"%s\""
-               (json_escape (kind_to_string t.kind))
-               (sarif_level t.severity));
-          Buffer.add_string b
-            (Printf.sprintf ",\"message\":{\"text\":\"%s (kernel %s)\"}"
-               (json_escape t.message) (json_escape t.func));
-          Buffer.add_string b
-            (Printf.sprintf
-               ",\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"%s\"}%s}}]}"
-               (json_escape file)
-               (match t.loc with
-               | Some (l, c) ->
-                   Printf.sprintf
-                     ",\"region\":{\"startLine\":%d,\"startColumn\":%d}"
-                     (max 1 l) (max 1 c)
-               | None -> "")))
-        (dedup_sort ts))
-    files;
-  Buffer.add_string b "]}]}";
-  Buffer.contents b
+  let rule k =
+    Obj
+      [
+        ("id", Str (kind_to_string k));
+        ("shortDescription", Obj [ ("text", Str (rule_description k)) ]);
+        ( "defaultConfiguration",
+          Obj [ ("level", Str (sarif_level (rule_default_severity k))) ] );
+      ]
+  in
+  let result file t =
+    let region =
+      match t.loc with
+      | Some (l, c) ->
+          [ ("region", Obj [ ("startLine", int (max 1 l)); ("startColumn", int (max 1 c)) ]) ]
+      | None -> []
+    in
+    let text = Printf.sprintf "%s (kernel %s)" t.message t.func in
+    let location = Obj (("artifactLocation", Obj [ ("uri", Str file) ]) :: region) in
+    Obj
+      [
+        ("ruleId", Str (kind_to_string t.kind));
+        ("level", Str (sarif_level t.severity));
+        ("message", Obj [ ("text", Str text) ]);
+        ("locations", Arr [ Obj [ ("physicalLocation", location) ] ]);
+      ]
+  in
+  let driver = Obj [ ("name", Str tool); ("rules", Arr (List.map rule rules)) ] in
+  let results =
+    List.concat_map (fun (file, ts) -> List.map (result file) (dedup_sort ts)) files
+  in
+  to_string
+    (Obj
+       [
+         ("version", Str "2.1.0");
+         ("$schema", Str "https://json.schemastore.org/sarif-2.1.0.json");
+         ( "runs",
+           Arr [ Obj [ ("tool", Obj [ ("driver", driver) ]); ("results", Arr results) ] ] );
+       ])

@@ -674,55 +674,43 @@ let to_string ?(file = "<source>") (k : kernel_impact) : string =
     k.ranked;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | ch when Char.code ch < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
+let json_of_arg (a : arg_impact) : Json.t =
+  Json.(
+    Obj
+      [
+        ("index", int a.index);
+        ("name", Str a.pname);
+        ("type", Str (Types.to_string a.ty));
+        ("ptr", Bool a.is_ptr);
+        ("folds", int a.folds);
+        ("uses", int a.uses);
+        ("branches", int a.branches);
+        ("loops", int a.loops);
+        ("loop_insts", int a.loop_insts);
+        ("addrs", int a.addrs);
+        ("score", Num a.score);
+        ("recommended", Bool a.recommended);
+      ])
 
-let json_of_arg (a : arg_impact) : string =
-  Printf.sprintf
-    "{\"index\": %d, \"name\": \"%s\", \"type\": \"%s\", \"ptr\": %b, \"folds\": %d, \
-     \"uses\": %d, \"branches\": %d, \"loops\": %d, \"loop_insts\": %d, \"addrs\": %d, \
-     \"score\": %.4f, \"recommended\": %b}"
-    a.index (json_escape a.pname)
-    (json_escape (Types.to_string a.ty))
-    a.is_ptr a.folds a.uses a.branches a.loops a.loop_insts a.addrs a.score
-    a.recommended
-
-let json_of_kernel ~(program : string) (k : kernel_impact) : string =
-  Printf.sprintf
-    "{\"program\": \"%s\", \"kernel\": \"%s\", \"nparams\": %d, \"threshold\": %g, \
-     \"advise_ms\": %.4f, \"recommended\": [%s], \"launch_bounds\": %b, \"args\": [%s]}"
-    (json_escape program) (json_escape k.kernel) k.nparams k.threshold
-    (k.advise_s *. 1e3)
-    (String.concat ", " (List.map string_of_int (recommended_args k)))
-    (launch_recommended k)
-    (String.concat ", " (List.map json_of_arg k.ranked))
+let json_of_kernel ~(program : string) (k : kernel_impact) : Json.t =
+  Json.(
+    Obj
+      [
+        ("program", Str program);
+        ("kernel", Str k.kernel);
+        ("nparams", int k.nparams);
+        ("threshold", Num k.threshold);
+        ("advise_ms", Num (k.advise_s *. 1e3));
+        ("recommended", Arr (List.map int (recommended_args k)));
+        ("launch_bounds", Bool (launch_recommended k));
+        ("args", Arr (List.map json_of_arg k.ranked));
+      ])
 
 (* JSON array over (program, reports) pairs; the schema bench_check
    --advise validates. *)
-let json_of_programs (progs : (string * kernel_impact list) list) : string =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "[\n";
-  let items =
-    List.concat_map (fun (p, ks) -> List.map (fun k -> (p, k)) ks) progs
-  in
-  List.iteri
-    (fun i (p, k) ->
-      Buffer.add_string b ("  " ^ json_of_kernel ~program:p k);
-      Buffer.add_string b (if i = List.length items - 1 then "\n" else ",\n"))
-    items;
-  Buffer.add_string b "]\n";
-  Buffer.contents b
+let json_of_programs (progs : (string * kernel_impact list) list) : Json.t =
+  Json.Arr
+    (List.concat_map (fun (p, ks) -> List.map (json_of_kernel ~program:p) ks) progs)
 
 (* ------------------------------------------------------------------ *)
 (* Calibration hook: measure what the optimizer actually folded.       *)

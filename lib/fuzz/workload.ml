@@ -89,164 +89,61 @@ let tenant_schedule (t : t) ~(tenant : int) : (int * int) array =
 (* ---- JSON dump / replay ------------------------------------------ *)
 
 let to_json (t : t) : string =
-  let b = Buffer.create (64 + (t.launches * 8)) in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"seed\": %d, \"tenants\": %d, \"kernels\": %d, \"launches\": %d, \
-        \"skew\": %.6f, \"schedule\": ["
-       t.seed t.tenants t.kernels t.launches t.skew);
-  Array.iteri
-    (fun i (tn, k) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "[%d, %d]" tn k))
-    t.schedule;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let pair (tn, k) = Json.(Arr [ int tn; int k ]) in
+  Json.(
+    to_string
+      (Obj
+         [
+           ("seed", int t.seed);
+           ("tenants", int t.tenants);
+           ("kernels", int t.kernels);
+           ("launches", int t.launches);
+           ("skew", Num t.skew);
+           ("schedule", Arr (List.map pair (Array.to_list t.schedule)));
+         ]))
 
-(* Strict parser for [to_json]'s own output shape: an object with the
-   five scalar fields (any order) and a "schedule" array of [t, k]
-   pairs. Anything else is a loud error — a replay file that parses
-   loosely and runs the wrong workload is worse than one that fails. *)
-exception Parse of string
-
+(* Strict decoder for [to_json]'s shape: an object with the five scalar
+   fields (any order) and a "schedule" array of [t, k] pairs. Anything
+   else is a loud error — a replay file that parses loosely and runs
+   the wrong workload is worse than one that fails. *)
 let of_json (s : string) : (t, string) result =
-  let pos = ref 0 in
-  let len = String.length s in
-  let fail fmt = Printf.ksprintf (fun m -> raise (Parse m)) fmt in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < len && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some x when x = c -> incr pos
-    | Some x -> fail "expected %c at byte %d, found %c" c !pos x
-    | None -> fail "expected %c at byte %d, found end of input" c !pos
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= len then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> incr pos
-        | c ->
-            Buffer.add_char b c;
-            incr pos;
-            go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < len
-      && match s.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    do
-      incr pos
-    done;
-    if !pos = start then fail "expected a number at byte %d" start;
-    let tok = String.sub s start (!pos - start) in
-    match float_of_string_opt tok with
-    | Some f -> f
-    | None -> fail "malformed number %S" tok
-  in
-  let parse_int () =
-    let f = parse_number () in
-    let i = int_of_float f in
-    if float_of_int i <> f then fail "expected an integer, found %g" f;
-    i
-  in
-  let parse_pair () =
-    expect '[';
-    let a = parse_int () in
-    expect ',';
-    let b = parse_int () in
-    expect ']';
-    (a, b)
-  in
-  let parse_schedule () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then begin
-      incr pos;
-      [||]
-    end
-    else begin
-      let items = ref [] in
-      let rec go () =
-        items := parse_pair () :: !items;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            go ()
-        | Some ']' -> incr pos
-        | _ -> fail "expected , or ] in schedule at byte %d" !pos
-      in
-      go ();
-      Array.of_list (List.rev !items)
-    end
-  in
   match
-    let seed = ref None
-    and tenants = ref None
-    and kernels = ref None
-    and launches = ref None
-    and skew = ref None
-    and schedule = ref None in
-    expect '{';
-    let rec fields () =
-      skip_ws ();
-      let key = parse_string () in
-      expect ':';
-      (match key with
-      | "seed" -> seed := Some (parse_int ())
-      | "tenants" -> tenants := Some (parse_int ())
-      | "kernels" -> kernels := Some (parse_int ())
-      | "launches" -> launches := Some (parse_int ())
-      | "skew" -> skew := Some (parse_number ())
-      | "schedule" -> schedule := Some (parse_schedule ())
-      | k -> fail "unknown field %S" k);
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-          incr pos;
-          fields ()
-      | Some '}' -> incr pos
-      | _ -> fail "expected , or } at byte %d" !pos
+    let v = Json.parse s in
+    (match v with
+    | Json.Obj fs ->
+        List.iter
+          (fun (k, _) ->
+            if
+              not
+                (List.mem k [ "seed"; "tenants"; "kernels"; "launches"; "skew"; "schedule" ])
+            then Json.error "unknown field %S" k)
+          fs
+    | _ -> Json.error "expected an object");
+    let int k = Json.to_int k (Json.field v k) in
+    let pair = function
+      | Json.Arr [ tn; k ] -> (Json.to_int "tenant index" tn, Json.to_int "kernel index" k)
+      | _ -> Json.error "schedule entries must be [tenant, kernel] pairs"
     in
-    fields ();
-    skip_ws ();
-    if !pos <> len then fail "trailing bytes after object";
-    let req name = function Some v -> v | None -> fail "missing field %S" name in
     let w =
       {
-        seed = req "seed" !seed;
-        tenants = req "tenants" !tenants;
-        kernels = req "kernels" !kernels;
-        launches = req "launches" !launches;
-        skew = req "skew" !skew;
-        schedule = req "schedule" !schedule;
+        seed = int "seed";
+        tenants = int "tenants";
+        kernels = int "kernels";
+        launches = int "launches";
+        skew = Json.to_num "skew" (Json.field v "skew");
+        schedule =
+          Array.of_list (List.map pair (Json.to_list "schedule" (Json.field v "schedule")));
       }
     in
     if Array.length w.schedule <> w.launches then
-      fail "schedule length %d does not match launches %d"
+      Json.error "schedule length %d does not match launches %d"
         (Array.length w.schedule) w.launches;
     Array.iter
       (fun (tn, k) ->
-        if tn < 0 || tn >= w.tenants then fail "tenant index %d out of range" tn;
-        if k < 0 || k >= w.kernels then fail "kernel index %d out of range" k)
+        if tn < 0 || tn >= w.tenants then Json.error "tenant index %d out of range" tn;
+        if k < 0 || k >= w.kernels then Json.error "kernel index %d out of range" k)
       w.schedule;
     w
   with
   | w -> Ok w
-  | exception Parse m -> Error m
+  | exception Json.Error m -> Error m

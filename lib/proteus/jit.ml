@@ -700,8 +700,11 @@ let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : i
         (* decoded-code tier: reuse the threaded program attached to this
            cache entry, or decode once and attach it. Undecodable kernels
            leave nothing attached; the executor runs them on the reference
-           interpreter. Ladder step 1 (and below) disables the tier: the
-           interpreter path trades speed for decoded-code memory. *)
+           interpreter. Ladder step 1 (and below) attaches nothing: the
+           launch passes no program, so Gpurt.get_tcode takes it from the
+           runtime's one-per-symbol table (decoding when the symbol's
+           kernel changed) and the launch still runs on the threaded
+           engine. The step drops the per-entry copies, not the engine. *)
         let tcode =
           if t.degrade_level >= 1 then None
           else

@@ -38,8 +38,6 @@ type ctx = {
      respecialized kernel under the same symbol re-decodes instead of
      running stale code. *)
   tcodes : (string, Tcode.program) Hashtbl.t;
-  mutable tcode_decodes : int;
-  mutable tcode_hits : int;
   (* block-level parallelism for the executor; 0 = automatic
      (PROTEUS_EXEC_DOMAINS or the domain count the OS recommends) *)
   mutable exec_domains : int;
@@ -64,8 +62,6 @@ let create ?(cost = Costmodel.default) ?mem_bytes (device : Device.t) : ctx =
     profiles = [];
     launches = 0;
     tcodes = Hashtbl.create 16;
-    tcode_decodes = 0;
-    tcode_hits = 0;
     exec_domains = 0;
     exec_reference = false;
   }
@@ -189,18 +185,13 @@ let read_device_bytes ctx addr len =
    run on the reference interpreter. *)
 let get_tcode ctx ?tcode (k : Mach.mfunc) : Tcode.program option =
   match tcode with
-  | Some p when p.Tcode.tf == k ->
-      ctx.tcode_hits <- ctx.tcode_hits + 1;
-      Some p
+  | Some p when p.Tcode.tf == k -> Some p
   | _ -> (
       match Hashtbl.find_opt ctx.tcodes k.Mach.sym with
-      | Some p when p.Tcode.tf == k ->
-          ctx.tcode_hits <- ctx.tcode_hits + 1;
-          Some p
+      | Some p when p.Tcode.tf == k -> Some p
       | _ -> (
           match Tcode.decode k with
           | p ->
-              ctx.tcode_decodes <- ctx.tcode_decodes + 1;
               Hashtbl.replace ctx.tcodes k.Mach.sym p;
               Some p
           | exception Tcode.Decode_error _ -> None))

@@ -310,6 +310,24 @@ let test_obj_roundtrip () =
   check Alcotest.int "blocks preserved" (List.length k0.Mach.blocks)
     (List.length k.Mach.blocks)
 
+(* codegen reads its module without changing it: Isel splits critical
+   edges on a clone, so a module compiles the same way every time
+   (bench micro times codegen on one O3 module) *)
+let test_codegen_pure () =
+  let m =
+    device_of
+      {|__global__ void k(double* y, int n) {
+          int i = blockIdx.x * blockDim.x + threadIdx.x;
+          if (i < n) { y[i] = 2.0 * y[i]; }
+        }|}
+  in
+  let before = Irpp.module_to_string m in
+  let gcn = Mach.encode_obj (Gcn.compile m) in
+  let ptx = Ptx.emit m in
+  check Alcotest.string "module unchanged" before (Irpp.module_to_string m);
+  check Alcotest.string "GCN object repeats" gcn (Mach.encode_obj (Gcn.compile m));
+  check Alcotest.string "PTX repeats" ptx (Ptx.emit m)
+
 let () =
   Alcotest.run "backend"
     [
@@ -342,4 +360,5 @@ let () =
           Alcotest.test_case "ptxas assembles" `Quick test_ptxas_assembles;
         ] );
       ("objects", [ Alcotest.test_case "encode/decode" `Quick test_obj_roundtrip ]);
+      ("codegen", [ Alcotest.test_case "leaves its module unchanged" `Quick test_codegen_pure ]);
     ]

@@ -338,8 +338,21 @@ let test_workload_rejects_malformed () =
     (bad
        "{\"seed\": 1, \"tenants\": 2, \"kernels\": 2, \"launches\": 1, \
         \"skew\": 1.0, \"schedule\": [[5, 0]]}");
+  Alcotest.(check bool) "duplicate key rejected" true
+    (bad
+       "{\"seed\": 1, \"tenants\": 2, \"kernels\": 2, \"launches\": 1, \
+        \"skew\": 1.0, \"schedule\": [[0, 0]], \"seed\": 7}");
   Alcotest.(check bool) "its own dump accepted" true
-    (match Workload.of_json good with Ok w' -> w' = w | Error _ -> false)
+    (match Workload.of_json good with Ok w' -> w' = w | Error _ -> false);
+  (* a dump in the earlier printer's layout (fixed six-digit skew,
+     ", " separators) still replays to the schedule it recorded *)
+  let old_dump =
+    "{\"seed\": 7, \"tenants\": 2, \"kernels\": 3, \"launches\": 6, \
+     \"skew\": 0.900000, \"schedule\": [[1, 0], [1, 1], [1, 0], [1, 0], [0, 0], [1, 2]]}"
+  in
+  Alcotest.(check bool) "earlier dump layout replays" true
+    (Workload.of_json old_dump
+    = Ok (Workload.generate ~seed:7 ~tenants:2 ~kernels:3 ~launches:6 ~skew:0.9))
 
 let test_workload_tenant_split () =
   let w = Workload.generate ~seed:9 ~tenants:3 ~kernels:4 ~launches:300 ~skew:1.0 in

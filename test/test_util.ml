@@ -1,4 +1,4 @@
-(* Tests for the support library: hashing, vectors, byte IO, RNG. *)
+(* Tests for the support library: hashing, vectors, byte IO, RNG, JSON. *)
 
 open Proteus_support
 
@@ -210,6 +210,125 @@ let qcheck_rng_int_range =
       let x = Util.Rng.int r bound in
       x >= 0 && x < bound)
 
+(* ---- JSON ---- *)
+
+let test_json_printer () =
+  let cases =
+    [
+      (Json.Num 3.0, "3");
+      (Json.Num (-2.0), "-2");
+      (Json.int 1_000_000, "1000000");
+      (Json.Num 0.1, "0.1");
+      (Json.Num 0.30000000000000004, "0.30000000000000004");
+      (Json.Num 1e300, "1e+300");
+      (Json.Num (-2.5e-7), "-2.5e-07");
+      (Json.Num Float.nan, "null");
+      (Json.Num Float.infinity, "null");
+      (Json.Str "a\"b\\c\n\t\001/", {|"a\"b\\c\n\t\u0001/"|});
+      ( Json.Obj [ ("k", Json.Arr [ Json.Null; Json.Bool true ]); ("e", Json.Obj []) ],
+        {|{"k":[null,true],"e":{}}|} );
+    ]
+  in
+  List.iter (fun (v, want) -> check Alcotest.string want want (Json.to_string v)) cases
+
+let test_json_reader () =
+  let v = Json.parse {| { "a" : [1, -2.5e3, "xA\/"], "b": null } |} in
+  Alcotest.(check bool) "parsed tree" true
+    (v
+    = Json.Obj
+        [
+          ("a", Json.Arr [ Json.Num 1.0; Json.Num (-2500.0); Json.Str "xA/" ]);
+          ("b", Json.Null);
+        ]);
+  check Alcotest.int "to_int" 1
+    (Json.to_int "a0" (List.hd (Json.to_list "a" (Json.field v "a"))));
+  let raises f = match f () with _ -> false | exception Json.Error _ -> true in
+  Alcotest.(check bool) "to_int rejects a fraction" true
+    (raises (fun () -> Json.to_int "n" (Json.Num 1.5)));
+  Alcotest.(check bool) "missing field" true (raises (fun () -> Json.field v "c"));
+  Alcotest.(check bool) "wrong type" true
+    (raises (fun () -> Json.to_str "b" (Json.field v "b")))
+
+let test_json_rejects_malformed () =
+  List.iter
+    (fun (what, src) ->
+      match Json.parse src with
+      | _ -> Alcotest.failf "%s: %S parsed" what src
+      | exception Json.Error _ -> ())
+    [
+      ("non-hex \\u digits", {|["a\uZZZZ"]|});
+      ("underscore in \\u", {|"\u0_41"|});
+      ("short \\u", {|"\u41"|});
+      ("non-ASCII \\u", {|"\u00e9"|});
+      ("unterminated string", {|["abc|});
+      ("raw control character", "\"a\001\"");
+      ("bad escape", {|"\x"|});
+      ("trailing bytes", {|{"a": 1} x|});
+      ("two values", "1 2");
+      ("bare minus", "-");
+      ("leading zero", "01");
+      ("bare fraction point", "1.");
+      ("empty exponent", "1e");
+      ("leading point", ".5");
+      ("duplicate key", {|{"a": 1, "a": 2}|});
+      ("trailing comma", "[1,]");
+      ("missing colon", {|{"a" 1}|});
+      ("bad literal", "nul");
+      ("empty input", "");
+    ]
+
+(* random trees over the characters and numbers the escaper and the
+   shortest-float printer have to get right *)
+let json_gen : Json.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let special = oneofl [ '"'; '\\'; '/'; '\n'; '\t'; '\000'; '\031'; '\127'; '\200' ] in
+  let chr = oneof [ special; printable ] in
+  let str = string_size ~gen:chr (int_range 0 8) in
+  let num =
+    oneof
+      [
+        map float_of_int int;
+        map (fun f -> if Float.is_finite f then f else 0.0) float;
+        map2
+          (fun m e -> m *. (10.0 ** float_of_int e))
+          (float_range (-10.0) 10.0) (int_range (-300) 300);
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun f -> Json.Num f) num;
+               map (fun s -> Json.Str s) str;
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           let kids = list_size (int_range 0 4) (self (n / 4)) in
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun xs -> Json.Arr xs) kids);
+               ( 1,
+                 map
+                   (fun fs ->
+                     (* the reader rejects duplicate keys: keep the first *)
+                     Json.Obj
+                       (List.fold_left
+                          (fun acc (k, v) ->
+                            if List.mem_assoc k acc then acc else acc @ [ (k, v) ])
+                          [] fs))
+                   (list_size (int_range 0 4) (pair str (self (n / 4)))) );
+             ])
+
+let qcheck_json_roundtrip =
+  QCheck.Test.make ~name:"json parse (to_string v) = v" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.parse (Json.to_string v) = v)
+
 let () =
   Alcotest.run "support"
     [
@@ -259,5 +378,12 @@ let () =
           Alcotest.test_case "seed-sensitive" `Quick test_rng_seed_sensitivity;
           qtest qcheck_rng_float_range;
           qtest qcheck_rng_int_range;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "printer" `Quick test_json_printer;
+          Alcotest.test_case "reader and accessors" `Quick test_json_reader;
+          Alcotest.test_case "malformed inputs rejected" `Quick test_json_rejects_malformed;
+          qtest qcheck_json_roundtrip;
         ] );
     ]
