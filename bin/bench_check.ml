@@ -185,7 +185,7 @@ let check_perf json =
   if List.length uniq <> List.length cells then bad "duplicate perf cells";
   List.length cells
 
-(* ---- tier block (bench tier --json / BENCH_PR8.json) ---- *)
+(* ---- tier block (bench tier --json FILE) ---- *)
 
 let check_tier_row row =
   let app = to_str "app" (field row "app") in
@@ -228,7 +228,7 @@ let check_tier json =
   if List.length uniq <> List.length cells then bad "duplicate tier cells";
   List.length cells
 
-(* ---- transval block (bench transval --json / BENCH_PR10.json) ---- *)
+(* ---- transval block (bench transval --json FILE) ---- *)
 
 let check_transval_row row =
   let app = to_str "app" (field row "app") in
@@ -267,7 +267,7 @@ let check_transval json =
     keys;
   (List.length cells, List.fold_left (fun acc (_, _, k) -> acc + k) 0 cells)
 
-(* ---- serve block (bench serve --json / BENCH_PR9.json) ---- *)
+(* ---- serve block (bench serve --json FILE) ---- *)
 
 let check_serve_row ~(what : string) row =
   let tenant = to_str (what ^ " tenant") (field row "tenant") in

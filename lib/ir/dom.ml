@@ -8,7 +8,9 @@ type t = {
   cfg : Cfg.t;
   idom : string Util.Smap.t;            (* immediate dominator; entry maps to itself *)
   children : string list Util.Smap.t;   (* dominator-tree children *)
-  frontier : Util.Sset.t Util.Smap.t;   (* dominance frontier *)
+  frontier : Util.Sset.t Util.Smap.t Lazy.t;
+      (* dominance frontier, built on first use (mem2reg); a Dom.t
+         belongs to one pass run and never crosses domains *)
   order : int Util.Smap.t;              (* RPO index, for intersect *)
 }
 
@@ -65,32 +67,38 @@ let compute (cfg : Cfg.t) =
           Util.Smap.add d (cur @ [ b ]) acc)
       !idom Util.Smap.empty
   in
+  let idom = !idom in
   (* Dominance frontiers. *)
-  let frontier = ref Util.Smap.empty in
-  let add_df n x =
-    let cur = try Util.Smap.find n !frontier with Not_found -> Util.Sset.empty in
-    frontier := Util.Smap.add n (Util.Sset.add x cur) !frontier
+  let frontier =
+    lazy
+      (let frontier = ref Util.Smap.empty in
+       let add_df n x =
+         let cur = try Util.Smap.find n !frontier with Not_found -> Util.Sset.empty in
+         frontier := Util.Smap.add n (Util.Sset.add x cur) !frontier
+       in
+       List.iter
+         (fun b ->
+           let preds = List.filter (fun p -> Util.Smap.mem p order) (Cfg.preds cfg b) in
+           if List.length preds >= 2 then
+             List.iter
+               (fun p ->
+                 let rec runner r =
+                   if r <> Util.Smap.find b idom then begin
+                     add_df r b;
+                     runner (Util.Smap.find r idom)
+                   end
+                 in
+                 runner p)
+               preds)
+         rpo;
+       !frontier)
   in
-  List.iter
-    (fun b ->
-      let preds = List.filter (fun p -> Util.Smap.mem p order) (Cfg.preds cfg b) in
-      if List.length preds >= 2 then
-        List.iter
-          (fun p ->
-            let rec runner r =
-              if r <> Util.Smap.find b !idom then begin
-                add_df r b;
-                runner (Util.Smap.find r !idom)
-              end
-            in
-            runner p)
-          preds)
-    rpo;
-  { cfg; idom = !idom; children; frontier = !frontier; order }
+  { cfg; idom; children; frontier; order }
 
 let idom t l = Util.Smap.find_opt l t.idom
 let children t l = try Util.Smap.find l t.children with Not_found -> []
-let frontier t l = try Util.Smap.find l t.frontier with Not_found -> Util.Sset.empty
+let frontier t l =
+  try Util.Smap.find l (Lazy.force t.frontier) with Not_found -> Util.Sset.empty
 
 (* Does [a] dominate [b]? Walk [b]'s idom chain. *)
 let dominates t a b =

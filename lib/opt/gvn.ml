@@ -2,35 +2,53 @@
 
 open Proteus_ir
 
-let operand_key = function
-  | Ir.Reg r -> Printf.sprintf "r%d" r
-  | Ir.Imm k -> "k" ^ Konst.to_string k ^ ":" ^ Types.to_string (Konst.ty_of k)
-  | Ir.Glob g -> "@" ^ g
+(* Operand keys equate exactly what the printed forms "r<n>",
+   "k<value>:<type>" and "@<name>" would. Integers go by value and
+   width. Floats of every width but 32 print with %.17g as "double",
+   which tells apart exactly the distinct non-NaN doubles, so those go
+   by their bits. The remaining immediates go by their printed text. *)
+type okey = R of int | I of int64 * int | F of int64 | K of string | G of string
 
-let instr_key (f : Ir.func) (i : Ir.instr) : string option =
+let operand_key = function
+  | Ir.Reg r -> R r
+  | Ir.Imm (Konst.KInt (v, bits)) -> I (v, bits)
+  | Ir.Imm (Konst.KFloat (v, bits)) when bits <> 32 && not (Float.is_nan v) ->
+      F (Int64.bits_of_float v)
+  | Ir.Imm k -> K (Konst.to_string k ^ ":" ^ Types.to_string (Konst.ty_of k))
+  | Ir.Glob g -> G g
+
+(* A type up to what Types.to_string tells apart: TBool and TInt 1 both
+   print as i1, and every float width but 32 prints as double. *)
+let rec ty_key = function
+  | Types.TInt 1 -> Types.TBool
+  | Types.TFloat b when b <> 32 -> Types.TFloat 64
+  | Types.TPtr (t, s) -> Types.TPtr (ty_key t, s)
+  | Types.TArr (t, n) -> Types.TArr (ty_key t, n)
+  | t -> t
+
+type key =
+  | Bin of Ops.binop * Types.ty * okey * okey
+  | Cmp of Ops.cmpop * okey * okey
+  | Sel of okey * okey * okey
+  | Cast of Ops.castop * Types.ty * okey
+  | Gep of Types.ty * okey * okey
+  | Call of string * okey list
+
+(* The key of [i] once [resolve] has renamed its operands. *)
+let instr_key (f : Ir.func) resolve (i : Ir.instr) : key option =
+  let operand_key o = operand_key (resolve o) in
   match i with
   | Ir.IBin (d, op, a, b) ->
-      let a, b =
-        if Ops.is_commutative op && operand_key b < operand_key a then (b, a) else (a, b)
-      in
-      Some
-        (Printf.sprintf "bin:%s:%s:%s:%s" (Ops.binop_to_string op)
-           (Types.to_string (Ir.reg_ty f d)) (operand_key a) (operand_key b))
-  | Ir.ICmp (_, op, a, b) ->
-      Some (Printf.sprintf "cmp:%s:%s:%s" (Ops.cmpop_to_string op) (operand_key a) (operand_key b))
-  | Ir.ISelect (_, c, a, b) ->
-      Some (Printf.sprintf "sel:%s:%s:%s" (operand_key c) (operand_key a) (operand_key b))
-  | Ir.ICast (d, op, a) ->
-      Some
-        (Printf.sprintf "cast:%s:%s:%s" (Ops.castop_to_string op)
-           (Types.to_string (Ir.reg_ty f d)) (operand_key a))
-  | Ir.IGep (d, p, idx) ->
-      Some
-        (Printf.sprintf "gep:%s:%s:%s" (Types.to_string (Ir.reg_ty f d)) (operand_key p)
-           (operand_key idx))
+      let a = operand_key a and b = operand_key b in
+      let a, b = if Ops.is_commutative op && compare b a < 0 then (b, a) else (a, b) in
+      Some (Bin (op, ty_key (Ir.reg_ty f d), a, b))
+  | Ir.ICmp (_, op, a, b) -> Some (Cmp (op, operand_key a, operand_key b))
+  | Ir.ISelect (_, c, a, b) -> Some (Sel (operand_key c, operand_key a, operand_key b))
+  | Ir.ICast (d, op, a) -> Some (Cast (op, ty_key (Ir.reg_ty f d), operand_key a))
+  | Ir.IGep (d, p, idx) -> Some (Gep (ty_key (Ir.reg_ty f d), operand_key p, operand_key idx))
   | Ir.ICall (Some _, callee, args)
     when Ir.Intrinsics.is_math callee || Ir.Intrinsics.is_gpu_query callee ->
-      Some (Printf.sprintf "call:%s:%s" callee (String.concat "," (List.map operand_key args)))
+      Some (Call (callee, List.map operand_key args))
   | _ -> None
 
 let run (_m : Ir.modul) (f : Ir.func) : bool =
@@ -39,6 +57,8 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
   else begin
     let cfg = Cfg.build f in
     let dom = Dom.compute cfg in
+    let block = Hashtbl.create 64 in
+    List.iter (fun (b : Ir.block) -> Hashtbl.replace block b.Ir.label b) f.Ir.blocks;
     let changed = ref false in
     let repl : (int, Ir.operand) Hashtbl.t = Hashtbl.create 16 in
     let rec resolve o =
@@ -49,40 +69,32 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
     in
     (* Scoped table: each dominator-tree node pushes its definitions and
        pops them when its subtree is done. *)
-    let table : (string, Ir.operand) Hashtbl.t = Hashtbl.create 64 in
+    let table : (key, Ir.operand) Hashtbl.t = Hashtbl.create 64 in
     let rec walk label =
-      let b = Ir.find_block f label in
+      let b = Hashtbl.find block label in
       let added = ref [] in
       b.Ir.insts <-
         List.filter
           (fun i ->
-            let i = Ir.map_operands resolve i in
-            match instr_key f i with
-            | None -> true
-            | Some key -> (
+            match (instr_key f resolve i, Ir.def_of i) with
+            | Some key, Some d -> (
                 match Hashtbl.find_opt table key with
-                | Some v -> (
-                    match Ir.def_of i with
-                    | Some d ->
-                        Hashtbl.replace repl d v;
-                        changed := true;
-                        false
-                    | None -> true)
-                | None -> (
-                    match Ir.def_of i with
-                    | Some d ->
-                        Hashtbl.add table key (Ir.Reg d);
-                        added := key :: !added;
-                        true
-                    | None -> true)))
+                | Some v ->
+                    Hashtbl.replace repl d v;
+                    changed := true;
+                    false
+                | None ->
+                    Hashtbl.add table key (Ir.Reg d);
+                    added := key :: !added;
+                    true)
+            | _ -> true)
           b.Ir.insts;
-      (* Keep the operand rewrites we applied during filtering. *)
-      b.Ir.insts <- List.map (Ir.map_operands resolve) b.Ir.insts;
-      b.Ir.term <- Ir.map_term_operands resolve b.Ir.term;
       List.iter walk (Dom.children dom label);
       List.iter (Hashtbl.remove table) !added
     in
     walk (List.hd f.Ir.blocks).Ir.label;
+    (* The walk keys instructions through [resolve] but leaves them as
+       they were: rewrite every operand once, here. *)
     if !changed then
       List.iter
         (fun (b : Ir.block) ->

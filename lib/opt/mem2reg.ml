@@ -38,6 +38,8 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
   else begin
     let cfg = Cfg.build f in
     let dom = Dom.compute cfg in
+    let block = Hashtbl.create 64 in
+    List.iter (fun (b : Ir.block) -> Hashtbl.replace block b.Ir.label b) f.Ir.blocks;
     let alloca_set =
       List.fold_left (fun s (d, _) -> Util.Iset.add d s) Util.Iset.empty allocas
     in
@@ -72,7 +74,7 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
                 placed := Util.Sset.add df !placed;
                 let d = Ir.fresh_reg f ty in
                 Hashtbl.replace phi_for (df, a) d;
-                let blk = Ir.find_block f df in
+                let blk = Hashtbl.find block df in
                 blk.Ir.insts <- Ir.IPhi (d, []) :: blk.Ir.insts;
                 work := df :: !work
               end)
@@ -91,7 +93,7 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
     in
     let default_val a = Ir.Imm (Konst.zero (Util.Imap.find a ty_of)) in
     let rec rename label (cur : Ir.operand Util.Imap.t) =
-      let b = Ir.find_block f label in
+      let b = Hashtbl.find block label in
       let cur = ref cur in
       (* Inserted phis define the current value on entry. *)
       List.iter
@@ -124,7 +126,7 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
       (* Fill our slice of each successor's phis. *)
       List.iter
         (fun s ->
-          let sb = Ir.find_block f s in
+          let sb = Hashtbl.find block s in
           sb.Ir.insts <-
             List.map
               (fun i ->

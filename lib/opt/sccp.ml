@@ -3,7 +3,6 @@
    Proteus's runtime-constant folding of kernel arguments into dead
    branch elimination and known trip counts. *)
 
-open Proteus_support
 open Proteus_ir
 
 type lat = Top | Const of Konst.t | Bottom
@@ -14,199 +13,200 @@ let meet a b =
   | Bottom, _ | _, Bottom -> Bottom
   | Const x, Const y -> if Konst.equal x y then Const x else Bottom
 
-let run (_m : Ir.modul) (f : Ir.func) : bool =
-  let cfg = Cfg.build f in
-  let lat = Array.make (Ir.nregs f) Top in
-  (* Parameters are runtime values. *)
-  List.iter (fun (_, r) -> lat.(r) <- Bottom) f.Ir.params;
-  let edge_exec : (string * string, bool) Hashtbl.t = Hashtbl.create 16 in
-  let block_exec = ref Util.Sset.empty in
-  let flow_work = ref [] and ssa_work = ref [] in
-  let users =
-    (* reg -> (block label) list of blocks containing a user instruction *)
-    let tbl : (int, string list) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (b : Ir.block) ->
-        let add o =
-          match o with
-          | Ir.Reg r ->
-              let cur = Option.value (Hashtbl.find_opt tbl r) ~default:[] in
-              if not (List.mem b.Ir.label cur) then Hashtbl.replace tbl r (b.Ir.label :: cur)
-          | _ -> ()
-        in
-        List.iter (fun i -> List.iter add (Ir.operands_of i)) b.Ir.insts;
-        List.iter add (Ir.term_operands b.Ir.term))
-      f.Ir.blocks;
-    tbl
+(* [meet] only ever lowers a value, so a change is a drop in height *)
+let height = function Top -> 2 | Const _ -> 1 | Bottom -> 0
+
+let operand_lat lat = function
+  | Ir.Imm k -> Const k
+  | Ir.Glob _ -> Bottom (* addresses are runtime values *)
+  | Ir.Reg r -> lat.(r)
+
+(* The value [i] defines under [lat]; Top while nothing is known. A phi
+   meets the inputs whose predecessor label [exec_from] accepts, i.e.
+   those arriving over an executable edge. *)
+let eval_instr (f : Ir.func) lat exec_from (i : Ir.instr) : lat =
+  let operand_lat = operand_lat lat in
+  let fold2 fn x y =
+    match (operand_lat x, operand_lat y) with
+    | Const kx, Const ky -> ( match fn kx ky with k -> Const k | exception _ -> Bottom)
+    | Bottom, _ | _, Bottom -> Bottom
+    | _ -> Top
   in
+  match i with
+  | Ir.IBin (_, op, x, y) -> fold2 (Konst.binop op) x y
+  | Ir.ICmp (_, op, x, y) -> fold2 (Konst.cmpop op) x y
+  | Ir.ISelect (_, c, x, y) -> (
+      match operand_lat c with
+      | Const k -> operand_lat (if Konst.as_bool k then x else y)
+      | Bottom -> meet (operand_lat x) (operand_lat y)
+      | Top -> Top)
+  | Ir.ICast (d, op, x) -> (
+      match operand_lat x with
+      | Const k -> (
+          match Konst.cast op k (Ir.reg_ty f d) with
+          | k' ->
+              (* do not fold type-changing (pointer) bitcasts *)
+              if Types.equal (Konst.ty_of k') (Ir.reg_ty f d) then Const k' else Bottom
+          | exception _ -> Bottom)
+      | v -> v)
+  | Ir.ILoad _ | Ir.IGep _ | Ir.IAlloca _ -> Bottom
+  | Ir.ICall (Some _, callee, args) when Ir.Intrinsics.is_math callee -> (
+      let lats = List.map operand_lat args in
+      if List.exists (( = ) Bottom) lats then Bottom
+      else if List.for_all (function Const _ -> true | _ -> false) lats then
+        let vals = List.map (function Const k -> k | _ -> assert false) lats in
+        match Interp.eval_math callee vals with k -> Const k | exception _ -> Bottom
+      else Top)
+  | Ir.ICall (Some _, _, _) -> Bottom
+  | Ir.ICall (None, _, _) | Ir.IStore _ -> Top
+  | Ir.IPhi (_, incoming) ->
+      List.fold_left
+        (fun acc (l, o) -> if exec_from l then meet acc (operand_lat o) else acc)
+        Top incoming
+
+(* The successor labels a terminator can take under [lat]. *)
+let feasible_succs lat = function
+  | Ir.TBr l -> [ l ]
+  | Ir.TCondBr (c, t, e) -> (
+      match operand_lat lat c with
+      | Const k -> [ (if Konst.as_bool k then t else e) ]
+      | Bottom -> [ t; e ]
+      | Top -> [])
+  | Ir.TRet _ | Ir.TUnreachable -> []
+
+(* The fixpoint, solved one instruction at a time: the lattice value of
+   every register, and which of [f.blocks] (by position) are executable.
+   Blocks are indices; block b's k-th successor edge has id 2b + k; each
+   instruction and terminator has an id, and [users.(r)] lists the ids
+   reading r. A lowered register re-queues only its readers in executable
+   blocks that are not queued yet; a new edge into an executable block
+   re-evaluates only its phis. A register is lowered at most twice and an
+   edge marked once: the work is linear in operands plus edges x phis. *)
+let solve (f : Ir.func) : lat array * bool array =
+  let blocks = Array.of_list f.Ir.blocks in
+  let nb = Array.length blocks in
+  let index = Hashtbl.create (2 * nb) in
+  Array.iteri (fun b (blk : Ir.block) -> Hashtbl.replace index blk.Ir.label b) blocks;
+  let succs =
+    Array.map
+      (fun (b : Ir.block) -> List.filter_map (Hashtbl.find_opt index) (Ir.successors b.Ir.term))
+      blocks
+  in
+  let edge_id p s = Option.map (( + ) (2 * p)) (List.find_index (( = ) s) succs.(p)) in
+  (* block b's instructions have ids first_id.(b) .. first_id.(b + 1) - 2,
+     its terminator first_id.(b + 1) - 1; [code.(id)] is None for it *)
+  let first_id = Array.make (nb + 1) 0 in
+  Array.iteri
+    (fun b (blk : Ir.block) -> first_id.(b + 1) <- first_id.(b) + List.length blk.Ir.insts + 1)
+    blocks;
+  let n = first_id.(nb) in
+  let code = Array.make n None and owner = Array.make n 0 and phis = Array.make nb [] in
+  let users = Array.make (Ir.nregs f) [] in
+  let add_user id = function
+    | Ir.Reg r -> ( match users.(r) with u :: _ when u = id -> () | us -> users.(r) <- id :: us)
+    | _ -> ()
+  in
+  Array.iteri
+    (fun b (blk : Ir.block) ->
+      List.iteri
+        (fun k i ->
+          let id = first_id.(b) + k in
+          code.(id) <- Some i;
+          owner.(id) <- b;
+          (match i with Ir.IPhi _ -> phis.(b) <- id :: phis.(b) | _ -> ());
+          List.iter (add_user id) (Ir.operands_of i))
+        blk.Ir.insts;
+      owner.(first_id.(b + 1) - 1) <- b;
+      List.iter (add_user (first_id.(b + 1) - 1)) (Ir.term_operands blk.Ir.term))
+    blocks;
+  let lat = Array.make (Ir.nregs f) Top in
+  List.iter (fun (_, r) -> lat.(r) <- Bottom) f.Ir.params; (* parameters are runtime values *)
+  let edge_exec = Array.make (2 * nb) false and block_exec = Array.make nb false in
+  let queued = Array.make n false and flow_work = ref [] and ssa_work = ref [] in
   let lower r v =
     let nv = meet lat.(r) v in
-    if nv <> lat.(r) then begin
+    if height nv < height lat.(r) then begin
       lat.(r) <- nv;
-      ssa_work := Option.value (Hashtbl.find_opt users r) ~default:[] @ !ssa_work
-    end
-  in
-  let operand_lat = function
-    | Ir.Imm k -> Const k
-    | Ir.Glob _ -> Bottom (* addresses are runtime values *)
-    | Ir.Reg r -> lat.(r)
-  in
-  let eval_instr (b : Ir.block) i =
-    match i with
-    | Ir.IBin (d, op, x, y) -> (
-        match (operand_lat x, operand_lat y) with
-        | Const kx, Const ky -> (
-            match Konst.binop op kx ky with
-            | k -> lower d (Const k)
-            | exception _ -> lower d Bottom)
-        | Bottom, _ | _, Bottom -> lower d Bottom
-        | _ -> ())
-    | Ir.ICmp (d, op, x, y) -> (
-        match (operand_lat x, operand_lat y) with
-        | Const kx, Const ky -> (
-            match Konst.cmpop op kx ky with
-            | k -> lower d (Const k)
-            | exception _ -> lower d Bottom)
-        | Bottom, _ | _, Bottom -> lower d Bottom
-        | _ -> ())
-    | Ir.ISelect (d, c, x, y) -> (
-        match operand_lat c with
-        | Const k -> lower d (operand_lat (if Konst.as_bool k then x else y))
-        | Bottom -> lower d (meet (operand_lat x) (operand_lat y))
-        | Top -> ())
-    | Ir.ICast (d, op, x) -> (
-        match operand_lat x with
-        | Const k -> (
-            match Konst.cast op k (Ir.reg_ty f d) with
-            | k' ->
-                (* do not fold type-changing (pointer) bitcasts *)
-                if Types.equal (Konst.ty_of k') (Ir.reg_ty f d) then lower d (Const k')
-                else lower d Bottom
-            | exception _ -> lower d Bottom)
-        | Bottom -> lower d Bottom
-        | Top -> ())
-    | Ir.ILoad (d, _) | Ir.IGep (d, _, _) | Ir.IAlloca (d, _, _) -> lower d Bottom
-    | Ir.ICall (Some d, callee, args) when Ir.Intrinsics.is_math callee -> (
-        let lats = List.map operand_lat args in
-        if List.exists (( = ) Bottom) lats then lower d Bottom
-        else if List.for_all (function Const _ -> true | _ -> false) lats then
-          let vals = List.map (function Const k -> k | _ -> assert false) lats in
-          match Interp.eval_math callee vals with
-          | k -> lower d (Const k)
-          | exception _ -> lower d Bottom)
-    | Ir.ICall (Some d, _, _) -> lower d Bottom
-    | Ir.ICall (None, _, _) | Ir.IStore _ -> ()
-    | Ir.IPhi (d, incoming) ->
-        let v =
-          List.fold_left
-            (fun acc (l, o) ->
-              if Option.value (Hashtbl.find_opt edge_exec (l, b.Ir.label)) ~default:false
-              then meet acc (operand_lat o)
-              else acc)
-            Top incoming
-        in
-        lower d v
-  in
-  let mark_edge frm dst =
-    if not (Option.value (Hashtbl.find_opt edge_exec (frm, dst)) ~default:false) then begin
-      Hashtbl.replace edge_exec (frm, dst) true;
-      flow_work := dst :: !flow_work
-    end
-  in
-  let eval_term (b : Ir.block) =
-    match b.Ir.term with
-    | Ir.TBr l -> mark_edge b.Ir.label l
-    | Ir.TCondBr (c, t, e) -> (
-        match operand_lat c with
-        | Const k -> mark_edge b.Ir.label (if Konst.as_bool k then t else e)
-        | Bottom ->
-            mark_edge b.Ir.label t;
-            mark_edge b.Ir.label e
-        | Top -> ())
-    | Ir.TRet _ | Ir.TUnreachable -> ()
-  in
-  let visit_block label =
-    let b = Ir.find_block f label in
-    let first = not (Util.Sset.mem label !block_exec) in
-    block_exec := Util.Sset.add label !block_exec;
-    if first then begin
-      List.iter (eval_instr b) b.Ir.insts;
-      eval_term b
-    end
-    else begin
-      (* re-evaluate phis only; the rest is driven by ssa_work *)
       List.iter
-        (fun i -> match i with Ir.IPhi _ -> eval_instr b i | _ -> ())
-        b.Ir.insts;
-      eval_term b
+        (fun id ->
+          if block_exec.(owner.(id)) && not queued.(id) then begin
+            queued.(id) <- true;
+            ssa_work := id :: !ssa_work
+          end)
+        users.(r)
     end
   in
-  (match f.Ir.blocks with b :: _ -> flow_work := [ b.Ir.label ] | [] -> ());
-  let guard = ref 0 in
-  while (!flow_work <> [] || !ssa_work <> []) && !guard < 1_000_000 do
-    incr guard;
-    match !flow_work with
-    | l :: rest ->
+  let exec_from b l =
+    Option.bind (Hashtbl.find_opt index l) (fun p -> edge_id p b)
+    |> Option.fold ~none:false ~some:(Array.get edge_exec)
+  in
+  let eval id =
+    let b = owner.(id) in
+    match code.(id) with
+    | Some i -> Option.iter (fun d -> lower d (eval_instr f lat (exec_from b) i)) (Ir.def_of i)
+    | None ->
+        List.iter
+          (fun l ->
+            let s = Hashtbl.find index l in
+            let e = Option.get (edge_id b s) in
+            if not edge_exec.(e) then begin
+              edge_exec.(e) <- true;
+              flow_work := s :: !flow_work
+            end)
+          (feasible_succs lat blocks.(b).Ir.term)
+  in
+  if nb > 0 then flow_work := [ 0 ];
+  let rec loop () =
+    match (!flow_work, !ssa_work) with
+    | b :: rest, _ ->
         flow_work := rest;
-        visit_block l
-    | [] -> (
-        match !ssa_work with
-        | l :: rest ->
-            ssa_work := rest;
-            if Util.Sset.mem l !block_exec then begin
-              let b = Ir.find_block f l in
-              List.iter (eval_instr b) b.Ir.insts;
-              eval_term b
-            end
-        | [] -> ())
-  done;
+        if block_exec.(b) then List.iter eval phis.(b)
+        else begin
+          block_exec.(b) <- true;
+          for id = first_id.(b) to first_id.(b + 1) - 1 do eval id done
+        end;
+        loop ()
+    | [], id :: rest ->
+        ssa_work := rest;
+        queued.(id) <- false;
+        eval id;
+        loop ()
+    | [], [] -> (lat, block_exec)
+  in
+  loop ()
+
+let run (_m : Ir.modul) (f : Ir.func) : bool =
+  let lat, exec = solve f in
   (* Apply results: substitute constants, fold proven branches. *)
   let changed = ref false in
-  (* account proven branches before fold_const_branches rewrites them *)
-  List.iter
-    (fun (b : Ir.block) ->
-      if Util.Sset.mem b.Ir.label !block_exec then
-        match b.Ir.term with
-        | Ir.TCondBr (c, _, _) -> (
-            match operand_lat c with
-            | Const _ -> Pass.counters.Pass.sccp_branches <- Pass.counters.Pass.sccp_branches + 1
-            | _ -> ())
-        | _ -> ())
-    f.Ir.blocks;
-  let rewrite o =
-    match o with
-    | Ir.Reg r -> (
-        match lat.(r) with
-        | Const k ->
-            changed := true;
-            Ir.Imm k
-        | _ -> o)
-    | _ -> o
+  let rewrite = function
+    | Ir.Reg r as o -> ( match lat.(r) with Const k -> changed := true; Ir.Imm k | _ -> o)
+    | o -> o
   in
-  List.iter
-    (fun (b : Ir.block) ->
-      if Util.Sset.mem b.Ir.label !block_exec then begin
-        b.Ir.insts <-
+  List.iteri
+    (fun b (blk : Ir.block) ->
+      if exec.(b) then begin
+        (* account proven branches before fold_const_branches rewrites them *)
+        (match (blk.Ir.term, feasible_succs lat blk.Ir.term) with
+        | Ir.TCondBr _, [ _ ] -> Pass.(counters.sccp_branches <- counters.sccp_branches + 1)
+        | _ -> ());
+        blk.Ir.insts <-
           List.filter
             (fun i ->
-              match Ir.def_of i with
-              | Some d -> (
-                  match lat.(d) with
-                  | Const _ ->
-                      changed := true;
-                      Pass.counters.Pass.sccp_folds <- Pass.counters.Pass.sccp_folds + 1;
-                      false
-                  | _ -> true)
-              | None -> true)
-            b.Ir.insts;
-        b.Ir.insts <- List.map (Ir.map_operands rewrite) b.Ir.insts;
-        b.Ir.term <- Ir.map_term_operands rewrite b.Ir.term
+              match Option.map (Array.get lat) (Ir.def_of i) with
+              | Some (Const _) ->
+                  changed := true;
+                  Pass.(counters.sccp_folds <- counters.sccp_folds + 1);
+                  false
+              | _ -> true)
+            blk.Ir.insts;
+        blk.Ir.insts <- List.map (Ir.map_operands rewrite) blk.Ir.insts;
+        blk.Ir.term <- Ir.map_term_operands rewrite blk.Ir.term
       end)
     f.Ir.blocks;
   if !changed then begin
     ignore (Simplifycfg.fold_const_branches f);
-    ignore (Cfg.remove_unreachable f);
-    ignore cfg
+    ignore (Cfg.remove_unreachable f)
   end;
   !changed
 

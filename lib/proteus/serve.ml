@@ -243,7 +243,9 @@ let create ?(config = Config.default) ?(vendor = Device.Amd) ?(tenants = 4)
 
 (* ---- launching --------------------------------------------------- *)
 
-let spec_mask = lazy (Annotate.mask_of_args [ 1 ])
+(* already forced: forcing an unforced lazy from several domains at once
+   raises CamlinternalLazy.Undefined *)
+let spec_mask = Lazy.from_val (Annotate.mask_of_args [ 1 ])
 
 let launch (t : t) ~(tenant : int) ~(kernel : int) : unit =
   let tn = t.sv_tenants.(tenant) in

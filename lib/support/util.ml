@@ -50,25 +50,25 @@ let hash_hex s = Fnv.to_hex (Fnv.string s)
 (* CRC32 (IEEE 802.3 polynomial, reflected); used by the persistent
    code cache to detect corrupted or truncated entries on disk. *)
 module Crc32 = struct
+  (* eager: a lazy forced by several domains at once raises
+     CamlinternalLazy.Undefined *)
   let table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
-           for _ = 0 to 7 do
-             c :=
-               if Int32.logand !c 1l <> 0l then
-                 Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-               else Int32.shift_right_logical !c 1
-           done;
-           !c))
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          c :=
+            if Int32.logand !c 1l <> 0l then
+              Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+            else Int32.shift_right_logical !c 1
+        done;
+        !c)
 
   let update (crc : int32) (s : string) : int32 =
-    let tbl = Lazy.force table in
     let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
     String.iter
       (fun ch ->
         let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
-        c := Int32.logxor tbl.(idx) (Int32.shift_right_logical !c 8))
+        c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
       s;
     Int32.logxor !c 0xFFFFFFFFl
 

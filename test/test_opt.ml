@@ -150,6 +150,183 @@ let test_sccp_kills_dead_branch () =
   check Alcotest.int "the *1000 is gone" 0
     (count_matching f (function Ir.IBin (_, Ops.Mul, _, _) | Ir.IBin (_, Ops.Shl, _, _) -> true | _ -> false))
 
+(* Reference solver: sweep every executable block in order until nothing
+   changes. Same transfer functions as Sccp.solve, no worklists. *)
+let naive_sccp (f : Ir.func) : Sccp.lat array * bool array =
+  let blocks = Array.of_list f.Ir.blocks in
+  let rec index l i = if blocks.(i).Ir.label = l then i else index l (i + 1) in
+  let lat = Array.make (Ir.nregs f) Sccp.Top in
+  List.iter (fun (_, r) -> lat.(r) <- Sccp.Bottom) f.Ir.params;
+  let exec = Array.make (Array.length blocks) false in
+  let edges = Hashtbl.create 16 in
+  if Array.length blocks > 0 then exec.(0) <- true;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iteri
+      (fun bi (b : Ir.block) ->
+        if exec.(bi) then begin
+          let exec_from l = Hashtbl.mem edges (l, b.Ir.label) in
+          List.iter
+            (fun i ->
+              match Ir.def_of i with
+              | Some d ->
+                  let v = Sccp.meet lat.(d) (Sccp.eval_instr f lat exec_from i) in
+                  if Sccp.height v < Sccp.height lat.(d) then begin
+                    lat.(d) <- v;
+                    changed := true
+                  end
+              | None -> ())
+            b.Ir.insts;
+          List.iter
+            (fun s ->
+              if not (Hashtbl.mem edges (b.Ir.label, s)) then begin
+                Hashtbl.replace edges (b.Ir.label, s) ();
+                exec.(index s 0) <- true;
+                changed := true
+              end)
+            (Sccp.feasible_succs lat b.Ir.term)
+        end)
+      blocks
+  done;
+  (lat, exec)
+
+let lat_equal a b =
+  match (a, b) with
+  | Sccp.Const x, Sccp.Const y -> Konst.equal x y
+  | Sccp.Top, Sccp.Top | Sccp.Bottom, Sccp.Bottom -> true
+  | _ -> false
+
+let solvers_agree (f : Ir.func) =
+  let lat, exec = Sccp.solve f and lat', exec' = naive_sccp f in
+  exec = exec' && Array.for_all2 lat_equal lat lat'
+
+(* O3 with both solvers compared on the exact IR each SCCP run sees;
+   returns the functions where they disagreed. *)
+let o3_checking_sccp (m : Ir.modul) =
+  let bad = ref [] in
+  let check (p : Pass.t) =
+    if p.Pass.name <> "sccp" then p
+    else
+      { p with
+        Pass.run = (fun m f -> if not (solvers_agree f) then bad := f.Ir.fname :: !bad; p.Pass.run m f) }
+  in
+  ignore (Pipeline.run ~passes:(List.map check Pipeline.o3) m);
+  !bad
+
+let qcheck_sccp_matches_reference =
+  QCheck.Test.make ~name:"SCCP solver = reference solver on generated kernels" ~count:60
+    (QCheck.map (fun i -> 7000 + (i * 1_000_003)) QCheck.(int_bound 5_000))
+    (fun seed ->
+      let k, _ = Proteus_fuzz.Gen.case ~seed ~max_stmts:12 in
+      let src = Proteus_fuzz.Pp.program_to_string k.Proteus_fuzz.Gen.prog in
+      match o3_checking_sccp (Compile.compile_device_only ~name:"fuzz" src) with
+      | [] -> true
+      | fs -> QCheck.Test.fail_reportf "seed %d: solvers disagree on %s" seed (String.concat ", " fs))
+
+let test_sccp_matches_reference_hecbench () =
+  List.iter
+    (fun (a : Proteus_hecbench.App.t) ->
+      let u = Compile.compile ~name:a.name ~vendor:Lower.Hip a.source in
+      List.iter
+        (fun m ->
+          check Alcotest.(list string) (a.name ^ ": solvers agree") [] (o3_checking_sccp m))
+        [ u.Compile.host; u.Compile.device ])
+    Proteus_hecbench.Suite.apps
+
+(* SSA form (phis, no allocas) with nothing folded yet: SCCP's input *)
+let ssa_of src name =
+  let m = device_of src in
+  Pass.run_pipeline (Pass.mk_stats ()) [ Simplifycfg.pass; Mem2reg.pass ] m;
+  (m, Ir.find_func m name)
+
+let phi_regs (f : Ir.func) =
+  List.concat_map
+    (fun (b : Ir.block) -> List.filter_map (function Ir.IPhi (d, _) -> Some d | _ -> None) b.Ir.insts)
+    f.Ir.blocks
+
+let test_sccp_loop_counter_stays () =
+  let m, f =
+    ssa_of
+      {|__device__ int f(int x) {
+          int s = x;
+          for (int i = 0; i < 10; i++) { s = s + 2; }
+          return s;
+        }|}
+      "f"
+  in
+  let lat, exec = Sccp.solve f in
+  Alcotest.(check bool) "loop has phis" true (phi_regs f <> []);
+  List.iter
+    (fun d -> Alcotest.(check bool) "phi lowered to Bottom by the back edge" true (lat.(d) = Sccp.Bottom))
+    (phi_regs f);
+  Alcotest.(check bool) "loop exit is executable" true (Array.for_all Fun.id exec);
+  ignore (Pass.run_pass stats Sccp.pass m);
+  Verify.verify_module m;
+  let _, env = mem_env () in
+  match Interp.run env m "f" [ Konst.ki32 5 ] with
+  | Some k -> check Alcotest.int64 "5 + 10*2" 25L (Konst.as_int k)
+  | None -> Alcotest.fail "no result"
+
+let test_sccp_phi_over_dead_edge_folds () =
+  let m, f =
+    ssa_of
+      {|__device__ int f(int x) {
+          int mode = 3;
+          int y = 7;
+          if (mode == 2) { y = x; }
+          return y + 1;
+        }|}
+      "f"
+  in
+  let lat, exec = Sccp.solve f in
+  (match phi_regs f with
+  | [ d ] -> Alcotest.(check bool) "phi is the constant 7" true (lat_equal lat.(d) (Sccp.Const (Konst.ki32 7)))
+  | ds -> Alcotest.failf "expected one phi, got %d" (List.length ds));
+  Alcotest.(check bool) "the y = x block is dead" true (Array.exists not exec);
+  ignore (Pass.run_pass stats Sccp.pass m);
+  check Alcotest.int "phi folded away" 0 (List.length (phi_regs f));
+  let _, env = mem_env () in
+  match Interp.run env m "f" [ Konst.ki32 100 ] with
+  | Some k -> check Alcotest.int64 "7 + 1" 8L (Konst.as_int k)
+  | None -> Alcotest.fail "no result"
+
+(* Konst defines integer division by zero as 0, the value the
+   interpreter and the executor compute, so SCCP folds a constant one to
+   0 without raising. A constant fold that does raise (here a math
+   intrinsic handed an integer) must leave Bottom, not crash. *)
+let test_sccp_div_by_zero () =
+  let m, f = ssa_of {|__device__ int f(int x) { int z = 0; return x + 10 / z; }|} "f" in
+  let divs = ref [] in
+  Ir.iter_instrs f (function Ir.IBin (d, Ops.SDiv, _, _) -> divs := d :: !divs | _ -> ());
+  let lat, _ = Sccp.solve f in
+  (match !divs with
+  | [ d ] -> Alcotest.(check bool) "10 / 0 folds to 0" true (lat_equal lat.(d) (Sccp.Const (Konst.ki32 0)))
+  | ds -> Alcotest.failf "expected one sdiv, got %d" (List.length ds));
+  ignore (Pass.run_pass stats Sccp.pass m);
+  (let _, env = mem_env () in
+   match Interp.run env m "f" [ Konst.ki32 5 ] with
+   | Some k -> check Alcotest.int64 "5 + 10 / 0" 5L (Konst.as_int k)
+   | None -> Alcotest.fail "no result");
+  let m, f = ssa_of {|__device__ double g(double x) { return sqrt(x); }|} "g" in
+  let calls = ref [] in
+  List.iter
+    (fun (b : Ir.block) ->
+      b.Ir.insts <-
+        List.map
+          (function
+            | Ir.ICall (Some d, callee, [ _ ]) when Ir.Intrinsics.is_math callee ->
+                calls := d :: !calls;
+                Ir.ICall (Some d, callee, [ Ir.Imm (Konst.ki32 4) ])
+            | i -> i)
+          b.Ir.insts)
+    f.Ir.blocks;
+  let lat, _ = Sccp.solve f in
+  (match !calls with
+  | [ d ] -> Alcotest.(check bool) "a raising fold is Bottom" true (lat.(d) = Sccp.Bottom)
+  | ds -> Alcotest.failf "expected one math call, got %d" (List.length ds));
+  Alcotest.(check bool) "nothing to fold" false (Pass.run_pass stats Sccp.pass m)
+
 (* ---- DCE ---- *)
 
 let test_dce () =
@@ -380,6 +557,182 @@ let test_pass_work_accounting () =
   Alcotest.(check bool) "work units recorded" true (s.Pass.work > 0);
   Alcotest.(check bool) "passes ran" true (List.length s.Pass.runs > 3)
 
+(* ---- golden O3 digests ---- *)
+
+(* The optimizer's output is a fixed point: a faster pass must return
+   the same IR, so the simulated compile charge (Pass.work) and the
+   counters SpecAdvisor calibrates against stay put. One row per
+   program x vendor x module pins a digest of the post-O3 text, the
+   work and the four counter deltas; one row per HeCBench Proteus cell
+   x spec policy pins the JIT objects a cold run writes to its
+   persistent cache. A deliberate change to optimizer output replaces
+   [golden] with the fresh table the failure prints. *)
+
+let golden_programs =
+  List.map (fun (a : Proteus_hecbench.App.t) -> (a.name, a.source)) Proteus_hecbench.Suite.apps
+  @ List.map (fun (s : Proteus_examples.Sources.t) -> (s.name, s.source)) Proteus_examples.Sources.all
+
+let o3_rows () =
+  List.concat_map
+    (fun (name, src) ->
+      List.concat_map
+        (fun vendor ->
+          let u = Compile.compile ~name ~vendor src in
+          List.map
+            (fun (side, m) ->
+              let before = Pass.read_counters () in
+              let s = Pipeline.optimize_o3 m in
+              let c = Pass.counters_diff ~before (Pass.read_counters ()) in
+              Printf.sprintf "%s/%s/%s %s work=%d folds=%d branches=%d loops=%d copies=%d" name
+                (Lower.vendor_to_string vendor) side
+                (Digest.to_hex (Digest.string (Irpp.module_to_string m)))
+                s.Pass.work c.Pass.sccp_folds c.Pass.sccp_branches c.Pass.unroll_loops
+                c.Pass.unroll_copies)
+            [ ("host", u.Compile.host); ("device", u.Compile.device) ])
+        [ Lower.Hip; Lower.Cuda ])
+    golden_programs
+
+(* Every field Config.default takes from the environment, spelled out. *)
+let golden_config policy dir =
+  {
+    Proteus_core.Config.default with
+    persistent_dir = Some dir;
+    quarantine_threshold = 3;
+    quarantine_backoff = 16;
+    verify_jit = false;
+    verify_level = 0;
+    verify_strict = false;
+    spec_policy = policy;
+    spec_threshold = Proteus_analysis.Specadvisor.default_threshold;
+    stage_deadline_ms = 0.0;
+    retry_max = 2;
+    retry_backoff_ms = 1.0;
+    lock_timeout_ms = 1000.0;
+    tier = false;
+    tier_threshold = 2;
+    tenant_quota = 0;
+  }
+
+let cache_rows () =
+  let open Proteus_hecbench in
+  List.concat_map
+    (fun (a : App.t) ->
+      List.concat_map
+        (fun vendor ->
+          let exe = Harness.compile_app a vendor Proteus_driver.Driver.Proteus in
+          List.map
+            (fun policy ->
+              let dir = Harness.fresh_cache_dir () in
+              ignore (Proteus_driver.Driver.run ~config:(golden_config policy dir) exe);
+              let objs =
+                Sys.readdir dir |> Array.to_list
+                |> List.filter (fun f ->
+                       String.starts_with ~prefix:"cache-jit-" f && Filename.check_suffix f ".o")
+                |> List.sort compare
+              in
+              let body =
+                List.map
+                  (fun f -> f ^ "\n" ^ In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+                  objs
+              in
+              Harness.rm_rf dir;
+              Printf.sprintf "%s/%s/%s objects=%d %s" a.App.name
+                (match vendor with Proteus_gpu.Device.Amd -> "amd" | Proteus_gpu.Device.Nvidia -> "nvidia")
+                (Proteus_core.Config.policy_name policy) (List.length objs)
+                (Digest.to_hex (Digest.string (String.concat "\n" body))))
+            Proteus_core.Config.[ Spec_all; Spec_advise; Spec_none ])
+        [ Proteus_gpu.Device.Amd; Proteus_gpu.Device.Nvidia ])
+    Suite.apps
+
+let golden = {|
+ADAM/hip/host 0265c5977ee4da741f955875b980c63e work=1891 folds=0 branches=0 loops=0 copies=0
+ADAM/hip/device a774924f624de8c92d615a8fae43b302 work=2793 folds=0 branches=0 loops=0 copies=0
+ADAM/cuda/host 0c6d3fd8b316e8e475ba1181d9945f32 work=1891 folds=0 branches=0 loops=0 copies=0
+ADAM/cuda/device a774924f624de8c92d615a8fae43b302 work=2793 folds=0 branches=0 loops=0 copies=0
+RSBENCH/hip/host d78b064ed4b35e3c7826193b9ae73377 work=1499 folds=3 branches=1 loops=1 copies=44
+RSBENCH/hip/device 3c100a08a5b2db2198377df406583923 work=43526 folds=0 branches=0 loops=0 copies=0
+RSBENCH/cuda/host 8dc00a457d80665dc93d9f5485fc2516 work=1499 folds=3 branches=1 loops=1 copies=44
+RSBENCH/cuda/device 3c100a08a5b2db2198377df406583923 work=43526 folds=0 branches=0 loops=0 copies=0
+WSM5/hip/host f00d1ea2c88ed44d364a1d35c462e2e4 work=2235 folds=0 branches=0 loops=1 copies=68
+WSM5/hip/device 52c96ce5af747778f24a3a6ea1b7447b work=19234 folds=0 branches=0 loops=0 copies=0
+WSM5/cuda/host 1c284ba1b843ef3981c8981892beed52 work=2235 folds=0 branches=0 loops=1 copies=68
+WSM5/cuda/device 52c96ce5af747778f24a3a6ea1b7447b work=19234 folds=0 branches=0 loops=0 copies=0
+FEY-KAC/hip/host 6bcd4f299be9979757dd591bf616c5eb work=1167 folds=0 branches=0 loops=1 copies=25
+FEY-KAC/hip/device 70eeed59fb3f7ec87e5033937b8bb7e3 work=3334 folds=0 branches=0 loops=0 copies=0
+FEY-KAC/cuda/host 420a6d679238e88a5d87080801048025 work=1167 folds=0 branches=0 loops=1 copies=25
+FEY-KAC/cuda/device 70eeed59fb3f7ec87e5033937b8bb7e3 work=3334 folds=0 branches=0 loops=0 copies=0
+LULESH/hip/host 7f2a4b0372bcad3177a39e7891a45dc1 work=1839 folds=0 branches=0 loops=0 copies=0
+LULESH/hip/device dceed240e03c9cd1c66f3e2c71a0dead work=3210 folds=0 branches=0 loops=0 copies=0
+LULESH/cuda/host 1e2182eabae2690ca3fe68a295126e9a work=1839 folds=0 branches=0 loops=0 copies=0
+LULESH/cuda/device dceed240e03c9cd1c66f3e2c71a0dead work=3210 folds=0 branches=0 loops=0 copies=0
+SW4CK/hip/host 929b6fb926adb3ff70d51abf579b392d work=2576 folds=0 branches=0 loops=0 copies=0
+SW4CK/hip/device 14ec5de76de7ced1326528b41e101620 work=82862 folds=0 branches=0 loops=0 copies=0
+SW4CK/cuda/host 33099f7cac32160b7d655e83e01e4171 work=2576 folds=0 branches=0 loops=0 copies=0
+SW4CK/cuda/device 14ec5de76de7ced1326528b41e101620 work=82862 folds=0 branches=0 loops=0 copies=0
+quickstart/hip/host 0a0a8047d2d7c246c8129ef49aeb3e3a work=1706 folds=0 branches=0 loops=1 copies=44
+quickstart/hip/device 0a146a3009e2992940610f6fd0dc3526 work=536 folds=0 branches=0 loops=0 copies=0
+quickstart/cuda/host f303804f9b266f04620ffa6812c47faa work=1706 folds=0 branches=0 loops=1 copies=44
+quickstart/cuda/device 0a146a3009e2992940610f6fd0dc3526 work=536 folds=0 branches=0 loops=0 copies=0
+adam_training/hip/host 2e94fe60d4d30115027c47655923206d work=1768 folds=0 branches=0 loops=0 copies=0
+adam_training/hip/device e6cd2f12dc2e1c2430574006dc534aa0 work=1847 folds=0 branches=0 loops=0 copies=0
+adam_training/cuda/host a242d3176e19e0fbb58b0cbd3a35cf34 work=1768 folds=0 branches=0 loops=0 copies=0
+adam_training/cuda/device e6cd2f12dc2e1c2430574006dc534aa0 work=1847 folds=0 branches=0 loops=0 copies=0
+heat_stencil/hip/host 35dc6b4699698019550bfa29e0a94245 work=1677 folds=0 branches=0 loops=0 copies=0
+heat_stencil/hip/device 9b81d9bab0529e6ded910b536f594548 work=1650 folds=0 branches=0 loops=0 copies=0
+heat_stencil/cuda/host 41b6dccdcaa68204df5980be2ed439a5 work=1677 folds=0 branches=0 loops=0 copies=0
+heat_stencil/cuda/device 9b81d9bab0529e6ded910b536f594548 work=1650 folds=0 branches=0 loops=0 copies=0
+montecarlo_pi/hip/host b752b770b45c0c3d8e1566ad516b9099 work=56 folds=0 branches=0 loops=0 copies=0
+montecarlo_pi/hip/device d5b4bd5f1b0f3871d82b753e35ff3986 work=1156 folds=0 branches=0 loops=0 copies=0
+montecarlo_pi/cuda/host faedb74e44b27ff7eab174b75033124e work=56 folds=0 branches=0 loops=0 copies=0
+montecarlo_pi/cuda/device d5b4bd5f1b0f3871d82b753e35ff3986 work=1156 folds=0 branches=0 loops=0 copies=0
+ADAM/amd/all objects=1 dc160203479e301b88477d4d7a1f31a3
+ADAM/amd/advise objects=1 dc160203479e301b88477d4d7a1f31a3
+ADAM/amd/none objects=1 6ef729bcecdbef9d7d1a19a7260034c8
+ADAM/nvidia/all objects=1 0327d50e7be677784c92cf57191bba22
+ADAM/nvidia/advise objects=1 0327d50e7be677784c92cf57191bba22
+ADAM/nvidia/none objects=1 05815399b197d405a431e019299a75fc
+RSBENCH/amd/all objects=1 0732df1368b7f18e8e038065876225ce
+RSBENCH/amd/advise objects=1 0732df1368b7f18e8e038065876225ce
+RSBENCH/amd/none objects=1 1a64b842f2a285ca1c6a5c2b6eb1e64d
+RSBENCH/nvidia/all objects=1 f00dbb74ae13b8037186736006a884c0
+RSBENCH/nvidia/advise objects=1 f00dbb74ae13b8037186736006a884c0
+RSBENCH/nvidia/none objects=1 56bdef21a40c192dcaba222c6aa4036d
+WSM5/amd/all objects=1 43ee17a9ae06134a7936dc4da0588e5d
+WSM5/amd/advise objects=1 43ee17a9ae06134a7936dc4da0588e5d
+WSM5/amd/none objects=1 64c608c57514e561a36150b1afd7aeb9
+WSM5/nvidia/all objects=1 8c2a35b017598e2fd55825305a57927b
+WSM5/nvidia/advise objects=1 8c2a35b017598e2fd55825305a57927b
+WSM5/nvidia/none objects=1 d8fff5dadaade3adbc2ed0af377dac70
+FEY-KAC/amd/all objects=1 98bf988a999abb39e75a8e024c032d6c
+FEY-KAC/amd/advise objects=1 98bf988a999abb39e75a8e024c032d6c
+FEY-KAC/amd/none objects=1 e6bd08b7a8218c9fa59147ebdd5b14c2
+FEY-KAC/nvidia/all objects=1 884329cd384cfb5a9ccd933e83203f5e
+FEY-KAC/nvidia/advise objects=1 884329cd384cfb5a9ccd933e83203f5e
+FEY-KAC/nvidia/none objects=1 16c0ec2410b91803c1a4ee2c493aa4f9
+LULESH/amd/all objects=2 7a69dcb191fc0d68dcbdd78d86830faf
+LULESH/amd/advise objects=2 7a69dcb191fc0d68dcbdd78d86830faf
+LULESH/amd/none objects=2 d79346fd276ad90f336d87e807d9fbf8
+LULESH/nvidia/all objects=2 7b345ce31f1f7e852d2572efbf75f072
+LULESH/nvidia/advise objects=2 7b345ce31f1f7e852d2572efbf75f072
+LULESH/nvidia/none objects=2 55a98b15e0e7f9e63cb28b4d7cd3dd4a
+SW4CK/amd/all objects=5 32004c697500e67452eb75a99eb62311
+SW4CK/amd/advise objects=5 463628b49426892a00619491632c8643
+SW4CK/amd/none objects=5 211891d1042ebef9e96f530011f0329d
+SW4CK/nvidia/all objects=5 e4944d394b61021768f7937ac35ca75a
+SW4CK/nvidia/advise objects=5 8e57b4eb33d28875d3ab564528b1c9a8
+SW4CK/nvidia/none objects=5 4e52da2eefcefcb1db35c2e9c39177bb
+|}
+
+let test_golden_digests () =
+  let fresh = o3_rows () @ cache_rows () in
+  let expected = String.split_on_char '\n' (String.trim golden) in
+  if fresh <> expected then begin
+    Printf.eprintf "fresh golden table:\n%s\n%!" (String.concat "\n" fresh);
+    List.iter (fun row -> if not (List.mem row expected) then Printf.eprintf "changed: %s\n%!" row) fresh;
+    Alcotest.failf "O3 output or JIT cache objects differ from the golden table (%d rows)"
+      (List.length expected)
+  end
+
 let () =
   Alcotest.run "opt"
     [
@@ -395,7 +748,15 @@ let () =
           Alcotest.test_case "fast-math rules" `Quick test_fastmath_rules;
           Alcotest.test_case "math intrinsics" `Quick test_math_intrinsic_folding;
         ] );
-      ( "sccp", [ Alcotest.test_case "dead branch elimination" `Quick test_sccp_kills_dead_branch ] );
+      ( "sccp",
+        [
+          Alcotest.test_case "dead branch elimination" `Quick test_sccp_kills_dead_branch;
+          Alcotest.test_case "loop counter is not folded" `Quick test_sccp_loop_counter_stays;
+          Alcotest.test_case "phi over a dead edge folds" `Quick test_sccp_phi_over_dead_edge_folds;
+          Alcotest.test_case "constant division by zero" `Quick test_sccp_div_by_zero;
+          qtest qcheck_sccp_matches_reference;
+          Alcotest.test_case "reference solver on HeCBench" `Quick test_sccp_matches_reference_hecbench;
+        ] );
       ( "dce",
         [
           Alcotest.test_case "removes dead code" `Quick test_dce;
@@ -420,5 +781,6 @@ let () =
           Alcotest.test_case "sc+ternary regression" `Quick test_sc_ternary_regression;
           Alcotest.test_case "host module O3" `Quick test_o3_on_host_modules;
           Alcotest.test_case "work accounting" `Quick test_pass_work_accounting;
+          Alcotest.test_case "golden O3 digests" `Quick test_golden_digests;
         ] );
     ]
