@@ -545,7 +545,7 @@ let inject_faults () =
 (* ------------------------------------------------------------------ *)
 (* PerfLint validation (--perf-validate): compare the static
    transaction-class prediction for every global-memory site against
-   the reference executor's per-site measurement on all six HeCBench
+   the executor's per-site measurement on all six HeCBench
    apps under AOT. The static side replicates the exact AOT device
    pipeline (frontend -> O3 -> backend input), so structural site keys
    (kernel sym, block label, mem-op ordinal, kind) line up with what

@@ -162,7 +162,7 @@ let kind_name = function
   | Counters.Katomic -> "atomic"
 
 (* Walk one function, numbering memory ops per block in code order —
-   the same ordinals the reference executor assigns to the lowered
+   the same ordinals the executor assigns to the lowered
    Old/Ost/Oatomic instructions. *)
 let classify_func (m : Ir.modul) (f : Ir.func) : static_site list =
   let sx = Addrsym.create ~phi_linear:true m f in

@@ -265,22 +265,38 @@ let engine_name = function
   | Threaded -> "threaded"
   | Multicore -> "multicore"
 
-let machine_run engine (mk : Mach.mfunc) (k : Gen.kernel) (l : Gen.launch) :
-    string * Counters.t * float =
+(* Run [f] with PerfLint's site profile armed; return its result and
+   the recorded sites in key order, for comparing engines field by
+   field. *)
+let profiled f =
+  let tbl = Counters.create_sites () in
+  Counters.site_profile := Some tbl;
+  let r = Fun.protect ~finally:(fun () -> Counters.site_profile := None) f in
+  (r, List.sort compare (Hashtbl.fold (fun k s acc -> (k, s) :: acc) tbl []))
+
+(* Run [mk] on [engine]; with [~profile] the launch records PerfLint's
+   per-site profile, returned in key order (empty otherwise). *)
+let machine_run ?(profile = false) engine (mk : Mach.mfunc) (k : Gen.kernel)
+    (l : Gen.launch) : string * Counters.t * float * (Counters.site_key * Counters.site) list =
   let rig = make_rig k l in
   let dev = Device.mi250x in
   let l2 = L2cache.create dev in
-  let reference = engine = Reference in
-  let domains = match engine with Multicore -> 4 | _ -> 1 in
-  let r =
-    Exec.launch ~reference ~domains ~device:dev ~mem:rig.mem ~l2
-      ~symbols:(global_of rig) mk ~grid:l.Gen.grid ~block:l.Gen.block ~args:rig.args
+  let launch () =
+    let symbols = global_of rig and grid = l.Gen.grid and block = l.Gen.block in
+    match engine with
+    | Reference ->
+        Refexec.launch ~device:dev ~mem:rig.mem ~l2 ~symbols mk ~grid ~block ~args:rig.args
+    | Threaded | Multicore ->
+        let domains = if engine = Multicore then 4 else 1 in
+        Exec.launch ~domains ~device:dev ~mem:rig.mem ~l2 ~symbols mk ~grid ~block
+          ~args:rig.args
   in
+  let r, sites = if profile then profiled launch else (launch (), []) in
   let dur =
     (Timing.kernel_time dev mk r.Exec.counters ~blocks:r.Exec.blocks_launched)
       .Timing.duration_s
   in
-  (snapshot rig, r.Exec.counters, dur)
+  (snapshot rig, r.Exec.counters, dur, sites)
 
 (* ---- the oracles ---- *)
 
@@ -337,26 +353,38 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
           if snap0 <> snap3 then
             failf "a" "O0 vs O3 interpretation: %s" (snap_diff snap0 snap3);
           tick ());
-    (* (b): interpreter vs the three backend engines *)
+    (* (b): interpreter vs the reference interpreter vs the executor,
+       serial and multicore, with PerfLint's site profile armed (an
+       armed launch runs serially, so the multicore schedule also runs
+       once unarmed) *)
     if sel "b" then
       guard "b" (fun () ->
           let obj = Gcn.compile m3 in
           let mk = Mach.find_kernel obj gk.Gen.sym in
-          let sr, cr, dr = machine_run Reference mk gk l in
-          let st, ct, dt = machine_run Threaded mk gk l in
-          let sm, cm, dm = machine_run Multicore mk gk l in
+          let sr, cr, dr, pr = machine_run ~profile:true Reference mk gk l in
+          let st, ct, dt, pt = machine_run ~profile:true Threaded mk gk l in
+          let sm, cm, dm, pm = machine_run ~profile:true Multicore mk gk l in
+          let sp, cp, dp, _ = machine_run Multicore mk gk l in
           if sr <> snap0 then
             failf "b" "reference engine vs interpreter: %s" (snap_diff sr snap0);
           tick ();
           List.iter
-            (fun (nm, s, c, d) ->
+            (fun (nm, s, c, d, p) ->
               if s <> sr then
                 failf "b" "%s engine memory vs reference: %s" nm (snap_diff s sr);
               if c <> cr then failf "b" "%s engine counters differ from reference" nm;
               if d <> dr then
                 failf "b" "%s engine simulated time differs from reference" nm;
+              (match p with
+              | Some p when p <> pr ->
+                  failf "b" "%s engine site profile differs from reference" nm
+              | _ -> ());
               tick ())
-            [ ("threaded", st, ct, dt); ("multicore", sm, cm, dm) ])
+            [
+              ("threaded", st, ct, dt, Some pt);
+              ("multicore", sm, cm, dm, Some pm);
+              ("parallel multicore", sp, cp, dp, None);
+            ])
     else ignore (engine_name Reference);
     (* (c): specialized vs unspecialized execution *)
     if sel "c" then
@@ -394,7 +422,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
           let dev = Device.mi250x in
           let l2 = L2cache.create dev in
           ignore
-            (Exec.launch ~reference:false ~domains:1 ~device:dev ~mem:rig.mem ~l2
+            (Exec.launch ~domains:1 ~device:dev ~mem:rig.mem ~l2
                ~symbols:(global_of rig) mk ~grid:l.Gen.grid ~block:l.Gen.block
                ~args:rig.args);
           let snapc = snapshot rig in
@@ -446,7 +474,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
           let dev = Device.mi250x in
           let l2 = L2cache.create dev in
           ignore
-            (Exec.launch ~reference:false ~domains:1 ~device:dev ~mem:rig.mem ~l2
+            (Exec.launch ~domains:1 ~device:dev ~mem:rig.mem ~l2
                ~symbols:(global_of rig) mk ~grid:l.Gen.grid ~block:l.Gen.block
                ~args:rig.args);
           let snape = snapshot rig in
@@ -472,7 +500,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
             ~finally:(fun () -> Counters.site_profile := None)
             (fun () ->
               ignore
-                (Exec.launch ~reference:true ~domains:1 ~device:dev
+                (Exec.launch ~domains:1 ~device:dev
                    ~mem:rig.mem ~l2 ~symbols:(global_of rig) mk
                    ~grid:l.Gen.grid ~block:l.Gen.block ~args:rig.args));
           let line = dev.Device.l2_line in
@@ -546,7 +574,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
             for r = 0 to rounds - 1 do
               let mk = if r < switch_at then mk0 else mk1 in
               ignore
-                (Exec.launch ~reference:false ~domains:1 ~device:dev ~mem:rig.mem
+                (Exec.launch ~domains:1 ~device:dev ~mem:rig.mem
                    ~l2 ~symbols:(global_of rig) mk ~grid:l.Gen.grid
                    ~block:l.Gen.block ~args:rig.args)
             done;
@@ -638,7 +666,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
                 let dev = Device.mi250x in
                 let l2 = L2cache.create dev in
                 ignore
-                  (Exec.launch ~reference:false ~domains:1 ~device:dev
+                  (Exec.launch ~domains:1 ~device:dev
                      ~mem:rig.mem ~l2 ~symbols:(global_of rig) mk
                      ~grid:l.Gen.grid ~block:l.Gen.block ~args:rig.args);
                 let snapc = snapshot rig in

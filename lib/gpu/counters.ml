@@ -60,10 +60,12 @@ let fdiv a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
    block label, ordinal of the memory op within the block (counting
    every load/store/atomic, any address space, in code order) — the
    same key the static classifier derives from the optimized IR, since
-   codegen strips dbg.loc before any pass runs. Recording happens only
-   in the reference engine; [Exec.launch] forces it while a profile is
-   armed, which is observationally safe because all engines are
-   bit-identical. *)
+   codegen strips dbg.loc before any pass runs. Tcode gives every
+   load/store/atomic its site at decode time; [Exec.launch] reads
+   [site_profile] once per launch and, while it is armed, runs the
+   launch serially so the shared table is written from one domain.
+   The reference interpreter (Refexec) records the same table, and the
+   executor tests and fuzz oracle (b) require the two to be equal. *)
 
 type access_kind = Kload | Kstore | Katomic
 
@@ -89,8 +91,8 @@ type site_table = (site_key, site) Hashtbl.t
 
 let create_sites () : site_table = Hashtbl.create 64
 
-(* Armed profile: when [Some tbl], the reference engine accumulates
-   per-site statistics into [tbl]. Global by design — profiling is a
+(* Armed profile: when [Some tbl], every launch accumulates per-site
+   statistics into [tbl]. Global by design — profiling is a
    whole-process measurement mode, like Stats. *)
 let site_profile : site_table option ref = ref None
 

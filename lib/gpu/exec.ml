@@ -4,585 +4,31 @@
    accesses coalesce into cache lines through the L2 model, and scratch
    (spill / local-array) traffic goes through the same hierarchy.
 
-   Three engines share these semantics and must stay bit-identical
-   (memory contents, counters, simulated timing):
+   There is one engine: the pre-decoded Tcode program run by
+   [texec_launch], either serially or with independent thread-blocks
+   scheduled across a domain pool ("multicore"). The multicore schedule
+   keeps L2 determinism by recording each block's cache-line trace
+   during parallel execution and replaying the traces serially in block
+   order afterwards, so the shared LRU model sees exactly the serial
+   access sequence. Kernels with atomics, and every launch while a
+   PerfLint site profile is armed, run serially.
 
-   - "reference": the original direct interpreter over Mach, kept as
-     the executable specification the differential tests check against;
-   - "threaded": the pre-decoded Tcode executor (the production path);
-   - "multicore": the threaded executor with independent thread-blocks
-     scheduled across a domain pool. L2 determinism is preserved by
-     recording each block's cache-line trace during parallel execution
-     and replaying the traces serially in block order afterwards, so
-     the shared LRU model sees exactly the serial access sequence. *)
+   Its specification is the reference interpreter [Refexec] (lib/fuzz):
+   memory contents, every counter, the simulated timing, the per-site
+   profile and the failure of a failing launch must match it bit for
+   bit. Fuzz oracle (b) and test/test_exec.ml check that. *)
 
 open Proteus_support
 open Proteus_ir
 open Proteus_backend
 
-type kernel_env = {
-  mem : Gmem.t;
-  l2 : L2cache.t;
-  device : Device.t;
-  symbols : string -> int64; (* device global addresses *)
-  args : Konst.t array;
-  grid : int * int * int;
-  block : int * int * int;
-  scratch_base : int64; (* arena for per-thread frames *)
-  thread_frame : int; (* bytes per thread (frame + spill slots) *)
-  counters : Counters.t;
-}
-
-(* Per-warp register state: parallel float/int banks, scalar and vector. *)
-type wstate = {
-  lanes : int;
-  vi : int64 array; (* vregs * lanes *)
-  vf : float array;
-  si : int64 array;
-  sf : float array;
-  spi : int64 array; (* spill slots * lanes *)
-  spf : float array;
-  sspi : int64 array; (* scalar spill slots *)
-  sspf : float array;
-  first_thread : int; (* global linear id of lane 0 *)
-  block_id : int * int * int;
-  base_tid : int * int * int; (* thread id of lane 0 within the block *)
-}
-
 let popcount = Util.popcount64
 
-let lane_active mask lane =
-  not (Int64.equal (Int64.logand mask (Int64.shift_left 1L lane)) 0L)
-
-exception Trap of string
-
-let is_float_ty = function Types.TFloat _ -> true | _ -> false
-
-let norm_ibits bits v = Konst.norm_int v bits
-
-let ibits_of = function
-  | Types.TBool -> 1
-  | Types.TInt b -> b
-  | Types.TPtr _ -> 64
-  | t -> Util.failf "Exec.ibits_of: %s" (Types.to_string t)
-
-(* ------------------------------------------------------------------ *)
-
-(* Per-kernel preparation shared by all warps of a launch: block map
-   and reconvergence points. *)
-type prep = {
-  pblocks : (string, Mach.mblock) Hashtbl.t;
-  pipdom : string Util.Smap.t; (* absent: reconverges at exit *)
-}
-
-let prepare (f : Mach.mfunc) : prep =
-  let pblocks : (string, Mach.mblock) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (b : Mach.mblock) -> Hashtbl.replace pblocks b.Mach.mlab b) f.Mach.blocks;
-  let blocks = Array.of_list f.Mach.blocks in
-  let pipdom = ref Util.Smap.empty in
-  Array.iteri
-    (fun i r ->
-      if r >= 0 then pipdom := Util.Smap.add blocks.(i).Mach.mlab blocks.(r).Mach.mlab !pipdom)
-    (Dom.ipostdoms (Array.length blocks) (Mach.succ_indices blocks));
-  { pblocks; pipdom = !pipdom }
-
-let run_warp (env : kernel_env) (f : Mach.mfunc) (prep : prep) (w : wstate)
-    (init_mask : int64) : unit =
-  let c = env.counters in
-  let lanes = w.lanes in
-  let block lab =
-    match Hashtbl.find_opt prep.pblocks lab with
-    | Some b -> b
-    | None -> raise (Trap ("no block " ^ lab))
-  in
-  let ipdom = prep.pipdom in
-  (* ---- register access ---- *)
-  let rd_vi r lane = w.vi.((r * lanes) + lane) in
-  let rd_vf r lane = w.vf.((r * lanes) + lane) in
-  let wr_vi r lane v = w.vi.((r * lanes) + lane) <- v in
-  let wr_vf r lane v = w.vf.((r * lanes) + lane) <- v in
-  let src_i (s : Mach.msrc) lane : int64 =
-    match s with
-    | Mach.Rs { Mach.rid; rcls = Mach.CV } -> rd_vi rid lane
-    | Mach.Rs { Mach.rid; rcls = Mach.CS } -> w.si.(rid)
-    | Mach.Ki k -> Konst.as_int k
-    | Mach.Gs g -> env.symbols g
-  in
-  let src_f (s : Mach.msrc) lane : float =
-    match s with
-    | Mach.Rs { Mach.rid; rcls = Mach.CV } -> rd_vf rid lane
-    | Mach.Rs { Mach.rid; rcls = Mach.CS } -> w.sf.(rid)
-    | Mach.Ki k -> Konst.as_float k
-    | Mach.Gs _ -> raise (Trap "float read of symbol")
-  in
-  let dst_i (d : Mach.reg) lane v =
-    match d.Mach.rcls with
-    | Mach.CV -> wr_vi d.Mach.rid lane v
-    | Mach.CS -> w.si.(d.Mach.rid) <- v
-  in
-  let dst_f (d : Mach.reg) lane v =
-    match d.Mach.rcls with
-    | Mach.CV -> wr_vf d.Mach.rid lane v
-    | Mach.CS -> w.sf.(d.Mach.rid) <- v
-  in
-  let write_konst (d : Mach.reg) lane (k : Konst.t) =
-    match k with
-    | Konst.KFloat (v, _) -> dst_f d lane v
-    | Konst.KBool b -> dst_i d lane (if b then 1L else 0L)
-    | Konst.KInt (v, _) -> dst_i d lane v
-    | Konst.KNull -> dst_i d lane 0L
-  in
-  (* thread coordinates *)
-  let gx, gy, gz = env.grid and bx, by, bz = env.block in
-  ignore (gx, gy, gz, bx, by, bz);
-  let btx, bty, btz = w.base_tid in
-  let tid_of lane =
-    (* lanes advance along x *)
-    let linear = btx + lane in
-    let x = linear mod bx in
-    let rest = linear / bx in
-    let y = bty + (rest mod by) in
-    let z = btz + (rest / by) in
-    (x, y, z)
-  in
-  let bix, biy, biz = w.block_id in
-  let query_val q lane : int64 =
-    let x, y, z = tid_of lane in
-    let v =
-      match q with
-      | "gpu.tid.x" -> x
-      | "gpu.tid.y" -> y
-      | "gpu.tid.z" -> z
-      | "gpu.ctaid.x" -> bix
-      | "gpu.ctaid.y" -> biy
-      | "gpu.ctaid.z" -> biz
-      | "gpu.ntid.x" -> bx
-      | "gpu.ntid.y" -> by
-      | "gpu.ntid.z" -> bz
-      | "gpu.nctaid.x" -> gx
-      | "gpu.nctaid.y" -> gy
-      | "gpu.nctaid.z" -> gz
-      | q -> raise (Trap ("unknown query " ^ q))
-    in
-    Int64.of_int v
-  in
-  (* memory access with coalescing; returns the number of distinct
-     cache lines the access touched, and updates counters *)
-  let dedup = Tcode.linedup_create lanes in
-  let touch_lines addrs =
-    (* unique cache lines among lane addresses *)
-    let line = env.device.Device.l2_line in
-    Tcode.linedup_reset dedup;
-    let fresh = ref 0 in
-    List.iter
-      (fun a ->
-        let la = Int64.to_int a / line in
-        if Tcode.linedup_add dedup la then begin
-          incr fresh;
-          c.Counters.mem_lines <- c.Counters.mem_lines + 1;
-          if L2cache.access env.l2 a then c.Counters.l2_hits <- c.Counters.l2_hits + 1
-          else c.Counters.l2_misses <- c.Counters.l2_misses + 1
-        end)
-      addrs;
-    !fresh
-  in
-  (* Per-site transaction profiling (PerfLint validation): when armed,
-     every load/store/atomic issue records its active-lane and
-     fresh-line counts under a structural (sym, block, mem-op ordinal)
-     key. Ordinals count every memory op of the block in code order
-     and reset on block entry, matching the static classifier's walk
-     of the optimized IR. *)
-  let profile = !Counters.site_profile in
-  let site_lab = ref "" in
-  let site_ord = ref 0 in
-  let record_site kind ~ord ~act ~lines ~width ~scratch =
-    match profile with
-    | None -> ()
-    | Some tbl ->
-        Counters.record_site tbl
-          { Counters.sk_sym = f.Mach.sym; sk_block = !site_lab; sk_ord = ord;
-            sk_kind = kind }
-          ~lanes:act ~lines ~full:(act = lanes) ~width ~scratch
-  in
-  (* Spill slots are lane-interleaved within a warp's scratch region
-     (hardware swizzles scratch so per-lane spill traffic coalesces). *)
-  let scratch_addr lane slot =
-    Int64.add env.scratch_base
-      (Int64.of_int
-         ((w.first_thread * env.thread_frame)
-         + (lanes * f.Mach.frame)
-         + (slot * 8 * lanes)
-         + (lane * 8)))
-  in
-  (* ---- main instruction dispatch ---- *)
-  let exec_instr (i : Mach.minstr) (mask : int64) =
-    let act = popcount mask in
-    let for_lanes fn =
-      for lane = 0 to lanes - 1 do
-        if lane_active mask lane then fn lane
-      done
-    in
-    let scalar_dst =
-      match i.Mach.dst with Some { Mach.rcls = Mach.CS; _ } -> true | None -> false | _ -> false
-    in
-    let count_alu () =
-      c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-      if scalar_dst then c.Counters.salu <- c.Counters.salu + 1
-      else begin
-        c.Counters.valu_warp <- c.Counters.valu_warp + 1;
-        c.Counters.valu_thread <- c.Counters.valu_thread + act
-      end
-    in
-    match i.Mach.op with
-    | Mach.Obin (op, ty) ->
-        count_alu ();
-        (* divisions issue through the long-latency pipe like
-           transcendentals on both architectures *)
-        (match op with
-        | Ops.FDiv | Ops.FRem | Ops.SDiv | Ops.SRem ->
-            c.Counters.math_warp <- c.Counters.math_warp + 1
-        | _ -> ());
-        let d = Option.get i.Mach.dst in
-        let a, b = (List.nth i.Mach.srcs 0, List.nth i.Mach.srcs 1) in
-        if is_float_ty ty then begin
-          let bits = match ty with Types.TFloat b -> b | _ -> 64 in
-          let apply x y =
-            let open Ops in
-            match op with
-            | FAdd -> x +. y
-            | FSub -> x -. y
-            | FMul -> x *. y
-            | FDiv -> x /. y
-            | FRem -> Float.rem x y
-            | FMin -> if x <= y then x else y
-            | FMax -> if x >= y then x else y
-            | _ -> raise (Trap "int binop on float type")
-          in
-          let round = if bits = 32 then Util.to_f32 else fun x -> x in
-          if scalar_dst then dst_f d 0 (round (apply (src_f a 0) (src_f b 0)))
-          else for_lanes (fun l -> dst_f d l (round (apply (src_f a l) (src_f b l))))
-        end
-        else begin
-          let bits = ibits_of ty in
-          let apply x y =
-            Konst.as_int (Konst.binop op (Konst.kint ~bits x) (Konst.kint ~bits y))
-          in
-          if scalar_dst then dst_i d 0 (apply (src_i a 0) (src_i b 0))
-          else for_lanes (fun l -> dst_i d l (apply (src_i a l) (src_i b l)))
-        end
-    | Mach.Ocmp (op, ty) ->
-        count_alu ();
-        let d = Option.get i.Mach.dst in
-        let a, b = (List.nth i.Mach.srcs 0, List.nth i.Mach.srcs 1) in
-        let cmp_i x y =
-          let cv = Int64.compare x y in
-          let open Ops in
-          match op with
-          | CEq -> cv = 0
-          | CNe -> cv <> 0
-          | CLt -> cv < 0
-          | CLe -> cv <= 0
-          | CGt -> cv > 0
-          | CGe -> cv >= 0
-        in
-        let cmp_f x y =
-          let open Ops in
-          match op with
-          | CEq -> x = y
-          | CNe -> x <> y
-          | CLt -> x < y
-          | CLe -> x <= y
-          | CGt -> x > y
-          | CGe -> x >= y
-        in
-        if is_float_ty ty then
-          if scalar_dst then dst_i d 0 (if cmp_f (src_f a 0) (src_f b 0) then 1L else 0L)
-          else
-            for_lanes (fun l -> dst_i d l (if cmp_f (src_f a l) (src_f b l) then 1L else 0L))
-        else begin
-          let bits = ibits_of ty in
-          let n v = norm_ibits bits v in
-          if scalar_dst then
-            dst_i d 0 (if cmp_i (n (src_i a 0)) (n (src_i b 0)) then 1L else 0L)
-          else
-            for_lanes (fun l ->
-                dst_i d l (if cmp_i (n (src_i a l)) (n (src_i b l)) then 1L else 0L))
-        end
-    | Mach.Osel ty ->
-        count_alu ();
-        let d = Option.get i.Mach.dst in
-        let cnd, a, b =
-          (List.nth i.Mach.srcs 0, List.nth i.Mach.srcs 1, List.nth i.Mach.srcs 2)
-        in
-        let go l =
-          let take = not (Int64.equal (src_i cnd l) 0L) in
-          if is_float_ty ty then dst_f d l (if take then src_f a l else src_f b l)
-          else dst_i d l (if take then src_i a l else src_i b l)
-        in
-        if scalar_dst then go 0 else for_lanes go
-    | Mach.Ocast (op, dty, sty) ->
-        count_alu ();
-        let d = Option.get i.Mach.dst in
-        let a = List.nth i.Mach.srcs 0 in
-        let go l =
-          match (op, is_float_ty sty, is_float_ty dty) with
-          | Ops.SiToFp, false, true ->
-              let bits = ibits_of sty in
-              let v = Int64.to_float (norm_ibits bits (src_i a l)) in
-              dst_f d l (if dty = Types.TFloat 32 then Util.to_f32 v else v)
-          | Ops.FpToSi, true, false ->
-              dst_i d l (norm_ibits (ibits_of dty) (Int64.of_float (src_f a l)))
-          | Ops.FpExt, true, true -> dst_f d l (src_f a l)
-          | Ops.FpTrunc, true, true -> dst_f d l (Util.to_f32 (src_f a l))
-          | (Ops.Zext | Ops.Sext | Ops.Trunc), false, false ->
-              let sbits = ibits_of sty and dbits = ibits_of dty in
-              let v = src_i a l in
-              let v =
-                match op with
-                | Ops.Zext ->
-                    if sbits >= 64 then v
-                    else Int64.logand v (Int64.sub (Int64.shift_left 1L sbits) 1L)
-                | Ops.Sext -> norm_ibits sbits v
-                | _ -> v
-              in
-              dst_i d l (norm_ibits dbits v)
-          | Ops.Bitcast, _, _ ->
-              if is_float_ty dty && is_float_ty sty then dst_f d l (src_f a l)
-              else if is_float_ty dty then dst_f d l (Int64.float_of_bits (src_i a l))
-              else if is_float_ty sty then dst_i d l (Int64.bits_of_float (src_f a l))
-              else dst_i d l (src_i a l)
-          | _ -> raise (Trap "bad cast")
-        in
-        if scalar_dst then go 0 else for_lanes go
-    | Mach.Omov ty ->
-        count_alu ();
-        let d = Option.get i.Mach.dst in
-        let a = List.nth i.Mach.srcs 0 in
-        let go l = if is_float_ty ty then dst_f d l (src_f a l) else dst_i d l (src_i a l) in
-        if scalar_dst then go 0 else for_lanes go
-    | Mach.Old (space, ty) ->
-        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-        let ord = !site_ord in
-        incr site_ord;
-        let d = Option.get i.Mach.dst in
-        let p = List.nth i.Mach.srcs 0 in
-        if scalar_dst then begin
-          (* uniform scalar fetch *)
-          c.Counters.smem <- c.Counters.smem + 1;
-          let addr = src_i p 0 in
-          let fresh = touch_lines [ addr ] in
-          record_site Counters.Kload ~ord ~act ~lines:fresh
-            ~width:(Types.size_of ty) ~scratch:(space = Mach.SScratch);
-          write_konst d 0 (Gmem.read env.mem ty addr)
-        end
-        else begin
-          c.Counters.vmem_warp <- c.Counters.vmem_warp + 1;
-          c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
-          (if space = Mach.SScratch then
-             c.Counters.scratch_ld <- c.Counters.scratch_ld + 1);
-          let addrs = ref [] in
-          for_lanes (fun l ->
-              let addr = src_i p l in
-              addrs := addr :: !addrs;
-              write_konst d l (Gmem.read env.mem ty addr));
-          let fresh = touch_lines !addrs in
-          record_site Counters.Kload ~ord ~act ~lines:fresh
-            ~width:(Types.size_of ty) ~scratch:(space = Mach.SScratch)
-        end
-    | Mach.Ost (space, ty) ->
-        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-        c.Counters.vmem_warp <- c.Counters.vmem_warp + 1;
-        c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
-        if space = Mach.SScratch then c.Counters.scratch_st <- c.Counters.scratch_st + 1;
-        let ord = !site_ord in
-        incr site_ord;
-        let v = List.nth i.Mach.srcs 0 and p = List.nth i.Mach.srcs 1 in
-        let addrs = ref [] in
-        for_lanes (fun l ->
-            let addr = src_i p l in
-            addrs := addr :: !addrs;
-            let k =
-              if is_float_ty ty then
-                Konst.KFloat (src_f v l, match ty with Types.TFloat b -> b | _ -> 64)
-              else Konst.kint ~bits:(ibits_of ty) (src_i v l)
-            in
-            Gmem.write env.mem ty addr k);
-        let fresh = touch_lines !addrs in
-        record_site Counters.Kstore ~ord ~act ~lines:fresh
-          ~width:(Types.size_of ty) ~scratch:(space = Mach.SScratch)
-    | Mach.Oquery q ->
-        count_alu ();
-        let d = Option.get i.Mach.dst in
-        if scalar_dst then dst_i d 0 (query_val q 0)
-        else for_lanes (fun l -> dst_i d l (query_val q l))
-    | Mach.Omath (name, ty) ->
-        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-        c.Counters.math_warp <- c.Counters.math_warp + 1;
-        if not scalar_dst then c.Counters.valu_thread <- c.Counters.valu_thread + act;
-        let d = Option.get i.Mach.dst in
-        let bits = match ty with Types.TFloat b -> b | _ -> 64 in
-        let round = if bits = 32 then Util.to_f32 else fun x -> x in
-        let go l =
-          let v =
-            match i.Mach.srcs with
-            | [ a ] -> Ir.Intrinsics.eval_math_unary name (src_f a l)
-            | [ a; b ] -> Ir.Intrinsics.eval_math_binary name (src_f a l) (src_f b l)
-            | [ a; b; cc ] when name = "math.fma" ->
-                (src_f a l *. src_f b l) +. src_f cc l
-            | _ -> raise (Trap ("math arity " ^ name))
-          in
-          dst_f d l (round v)
-        in
-        if scalar_dst then go 0 else for_lanes go
-    | Mach.Oatomic name ->
-        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-        c.Counters.atomics <- c.Counters.atomics + 1;
-        c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
-        let ord = !site_ord in
-        incr site_ord;
-        let p = List.nth i.Mach.srcs 0 and v = List.nth i.Mach.srcs 1 in
-        let addrs = ref [] in
-        for_lanes (fun l ->
-            let addr = src_i p l in
-            addrs := addr :: !addrs;
-            match name with
-            | "gpu.atomic.add.f32" ->
-                let old = Gmem.read_f32 env.mem addr in
-                Gmem.write_f32 env.mem addr (Util.to_f32 (old +. src_f v l));
-                (match i.Mach.dst with Some d -> dst_f d l old | None -> ())
-            | "gpu.atomic.add.f64" ->
-                let old = Gmem.read_f64 env.mem addr in
-                Gmem.write_f64 env.mem addr (old +. src_f v l);
-                (match i.Mach.dst with Some d -> dst_f d l old | None -> ())
-            | "gpu.atomic.add.i32" ->
-                let old = Gmem.read_i32 env.mem addr in
-                Gmem.write_i32 env.mem addr (Int32.add old (Int64.to_int32 (src_i v l)));
-                (match i.Mach.dst with Some d -> dst_i d l (Int64.of_int32 old) | None -> ())
-            | n -> raise (Trap ("atomic " ^ n)));
-        let fresh = touch_lines !addrs in
-        let width =
-          if String.length name >= 3
-             && String.sub name (String.length name - 3) 3 = "f64"
-          then 8
-          else 4
-        in
-        record_site Counters.Katomic ~ord ~act ~lines:fresh ~width
-          ~scratch:false
-    | Mach.Obarrier -> c.Counters.warp_instrs <- c.Counters.warp_instrs + 1
-    | Mach.Oframe ->
-        count_alu ();
-        let d = Option.get i.Mach.dst in
-        let off =
-          match i.Mach.srcs with [ Mach.Ki k ] -> Konst.as_int k | _ -> 0L
-        in
-        (* frames pack per-lane at the head of the warp's scratch
-           region; lane-interleaved spill slots follow (scratch_addr) *)
-        for_lanes (fun l ->
-            let base =
-              Int64.add env.scratch_base
-                (Int64.of_int
-                   ((w.first_thread * env.thread_frame) + (l * f.Mach.frame)))
-            in
-            dst_i d l (Int64.add base off))
-    | Mach.Oarg k ->
-        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-        c.Counters.smem <- c.Counters.smem + 1;
-        let d = Option.get i.Mach.dst in
-        let v = env.args.(k) in
-        if scalar_dst then write_konst d 0 v
-        else for_lanes (fun l -> write_konst d l v)
-    | Mach.Ospill_st slot ->
-        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-        c.Counters.spill_st <- c.Counters.spill_st + 1;
-        let v = List.nth i.Mach.srcs 0 in
-        (match v with
-        | Mach.Rs { Mach.rcls = Mach.CS; rid } ->
-            c.Counters.smem <- c.Counters.smem + 1;
-            w.sspi.(slot) <- w.si.(rid);
-            w.sspf.(slot) <- w.sf.(rid)
-        | Mach.Rs { Mach.rcls = Mach.CV; rid } ->
-            c.Counters.scratch_st <- c.Counters.scratch_st + 1;
-            c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
-            let addrs = ref [] in
-            for_lanes (fun l ->
-                addrs := scratch_addr l slot :: !addrs;
-                w.spi.((slot * lanes) + l) <- rd_vi rid l;
-                w.spf.((slot * lanes) + l) <- rd_vf rid l);
-            ignore (touch_lines !addrs)
-        | _ -> raise (Trap "spill of non-register"))
-    | Mach.Ospill_ld slot -> (
-        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-        c.Counters.spill_ld <- c.Counters.spill_ld + 1;
-        let d = Option.get i.Mach.dst in
-        match d.Mach.rcls with
-        | Mach.CS ->
-            c.Counters.smem <- c.Counters.smem + 1;
-            w.si.(d.Mach.rid) <- w.sspi.(slot);
-            w.sf.(d.Mach.rid) <- w.sspf.(slot)
-        | Mach.CV ->
-            c.Counters.scratch_ld <- c.Counters.scratch_ld + 1;
-            c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
-            let addrs = ref [] in
-            for_lanes (fun l ->
-                addrs := scratch_addr l slot :: !addrs;
-                wr_vi d.Mach.rid l w.spi.((slot * lanes) + l);
-                wr_vf d.Mach.rid l w.spf.((slot * lanes) + l));
-            ignore (touch_lines !addrs))
-  in
-  (* ---- SIMT control flow ---- *)
-  let fuel = ref 1_000_000_000 in
-  (* [stop]: the reconvergence label that ends this walk; None = never *)
-  let rec run (label : string) (mask : int64) (stop : string option) : int64 =
-    if stop = Some label || Int64.equal mask 0L then mask
-    else begin
-      let b = block label in
-      site_lab := label;
-      site_ord := 0;
-      List.iter
-        (fun i ->
-          decr fuel;
-          if !fuel <= 0 then raise (Trap "out of fuel");
-          exec_instr i mask)
-        b.Mach.code;
-      match b.Mach.term with
-      | Mach.Tbr l -> run l mask stop
-      | Mach.Tret -> 0L
-      | Mach.Tcbr (cnd, t, e) ->
-          c.Counters.branches <- c.Counters.branches + 1;
-          c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-          let tm = ref 0L in
-          (match cnd with
-          | Mach.Rs { Mach.rcls = Mach.CS; rid } ->
-              if not (Int64.equal w.si.(rid) 0L) then tm := mask
-          | _ ->
-              for lane = 0 to lanes - 1 do
-                if lane_active mask lane && not (Int64.equal (src_i cnd lane) 0L) then
-                  tm := Int64.logor !tm (Int64.shift_left 1L lane)
-              done);
-          let em = Int64.logand mask (Int64.lognot !tm) in
-          if Int64.equal em 0L then run t mask stop
-          else if Int64.equal !tm 0L then run e mask stop
-          else begin
-            match Util.Smap.find_opt label ipdom with
-            | Some r ->
-                let m1 = run t !tm (Some r) in
-                let m2 = run e em (Some r) in
-                let joined = Int64.logor m1 m2 in
-                if stop = Some r then joined else run r joined stop
-            | None ->
-                let _ = run t !tm None in
-                let _ = run e em None in
-                0L
-          end
-    end
-  in
-  let _ = run (List.hd f.Mach.blocks).Mach.mlab init_mask None in
-  ignore (popcount init_mask)
+exception Trap = Tcode.Trap
 
 (* ------------------------------------------------------------------ *)
 (* Threaded-code engine: executes a pre-decoded Tcode.program. Keeps
-   the reference interpreter's observable behaviour exactly; see the
-   header comment. *)
+   Refexec's observable behaviour exactly; see the header comment. *)
 
 (* Where deduped cache-line accesses go: straight into the shared L2
    model (serial engines) or into a per-block trace that is replayed
@@ -601,31 +47,42 @@ type tenv = {
   tthread_frame : int;
   tc : Counters.t;
   tsink : line_sink;
+  tprofile : Counters.site_table option;
+      (* the armed site profile, read once per launch *)
 }
 
-(* Bounds-checked fixed-width byte-buffer access (native endian).
-   The integer register banks and the arena fast paths below go through
+(* Unchecked fixed-width byte-buffer access (native byte order). The
+   integer register banks and the arena fast paths below go through
    these compiler primitives instead of [int64 array] / the Gmem
    accessors because their results stay unboxed inside the per-lane
    loops: an [int64 array] store allocates a fresh box per register
    write, and at ~10^8 dynamic lane-operations per benchmark that boxing
-   dominated the executor's wall clock. Native byte order is fine for
-   the register banks (private to one warp); arena accesses must be
-   little-endian like Gmem's, so [launch] falls back to the reference
-   engine on big-endian hosts. *)
-external b_get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
-external b_set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
-external b_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
-external b_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
-
-(* Unchecked variants, used only where the index is already known to be
-   in range: register-bank offsets are validated once at decode time
-   (register id < nvr/nsr, lane < lanes), and arena offsets sit behind
-   the explicit bounds test that reproduces Gmem.check. *)
+   dominated the executor's wall clock. They are used only where the
+   index is known to be in range: register ids are checked once at
+   decode time (register id < nvr/nsr, lane < lanes), and arena offsets
+   sit behind the explicit bounds test that reproduces Gmem.check. *)
 external b_get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external b_set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 external b_get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external b_set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Native order is fine for the register banks, which are private to
+   one warp. Device memory is little-endian on every host, like Gmem's
+   accessors: the arena reads and writes swap bytes behind the
+   compile-time [%big_endian] constant, so on a little-endian host they
+   compile to the plain primitive. *)
+external big_endian : unit -> bool = "%big_endian"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] le_get32u d i = if big_endian () then bswap32 (b_get32u d i) else b_get32u d i
+let[@inline] le_get64u d i = if big_endian () then bswap64 (b_get64u d i) else b_get64u d i
+
+let[@inline] le_set32u d i v =
+  if big_endian () then b_set32u d i (bswap32 v) else b_set32u d i v
+
+let[@inline] le_set64u d i v =
+  if big_endian () then b_set64u d i (bswap64 v) else b_set64u d i v
 
 (* Integer binop with the exact semantics of
    [Konst.as_int (Konst.binop op (kint ~bits x) (kint ~bits y))]:
@@ -812,6 +269,18 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
     Tcode.linedup_reset bdedup;
     let la = if tlsh >= 0 then ai lsr tlsh else ai / tline in
     if Tcode.linedup_add bdedup la then touch_line la
+  in
+  (* PerfLint's per-site profile, when armed: the access at site [s]
+     by [act] lanes touched the lines the dedup buffer now holds *)
+  let sites = p.Tcode.sites in
+  let profiling = Option.is_some env.tprofile in
+  let record_site s act =
+    match env.tprofile with
+    | None -> ()
+    | Some tbl ->
+        let st = sites.(s) in
+        Counters.record_site tbl st.Tcode.skey ~lanes:act ~lines:bdedup.Tcode.la_n
+          ~full:(act = lanes) ~width:st.Tcode.swidth ~scratch:st.Tcode.sscratch
   in
   (* out-of-range arena access: identical failure to Gmem.check *)
   let oob ai len = Util.failf "device memory access out of range: 0x%x (+%d)" ai len in
@@ -1312,7 +781,7 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
                   | Tcode.FK k -> k
                   | Tcode.FBad -> raise (Trap "float read of symbol"))
             done)
-    | Tcode.TLd (space, mty, d, pa) -> (
+    | Tcode.TLd (space, mty, d, pa, site) -> (
         c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
         match d with
         | Tcode.DS _ -> (
@@ -1320,6 +789,7 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
             c.Counters.smem <- c.Counters.smem + 1;
             let addr = src_i pa 0 in
             touch_one (Int64.to_int addr);
+            if profiling then record_site site act;
             match mty with
             | Tcode.MBool -> dst_i d 0 (if Gmem.read_u8 mem addr <> 0 then 1L else 0L)
             | Tcode.MI8 ->
@@ -1327,7 +797,8 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
             | Tcode.MI32 -> dst_i d 0 (Int64.of_int32 (Gmem.read_i32 mem addr))
             | Tcode.MI64 -> dst_i d 0 (Gmem.read_i64 mem addr)
             | Tcode.MF32 -> dst_f d 0 (Gmem.read_f32 mem addr)
-            | Tcode.MF64 -> dst_f d 0 (Gmem.read_f64 mem addr))
+            | Tcode.MF64 -> dst_f d 0 (Gmem.read_f64 mem addr)
+            | Tcode.MNone t -> Util.failf "Gmem.read: cannot read %s" t)
         | Tcode.DV rd ->
             c.Counters.vmem_warp <- c.Counters.vmem_warp + 1;
             c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
@@ -1363,20 +834,22 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
                     if ai <= 0 || ai + 4 > dlen then oob ai 4;
                     b_set64u bvi
                       (((rd * lanes) + l) lsl 3)
-                      (Int64.of_int32 (b_get32u data ai))
+                      (Int64.of_int32 (le_get32u data ai))
                 | Tcode.MI64 ->
                     if ai <= 0 || ai + 8 > dlen then oob ai 8;
-                    b_set64u bvi (((rd * lanes) + l) lsl 3) (b_get64u data ai)
+                    b_set64u bvi (((rd * lanes) + l) lsl 3) (le_get64u data ai)
                 | Tcode.MF32 ->
                     if ai <= 0 || ai + 4 > dlen then oob ai 4;
-                    bvf.((rd * lanes) + l) <- Int32.float_of_bits (b_get32u data ai)
+                    bvf.((rd * lanes) + l) <- Int32.float_of_bits (le_get32u data ai)
                 | Tcode.MF64 ->
                     if ai <= 0 || ai + 8 > dlen then oob ai 8;
-                    bvf.((rd * lanes) + l) <- Int64.float_of_bits (b_get64u data ai)
+                    bvf.((rd * lanes) + l) <- Int64.float_of_bits (le_get64u data ai)
+                | Tcode.MNone t -> Util.failf "Gmem.read: cannot read %s" t
               end
             done;
-            touch_collected !nref)
-    | Tcode.TSt (space, mty, iv, fv, pa) ->
+            touch_collected !nref;
+            if profiling then record_site site act)
+    | Tcode.TSt (space, mty, iv, fv, pa, site) ->
         c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
         c.Counters.vmem_warp <- c.Counters.vmem_warp + 1;
         c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
@@ -1418,7 +891,7 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
                 Bytes.set data ai (Char.unsafe_chr (Int64.to_int v land 0xff))
             | Tcode.MI32 ->
                 if ai <= 0 || ai + 4 > dlen then oob ai 4;
-                b_set32u data ai
+                le_set32u data ai
                   (Int64.to_int32
                      (match iv with
                      | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
@@ -1427,7 +900,7 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
                      | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L))
             | Tcode.MI64 ->
                 if ai <= 0 || ai + 8 > dlen then oob ai 8;
-                b_set64u data ai
+                le_set64u data ai
                   (match iv with
                   | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
                   | Tcode.IS r -> b_get64u bsi (r lsl 3)
@@ -1435,7 +908,7 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
                   | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L)
             | Tcode.MF32 ->
                 if ai <= 0 || ai + 4 > dlen then oob ai 4;
-                b_set32u data ai
+                le_set32u data ai
                   (Int32.bits_of_float
                      (match fv with
                      | Tcode.FV r -> bvf.((r * lanes) + l)
@@ -1444,16 +917,21 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
                      | Tcode.FBad -> raise (Trap "float read of symbol")))
             | Tcode.MF64 ->
                 if ai <= 0 || ai + 8 > dlen then oob ai 8;
-                b_set64u data ai
+                le_set64u data ai
                   (Int64.bits_of_float
                      (match fv with
                      | Tcode.FV r -> bvf.((r * lanes) + l)
                      | Tcode.FS r -> bsf.(r)
                      | Tcode.FK k -> k
                      | Tcode.FBad -> raise (Trap "float read of symbol")))
+            | Tcode.MNone t ->
+                (* Refexec reads the value, then fails sizing the type *)
+                ignore (src_i iv l);
+                Util.failf "Exec.ibits_of: %s" t
           end
         done;
-        touch_collected !nref
+        touch_collected !nref;
+        if profiling then record_site site act
     | Tcode.TQuery (q, d) -> (
         count_alu (is_scalar d) act;
         match d with
@@ -1574,7 +1052,7 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
                   (if r32 then Int32.float_of_bits (Int32.bits_of_float v) else v)
               end
             done)
-    | Tcode.TAtomic (kind, dst, pa, iv, fv) ->
+    | Tcode.TAtomic (kind, dst, pa, iv, fv, site) ->
         c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
         c.Counters.atomics <- c.Counters.atomics + 1;
         c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
@@ -1595,7 +1073,7 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
             match kind with
             | Tcode.AAddF32 ->
                 if ai <= 0 || ai + 4 > dlen then oob ai 4;
-                let old = Int32.float_of_bits (b_get32u data ai) in
+                let old = Int32.float_of_bits (le_get32u data ai) in
                 let v =
                   match fv with
                   | Tcode.FV r -> bvf.((r * lanes) + l)
@@ -1603,14 +1081,14 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
                   | Tcode.FK k -> k
                   | Tcode.FBad -> raise (Trap "float read of symbol")
                 in
-                b_set32u data ai (Int32.bits_of_float (old +. v));
+                le_set32u data ai (Int32.bits_of_float (old +. v));
                 (match dst with
                 | Some (Tcode.DV r) -> bvf.((r * lanes) + l) <- old
                 | Some (Tcode.DS r) -> bsf.(r) <- old
                 | None -> ())
             | Tcode.AAddF64 ->
                 if ai <= 0 || ai + 8 > dlen then oob ai 8;
-                let old = Int64.float_of_bits (b_get64u data ai) in
+                let old = Int64.float_of_bits (le_get64u data ai) in
                 let v =
                   match fv with
                   | Tcode.FV r -> bvf.((r * lanes) + l)
@@ -1618,14 +1096,14 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
                   | Tcode.FK k -> k
                   | Tcode.FBad -> raise (Trap "float read of symbol")
                 in
-                b_set64u data ai (Int64.bits_of_float (old +. v));
+                le_set64u data ai (Int64.bits_of_float (old +. v));
                 (match dst with
                 | Some (Tcode.DV r) -> bvf.((r * lanes) + l) <- old
                 | Some (Tcode.DS r) -> bsf.(r) <- old
                 | None -> ())
             | Tcode.AAddI32 ->
                 if ai <= 0 || ai + 4 > dlen then oob ai 4;
-                let old = b_get32u data ai in
+                let old = le_get32u data ai in
                 let v =
                   match iv with
                   | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
@@ -1633,7 +1111,7 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
                   | Tcode.IK k -> Int64.logor k 0L
                   | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
                 in
-                b_set32u data ai (Int32.add old (Int64.to_int32 v));
+                le_set32u data ai (Int32.add old (Int64.to_int32 v));
                 (match dst with
                 | Some (Tcode.DV r) ->
                     b_set64u bvi (((r * lanes) + l) lsl 3) (Int64.of_int32 old)
@@ -1641,7 +1119,8 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
                 | None -> ())
           end
         done;
-        touch_collected !nref
+        touch_collected !nref;
+        if profiling then record_site site act
     | Tcode.TBarrier -> c.Counters.warp_instrs <- c.Counters.warp_instrs + 1
     | Tcode.TFrame (d, off) ->
         count_alu (is_scalar d) act;
@@ -1734,6 +1213,13 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
               end
             done;
             touch_collected !nref)
+    | Tcode.TTrap e -> raise e
+    | Tcode.TIBinBad (op, bits, scalar, a, a2) ->
+        (* Refexec's first lane reads b, then a, and Konst.binop fails *)
+        let l = if scalar then 0 else Array.unsafe_get blanes 0 in
+        let y = src_i a2 l in
+        let x = src_i a l in
+        ignore (Konst.binop op (Konst.kint ~bits x) (Konst.kint ~bits y))
   in
   (* ---- SIMT control flow over integer block ids ---- *)
   (* stop sentinel -2 matches no block, like the reference's None
@@ -1765,6 +1251,7 @@ let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : in
       match blk.Tcode.tterm with
       | Tcode.TTbr l -> run l mask stop
       | Tcode.TTret -> 0L
+      | Tcode.TTtrap e -> raise e
       | Tcode.TTcbr (cnd, t, e) ->
           c.Counters.branches <- c.Counters.branches + 1;
           c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
@@ -1827,7 +1314,7 @@ type launch_result = {
   counters : Counters.t;
   waves : int;
   blocks_launched : int;
-  engine : string; (* "reference" | "threaded" | "multicore" *)
+  engine : string; (* "threaded" | "multicore" (Refexec: "reference") *)
 }
 
 (* Run the warps of thread-block [blk] through the threaded engine:
@@ -1851,9 +1338,14 @@ let trun_block (env : tenv) (p : Tcode.program) (bufs : Tcode.tbufs) ~warp ~bloc
       c.Counters.threads <- c.Counters.threads + lanes_active
     done
 
-let launch ?(reference = false) ?domains ?tcode ~(device : Device.t) ~(mem : Gmem.t)
-    ~(l2 : L2cache.t) ~(symbols : string -> int64) (f : Mach.mfunc) ~(grid : int)
-    ~(block : int) ~(args : Konst.t array) : launch_result =
+(* Launch [f] over a 1-D [grid] of [block]-thread blocks. [tcode] is
+   [f]'s decoded program when the caller keeps one (a program decoded
+   from another function is ignored); otherwise [f] is decoded here.
+   The per-thread scratch frame is freed when the launch ends, also
+   when a warp fails. *)
+let launch ?domains ?tcode ~(device : Device.t) ~(mem : Gmem.t) ~(l2 : L2cache.t)
+    ~(symbols : string -> int64) (f : Mach.mfunc) ~(grid : int) ~(block : int)
+    ~(args : Konst.t array) : launch_result =
   let counters = Counters.create () in
   let warp = device.Device.warp_size in
   let thread_frame = f.Mach.frame + (f.Mach.spill_slots * 8) in
@@ -1861,142 +1353,74 @@ let launch ?(reference = false) ?domains ?tcode ~(device : Device.t) ~(mem : Gme
   let scratch_bytes = max 16 (total_threads * thread_frame) in
   let scratch_base = Gmem.alloc mem scratch_bytes in
   let nwarps_per_block = (block + warp - 1) / warp in
-  let run_reference () =
-    let prep = prepare f in
+  let profile = !Counters.site_profile in
+  let run () =
+    let p = match tcode with Some p when p.Tcode.tf == f -> p | _ -> Tcode.decode f in
+    let ndom = match domains with Some n -> max 1 n | None -> Pool.default_domains () in
+    let mkenv tc tsink =
+      {
+        tmem = mem;
+        tl2 = l2;
+        tsymbols = symbols;
+        targs = args;
+        tgx = grid;
+        tbx = block;
+        tline = device.Device.l2_line;
+        tscratch_base = scratch_base;
+        tthread_frame = thread_frame;
+        tc;
+        tsink;
+        tprofile = profile;
+      }
+    in
+    (* an armed profile is one shared table: record from one domain *)
+    if ndom <= 1 || grid <= 1 || not (Tcode.parallel_safe p) || Option.is_some profile
+    then begin
+      let env = mkenv counters Direct in
+      let bufs = Tcode.acquire p ~lanes:warp in
+      let run_block = trun_block env p bufs ~warp ~block ~nwarps_per_block in
       for blk = 0 to grid - 1 do
-        for wi = 0 to nwarps_per_block - 1 do
-          let base_lane = wi * warp in
-          let lanes_active = min warp (block - base_lane) in
-          let lanes = warp in
-          let nvr = max 1 f.Mach.vregs and nsr = max 1 f.Mach.sregs in
-          let w =
-            {
-              lanes;
-              vi = Array.make (nvr * lanes) 0L;
-              vf = Array.make (nvr * lanes) 0.0;
-              si = Array.make nsr 0L;
-              sf = Array.make nsr 0.0;
-              spi = Array.make (max 1 (f.Mach.spill_slots * lanes)) 0L;
-              spf = Array.make (max 1 (f.Mach.spill_slots * lanes)) 0.0;
-              sspi = Array.make (max 1 f.Mach.spill_slots) 0L;
-              sspf = Array.make (max 1 f.Mach.spill_slots) 0.0;
-              first_thread = (blk * block) + base_lane;
-              block_id = (blk, 0, 0);
-              base_tid = (base_lane, 0, 0);
-            }
-          in
-          let env =
-            {
-              mem;
-              l2;
-              device;
-              symbols;
-              args;
-              grid = (grid, 1, 1);
-              block = (block, 1, 1);
-              scratch_base;
-              thread_frame;
-              counters;
-            }
-          in
-          let mask =
-            if lanes_active >= 64 then -1L
-            else Int64.sub (Int64.shift_left 1L lanes_active) 1L
-          in
-          run_warp env f prep w mask;
-          counters.Counters.warps <- counters.Counters.warps + 1;
-          counters.Counters.threads <- counters.Counters.threads + lanes_active
-        done
+        run_block blk
       done;
-    "reference"
-  in
-  let engine =
-    (* the threaded engine's register banks assume little-endian Bytes
-       accessors; on a big-endian host fall back to the (slow, portable)
-       reference interpreter rather than produce wrong bits. Site
-       profiling (PerfLint validation) records only in the reference
-       engine; forcing it while a profile is armed changes nothing
-       observable because all engines are bit-identical. *)
-    if reference || Sys.big_endian || !Counters.site_profile <> None then
-      run_reference ()
+      Tcode.release p bufs;
+      "threaded"
+    end
     else begin
-      let p =
-        match tcode with
-        | Some p when p.Tcode.tf == f -> Some p
-        | _ -> ( try Some (Tcode.decode f) with Tcode.Decode_error _ -> None)
-      in
-      match p with
-      | None ->
-          (* a shape the decoder does not cover (e.g. a query string the
-             reference would only trap on when reached): run the
-             specification interpreter instead of failing the launch *)
-          run_reference ()
-      | Some p ->
-      let ndom =
-        match domains with Some n -> max 1 n | None -> Pool.default_domains ()
-      in
-      let mkenv tc tsink =
-        {
-          tmem = mem;
-          tl2 = l2;
-          tsymbols = symbols;
-          targs = args;
-          tgx = grid;
-          tbx = block;
-          tline = device.Device.l2_line;
-          tscratch_base = scratch_base;
-          tthread_frame = thread_frame;
-          tc;
-          tsink;
-        }
-      in
-      if ndom <= 1 || grid <= 1 || not (Tcode.parallel_safe p) then begin
-        let env = mkenv counters Direct in
-        let bufs = Tcode.acquire p ~lanes:warp in
-        let run_block = trun_block env p bufs ~warp ~block ~nwarps_per_block in
-        for blk = 0 to grid - 1 do
-          run_block blk
+      (* Parallel block schedule: execute chunks of blocks across the
+         domain pool with per-block counters and cache-line traces,
+         then merge counters additively and replay traces serially in
+         block order through the shared L2 - the model sees exactly
+         the serial access sequence, so hits/misses (and the derived
+         timing) match the serial schedule bit for bit. Chunking
+         bounds the memory held by traces. *)
+      let pool = Pool.shared ~size:ndom in
+      let chunk = 4 * ndom in
+      let start = ref 0 in
+      while !start < grid do
+        let n = min chunk (grid - !start) in
+        let per_block = Array.init n (fun _ -> Counters.create ()) in
+        let traces = Array.init n (fun _ -> Util.Vec.create 0) in
+        Pool.run pool
+          (fun i ->
+            let blk = !start + i in
+            let env = mkenv per_block.(i) (Record traces.(i)) in
+            let bufs = Tcode.acquire p ~lanes:warp in
+            trun_block env p bufs ~warp ~block ~nwarps_per_block blk;
+            Tcode.release p bufs)
+          n;
+        for i = 0 to n - 1 do
+          Counters.add counters per_block.(i);
+          Util.Vec.iter
+            (fun la ->
+              if L2cache.access_line l2 la then
+                counters.Counters.l2_hits <- counters.Counters.l2_hits + 1
+              else counters.Counters.l2_misses <- counters.Counters.l2_misses + 1)
+            traces.(i)
         done;
-        Tcode.release p bufs;
-        "threaded"
-      end
-      else begin
-        (* Parallel block schedule: execute chunks of blocks across the
-           domain pool with per-block counters and cache-line traces,
-           then merge counters additively and replay traces serially in
-           block order through the shared L2 - the model sees exactly
-           the serial access sequence, so hits/misses (and the derived
-           timing) match the serial engines bit for bit. Chunking
-           bounds the memory held by traces. *)
-        let pool = Pool.shared ~size:ndom in
-        let chunk = 4 * ndom in
-        let start = ref 0 in
-        while !start < grid do
-          let n = min chunk (grid - !start) in
-          let per_block = Array.init n (fun _ -> Counters.create ()) in
-          let traces = Array.init n (fun _ -> Util.Vec.create 0) in
-          Pool.run pool
-            (fun i ->
-              let blk = !start + i in
-              let env = mkenv per_block.(i) (Record traces.(i)) in
-              let bufs = Tcode.acquire p ~lanes:warp in
-              trun_block env p bufs ~warp ~block ~nwarps_per_block blk;
-              Tcode.release p bufs)
-            n;
-          for i = 0 to n - 1 do
-            Counters.add counters per_block.(i);
-            Util.Vec.iter
-              (fun la ->
-                if L2cache.access_line l2 la then
-                  counters.Counters.l2_hits <- counters.Counters.l2_hits + 1
-                else counters.Counters.l2_misses <- counters.Counters.l2_misses + 1)
-              traces.(i)
-          done;
-          start := !start + n
-        done;
-        "multicore"
-      end
+        start := !start + n
+      done;
+      "multicore"
     end
   in
-  Gmem.free mem scratch_base;
+  let engine = Fun.protect ~finally:(fun () -> Gmem.free mem scratch_base) run in
   { counters; waves = counters.Counters.warps; blocks_launched = grid; engine }

@@ -1,14 +1,27 @@
 (* Threaded code: a Mach.mfunc pre-decoded once per kernel into flat
    arrays the SIMT executor can run without per-instruction overhead.
 
-   The reference interpreter (Exec.run_warp) re-resolves [List.nth]
-   operand lists, [Option.get] destinations, string block labels and a
-   string-keyed ipdom map on every dynamic instruction, and allocates
+   Interpreting Mach directly means re-resolving [List.nth] operand
+   lists, [Option.get] destinations, string block labels and a
+   string-keyed ipdom map on every dynamic instruction, and allocating
    [Konst.t] boxes per lane per memory access. Decoding replaces all of
    that with integer block ids, an int-indexed ipdom table, and
    per-instruction records whose operands are already split into
    int-context / float-context accessors - the classic
    threaded-code/pre-decoding transformation (OCamlJIT 2.0 lineage).
+
+   Decoding is total. A shape the specification interpreter
+   (Refexec, in lib/fuzz) rejects only when it executes it - a missing
+   destination or operand, an unknown query, math arity or atomic, a
+   constant of the wrong kind, a register outside the function's banks
+   - decodes to a [TTrap] (or [TTtrap] for a branch) holding the
+   exception the interpreter raises at that point; the two whose
+   failure depends on run time, a void access and a float op on an
+   integer type, keep it there ([MNone], [TIBinBad]). An unreached bad
+   instruction costs nothing and a reached one fails the launch as the
+   interpreter does. [Decode_error] is left for Mach the interpreter
+   rejects before its first instruction: a kernel with no blocks, or a
+   branch to a label that does not exist.
 
    A decoded [program] is immutable apart from one spare set of
    executor buffers (see [acquire]), so one decode is shared by every
@@ -17,12 +30,16 @@
    by all domains of a multicore launch.
 
    Semantics note: every operation here must be bit-identical to the
-   reference interpreter - the differential qcheck/HeCBench tests and
-   the "paper tables unchanged" gate both depend on it. When editing,
-   change Exec.run_warp first and mirror the semantics here. *)
+   specification interpreter - the differential qcheck/HeCBench tests,
+   fuzz oracle (b) and the "paper tables unchanged" gate all depend on
+   it. When editing, change Refexec.run_warp first and mirror the
+   semantics here. *)
 
 open Proteus_ir
 open Proteus_backend
+
+(* A trap raised by the executor itself (shared with Refexec). *)
+exception Trap of string
 
 (* Operand pre-resolved for an integer-context read (Exec.src_i). *)
 type isrc =
@@ -36,7 +53,7 @@ type fsrc =
   | FV of int
   | FS of int
   | FK of float (* constant, via Konst.as_float *)
-  | FBad (* float read of a symbol: traps like the reference *)
+  | FBad (* float read of a symbol: traps when read, like Refexec *)
 
 (* Destination register: class resolved, no Option.get at run time. *)
 type tdst = DV of int | DS of int
@@ -74,6 +91,9 @@ type mty =
   | MI64 (* TInt 64 and TPtr *)
   | MF32
   | MF64
+  | MNone of string
+      (* void or array type (printed): fails per lane, after the
+         address read, like Gmem.read / Refexec's store path *)
 
 type atomic = AAddF32 | AAddF64 | AAddI32
 
@@ -110,23 +130,29 @@ type tinstr =
       (* exactly one of the operands is live, per the cast kind *)
   | TMovI of tdst * isrc
   | TMovF of tdst * fsrc
-  | TLd of Mach.space * mty * tdst * isrc (* addr *)
-  | TSt of Mach.space * mty * isrc * fsrc * isrc
-      (* int value | float value (per mty), addr *)
+  | TLd of Mach.space * mty * tdst * isrc * int (* addr, site *)
+  | TSt of Mach.space * mty * isrc * fsrc * isrc * int
+      (* int value | float value (per mty), addr, site *)
   | TQuery of tquery * tdst
   | TMath1 of math1 * bool * tdst * fsrc (* round to f32 *)
   | TMath2 of math2 * bool * tdst * fsrc * fsrc
   | TFma of bool * tdst * fsrc * fsrc * fsrc
-  | TAtomic of atomic * tdst option * isrc * isrc * fsrc
-      (* addr, int operand, float operand (one live per atomic) *)
+  | TAtomic of atomic * tdst option * isrc * isrc * fsrc * int
+      (* addr, int operand, float operand (one live per atomic), site *)
   | TBarrier
   | TFrame of tdst * int64 (* immediate offset *)
   | TArg of int * tdst
   | TSpillStS of int * int (* slot, scalar reg *)
   | TSpillStV of int * int (* slot, vector reg *)
   | TSpillLd of int * tdst
+  | TTrap of exn (* the shape Refexec fails on when it executes it *)
+  | TIBinBad of Ops.binop * int * bool * isrc * isrc
+      (* a float op on an integer type: Konst.binop's failure, whose
+         message carries the first active lane's operands (bits,
+         scalar destination, a, b) *)
 
-type tterm = TTbr of int | TTcbr of isrc * int * int | TTret
+(* [TTtrap]: a conditional branch whose condition Refexec cannot read *)
+type tterm = TTbr of int | TTcbr of isrc * int * int | TTret | TTtrap of exn
 
 type tblock = { tcode : tinstr array; tterm : tterm }
 
@@ -204,50 +230,43 @@ let tbufs_reset b =
   Bytes.fill b.bsspi 0 (Bytes.length b.bsspi) '\000';
   Array.fill b.bsspf 0 (Array.length b.bsspf) 0.0
 
+(* A memory-instruction site for PerfLint's per-site profile: the
+   structural key plus the access width and space Counters.record_site
+   takes. *)
+type site = { skey : Counters.site_key; swidth : int; sscratch : bool }
+
 type program = {
   tf : Mach.mfunc; (* the decoded function; used for identity checks *)
   entry : int;
   blocks : tblock array;
-  labels : string array; (* block id -> label, for trap messages *)
   ipdom : int array; (* block id -> reconvergence block id, -1 = exit *)
+  sites : site array; (* indexed by the site ordinal of TLd/TSt/TAtomic *)
   has_atomics : bool; (* forces the serial (single-domain) schedule *)
-  has_barriers : bool;
   spare : tbufs option Atomic.t;
       (* executor buffers between launches; empty while a launch holds them *)
 }
 
+(* Mach the specification interpreter rejects before running any
+   instruction (no blocks; a branch to a missing label). *)
 exception Decode_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
+(* Inside [decode_instr]: the instruction fails with this exception
+   when it executes. *)
+exception Reach of exn
+
+let reach e = raise (Reach e)
+let trap fmt = Printf.ksprintf (fun s -> reach (Trap s)) fmt
+let is_float_ty = function Types.TFloat _ -> true | _ -> false
+let fbits_of = function Types.TFloat b -> b | _ -> 64
+
+(* Refexec's width helper, with its message *)
 let ibits_of = function
   | Types.TBool -> 1
   | Types.TInt b -> b
   | Types.TPtr _ -> 64
-  | t -> fail "Tcode.ibits_of: %s" (Types.to_string t)
-
-let is_float_ty = function Types.TFloat _ -> true | _ -> false
-let fbits_of = function Types.TFloat b -> b | _ -> 64
-
-let isrc_of (s : Mach.msrc) : isrc =
-  match s with
-  | Mach.Rs { Mach.rid; rcls = Mach.CV } -> IV rid
-  | Mach.Rs { Mach.rid; rcls = Mach.CS } -> IS rid
-  | Mach.Ki k -> IK (Konst.as_int k)
-  | Mach.Gs g -> IG g
-
-let fsrc_of (s : Mach.msrc) : fsrc =
-  match s with
-  | Mach.Rs { Mach.rid; rcls = Mach.CV } -> FV rid
-  | Mach.Rs { Mach.rid; rcls = Mach.CS } -> FS rid
-  | Mach.Ki k -> FK (Konst.as_float k)
-  | Mach.Gs _ -> FBad
-
-let dst_of (d : Mach.reg option) : tdst =
-  match d with
-  | Some { Mach.rid; rcls = Mach.CV } -> DV rid
-  | Some { Mach.rid; rcls = Mach.CS } -> DS rid
-  | None -> fail "Tcode: instruction missing destination"
+  | t -> reach (Failure ("Exec.ibits_of: " ^ Types.to_string t))
 
 let mty_of (ty : Types.ty) : mty =
   match ty with
@@ -258,42 +277,37 @@ let mty_of (ty : Types.ty) : mty =
   | Types.TFloat 32 -> MF32
   | Types.TFloat _ -> MF64
   | Types.TPtr _ -> MI64
-  | Types.TVoid | Types.TArr _ -> fail "Tcode.mty_of: %s" (Types.to_string ty)
+  | Types.TVoid | Types.TArr _ -> MNone (Types.to_string ty)
 
 let mty_is_float = function MF32 | MF64 -> true | _ -> false
 
-let nth srcs i =
-  match List.nth_opt srcs i with
-  | Some s -> s
-  | None -> fail "Tcode: missing operand %d" i
-
-let ibinop_of (op : Ops.binop) : ibinop =
+let ibinop_of (op : Ops.binop) : ibinop option =
   match op with
-  | Ops.Add -> BAdd
-  | Ops.Sub -> BSub
-  | Ops.Mul -> BMul
-  | Ops.SDiv -> BSDiv
-  | Ops.SRem -> BSRem
-  | Ops.And -> BAnd
-  | Ops.Or -> BOr
-  | Ops.Xor -> BXor
-  | Ops.Shl -> BShl
-  | Ops.LShr -> BLShr
-  | Ops.AShr -> BAShr
-  | Ops.SMin -> BSMin
-  | Ops.SMax -> BSMax
-  | _ -> fail "Tcode: int binop expected, got %s" (Ops.binop_to_string op)
+  | Ops.Add -> Some BAdd
+  | Ops.Sub -> Some BSub
+  | Ops.Mul -> Some BMul
+  | Ops.SDiv -> Some BSDiv
+  | Ops.SRem -> Some BSRem
+  | Ops.And -> Some BAnd
+  | Ops.Or -> Some BOr
+  | Ops.Xor -> Some BXor
+  | Ops.Shl -> Some BShl
+  | Ops.LShr -> Some BLShr
+  | Ops.AShr -> Some BAShr
+  | Ops.SMin -> Some BSMin
+  | Ops.SMax -> Some BSMax
+  | _ -> None
 
-let fbinop_of (op : Ops.binop) : fbinop =
+let fbinop_of (op : Ops.binop) : fbinop option =
   match op with
-  | Ops.FAdd -> BFAdd
-  | Ops.FSub -> BFSub
-  | Ops.FMul -> BFMul
-  | Ops.FDiv -> BFDiv
-  | Ops.FRem -> BFRem
-  | Ops.FMin -> BFMin
-  | Ops.FMax -> BFMax
-  | _ -> fail "Tcode: float binop expected, got %s" (Ops.binop_to_string op)
+  | Ops.FAdd -> Some BFAdd
+  | Ops.FSub -> Some BFSub
+  | Ops.FMul -> Some BFMul
+  | Ops.FDiv -> Some BFDiv
+  | Ops.FRem -> Some BFRem
+  | Ops.FMin -> Some BFMin
+  | Ops.FMax -> Some BFMax
+  | _ -> None
 
 let math1_of = function
   | "math.sqrt" -> M1Sqrt
@@ -326,169 +340,299 @@ let query_of = function
   | "gpu.nctaid.x" -> QNctaidX
   | "gpu.nctaid.y" -> QNctaidY
   | "gpu.nctaid.z" -> QNctaidZ
-  | q -> fail "Tcode: unknown query %s" q
+  | q -> trap "unknown query %s" q
 
-let decode_instr (i : Mach.minstr) : tinstr =
+(* Operand and destination checks for one function. [decode_instr]
+   makes them in Refexec's evaluation order (OCaml evaluates call and
+   tuple arguments right to left), so the first to fail is the one
+   Refexec meets. Register ids must lie inside the banks: the executor
+   reads them unchecked. A float read of a symbol fails only when read
+   ([FBad]); [sym_read] notes one, because if a later check of the same
+   instruction fails, that read came first and is the failure. *)
+type dctx = { nvr : int; nsr : int; nsp : int; mutable sym_read : bool }
+
+let in_bank n r = if r < 0 || r >= n then reach (Invalid_argument "index out of bounds")
+let vreg c r = in_bank c.nvr r; r
+let sreg c r = in_bank c.nsr r; r
+let slot c s = in_bank c.nsp s; s
+let konst conv k = try conv k with Failure _ as e -> reach e
+
+let isrc_of c (s : Mach.msrc) : isrc =
+  match s with
+  | Mach.Rs { Mach.rid; rcls = Mach.CV } -> IV (vreg c rid)
+  | Mach.Rs { Mach.rid; rcls = Mach.CS } -> IS (sreg c rid)
+  | Mach.Ki k -> IK (konst Konst.as_int k)
+  | Mach.Gs g -> IG g
+
+(* [~arm:true] for a select arm, which only lanes that pick it read *)
+let fsrc_of ?(arm = false) c (s : Mach.msrc) : fsrc =
+  match s with
+  | Mach.Rs { Mach.rid; rcls = Mach.CV } -> FV (vreg c rid)
+  | Mach.Rs { Mach.rid; rcls = Mach.CS } -> FS (sreg c rid)
+  | Mach.Ki k -> FK (konst Konst.as_float k)
+  | Mach.Gs _ ->
+      if not arm then c.sym_read <- true;
+      FBad
+
+let need_dst (i : Mach.minstr) : Mach.reg =
+  match i.Mach.dst with Some d -> d | None -> reach (Invalid_argument "option is None")
+
+let dst_of c (d : Mach.reg) : tdst =
+  match d.Mach.rcls with Mach.CV -> DV (vreg c d.Mach.rid) | Mach.CS -> DS (sreg c d.Mach.rid)
+
+let nth srcs i = match List.nth_opt srcs i with Some s -> s | None -> reach (Failure "nth")
+
+(* [site kind ~width ~scratch] registers the instruction's profiling
+   site and returns its ordinal. *)
+let decode_instr c ~site (i : Mach.minstr) : tinstr =
   match i.Mach.op with
   | Mach.Obin (op, ty) ->
+      let d = need_dst i in
+      let b = nth i.Mach.srcs 1 and a = nth i.Mach.srcs 0 in
       if is_float_ty ty then begin
         let r32 = fbits_of ty = 32 in
-        let a = fsrc_of (nth i.Mach.srcs 0) and b = fsrc_of (nth i.Mach.srcs 1) in
-        match op with
-        | Ops.FDiv | Ops.FRem -> TFBinLong (fbinop_of op, r32, dst_of i.Mach.dst, a, b)
-        | _ -> TFBin (fbinop_of op, r32, dst_of i.Mach.dst, a, b)
+        let fb = fsrc_of c b in
+        let fa = fsrc_of c a in
+        match fbinop_of op with
+        | None -> trap "int binop on float type"
+        | Some fop -> (
+            let d = dst_of c d in
+            match op with
+            | Ops.FDiv | Ops.FRem -> TFBinLong (fop, r32, d, fa, fb)
+            | _ -> TFBin (fop, r32, d, fa, fb))
       end
       else begin
         let bits = ibits_of ty in
-        let a = isrc_of (nth i.Mach.srcs 0) and b = isrc_of (nth i.Mach.srcs 1) in
-        match op with
-        | Ops.SDiv | Ops.SRem -> TIBinLong (ibinop_of op, bits, dst_of i.Mach.dst, a, b)
-        | _ -> TIBin (ibinop_of op, bits, dst_of i.Mach.dst, a, b)
+        let ib = isrc_of c b in
+        let ia = isrc_of c a in
+        match ibinop_of op with
+        | None -> TIBinBad (op, bits, d.Mach.rcls = Mach.CS, ia, ib)
+        | Some iop -> (
+            let d = dst_of c d in
+            match op with
+            | Ops.SDiv | Ops.SRem -> TIBinLong (iop, bits, d, ia, ib)
+            | _ -> TIBin (iop, bits, d, ia, ib))
       end
   | Mach.Ocmp (op, ty) ->
-      if is_float_ty ty then
-        TFCmp (op, dst_of i.Mach.dst, fsrc_of (nth i.Mach.srcs 0), fsrc_of (nth i.Mach.srcs 1))
-      else
-        TICmp
-          ( op, ibits_of ty, dst_of i.Mach.dst,
-            isrc_of (nth i.Mach.srcs 0), isrc_of (nth i.Mach.srcs 1) )
+      let d = need_dst i in
+      let b = nth i.Mach.srcs 1 and a = nth i.Mach.srcs 0 in
+      if is_float_ty ty then begin
+        let fb = fsrc_of c b in
+        let fa = fsrc_of c a in
+        TFCmp (op, dst_of c d, fa, fb)
+      end
+      else begin
+        let bits = ibits_of ty in
+        let ib = isrc_of c b in
+        let ia = isrc_of c a in
+        TICmp (op, bits, dst_of c d, ia, ib)
+      end
   | Mach.Osel ty ->
-      let cnd = isrc_of (nth i.Mach.srcs 0) in
-      if is_float_ty ty then
-        TSelF (dst_of i.Mach.dst, cnd, fsrc_of (nth i.Mach.srcs 1), fsrc_of (nth i.Mach.srcs 2))
-      else
-        TSelI (dst_of i.Mach.dst, cnd, isrc_of (nth i.Mach.srcs 1), isrc_of (nth i.Mach.srcs 2))
+      let d = need_dst i in
+      let b = nth i.Mach.srcs 2 and a = nth i.Mach.srcs 1 in
+      let cnd = isrc_of c (nth i.Mach.srcs 0) in
+      if is_float_ty ty then begin
+        let fa = fsrc_of ~arm:true c a in
+        let fb = fsrc_of ~arm:true c b in
+        TSelF (dst_of c d, cnd, fa, fb)
+      end
+      else begin
+        let ia = isrc_of c a in
+        let ib = isrc_of c b in
+        TSelI (dst_of c d, cnd, ia, ib)
+      end
   | Mach.Ocast (op, dty, sty) ->
+      let d = need_dst i in
       let a = nth i.Mach.srcs 0 in
       let dead_i = IK 0L and dead_f = FK 0.0 in
       let cast, ia, fa =
         match (op, is_float_ty sty, is_float_ty dty) with
         | Ops.SiToFp, false, true ->
-            (CSiToFp (ibits_of sty, dty = Types.TFloat 32), isrc_of a, dead_f)
-        | Ops.FpToSi, true, false -> (CFpToSi (ibits_of dty), dead_i, fsrc_of a)
-        | Ops.FpExt, true, true -> (CFpExt, dead_i, fsrc_of a)
-        | Ops.FpTrunc, true, true -> (CFpTrunc, dead_i, fsrc_of a)
-        | Ops.Zext, false, false -> (CZext (ibits_of sty, ibits_of dty), isrc_of a, dead_f)
-        | Ops.Sext, false, false -> (CSext (ibits_of sty, ibits_of dty), isrc_of a, dead_f)
-        | Ops.Trunc, false, false -> (CTrunc (ibits_of dty), isrc_of a, dead_f)
-        | Ops.Bitcast, true, true -> (CBitFF, dead_i, fsrc_of a)
-        | Ops.Bitcast, false, true -> (CBitIF, isrc_of a, dead_f)
-        | Ops.Bitcast, true, false -> (CBitFI, dead_i, fsrc_of a)
-        | Ops.Bitcast, false, false -> (CBitII, isrc_of a, dead_f)
-        | _ -> fail "Tcode: bad cast"
+            let sbits = ibits_of sty in
+            (CSiToFp (sbits, dty = Types.TFloat 32), isrc_of c a, dead_f)
+        | Ops.FpToSi, true, false ->
+            let fa = fsrc_of c a in
+            (CFpToSi (ibits_of dty), dead_i, fa)
+        | Ops.FpExt, true, true -> (CFpExt, dead_i, fsrc_of c a)
+        | Ops.FpTrunc, true, true -> (CFpTrunc, dead_i, fsrc_of c a)
+        | (Ops.Zext | Ops.Sext | Ops.Trunc), false, false ->
+            let sbits = ibits_of sty in
+            let dbits = ibits_of dty in
+            let ia = isrc_of c a in
+            let cast =
+              match op with
+              | Ops.Zext -> CZext (sbits, dbits)
+              | Ops.Sext -> CSext (sbits, dbits)
+              | _ -> CTrunc dbits
+            in
+            (cast, ia, dead_f)
+        | Ops.Bitcast, true, true -> (CBitFF, dead_i, fsrc_of c a)
+        | Ops.Bitcast, false, true -> (CBitIF, isrc_of c a, dead_f)
+        | Ops.Bitcast, true, false -> (CBitFI, dead_i, fsrc_of c a)
+        | Ops.Bitcast, false, false -> (CBitII, isrc_of c a, dead_f)
+        | _ -> trap "bad cast"
       in
-      TCast (cast, dst_of i.Mach.dst, ia, fa)
+      TCast (cast, dst_of c d, ia, fa)
   | Mach.Omov ty ->
-      if is_float_ty ty then TMovF (dst_of i.Mach.dst, fsrc_of (nth i.Mach.srcs 0))
-      else TMovI (dst_of i.Mach.dst, isrc_of (nth i.Mach.srcs 0))
+      let d = need_dst i in
+      let a = nth i.Mach.srcs 0 in
+      if is_float_ty ty then begin
+        let fa = fsrc_of c a in
+        TMovF (dst_of c d, fa)
+      end
+      else begin
+        let ia = isrc_of c a in
+        TMovI (dst_of c d, ia)
+      end
   | Mach.Old (space, ty) ->
-      TLd (space, mty_of ty, dst_of i.Mach.dst, isrc_of (nth i.Mach.srcs 0))
+      let d = need_dst i in
+      let pa = isrc_of c (nth i.Mach.srcs 0) in
+      let d = dst_of c d in
+      TLd
+        ( space, mty_of ty, d, pa,
+          site Counters.Kload ~width:(Types.size_of ty) ~scratch:(space = Mach.SScratch) )
   | Mach.Ost (space, ty) ->
-      let mty = mty_of ty in
       let v = nth i.Mach.srcs 0 and p = nth i.Mach.srcs 1 in
-      if mty_is_float mty then TSt (space, mty, IK 0L, fsrc_of v, isrc_of p)
-      else TSt (space, mty, isrc_of v, FK 0.0, isrc_of p)
-  | Mach.Oquery q -> TQuery (query_of q, dst_of i.Mach.dst)
+      let pa = isrc_of c p in
+      let mty = mty_of ty in
+      let iv, fv =
+        if mty_is_float mty then (IK 0L, fsrc_of c v) else (isrc_of c v, FK 0.0)
+      in
+      TSt
+        ( space, mty, iv, fv, pa,
+          site Counters.Kstore ~width:(Types.size_of ty) ~scratch:(space = Mach.SScratch) )
+  | Mach.Oquery q ->
+      let d = need_dst i in
+      let q = query_of q in
+      TQuery (q, dst_of c d)
   | Mach.Omath (name, ty) -> (
       let r32 = fbits_of ty = 32 in
-      let d = dst_of i.Mach.dst in
+      let d = need_dst i in
       match i.Mach.srcs with
-      | [ a ] -> TMath1 (math1_of name, r32, d, fsrc_of a)
-      | [ a; b ] -> TMath2 (math2_of name, r32, d, fsrc_of a, fsrc_of b)
-      | [ a; b; c ] when name = "math.fma" ->
-          TFma (r32, d, fsrc_of a, fsrc_of b, fsrc_of c)
-      | _ -> fail "Tcode: math arity %s" name)
+      | [ a ] ->
+          let fa = fsrc_of c a in
+          TMath1 (math1_of name, r32, dst_of c d, fa)
+      | [ a; b ] ->
+          let fb = fsrc_of c b in
+          let fa = fsrc_of c a in
+          TMath2 (math2_of name, r32, dst_of c d, fa, fb)
+      | [ a; b; cc ] when name = "math.fma" ->
+          let fc = fsrc_of c cc in
+          let fb = fsrc_of c b in
+          let fa = fsrc_of c a in
+          TFma (r32, dst_of c d, fa, fb, fc)
+      | _ -> trap "math arity %s" name)
   | Mach.Oatomic name ->
+      let p = nth i.Mach.srcs 0 and v = nth i.Mach.srcs 1 in
+      let pa = isrc_of c p in
       let kind =
         match name with
         | "gpu.atomic.add.f32" -> AAddF32
         | "gpu.atomic.add.f64" -> AAddF64
         | "gpu.atomic.add.i32" -> AAddI32
-        | n -> fail "Tcode: atomic %s" n
-      in
-      let p = nth i.Mach.srcs 0 and v = nth i.Mach.srcs 1 in
-      let dst =
-        match i.Mach.dst with
-        | Some { Mach.rid; rcls = Mach.CV } -> Some (DV rid)
-        | Some { Mach.rid; rcls = Mach.CS } -> Some (DS rid)
-        | None -> None
+        | n -> trap "atomic %s" n
       in
       let iv, fv =
         match kind with
-        | AAddI32 -> (isrc_of v, FK 0.0)
-        | AAddF32 | AAddF64 -> (IK 0L, fsrc_of v)
+        | AAddI32 -> (isrc_of c v, FK 0.0)
+        | AAddF32 | AAddF64 -> (IK 0L, fsrc_of c v)
       in
-      TAtomic (kind, dst, isrc_of p, iv, fv)
+      let dst = Option.map (dst_of c) i.Mach.dst in
+      let width = if kind = AAddF64 then 8 else 4 in
+      TAtomic (kind, dst, pa, iv, fv, site Counters.Katomic ~width ~scratch:false)
   | Mach.Obarrier -> TBarrier
   | Mach.Oframe ->
+      let d = need_dst i in
       let off =
-        match i.Mach.srcs with [ Mach.Ki k ] -> Konst.as_int k | _ -> 0L
+        match i.Mach.srcs with [ Mach.Ki k ] -> konst Konst.as_int k | _ -> 0L
       in
-      TFrame (dst_of i.Mach.dst, off)
-  | Mach.Oarg k -> TArg (k, dst_of i.Mach.dst)
-  | Mach.Ospill_st slot -> (
+      TFrame (dst_of c d, off)
+  | Mach.Oarg k ->
+      let d = need_dst i in
+      TArg (k, dst_of c d)
+  | Mach.Ospill_st s -> (
       match nth i.Mach.srcs 0 with
-      | Mach.Rs { Mach.rcls = Mach.CS; rid } -> TSpillStS (slot, rid)
-      | Mach.Rs { Mach.rcls = Mach.CV; rid } -> TSpillStV (slot, rid)
-      | _ -> fail "Tcode: spill of non-register")
-  | Mach.Ospill_ld slot -> TSpillLd (slot, dst_of i.Mach.dst)
+      | Mach.Rs { Mach.rcls = Mach.CS; rid } ->
+          let rid = sreg c rid in
+          TSpillStS (slot c s, rid)
+      | Mach.Rs { Mach.rcls = Mach.CV; rid } ->
+          let rid = vreg c rid in
+          TSpillStV (slot c s, rid)
+      | _ -> trap "spill of non-register")
+  | Mach.Ospill_ld s ->
+      let d = need_dst i in
+      let s = slot c s in
+      TSpillLd (s, dst_of c d)
 
 let decode (f : Mach.mfunc) : program =
   if f.Mach.blocks = [] then fail "Tcode.decode: kernel %s has no blocks" f.Mach.sym;
   let n = List.length f.Mach.blocks in
-  let labels = Array.make n "" in
   let id_of : (string, int) Hashtbl.t = Hashtbl.create (2 * n) in
-  List.iteri
-    (fun i (b : Mach.mblock) ->
-      labels.(i) <- b.Mach.mlab;
-      Hashtbl.replace id_of b.Mach.mlab i)
-    f.Mach.blocks;
+  List.iteri (fun i (b : Mach.mblock) -> Hashtbl.replace id_of b.Mach.mlab i) f.Mach.blocks;
   let bid lab =
     match Hashtbl.find_opt id_of lab with
     | Some i -> i
     | None -> fail "Tcode.decode: no block %s in %s" lab f.Mach.sym
   in
-  let has_atomics = ref false and has_barriers = ref false in
+  let c =
+    { nvr = max 1 f.Mach.vregs; nsr = max 1 f.Mach.sregs;
+      nsp = max 1 f.Mach.spill_slots; sym_read = false }
+  in
+  let sites = ref [] and nsites = ref 0 in
+  let has_atomics = ref false in
+  let succs = Array.make n [] in
   let blocks =
     Array.of_list
-      (List.map
-         (fun (b : Mach.mblock) ->
-           let tcode =
-             Array.of_list
-               (List.map
-                  (fun i ->
-                    (match i.Mach.op with
-                    | Mach.Oatomic _ -> has_atomics := true
-                    | Mach.Obarrier -> has_barriers := true
-                    | _ -> ());
-                    decode_instr i)
-                  b.Mach.code)
+      (List.mapi
+         (fun bi (b : Mach.mblock) ->
+           (* site ordinals count every memory op of the block in code
+              order, as PerfLint's static walk does *)
+           let ord = ref 0 in
+           let decode_one (i : Mach.minstr) =
+             (match i.Mach.op with Mach.Oatomic _ -> has_atomics := true | _ -> ());
+             let site sk_kind ~width ~scratch =
+               let skey =
+                 { Counters.sk_sym = f.Mach.sym; sk_block = b.Mach.mlab; sk_ord = !ord; sk_kind }
+               in
+               sites := { skey; swidth = width; sscratch = scratch } :: !sites;
+               incr nsites;
+               !nsites - 1
+             in
+             c.sym_read <- false;
+             let ti =
+               try decode_instr c ~site i
+               with Reach e -> TTrap (if c.sym_read then Trap "float read of symbol" else e)
+             in
+             if Mach.is_mem_op i.Mach.op then incr ord;
+             ti
            in
+           let tcode = Array.of_list (List.map decode_one b.Mach.code) in
            let tterm =
              match b.Mach.term with
-             | Mach.Tbr l -> TTbr (bid l)
-             | Mach.Tcbr (c, t, e) -> TTcbr (isrc_of c, bid t, bid e)
+             | Mach.Tbr l ->
+                 let l = bid l in
+                 succs.(bi) <- [ l ];
+                 TTbr l
+             | Mach.Tcbr (cnd, t, e) -> (
+                 let t = bid t and e = bid e in
+                 succs.(bi) <- [ t; e ];
+                 match isrc_of c cnd with
+                 | cnd -> TTcbr (cnd, t, e)
+                 | exception Reach ex -> TTtrap ex)
              | Mach.Tret -> TTret
            in
            { tcode; tterm })
          f.Mach.blocks)
   in
-  (* int-indexed immediate-postdominator table (reconvergence points) *)
-  let ipdom =
-    Dom.ipostdoms n (fun i ->
-        match blocks.(i).tterm with
-        | TTbr l -> [ l ]
-        | TTcbr (_, t, e) -> [ t; e ]
-        | TTret -> [])
-  in
   {
     tf = f;
     entry = 0;
     blocks;
-    labels;
-    ipdom;
+    (* int-indexed immediate-postdominator table (reconvergence
+       points), over the Mach successors, trapping branches included *)
+    ipdom = Dom.ipostdoms n (Array.get succs);
+    sites = Array.of_list (List.rev !sites);
     has_atomics = !has_atomics;
-    has_barriers = !has_barriers;
     spare = Atomic.make None;
   }
 

@@ -698,13 +698,12 @@ let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : i
     | `Entry entry ->
         let k = Mach.find_kernel entry.Cachestore.obj sym in
         (* decoded-code tier: reuse the threaded program attached to this
-           cache entry, or decode once and attach it. Undecodable kernels
-           leave nothing attached; the executor runs them on the reference
-           interpreter. Ladder step 1 (and below) attaches nothing: the
-           launch passes no program, so Gpurt.get_tcode takes it from the
-           runtime's one-per-symbol table (decoding when the symbol's
-           kernel changed) and the launch still runs on the threaded
-           engine. The step drops the per-entry copies, not the engine. *)
+           cache entry, or decode once and attach it. Ladder step 1 (and
+           below) attaches nothing: the launch passes no program, so
+           Gpurt.get_tcode takes it from the runtime's one-per-symbol
+           table (decoding when the symbol's kernel changed). Every
+           launch runs on the one threaded engine either way; the step
+           drops the per-entry copies, not the engine. *)
         let tcode =
           if t.degrade_level >= 1 then None
           else
@@ -712,14 +711,12 @@ let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : i
             | Some p when p.Tcode.tf == k ->
                 t.stats.Stats.tcode_hits <- t.stats.Stats.tcode_hits + 1;
                 Some p
-            | _ -> (
-                match Tcode.decode k with
-                | p ->
-                    t.stats.Stats.tcode_decodes <- t.stats.Stats.tcode_decodes + 1;
-                    entry.Cachestore.tcodes <-
-                      (sym, p) :: List.remove_assoc sym entry.Cachestore.tcodes;
-                    Some p
-                | exception Tcode.Decode_error _ -> None)
+            | _ ->
+                let p = Tcode.decode k in
+                t.stats.Stats.tcode_decodes <- t.stats.Stats.tcode_decodes + 1;
+                entry.Cachestore.tcodes <-
+                  (sym, p) :: List.remove_assoc sym entry.Cachestore.tcodes;
+                Some p
         in
         Gpurt.launch_mfunc t.rt ?tcode k ~grid ~block ~args;
         entry.Cachestore.tier
@@ -746,8 +743,10 @@ let degrade_level_name = function
   | 2 -> "small-mem"
   | _ -> "aot-only"
 
-(* One deliberate step down, never an abort: 1 drops the decoded-code
-   tier, 2 shrinks the memory cache, 3 serves AOT only. Each step is
+(* One deliberate step down, never an abort: 1 drops the decoded
+   programs attached to cache entries (launches keep running on the one
+   threaded engine, through the runtime's one-program-per-symbol
+   table), 2 shrinks the memory cache, 3 serves AOT only. Each step is
    logged and counted; steps do not reverse within a run (recovering
    capacity is a restart decision, not a flapping one). *)
 let step_down t ~(reason : string) : unit =

@@ -41,10 +41,21 @@ type ctx = {
   (* block-level parallelism for the executor; 0 = automatic
      (PROTEUS_EXEC_DOMAINS or the domain count the OS recommends) *)
   mutable exec_domains : int;
-  (* force the reference interpreter engine; the differential tests use
-     this to compare it against the threaded/multicore engines on whole
-     applications *)
-  mutable exec_reference : bool;
+  (* the executor every kernel launch runs on: [Exec.launch]. The
+     whole-application differential test swaps in the reference
+     interpreter here. *)
+  mutable exec_launch :
+    ?domains:int ->
+    ?tcode:Tcode.program ->
+    device:Device.t ->
+    mem:Gmem.t ->
+    l2:L2cache.t ->
+    symbols:(string -> int64) ->
+    Mach.mfunc ->
+    grid:int ->
+    block:int ->
+    args:Konst.t array ->
+    Exec.launch_result;
 }
 
 (* [mem_bytes] is the device arena's initial capacity (Gmem's default
@@ -63,7 +74,7 @@ let create ?(cost = Costmodel.default) ?mem_bytes (device : Device.t) : ctx =
     launches = 0;
     tcodes = Hashtbl.create 16;
     exec_domains = 0;
-    exec_reference = false;
+    exec_launch = Exec.launch;
   }
 
 let charge_api ctx = Clock.advance ctx.clock ctx.cost.Costmodel.api_call_s
@@ -181,20 +192,17 @@ let read_device_bytes ctx addr len =
    already hold a decoded program (the JIT's code cache attaches one to
    each cache entry) pass it via [?tcode]; otherwise the per-context
    symbol table answers, re-decoding only when the kernel under that
-   symbol changed. Kernels the decoder does not cover return None and
-   run on the reference interpreter. *)
-let get_tcode ctx ?tcode (k : Mach.mfunc) : Tcode.program option =
+   symbol changed. *)
+let get_tcode ctx ?tcode (k : Mach.mfunc) : Tcode.program =
   match tcode with
-  | Some p when p.Tcode.tf == k -> Some p
+  | Some p when p.Tcode.tf == k -> p
   | _ -> (
       match Hashtbl.find_opt ctx.tcodes k.Mach.sym with
-      | Some p when p.Tcode.tf == k -> Some p
-      | _ -> (
-          match Tcode.decode k with
-          | p ->
-              Hashtbl.replace ctx.tcodes k.Mach.sym p;
-              Some p
-          | exception Tcode.Decode_error _ -> None))
+      | Some p when p.Tcode.tf == k -> p
+      | _ ->
+          let p = Tcode.decode k in
+          Hashtbl.replace ctx.tcodes k.Mach.sym p;
+          p)
 
 (* Tiered hot swap: when the JIT publishes a new generation of a
    kernel's object it drops the decoded program cached under that
@@ -206,11 +214,11 @@ let invalidate_tcode ctx (sym : string) : unit = Hashtbl.remove ctx.tcodes sym
 let launch_mfunc ctx ?tcode (k : Mach.mfunc) ~grid ~block ~(args : Konst.t array) :
     unit =
   Clock.advance ctx.clock ctx.cost.Costmodel.launch_s;
-  let tcode = if ctx.exec_reference then None else get_tcode ctx ?tcode k in
+  let tcode = get_tcode ctx ?tcode k in
   let domains = if ctx.exec_domains > 0 then Some ctx.exec_domains else None in
   let result =
-    Exec.launch ~reference:ctx.exec_reference ?domains ?tcode ~device:ctx.device
-      ~mem:ctx.mem ~l2:ctx.l2 ~symbols:(symbols_fn ctx) k ~grid ~block ~args
+    ctx.exec_launch ?domains ~tcode ~device:ctx.device ~mem:ctx.mem ~l2:ctx.l2
+      ~symbols:(symbols_fn ctx) k ~grid ~block ~args
   in
   let report =
     Timing.kernel_time ctx.device k result.Exec.counters

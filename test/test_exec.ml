@@ -1,9 +1,10 @@
-(* Differential tests for the three executor engines. The reference
-   interpreter is the executable specification; the threaded-code
-   engine (production path) and the multicore block scheduler must
-   match it bit for bit: memory contents, every performance counter,
-   and the simulated kernel timing derived from them. Kernels with
-   atomics must demonstrably take the serial fallback. *)
+(* Differential tests for the executor. The reference interpreter
+   (Refexec) is the executable specification; Exec.launch, serial and
+   with the multicore block schedule, must match it bit for bit: memory
+   contents, every performance counter, the simulated kernel timing
+   derived from them, PerfLint's per-site profile, and the failure of a
+   launch that fails. Kernels with atomics must demonstrably take the
+   serial schedule. *)
 
 open Proteus_ir
 open Proteus_frontend
@@ -11,6 +12,7 @@ open Proteus_backend
 open Proteus_gpu
 open Proteus_runtime
 open Proteus_hecbench
+open Proteus_fuzz
 
 let check = Alcotest.check
 let qtest = Qseed.qtest
@@ -35,6 +37,17 @@ let mode_name = function
   | Threaded -> "threaded"
   | Multicore -> "multicore"
 
+(* One launch: Refexec for [Reference], Exec.launch on 1 or 4 domains
+   otherwise ([tcode] is the executor's decoded program, if held). *)
+let launch_mode ?tcode mode ~device ~mem ~l2 ~symbols k ~grid ~block ~args =
+  match mode with
+  | Reference -> Refexec.launch ~device ~mem ~l2 ~symbols k ~grid ~block ~args
+  | Threaded | Multicore ->
+      let domains = if mode = Multicore then 4 else 1 in
+      Exec.launch ~domains ?tcode ~device ~mem ~l2 ~symbols k ~grid ~block ~args
+
+let profiled = Oracle.profiled
+
 (* Run [k] under one engine on a fresh device; return the raw bytes of
    the observable buffer, the counters, the simulated duration and the
    engine the launch actually used. *)
@@ -43,11 +56,9 @@ let run_mode mode k ~grid ~block ~buf_bytes ~init ~args =
   let mem = Gmem.create () and l2 = L2cache.create dev in
   let buf = Gmem.alloc mem buf_bytes in
   init mem buf;
-  let reference = mode = Reference in
-  let domains = match mode with Multicore -> 4 | _ -> 1 in
   let r =
-    Exec.launch ~reference ~domains ~device:dev ~mem ~l2
-      ~symbols:(fun _ -> 0L) k ~grid ~block ~args:(args buf)
+    launch_mode mode ~device:dev ~mem ~l2 ~symbols:(fun _ -> 0L) k ~grid ~block
+      ~args:(args buf)
   in
   let snap =
     String.init buf_bytes (fun i ->
@@ -99,8 +110,15 @@ let qcheck_engines_bit_identical =
       let s1, c1, d1, e1 = run Reference in
       let s2, c2, d2, e2 = run Threaded in
       let s3, c3, d3, e3 = run Multicore in
+      (* armed, every engine records the reference's site table; the
+         multicore request then runs serially *)
+      let (a1, p1) = profiled (fun () -> run Reference) in
+      let (a2, p2) = profiled (fun () -> run Threaded) in
+      let (a3, p3) = profiled (fun () -> run Multicore) in
       e1 = "reference" && e2 = "threaded" && e3 = "multicore" && s1 = s2
-      && s2 = s3 && c1 = c2 && c2 = c3 && d1 = d2 && d2 = d3)
+      && s2 = s3 && c1 = c2 && c2 = c3 && d1 = d2 && d2 = d3
+      && a1 = (s1, c1, d1, e1) && a2 = (s2, c2, d2, e2)
+      && a3 = (s3, c3, d3, "threaded") && p1 <> [] && p1 = p2 && p2 = p3)
 
 let test_atomics_take_serial_fallback () =
   let k =
@@ -263,10 +281,10 @@ let run_steps ~reference ks steps =
     String.init bytes (fun i -> Char.chr (Gmem.read_u8 mem (Int64.add out (Int64.of_int i))))
   in
   let launch k p ~grid args =
-    let tcode = if reference then None else Some p in
     match
-      Exec.launch ~reference ~domains:1 ?tcode ~device:dev ~mem ~l2
-        ~symbols:(fun _ -> 0L) k ~grid ~block:64 ~args
+      launch_mode ~tcode:p
+        (if reference then Reference else Threaded)
+        ~device:dev ~mem ~l2 ~symbols:(fun _ -> 0L) k ~grid ~block:64 ~args
     with
     | r -> Ok (snap (), r.Exec.counters)
     | exception Failure msg -> Error msg
@@ -338,6 +356,182 @@ let test_buffer_reuse_two_domains () =
       Alcotest.(check bool) (Printf.sprintf "domain %d matches serial" d) true (Domain.join dom = ser))
     (List.combine doms serial)
 
+(* ---- failed launches free their scratch ---- *)
+
+(* Every launch allocates a per-thread scratch frame in the arena. A
+   launch that fails mid-kernel must hand it back like one that
+   completes: after the first of 50 identical failing launches the
+   arena's break stays put (the freed chunk is reused). *)
+let test_failed_launch_frees_scratch () =
+  let ks = reuse_kernels () in
+  List.iter
+    (fun mode ->
+      let dev = Device.mi250x in
+      let mem = Gmem.create () and l2 = L2cache.create dev in
+      let v = Gmem.alloc mem 4096 in
+      (* [out] 512 bytes short of the arena's end: block 1 runs off it *)
+      let edge = Int64.of_int (Bytes.length mem.Gmem.data - 512) in
+      let brk = ref 0 in
+      for i = 1 to 50 do
+        (match
+           launch_mode mode ~device:dev ~mem ~l2 ~symbols:(fun _ -> 0L) ks.kd ~grid:4
+             ~block:64
+             ~args:[| Konst.kint ~bits:64 edge; Konst.kint ~bits:64 v; Konst.kf64 1.0; Konst.ki32 256 |]
+         with
+        | _ -> Alcotest.failf "%s launch %d did not fail" (mode_name mode) i
+        | exception Failure _ -> ());
+        if i = 1 then brk := mem.Gmem.brk
+        else check Alcotest.int (Printf.sprintf "%s brk after launch %d" (mode_name mode) i) !brk mem.Gmem.brk
+      done)
+    [ Reference; Threaded; Multicore ]
+
+(* ---- total decode ---- *)
+
+let vr rid = { Mach.rid; rcls = Mach.CV }
+let sr rid = { Mach.rid; rcls = Mach.CS }
+let ins op dst srcs = { Mach.op; dst; srcs }
+let st64 x a = ins (Mach.Ost (Mach.SGlobal, Types.i64)) None [ Mach.Rs (vr x); Mach.Rs (vr a) ]
+
+(* A kernel whose block "odd" holds [code] and ends in [term]; only a
+   launch with flag 1 enters it. Around it every lane stores its tid at
+   out + 8 * tid (entry) and twice its tid (done), so the run has
+   memory effects before and after the shape. *)
+let shape_kernel ?(term = Mach.Tbr "done") code =
+  let entry =
+    [
+      ins (Mach.Oarg 0) (Some (vr 0)) [];
+      ins (Mach.Oquery "gpu.tid.x") (Some (vr 1)) [];
+      ins (Mach.Obin (Ops.Mul, Types.i64)) (Some (vr 2)) [ Mach.Rs (vr 1); Mach.Ki (Konst.ki64 8) ];
+      ins (Mach.Obin (Ops.Add, Types.i64)) (Some (vr 3)) [ Mach.Rs (vr 0); Mach.Rs (vr 2) ];
+      st64 1 3;
+      ins (Mach.Oarg 1) (Some (sr 0)) [];
+    ]
+  in
+  let fin =
+    [ ins (Mach.Obin (Ops.Add, Types.i64)) (Some (vr 5)) [ Mach.Rs (vr 1); Mach.Rs (vr 1) ]; st64 5 3 ]
+  in
+  {
+    Mach.sym = "shape";
+    blocks =
+      [
+        { Mach.mlab = "entry"; code = entry; term = Mach.Tcbr (Mach.Rs (sr 0), "odd", "done") };
+        { Mach.mlab = "odd"; code; term };
+        { Mach.mlab = "done"; code = fin; term = Mach.Tret };
+      ];
+    params = [];
+    arg_tys = [ Types.ptr Types.i64; Types.i64 ];
+    vregs = 8;
+    sregs = 2;
+    frame = 0;
+    spill_slots = 1;
+    launch_bounds = None;
+    max_pressure_v = 0;
+    max_pressure_s = 0;
+  }
+
+(* The shapes Tcode.decode used to reject, plus the operand checks it
+   now makes, each as the body of block "odd" (or its terminator). *)
+let bad_shapes =
+  let i64 = Types.i64 and f64 = Types.TFloat 64 in
+  let v1 = Mach.Rs (vr 1) and v3 = Mach.Rs (vr 3) in
+  let one op dst srcs = [ ins op dst srcs ] in
+  [
+    ("integer op on a void type", one (Mach.Obin (Ops.Add, Types.TVoid)) (Some (vr 4)) [ v1; v1 ]);
+    ("missing destination", one (Mach.Obin (Ops.Add, i64)) None [ v1; v1 ]);
+    ("missing operand", one (Mach.Obin (Ops.Add, i64)) (Some (vr 4)) [ v1 ]);
+    ("vector load of void", one (Mach.Old (Mach.SGlobal, Types.TVoid)) (Some (vr 4)) [ v3 ]);
+    ("scalar load of void", one (Mach.Old (Mach.SGlobal, Types.TVoid)) (Some (sr 1)) [ v3 ]);
+    ("store of void", one (Mach.Ost (Mach.SGlobal, Types.TVoid)) None [ v1; v3 ]);
+    ("float op on an integer type",
+     one (Mach.Obin (Ops.FAdd, i64)) (Some (vr 4)) [ v1; Mach.Ki (Konst.ki64 3) ]);
+    ("integer op on a float type", one (Mach.Obin (Ops.Add, f64)) (Some (vr 4)) [ v1; v1 ]);
+    ("unknown query", one (Mach.Oquery "gpu.laneid") (Some (vr 4)) []);
+    ("bad cast", one (Mach.Ocast (Ops.FpExt, i64, Types.i32)) (Some (vr 4)) [ v1 ]);
+    ("math arity", one (Mach.Omath ("math.sqrt", f64)) (Some (vr 4)) []);
+    ("unknown atomic", one (Mach.Oatomic "gpu.atomic.max.i32") None [ v3; v1 ]);
+    ("spill of a constant", one (Mach.Ospill_st 0) None [ Mach.Ki (Konst.ki64 1) ]);
+    ("float constant as an integer",
+     one (Mach.Obin (Ops.Add, i64)) (Some (vr 4)) [ v1; Mach.Ki (Konst.kf64 1.5) ]);
+    ("register outside the bank", one (Mach.Omov i64) (Some (vr 4)) [ Mach.Rs (vr 99) ]);
+    ("symbol read as a float before a bad constant",
+     one (Mach.Obin (Ops.FAdd, f64)) (Some (vr 4)) [ Mach.Ki (Konst.ki64 1); Mach.Gs "g" ]);
+  ]
+
+(* One launch of [k] with [flag] under [mode], profile armed: the
+   outcome (counters or the exception), the output, the sites, the
+   arena's break and the L2 model afterwards. *)
+let run_shape mode k flag =
+  let dev = Device.mi250x in
+  let mem = Gmem.create () and l2 = L2cache.create dev in
+  let out = Gmem.alloc mem (8 * 128) in
+  let res, sites =
+    profiled (fun () ->
+        match
+          launch_mode mode ~device:dev ~mem ~l2 ~symbols:(fun _ -> 64L) k ~grid:2 ~block:64
+            ~args:[| Konst.kint ~bits:64 out; Konst.ki64 flag |]
+        with
+        | r -> Ok (r.Exec.counters, r.Exec.engine)
+        | exception e -> Error (Printexc.to_string e))
+  in
+  let snap = String.init (8 * 128) (fun i -> Char.chr (Gmem.read_u8 mem (Int64.add out (Int64.of_int i)))) in
+  (res, snap, sites, mem.Gmem.brk, l2)
+
+let decode_total_cases =
+  List.map (fun (name, code) -> (name, shape_kernel code)) bad_shapes
+  @ [
+      ( "branch on a float constant",
+        shape_kernel ~term:(Mach.Tcbr (Mach.Ki (Konst.kf64 0.5), "done", "done")) [] );
+    ]
+
+let test_decode_total_case (name, k) () =
+  ignore (Tcode.decode k);
+  (* not taken: the run completes exactly as the reference's *)
+  let r0, s0, p0, b0, l0 = run_shape Reference k 0 in
+  (match r0 with Ok _ -> () | Error e -> Alcotest.failf "%s: reference failed untaken: %s" name e);
+  List.iter
+    (fun mode ->
+      let r, s, p, b, l = run_shape mode k 0 in
+      let what = Printf.sprintf "%s, untaken, %s" name (mode_name mode) in
+      (match (r0, r) with
+      | Ok (c0, _), Ok (c, _) -> Alcotest.(check bool) (what ^ " counters") true (c0 = c)
+      | _, Error e -> Alcotest.failf "%s failed: %s" what e
+      | Error _, _ -> assert false);
+      check Alcotest.string (what ^ " output") s0 s;
+      Alcotest.(check bool) (what ^ " sites") true (p0 = p);
+      check Alcotest.int (what ^ " brk") b0 b;
+      Alcotest.(check bool) (what ^ " L2") true (l0 = l))
+    [ Threaded; Multicore ];
+  (* reached: the same failure, memory, sites, break and L2 *)
+  let r0, s0, p0, b0, l0 = run_shape Reference k 1 in
+  let e0 = match r0 with Error e -> e | Ok _ -> Alcotest.failf "%s: reference ran it" name in
+  let r, s, p, b, l = run_shape Threaded k 1 in
+  let what = name ^ ", reached" in
+  check Alcotest.string (what ^ " failure") e0 (match r with Error e -> e | Ok _ -> "completed");
+  check Alcotest.string (what ^ " output") s0 s;
+  Alcotest.(check bool) (what ^ " sites") true (p0 = p);
+  check Alcotest.int (what ^ " brk") b0 b;
+  Alcotest.(check bool) (what ^ " L2") true (l0 = l)
+
+(* Mach the reference rejects before its first instruction stays a
+   decode error. *)
+let test_decode_malformed () =
+  let k = shape_kernel [] in
+  let dangling =
+    { k with
+      Mach.blocks =
+        List.map
+          (fun (b : Mach.mblock) ->
+            if b.Mach.mlab = "odd" then { b with Mach.term = Mach.Tbr "nowhere" } else b)
+          k.Mach.blocks }
+  in
+  List.iter
+    (fun (what, k) ->
+      Alcotest.(check bool) (what ^ ": decode error") true
+        (match Tcode.decode k with _ -> false | exception Tcode.Decode_error _ -> true);
+      Alcotest.(check bool) (what ^ ": the reference rejects it too") true
+        (match run_shape Reference k 0 with Error _, _, _, _, _ -> true | _ -> false))
+    [ ("no blocks", { k with Mach.blocks = [] }); ("branch to a missing block", dangling) ]
+
 (* ---- whole-application differential: the full HeCBench suite ---- *)
 
 (* Run an app end to end (AOT-compiled, so only the executor varies)
@@ -348,7 +542,8 @@ let run_app_mode (a : App.t) mode =
   let exe = Harness.compile_app a Device.Amd Proteus_driver.Driver.Aot in
   let rt = Gpurt.create (Device.by_vendor Device.Amd) in
   (match mode with
-  | Reference -> rt.Gpurt.exec_reference <- true
+  | Reference ->
+      rt.Gpurt.exec_launch <- (fun ?domains:_ ?tcode:_ -> Refexec.launch)
   | Threaded -> rt.Gpurt.exec_domains <- 1
   | Multicore -> rt.Gpurt.exec_domains <- 8);
   let _lm = Gpurt.load_module rt exe.Proteus_driver.Driver.fatbin in
@@ -382,7 +577,14 @@ let () =
             test_buffer_reuse_interleaved;
           Alcotest.test_case "two domains share one program" `Quick
             test_buffer_reuse_two_domains;
+          Alcotest.test_case "failed launches free their scratch" `Quick
+            test_failed_launch_frees_scratch;
         ] );
+      ( "decode",
+        List.map
+          (fun ((name, _) as c) -> Alcotest.test_case name `Quick (test_decode_total_case c))
+          decode_total_cases
+        @ [ Alcotest.test_case "malformed Mach is a decode error" `Quick test_decode_malformed ] );
       ( "hecbench",
         List.map
           (fun (a : App.t) ->
@@ -391,6 +593,3 @@ let () =
               `Quick (app_differential a))
           Suite.apps );
     ]
-
-(* silence unused-warning if a mode is never named in a failure path *)
-let _ = mode_name

@@ -177,10 +177,9 @@ let test_tcode_invalidation () =
       Tcode.tf = k;
       entry = 0;
       blocks = [||];
-      labels = [||];
       ipdom = [||];
+      sites = [||];
       has_atomics = false;
-      has_barriers = false;
       spare = Atomic.make None;
     }
   in
