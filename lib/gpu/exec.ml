@@ -4,14 +4,20 @@
    accesses coalesce into cache lines through the L2 model, and scratch
    (spill / local-array) traffic goes through the same hierarchy.
 
-   There is one engine: the pre-decoded Tcode program run by
-   [texec_launch], either serially or with independent thread-blocks
-   scheduled across a domain pool ("multicore"). The multicore schedule
-   keeps L2 determinism by recording each block's cache-line trace
-   during parallel execution and replaying the traces serially in block
-   order afterwards, so the shared LRU model sees exactly the serial
-   access sequence. Kernels with atomics, and every launch while a
-   PerfLint site profile is armed, run serially.
+   There is one engine. [compile] turns a decoded Tcode program into a
+   warp state (Tcode.wstate): the register banks of one warp and one
+   closure per instruction, with the operation, the destination class,
+   each operand's cell and lane mask and the f32 rounding chosen when
+   the closure is built, so the per-lane loops hold no dispatch. The
+   program keeps its idle states, so a warm launch builds nothing. A
+   launch runs serially on one state, or schedules independent
+   thread-blocks across a domain pool ("multicore"), each domain
+   running the blocks it takes on a state of its own. The multicore
+   schedule keeps L2 determinism by recording each block's cache-line
+   trace during parallel execution and replaying the traces serially in
+   block order afterwards, so the shared LRU model sees exactly the
+   serial access sequence. Kernels with atomics, and every launch while
+   a PerfLint site profile is armed, run serially.
 
    Its specification is the reference interpreter [Refexec] (lib/fuzz):
    memory contents, every counter, the simulated timing, the per-site
@@ -26,41 +32,16 @@ let popcount = Util.popcount64
 
 exception Trap = Tcode.Trap
 
-(* ------------------------------------------------------------------ *)
-(* Threaded-code engine: executes a pre-decoded Tcode.program. Keeps
-   Refexec's observable behaviour exactly; see the header comment. *)
-
-(* Where deduped cache-line accesses go: straight into the shared L2
-   model (serial engines) or into a per-block trace that is replayed
-   serially after a parallel launch. *)
-type line_sink = Direct | Record of int Util.Vec.t
-
-type tenv = {
-  tmem : Gmem.t;
-  tl2 : L2cache.t;
-  tsymbols : string -> int64;
-  targs : Konst.t array;
-  tgx : int; (* grid dims *)
-  tbx : int; (* block dims; launch is 1-D so y = z = 1 *)
-  tline : int; (* L2 line size *)
-  tscratch_base : int64;
-  tthread_frame : int;
-  tc : Counters.t;
-  tsink : line_sink;
-  tprofile : Counters.site_table option;
-      (* the armed site profile, read once per launch *)
-}
-
 (* Unchecked fixed-width byte-buffer access (native byte order). The
-   integer register banks and the arena fast paths below go through
-   these compiler primitives instead of [int64 array] / the Gmem
-   accessors because their results stay unboxed inside the per-lane
-   loops: an [int64 array] store allocates a fresh box per register
-   write, and at ~10^8 dynamic lane-operations per benchmark that boxing
-   dominated the executor's wall clock. They are used only where the
-   index is known to be in range: register ids are checked once at
-   decode time (register id < nvr/nsr, lane < lanes), and arena offsets
-   sit behind the explicit bounds test that reproduces Gmem.check. *)
+   integer register banks and the arena accesses below go through these
+   compiler primitives instead of [int64 array] / the Gmem accessors
+   because their results stay unboxed inside the per-lane loops: an
+   [int64 array] store allocates a fresh box per register write, and at
+   ~10^8 dynamic lane-operations per benchmark that boxing dominated
+   the executor's wall clock. They are used only where the index is
+   known to be in range: register ids are checked once at decode time
+   (register id < nvr/nsr, lane < lanes), and arena offsets sit behind
+   the explicit bounds test that reproduces Gmem.check. *)
 external b_get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external b_set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 external b_get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -84,1228 +65,1167 @@ let[@inline] le_set32u d i v =
 let[@inline] le_set64u d i v =
   if big_endian () then b_set64u d i (bswap64 v) else b_set64u d i v
 
-(* Integer binop with the exact semantics of
-   [Konst.as_int (Konst.binop op (kint ~bits x) (kint ~bits y))]:
-   both inputs sign-normalised to [bits], operate, renormalise. *)
-let ibin (op : Tcode.ibinop) bits x y =
-  let x = Konst.norm_int x bits and y = Konst.norm_int y bits in
-  let r =
-    match op with
-    | Tcode.BAdd -> Int64.add x y
-    | Tcode.BSub -> Int64.sub x y
-    | Tcode.BMul -> Int64.mul x y
-    | Tcode.BSDiv -> if Int64.equal y 0L then 0L else Int64.div x y
-    | Tcode.BSRem -> if Int64.equal y 0L then 0L else Int64.rem x y
-    | Tcode.BAnd -> Int64.logand x y
-    | Tcode.BOr -> Int64.logor x y
-    | Tcode.BXor -> Int64.logxor x y
-    | Tcode.BShl -> Int64.shift_left x (Int64.to_int y land (bits - 1))
-    | Tcode.BLShr ->
-        let ux =
-          if bits = 64 then x
-          else Int64.logand x (Int64.sub (Int64.shift_left 1L bits) 1L)
-        in
-        Int64.shift_right_logical ux (Int64.to_int y land (bits - 1))
-    | Tcode.BAShr -> Int64.shift_right x (Int64.to_int y land (bits - 1))
-    | Tcode.BSMin -> if Int64.compare x y <= 0 then x else y
-    | Tcode.BSMax -> if Int64.compare x y >= 0 then x else y
-  in
-  Konst.norm_int r bits
+(* ------------------------------------------------------------------ *)
+(* Lane accessors. A compiled loop runs one operation for the lanes
+   [ls.(0..n-1)]: the active lanes, or lane 0 alone ([lane0]) for a
+   scalar destination, which reads vector operands at lane 0 as the
+   reference does. An operand is a bank cell [o] and a lane mask [m]
+   (Tcode.icell / imask): lane l reads cell [o + (l land m)], its own
+   cell of a vector register or the one cell of a uniform operand,
+   without a branch. A destination cell is indexed by the lane.
 
-let fbin (op : Tcode.fbinop) x y =
+   Each operation has its own hand-written loop. This library is built
+   without flambda, where a loop taking the operation as a function
+   ([fun x y -> x +. y]) boxes every lane's operands and result; the
+   accessors below are inlined, so every int64/float intermediate stays
+   unboxed. *)
+
+let lane0 = [| 0 |]
+
+let[@inline] iget (bi : Bytes.t) o m l : int64 = b_get64u bi ((o + (l land m)) lsl 3)
+let[@inline] iset (bi : Bytes.t) d l (v : int64) = b_set64u bi ((d + l) lsl 3) v
+let[@inline] fget (bf : float array) o m l : float = Array.unsafe_get bf (o + (l land m))
+let[@inline] fset (bf : float array) d l (v : float) = Array.unsafe_set bf (d + l) v
+
+(* sign-normalise to the width whose shift [sh] is *)
+let[@inline] sx (v : int64) sh = Int64.shift_right (Int64.shift_left v sh) sh
+let shift_of bits = if bits >= 64 then 0 else 64 - bits
+
+type lanes_fn = int array -> int -> unit
+
+(* Integer binops with the semantics of
+   [Konst.as_int (Konst.binop op (kint ~bits x) (kint ~bits y))]: both
+   inputs sign-normalised to [bits], operate, renormalise. The low
+   [bits] bits of a sum, difference, product, bitwise op or left shift
+   (and the shift amount, [land (bits - 1)]) depend only on the low
+   [bits] bits of the inputs, so those loops skip the input
+   normalisation. *)
+let ibin_lanes bi (op : Tcode.ibinop) bits d x xm y ym : lanes_fn =
+  let sh = shift_of bits and shm = bits - 1 in
+  let lmask = if bits = 64 then -1L else Int64.sub (Int64.shift_left 1L bits) 1L in
   match op with
-  | Tcode.BFAdd -> x +. y
-  | Tcode.BFSub -> x -. y
-  | Tcode.BFMul -> x *. y
-  | Tcode.BFDiv -> x /. y
-  | Tcode.BFRem -> Float.rem x y
-  | Tcode.BFMin -> if x <= y then x else y
-  | Tcode.BFMax -> if x >= y then x else y
-
-let icmp (op : Ops.cmpop) x y =
-  let cv = Int64.compare x y in
-  match op with
-  | Ops.CEq -> cv = 0
-  | Ops.CNe -> cv <> 0
-  | Ops.CLt -> cv < 0
-  | Ops.CLe -> cv <= 0
-  | Ops.CGt -> cv > 0
-  | Ops.CGe -> cv >= 0
-
-let fcmp (op : Ops.cmpop) (x : float) (y : float) =
-  match op with
-  | Ops.CEq -> x = y
-  | Ops.CNe -> x <> y
-  | Ops.CLt -> x < y
-  | Ops.CLe -> x <= y
-  | Ops.CGt -> x > y
-  | Ops.CGe -> x >= y
-
-let math1_eval (op : Tcode.math1) x =
-  match op with
-  | Tcode.M1Sqrt -> sqrt x
-  | Tcode.M1Rsqrt -> 1.0 /. sqrt x
-  | Tcode.M1Exp -> exp x
-  | Tcode.M1Log -> log x
-  | Tcode.M1Sin -> sin x
-  | Tcode.M1Cos -> cos x
-  | Tcode.M1Fabs -> Float.abs x
-  | Tcode.M1Floor -> Float.floor x
-  | Tcode.M1Ceil -> Float.ceil x
-  | Tcode.M1Tanh -> tanh x
-  | Tcode.M1Gen n -> Ir.Intrinsics.eval_math_unary n x
-
-let math2_eval (op : Tcode.math2) x y =
-  match op with
-  | Tcode.M2Pow -> Float.pow x y
-  | Tcode.M2Atan2 -> Float.atan2 x y
-  | Tcode.M2Gen n -> Ir.Intrinsics.eval_math_binary n x y
-
-(* Build the warp runner for one launch of [p] into buffers [b]. The
-   ~30 operand accessors and vector loops below are closures over the
-   launch environment; building them once per launch rather than per
-   warp leaves the per-warp setup allocation-free. The returned
-   function runs one warp; its coordinates reach the closures through
-   the refs below. [b] is zero-filled by the caller before each warp. *)
-let texec_launch (env : tenv) (p : Tcode.program) (b : Tcode.tbufs) ~(lanes : int) :
-    first_thread:int -> bix:int -> btx:int -> int64 -> unit =
-  let c = env.tc in
-  let frame = p.Tcode.tf.Mach.frame in
-  let mem = env.tmem in
-  (* the arena never grows mid-kernel (execution performs no device
-     allocation), so its backing buffer is hoisted for the whole launch *)
-  let data = mem.Gmem.data in
-  let dlen = Bytes.length data in
-  let bvi = b.Tcode.bvi and bvf = b.Tcode.bvf and bsi = b.Tcode.bsi and bsf = b.Tcode.bsf in
-  let bspi = b.Tcode.bspi and bspf = b.Tcode.bspf in
-  let bsspi = b.Tcode.bsspi and bsspf = b.Tcode.bsspf in
-  let babuf = b.Tcode.babuf and bdedup = b.Tcode.bdedup in
-  let tline = env.tline in
-  (* line addresses are non-negative, so when the line size is a power
-     of two (it is on every modelled device) the division by [tline]
-     strength-reduces to a shift *)
-  let tlsh =
-    match Util.pow2_log2 (Int64.of_int tline) with Some k -> k | None -> -1
-  in
-  (* the current warp: block index, thread id of lane 0 within the
-     block, and the byte offsets of lane 0's frame and spill area *)
-  let bix = ref 0 and btx = ref 0 in
-  let scratch0 = ref 0 and spill0 = ref 0 in
-  let nref = ref 0 in
-  (* active-lane index list for the current execution mask, refreshed
-     at every [run] entry: vector loops iterate [blanes.(0..act-1)]
-     instead of testing a mask bit per lane, so fully-divergent warps
-     pay only for their live lanes *)
-  let blanes = b.Tcode.blanes in
-  (* ---- operand access (scalar / cold paths; the vector loops below
-     inline these matches so intermediates stay unboxed) ---- *)
-  let src_i (s : Tcode.isrc) lane : int64 =
-    match s with
-    | Tcode.IV r -> b_get64u bvi (((r * lanes) + lane) lsl 3)
-    | Tcode.IS r -> b_get64u bsi (r lsl 3)
-    | Tcode.IK k -> k
-    | Tcode.IG g -> env.tsymbols g
-  in
-  let src_f (s : Tcode.fsrc) lane : float =
-    match s with
-    | Tcode.FV r -> bvf.((r * lanes) + lane)
-    | Tcode.FS r -> bsf.(r)
-    | Tcode.FK k -> k
-    | Tcode.FBad -> raise (Trap "float read of symbol")
-  in
-  let dst_i (d : Tcode.tdst) lane v =
-    match d with
-    | Tcode.DV r -> b_set64u bvi (((r * lanes) + lane) lsl 3) v
-    | Tcode.DS r -> b_set64u bsi (r lsl 3) v
-  in
-  let dst_f (d : Tcode.tdst) lane v =
-    match d with
-    | Tcode.DV r -> bvf.((r * lanes) + lane) <- v
-    | Tcode.DS r -> bsf.(r) <- v
-  in
-  let write_konst (d : Tcode.tdst) lane (k : Konst.t) =
-    match k with
-    | Konst.KFloat (v, _) -> dst_f d lane v
-    | Konst.KBool bv -> dst_i d lane (if bv then 1L else 0L)
-    | Konst.KInt (v, _) -> dst_i d lane v
-    | Konst.KNull -> dst_i d lane 0L
-  in
-  let is_scalar (d : Tcode.tdst) = match d with Tcode.DS _ -> true | Tcode.DV _ -> false in
-  (* thread coordinates (1-D launch: by = bz = 1, base tid y = z = 0).
-     Returns a plain int (immediate), so per-lane calls do not box. *)
-  let query_int (q : Tcode.tquery) lane : int =
-    match q with
-    | Tcode.QTidX -> (!btx + lane) mod env.tbx
-    | Tcode.QTidY -> (!btx + lane) / env.tbx mod 1
-    | Tcode.QTidZ -> (!btx + lane) / env.tbx / 1
-    | Tcode.QCtaidX -> !bix
-    | Tcode.QCtaidY | Tcode.QCtaidZ -> 0
-    | Tcode.QNtidX -> env.tbx
-    | Tcode.QNtidY | Tcode.QNtidZ -> 1
-    | Tcode.QNctaidX -> env.tgx
-    | Tcode.QNctaidY | Tcode.QNctaidZ -> 1
-  in
-  (* ---- coalescing ---- *)
-  let touch_line (la : int) =
-    c.Counters.mem_lines <- c.Counters.mem_lines + 1;
-    match env.tsink with
-    | Direct ->
-        if L2cache.access_line env.tl2 la then c.Counters.l2_hits <- c.Counters.l2_hits + 1
-        else c.Counters.l2_misses <- c.Counters.l2_misses + 1
-    | Record v -> Util.Vec.push v la
-  in
-  (* [babuf.(0..n-1)] was filled in ascending lane order; the reference
-     interpreter prepends to a list and so touches lines in descending
-     lane order - walk backwards to preserve the exact L2 sequence. *)
-  let touch_collected n =
-    Tcode.linedup_reset bdedup;
-    for k = n - 1 downto 0 do
-      let a = Array.unsafe_get babuf k in
-      let la = if tlsh >= 0 then a lsr tlsh else a / tline in
-      if Tcode.linedup_add bdedup la then touch_line la
-    done
-  in
-  let touch_one (ai : int) =
-    Tcode.linedup_reset bdedup;
-    let la = if tlsh >= 0 then ai lsr tlsh else ai / tline in
-    if Tcode.linedup_add bdedup la then touch_line la
-  in
-  (* PerfLint's per-site profile, when armed: the access at site [s]
-     by [act] lanes touched the lines the dedup buffer now holds *)
-  let sites = p.Tcode.sites in
-  let profiling = Option.is_some env.tprofile in
-  let record_site s act =
-    match env.tprofile with
-    | None -> ()
-    | Some tbl ->
-        let st = sites.(s) in
-        Counters.record_site tbl st.Tcode.skey ~lanes:act ~lines:bdedup.Tcode.la_n
-          ~full:(act = lanes) ~width:st.Tcode.swidth ~scratch:st.Tcode.sscratch
-  in
-  (* out-of-range arena access: identical failure to Gmem.check *)
-  let oob ai len = Util.failf "device memory access out of range: 0x%x (+%d)" ai len in
-  let count_alu scalar act =
-    c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-    if scalar then c.Counters.salu <- c.Counters.salu + 1
-    else begin
-      c.Counters.valu_warp <- c.Counters.valu_warp + 1;
-      c.Counters.valu_thread <- c.Counters.valu_thread + act
-    end
-  in
-  (* ---- hand-inlined vector loops ----
-     The operand fetches and arithmetic are spelled out per lane so
-     every int64/float intermediate stays unboxed (this module is built
-     without flambda: cross-function float/int64 values are boxed, and
-     a boxed-integer [let] is only unboxed when every producing branch
-     is itself unboxable - hence the [Int64.logor k 0L] on the
-     constant/symbol branches, a no-op that keeps the binding
-     eligible). *)
-  (* Uniform operands (scalar regs, constants, symbols) are fetched
-     once per instruction, not per lane: the loops below write only
-     vector registers, so uniforms cannot change mid-instruction.
-     Vector operands reduce to a precomputed byte offset, removing the
-     per-lane variant dispatch and [r * lanes] multiply. The [act > 0]
-     guards keep the no-active-lane case free of side effects (the old
-     per-lane code never ran its body then, including uniform traps). *)
-  let ibin_vec (op : Tcode.ibinop) bits (rd : int) a a2 (act : int) =
-    if act > 0 then begin
-    let sh = if bits >= 64 then 0 else 64 - bits in
-    let shm = bits - 1 in
-    let lshr_mask =
-      if bits = 64 then -1L else Int64.sub (Int64.shift_left 1L bits) 1L
-    in
-    let xv = match a with Tcode.IV _ -> true | _ -> false in
-    let xoff = match a with Tcode.IV r -> (r * lanes) lsl 3 | _ -> 0 in
-    let xk =
-      match a with
-      | Tcode.IV _ -> 0L
-      | Tcode.IS r -> b_get64u bsi (r lsl 3)
-      | Tcode.IK k -> Int64.logor k 0L
-      | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-    in
-    let yv = match a2 with Tcode.IV _ -> true | _ -> false in
-    let yoff = match a2 with Tcode.IV r -> (r * lanes) lsl 3 | _ -> 0 in
-    let yk =
-      match a2 with
-      | Tcode.IV _ -> 0L
-      | Tcode.IS r -> b_get64u bsi (r lsl 3)
-      | Tcode.IK k -> Int64.logor k 0L
-      | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-    in
-    let doff = (rd * lanes) lsl 3 in
-    for j = 0 to act - 1 do
-      let l = Array.unsafe_get blanes j in
-      begin
-        let x0 =
-          if xv then b_get64u bvi (xoff + (l lsl 3)) else Int64.logor xk 0L
-        in
-        let y0 =
-          if yv then b_get64u bvi (yoff + (l lsl 3)) else Int64.logor yk 0L
-        in
-        let x = Int64.shift_right (Int64.shift_left x0 sh) sh in
-        let y = Int64.shift_right (Int64.shift_left y0 sh) sh in
-        let r =
-          match op with
-          | Tcode.BAdd -> Int64.add x y
-          | Tcode.BSub -> Int64.sub x y
-          | Tcode.BMul -> Int64.mul x y
-          | Tcode.BSDiv -> if y = 0L then 0L else Int64.div x y
-          | Tcode.BSRem -> if y = 0L then 0L else Int64.rem x y
-          | Tcode.BAnd -> Int64.logand x y
-          | Tcode.BOr -> Int64.logor x y
-          | Tcode.BXor -> Int64.logxor x y
-          | Tcode.BShl -> Int64.shift_left x (Int64.to_int y land shm)
-          | Tcode.BLShr ->
-              Int64.shift_right_logical (Int64.logand x lshr_mask)
-                (Int64.to_int y land shm)
-          | Tcode.BAShr -> Int64.shift_right x (Int64.to_int y land shm)
-          | Tcode.BSMin -> if x <= y then x else y
-          | Tcode.BSMax -> if x >= y then x else y
-        in
-        b_set64u bvi (doff + (l lsl 3))
-          (Int64.shift_right (Int64.shift_left r sh) sh)
-      end
-    done
-    end
-  in
-  let fbin_vec (op : Tcode.fbinop) r32 (rd : int) a a2 (act : int) =
-    if act > 0 then begin
-    let xv = match a with Tcode.FV _ -> true | _ -> false in
-    let xoff = match a with Tcode.FV r -> r * lanes | _ -> 0 in
-    let xk =
-      match a with
-      | Tcode.FV _ -> 0.0
-      | Tcode.FS r -> bsf.(r)
-      | Tcode.FK k -> k
-      | Tcode.FBad -> raise (Trap "float read of symbol")
-    in
-    let yv = match a2 with Tcode.FV _ -> true | _ -> false in
-    let yoff = match a2 with Tcode.FV r -> r * lanes | _ -> 0 in
-    let yk =
-      match a2 with
-      | Tcode.FV _ -> 0.0
-      | Tcode.FS r -> bsf.(r)
-      | Tcode.FK k -> k
-      | Tcode.FBad -> raise (Trap "float read of symbol")
-    in
-    let doff = rd * lanes in
-    for j = 0 to act - 1 do
-      let l = Array.unsafe_get blanes j in
-      begin
-        let x = if xv then Array.unsafe_get bvf (xoff + l) else xk in
-        let y = if yv then Array.unsafe_get bvf (yoff + l) else yk in
-        let v =
-          match op with
-          | Tcode.BFAdd -> x +. y
-          | Tcode.BFSub -> x -. y
-          | Tcode.BFMul -> x *. y
-          | Tcode.BFDiv -> x /. y
-          | Tcode.BFRem -> Float.rem x y
-          | Tcode.BFMin -> if x <= y then x else y
-          | Tcode.BFMax -> if x >= y then x else y
-        in
-        Array.unsafe_set bvf (doff + l)
-          (if r32 then Int32.float_of_bits (Int32.bits_of_float v) else v)
-      end
-    done
-    end
-  in
-  let icmp_vec (op : Ops.cmpop) bits (rd : int) a a2 (act : int) =
-    if act > 0 then begin
-    let sh = if bits >= 64 then 0 else 64 - bits in
-    let xv = match a with Tcode.IV _ -> true | _ -> false in
-    let xoff = match a with Tcode.IV r -> (r * lanes) lsl 3 | _ -> 0 in
-    let xk =
-      match a with
-      | Tcode.IV _ -> 0L
-      | Tcode.IS r -> b_get64u bsi (r lsl 3)
-      | Tcode.IK k -> Int64.logor k 0L
-      | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-    in
-    let yv = match a2 with Tcode.IV _ -> true | _ -> false in
-    let yoff = match a2 with Tcode.IV r -> (r * lanes) lsl 3 | _ -> 0 in
-    let yk =
-      match a2 with
-      | Tcode.IV _ -> 0L
-      | Tcode.IS r -> b_get64u bsi (r lsl 3)
-      | Tcode.IK k -> Int64.logor k 0L
-      | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-    in
-    let doff = (rd * lanes) lsl 3 in
-    for j = 0 to act - 1 do
-      let l = Array.unsafe_get blanes j in
-      begin
-        let x0 =
-          if xv then b_get64u bvi (xoff + (l lsl 3)) else Int64.logor xk 0L
-        in
-        let y0 =
-          if yv then b_get64u bvi (yoff + (l lsl 3)) else Int64.logor yk 0L
-        in
-        let x = Int64.shift_right (Int64.shift_left x0 sh) sh in
-        let y = Int64.shift_right (Int64.shift_left y0 sh) sh in
-        let cres =
-          match op with
-          | Ops.CEq -> x = y
-          | Ops.CNe -> x <> y
-          | Ops.CLt -> x < y
-          | Ops.CLe -> x <= y
-          | Ops.CGt -> x > y
-          | Ops.CGe -> x >= y
-        in
-        b_set64u bvi (doff + (l lsl 3)) (if cres then 1L else 0L)
-      end
-    done
-    end
-  in
-  let fcmp_vec (op : Ops.cmpop) (rd : int) a a2 (act : int) =
-    if act > 0 then begin
-    let xv = match a with Tcode.FV _ -> true | _ -> false in
-    let xoff = match a with Tcode.FV r -> r * lanes | _ -> 0 in
-    let xk =
-      match a with
-      | Tcode.FV _ -> 0.0
-      | Tcode.FS r -> bsf.(r)
-      | Tcode.FK k -> k
-      | Tcode.FBad -> raise (Trap "float read of symbol")
-    in
-    let yv = match a2 with Tcode.FV _ -> true | _ -> false in
-    let yoff = match a2 with Tcode.FV r -> r * lanes | _ -> 0 in
-    let yk =
-      match a2 with
-      | Tcode.FV _ -> 0.0
-      | Tcode.FS r -> bsf.(r)
-      | Tcode.FK k -> k
-      | Tcode.FBad -> raise (Trap "float read of symbol")
-    in
-    let doff = (rd * lanes) lsl 3 in
-    for j = 0 to act - 1 do
-      let l = Array.unsafe_get blanes j in
-      begin
-        let x = if xv then Array.unsafe_get bvf (xoff + l) else xk in
-        let y = if yv then Array.unsafe_get bvf (yoff + l) else yk in
-        let cres =
-          match op with
-          | Ops.CEq -> x = y
-          | Ops.CNe -> x <> y
-          | Ops.CLt -> x < y
-          | Ops.CLe -> x <= y
-          | Ops.CGt -> x > y
-          | Ops.CGe -> x >= y
-        in
-        b_set64u bvi (doff + (l lsl 3)) (if cres then 1L else 0L)
-      end
-    done
-    end
-  in
-  (* ---- dispatch ---- *)
-  let exec_instr (ti : Tcode.tinstr) (act : int) =
-    match ti with
-    | Tcode.TIBin (op, bits, d, a, a2) -> (
-        count_alu (is_scalar d) act;
-        match d with
-        | Tcode.DS _ -> dst_i d 0 (ibin op bits (src_i a 0) (src_i a2 0))
-        | Tcode.DV rd -> ibin_vec op bits rd a a2 act)
-    | Tcode.TIBinLong (op, bits, d, a, a2) -> (
-        count_alu (is_scalar d) act;
-        c.Counters.math_warp <- c.Counters.math_warp + 1;
-        match d with
-        | Tcode.DS _ -> dst_i d 0 (ibin op bits (src_i a 0) (src_i a2 0))
-        | Tcode.DV rd -> ibin_vec op bits rd a a2 act)
-    | Tcode.TFBin (op, r32, d, a, a2) -> (
-        count_alu (is_scalar d) act;
-        match d with
-        | Tcode.DS _ ->
-            let v = fbin op (src_f a 0) (src_f a2 0) in
-            dst_f d 0 (if r32 then Util.to_f32 v else v)
-        | Tcode.DV rd -> fbin_vec op r32 rd a a2 act)
-    | Tcode.TFBinLong (op, r32, d, a, a2) -> (
-        count_alu (is_scalar d) act;
-        c.Counters.math_warp <- c.Counters.math_warp + 1;
-        match d with
-        | Tcode.DS _ ->
-            let v = fbin op (src_f a 0) (src_f a2 0) in
-            dst_f d 0 (if r32 then Util.to_f32 v else v)
-        | Tcode.DV rd -> fbin_vec op r32 rd a a2 act)
-    | Tcode.TICmp (op, bits, d, a, a2) -> (
-        count_alu (is_scalar d) act;
-        match d with
-        | Tcode.DS _ ->
-            dst_i d 0
-              (if
-                 icmp op
-                   (Konst.norm_int (src_i a 0) bits)
-                   (Konst.norm_int (src_i a2 0) bits)
-               then 1L
-               else 0L)
-        | Tcode.DV rd -> icmp_vec op bits rd a a2 act)
-    | Tcode.TFCmp (op, d, a, a2) -> (
-        count_alu (is_scalar d) act;
-        match d with
-        | Tcode.DS _ -> dst_i d 0 (if fcmp op (src_f a 0) (src_f a2 0) then 1L else 0L)
-        | Tcode.DV rd -> fcmp_vec op rd a a2 act)
-    | Tcode.TSelI (d, cnd, a, a2) -> (
-        count_alu (is_scalar d) act;
-        match d with
-        | Tcode.DS _ ->
-            dst_i d 0
-              (if not (Int64.equal (src_i cnd 0) 0L) then src_i a 0 else src_i a2 0)
-        | Tcode.DV rd ->
-            for j = 0 to act - 1 do
-              let l = Array.unsafe_get blanes j in
-              begin
-                let cv =
-                  match cnd with
-                  | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                  | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                  | Tcode.IK k -> Int64.logor k 0L
-                  | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-                in
-                let v =
-                  if cv <> 0L then
-                    match a with
-                    | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                    | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                    | Tcode.IK k -> Int64.logor k 0L
-                    | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-                  else
-                    match a2 with
-                    | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                    | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                    | Tcode.IK k -> Int64.logor k 0L
-                    | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-                in
-                b_set64u bvi (((rd * lanes) + l) lsl 3) v
-              end
-            done)
-    | Tcode.TSelF (d, cnd, a, a2) -> (
-        count_alu (is_scalar d) act;
-        match d with
-        | Tcode.DS _ ->
-            dst_f d 0
-              (if not (Int64.equal (src_i cnd 0) 0L) then src_f a 0 else src_f a2 0)
-        | Tcode.DV rd ->
-            for j = 0 to act - 1 do
-              let l = Array.unsafe_get blanes j in
-              begin
-                let cv =
-                  match cnd with
-                  | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                  | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                  | Tcode.IK k -> Int64.logor k 0L
-                  | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-                in
-                let v =
-                  if cv <> 0L then
-                    match a with
-                    | Tcode.FV r -> bvf.((r * lanes) + l)
-                    | Tcode.FS r -> bsf.(r)
-                    | Tcode.FK k -> k
-                    | Tcode.FBad -> raise (Trap "float read of symbol")
-                  else
-                    match a2 with
-                    | Tcode.FV r -> bvf.((r * lanes) + l)
-                    | Tcode.FS r -> bsf.(r)
-                    | Tcode.FK k -> k
-                    | Tcode.FBad -> raise (Trap "float read of symbol")
-                in
-                bvf.((rd * lanes) + l) <- v
-              end
-            done)
-    | Tcode.TCast (cast, d, ia, fa) -> (
-        count_alu (is_scalar d) act;
-        match d with
-        | Tcode.DS _ -> (
-            match cast with
-            | Tcode.CSiToFp (sbits, r32) ->
-                let v = Int64.to_float (Konst.norm_int (src_i ia 0) sbits) in
-                dst_f d 0 (if r32 then Util.to_f32 v else v)
-            | Tcode.CFpToSi dbits ->
-                dst_i d 0 (Konst.norm_int (Int64.of_float (src_f fa 0)) dbits)
-            | Tcode.CFpExt -> dst_f d 0 (src_f fa 0)
-            | Tcode.CFpTrunc -> dst_f d 0 (Util.to_f32 (src_f fa 0))
-            | Tcode.CZext (sbits, dbits) ->
-                let v = src_i ia 0 in
-                let v =
-                  if sbits >= 64 then v
-                  else Int64.logand v (Int64.sub (Int64.shift_left 1L sbits) 1L)
-                in
-                dst_i d 0 (Konst.norm_int v dbits)
-            | Tcode.CSext (sbits, dbits) ->
-                dst_i d 0 (Konst.norm_int (Konst.norm_int (src_i ia 0) sbits) dbits)
-            | Tcode.CTrunc dbits -> dst_i d 0 (Konst.norm_int (src_i ia 0) dbits)
-            | Tcode.CBitFF -> dst_f d 0 (src_f fa 0)
-            | Tcode.CBitIF -> dst_f d 0 (Int64.float_of_bits (src_i ia 0))
-            | Tcode.CBitFI -> dst_i d 0 (Int64.bits_of_float (src_f fa 0))
-            | Tcode.CBitII -> dst_i d 0 (src_i ia 0))
-        | Tcode.DV rd ->
-            for j = 0 to act - 1 do
-              let l = Array.unsafe_get blanes j in
-              begin
-                match cast with
-                | Tcode.CSiToFp (sbits, r32) ->
-                    let sh = if sbits >= 64 then 0 else 64 - sbits in
-                    let x0 =
-                      match ia with
-                      | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                      | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                      | Tcode.IK k -> Int64.logor k 0L
-                      | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-                    in
-                    let v =
-                      Int64.to_float (Int64.shift_right (Int64.shift_left x0 sh) sh)
-                    in
-                    bvf.((rd * lanes) + l) <-
-                      (if r32 then Int32.float_of_bits (Int32.bits_of_float v) else v)
-                | Tcode.CFpToSi dbits ->
-                    let sh = if dbits >= 64 then 0 else 64 - dbits in
-                    let x =
-                      match fa with
-                      | Tcode.FV r -> bvf.((r * lanes) + l)
-                      | Tcode.FS r -> bsf.(r)
-                      | Tcode.FK k -> k
-                      | Tcode.FBad -> raise (Trap "float read of symbol")
-                    in
-                    b_set64u bvi (((rd * lanes) + l) lsl 3)
-                      (Int64.shift_right (Int64.shift_left (Int64.of_float x) sh) sh)
-                | Tcode.CFpExt | Tcode.CBitFF ->
-                    bvf.((rd * lanes) + l) <-
-                      (match fa with
-                      | Tcode.FV r -> bvf.((r * lanes) + l)
-                      | Tcode.FS r -> bsf.(r)
-                      | Tcode.FK k -> k
-                      | Tcode.FBad -> raise (Trap "float read of symbol"))
-                | Tcode.CFpTrunc ->
-                    let x =
-                      match fa with
-                      | Tcode.FV r -> bvf.((r * lanes) + l)
-                      | Tcode.FS r -> bsf.(r)
-                      | Tcode.FK k -> k
-                      | Tcode.FBad -> raise (Trap "float read of symbol")
-                    in
-                    bvf.((rd * lanes) + l) <- Int32.float_of_bits (Int32.bits_of_float x)
-                | Tcode.CZext (sbits, dbits) ->
-                    let zmask =
-                      if sbits >= 64 then -1L
-                      else Int64.sub (Int64.shift_left 1L sbits) 1L
-                    in
-                    let dsh = if dbits >= 64 then 0 else 64 - dbits in
-                    let x0 =
-                      match ia with
-                      | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                      | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                      | Tcode.IK k -> Int64.logor k 0L
-                      | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-                    in
-                    let x = Int64.logand x0 zmask in
-                    b_set64u bvi (((rd * lanes) + l) lsl 3)
-                      (Int64.shift_right (Int64.shift_left x dsh) dsh)
-                | Tcode.CSext (sbits, dbits) ->
-                    let ssh = if sbits >= 64 then 0 else 64 - sbits in
-                    let dsh = if dbits >= 64 then 0 else 64 - dbits in
-                    let x0 =
-                      match ia with
-                      | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                      | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                      | Tcode.IK k -> Int64.logor k 0L
-                      | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-                    in
-                    let x = Int64.shift_right (Int64.shift_left x0 ssh) ssh in
-                    b_set64u bvi (((rd * lanes) + l) lsl 3)
-                      (Int64.shift_right (Int64.shift_left x dsh) dsh)
-                | Tcode.CTrunc dbits ->
-                    let dsh = if dbits >= 64 then 0 else 64 - dbits in
-                    let x0 =
-                      match ia with
-                      | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                      | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                      | Tcode.IK k -> Int64.logor k 0L
-                      | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-                    in
-                    b_set64u bvi (((rd * lanes) + l) lsl 3)
-                      (Int64.shift_right (Int64.shift_left x0 dsh) dsh)
-                | Tcode.CBitIF ->
-                    let x0 =
-                      match ia with
-                      | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                      | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                      | Tcode.IK k -> Int64.logor k 0L
-                      | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-                    in
-                    bvf.((rd * lanes) + l) <- Int64.float_of_bits x0
-                | Tcode.CBitFI ->
-                    let x =
-                      match fa with
-                      | Tcode.FV r -> bvf.((r * lanes) + l)
-                      | Tcode.FS r -> bsf.(r)
-                      | Tcode.FK k -> k
-                      | Tcode.FBad -> raise (Trap "float read of symbol")
-                    in
-                    b_set64u bvi (((rd * lanes) + l) lsl 3) (Int64.bits_of_float x)
-                | Tcode.CBitII ->
-                    let x0 =
-                      match ia with
-                      | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                      | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                      | Tcode.IK k -> Int64.logor k 0L
-                      | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-                    in
-                    b_set64u bvi (((rd * lanes) + l) lsl 3) x0
-              end
-            done)
-    | Tcode.TMovI (d, a) -> (
-        count_alu (is_scalar d) act;
-        match d with
-        | Tcode.DS _ -> dst_i d 0 (src_i a 0)
-        | Tcode.DV rd ->
-            for j = 0 to act - 1 do
-              let l = Array.unsafe_get blanes j in
-                b_set64u bvi
-                  (((rd * lanes) + l) lsl 3)
-                  (match a with
-                  | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                  | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                  | Tcode.IK k -> Int64.logor k 0L
-                  | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L)
-            done)
-    | Tcode.TMovF (d, a) -> (
-        count_alu (is_scalar d) act;
-        match d with
-        | Tcode.DS _ -> dst_f d 0 (src_f a 0)
-        | Tcode.DV rd ->
-            for j = 0 to act - 1 do
-              let l = Array.unsafe_get blanes j in
-                bvf.((rd * lanes) + l) <-
-                  (match a with
-                  | Tcode.FV r -> bvf.((r * lanes) + l)
-                  | Tcode.FS r -> bsf.(r)
-                  | Tcode.FK k -> k
-                  | Tcode.FBad -> raise (Trap "float read of symbol"))
-            done)
-    | Tcode.TLd (space, mty, d, pa, site) -> (
-        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-        match d with
-        | Tcode.DS _ -> (
-            (* uniform scalar fetch *)
-            c.Counters.smem <- c.Counters.smem + 1;
-            let addr = src_i pa 0 in
-            touch_one (Int64.to_int addr);
-            if profiling then record_site site act;
-            match mty with
-            | Tcode.MBool -> dst_i d 0 (if Gmem.read_u8 mem addr <> 0 then 1L else 0L)
-            | Tcode.MI8 ->
-                dst_i d 0 (Konst.norm_int (Int64.of_int (Gmem.read_u8 mem addr)) 8)
-            | Tcode.MI32 -> dst_i d 0 (Int64.of_int32 (Gmem.read_i32 mem addr))
-            | Tcode.MI64 -> dst_i d 0 (Gmem.read_i64 mem addr)
-            | Tcode.MF32 -> dst_f d 0 (Gmem.read_f32 mem addr)
-            | Tcode.MF64 -> dst_f d 0 (Gmem.read_f64 mem addr)
-            | Tcode.MNone t -> Util.failf "Gmem.read: cannot read %s" t)
-        | Tcode.DV rd ->
-            c.Counters.vmem_warp <- c.Counters.vmem_warp + 1;
-            c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
-            if space = Mach.SScratch then
-              c.Counters.scratch_ld <- c.Counters.scratch_ld + 1;
-            nref := 0;
-            for j = 0 to act - 1 do
-              let l = Array.unsafe_get blanes j in
-              begin
-                let ai =
-                  Int64.to_int
-                    (match pa with
-                    | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                    | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                    | Tcode.IK k -> Int64.logor k 0L
-                    | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L)
-                in
-                babuf.(!nref) <- ai;
-                incr nref;
-                match mty with
-                | Tcode.MBool ->
-                    if ai <= 0 || ai + 1 > dlen then oob ai 1;
-                    b_set64u bvi
-                      (((rd * lanes) + l) lsl 3)
-                      (if Bytes.get data ai <> '\000' then 1L else 0L)
-                | Tcode.MI8 ->
-                    if ai <= 0 || ai + 1 > dlen then oob ai 1;
-                    let v = Char.code (Bytes.get data ai) in
-                    b_set64u bvi
-                      (((rd * lanes) + l) lsl 3)
-                      (Int64.of_int ((v lsl 55) asr 55))
-                | Tcode.MI32 ->
-                    if ai <= 0 || ai + 4 > dlen then oob ai 4;
-                    b_set64u bvi
-                      (((rd * lanes) + l) lsl 3)
-                      (Int64.of_int32 (le_get32u data ai))
-                | Tcode.MI64 ->
-                    if ai <= 0 || ai + 8 > dlen then oob ai 8;
-                    b_set64u bvi (((rd * lanes) + l) lsl 3) (le_get64u data ai)
-                | Tcode.MF32 ->
-                    if ai <= 0 || ai + 4 > dlen then oob ai 4;
-                    bvf.((rd * lanes) + l) <- Int32.float_of_bits (le_get32u data ai)
-                | Tcode.MF64 ->
-                    if ai <= 0 || ai + 8 > dlen then oob ai 8;
-                    bvf.((rd * lanes) + l) <- Int64.float_of_bits (le_get64u data ai)
-                | Tcode.MNone t -> Util.failf "Gmem.read: cannot read %s" t
-              end
-            done;
-            touch_collected !nref;
-            if profiling then record_site site act)
-    | Tcode.TSt (space, mty, iv, fv, pa, site) ->
-        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-        c.Counters.vmem_warp <- c.Counters.vmem_warp + 1;
-        c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
-        if space = Mach.SScratch then c.Counters.scratch_st <- c.Counters.scratch_st + 1;
-        nref := 0;
-        for j = 0 to act - 1 do
-          let l = Array.unsafe_get blanes j in
-          begin
-            let ai =
-              Int64.to_int
-                (match pa with
-                | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                | Tcode.IK k -> Int64.logor k 0L
-                | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L)
-            in
-            babuf.(!nref) <- ai;
-            incr nref;
-            match mty with
-            | Tcode.MBool ->
-                if ai <= 0 || ai + 1 > dlen then oob ai 1;
-                let v =
-                  match iv with
-                  | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                  | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                  | Tcode.IK k -> Int64.logor k 0L
-                  | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-                in
-                Bytes.set data ai (if Int64.logand v 1L = 0L then '\000' else '\001')
-            | Tcode.MI8 ->
-                if ai <= 0 || ai + 1 > dlen then oob ai 1;
-                let v =
-                  match iv with
-                  | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                  | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                  | Tcode.IK k -> Int64.logor k 0L
-                  | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-                in
-                Bytes.set data ai (Char.unsafe_chr (Int64.to_int v land 0xff))
-            | Tcode.MI32 ->
-                if ai <= 0 || ai + 4 > dlen then oob ai 4;
-                le_set32u data ai
-                  (Int64.to_int32
-                     (match iv with
-                     | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                     | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                     | Tcode.IK k -> Int64.logor k 0L
-                     | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L))
-            | Tcode.MI64 ->
-                if ai <= 0 || ai + 8 > dlen then oob ai 8;
-                le_set64u data ai
-                  (match iv with
-                  | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                  | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                  | Tcode.IK k -> Int64.logor k 0L
-                  | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L)
-            | Tcode.MF32 ->
-                if ai <= 0 || ai + 4 > dlen then oob ai 4;
-                le_set32u data ai
-                  (Int32.bits_of_float
-                     (match fv with
-                     | Tcode.FV r -> bvf.((r * lanes) + l)
-                     | Tcode.FS r -> bsf.(r)
-                     | Tcode.FK k -> k
-                     | Tcode.FBad -> raise (Trap "float read of symbol")))
-            | Tcode.MF64 ->
-                if ai <= 0 || ai + 8 > dlen then oob ai 8;
-                le_set64u data ai
-                  (Int64.bits_of_float
-                     (match fv with
-                     | Tcode.FV r -> bvf.((r * lanes) + l)
-                     | Tcode.FS r -> bsf.(r)
-                     | Tcode.FK k -> k
-                     | Tcode.FBad -> raise (Trap "float read of symbol")))
-            | Tcode.MNone t ->
-                (* Refexec reads the value, then fails sizing the type *)
-                ignore (src_i iv l);
-                Util.failf "Exec.ibits_of: %s" t
-          end
-        done;
-        touch_collected !nref;
-        if profiling then record_site site act
-    | Tcode.TQuery (q, d) -> (
-        count_alu (is_scalar d) act;
-        match d with
-        | Tcode.DS _ -> dst_i d 0 (Int64.of_int (query_int q 0))
-        | Tcode.DV rd ->
-            for j = 0 to act - 1 do
-              let l = Array.unsafe_get blanes j in
-                b_set64u bvi (((rd * lanes) + l) lsl 3) (Int64.of_int (query_int q l))
-            done)
-    | Tcode.TMath1 (op, r32, d, a) -> (
-        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-        c.Counters.math_warp <- c.Counters.math_warp + 1;
-        if not (is_scalar d) then c.Counters.valu_thread <- c.Counters.valu_thread + act;
-        match d with
-        | Tcode.DS _ ->
-            let v = math1_eval op (src_f a 0) in
-            dst_f d 0 (if r32 then Util.to_f32 v else v)
-        | Tcode.DV rd ->
-            for j = 0 to act - 1 do
-              let l = Array.unsafe_get blanes j in
-              begin
-                let x =
-                  match a with
-                  | Tcode.FV r -> bvf.((r * lanes) + l)
-                  | Tcode.FS r -> bsf.(r)
-                  | Tcode.FK k -> k
-                  | Tcode.FBad -> raise (Trap "float read of symbol")
-                in
-                let v =
-                  match op with
-                  | Tcode.M1Sqrt -> sqrt x
-                  | Tcode.M1Rsqrt -> 1.0 /. sqrt x
-                  | Tcode.M1Exp -> exp x
-                  | Tcode.M1Log -> log x
-                  | Tcode.M1Sin -> sin x
-                  | Tcode.M1Cos -> cos x
-                  | Tcode.M1Fabs -> Float.abs x
-                  | Tcode.M1Floor -> Float.floor x
-                  | Tcode.M1Ceil -> Float.ceil x
-                  | Tcode.M1Tanh -> tanh x
-                  | Tcode.M1Gen n -> Ir.Intrinsics.eval_math_unary n x
-                in
-                bvf.((rd * lanes) + l) <-
-                  (if r32 then Int32.float_of_bits (Int32.bits_of_float v) else v)
-              end
-            done)
-    | Tcode.TMath2 (op, r32, d, a, a2) -> (
-        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-        c.Counters.math_warp <- c.Counters.math_warp + 1;
-        if not (is_scalar d) then c.Counters.valu_thread <- c.Counters.valu_thread + act;
-        match d with
-        | Tcode.DS _ ->
-            let v = math2_eval op (src_f a 0) (src_f a2 0) in
-            dst_f d 0 (if r32 then Util.to_f32 v else v)
-        | Tcode.DV rd ->
-            for j = 0 to act - 1 do
-              let l = Array.unsafe_get blanes j in
-              begin
-                let x =
-                  match a with
-                  | Tcode.FV r -> bvf.((r * lanes) + l)
-                  | Tcode.FS r -> bsf.(r)
-                  | Tcode.FK k -> k
-                  | Tcode.FBad -> raise (Trap "float read of symbol")
-                in
-                let y =
-                  match a2 with
-                  | Tcode.FV r -> bvf.((r * lanes) + l)
-                  | Tcode.FS r -> bsf.(r)
-                  | Tcode.FK k -> k
-                  | Tcode.FBad -> raise (Trap "float read of symbol")
-                in
-                let v =
-                  match op with
-                  | Tcode.M2Pow -> Float.pow x y
-                  | Tcode.M2Atan2 -> Float.atan2 x y
-                  | Tcode.M2Gen n -> Ir.Intrinsics.eval_math_binary n x y
-                in
-                bvf.((rd * lanes) + l) <-
-                  (if r32 then Int32.float_of_bits (Int32.bits_of_float v) else v)
-              end
-            done)
-    | Tcode.TFma (r32, d, a, a2, a3) -> (
-        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-        c.Counters.math_warp <- c.Counters.math_warp + 1;
-        if not (is_scalar d) then c.Counters.valu_thread <- c.Counters.valu_thread + act;
-        match d with
-        | Tcode.DS _ ->
-            let v = (src_f a 0 *. src_f a2 0) +. src_f a3 0 in
-            dst_f d 0 (if r32 then Util.to_f32 v else v)
-        | Tcode.DV rd ->
-            for j = 0 to act - 1 do
-              let l = Array.unsafe_get blanes j in
-              begin
-                let x =
-                  match a with
-                  | Tcode.FV r -> bvf.((r * lanes) + l)
-                  | Tcode.FS r -> bsf.(r)
-                  | Tcode.FK k -> k
-                  | Tcode.FBad -> raise (Trap "float read of symbol")
-                in
-                let y =
-                  match a2 with
-                  | Tcode.FV r -> bvf.((r * lanes) + l)
-                  | Tcode.FS r -> bsf.(r)
-                  | Tcode.FK k -> k
-                  | Tcode.FBad -> raise (Trap "float read of symbol")
-                in
-                let z =
-                  match a3 with
-                  | Tcode.FV r -> bvf.((r * lanes) + l)
-                  | Tcode.FS r -> bsf.(r)
-                  | Tcode.FK k -> k
-                  | Tcode.FBad -> raise (Trap "float read of symbol")
-                in
-                let v = (x *. y) +. z in
-                bvf.((rd * lanes) + l) <-
-                  (if r32 then Int32.float_of_bits (Int32.bits_of_float v) else v)
-              end
-            done)
-    | Tcode.TAtomic (kind, dst, pa, iv, fv, site) ->
-        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-        c.Counters.atomics <- c.Counters.atomics + 1;
-        c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
-        nref := 0;
-        for j = 0 to act - 1 do
-          let l = Array.unsafe_get blanes j in
-          begin
-            let ai =
-              Int64.to_int
-                (match pa with
-                | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                | Tcode.IK k -> Int64.logor k 0L
-                | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L)
-            in
-            babuf.(!nref) <- ai;
-            incr nref;
-            match kind with
-            | Tcode.AAddF32 ->
-                if ai <= 0 || ai + 4 > dlen then oob ai 4;
-                let old = Int32.float_of_bits (le_get32u data ai) in
-                let v =
-                  match fv with
-                  | Tcode.FV r -> bvf.((r * lanes) + l)
-                  | Tcode.FS r -> bsf.(r)
-                  | Tcode.FK k -> k
-                  | Tcode.FBad -> raise (Trap "float read of symbol")
-                in
-                le_set32u data ai (Int32.bits_of_float (old +. v));
-                (match dst with
-                | Some (Tcode.DV r) -> bvf.((r * lanes) + l) <- old
-                | Some (Tcode.DS r) -> bsf.(r) <- old
-                | None -> ())
-            | Tcode.AAddF64 ->
-                if ai <= 0 || ai + 8 > dlen then oob ai 8;
-                let old = Int64.float_of_bits (le_get64u data ai) in
-                let v =
-                  match fv with
-                  | Tcode.FV r -> bvf.((r * lanes) + l)
-                  | Tcode.FS r -> bsf.(r)
-                  | Tcode.FK k -> k
-                  | Tcode.FBad -> raise (Trap "float read of symbol")
-                in
-                le_set64u data ai (Int64.bits_of_float (old +. v));
-                (match dst with
-                | Some (Tcode.DV r) -> bvf.((r * lanes) + l) <- old
-                | Some (Tcode.DS r) -> bsf.(r) <- old
-                | None -> ())
-            | Tcode.AAddI32 ->
-                if ai <= 0 || ai + 4 > dlen then oob ai 4;
-                let old = le_get32u data ai in
-                let v =
-                  match iv with
-                  | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                  | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                  | Tcode.IK k -> Int64.logor k 0L
-                  | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-                in
-                le_set32u data ai (Int32.add old (Int64.to_int32 v));
-                (match dst with
-                | Some (Tcode.DV r) ->
-                    b_set64u bvi (((r * lanes) + l) lsl 3) (Int64.of_int32 old)
-                | Some (Tcode.DS r) -> b_set64u bsi (r lsl 3) (Int64.of_int32 old)
-                | None -> ())
-          end
-        done;
-        touch_collected !nref;
-        if profiling then record_site site act
-    | Tcode.TBarrier -> c.Counters.warp_instrs <- c.Counters.warp_instrs + 1
-    | Tcode.TFrame (d, off) ->
-        count_alu (is_scalar d) act;
-        let s0 = !scratch0 in
-        for j = 0 to act - 1 do
-          let l = Array.unsafe_get blanes j in
-          begin
-            let v = Int64.add (Int64.of_int (s0 + (l * frame))) off in
-            match d with
-            | Tcode.DV r -> b_set64u bvi (((r * lanes) + l) lsl 3) v
-            | Tcode.DS r -> b_set64u bsi (r lsl 3) v
-          end
+  | Tcode.BAdd ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (sx (Int64.add (iget bi x xm l) (iget bi y ym l)) sh)
         done
-    | Tcode.TArg (k, d) -> (
+  | Tcode.BSub ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (sx (Int64.sub (iget bi x xm l) (iget bi y ym l)) sh)
+        done
+  | Tcode.BMul ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (sx (Int64.mul (iget bi x xm l) (iget bi y ym l)) sh)
+        done
+  | Tcode.BSDiv ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let a = sx (iget bi x xm l) sh and b = sx (iget bi y ym l) sh in
+          iset bi d l (sx (if b = 0L then 0L else Int64.div a b) sh)
+        done
+  | Tcode.BSRem ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let a = sx (iget bi x xm l) sh and b = sx (iget bi y ym l) sh in
+          iset bi d l (sx (if b = 0L then 0L else Int64.rem a b) sh)
+        done
+  | Tcode.BAnd ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (sx (Int64.logand (iget bi x xm l) (iget bi y ym l)) sh)
+        done
+  | Tcode.BOr ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (sx (Int64.logor (iget bi x xm l) (iget bi y ym l)) sh)
+        done
+  | Tcode.BXor ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (sx (Int64.logxor (iget bi x xm l) (iget bi y ym l)) sh)
+        done
+  | Tcode.BShl ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let s = Int64.to_int (iget bi y ym l) land shm in
+          iset bi d l (sx (Int64.shift_left (iget bi x xm l) s) sh)
+        done
+  | Tcode.BLShr ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let s = Int64.to_int (iget bi y ym l) land shm in
+          iset bi d l
+            (sx (Int64.shift_right_logical (Int64.logand (iget bi x xm l) lmask) s) sh)
+        done
+  | Tcode.BAShr ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let s = Int64.to_int (iget bi y ym l) land shm in
+          iset bi d l (sx (Int64.shift_right (sx (iget bi x xm l) sh) s) sh)
+        done
+  | Tcode.BSMin ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let a = sx (iget bi x xm l) sh and b = sx (iget bi y ym l) sh in
+          iset bi d l (if a <= b then a else b)
+        done
+  | Tcode.BSMax ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let a = sx (iget bi x xm l) sh and b = sx (iget bi y ym l) sh in
+          iset bi d l (if a >= b then a else b)
+        done
+
+let fbin_lanes bf (op : Tcode.fbinop) d x xm y ym : lanes_fn =
+  match op with
+  | Tcode.BFAdd ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (fget bf x xm l +. fget bf y ym l)
+        done
+  | Tcode.BFSub ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (fget bf x xm l -. fget bf y ym l)
+        done
+  | Tcode.BFMul ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (fget bf x xm l *. fget bf y ym l)
+        done
+  | Tcode.BFDiv ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (fget bf x xm l /. fget bf y ym l)
+        done
+  | Tcode.BFRem ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (Float.rem (fget bf x xm l) (fget bf y ym l))
+        done
+  | Tcode.BFMin ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let a = fget bf x xm l and b = fget bf y ym l in
+          fset bf d l (if a <= b then a else b)
+        done
+  | Tcode.BFMax ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let a = fget bf x xm l and b = fget bf y ym l in
+          fset bf d l (if a >= b then a else b)
+        done
+
+let icmp_lanes bi (op : Ops.cmpop) bits d x xm y ym : lanes_fn =
+  let sh = shift_of bits in
+  match op with
+  | Ops.CEq ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (if sx (iget bi x xm l) sh = sx (iget bi y ym l) sh then 1L else 0L)
+        done
+  | Ops.CNe ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (if sx (iget bi x xm l) sh <> sx (iget bi y ym l) sh then 1L else 0L)
+        done
+  | Ops.CLt ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (if sx (iget bi x xm l) sh < sx (iget bi y ym l) sh then 1L else 0L)
+        done
+  | Ops.CLe ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (if sx (iget bi x xm l) sh <= sx (iget bi y ym l) sh then 1L else 0L)
+        done
+  | Ops.CGt ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (if sx (iget bi x xm l) sh > sx (iget bi y ym l) sh then 1L else 0L)
+        done
+  | Ops.CGe ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (if sx (iget bi x xm l) sh >= sx (iget bi y ym l) sh then 1L else 0L)
+        done
+
+let fcmp_lanes bi bf (op : Ops.cmpop) d x xm y ym : lanes_fn =
+  match op with
+  | Ops.CEq ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (if fget bf x xm l = fget bf y ym l then 1L else 0L)
+        done
+  | Ops.CNe ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (if fget bf x xm l <> fget bf y ym l then 1L else 0L)
+        done
+  | Ops.CLt ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (if fget bf x xm l < fget bf y ym l then 1L else 0L)
+        done
+  | Ops.CLe ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (if fget bf x xm l <= fget bf y ym l then 1L else 0L)
+        done
+  | Ops.CGt ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (if fget bf x xm l > fget bf y ym l then 1L else 0L)
+        done
+  | Ops.CGe ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (if fget bf x xm l >= fget bf y ym l then 1L else 0L)
+        done
+
+let movi_lanes bi d x xm : lanes_fn =
+ fun ls n ->
+  for j = 0 to n - 1 do
+    let l = Array.unsafe_get ls j in
+    iset bi d l (iget bi x xm l)
+  done
+
+let movf_lanes bf d x xm : lanes_fn =
+ fun ls n ->
+  for j = 0 to n - 1 do
+    let l = Array.unsafe_get ls j in
+    fset bf d l (fget bf x xm l)
+  done
+
+(* Casts; CSiToFp's and CFpTrunc's f32 rounding is the caller's. *)
+let cast_lanes (b : Tcode.banks) (cast : Tcode.tcast) d x xm : lanes_fn =
+  let bi = b.Tcode.bi and bf = b.Tcode.bf in
+  match cast with
+  | Tcode.CSiToFp (sbits, _) ->
+      let sh = shift_of sbits in
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (Int64.to_float (sx (iget bi x xm l) sh))
+        done
+  | Tcode.CFpToSi dbits ->
+      let sh = shift_of dbits in
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (sx (Int64.of_float (fget bf x xm l)) sh)
+        done
+  | Tcode.CFpExt | Tcode.CFpTrunc | Tcode.CBitFF -> movf_lanes bf d x xm
+  | Tcode.CZext (sbits, dbits) ->
+      let zmask = if sbits >= 64 then -1L else Int64.sub (Int64.shift_left 1L sbits) 1L in
+      let sh = shift_of dbits in
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (sx (Int64.logand (iget bi x xm l) zmask) sh)
+        done
+  | Tcode.CSext (sbits, dbits) ->
+      let ssh = shift_of sbits and dsh = shift_of dbits in
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (sx (sx (iget bi x xm l) ssh) dsh)
+        done
+  | Tcode.CTrunc dbits ->
+      let sh = shift_of dbits in
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (sx (iget bi x xm l) sh)
+        done
+  | Tcode.CBitIF ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (Int64.float_of_bits (iget bi x xm l))
+        done
+  | Tcode.CBitFI ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (Int64.bits_of_float (fget bf x xm l))
+        done
+  | Tcode.CBitII -> movi_lanes bi d x xm
+
+let math1_lanes bf (op : Tcode.math1) d x xm : lanes_fn =
+  match op with
+  | Tcode.M1Sqrt ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (sqrt (fget bf x xm l))
+        done
+  | Tcode.M1Rsqrt ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (1.0 /. sqrt (fget bf x xm l))
+        done
+  | Tcode.M1Exp ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (exp (fget bf x xm l))
+        done
+  | Tcode.M1Log ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (log (fget bf x xm l))
+        done
+  | Tcode.M1Sin ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (sin (fget bf x xm l))
+        done
+  | Tcode.M1Cos ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (cos (fget bf x xm l))
+        done
+  | Tcode.M1Fabs ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (Float.abs (fget bf x xm l))
+        done
+  | Tcode.M1Floor ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (Float.floor (fget bf x xm l))
+        done
+  | Tcode.M1Ceil ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (Float.ceil (fget bf x xm l))
+        done
+  | Tcode.M1Tanh ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (tanh (fget bf x xm l))
+        done
+  | Tcode.M1Gen name ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (Ir.Intrinsics.eval_math_unary name (fget bf x xm l))
+        done
+
+let math2_lanes bf (op : Tcode.math2) d x xm y ym : lanes_fn =
+  match op with
+  | Tcode.M2Pow ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (Float.pow (fget bf x xm l) (fget bf y ym l))
+        done
+  | Tcode.M2Atan2 ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (Float.atan2 (fget bf x xm l) (fget bf y ym l))
+        done
+  | Tcode.M2Gen name ->
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          fset bf d l (Ir.Intrinsics.eval_math_binary name (fget bf x xm l) (fget bf y ym l))
+        done
+
+(* Round to float32 and back through a one-cell float32 array, as
+   [Util.to_f32] does through [Int32.bits_of_float]: the same conversion
+   instructions, but ocamlopt inlines the bigarray access where
+   [Util.to_f32] makes two C calls. *)
+let[@inline] f32_round (c : Tcode.f32cell) (x : float) : float =
+  Bigarray.Array1.unsafe_set c 0 x;
+  Bigarray.Array1.unsafe_get c 0
+
+(* [f], then the destination rounded to f32 through the state's cell *)
+let then_round (b : Tcode.banks) r32 d (f : lanes_fn) : lanes_fn =
+  if not r32 then f
+  else
+    let bf = b.Tcode.bf and c = b.Tcode.f32 in
+    fun ls n ->
+      f ls n;
+      for j = 0 to n - 1 do
+        let l = Array.unsafe_get ls j in
+        fset bf d l (f32_round c (Array.unsafe_get bf (d + l)))
+      done
+
+(* ------------------------------------------------------------------ *)
+(* Operand reads that can fail. A symbol slot fails when resolving it
+   failed this launch; a float read of a symbol ([-1] here) always
+   traps. [check_reads] raises the first failure of a list kept in the
+   reference's read order. *)
+
+(* the [Tcode.banks.serr] entry of a resolved symbol slot *)
+exception Resolved
+
+let iread = function Tcode.IG g -> [ g ] | Tcode.IV _ | Tcode.IS _ | Tcode.IK _ -> []
+let fread = function Tcode.FBad -> [ -1 ] | Tcode.FV _ | Tcode.FS _ | Tcode.FK _ -> []
+
+let rec check_reads (serr : exn array) = function
+  | [] -> ()
+  | g :: rest ->
+      if g < 0 then raise (Trap "float read of symbol");
+      let e = Array.unsafe_get serr g in
+      if e != Resolved then raise e;
+      check_reads serr rest
+
+(* [k], after the operand reads [reads] that can fail *)
+let guard (b : Tcode.banks) reads (k : int -> unit) : int -> unit =
+  match reads with
+  | [] -> k
+  | _ ->
+      let serr = b.Tcode.serr in
+      fun act ->
+        check_reads serr reads;
+        k act
+
+(* Counted ALU instructions: [f] on the active lanes, or on lane 0 for
+   a scalar destination. [long] is the long-latency pipe (divisions). *)
+let alu (b : Tcode.banks) (wl : Tcode.wlaunch) (d : Tcode.tdst) ~long (f : lanes_fn) :
+    int -> unit =
+  match d with
+  | Tcode.DS _ ->
+      fun _ ->
+        let c = wl.Tcode.ctr in
+        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
+        c.Counters.salu <- c.Counters.salu + 1;
+        if long then c.Counters.math_warp <- c.Counters.math_warp + 1;
+        f lane0 1
+  | Tcode.DV _ ->
+      let ls = b.Tcode.act in
+      fun act ->
+        let c = wl.Tcode.ctr in
+        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
+        c.Counters.valu_warp <- c.Counters.valu_warp + 1;
+        c.Counters.valu_thread <- c.Counters.valu_thread + act;
+        if long then c.Counters.math_warp <- c.Counters.math_warp + 1;
+        f ls act
+
+(* Transcendentals and fma issue on the math pipe. *)
+let math (b : Tcode.banks) (wl : Tcode.wlaunch) (d : Tcode.tdst) (f : lanes_fn) :
+    int -> unit =
+  match d with
+  | Tcode.DS _ ->
+      fun _ ->
+        let c = wl.Tcode.ctr in
+        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
+        c.Counters.math_warp <- c.Counters.math_warp + 1;
+        f lane0 1
+  | Tcode.DV _ ->
+      let ls = b.Tcode.act in
+      fun act ->
+        let c = wl.Tcode.ctr in
+        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
+        c.Counters.math_warp <- c.Counters.math_warp + 1;
+        c.Counters.valu_thread <- c.Counters.valu_thread + act;
+        f ls act
+
+(* A select reads only the arm each lane picks, so an arm that can fail
+   fails only for a lane that picks it, in lane order. *)
+let sel_lanes (b : Tcode.banks) (cnd : Tcode.isrc) ra rb (f : lanes_fn) : lanes_fn =
+  match (ra, rb) with
+  | [], [] -> f
+  | _ ->
+      let bi = b.Tcode.bi and serr = b.Tcode.serr in
+      let c = Tcode.icell b cnd and cm = Tcode.imask cnd in
+      fun ls n ->
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          check_reads serr (if iget bi c cm l <> 0L then ra else rb)
+        done;
+        f ls n
+
+(* ------------------------------------------------------------------ *)
+(* Coalescing and the per-site profile. *)
+
+(* out-of-range arena access: identical failure to Gmem.check *)
+let oob ai len = Util.failf "device memory access out of range: 0x%x (+%d)" ai len
+
+let touch_line (wl : Tcode.wlaunch) (la : int) =
+  let c = wl.Tcode.ctr in
+  c.Counters.mem_lines <- c.Counters.mem_lines + 1;
+  match wl.Tcode.sink with
+  | Tcode.Direct l2 ->
+      if L2cache.access_line l2 la then c.Counters.l2_hits <- c.Counters.l2_hits + 1
+      else c.Counters.l2_misses <- c.Counters.l2_misses + 1
+  | Tcode.Record v -> Util.Vec.push v la
+
+(* line addresses are non-negative, so when the line size is a power of
+   two (it is on every modelled device) the division is a shift *)
+let[@inline] line_of (wl : Tcode.wlaunch) a =
+  if wl.Tcode.lsh >= 0 then a lsr wl.Tcode.lsh else a / wl.Tcode.line
+
+(* [abuf.(0..n-1)] was filled in ascending lane order; the reference
+   interpreter prepends to a list and so touches lines in descending
+   lane order - walk backwards to preserve the exact L2 sequence. *)
+let touch_collected (b : Tcode.banks) wl n =
+  let d = b.Tcode.dedup and ab = b.Tcode.abuf in
+  Tcode.linedup_reset d;
+  (* a lane on the previous lane's line adds nothing: skip the call *)
+  let prev = ref (-1) in
+  for k = n - 1 downto 0 do
+    let la = line_of wl (Array.unsafe_get ab k) in
+    if la <> !prev then begin
+      prev := la;
+      if Tcode.linedup_add d la then touch_line wl la
+    end
+  done
+
+let touch_one (b : Tcode.banks) wl (a : int) =
+  let d = b.Tcode.dedup in
+  Tcode.linedup_reset d;
+  let la = line_of wl a in
+  if Tcode.linedup_add d la then touch_line wl la
+
+(* PerfLint's per-site profile, when armed: the access at site [st] by
+   [act] lanes touched the lines the dedup buffer now holds *)
+let record_site (b : Tcode.banks) (wl : Tcode.wlaunch) (st : Tcode.site) act =
+  match wl.Tcode.profile with
+  | None -> ()
+  | Some tbl ->
+      Counters.record_site tbl st.Tcode.skey ~lanes:act ~lines:b.Tcode.dedup.Tcode.la_n
+        ~full:(act = b.Tcode.lanes) ~width:st.Tcode.swidth ~scratch:st.Tcode.sscratch
+
+(* Per-lane loads: address, collected for coalescing, bounds, value.
+   [MNone] fails after the address read, like Gmem.read. *)
+let load_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) d p pm : lanes_fn =
+  let bi = b.Tcode.bi and bf = b.Tcode.bf and ab = b.Tcode.abuf in
+  match mty with
+  | Tcode.MBool ->
+      fun ls n ->
+        let data = wl.Tcode.data in
+        let dlen = Bytes.length data in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let ai = Int64.to_int (iget bi p pm l) in
+          Array.unsafe_set ab j ai;
+          if ai <= 0 || ai + 1 > dlen then oob ai 1;
+          iset bi d l (if Bytes.unsafe_get data ai <> '\000' then 1L else 0L)
+        done
+  | Tcode.MI8 ->
+      fun ls n ->
+        let data = wl.Tcode.data in
+        let dlen = Bytes.length data in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let ai = Int64.to_int (iget bi p pm l) in
+          Array.unsafe_set ab j ai;
+          if ai <= 0 || ai + 1 > dlen then oob ai 1;
+          iset bi d l (Int64.of_int ((Char.code (Bytes.unsafe_get data ai) lsl 55) asr 55))
+        done
+  | Tcode.MI32 ->
+      fun ls n ->
+        let data = wl.Tcode.data in
+        let dlen = Bytes.length data in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let ai = Int64.to_int (iget bi p pm l) in
+          Array.unsafe_set ab j ai;
+          if ai <= 0 || ai + 4 > dlen then oob ai 4;
+          iset bi d l (Int64.of_int32 (le_get32u data ai))
+        done
+  | Tcode.MI64 ->
+      fun ls n ->
+        let data = wl.Tcode.data in
+        let dlen = Bytes.length data in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let ai = Int64.to_int (iget bi p pm l) in
+          Array.unsafe_set ab j ai;
+          if ai <= 0 || ai + 8 > dlen then oob ai 8;
+          iset bi d l (le_get64u data ai)
+        done
+  | Tcode.MF32 ->
+      fun ls n ->
+        let data = wl.Tcode.data in
+        let dlen = Bytes.length data in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let ai = Int64.to_int (iget bi p pm l) in
+          Array.unsafe_set ab j ai;
+          if ai <= 0 || ai + 4 > dlen then oob ai 4;
+          fset bf d l (Int32.float_of_bits (le_get32u data ai))
+        done
+  | Tcode.MF64 ->
+      fun ls n ->
+        let data = wl.Tcode.data in
+        let dlen = Bytes.length data in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let ai = Int64.to_int (iget bi p pm l) in
+          Array.unsafe_set ab j ai;
+          if ai <= 0 || ai + 8 > dlen then oob ai 8;
+          fset bf d l (Int64.float_of_bits (le_get64u data ai))
+        done
+  | Tcode.MNone t -> fun _ _ -> Util.failf "Gmem.read: cannot read %s" t
+
+(* Per-lane stores: address, collected, value ([v] for integer types,
+   [fv] for float types), bounds, write. A void store fails sizing the
+   type once both operands are read. *)
+let store_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) v vm fv fvm p pm :
+    lanes_fn =
+  let bi = b.Tcode.bi and bf = b.Tcode.bf and ab = b.Tcode.abuf in
+  match mty with
+  | Tcode.MBool ->
+      fun ls n ->
+        let data = wl.Tcode.data in
+        let dlen = Bytes.length data in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let ai = Int64.to_int (iget bi p pm l) in
+          Array.unsafe_set ab j ai;
+          if ai <= 0 || ai + 1 > dlen then oob ai 1;
+          Bytes.unsafe_set data ai
+            (if Int64.logand (iget bi v vm l) 1L = 0L then '\000' else '\001')
+        done
+  | Tcode.MI8 ->
+      fun ls n ->
+        let data = wl.Tcode.data in
+        let dlen = Bytes.length data in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let ai = Int64.to_int (iget bi p pm l) in
+          Array.unsafe_set ab j ai;
+          if ai <= 0 || ai + 1 > dlen then oob ai 1;
+          Bytes.unsafe_set data ai (Char.unsafe_chr (Int64.to_int (iget bi v vm l) land 0xff))
+        done
+  | Tcode.MI32 ->
+      fun ls n ->
+        let data = wl.Tcode.data in
+        let dlen = Bytes.length data in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let ai = Int64.to_int (iget bi p pm l) in
+          Array.unsafe_set ab j ai;
+          if ai <= 0 || ai + 4 > dlen then oob ai 4;
+          le_set32u data ai (Int64.to_int32 (iget bi v vm l))
+        done
+  | Tcode.MI64 ->
+      fun ls n ->
+        let data = wl.Tcode.data in
+        let dlen = Bytes.length data in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let ai = Int64.to_int (iget bi p pm l) in
+          Array.unsafe_set ab j ai;
+          if ai <= 0 || ai + 8 > dlen then oob ai 8;
+          le_set64u data ai (iget bi v vm l)
+        done
+  | Tcode.MF32 ->
+      fun ls n ->
+        let data = wl.Tcode.data in
+        let dlen = Bytes.length data in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let ai = Int64.to_int (iget bi p pm l) in
+          Array.unsafe_set ab j ai;
+          if ai <= 0 || ai + 4 > dlen then oob ai 4;
+          le_set32u data ai (Int32.bits_of_float (fget bf fv fvm l))
+        done
+  | Tcode.MF64 ->
+      fun ls n ->
+        let data = wl.Tcode.data in
+        let dlen = Bytes.length data in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let ai = Int64.to_int (iget bi p pm l) in
+          Array.unsafe_set ab j ai;
+          if ai <= 0 || ai + 8 > dlen then oob ai 8;
+          le_set64u data ai (Int64.bits_of_float (fget bf fv fvm l))
+        done
+  | Tcode.MNone t -> fun _ _ -> Util.failf "Exec.ibits_of: %s" t
+
+(* Per-lane atomic adds: address, collected, bounds, old value, operand,
+   write; the old value goes to the destination cell [d] (lane mask
+   [dm]: a scalar destination ends with the last lane's). *)
+let atomic_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (kind : Tcode.atomic) d dm v vm fv
+    fvm p pm : lanes_fn =
+  let bi = b.Tcode.bi and bf = b.Tcode.bf and ab = b.Tcode.abuf in
+  match kind with
+  | Tcode.AAddF32 ->
+      fun ls n ->
+        let data = wl.Tcode.data in
+        let dlen = Bytes.length data in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let ai = Int64.to_int (iget bi p pm l) in
+          Array.unsafe_set ab j ai;
+          if ai <= 0 || ai + 4 > dlen then oob ai 4;
+          let old = Int32.float_of_bits (le_get32u data ai) in
+          le_set32u data ai (Int32.bits_of_float (old +. fget bf fv fvm l));
+          fset bf d (l land dm) old
+        done
+  | Tcode.AAddF64 ->
+      fun ls n ->
+        let data = wl.Tcode.data in
+        let dlen = Bytes.length data in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let ai = Int64.to_int (iget bi p pm l) in
+          Array.unsafe_set ab j ai;
+          if ai <= 0 || ai + 8 > dlen then oob ai 8;
+          let old = Int64.float_of_bits (le_get64u data ai) in
+          le_set64u data ai (Int64.bits_of_float (old +. fget bf fv fvm l));
+          fset bf d (l land dm) old
+        done
+  | Tcode.AAddI32 ->
+      fun ls n ->
+        let data = wl.Tcode.data in
+        let dlen = Bytes.length data in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          let ai = Int64.to_int (iget bi p pm l) in
+          Array.unsafe_set ab j ai;
+          if ai <= 0 || ai + 4 > dlen then oob ai 4;
+          let old = le_get32u data ai in
+          le_set32u data ai (Int32.add old (Int64.to_int32 (iget bi v vm l)));
+          iset bi d (l land dm) (Int64.of_int32 old)
+        done
+
+(* thread coordinates of a 1-D launch (by = bz = 1, base tid y = z =
+   0); the lane-independent ones once per instruction *)
+let query_lanes bi (wl : Tcode.wlaunch) (q : Tcode.tquery) d : lanes_fn =
+  let uniform (v : Tcode.wlaunch -> int) : lanes_fn =
+   fun ls n ->
+    let v = Int64.of_int (v wl) in
+    for j = 0 to n - 1 do
+      iset bi d (Array.unsafe_get ls j) v
+    done
+  in
+  match q with
+  | Tcode.QTidX ->
+      fun ls n ->
+        let btx = wl.Tcode.btx and bx = wl.Tcode.bx in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (Int64.of_int ((btx + l) mod bx))
+        done
+  | Tcode.QTidZ ->
+      fun ls n ->
+        let btx = wl.Tcode.btx and bx = wl.Tcode.bx in
+        for j = 0 to n - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi d l (Int64.of_int ((btx + l) / bx))
+        done
+  | Tcode.QTidY | Tcode.QCtaidY | Tcode.QCtaidZ -> uniform (fun _ -> 0)
+  | Tcode.QCtaidX -> uniform (fun wl -> wl.Tcode.bix)
+  | Tcode.QNtidX -> uniform (fun wl -> wl.Tcode.bx)
+  | Tcode.QNctaidX -> uniform (fun wl -> wl.Tcode.gx)
+  | Tcode.QNtidY | Tcode.QNtidZ | Tcode.QNctaidY | Tcode.QNctaidZ -> uniform (fun _ -> 1)
+
+(* ------------------------------------------------------------------ *)
+(* The compiler: one closure per instruction, applied to the number of
+   active lanes. Counter updates and the fuel check stay per
+   instruction, so the out-of-fuel point is exact. *)
+
+let compile_instr (b : Tcode.banks) (wl : Tcode.wlaunch) ~frame ~(sites : Tcode.site array)
+    (ti : Tcode.tinstr) : int -> unit =
+  let bi = b.Tcode.bi and bf = b.Tcode.bf and ls = b.Tcode.act in
+  let ic = Tcode.icell b and im = Tcode.imask in
+  let fc = Tcode.fcell b and fm = Tcode.fmask in
+  match ti with
+  | Tcode.TIBin (op, bits, d, x, y) | Tcode.TIBinLong (op, bits, d, x, y) ->
+      let long = match ti with Tcode.TIBinLong _ -> true | _ -> false in
+      guard b (iread y @ iread x)
+        (alu b wl d ~long
+           (ibin_lanes bi op bits (Tcode.dcell b d) (ic x) (im x) (ic y) (im y)))
+  | Tcode.TFBin (op, r32, d, x, y) | Tcode.TFBinLong (op, r32, d, x, y) ->
+      let long = match ti with Tcode.TFBinLong _ -> true | _ -> false in
+      let dc = Tcode.dcell b d in
+      guard b (fread y @ fread x)
+        (alu b wl d ~long (then_round b r32 dc (fbin_lanes bf op dc (fc x) (fm x) (fc y) (fm y))))
+  | Tcode.TICmp (op, bits, d, x, y) ->
+      guard b (iread y @ iread x)
+        (alu b wl d ~long:false
+           (icmp_lanes bi op bits (Tcode.dcell b d) (ic x) (im x) (ic y) (im y)))
+  | Tcode.TFCmp (op, d, x, y) ->
+      guard b (fread y @ fread x)
+        (alu b wl d ~long:false
+           (fcmp_lanes bi bf op (Tcode.dcell b d) (fc x) (fm x) (fc y) (fm y)))
+  | Tcode.TSelI (d, cnd, x, y) ->
+      let dc = Tcode.dcell b d and c = ic cnd and cm = im cnd in
+      let x = ic x and xm = im x and ra = iread x and rb = iread y in
+      let y = ic y and ym = im y in
+      guard b (iread cnd)
+        (alu b wl d ~long:false
+           (sel_lanes b cnd ra rb (fun ls n ->
+                for j = 0 to n - 1 do
+                  let l = Array.unsafe_get ls j in
+                  iset bi dc l (if iget bi c cm l <> 0L then iget bi x xm l else iget bi y ym l)
+                done)))
+  | Tcode.TSelF (d, cnd, x, y) ->
+      let dc = Tcode.dcell b d and c = ic cnd and cm = im cnd in
+      let x = fc x and xm = fm x and ra = fread x and rb = fread y in
+      let y = fc y and ym = fm y in
+      guard b (iread cnd)
+        (alu b wl d ~long:false
+           (sel_lanes b cnd ra rb (fun ls n ->
+                for j = 0 to n - 1 do
+                  let l = Array.unsafe_get ls j in
+                  fset bf dc l (if iget bi c cm l <> 0L then fget bf x xm l else fget bf y ym l)
+                done)))
+  | Tcode.TCast (cast, d, ia, fa) ->
+      let dc = Tcode.dcell b d in
+      let reads, x, xm =
+        match cast with
+        | Tcode.CSiToFp _ | Tcode.CZext _ | Tcode.CSext _ | Tcode.CTrunc _ | Tcode.CBitIF
+        | Tcode.CBitII ->
+            (iread ia, ic ia, im ia)
+        | Tcode.CFpToSi _ | Tcode.CFpExt | Tcode.CFpTrunc | Tcode.CBitFF | Tcode.CBitFI ->
+            (fread fa, fc fa, fm fa)
+      in
+      let r32 = match cast with Tcode.CSiToFp (_, r) -> r | Tcode.CFpTrunc -> true | _ -> false in
+      guard b reads (alu b wl d ~long:false (then_round b r32 dc (cast_lanes b cast dc x xm)))
+  | Tcode.TMovI (d, x) ->
+      guard b (iread x) (alu b wl d ~long:false (movi_lanes bi (Tcode.dcell b d) (ic x) (im x)))
+  | Tcode.TMovF (d, x) ->
+      guard b (fread x) (alu b wl d ~long:false (movf_lanes bf (Tcode.dcell b d) (fc x) (fm x)))
+  | Tcode.TLd (space, mty, d, pa, site) -> (
+      let st = sites.(site) and p = ic pa and pm = im pa in
+      let load = load_lanes b wl mty (Tcode.dcell b d) p pm in
+      guard b (iread pa)
+        (match d with
+        | Tcode.DS _ ->
+            (* uniform scalar fetch: the line is touched before the read *)
+            fun act ->
+              let c = wl.Tcode.ctr in
+              c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
+              c.Counters.smem <- c.Counters.smem + 1;
+              touch_one b wl (Int64.to_int (iget bi p pm 0));
+              record_site b wl st act;
+              load lane0 1
+        | Tcode.DV _ ->
+            let scratch = space = Mach.SScratch in
+            fun act ->
+              let c = wl.Tcode.ctr in
+              c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
+              c.Counters.vmem_warp <- c.Counters.vmem_warp + 1;
+              c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
+              if scratch then c.Counters.scratch_ld <- c.Counters.scratch_ld + 1;
+              load ls act;
+              touch_collected b wl act;
+              record_site b wl st act))
+  | Tcode.TSt (space, mty, iv, fv, pa, site) ->
+      let st = sites.(site) and scratch = space = Mach.SScratch in
+      let store = store_lanes b wl mty (ic iv) (im iv) (fc fv) (fm fv) (ic pa) (im pa) in
+      let vreads = if Tcode.mty_is_float mty then fread fv else iread iv in
+      guard b (iread pa @ vreads) (fun act ->
+          let c = wl.Tcode.ctr in
+          c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
+          c.Counters.vmem_warp <- c.Counters.vmem_warp + 1;
+          c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
+          if scratch then c.Counters.scratch_st <- c.Counters.scratch_st + 1;
+          store ls act;
+          touch_collected b wl act;
+          record_site b wl st act)
+  | Tcode.TQuery (q, d) -> alu b wl d ~long:false (query_lanes bi wl q (Tcode.dcell b d))
+  | Tcode.TMath1 (op, r32, d, x) ->
+      let dc = Tcode.dcell b d in
+      guard b (fread x) (math b wl d (then_round b r32 dc (math1_lanes bf op dc (fc x) (fm x))))
+  | Tcode.TMath2 (op, r32, d, x, y) ->
+      let dc = Tcode.dcell b d in
+      guard b (fread y @ fread x)
+        (math b wl d (then_round b r32 dc (math2_lanes bf op dc (fc x) (fm x) (fc y) (fm y))))
+  | Tcode.TFma (r32, d, x, y, z) ->
+      let dc = Tcode.dcell b d in
+      let x = fc x and xm = fm x and rx = fread x and y' = fc y and ym = fm y in
+      let ry = fread y and zc = fc z and zm = fm z and rz = fread z in
+      guard b (rz @ ry @ rx)
+        (math b wl d
+           (then_round b r32 dc (fun ls n ->
+                for j = 0 to n - 1 do
+                  let l = Array.unsafe_get ls j in
+                  fset bf dc l ((fget bf x xm l *. fget bf y' ym l) +. fget bf zc zm l)
+                done)))
+  | Tcode.TAtomic (kind, dst, pa, iv, fv, site) ->
+      let st = sites.(site) and p = ic pa and pm = im pa in
+      let d, dm =
+        match (dst, kind) with
+        | Some d, _ -> (Tcode.dcell b d, match d with Tcode.DV _ -> -1 | Tcode.DS _ -> 0)
+        | None, Tcode.AAddI32 -> (Tcode.idiscard b, 0)
+        | None, (Tcode.AAddF32 | Tcode.AAddF64) -> (Tcode.fdiscard b, 0)
+      in
+      let atomic = atomic_lanes b wl kind d dm (ic iv) (im iv) (fc fv) (fm fv) p pm in
+      (* the operand is read after the first lane's bounds check *)
+      let vreads = match kind with Tcode.AAddI32 -> iread iv | _ -> fread fv in
+      let width = match kind with Tcode.AAddF64 -> 8 | _ -> 4 in
+      let serr = b.Tcode.serr in
+      guard b (iread pa) (fun act ->
+          let c = wl.Tcode.ctr in
+          c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
+          c.Counters.atomics <- c.Counters.atomics + 1;
+          c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
+          (match vreads with
+          | [] -> ()
+          | _ ->
+              let ai = Int64.to_int (iget bi p pm (Array.unsafe_get ls 0)) in
+              if ai <= 0 || ai + width > Bytes.length wl.Tcode.data then oob ai width;
+              check_reads serr vreads);
+          atomic ls act;
+          touch_collected b wl act;
+          record_site b wl st act)
+  | Tcode.TBarrier ->
+      fun _ ->
+        let c = wl.Tcode.ctr in
+        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1
+  | Tcode.TFrame (d, off) ->
+      (* every active lane writes; a scalar destination keeps the last *)
+      let dc = Tcode.dcell b d and dm = match d with Tcode.DV _ -> -1 | Tcode.DS _ -> 0 in
+      let count = alu b wl d ~long:false (fun _ _ -> ()) in
+      fun act ->
+        count act;
+        let s0 = wl.Tcode.scratch0 in
+        for j = 0 to act - 1 do
+          let l = Array.unsafe_get ls j in
+          iset bi dc (l land dm) (Int64.add (Int64.of_int (s0 + (l * frame))) off)
+        done
+  | Tcode.TArg (k, d) ->
+      let dc = Tcode.dcell b d in
+      let lanes, scalar = match d with Tcode.DS _ -> (lane0, true) | Tcode.DV _ -> (ls, false) in
+      fun act ->
+        let c = wl.Tcode.ctr in
         c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
         c.Counters.smem <- c.Counters.smem + 1;
-        let v = env.targs.(k) in
-        match d with
-        | Tcode.DS _ -> write_konst d 0 v
-        | Tcode.DV rd -> (
-            match v with
-            | Konst.KFloat (f, _) ->
-                for j = 0 to act - 1 do
-                  let l = Array.unsafe_get blanes j in
-                    bvf.((rd * lanes) + l) <- f
-                done
-            | Konst.KBool bv ->
-                let iv = if bv then 1L else 0L in
-                for j = 0 to act - 1 do
-                  let l = Array.unsafe_get blanes j in
-                    b_set64u bvi (((rd * lanes) + l) lsl 3) iv
-                done
-            | Konst.KInt (iv, _) ->
-                for j = 0 to act - 1 do
-                  let l = Array.unsafe_get blanes j in
-                    b_set64u bvi (((rd * lanes) + l) lsl 3) iv
-                done
-            | Konst.KNull ->
-                for j = 0 to act - 1 do
-                  let l = Array.unsafe_get blanes j in
-                    b_set64u bvi (((rd * lanes) + l) lsl 3) 0L
-                done))
-    | Tcode.TSpillStS (slot, rid) ->
+        let n = if scalar then 1 else act in
+        begin match wl.Tcode.args.(k) with
+        | Konst.KFloat (f, _) ->
+            for j = 0 to n - 1 do
+              fset bf dc (Array.unsafe_get lanes j) f
+            done
+        | (Konst.KBool _ | Konst.KInt _ | Konst.KNull) as v ->
+            let iv =
+              match v with
+              | Konst.KBool bv -> if bv then 1L else 0L
+              | Konst.KInt (iv, _) -> iv
+              | _ -> 0L
+            in
+            for j = 0 to n - 1 do
+              iset bi dc (Array.unsafe_get lanes j) iv
+            done
+        end
+  | Tcode.TSpillStS (slot, rid) ->
+      let sc = b.Tcode.ub + rid and sspi = b.Tcode.sspi and sspf = b.Tcode.sspf in
+      fun _ ->
+        let c = wl.Tcode.ctr in
         c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
         c.Counters.spill_st <- c.Counters.spill_st + 1;
         c.Counters.smem <- c.Counters.smem + 1;
-        b_set64u bsspi (slot lsl 3) (b_get64u bsi (rid lsl 3));
-        bsspf.(slot) <- bsf.(rid)
-    | Tcode.TSpillStV (slot, rid) ->
+        b_set64u sspi (slot lsl 3) (b_get64u bi (sc lsl 3));
+        sspf.(slot) <- bf.(sc)
+  | Tcode.TSpillStV (slot, rid) ->
+      let lanes = b.Tcode.lanes and spi = b.Tcode.spi and spf = b.Tcode.spf in
+      let sc = slot * lanes and rc = rid * lanes and ab = b.Tcode.abuf in
+      fun act ->
+        let c = wl.Tcode.ctr in
         c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
         c.Counters.spill_st <- c.Counters.spill_st + 1;
         c.Counters.scratch_st <- c.Counters.scratch_st + 1;
         c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
-        nref := 0;
-        let sp = !spill0 + (slot * 8 * lanes) in
+        let sp = wl.Tcode.spill0 + (slot * 8 * lanes) in
         for j = 0 to act - 1 do
-          let l = Array.unsafe_get blanes j in
-          begin
-            babuf.(!nref) <- sp + (l * 8);
-            incr nref;
-            b_set64u bspi
-              (((slot * lanes) + l) lsl 3)
-              (b_get64u bvi (((rid * lanes) + l) lsl 3));
-            bspf.((slot * lanes) + l) <- bvf.((rid * lanes) + l)
-          end
+          let l = Array.unsafe_get ls j in
+          Array.unsafe_set ab j (sp + (l * 8));
+          b_set64u spi ((sc + l) lsl 3) (b_get64u bi ((rc + l) lsl 3));
+          Array.unsafe_set spf (sc + l) (Array.unsafe_get bf (rc + l))
         done;
-        touch_collected !nref
-    | Tcode.TSpillLd (slot, d) -> (
+        touch_collected b wl act
+  | Tcode.TSpillLd (slot, Tcode.DS rid) ->
+      let dc = b.Tcode.ub + rid and sspi = b.Tcode.sspi and sspf = b.Tcode.sspf in
+      fun _ ->
+        let c = wl.Tcode.ctr in
         c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
         c.Counters.spill_ld <- c.Counters.spill_ld + 1;
-        match d with
-        | Tcode.DS rid ->
-            c.Counters.smem <- c.Counters.smem + 1;
-            b_set64u bsi (rid lsl 3) (b_get64u bsspi (slot lsl 3));
-            bsf.(rid) <- bsspf.(slot)
-        | Tcode.DV rid ->
-            c.Counters.scratch_ld <- c.Counters.scratch_ld + 1;
-            c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
-            nref := 0;
-            let sp = !spill0 + (slot * 8 * lanes) in
-            for j = 0 to act - 1 do
-              let l = Array.unsafe_get blanes j in
-              begin
-                babuf.(!nref) <- sp + (l * 8);
-                incr nref;
-                b_set64u bvi
-                  (((rid * lanes) + l) lsl 3)
-                  (b_get64u bspi (((slot * lanes) + l) lsl 3));
-                bvf.((rid * lanes) + l) <- bspf.((slot * lanes) + l)
-              end
-            done;
-            touch_collected !nref)
-    | Tcode.TTrap e -> raise e
-    | Tcode.TIBinBad (op, bits, scalar, a, a2) ->
-        (* Refexec's first lane reads b, then a, and Konst.binop fails *)
-        let l = if scalar then 0 else Array.unsafe_get blanes 0 in
-        let y = src_i a2 l in
-        let x = src_i a l in
-        ignore (Konst.binop op (Konst.kint ~bits x) (Konst.kint ~bits y))
+        c.Counters.smem <- c.Counters.smem + 1;
+        b_set64u bi (dc lsl 3) (b_get64u sspi (slot lsl 3));
+        bf.(dc) <- sspf.(slot)
+  | Tcode.TSpillLd (slot, Tcode.DV rid) ->
+      let lanes = b.Tcode.lanes and spi = b.Tcode.spi and spf = b.Tcode.spf in
+      let sc = slot * lanes and rc = rid * lanes and ab = b.Tcode.abuf in
+      fun act ->
+        let c = wl.Tcode.ctr in
+        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
+        c.Counters.spill_ld <- c.Counters.spill_ld + 1;
+        c.Counters.scratch_ld <- c.Counters.scratch_ld + 1;
+        c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
+        let sp = wl.Tcode.spill0 + (slot * 8 * lanes) in
+        for j = 0 to act - 1 do
+          let l = Array.unsafe_get ls j in
+          Array.unsafe_set ab j (sp + (l * 8));
+          b_set64u bi ((rc + l) lsl 3) (b_get64u spi ((sc + l) lsl 3));
+          Array.unsafe_set bf (rc + l) (Array.unsafe_get spf (sc + l))
+        done;
+        touch_collected b wl act
+  | Tcode.TTrap e -> fun _ -> raise e
+  | Tcode.TIBinBad (op, bits, scalar, x, y) ->
+      (* Refexec's first lane reads y, then x, and Konst.binop fails *)
+      let xc = ic x and xm = im x and yc = ic y and ym = im y in
+      guard b (iread y @ iread x) (fun _ ->
+          let l = if scalar then 0 else Array.unsafe_get ls 0 in
+          let yv = iget bi yc ym l in
+          let xv = iget bi xc xm l in
+          ignore (Konst.binop op (Konst.kint ~bits xv) (Konst.kint ~bits yv)))
+
+let compile_term (b : Tcode.banks) : Tcode.tterm -> Tcode.cterm = function
+  | Tcode.TTbr l -> Tcode.KBr l
+  | Tcode.TTret -> Tcode.KRet
+  | Tcode.TTtrap e -> Tcode.KTrap e
+  | Tcode.TTcbr (cnd, t, e) ->
+      let g = match cnd with Tcode.IG g -> g | _ -> -1 in
+      Tcode.KCbr (Tcode.icell b cnd, Tcode.imask cnd, g, t, e)
+
+(* A warp state for [p] on a [lanes]-wide warp. *)
+let compile (p : Tcode.program) ~lanes : Tcode.wstate =
+  let b = Tcode.banks_create p lanes and wl = Tcode.wlaunch_create () in
+  let frame = p.Tcode.tf.Mach.frame and sites = p.Tcode.sites in
+  let wcode =
+    Array.map
+      (fun (blk : Tcode.tblock) ->
+        {
+          Tcode.ccode = Array.map (compile_instr b wl ~frame ~sites) blk.Tcode.tcode;
+          cterm = compile_term b blk.Tcode.tterm;
+        })
+      p.Tcode.blocks
   in
-  (* ---- SIMT control flow over integer block ids ---- *)
-  (* stop sentinel -2 matches no block, like the reference's None
-     (ipdom exit is -1) *)
-  let fuel = ref 0 in
-  let blocks = p.Tcode.blocks in
-  let ipdom = p.Tcode.ipdom in
-  let rec run (bid : int) (mask : int64) (stop : int) : int64 =
-    if bid = stop || Int64.equal mask 0L then mask
-    else begin
-      let blk = blocks.(bid) in
-      let code = blk.Tcode.tcode in
-      (* the mask is constant across a block's straight-line body, so
-         its popcount and active-lane list are computed once per block,
-         not per instruction *)
-      let act = popcount mask in
+  { Tcode.wb = b; wl; wcode }
+
+(* An idle state of [p] for [lanes]-wide warps, compiled when the
+   program holds none; [release] hands it back. *)
+let acquire (p : Tcode.program) ~lanes : Tcode.wstate =
+  match Tcode.pop p.Tcode.states with
+  | Some w when w.Tcode.wb.Tcode.lanes = lanes -> w
+  | _ -> compile p ~lanes
+
+let release (p : Tcode.program) (w : Tcode.wstate) =
+  Tcode.idle w.Tcode.wl;
+  Tcode.push p.Tcode.states w
+
+(* ------------------------------------------------------------------ *)
+(* SIMT control flow over integer block ids. The stop sentinel -2
+   matches no block, like the reference's None (ipdom exit is -1). *)
+
+let rec run (w : Tcode.wstate) (ipdom : int array) (bid : int) (mask : int64) (stop : int) :
+    int64 =
+  if bid = stop || Int64.equal mask 0L then mask
+  else begin
+    let b = w.Tcode.wb and wl = w.Tcode.wl in
+    let blk = w.Tcode.wcode.(bid) in
+    (* the mask is constant across a block's straight-line body, so
+       its popcount and active-lane list are computed on block entry,
+       and only when the mask differs from the last block's *)
+    let ls = b.Tcode.act in
+    let lo = Int64.to_int (Int64.logand mask 0xffffffffL) in
+    let hi = Int64.to_int (Int64.shift_right_logical mask 32) in
+    if lo <> b.Tcode.alo || hi <> b.Tcode.ahi then begin
       let aj = ref 0 in
-      for l = 0 to lanes - 1 do
+      for l = 0 to b.Tcode.lanes - 1 do
         if Int64.logand mask (Int64.shift_left 1L l) <> 0L then begin
-          Array.unsafe_set blanes !aj l;
+          Array.unsafe_set ls !aj l;
           incr aj
         end
       done;
-      for idx = 0 to Array.length code - 1 do
-        decr fuel;
-        if !fuel <= 0 then raise (Trap "out of fuel");
-        exec_instr (Array.unsafe_get code idx) act
-      done;
-      match blk.Tcode.tterm with
-      | Tcode.TTbr l -> run l mask stop
-      | Tcode.TTret -> 0L
-      | Tcode.TTtrap e -> raise e
-      | Tcode.TTcbr (cnd, t, e) ->
-          c.Counters.branches <- c.Counters.branches + 1;
-          c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
-          let tm =
-            match cnd with
-            | Tcode.IS rid -> if b_get64u bsi (rid lsl 3) <> 0L then mask else 0L
-            | _ ->
-                (* accumulate the taken mask in two int halves: an
-                   [int64 ref] would box on every update *)
-                let lo = ref 0 and hi = ref 0 in
-                for j = 0 to act - 1 do
-                  let l = Array.unsafe_get blanes j in
-                  begin
-                    let v =
-                      match cnd with
-                      | Tcode.IV r -> b_get64u bvi (((r * lanes) + l) lsl 3)
-                      | Tcode.IS r -> b_get64u bsi (r lsl 3)
-                      | Tcode.IK k -> Int64.logor k 0L
-                      | Tcode.IG g -> Int64.logor (env.tsymbols g) 0L
-                    in
-                    if v <> 0L then
-                      if l < 32 then lo := !lo lor (1 lsl l)
-                      else hi := !hi lor (1 lsl (l - 32))
-                  end
-                done;
-                Int64.logor (Int64.of_int !lo) (Int64.shift_left (Int64.of_int !hi) 32)
-          in
-          let em = Int64.logand mask (Int64.lognot tm) in
-          if Int64.equal em 0L then run t mask stop
-          else if Int64.equal tm 0L then run e mask stop
-          else begin
-            let r = ipdom.(bid) in
-            if r >= 0 then begin
-              let m1 = run t tm r in
-              let m2 = run e em r in
-              let joined = Int64.logor m1 m2 in
-              if r = stop then joined else run r joined stop
-            end
-            else begin
-              let _ = run t tm (-2) in
-              let _ = run e em (-2) in
-              0L
-            end
+      b.Tcode.nact <- popcount mask;
+      b.Tcode.alo <- lo;
+      b.Tcode.ahi <- hi
+    end;
+    let act = b.Tcode.nact in
+    let code = blk.Tcode.ccode in
+    for idx = 0 to Array.length code - 1 do
+      let fuel = wl.Tcode.fuel - 1 in
+      wl.Tcode.fuel <- fuel;
+      if fuel <= 0 then raise (Trap "out of fuel");
+      (Array.unsafe_get code idx) act
+    done;
+    match blk.Tcode.cterm with
+    | Tcode.KBr l -> run w ipdom l mask stop
+    | Tcode.KRet -> 0L
+    | Tcode.KTrap e -> raise e
+    | Tcode.KCbr (cc, cm, g, t, e) ->
+        let c = wl.Tcode.ctr and bi = b.Tcode.bi in
+        c.Counters.branches <- c.Counters.branches + 1;
+        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
+        let tm =
+          if cm = 0 then begin
+            (* uniform condition: every active lane agrees *)
+            if g >= 0 && b.Tcode.serr.(g) != Resolved then raise b.Tcode.serr.(g);
+            if b_get64u bi (cc lsl 3) <> 0L then mask else 0L
           end
-    end
-  in
-  fun ~first_thread ~bix:bx ~btx:tx init_mask ->
-    let s0 = Int64.to_int env.tscratch_base + (first_thread * env.tthread_frame) in
-    scratch0 := s0;
-    spill0 := s0 + (lanes * frame);
-    bix := bx;
-    btx := tx;
-    fuel := 1_000_000_000;
-    ignore (run p.Tcode.entry init_mask (-2))
+          else begin
+            (* accumulate the taken mask in two int halves: an
+               [int64 ref] would box on every update *)
+            let lo = ref 0 and hi = ref 0 in
+            for j = 0 to act - 1 do
+              let l = Array.unsafe_get ls j in
+              if b_get64u bi ((cc + l) lsl 3) <> 0L then
+                if l < 32 then lo := !lo lor (1 lsl l) else hi := !hi lor (1 lsl (l - 32))
+            done;
+            Int64.logor (Int64.of_int !lo) (Int64.shift_left (Int64.of_int !hi) 32)
+          end
+        in
+        let em = Int64.logand mask (Int64.lognot tm) in
+        if Int64.equal em 0L then run w ipdom t mask stop
+        else if Int64.equal tm 0L then run w ipdom e mask stop
+        else begin
+          let r = ipdom.(bid) in
+          if r >= 0 then begin
+            let m1 = run w ipdom t tm r in
+            let m2 = run w ipdom e em r in
+            let joined = Int64.logor m1 m2 in
+            if r = stop then joined else run w ipdom r joined stop
+          end
+          else begin
+            let _ = run w ipdom t tm (-2) in
+            let _ = run w ipdom e em (-2) in
+            0L
+          end
+        end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Kernel launch: iterate blocks and warps.                            *)
@@ -1317,26 +1237,67 @@ type launch_result = {
   engine : string; (* "threaded" | "multicore" (Refexec: "reference") *)
 }
 
-(* Run the warps of thread-block [blk] through the threaded engine:
-   [trun_block env p bufs ~warp ~block ~nwarps_per_block] builds the
-   warp runner once, and each application to a block index reuses it. *)
-let trun_block (env : tenv) (p : Tcode.program) (bufs : Tcode.tbufs) ~warp ~block
-    ~nwarps_per_block =
-  let c = env.tc in
-  let run_warp = texec_launch env p bufs ~lanes:warp in
-  fun blk ->
-    for wi = 0 to nwarps_per_block - 1 do
-      let base_lane = wi * warp in
-      let lanes_active = min warp (block - base_lane) in
-      let mask =
-        if lanes_active >= 64 then -1L
-        else Int64.sub (Int64.shift_left 1L lanes_active) 1L
-      in
-      Tcode.tbufs_reset bufs;
-      run_warp ~first_thread:((blk * block) + base_lane) ~bix:blk ~btx:base_lane mask;
-      c.Counters.warps <- c.Counters.warps + 1;
-      c.Counters.threads <- c.Counters.threads + lanes_active
-    done
+(* What every block of one launch shares. *)
+type lenv = {
+  mem : Gmem.t;
+  symbols : string -> int64;
+  args : Konst.t array;
+  profile : Counters.site_table option; (* the armed site profile, read once per launch *)
+  line : int;
+  lsh : int;
+  gx : int;
+  bx : int;
+  scratch_base : int;
+  thread_frame : int;
+}
+
+(* Point [w] at launch [e], counting into [ctr] and sending lines to
+   [sink], and resolve the program's symbols. A symbol whose lookup
+   fails fails the instruction that reads it, as in the reference. *)
+let setup (w : Tcode.wstate) (p : Tcode.program) (e : lenv) ctr sink =
+  let wl = w.Tcode.wl and b = w.Tcode.wb in
+  wl.Tcode.data <- e.mem.Gmem.data;
+  wl.Tcode.ctr <- ctr;
+  wl.Tcode.sink <- sink;
+  wl.Tcode.args <- e.args;
+  wl.Tcode.profile <- e.profile;
+  wl.Tcode.line <- e.line;
+  wl.Tcode.lsh <- e.lsh;
+  wl.Tcode.gx <- e.gx;
+  wl.Tcode.bx <- e.bx;
+  wl.Tcode.scratch_base <- e.scratch_base;
+  wl.Tcode.thread_frame <- e.thread_frame;
+  let syms = p.Tcode.syms in
+  for g = 0 to Array.length syms - 1 do
+    match e.symbols syms.(g) with
+    | v ->
+        b_set64u b.Tcode.bi (Tcode.icell b (Tcode.IG g) lsl 3) v;
+        b.Tcode.serr.(g) <- Resolved
+    | exception ex -> b.Tcode.serr.(g) <- ex
+  done
+
+(* Run the warps of thread-block [blk] on [w]. *)
+let run_block (w : Tcode.wstate) (p : Tcode.program) ~warp ~block ~nwarps_per_block blk =
+  let wl = w.Tcode.wl in
+  let frame = p.Tcode.tf.Mach.frame in
+  for wi = 0 to nwarps_per_block - 1 do
+    let base_lane = wi * warp in
+    let lanes_active = min warp (block - base_lane) in
+    let mask =
+      if lanes_active >= 64 then -1L else Int64.sub (Int64.shift_left 1L lanes_active) 1L
+    in
+    Tcode.reset w.Tcode.wb;
+    let s0 = wl.Tcode.scratch_base + (((blk * block) + base_lane) * wl.Tcode.thread_frame) in
+    wl.Tcode.scratch0 <- s0;
+    wl.Tcode.spill0 <- s0 + (warp * frame);
+    wl.Tcode.bix <- blk;
+    wl.Tcode.btx <- base_lane;
+    wl.Tcode.fuel <- 1_000_000_000;
+    ignore (run w p.Tcode.ipdom p.Tcode.entry mask (-2));
+    let c = wl.Tcode.ctr in
+    c.Counters.warps <- c.Counters.warps + 1;
+    c.Counters.threads <- c.Counters.threads + lanes_active
+  done
 
 (* Launch [f] over a 1-D [grid] of [block]-thread blocks. [tcode] is
    [f]'s decoded program when the caller keeps one (a program decoded
@@ -1357,32 +1318,23 @@ let launch ?domains ?tcode ~(device : Device.t) ~(mem : Gmem.t) ~(l2 : L2cache.t
   let run () =
     let p = match tcode with Some p when p.Tcode.tf == f -> p | _ -> Tcode.decode f in
     let ndom = match domains with Some n -> max 1 n | None -> Pool.default_domains () in
-    let mkenv tc tsink =
+    let line = device.Device.l2_line in
+    let env =
       {
-        tmem = mem;
-        tl2 = l2;
-        tsymbols = symbols;
-        targs = args;
-        tgx = grid;
-        tbx = block;
-        tline = device.Device.l2_line;
-        tscratch_base = scratch_base;
-        tthread_frame = thread_frame;
-        tc;
-        tsink;
-        tprofile = profile;
+        mem; symbols; args; profile; line;
+        lsh = (match Util.pow2_log2 (Int64.of_int line) with Some k -> k | None -> -1);
+        gx = grid; bx = block; scratch_base = Int64.to_int scratch_base; thread_frame;
       }
     in
     (* an armed profile is one shared table: record from one domain *)
     if ndom <= 1 || grid <= 1 || not (Tcode.parallel_safe p) || Option.is_some profile
     then begin
-      let env = mkenv counters Direct in
-      let bufs = Tcode.acquire p ~lanes:warp in
-      let run_block = trun_block env p bufs ~warp ~block ~nwarps_per_block in
+      let w = acquire p ~lanes:warp in
+      setup w p env counters (Tcode.Direct l2);
       for blk = 0 to grid - 1 do
-        run_block blk
+        run_block w p ~warp ~block ~nwarps_per_block blk
       done;
-      Tcode.release p bufs;
+      release p w;
       "threaded"
     end
     else begin
@@ -1392,8 +1344,13 @@ let launch ?domains ?tcode ~(device : Device.t) ~(mem : Gmem.t) ~(l2 : L2cache.t
          block order through the shared L2 - the model sees exactly
          the serial access sequence, so hits/misses (and the derived
          timing) match the serial schedule bit for bit. Chunking
-         bounds the memory held by traces. *)
+         bounds the memory held by traces. The launch takes one warp
+         state per domain from the program up front (so the first
+         launch compiles them all), each task pops one for its block
+         and pushes it back, and the program gets them back when the
+         launch completes. *)
       let pool = Pool.shared ~size:ndom in
+      let free = Atomic.make (List.init (min ndom grid) (fun _ -> acquire p ~lanes:warp)) in
       let chunk = 4 * ndom in
       let start = ref 0 in
       while !start < grid do
@@ -1402,11 +1359,10 @@ let launch ?domains ?tcode ~(device : Device.t) ~(mem : Gmem.t) ~(l2 : L2cache.t
         let traces = Array.init n (fun _ -> Util.Vec.create 0) in
         Pool.run pool
           (fun i ->
-            let blk = !start + i in
-            let env = mkenv per_block.(i) (Record traces.(i)) in
-            let bufs = Tcode.acquire p ~lanes:warp in
-            trun_block env p bufs ~warp ~block ~nwarps_per_block blk;
-            Tcode.release p bufs)
+            let w = match Tcode.pop free with Some w -> w | None -> acquire p ~lanes:warp in
+            setup w p env per_block.(i) (Tcode.Record traces.(i));
+            run_block w p ~warp ~block ~nwarps_per_block (!start + i);
+            Tcode.push free w)
           n;
         for i = 0 to n - 1 do
           Counters.add counters per_block.(i);
@@ -1419,6 +1375,7 @@ let launch ?domains ?tcode ~(device : Device.t) ~(mem : Gmem.t) ~(l2 : L2cache.t
         done;
         start := !start + n
       done;
+      List.iter (release p) (Atomic.get free);
       "multicore"
     end
   in

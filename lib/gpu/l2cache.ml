@@ -4,6 +4,7 @@
 
 type t = {
   sets : int;
+  set_mask : int; (* sets - 1 when [sets] is a power of two, else -1 *)
   ways : int;
   line : int;
   tags : int array array; (* set -> way -> tag (-1 empty) *)
@@ -18,6 +19,7 @@ let create (dev : Device.t) =
   let sets = max 1 (lines / dev.Device.l2_ways) in
   {
     sets;
+    set_mask = (if sets land (sets - 1) = 0 then sets - 1 else -1);
     ways = dev.Device.l2_ways;
     line = dev.Device.l2_line;
     tags = Array.make_matrix sets dev.Device.l2_ways (-1);
@@ -35,10 +37,10 @@ let reset t =
 (* Access one cache line by line id; returns true on hit. The
    multicore executor's trace replay uses this entry point directly so
    recorded line ids go through the exact same state transitions as
-   addresses do. *)
+   addresses do. Line ids are non-negative, so masking equals [mod]. *)
 let access_line t (line_addr : int) : bool =
   t.tick <- t.tick + 1;
-  let set = line_addr mod t.sets in
+  let set = if t.set_mask >= 0 then line_addr land t.set_mask else line_addr mod t.sets in
   let tag = line_addr in
   let row = t.tags.(set) and st = t.stamp.(set) in
   let ways = t.ways in

@@ -1,5 +1,5 @@
 (* Threaded code: a Mach.mfunc pre-decoded once per kernel into flat
-   arrays the SIMT executor can run without per-instruction overhead.
+   arrays, and the warp states Exec compiles from them.
 
    Interpreting Mach directly means re-resolving [List.nth] operand
    lists, [Option.get] destinations, string block labels and a
@@ -7,8 +7,10 @@
    [Konst.t] boxes per lane per memory access. Decoding replaces all of
    that with integer block ids, an int-indexed ipdom table, and
    per-instruction records whose operands are already split into
-   int-context / float-context accessors - the classic
-   threaded-code/pre-decoding transformation (OCamlJIT 2.0 lineage).
+   int-context / float-context reads. Constants and device-global
+   symbols get per-program slots, so every operand names
+   a cell of the register banks: a vector register, a scalar register,
+   a constant or a symbol resolved per launch.
 
    Decoding is total. A shape the specification interpreter
    (Refexec, in lib/fuzz) rejects only when it executes it - a missing
@@ -23,11 +25,14 @@
    rejects before its first instruction: a kernel with no blocks, or a
    branch to a label that does not exist.
 
-   A decoded [program] is immutable apart from one spare set of
-   executor buffers (see [acquire]), so one decode is shared by every
-   launch of the kernel (Gpurt keeps a per-kernel program; the JIT
-   attaches programs to code-cache entries as a third cache tier) and
-   by all domains of a multicore launch.
+   Exec compiles a program into a [wstate]: the register banks of one
+   warp, the per-launch values the compiled code reads, and one
+   closure per instruction. A decoded [program] is immutable apart from
+   its stack of idle warp states (see [pop]), so one decode is shared
+   by every launch of the kernel (Gpurt keeps a per-kernel program; the
+   JIT attaches programs to code-cache entries as a third cache tier)
+   and by all domains of a multicore launch, each running its own
+   state.
 
    Semantics note: every operation here must be bit-identical to the
    specification interpreter - the differential qcheck/HeCBench tests,
@@ -35,24 +40,25 @@
    it. When editing, change Refexec.run_warp first and mirror the
    semantics here. *)
 
+open Proteus_support
 open Proteus_ir
 open Proteus_backend
 
 (* A trap raised by the executor itself (shared with Refexec). *)
 exception Trap of string
 
-(* Operand pre-resolved for an integer-context read (Exec.src_i). *)
+(* Operand pre-resolved for an integer-context read. *)
 type isrc =
   | IV of int (* vector register id *)
   | IS of int (* scalar register id *)
-  | IK of int64 (* constant, via Konst.as_int *)
-  | IG of string (* device global symbol, resolved per launch *)
+  | IK of int (* constant: slot in [iconsts], via Konst.as_int *)
+  | IG of int (* device global: slot in [syms], resolved per launch *)
 
-(* Operand pre-resolved for a float-context read (Exec.src_f). *)
+(* Operand pre-resolved for a float-context read. *)
 type fsrc =
   | FV of int
   | FS of int
-  | FK of float (* constant, via Konst.as_float *)
+  | FK of int (* constant: slot in [fconsts], via Konst.as_float *)
   | FBad (* float read of a symbol: traps when read, like Refexec *)
 
 (* Destination register: class resolved, no Option.get at run time. *)
@@ -156,84 +162,160 @@ type tterm = TTbr of int | TTcbr of isrc * int * int | TTret | TTtrap of exn
 
 type tblock = { tcode : tinstr array; tterm : tterm }
 
-(* ---- executor buffers ---- *)
+(* A memory-instruction site for PerfLint's per-site profile: the
+   structural key plus the access width and space Counters.record_site
+   takes. *)
+type site = { skey : Counters.site_key; swidth : int; sscratch : bool }
+
+(* ---- warp state ---- *)
 
 (* Allocation-free per-instruction cache-line dedup. A warp touches at
-   most one address per lane per instruction, so a lanes-sized scratch
-   pair suffices; duplicates are found by linear scan (<= 64 entries).
-   Kept first-occurrence order, which for the executors means the
-   reference interpreter's descending-lane order. *)
+   most one address per lane per instruction, so a lanes-sized buffer
+   suffices. Neighbouring lanes mostly share a line, so the last kept
+   line is tested first; the rest is scanned only for a line that
+   differs from it (<= 64 entries). Kept first-occurrence order, which
+   for the executors means the reference interpreter's descending-lane
+   order. *)
 type linedup = { la_buf : int array; mutable la_n : int }
 
 let linedup_create lanes = { la_buf = Array.make (max 1 lanes) 0; la_n = 0 }
 let linedup_reset d = d.la_n <- 0
 
 let linedup_add d (la : int) : bool =
-  let fresh = ref true in
-  for k = 0 to d.la_n - 1 do
-    if d.la_buf.(k) = la then fresh := false
-  done;
-  if !fresh then begin
-    d.la_buf.(d.la_n) <- la;
-    d.la_n <- d.la_n + 1
-  end;
-  !fresh
+  let n = d.la_n and buf = d.la_buf in
+  if n > 0 && Array.unsafe_get buf (n - 1) = la then false
+  else begin
+    let k = ref (n - 2) in
+    while !k >= 0 && Array.unsafe_get buf !k <> la do
+      decr k
+    done;
+    if !k >= 0 then false
+    else begin
+      buf.(n) <- la;
+      d.la_n <- n + 1;
+      true
+    end
+  end
 
-(* Per-warp buffers of the threaded executor, sized for one program
-   and one warp width; zero-filled before each warp, so reuse is
-   indistinguishable from the reference's fresh allocations. Integer
-   banks are byte buffers holding one int64 cell per register (see the
-   unboxing note in Exec); float banks are flat float arrays, which
-   OCaml already stores unboxed. *)
-type tbufs = {
-  tb_lanes : int; (* warp width the banks are sized for *)
-  bvi : Bytes.t; (* vregs * lanes int64 cells *)
-  bvf : float array;
-  bsi : Bytes.t; (* sregs int64 cells *)
-  bsf : float array;
-  bspi : Bytes.t; (* spill_slots * lanes int64 cells *)
-  bspf : float array;
-  bsspi : Bytes.t; (* spill_slots int64 cells *)
-  bsspf : float array;
-  babuf : int array; (* per-instruction address collection *)
-  bdedup : linedup;
-  blanes : int array; (* active-lane indices of the current mask *)
+(* a one-cell float32 array the executor rounds through (Exec.f32_round) *)
+type f32cell = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let f32_cell () : f32cell = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1
+
+(* The registers of one warp. Both banks start with [vregs * lanes]
+   vector cells (register r, lane l at r * lanes + l) followed at [ub]
+   by one cell per scalar register. The integer bank goes on with the
+   program's integer constants and symbols, the float bank with its
+   float constants, and each ends in a discard cell, the destination of
+   an atomic whose old value nobody reads. Integer cells are int64s in
+   a byte buffer (see the unboxing note in Exec); float cells a flat
+   float array, which OCaml already stores unboxed. The register and
+   spill cells are zeroed before each warp ([reset]), so reuse is
+   indistinguishable from the reference's fresh arrays; constants are
+   written once, symbols per launch. *)
+type banks = {
+  lanes : int; (* warp width the banks are sized for *)
+  ub : int; (* cell of scalar register 0 *)
+  nsr : int;
+  nik : int;
+  bi : Bytes.t;
+  bf : float array;
+  spi : Bytes.t; (* spill_slots * lanes int64 cells *)
+  spf : float array;
+  sspi : Bytes.t; (* spill_slots int64 cells *)
+  sspf : float array;
+  abuf : int array; (* per-instruction address collection *)
+  dedup : linedup;
+  act : int array; (* active-lane indices of the current mask *)
+  mutable nact : int; (* how many *)
+  mutable alo : int; (* the mask [act] lists, as 32-bit halves; -1: none *)
+  mutable ahi : int;
+  f32 : f32cell;
+  serr : exn array;
+      (* per symbol slot: why resolving it failed this launch, or the
+         executor's marker for a resolved slot *)
 }
 
-let tbufs_create (f : Mach.mfunc) lanes =
-  let nvr = max 1 f.Mach.vregs and nsr = max 1 f.Mach.sregs in
-  let nsp = max 1 f.Mach.spill_slots in
-  {
-    tb_lanes = lanes;
-    bvi = Bytes.make (nvr * lanes * 8) '\000';
-    bvf = Array.make (nvr * lanes) 0.0;
-    bsi = Bytes.make (nsr * 8) '\000';
-    bsf = Array.make nsr 0.0;
-    bspi = Bytes.make (nsp * lanes * 8) '\000';
-    bspf = Array.make (nsp * lanes) 0.0;
-    bsspi = Bytes.make (nsp * 8) '\000';
-    bsspf = Array.make nsp 0.0;
-    babuf = Array.make (max 1 lanes) 0;
-    bdedup = linedup_create lanes;
-    blanes = Array.make 64 0;
-  }
+(* Operand and destination cells; [imask]/[fmask] is the lane mask the
+   compiled loops apply before indexing: -1 for a vector register, 0
+   for a uniform cell. [FBad] is never read (the instruction traps
+   first). *)
+let icell b = function
+  | IV r -> r * b.lanes
+  | IS r -> b.ub + r
+  | IK k -> b.ub + b.nsr + k
+  | IG g -> b.ub + b.nsr + b.nik + g
 
-(* Zero the register and spill banks; [babuf], [bdedup] and [blanes]
-   are rewritten before every read. *)
-let tbufs_reset b =
-  Bytes.fill b.bvi 0 (Bytes.length b.bvi) '\000';
-  Array.fill b.bvf 0 (Array.length b.bvf) 0.0;
-  Bytes.fill b.bsi 0 (Bytes.length b.bsi) '\000';
-  Array.fill b.bsf 0 (Array.length b.bsf) 0.0;
-  Bytes.fill b.bspi 0 (Bytes.length b.bspi) '\000';
-  Array.fill b.bspf 0 (Array.length b.bspf) 0.0;
-  Bytes.fill b.bsspi 0 (Bytes.length b.bsspi) '\000';
-  Array.fill b.bsspf 0 (Array.length b.bsspf) 0.0
+let imask = function IV _ -> -1 | IS _ | IK _ | IG _ -> 0
 
-(* A memory-instruction site for PerfLint's per-site profile: the
-   structural key plus the access width and space Counters.record_site
-   takes. *)
-type site = { skey : Counters.site_key; swidth : int; sscratch : bool }
+let fcell b = function
+  | FV r -> r * b.lanes
+  | FS r -> b.ub + r
+  | FK k -> b.ub + b.nsr + k
+  | FBad -> 0
+
+let fmask = function FV _ -> -1 | FS _ | FK _ | FBad -> 0
+let dcell b = function DV r -> r * b.lanes | DS r -> b.ub + r
+let idiscard b = (Bytes.length b.bi / 8) - 1
+let fdiscard b = Array.length b.bf - 1
+
+(* Zero the register and spill cells; [abuf], [dedup] and [act] are
+   rewritten before every read. *)
+let reset b =
+  let regs = b.ub + b.nsr in
+  b.alo <- -1;
+  Bytes.fill b.bi 0 (regs * 8) '\000';
+  Array.fill b.bf 0 regs 0.0;
+  Bytes.fill b.spi 0 (Bytes.length b.spi) '\000';
+  Array.fill b.spf 0 (Array.length b.spf) 0.0;
+  Bytes.fill b.sspi 0 (Bytes.length b.sspi) '\000';
+  Array.fill b.sspf 0 (Array.length b.sspf) 0.0
+
+(* Where deduped cache-line accesses go: straight into the shared L2
+   model (serial schedule) or into a per-block trace that is replayed
+   serially after a parallel launch. *)
+type line_sink = Direct of L2cache.t | Record of int Util.Vec.t
+
+(* The values of the launch a warp state runs (in the multicore
+   schedule, of the thread-block), written before it runs. The compiled
+   closures read each field once per instruction, never per lane. *)
+type wlaunch = {
+  mutable data : Bytes.t; (* the arena: execution never grows it *)
+  mutable ctr : Counters.t;
+  mutable sink : line_sink;
+  mutable args : Konst.t array;
+  mutable profile : Counters.site_table option;
+  mutable line : int; (* L2 line size *)
+  mutable lsh : int; (* log2 of [line] when a power of two, else -1 *)
+  mutable gx : int; (* grid dims *)
+  mutable bx : int; (* block dims; launch is 1-D so y = z = 1 *)
+  mutable scratch_base : int;
+  mutable thread_frame : int;
+  (* the current warp: block index, thread id of lane 0 within the
+     block, the byte offsets of lane 0's frame and spill area, and the
+     instructions it may still retire *)
+  mutable bix : int;
+  mutable btx : int;
+  mutable scratch0 : int;
+  mutable spill0 : int;
+  mutable fuel : int;
+}
+
+(* A block terminator with its condition resolved to a cell. *)
+type cterm =
+  | KBr of int
+  | KRet
+  | KTrap of exn
+  | KCbr of int * int * int * int * int
+      (* condition cell, lane mask, symbol slot or -1, then, else *)
+
+(* A compiled block: one closure per instruction, applied to the
+   number of active lanes. *)
+type cblock = { ccode : (int -> unit) array; cterm : cterm }
+
+(* A warp state: banks, launch values and the code compiled over them.
+   One domain runs it at a time. *)
+type wstate = { wb : banks; wl : wlaunch; wcode : cblock array }
 
 type program = {
   tf : Mach.mfunc; (* the decoded function; used for identity checks *)
@@ -242,9 +324,76 @@ type program = {
   ipdom : int array; (* block id -> reconvergence block id, -1 = exit *)
   sites : site array; (* indexed by the site ordinal of TLd/TSt/TAtomic *)
   has_atomics : bool; (* forces the serial (single-domain) schedule *)
-  spare : tbufs option Atomic.t;
-      (* executor buffers between launches; empty while a launch holds them *)
+  iconsts : int64 array; (* [IK] slots *)
+  fconsts : float array; (* [FK] slots *)
+  syms : string array; (* [IG] slots *)
+  states : wstate list Atomic.t; (* idle warp states (see [pop]) *)
 }
+
+let banks_create (p : program) lanes =
+  let f = p.tf in
+  let nvr = max 1 f.Mach.vregs and nsr = max 1 f.Mach.sregs in
+  let nsp = max 1 f.Mach.spill_slots in
+  let ub = nvr * lanes in
+  let nik = Array.length p.iconsts and nfk = Array.length p.fconsts in
+  let bi = Bytes.make ((ub + nsr + nik + Array.length p.syms + 1) * 8) '\000' in
+  Array.iteri (fun k v -> Bytes.set_int64_ne bi ((ub + nsr + k) * 8) v) p.iconsts;
+  let bf = Array.make (ub + nsr + nfk + 1) 0.0 in
+  Array.blit p.fconsts 0 bf (ub + nsr) nfk;
+  {
+    lanes; ub; nsr; nik; bi; bf;
+    spi = Bytes.make (nsp * lanes * 8) '\000';
+    spf = Array.make (nsp * lanes) 0.0;
+    sspi = Bytes.make (nsp * 8) '\000';
+    sspf = Array.make nsp 0.0;
+    abuf = Array.make (max 1 lanes) 0;
+    dedup = linedup_create lanes;
+    act = Array.make 64 0;
+    nact = 0;
+    alo = -1;
+    ahi = -1;
+    f32 = f32_cell ();
+    serr = Array.make (Array.length p.syms) Not_found;
+  }
+
+(* what an idle state points at; never written, since a launch sets
+   every field before it runs *)
+let idle_ctr = Counters.create ()
+let idle_sink = Record (Util.Vec.create 0)
+
+let wlaunch_create () =
+  {
+    data = Bytes.empty; ctr = idle_ctr; sink = idle_sink; args = [||]; profile = None;
+    line = 1; lsh = 0; gx = 0; bx = 1; scratch_base = 0; thread_frame = 0; bix = 0;
+    btx = 0; scratch0 = 0; spill0 = 0; fuel = 0;
+  }
+
+(* Drop a finished launch's values. The state outlives them: it keeps
+   no arena, trace or arguments alive, and the launch's young counters
+   and sink are not promoted for being referenced from it. *)
+let idle wl =
+  wl.data <- Bytes.empty;
+  wl.ctr <- idle_ctr;
+  wl.sink <- idle_sink;
+  wl.args <- [||];
+  wl.profile <- None
+
+(* A lock-free stack of idle warp states. A launch pops one (Exec
+   compiles a new state only when the stack is empty) and pushes it back
+   when it completes; a launch that fails drops it. Launches of one
+   program on several domains (serve tenants sharing a cache entry, the
+   blocks of a multicore launch) therefore never share a state, and the
+   stack holds at most as many states as ever ran at once. The states
+   live and die with the program: no table outside it keeps them
+   alive. *)
+let rec pop (s : 'a list Atomic.t) : 'a option =
+  match Atomic.get s with
+  | [] -> None
+  | x :: rest as l -> if Atomic.compare_and_set s l rest then Some x else pop s
+
+let rec push (s : 'a list Atomic.t) (x : 'a) : unit =
+  let l = Atomic.get s in
+  if not (Atomic.compare_and_set s l (x :: l)) then push s x
 
 (* Mach the specification interpreter rejects before running any
    instruction (no blocks; a branch to a missing label). *)
@@ -348,8 +497,39 @@ let query_of = function
    Refexec meets. Register ids must lie inside the banks: the executor
    reads them unchecked. A float read of a symbol fails only when read
    ([FBad]); [sym_read] notes one, because if a later check of the same
-   instruction fails, that read came first and is the failure. *)
-type dctx = { nvr : int; nsr : int; nsp : int; mutable sym_read : bool }
+   instruction fails, that read came first and is the failure.
+   Each constant operand gets a slot of its own, each distinct symbol
+   one (kept last first). *)
+type dctx = {
+  nvr : int;
+  nsr : int;
+  nsp : int;
+  mutable sym_read : bool;
+  mutable iks : int64 list;
+  mutable nik : int;
+  mutable fks : float list;
+  mutable nfk : int;
+  mutable sgs : string list;
+}
+
+let ik c v =
+  c.iks <- v :: c.iks;
+  c.nik <- c.nik + 1;
+  IK (c.nik - 1)
+
+let fk c v =
+  c.fks <- v :: c.fks;
+  c.nfk <- c.nfk + 1;
+  FK (c.nfk - 1)
+
+let sym c g =
+  let rec find i = function
+    | [] ->
+        c.sgs <- g :: c.sgs;
+        List.length c.sgs - 1
+    | s :: rest -> if String.equal s g then i else find (i - 1) rest
+  in
+  IG (find (List.length c.sgs - 1) c.sgs)
 
 let in_bank n r = if r < 0 || r >= n then reach (Invalid_argument "index out of bounds")
 let vreg c r = in_bank c.nvr r; r
@@ -361,15 +541,15 @@ let isrc_of c (s : Mach.msrc) : isrc =
   match s with
   | Mach.Rs { Mach.rid; rcls = Mach.CV } -> IV (vreg c rid)
   | Mach.Rs { Mach.rid; rcls = Mach.CS } -> IS (sreg c rid)
-  | Mach.Ki k -> IK (konst Konst.as_int k)
-  | Mach.Gs g -> IG g
+  | Mach.Ki k -> ik c (konst Konst.as_int k)
+  | Mach.Gs g -> sym c g
 
 (* [~arm:true] for a select arm, which only lanes that pick it read *)
 let fsrc_of ?(arm = false) c (s : Mach.msrc) : fsrc =
   match s with
   | Mach.Rs { Mach.rid; rcls = Mach.CV } -> FV (vreg c rid)
   | Mach.Rs { Mach.rid; rcls = Mach.CS } -> FS (sreg c rid)
-  | Mach.Ki k -> FK (konst Konst.as_float k)
+  | Mach.Ki k -> fk c (konst Konst.as_float k)
   | Mach.Gs _ ->
       if not arm then c.sym_read <- true;
       FBad
@@ -444,7 +624,7 @@ let decode_instr c ~site (i : Mach.minstr) : tinstr =
   | Mach.Ocast (op, dty, sty) ->
       let d = need_dst i in
       let a = nth i.Mach.srcs 0 in
-      let dead_i = IK 0L and dead_f = FK 0.0 in
+      let dead_i = ik c 0L and dead_f = fk c 0.0 in
       let cast, ia, fa =
         match (op, is_float_ty sty, is_float_ty dty) with
         | Ops.SiToFp, false, true ->
@@ -496,7 +676,7 @@ let decode_instr c ~site (i : Mach.minstr) : tinstr =
       let pa = isrc_of c p in
       let mty = mty_of ty in
       let iv, fv =
-        if mty_is_float mty then (IK 0L, fsrc_of c v) else (isrc_of c v, FK 0.0)
+        if mty_is_float mty then (ik c 0L, fsrc_of c v) else (isrc_of c v, fk c 0.0)
       in
       TSt
         ( space, mty, iv, fv, pa,
@@ -534,8 +714,8 @@ let decode_instr c ~site (i : Mach.minstr) : tinstr =
       in
       let iv, fv =
         match kind with
-        | AAddI32 -> (isrc_of c v, FK 0.0)
-        | AAddF32 | AAddF64 -> (IK 0L, fsrc_of c v)
+        | AAddI32 -> (isrc_of c v, fk c 0.0)
+        | AAddF32 | AAddF64 -> (ik c 0L, fsrc_of c v)
       in
       let dst = Option.map (dst_of c) i.Mach.dst in
       let width = if kind = AAddF64 then 8 else 4 in
@@ -576,7 +756,8 @@ let decode (f : Mach.mfunc) : program =
   in
   let c =
     { nvr = max 1 f.Mach.vregs; nsr = max 1 f.Mach.sregs;
-      nsp = max 1 f.Mach.spill_slots; sym_read = false }
+      nsp = max 1 f.Mach.spill_slots; sym_read = false; iks = []; nik = 0;
+      fks = []; nfk = 0; sgs = [] }
   in
   let sites = ref [] and nsites = ref 0 in
   let has_atomics = ref false in
@@ -633,24 +814,11 @@ let decode (f : Mach.mfunc) : program =
     ipdom = Dom.ipostdoms n (Array.get succs);
     sites = Array.of_list (List.rev !sites);
     has_atomics = !has_atomics;
-    spare = Atomic.make None;
+    iconsts = Array.of_list (List.rev c.iks);
+    fconsts = Array.of_list (List.rev c.fks);
+    syms = Array.of_list (List.rev c.sgs);
+    states = Atomic.make [];
   }
-
-(* Executor buffers for one launch of [p] on a [lanes]-wide warp: the
-   program's spare set when the slot holds one of that width, else a
-   fresh set. The exchange empties the slot, so a concurrent launch of
-   the same program (serve tenants on other domains share one cache
-   entry's program) never sees buffers in use and allocates its own.
-   The spare lives and dies with the program: no table outside it can
-   keep buffers alive. *)
-let acquire p ~lanes : tbufs =
-  match Atomic.exchange p.spare None with
-  | Some b when b.tb_lanes = lanes -> b
-  | _ -> tbufs_create p.tf lanes
-
-(* Hand buffers back after a launch. If two launches overlapped, the
-   last to finish keeps its set and the other is left to the GC. *)
-let release p (b : tbufs) = Atomic.set p.spare (Some b)
 
 (* A program may be scheduled across domains when re-ordering its
    thread-blocks cannot change results: atomics serialize through

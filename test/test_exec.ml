@@ -167,12 +167,12 @@ let test_parallel_safe_goes_multicore () =
 
 (* ---- executor buffers reused across launches ---- *)
 
-(* The threaded engine keeps its register banks on the decoded program
-   between launches (Tcode.acquire / release) and zero-fills them per
-   warp. Reuse must be invisible: a launch sequence that interleaves
-   programs of different register and spill shapes, and survives a
-   launch that fails mid-kernel, matches the reference interpreter
-   launch for launch. *)
+(* The engine keeps its compiled warp states, register banks included,
+   on the decoded program between launches (Exec.acquire / release) and
+   zero-fills the banks per warp. Reuse must be invisible: a launch
+   sequence that interleaves programs of different register and spill
+   shapes, and survives a launch that fails mid-kernel, matches the
+   reference interpreter launch for launch. *)
 
 (* ~20 mutually-live doubles under a 32-register cap: spills *)
 let spill_kernel () =
@@ -328,14 +328,14 @@ let test_buffer_reuse_interleaved () =
     (List.combine expect got);
   Alcotest.(check bool) "the failing launch failed" true
     (match List.nth got 5 with Error _ -> true | Ok _ -> false);
-  (* and the buffers really were reused: a further launch hands back
-     the very set the program holds now *)
-  let held = Atomic.get ks.pd.Tcode.spare in
-  Alcotest.(check bool) "program holds spare buffers" true (held <> None);
+  (* and the state really was reused: a further launch hands back the
+     very state the program holds now *)
+  let held = Atomic.get ks.pd.Tcode.states in
+  Alcotest.(check int) "program holds one idle warp state" 1 (List.length held);
   ignore (run_steps ~reference:false ks [ Diff (1.0, 64) ]);
-  Alcotest.(check bool) "same buffers after another launch" true
-    (match (held, Atomic.get ks.pd.Tcode.spare) with
-    | Some a, Some b -> a == b
+  Alcotest.(check bool) "same state after another launch" true
+    (match (held, Atomic.get ks.pd.Tcode.states) with
+    | [ a ], [ b ] -> a == b
     | _ -> false)
 
 (* Two domains launching one shared program concurrently each get
@@ -532,6 +532,587 @@ let test_decode_malformed () =
         (match run_shape Reference k 0 with Error _, _, _, _, _ -> true | _ -> false))
     [ ("no blocks", { k with Mach.blocks = [] }); ("branch to a missing block", dangling) ]
 
+(* ---- shape table: every compiled arm against the reference ---- *)
+
+(* Exec compiles each instruction to a closure chosen by its operation,
+   destination class, operand kinds, f32 rounding and memory type. The
+   HeCBench cells and fuzz oracle (b) reach only the shapes the backend
+   emits, so this table builds the others by hand: each shape is a few
+   instructions in block "body", whose destination a store makes
+   observable. Block "entry" sets up vector, scalar, constant and symbol
+   operands; its branch into "body" selects the lanes: all of them, a
+   scattered part, or lane 5 alone (a scalar destination still reads
+   lane 0). Memory, counters, the site table, the L2 model and the
+   failure must equal Refexec's, serially with the profile armed and on
+   the multicore schedule. A failing launch on the multicore schedule
+   raises the reference's failure, but its memory and L2 need not match:
+   blocks after the failing one may have run, and the traces of a failed
+   launch are not replayed. *)
+
+type okind = KV | KS | KK | KG | KGbad
+
+let kname = function KV -> "V" | KS -> "S" | KK -> "K" | KG -> "G" | KGbad -> "Gbad"
+let kint v = Mach.Ki (Konst.ki64 v)
+let kflt v = Mach.Ki (Konst.kf64 v)
+
+(* operand [n] (0 or 1) of each kind; "g" resolves to the output
+   buffer, "missing" fails to resolve, and a float read of a symbol
+   traps *)
+let iop n = function
+  | KV -> Mach.Rs (vr (4 + n))
+  | KS -> Mach.Rs (sr 0)
+  | KK -> kint (if n = 0 then -3 else 5)
+  | KG -> Mach.Gs "g"
+  | KGbad -> Mach.Gs "missing"
+
+let fop n = function
+  | KV -> Mach.Rs (vr (6 + n))
+  | KS -> Mach.Rs (sr 1)
+  | KK -> kflt (if n = 0 then 0.75 else -2.5)
+  | KG | KGbad -> Mach.Gs "g"
+
+let shape_symbols g = if g = "g" then 64L else failwith ("no device symbol " ^ g)
+
+(* v0 out, v1 tid, v3 the thread's 64-byte area (blocks do not share
+   one: on the multicore schedule they run at the same time), v12/v13 =
+   v3 + 8/16,
+   v4/v5 and v6/v7 integer and float sources, v14 = tid land 1; s0 = 5,
+   s1 = 2.5, s2 = out; the lanes with (tid lxor key) < limit enter *)
+let op_entry ~key ~limit =
+  let b op ty d x y = ins (Mach.Obin (op, ty)) (Some (vr d)) [ x; y ] in
+  let i64 = Types.i64 and f64 = Types.f64 in
+  let v r = Mach.Rs (vr r) in
+  [
+    ins (Mach.Oarg 0) (Some (vr 0)) [];
+    ins (Mach.Oquery "gpu.tid.x") (Some (vr 1)) [];
+    ins (Mach.Oquery "gpu.ctaid.x") (Some (vr 2)) [];
+    b Ops.Mul i64 2 (v 2) (kint 64);
+    b Ops.Add i64 2 (v 2) (v 1);
+    b Ops.Mul i64 2 (v 2) (kint 64);
+    b Ops.Add i64 3 (v 0) (v 2);
+    b Ops.Mul i64 4 (v 1) (kint 7);
+    b Ops.Sub i64 4 (v 4) (kint 200);
+    b Ops.Add i64 5 (v 1) (kint 3);
+    ins (Mach.Ocast (Ops.SiToFp, f64, i64)) (Some (vr 6)) [ v 4 ];
+    b Ops.FMul f64 6 (v 6) (kflt 0.37);
+    ins (Mach.Ocast (Ops.SiToFp, f64, i64)) (Some (vr 7)) [ v 5 ];
+    b Ops.FMul f64 7 (v 7) (kflt (-1.25));
+    b Ops.Add i64 12 (v 3) (kint 8);
+    b Ops.Add i64 13 (v 3) (kint 16);
+    b Ops.And i64 14 (v 1) (kint 1);
+    ins (Mach.Oarg 1) (Some (sr 0)) [];
+    ins (Mach.Oarg 2) (Some (sr 1)) [];
+    ins (Mach.Oarg 0) (Some (sr 2)) [];
+    b Ops.Xor i64 8 (v 1) (kint key);
+    ins (Mach.Ocmp (Ops.CLt, i64)) (Some (vr 9)) [ v 8; kint limit ];
+  ]
+
+type obs = OI of Mach.reg | OF of Mach.reg | ONone
+
+let op_kernel ?(term = Mach.Tbr "done") ~key ~limit code obs =
+  let i64 = Types.i64 and f64 = Types.f64 in
+  let observe =
+    match obs with
+    | OI r -> [ ins (Mach.Ost (Mach.SGlobal, i64)) None [ Mach.Rs r; Mach.Rs (vr 3) ] ]
+    | OF r -> [ ins (Mach.Ost (Mach.SGlobal, f64)) None [ Mach.Rs r; Mach.Rs (vr 12) ] ]
+    | ONone -> []
+  in
+  {
+    Mach.sym = "op";
+    blocks =
+      [
+        { Mach.mlab = "entry"; code = op_entry ~key ~limit;
+          term = Mach.Tcbr (Mach.Rs (vr 9), "body", "done") };
+        { Mach.mlab = "body"; code = code @ observe; term };
+        { Mach.mlab = "done"; code = []; term = Mach.Tret };
+      ];
+    params = [];
+    arg_tys = [ Types.ptr Types.i64; Types.i64; Types.f64 ];
+    vregs = 16;
+    sregs = 4;
+    frame = 16;
+    spill_slots = 2;
+    launch_bounds = None;
+    max_pressure_v = 0;
+    max_pressure_s = 0;
+  }
+
+(* a small L2 keeps the per-launch model cheap *)
+let shape_dev = { Device.mi250x with Device.l2_bytes = 1 lsl 16 }
+let shape_out = 64 * 128
+
+(* One launch of [k] under [mode] (profile armed unless multicore): the
+   outcome, the output buffer (pre-filled with a byte pattern), the
+   site table and the L2 model afterwards. *)
+let run_op mode k =
+  let mem = Gmem.create ~capacity:(1 lsl 15) () and l2 = L2cache.create shape_dev in
+  let out = Gmem.alloc mem shape_out in
+  for i = 0 to shape_out - 1 do
+    Gmem.write_u8 mem (Int64.add out (Int64.of_int i)) ((i * 37) + (i / 64) land 0xff)
+  done;
+  let launch () =
+    match
+      launch_mode mode ~device:shape_dev ~mem ~l2 ~symbols:shape_symbols k ~grid:2 ~block:64
+        ~args:[| Konst.kint ~bits:64 out; Konst.ki64 5; Konst.kf64 2.5; Konst.kbool true; Konst.KNull |]
+    with
+    | r -> Ok r.Exec.counters
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let res, sites = if mode = Multicore then (launch (), []) else profiled launch in
+  let snap = String.init shape_out (fun i -> Char.chr (Gmem.read_u8 mem (Int64.add out (Int64.of_int i)))) in
+  (res, snap, sites, l2)
+
+let masks = [ ("full", 0, 64); ("partial", 3, 40); ("lane 5", 5, 1) ]
+
+let check_shape (name, code, obs, term) =
+  List.iter
+    (fun (mname, key, limit) ->
+      let k = op_kernel ?term ~key ~limit code obs in
+      let r0, s0, p0, l0 = run_op Reference k in
+      let what = Printf.sprintf "%s (%s)" name mname in
+      let same mode =
+        let r, s, p, l = run_op mode k in
+        let m = mode_name mode in
+        (match (r0, r) with
+        | Ok c0, Ok c ->
+            if c0 <> c then Alcotest.failf "%s, %s: counters differ" what m
+        | Error e0, Error e -> check Alcotest.string (what ^ ", failure, " ^ m) e0 e
+        | Ok _, Error e -> Alcotest.failf "%s, %s failed: %s" what m e
+        | Error e, Ok _ -> Alcotest.failf "%s, %s completed; the reference failed: %s" what m e);
+        if mode = Threaded || Result.is_ok r0 then begin
+          if s0 <> s then Alcotest.failf "%s, %s: memory differs" what m;
+          if mode = Threaded && p0 <> p then Alcotest.failf "%s, %s: site table differs" what m;
+          if l0 <> l then Alcotest.failf "%s, %s: L2 differs" what m
+        end
+      in
+      same Threaded;
+      same Multicore)
+    masks
+
+let shape ?term name code obs = (name, code, obs, term)
+let kinds2 = [ (KV, KV); (KV, KS); (KS, KV); (KV, KK); (KK, KV); (KV, KG); (KG, KV); (KS, KS); (KK, KK) ]
+let vdst = vr 10 and fdst = vr 11 and sdst = sr 3
+
+(* integer and float destinations, vector and scalar *)
+let idsts = [ ("v", vdst); ("s", sdst) ]
+let i8 = Types.TInt 8
+
+let alu_shapes =
+  let i32 = Types.i32 and i64 = Types.i64 and f32 = Types.f32 and f64 = Types.f64 in
+  let bin op ty d a b = ins (Mach.Obin (op, ty)) (Some d) [ a; b ] in
+  let cross f = List.concat_map (fun (ka, kb) -> List.map (fun (dn, d) -> f ka kb dn d) idsts) kinds2 in
+  let ibin =
+    List.concat_map
+      (fun op ->
+        List.concat_map
+          (fun ty ->
+            cross (fun ka kb dn d ->
+                shape
+                  (Printf.sprintf "%s %s %s%s->%s" (Ops.binop_to_string op) (Types.to_string ty)
+                     (kname ka) (kname kb) dn)
+                  [ bin op ty d (iop 0 ka) (iop 1 kb) ] (OI d)))
+          [ i32; i64; i8 ])
+      Ops.[ Add; Sub; Mul; SDiv; SRem; And; Or; Xor; Shl; LShr; AShr; SMin; SMax ]
+  in
+  let fbin =
+    List.concat_map
+      (fun op ->
+        List.concat_map
+          (fun ty ->
+            cross (fun ka kb dn d ->
+                let d = if dn = "v" then fdst else d in
+                shape
+                  (Printf.sprintf "%s %s %s%s->%s" (Ops.binop_to_string op) (Types.to_string ty)
+                     (kname ka) (kname kb) dn)
+                  [ bin op ty d (fop 0 ka) (fop 1 kb) ] (OF d)))
+          [ f32; f64 ])
+      Ops.[ FAdd; FSub; FMul; FDiv; FRem; FMin; FMax ]
+  in
+  let cmp =
+    List.concat_map
+      (fun op ->
+        cross (fun ka kb dn d ->
+            shape
+              (Printf.sprintf "icmp %s %s%s->%s" (Ops.cmpop_to_string op) (kname ka) (kname kb) dn)
+              [ ins (Mach.Ocmp (op, i32)) (Some d) [ iop 0 ka; iop 1 kb ] ] (OI d))
+        @ cross (fun ka kb dn d ->
+              shape
+                (Printf.sprintf "fcmp %s %s%s->%s" (Ops.cmpop_to_string op) (kname ka) (kname kb) dn)
+                [ ins (Mach.Ocmp (op, f64)) (Some d) [ fop 0 ka; fop 1 kb ] ] (OI d)))
+      Ops.[ CEq; CNe; CLt; CLe; CGt; CGe ]
+  in
+  let conds = [ ("V", Mach.Rs (vr 14)); ("S", Mach.Rs (sr 0)); ("K0", kint 0); ("G", Mach.Gs "g") ] in
+  let arms = [ (KV, KV); (KV, KK); (KS, KG); (KGbad, KV); (KV, KGbad) ] in
+  let sel =
+    List.concat_map
+      (fun (cn, c) ->
+        List.concat_map
+          (fun (ka, kb) ->
+            List.concat_map
+              (fun (dn, d) ->
+                let name t = Printf.sprintf "select %s %s ? %s : %s ->%s" t cn (kname ka) (kname kb) dn in
+                let fd = if dn = "v" then fdst else d in
+                [
+                  shape (name "i64") [ ins (Mach.Osel i64) (Some d) [ c; iop 0 ka; iop 1 kb ] ] (OI d);
+                  shape (name "f64") [ ins (Mach.Osel f64) (Some fd) [ c; fop 0 ka; fop 1 kb ] ] (OF fd);
+                ])
+              idsts)
+          arms)
+      conds
+  in
+  let casts =
+    Ops.
+      [
+        (SiToFp, f32, i32); (SiToFp, f64, i64); (SiToFp, f32, i8); (FpToSi, i32, f64);
+        (FpToSi, i64, f64); (FpToSi, i8, f32); (FpExt, f64, f32); (FpTrunc, f32, f64);
+        (Zext, i32, i8); (Zext, i64, i32); (Sext, i32, i8); (Sext, i64, i32); (Trunc, i32, i64);
+        (Trunc, i8, i64); (Bitcast, f64, f64); (Bitcast, f64, i64); (Bitcast, i64, f64);
+        (Bitcast, i64, i64);
+      ]
+  in
+  let cast =
+    List.concat_map
+      (fun (op, dty, sty) ->
+        List.concat_map
+          (fun k ->
+            List.map
+              (fun (dn, d) ->
+                let src = if Types.is_float sty then fop 0 k else iop 0 k in
+                let d, o =
+                  if Types.is_float dty then ((if dn = "v" then fdst else d), fun d -> OF d)
+                  else (d, fun d -> OI d)
+                in
+                shape
+                  (Printf.sprintf "cast %s %s<-%s %s->%s" (Ops.castop_to_string op)
+                     (Types.to_string dty) (Types.to_string sty) (kname k) dn)
+                  [ ins (Mach.Ocast (op, dty, sty)) (Some d) [ src ] ] (o d))
+              idsts)
+          [ KV; KS; KK ])
+      casts
+  in
+  let mov =
+    List.concat_map
+      (fun (dn, d) ->
+        List.map
+          (fun k -> shape (Printf.sprintf "mov i64 %s->%s" (kname k) dn)
+              [ ins (Mach.Omov i64) (Some d) [ iop 0 k ] ] (OI d))
+          [ KV; KS; KK; KG; KGbad ]
+        @ List.map
+            (fun k ->
+              let d = if dn = "v" then fdst else d in
+              shape (Printf.sprintf "mov f64 %s->%s" (kname k) dn)
+                [ ins (Mach.Omov f64) (Some d) [ fop 0 k ] ] (OF d))
+            [ KV; KS; KK; KG ])
+      idsts
+  in
+  (* the destination is also a source *)
+  let v r = Mach.Rs (vr r) in
+  let alias =
+    [
+      shape "alias add" [ bin Ops.Add i64 (vr 4) (v 4) (v 5) ] (OI (vr 4));
+      shape "alias shl" [ bin Ops.Shl i32 (vr 5) (v 4) (v 5) ] (OI (vr 5));
+      shape "alias fmul f32" [ bin Ops.FMul f32 (vr 6) (v 6) (v 7) ] (OF (vr 6));
+      shape "alias fsub" [ bin Ops.FSub f64 (vr 7) (v 6) (v 7) ] (OF (vr 7));
+      shape "alias select" [ ins (Mach.Osel i64) (Some (vr 4)) [ v 14; v 4; v 5 ] ] (OI (vr 4));
+      shape "alias trunc" [ ins (Mach.Ocast (Ops.Trunc, i8, i64)) (Some (vr 4)) [ v 4 ] ] (OI (vr 4));
+      shape "alias fma"
+        [ ins (Mach.Omath ("math.fma", f64)) (Some (vr 6)) [ v 6; v 7; v 6 ] ] (OF (vr 6));
+      shape "alias scalar" [ bin Ops.Mul i64 (sr 0) (Mach.Rs (sr 0)) (v 4) ] (OI (sr 0));
+    ]
+  in
+  (* two failing reads: the reference reads the second operand first *)
+  let order =
+    [
+      shape "two missing symbols" [ bin Ops.Add i64 vdst (Mach.Gs "m1") (Mach.Gs "m2") ] (OI vdst);
+      shape "two missing symbols, scalar"
+        [ bin Ops.Add i64 sdst (Mach.Gs "m1") (Mach.Gs "m2") ] (OI sdst);
+      shape "missing symbol compared" [ ins (Mach.Ocmp (Ops.CEq, i64)) (Some vdst) [ v 4; Mach.Gs "m" ] ] (OI vdst);
+      shape "missing symbol cast"
+        [ ins (Mach.Ocast (Ops.Trunc, i32, i64)) (Some vdst) [ Mach.Gs "m" ] ] (OI vdst);
+      shape "float op on an integer type" [ bin Ops.FAdd i64 vdst (v 4) (kint 3) ] (OI vdst);
+      shape "float op on an integer type, scalar" [ bin Ops.FAdd i64 sdst (v 4) (kint 3) ] (OI sdst);
+    ]
+  in
+  ibin @ fbin @ cmp @ sel @ cast @ mov @ alias @ order
+
+let mem_shapes =
+  let i32 = Types.i32 and i64 = Types.i64 and f32 = Types.f32 and f64 = Types.f64 in
+  let tys = [ Types.TBool; i8; i32; i64; f32; f64; Types.TVoid ] in
+  let addrs =
+    [ ("V", Mach.Rs (vr 13)); ("S", Mach.Rs (sr 2)); ("K", kint 88); ("G", Mach.Gs "g");
+      ("Gbad", Mach.Gs "missing"); ("oob", kint 1_000_000) ]
+  in
+  let load =
+    List.concat_map
+      (fun ty ->
+        List.concat_map
+          (fun (an, a) ->
+            List.map
+              (fun (dn, d) ->
+                let d, o =
+                  if Types.is_float ty then ((if dn = "v" then fdst else d), fun d -> OF d)
+                  else (d, fun d -> OI d)
+                in
+                shape
+                  (Printf.sprintf "load %s [%s]->%s" (Types.to_string ty) an dn)
+                  [ ins (Mach.Old (Mach.SGlobal, ty)) (Some d) [ a ] ] (o d))
+              idsts)
+          addrs)
+      tys
+  in
+  let store =
+    List.concat_map
+      (fun ty ->
+        List.concat_map
+          (fun (an, a) ->
+            List.map
+              (fun k ->
+                let v = if Types.is_float ty then fop 0 k else iop 0 k in
+                shape
+                  (Printf.sprintf "store %s %s [%s]" (Types.to_string ty) (kname k) an)
+                  [ ins (Mach.Ost (Mach.SGlobal, ty)) None [ v; a ] ] ONone)
+              [ KV; KS; KK; KG; KGbad ])
+          addrs)
+      tys
+  in
+  let v r = Mach.Rs (vr r) in
+  let scratch =
+    [
+      shape "scratch store and load"
+        [
+          ins Mach.Oframe (Some (vr 15)) [ kint 8 ];
+          ins (Mach.Ost (Mach.SScratch, i64)) None [ v 4; v 15 ];
+          ins (Mach.Old (Mach.SScratch, i64)) (Some vdst) [ v 15 ];
+        ]
+        (OI vdst);
+      shape "scratch frame, scalar" [ ins Mach.Oframe (Some sdst) [] ] (OI sdst);
+      shape "scratch frame, vector" [ ins Mach.Oframe (Some vdst) [ kint 4 ] ] (OI vdst);
+    ]
+  in
+  let atomics =
+    List.concat_map
+      (fun (name, ty, vk) ->
+        List.concat_map
+          (fun (an, a) ->
+            List.concat_map
+              (fun k ->
+                let value = if ty = i32 then iop 1 k else fop 1 k in
+                List.map
+                  (fun (dn, d, o) ->
+                    shape
+                      (Printf.sprintf "%s %s [%s]->%s" name (kname k) an dn)
+                      [ ins (Mach.Oatomic name) d [ a; value ] ] o)
+                  [
+                    ("none", None, ONone);
+                    ("v", Some (if ty = i32 then vdst else fdst),
+                     if ty = i32 then OI vdst else OF fdst);
+                    ("s", Some sdst, if ty = i32 then OI sdst else OF sdst);
+                  ])
+              vk)
+          [ ("V", Mach.Rs (vr 13)); ("S", Mach.Rs (sr 2)); ("Gbad", Mach.Gs "missing");
+            ("oob", kint 1_000_000) ])
+      [
+        ("gpu.atomic.add.i32", i32, [ KV; KK; KGbad ]);
+        ("gpu.atomic.add.f32", f32, [ KV; KS; KG ]);
+        ("gpu.atomic.add.f64", f64, [ KV; KK ]);
+      ]
+  in
+  let spills =
+    [
+      shape "spill scalar"
+        [ ins (Mach.Ospill_st 0) None [ Mach.Rs (sr 0) ]; ins (Mach.Ospill_ld 0) (Some sdst) [] ]
+        (OI sdst);
+      shape "spill scalar float"
+        [ ins (Mach.Ospill_st 1) None [ Mach.Rs (sr 1) ]; ins (Mach.Ospill_ld 1) (Some sdst) [] ]
+        (OF sdst);
+      shape "spill vector"
+        [ ins (Mach.Ospill_st 1) None [ v 4 ]; ins (Mach.Ospill_ld 1) (Some vdst) [] ] (OI vdst);
+      shape "spill vector float"
+        [ ins (Mach.Ospill_st 0) None [ v 6 ]; ins (Mach.Ospill_ld 0) (Some fdst) [] ] (OF fdst);
+      shape "spill vector to scalar"
+        [ ins (Mach.Ospill_st 0) None [ v 4 ]; ins (Mach.Ospill_ld 0) (Some sdst) [] ] (OI sdst);
+    ]
+  in
+  load @ store @ scratch @ atomics @ spills
+
+let misc_shapes =
+  let f32 = Types.f32 and f64 = Types.f64 in
+  let queries =
+    [ "x"; "y"; "z" ]
+    |> List.concat_map (fun a ->
+           List.map (fun q -> Printf.sprintf "gpu.%s.%s" q a) [ "tid"; "ctaid"; "ntid"; "nctaid" ])
+  in
+  let query =
+    List.concat_map
+      (fun q ->
+        List.map (fun (dn, d) -> shape (q ^ "->" ^ dn) [ ins (Mach.Oquery q) (Some d) [] ] (OI d)) idsts)
+      queries
+  in
+  let fd dn d = if dn = "v" then fdst else d in
+  let math1 =
+    List.concat_map
+      (fun name ->
+        List.concat_map
+          (fun ty ->
+            List.concat_map
+              (fun k ->
+                List.map
+                  (fun (dn, d) ->
+                    let d = fd dn d in
+                    shape
+                      (Printf.sprintf "%s %s %s->%s" name (Types.to_string ty) (kname k) dn)
+                      [ ins (Mach.Omath (name, ty)) (Some d) [ fop 0 k ] ] (OF d))
+                  idsts)
+              [ KV; KS; KK; KG ])
+          [ f32; f64 ])
+      [ "math.sqrt"; "math.rsqrt"; "math.exp"; "math.log"; "math.sin"; "math.cos"; "math.fabs";
+        "math.floor"; "math.ceil"; "math.tanh"; "math.cbrt" ]
+  in
+  let math2 =
+    List.concat_map
+      (fun name ->
+        List.concat_map
+          (fun ty ->
+            List.concat_map
+              (fun (ka, kb) ->
+                List.map
+                  (fun (dn, d) ->
+                    let d = fd dn d in
+                    shape
+                      (Printf.sprintf "%s %s %s%s->%s" name (Types.to_string ty) (kname ka) (kname kb) dn)
+                      [ ins (Mach.Omath (name, ty)) (Some d) [ fop 0 ka; fop 1 kb ] ] (OF d))
+                  idsts)
+              [ (KV, KV); (KV, KK); (KS, KV) ])
+          [ f32; f64 ])
+      [ "math.pow"; "math.atan2"; "math.hypot" ]
+  in
+  let fma =
+    List.concat_map
+      (fun ty ->
+        List.concat_map
+          (fun (ka, kb, kc) ->
+            List.map
+              (fun (dn, d) ->
+                let d = fd dn d in
+                shape
+                  (Printf.sprintf "fma %s %s%s%s->%s" (Types.to_string ty) (kname ka) (kname kb) (kname kc) dn)
+                  [ ins (Mach.Omath ("math.fma", ty)) (Some d) [ fop 0 ka; fop 1 kb; fop 0 kc ] ] (OF d))
+              idsts)
+          [ (KV, KV, KV); (KV, KK, KS); (KS, KV, KV); (KK, KK, KK); (KV, KV, KG) ])
+      [ f32; f64 ]
+  in
+  let args =
+    List.concat_map
+      (fun (dn, d) ->
+        List.map
+          (fun k ->
+            let d, o = if k = 2 then (fd dn d, OF (fd dn d)) else (d, OI d) in
+            shape (Printf.sprintf "arg %d->%s" k dn) [ ins (Mach.Oarg k) (Some d) [] ] o)
+          [ 0; 1; 2; 3; 4; 5 ])
+      idsts
+  in
+  let branches =
+    List.map
+      (fun (cn, c) ->
+        shape ~term:(Mach.Tcbr (c, "done", "done"))
+          ("branch on " ^ cn) [ ins Mach.Obarrier None [] ] ONone)
+      [ ("V", Mach.Rs (vr 14)); ("S", Mach.Rs (sr 0)); ("K", kint 0); ("G", Mach.Gs "g");
+        ("Gbad", Mach.Gs "missing") ]
+  in
+  query @ math1 @ math2 @ fma @ args @ branches
+
+let shape_groups = [ ("alu", alu_shapes); ("memory", mem_shapes); ("misc", misc_shapes) ]
+
+let test_shape_group shapes () = List.iter check_shape shapes
+
+(* ---- f32 rounding through the warp state's float32 cell ---- *)
+
+(* Random 64-bit patterns, with the cases a float32 conversion treats
+   specially forced in: NaNs with payloads, signed zeros and
+   infinities, double and float32 subnormals, values past the float32
+   range, and exact ties between two float32s (which round to even). *)
+let f32_bits_gen =
+  let open QCheck.Gen in
+  let sign = map (fun b -> if b then Int64.min_int else 0L) bool in
+  let with_sign g = map2 Int64.logor sign g in
+  let mant = map (fun m -> Int64.logand m 0xfffffffffffffL) ui64 in
+  let exp e m = Int64.logor (Int64.shift_left (Int64.of_int e) 52) m in
+  let tie =
+    (* a float32 widened, plus half a float32 ulp: exactly between two *)
+    map2
+      (fun f low ->
+        let d = Int64.bits_of_float (Int32.float_of_bits f) in
+        Int64.add d (if low then 0x10000000L else Int64.neg 0x10000000L))
+      (map Int32.of_int (int_range 0x00800000 0x7f7fffff))
+      bool
+  in
+  frequency
+    [
+      (4, ui64);
+      (1, with_sign (map (fun m -> exp 0x7ff (Int64.logor m 1L)) mant));
+      (1, with_sign (return 0L));
+      (1, with_sign (return (exp 0x7ff 0L)));
+      (1, with_sign mant);
+      (1, with_sign (map2 exp (int_range (1023 - 160) (1023 - 120)) mant));
+      (1, with_sign (map2 exp (int_range (1023 + 120) (1023 + 135)) mant));
+      (2, with_sign tie);
+    ]
+
+let qcheck_f32_round =
+  let cell = Tcode.f32_cell () in
+  QCheck.Test.make ~name:"float32 cell rounding = Util.to_f32, bit for bit" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "0x%016Lx") f32_bits_gen)
+    (fun bits ->
+      let x = Int64.float_of_bits bits in
+      Int64.equal
+        (Int64.bits_of_float (Exec.f32_round cell x))
+        (Int64.bits_of_float (Proteus_support.Util.to_f32 x)))
+
+(* ---- warp states reused across the multicore schedule ---- *)
+
+(* Each domain of a multicore launch runs its blocks on a warp state
+   taken from the program, so once the first launch has compiled them,
+   launches allocate nothing on the major heap: 20 launches of a
+   4-block kernel on 2 domains stay under the serve gate's 8 direct
+   major words per launch (see test_serve). The blocks loop long
+   enough that both domains take part. *)
+let test_multicore_reuse_allocation () =
+  let k =
+    compile_kernel
+      {|__global__ void f(double* out, int n) {
+          int i = blockIdx.x * blockDim.x + threadIdx.x;
+          double acc = (double)i;
+          for (int j = 0; j < n; j++) { acc = acc * 0.99 + (double)j; }
+          out[i] = acc;
+        }|}
+      "f"
+  in
+  let p = Tcode.decode k in
+  let dev = Device.mi250x in
+  let mem = Gmem.create () and l2 = L2cache.create dev in
+  let out = Gmem.alloc mem (256 * 8) in
+  let launch () =
+    Exec.launch ~domains:2 ~tcode:p ~device:dev ~mem ~l2 ~symbols:(fun _ -> 0L) k ~grid:4
+      ~block:64 ~args:[| Konst.kint ~bits:64 out; Konst.ki32 300 |]
+  in
+  check Alcotest.string "multicore schedule" "multicore" (launch ()).Exec.engine;
+  let launches = 20 in
+  Gc.full_major ();
+  Gc.minor ();
+  let g0 = Gc.quick_stat () in
+  for _ = 1 to launches do
+    ignore (launch ())
+  done;
+  Gc.minor ();
+  let g1 = Gc.quick_stat () in
+  let direct (g : Gc.stat) = g.Gc.major_words -. g.Gc.promoted_words in
+  let major = (direct g1 -. direct g0) /. float_of_int launches in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f direct major words per launch < 8" major)
+    true (major < 8.0);
+  Alcotest.(check bool) "at most one idle state per domain" true
+    (List.length (Atomic.get p.Tcode.states) <= 2)
+
 (* ---- whole-application differential: the full HeCBench suite ---- *)
 
 (* Run an app end to end (AOT-compiled, so only the executor varies)
@@ -579,7 +1160,14 @@ let () =
             test_buffer_reuse_two_domains;
           Alcotest.test_case "failed launches free their scratch" `Quick
             test_failed_launch_frees_scratch;
+          Alcotest.test_case "multicore launches reuse warp states" `Quick
+            test_multicore_reuse_allocation;
+          qtest qcheck_f32_round;
         ] );
+      ( "shapes",
+        List.map
+          (fun (name, shapes) -> Alcotest.test_case name `Quick (test_shape_group shapes))
+          shape_groups );
       ( "decode",
         List.map
           (fun ((name, _) as c) -> Alcotest.test_case name `Quick (test_decode_total_case c))

@@ -500,8 +500,9 @@ let test_serve_tenant_quota () =
 
 (* Allocation gate for the warm launch path. Once every kernel is
    compiled and decoded, a launch allocates nothing directly on the
-   major heap (the executor's register banks come back from the decoded
-   program's spare slot) and a bounded amount on the minor heap.
+   major heap (the executor's compiled warp state, register banks
+   included, comes back from the decoded program) and a bounded amount
+   on the minor heap.
    Direct major words are major minus promoted words, as the benchmark
    counts them; promotion of the retained per-launch profiles is not
    the launch path's allocation. A minor collection on either side of
@@ -513,7 +514,7 @@ let test_serve_tenant_quota () =
    promoted words to [major_words] only at its next major slice, so
    without it a slice inside the loop charged the loop with up to
    ~24 words per launch allocated before it began. Measured on this
-   path: 0 direct major and ~560 minor words per launch. *)
+   path: no direct major and ~340 minor words per launch. *)
 let warm_major_words_max = 8.0
 let warm_minor_words_max = 1_000.0
 

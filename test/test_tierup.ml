@@ -180,7 +180,10 @@ let test_tcode_invalidation () =
       ipdom = [||];
       sites = [||];
       has_atomics = false;
-      spare = Atomic.make None;
+      iconsts = [||];
+      fconsts = [||];
+      syms = [||];
+      states = Atomic.make [];
     }
   in
   Hashtbl.replace rt.Gpurt.tcodes "swapped" prog;
