@@ -317,6 +317,27 @@ int main() { return 0; }
       (Staged.stage (fun () ->
            ignore (Proteus_backend.Ptxas.compile (Proteus_backend.Ptx.emit o3))))
   in
+  (* daxpy is too small to show how codegen scales: SW4CK's five
+     kernels (~2,400 Mach instructions, heavy register pressure) *)
+  let sw4ck =
+    let a = List.find (fun (a : App.t) -> a.App.name = "SW4CK") Suite.apps in
+    let m =
+      (Proteus_frontend.Compile.compile ~name:a.App.name
+         ~vendor:Proteus_frontend.Lower.Cuda a.App.source)
+        .Proteus_frontend.Compile.device
+    in
+    ignore (Proteus_opt.Pipeline.optimize_o3 m);
+    m
+  in
+  let test_gcn_sw4ck =
+    Test.make ~name:"backend:GCN codegen SW4CK"
+      (Staged.stage (fun () -> ignore (Proteus_backend.Gcn.compile sw4ck)))
+  in
+  let test_ptx_sw4ck =
+    Test.make ~name:"backend:PTX emit+ptxas SW4CK"
+      (Staged.stage (fun () ->
+           ignore (Proteus_backend.Ptxas.compile (Proteus_backend.Ptx.emit sw4ck))))
+  in
   let test_hash =
     Test.make ~name:"cache:specialization hash"
       (Staged.stage (fun () ->
@@ -326,7 +347,10 @@ int main() { return 0; }
                 ~launch_bounds:(Some 256))))
   in
   let tests =
-    [ test_frontend; test_bitcode; test_o3; test_gcn; test_ptx; test_hash ]
+    [
+      test_frontend; test_bitcode; test_o3; test_gcn; test_ptx; test_gcn_sw4ck;
+      test_ptx_sw4ck; test_hash;
+    ]
   in
   let benchmark test =
     let instances = [ Toolkit.Instance.monotonic_clock ] in

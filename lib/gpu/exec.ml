@@ -1348,19 +1348,25 @@ let launch ?domains ?tcode ~(device : Device.t) ~(mem : Gmem.t) ~(l2 : L2cache.t
          state per domain from the program up front (so the first
          launch compiles them all), each task pops one for its block
          and pushes it back, and the program gets them back when the
-         launch completes. *)
+         launch completes. A block's counters and trace, written on
+         every instruction, are allocated by the task that runs it, in
+         its own domain's heap, so neighbouring blocks running on two
+         domains never write one cache line. *)
       let pool = Pool.shared ~size:ndom in
       let free = Atomic.make (List.init (min ndom grid) (fun _ -> acquire p ~lanes:warp)) in
       let chunk = 4 * ndom in
       let start = ref 0 in
       while !start < grid do
         let n = min chunk (grid - !start) in
-        let per_block = Array.init n (fun _ -> Counters.create ()) in
-        let traces = Array.init n (fun _ -> Util.Vec.create 0) in
+        let per_block = Array.make n Tcode.idle_ctr in
+        let traces = Array.make n Tcode.idle_trace in
         Pool.run pool
           (fun i ->
+            let ctr = Counters.create () and trace = Util.Vec.create 0 in
+            per_block.(i) <- ctr;
+            traces.(i) <- trace;
             let w = match Tcode.pop free with Some w -> w | None -> acquire p ~lanes:warp in
-            setup w p env per_block.(i) (Tcode.Record traces.(i));
+            setup w p env ctr (Tcode.Record trace);
             run_block w p ~warp ~block ~nwarps_per_block (!start + i);
             Tcode.push free w)
           n;

@@ -278,8 +278,16 @@ type line_sink = Direct of L2cache.t | Record of int Util.Vec.t
 
 (* The values of the launch a warp state runs (in the multicore
    schedule, of the thread-block), written before it runs. The compiled
-   closures read each field once per instruction, never per lane. *)
+   closures read each field once per instruction, never per lane.
+
+   [fuel] is written on every instruction and the warp fields on every
+   warp, while the multicore schedule runs other states on other
+   domains. Eight unused words at each end keep every field off the
+   64-byte lines of whatever the allocator placed beside the record, so
+   no two states share a line however they were laid out. *)
 type wlaunch = {
+  pad_a0 : int; pad_a1 : int; pad_a2 : int; pad_a3 : int;
+  pad_a4 : int; pad_a5 : int; pad_a6 : int; pad_a7 : int;
   mutable data : Bytes.t; (* the arena: execution never grows it *)
   mutable ctr : Counters.t;
   mutable sink : line_sink;
@@ -299,6 +307,8 @@ type wlaunch = {
   mutable scratch0 : int;
   mutable spill0 : int;
   mutable fuel : int;
+  pad_z0 : int; pad_z1 : int; pad_z2 : int; pad_z3 : int;
+  pad_z4 : int; pad_z5 : int; pad_z6 : int; pad_z7 : int;
 }
 
 (* A block terminator with its condition resolved to a cell. *)
@@ -359,13 +369,16 @@ let banks_create (p : program) lanes =
 (* what an idle state points at; never written, since a launch sets
    every field before it runs *)
 let idle_ctr = Counters.create ()
-let idle_sink = Record (Util.Vec.create 0)
+let idle_trace : int Util.Vec.t = Util.Vec.create 0
+let idle_sink = Record idle_trace
 
 let wlaunch_create () =
   {
-    data = Bytes.empty; ctr = idle_ctr; sink = idle_sink; args = [||]; profile = None;
-    line = 1; lsh = 0; gx = 0; bx = 1; scratch_base = 0; thread_frame = 0; bix = 0;
-    btx = 0; scratch0 = 0; spill0 = 0; fuel = 0;
+    pad_a0 = 0; pad_a1 = 0; pad_a2 = 0; pad_a3 = 0; pad_a4 = 0; pad_a5 = 0; pad_a6 = 0;
+    pad_a7 = 0; data = Bytes.empty; ctr = idle_ctr; sink = idle_sink; args = [||];
+    profile = None; line = 1; lsh = 0; gx = 0; bx = 1; scratch_base = 0; thread_frame = 0;
+    bix = 0; btx = 0; scratch0 = 0; spill0 = 0; fuel = 0; pad_z0 = 0; pad_z1 = 0;
+    pad_z2 = 0; pad_z3 = 0; pad_z4 = 0; pad_z5 = 0; pad_z6 = 0; pad_z7 = 0;
   }
 
 (* Drop a finished launch's values. The state outlives them: it keeps
