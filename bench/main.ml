@@ -338,6 +338,40 @@ int main() { return 0; }
       (Staged.stage (fun () ->
            ignore (Proteus_backend.Ptxas.compile (Proteus_backend.Ptx.emit sw4ck))))
   in
+  (* the executor alone: an AOT app's heaviest launch (most
+     warp-instructions), replayed with its decoded program on a copy
+     of the device memory it started from, restored before every run *)
+  let exec_case name vendor =
+    let a = List.find (fun (a : App.t) -> a.App.name = name) Suite.apps in
+    let exe = Harness.compile_app a vendor Proteus_driver.Driver.Aot in
+    let rt = Proteus_runtime.Gpurt.create (Device.by_vendor vendor) in
+    let run = rt.Proteus_runtime.Gpurt.exec_launch and heaviest = ref None in
+    rt.Proteus_runtime.Gpurt.exec_launch <-
+      (fun ?domains ?tcode ~device ~mem ~l2 ~symbols f ~grid ~block ~args ->
+        let image = Bytes.sub mem.Gmem.data 0 mem.Gmem.brk in
+        let r = run ?domains ?tcode ~device ~mem ~l2 ~symbols f ~grid ~block ~args in
+        let w = r.Exec.counters.Counters.warp_instrs in
+        (match !heaviest with
+        | Some (w', _) when w' >= w -> ()
+        | _ -> heaviest := Some (w, (image, device, symbols, f, grid, block, args)));
+        r);
+    ignore (Proteus_runtime.Gpurt.load_module rt exe.Proteus_driver.Driver.fatbin);
+    ignore (Proteus_runtime.Hostexec.run rt exe.Proteus_driver.Driver.host);
+    let image, device, symbols, f, grid, block, args =
+      match !heaviest with Some (_, l) -> l | None -> failwith (name ^ ": no launch")
+    in
+    let mem = Gmem.create ~capacity:(2 * Bytes.length image) () in
+    mem.Gmem.brk <- Bytes.length image;
+    let l2 = L2cache.create device and tcode = Tcode.decode f in
+    Test.make
+      ~name:(Printf.sprintf "gpu:exec %s (%s)" name (vname vendor))
+      (Staged.stage (fun () ->
+           Bytes.blit image 0 mem.Gmem.data 0 (Bytes.length image);
+           ignore
+             (Exec.launch ~domains:1 ~tcode ~device ~mem ~l2 ~symbols f ~grid ~block ~args)))
+  in
+  let test_exec_sw4ck = exec_case "SW4CK" Device.Amd in
+  let test_exec_adam = exec_case "ADAM" Device.Nvidia in
   let test_hash =
     Test.make ~name:"cache:specialization hash"
       (Staged.stage (fun () ->
@@ -349,7 +383,7 @@ int main() { return 0; }
   let tests =
     [
       test_frontend; test_bitcode; test_o3; test_gcn; test_ptx; test_gcn_sw4ck;
-      test_ptx_sw4ck; test_hash;
+      test_ptx_sw4ck; test_exec_sw4ck; test_exec_adam; test_hash;
     ]
   in
   let benchmark test =

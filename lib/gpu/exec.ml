@@ -497,6 +497,143 @@ let then_round (b : Tcode.banks) r32 d (f : lanes_fn) : lanes_fn =
       done
 
 (* ------------------------------------------------------------------ *)
+(* Value tags (see Tcode.banks): a symbolic register's lanes are
+   [sx (base + stride * l)] at its width. While the warp runs under
+   its entry mask, the instructions below whose result is uniform or
+   affine in the lane write the tag of their destination and touch no
+   lane cell. Every other reader of a symbolic register materialises
+   it first, once; a write under a narrower mask materialises its
+   destination first, because the lanes it skips keep their value. *)
+
+let[@inline] cget (bi : Bytes.t) c : int64 = b_get64u bi (c lsl 3)
+let[@inline] cset (bi : Bytes.t) c (v : int64) = b_set64u bi (c lsl 3) v
+
+let materialise (b : Tcode.banks) r =
+  let bi = b.Tcode.bi and c = b.Tcode.sb + (2 * r) in
+  let sh = shift_of b.Tcode.vw.(r) and o = r * b.Tcode.lanes in
+  let base = cget bi c and st = cget bi (c + 1) in
+  for l = 0 to b.Tcode.n0 - 1 do
+    iset bi o l (sx (Int64.add base (Int64.mul st (Int64.of_int l))) sh)
+  done;
+  b.Tcode.vw.(r) <- 0
+
+let[@inline] concrete_reg (b : Tcode.banks) r =
+  if Array.unsafe_get b.Tcode.vw r > 0 then materialise b r
+
+(* before a write of destination [dr] by [n] lanes *)
+let[@inline] concrete_dst (b : Tcode.banks) dr n =
+  if Array.unsafe_get b.Tcode.vw dr > 0 then
+    if n <> b.Tcode.n0 then materialise b dr else b.Tcode.vw.(dr) <- 0
+
+(* Give vector register [d] the tag whose base and stride are in the
+   scratch cells [tcell], [tcell + 1], at width [w]: normalised, and
+   kept exact (width 64) when its entry-mask lanes do not wrap. True,
+   for the symbolic evaluators below to return. *)
+let commit (b : Tcode.banks) d w =
+  let bi = b.Tcode.bi and t = Tcode.tcell b and c = b.Tcode.sb + (2 * d) in
+  if w >= 64 then begin
+    cset bi c (cget bi t);
+    cset bi (c + 1) (cget bi (t + 1));
+    b.Tcode.vw.(d) <- 64
+  end
+  else begin
+    let sh = 64 - w in
+    let base = sx (cget bi t) sh and st = sx (cget bi (t + 1)) sh in
+    cset bi c base;
+    cset bi (c + 1) st;
+    let last = Int64.add base (Int64.mul st (Int64.of_int (b.Tcode.n0 - 1))) in
+    b.Tcode.vw.(d) <- (if (w <= 32 || st = 0L) && sx last sh = last then 64 else w)
+  end;
+  true
+
+(* [commit] of [base], [st] *)
+let[@inline] put (b : Tcode.banks) d w (base : int64) (st : int64) =
+  let t = Tcode.tcell b in
+  cset b.Tcode.bi t base;
+  cset b.Tcode.bi (t + 1) st;
+  commit b d w
+
+(* [f], a lane loop built to write [d]'s base cell, run on lane 0: [d]
+   is then that uniform value *)
+let lane0_uniform (b : Tcode.banks) (f : lanes_fn) d =
+  f lane0 1;
+  cset b.Tcode.bi (b.Tcode.sb + (2 * d) + 1) 0L;
+  b.Tcode.vw.(d) <- 64;
+  true
+
+let[@inline] set_uniform (b : Tcode.banks) d (v : int64) =
+  let c = b.Tcode.sb + (2 * d) in
+  cset b.Tcode.bi c v;
+  cset b.Tcode.bi (c + 1) 0L;
+  b.Tcode.vw.(d) <- 64
+
+(* The values of lanes 0 and n0 - 1 of a symbolic operand (cells
+   [bc]/[sc], width [w]) sign-normalised to [bits], into the scratch
+   cells [tcell + 2]/[tcell + 3], when the lanes between them do not
+   wrap at [bits]: then every lane's value lies between the two. *)
+let ends (b : Tcode.banks) bits bc sc w =
+  let bi = b.Tcode.bi and t = Tcode.tcell b + 2 and n = Int64.of_int (b.Tcode.n0 - 1) in
+  if w < bits || (bits > 32 && bits < 64) then false
+  else if bits = 64 then begin
+    let base = cget bi bc and st = cget bi sc in
+    if st > 0x80_0000_0000_0000L || st < -0x80_0000_0000_0000L then false
+    else begin
+      let span = Int64.mul st n in
+      let last = Int64.add base span in
+      (* signed overflow: both addends of one sign, the sum of the other *)
+      if (base >= 0L) = (span >= 0L) && (last >= 0L) <> (base >= 0L) then false
+      else begin
+        cset bi t base;
+        cset bi (t + 1) last;
+        true
+      end
+    end
+  end
+  else begin
+    let sh = 64 - bits in
+    let base = sx (cget bi bc) sh and st = sx (cget bi sc) sh in
+    let last = Int64.add base (Int64.mul st n) in
+    if sx last sh <> last then false
+    else begin
+      cset bi t base;
+      cset bi (t + 1) last;
+      true
+    end
+  end
+
+(* [f] once the symbolic registers among its vector operands [rs] are
+   materialised and its vector destination [dr] (-1: none, or not an
+   integer write) is no longer symbolic. *)
+let concrete (b : Tcode.banks) (rs : int list) dr (f : lanes_fn) : lanes_fn =
+  match (rs, dr) with
+  | [], -1 -> f
+  | [], _ ->
+      fun ls n ->
+        concrete_dst b dr n;
+        f ls n
+  | [ r ], -1 ->
+      fun ls n ->
+        concrete_reg b r;
+        f ls n
+  | [ r ], _ ->
+      fun ls n ->
+        concrete_reg b r;
+        concrete_dst b dr n;
+        f ls n
+  | rs, _ ->
+      let rs = Array.of_list rs in
+      fun ls n ->
+        for i = 0 to Array.length rs - 1 do
+          concrete_reg b (Array.unsafe_get rs i)
+        done;
+        if dr >= 0 then concrete_dst b dr n;
+        f ls n
+
+(* the vector registers an integer operand reads *)
+let ivr = function Tcode.IV r -> [ r ] | Tcode.IS _ | Tcode.IK _ | Tcode.IG _ -> []
+let dvr = function Tcode.DV r -> r | Tcode.DS _ -> -1
+
+(* ------------------------------------------------------------------ *)
 (* Operand reads that can fail. A symbol slot fails when resolving it
    failed this launch; a float read of a symbol ([-1] here) always
    traps. [check_reads] raises the first failure of a list kept in the
@@ -527,18 +664,21 @@ let guard (b : Tcode.banks) reads (k : int -> unit) : int -> unit =
         k act
 
 (* Counted ALU instructions: [f] on the active lanes, or on lane 0 for
-   a scalar destination. [long] is the long-latency pipe (divisions). *)
-let alu (b : Tcode.banks) (wl : Tcode.wlaunch) (d : Tcode.tdst) ~long (f : lanes_fn) :
+   a scalar destination. [long] is the long-latency pipe (divisions).
+   Under the entry mask a vector destination first tries [sym], which
+   writes the destination's tag and says whether it could; without one
+   (float operations) the closure tests nothing. *)
+let alu ?sym (b : Tcode.banks) (wl : Tcode.wlaunch) (d : Tcode.tdst) ~long (f : lanes_fn) :
     int -> unit =
-  match d with
-  | Tcode.DS _ ->
+  match (d, sym) with
+  | Tcode.DS _, _ ->
       fun _ ->
         let c = wl.Tcode.ctr in
         c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
         c.Counters.salu <- c.Counters.salu + 1;
         if long then c.Counters.math_warp <- c.Counters.math_warp + 1;
         f lane0 1
-  | Tcode.DV _ ->
+  | Tcode.DV _, None ->
       let ls = b.Tcode.act in
       fun act ->
         let c = wl.Tcode.ctr in
@@ -547,6 +687,15 @@ let alu (b : Tcode.banks) (wl : Tcode.wlaunch) (d : Tcode.tdst) ~long (f : lanes
         c.Counters.valu_thread <- c.Counters.valu_thread + act;
         if long then c.Counters.math_warp <- c.Counters.math_warp + 1;
         f ls act
+  | Tcode.DV _, Some sym ->
+      let ls = b.Tcode.act in
+      fun act ->
+        let c = wl.Tcode.ctr in
+        c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
+        c.Counters.valu_warp <- c.Counters.valu_warp + 1;
+        c.Counters.valu_thread <- c.Counters.valu_thread + act;
+        if long then c.Counters.math_warp <- c.Counters.math_warp + 1;
+        if not (act = b.Tcode.n0 && sym ()) then f ls act
 
 (* Transcendentals and fma issue on the math pipe. *)
 let math (b : Tcode.banks) (wl : Tcode.wlaunch) (d : Tcode.tdst) (f : lanes_fn) :
@@ -618,6 +767,42 @@ let touch_collected (b : Tcode.banks) wl n =
     end
   done
 
+(* The lines of an access whose [n] addresses [abuf.(0..n-1)] are
+   [a0 + s * j] with no wrap: monotone, so Refexec's descending-lane
+   order meets each line once, in order. With |s| at most a line,
+   neighbouring lanes' lines differ by at most one and every line
+   between the ends is touched; with a larger stride every lane has a
+   line of its own. O(lines) either way; the dedup buffer keeps only
+   the count the site profile reads. *)
+let touch_affine (b : Tcode.banks) wl n =
+  let ab = b.Tcode.abuf in
+  let a0 = Array.unsafe_get ab 0 in
+  let s = if n > 1 then Array.unsafe_get ab 1 - a0 else 0 in
+  if s > 1 lsl 40 || s < -(1 lsl 40) then touch_collected b wl n
+  else begin
+    let first = line_of wl (Array.unsafe_get ab (n - 1)) and last = line_of wl a0 in
+    let lines =
+      if s <= wl.Tcode.line && s >= - wl.Tcode.line then begin
+        if first <= last then
+          for la = first to last do
+            touch_line wl la
+          done
+        else
+          for la = first downto last do
+            touch_line wl la
+          done;
+        abs (last - first) + 1
+      end
+      else begin
+        for k = n - 1 downto 0 do
+          touch_line wl (line_of wl (Array.unsafe_get ab k))
+        done;
+        n
+      end
+    in
+    b.Tcode.dedup.Tcode.la_n <- lines
+  end
+
 let touch_one (b : Tcode.banks) wl (a : int) =
   let d = b.Tcode.dedup in
   Tcode.linedup_reset d;
@@ -633,9 +818,11 @@ let record_site (b : Tcode.banks) (wl : Tcode.wlaunch) (st : Tcode.site) act =
       Counters.record_site tbl st.Tcode.skey ~lanes:act ~lines:b.Tcode.dedup.Tcode.la_n
         ~full:(act = b.Tcode.lanes) ~width:st.Tcode.swidth ~scratch:st.Tcode.sscratch
 
-(* Per-lane loads: address, collected for coalescing, bounds, value.
-   [MNone] fails after the address read, like Gmem.read. *)
-let load_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) d p pm : lanes_fn =
+(* Per-lane loads from the addresses [collect] left in [abuf]: bounds,
+   value. [MNone] fails after the address read, like Gmem.read. The
+   bounds test subtracts, so an address near max_int cannot wrap past
+   it. *)
+let load_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) d : lanes_fn =
   let bi = b.Tcode.bi and bf = b.Tcode.bf and ab = b.Tcode.abuf in
   match mty with
   | Tcode.MBool ->
@@ -644,9 +831,8 @@ let load_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) d p pm :
         let dlen = Bytes.length data in
         for j = 0 to n - 1 do
           let l = Array.unsafe_get ls j in
-          let ai = Int64.to_int (iget bi p pm l) in
-          Array.unsafe_set ab j ai;
-          if ai <= 0 || ai + 1 > dlen then oob ai 1;
+          let ai = Array.unsafe_get ab j in
+          if ai <= 0 || ai > dlen - 1 then oob ai 1;
           iset bi d l (if Bytes.unsafe_get data ai <> '\000' then 1L else 0L)
         done
   | Tcode.MI8 ->
@@ -655,9 +841,8 @@ let load_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) d p pm :
         let dlen = Bytes.length data in
         for j = 0 to n - 1 do
           let l = Array.unsafe_get ls j in
-          let ai = Int64.to_int (iget bi p pm l) in
-          Array.unsafe_set ab j ai;
-          if ai <= 0 || ai + 1 > dlen then oob ai 1;
+          let ai = Array.unsafe_get ab j in
+          if ai <= 0 || ai > dlen - 1 then oob ai 1;
           iset bi d l (Int64.of_int ((Char.code (Bytes.unsafe_get data ai) lsl 55) asr 55))
         done
   | Tcode.MI32 ->
@@ -666,9 +851,8 @@ let load_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) d p pm :
         let dlen = Bytes.length data in
         for j = 0 to n - 1 do
           let l = Array.unsafe_get ls j in
-          let ai = Int64.to_int (iget bi p pm l) in
-          Array.unsafe_set ab j ai;
-          if ai <= 0 || ai + 4 > dlen then oob ai 4;
+          let ai = Array.unsafe_get ab j in
+          if ai <= 0 || ai > dlen - 4 then oob ai 4;
           iset bi d l (Int64.of_int32 (le_get32u data ai))
         done
   | Tcode.MI64 ->
@@ -677,9 +861,8 @@ let load_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) d p pm :
         let dlen = Bytes.length data in
         for j = 0 to n - 1 do
           let l = Array.unsafe_get ls j in
-          let ai = Int64.to_int (iget bi p pm l) in
-          Array.unsafe_set ab j ai;
-          if ai <= 0 || ai + 8 > dlen then oob ai 8;
+          let ai = Array.unsafe_get ab j in
+          if ai <= 0 || ai > dlen - 8 then oob ai 8;
           iset bi d l (le_get64u data ai)
         done
   | Tcode.MF32 ->
@@ -688,9 +871,8 @@ let load_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) d p pm :
         let dlen = Bytes.length data in
         for j = 0 to n - 1 do
           let l = Array.unsafe_get ls j in
-          let ai = Int64.to_int (iget bi p pm l) in
-          Array.unsafe_set ab j ai;
-          if ai <= 0 || ai + 4 > dlen then oob ai 4;
+          let ai = Array.unsafe_get ab j in
+          if ai <= 0 || ai > dlen - 4 then oob ai 4;
           fset bf d l (Int32.float_of_bits (le_get32u data ai))
         done
   | Tcode.MF64 ->
@@ -699,18 +881,16 @@ let load_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) d p pm :
         let dlen = Bytes.length data in
         for j = 0 to n - 1 do
           let l = Array.unsafe_get ls j in
-          let ai = Int64.to_int (iget bi p pm l) in
-          Array.unsafe_set ab j ai;
-          if ai <= 0 || ai + 8 > dlen then oob ai 8;
+          let ai = Array.unsafe_get ab j in
+          if ai <= 0 || ai > dlen - 8 then oob ai 8;
           fset bf d l (Int64.float_of_bits (le_get64u data ai))
         done
   | Tcode.MNone t -> fun _ _ -> Util.failf "Gmem.read: cannot read %s" t
 
-(* Per-lane stores: address, collected, value ([v] for integer types,
-   [fv] for float types), bounds, write. A void store fails sizing the
-   type once both operands are read. *)
-let store_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) v vm fv fvm p pm :
-    lanes_fn =
+(* Per-lane stores to the collected addresses: value ([v] for integer
+   types, [fv] for float types), bounds, write. A void store fails
+   sizing the type once both operands are read. *)
+let store_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) v vm fv fvm : lanes_fn =
   let bi = b.Tcode.bi and bf = b.Tcode.bf and ab = b.Tcode.abuf in
   match mty with
   | Tcode.MBool ->
@@ -719,9 +899,8 @@ let store_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) v vm fv
         let dlen = Bytes.length data in
         for j = 0 to n - 1 do
           let l = Array.unsafe_get ls j in
-          let ai = Int64.to_int (iget bi p pm l) in
-          Array.unsafe_set ab j ai;
-          if ai <= 0 || ai + 1 > dlen then oob ai 1;
+          let ai = Array.unsafe_get ab j in
+          if ai <= 0 || ai > dlen - 1 then oob ai 1;
           Bytes.unsafe_set data ai
             (if Int64.logand (iget bi v vm l) 1L = 0L then '\000' else '\001')
         done
@@ -731,9 +910,8 @@ let store_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) v vm fv
         let dlen = Bytes.length data in
         for j = 0 to n - 1 do
           let l = Array.unsafe_get ls j in
-          let ai = Int64.to_int (iget bi p pm l) in
-          Array.unsafe_set ab j ai;
-          if ai <= 0 || ai + 1 > dlen then oob ai 1;
+          let ai = Array.unsafe_get ab j in
+          if ai <= 0 || ai > dlen - 1 then oob ai 1;
           Bytes.unsafe_set data ai (Char.unsafe_chr (Int64.to_int (iget bi v vm l) land 0xff))
         done
   | Tcode.MI32 ->
@@ -742,9 +920,8 @@ let store_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) v vm fv
         let dlen = Bytes.length data in
         for j = 0 to n - 1 do
           let l = Array.unsafe_get ls j in
-          let ai = Int64.to_int (iget bi p pm l) in
-          Array.unsafe_set ab j ai;
-          if ai <= 0 || ai + 4 > dlen then oob ai 4;
+          let ai = Array.unsafe_get ab j in
+          if ai <= 0 || ai > dlen - 4 then oob ai 4;
           le_set32u data ai (Int64.to_int32 (iget bi v vm l))
         done
   | Tcode.MI64 ->
@@ -753,9 +930,8 @@ let store_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) v vm fv
         let dlen = Bytes.length data in
         for j = 0 to n - 1 do
           let l = Array.unsafe_get ls j in
-          let ai = Int64.to_int (iget bi p pm l) in
-          Array.unsafe_set ab j ai;
-          if ai <= 0 || ai + 8 > dlen then oob ai 8;
+          let ai = Array.unsafe_get ab j in
+          if ai <= 0 || ai > dlen - 8 then oob ai 8;
           le_set64u data ai (iget bi v vm l)
         done
   | Tcode.MF32 ->
@@ -764,9 +940,8 @@ let store_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) v vm fv
         let dlen = Bytes.length data in
         for j = 0 to n - 1 do
           let l = Array.unsafe_get ls j in
-          let ai = Int64.to_int (iget bi p pm l) in
-          Array.unsafe_set ab j ai;
-          if ai <= 0 || ai + 4 > dlen then oob ai 4;
+          let ai = Array.unsafe_get ab j in
+          if ai <= 0 || ai > dlen - 4 then oob ai 4;
           le_set32u data ai (Int32.bits_of_float (fget bf fv fvm l))
         done
   | Tcode.MF64 ->
@@ -775,18 +950,17 @@ let store_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (mty : Tcode.mty) v vm fv
         let dlen = Bytes.length data in
         for j = 0 to n - 1 do
           let l = Array.unsafe_get ls j in
-          let ai = Int64.to_int (iget bi p pm l) in
-          Array.unsafe_set ab j ai;
-          if ai <= 0 || ai + 8 > dlen then oob ai 8;
+          let ai = Array.unsafe_get ab j in
+          if ai <= 0 || ai > dlen - 8 then oob ai 8;
           le_set64u data ai (Int64.bits_of_float (fget bf fv fvm l))
         done
   | Tcode.MNone t -> fun _ _ -> Util.failf "Exec.ibits_of: %s" t
 
-(* Per-lane atomic adds: address, collected, bounds, old value, operand,
-   write; the old value goes to the destination cell [d] (lane mask
-   [dm]: a scalar destination ends with the last lane's). *)
+(* Per-lane atomic adds at the collected addresses: bounds, old value,
+   operand, write; the old value goes to the destination cell [d]
+   (lane mask [dm]: a scalar destination ends with the last lane's). *)
 let atomic_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (kind : Tcode.atomic) d dm v vm fv
-    fvm p pm : lanes_fn =
+    fvm : lanes_fn =
   let bi = b.Tcode.bi and bf = b.Tcode.bf and ab = b.Tcode.abuf in
   match kind with
   | Tcode.AAddF32 ->
@@ -795,9 +969,8 @@ let atomic_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (kind : Tcode.atomic) d 
         let dlen = Bytes.length data in
         for j = 0 to n - 1 do
           let l = Array.unsafe_get ls j in
-          let ai = Int64.to_int (iget bi p pm l) in
-          Array.unsafe_set ab j ai;
-          if ai <= 0 || ai + 4 > dlen then oob ai 4;
+          let ai = Array.unsafe_get ab j in
+          if ai <= 0 || ai > dlen - 4 then oob ai 4;
           let old = Int32.float_of_bits (le_get32u data ai) in
           le_set32u data ai (Int32.bits_of_float (old +. fget bf fv fvm l));
           fset bf d (l land dm) old
@@ -808,9 +981,8 @@ let atomic_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (kind : Tcode.atomic) d 
         let dlen = Bytes.length data in
         for j = 0 to n - 1 do
           let l = Array.unsafe_get ls j in
-          let ai = Int64.to_int (iget bi p pm l) in
-          Array.unsafe_set ab j ai;
-          if ai <= 0 || ai + 8 > dlen then oob ai 8;
+          let ai = Array.unsafe_get ab j in
+          if ai <= 0 || ai > dlen - 8 then oob ai 8;
           let old = Int64.float_of_bits (le_get64u data ai) in
           le_set64u data ai (Int64.bits_of_float (old +. fget bf fv fvm l));
           fset bf d (l land dm) old
@@ -821,9 +993,8 @@ let atomic_lanes (b : Tcode.banks) (wl : Tcode.wlaunch) (kind : Tcode.atomic) d 
         let dlen = Bytes.length data in
         for j = 0 to n - 1 do
           let l = Array.unsafe_get ls j in
-          let ai = Int64.to_int (iget bi p pm l) in
-          Array.unsafe_set ab j ai;
-          if ai <= 0 || ai + 4 > dlen then oob ai 4;
+          let ai = Array.unsafe_get ab j in
+          if ai <= 0 || ai > dlen - 4 then oob ai 4;
           let old = le_get32u data ai in
           le_set32u data ai (Int32.add old (Int64.to_int32 (iget bi v vm l)));
           iset bi d (l land dm) (Int64.of_int32 old)
@@ -861,6 +1032,170 @@ let query_lanes bi (wl : Tcode.wlaunch) (q : Tcode.tquery) d : lanes_fn =
   | Tcode.QNtidY | Tcode.QNtidZ | Tcode.QNctaidY | Tcode.QNctaidZ -> uniform (fun _ -> 1)
 
 (* ------------------------------------------------------------------ *)
+(* Symbolic evaluation: each returns [true] when it wrote the tag of
+   vector destination [d] (a register id), [false] when the lane loop
+   has to run. They run only under the entry mask; operand views are
+   Tcode.sview's. *)
+
+(* Integer binops. Add and sub of operands whose low [bits] bits are
+   affine are affine, and so are mul and shl by a uniform; any op of
+   two uniforms is the lane loop run once on their base cells. *)
+let sym_ibin (b : Tcode.banks) (op : Tcode.ibinop) bits d x y : unit -> bool =
+  let bi = b.Tcode.bi and vw = b.Tcode.vw in
+  let xb, xs, xw = Tcode.sview b x and yb, ys, yw = Tcode.sview b y in
+  match op with
+  | Tcode.BAdd ->
+      fun () ->
+        vw.(xw) >= bits && vw.(yw) >= bits
+        && put b d bits (Int64.add (cget bi xb) (cget bi yb)) (Int64.add (cget bi xs) (cget bi ys))
+  | Tcode.BSub ->
+      fun () ->
+        vw.(xw) >= bits && vw.(yw) >= bits
+        && put b d bits (Int64.sub (cget bi xb) (cget bi yb)) (Int64.sub (cget bi xs) (cget bi ys))
+  | Tcode.BMul ->
+      fun () ->
+        vw.(xw) >= bits && vw.(yw) >= bits
+        && (cget bi xs = 0L || cget bi ys = 0L)
+        && put b d bits
+             (Int64.mul (cget bi xb) (cget bi yb))
+             (Int64.add (Int64.mul (cget bi xb) (cget bi ys)) (Int64.mul (cget bi xs) (cget bi yb)))
+  | Tcode.BShl ->
+      fun () ->
+        vw.(xw) >= bits && vw.(yw) > 0 && cget bi ys = 0L
+        &&
+        let sa = Int64.to_int (cget bi yb) land (bits - 1) in
+        put b d bits (Int64.shift_left (cget bi xb) sa) (Int64.shift_left (cget bi xs) sa)
+  | Tcode.BSDiv | Tcode.BSRem | Tcode.BAnd | Tcode.BOr | Tcode.BXor | Tcode.BLShr
+  | Tcode.BAShr | Tcode.BSMin | Tcode.BSMax ->
+      let uni = ibin_lanes bi op bits (b.Tcode.sb + (2 * d)) xb 0 yb 0 in
+      fun () ->
+        vw.(xw) > 0 && vw.(yw) > 0 && cget bi xs = 0L && cget bi ys = 0L && lane0_uniform b uni d
+
+let[@inline] icmp_eval (op : Ops.cmpop) (a : int64) (c : int64) =
+  match op with
+  | Ops.CEq -> a = c
+  | Ops.CNe -> a <> c
+  | Ops.CLt -> a < c
+  | Ops.CLe -> a <= c
+  | Ops.CGt -> a > c
+  | Ops.CGe -> a >= c
+
+(* Integer compares whose result is the same on every lane: two
+   uniforms, or a uniform against an affine operand whose lanes do not
+   wrap at [bits] and whose two ends agree (for (in)equality: the
+   uniform lies outside them). *)
+let sym_icmp (b : Tcode.banks) (op : Ops.cmpop) bits d x y : unit -> bool =
+  let bi = b.Tcode.bi and vw = b.Tcode.vw and t = Tcode.tcell b + 2 in
+  let xb, xs, xw = Tcode.sview b x and yb, ys, yw = Tcode.sview b y in
+  let db = b.Tcode.sb + (2 * d) and sh = shift_of bits in
+  let uni = icmp_lanes bi op bits db xb 0 yb 0 in
+  fun () ->
+    let wx = vw.(xw) and wy = vw.(yw) in
+    if wx = 0 || wy = 0 then false
+    else begin
+      let xu = cget bi xs = 0L and yu = cget bi ys = 0L in
+      if xu && yu then lane0_uniform b uni d
+      else if xu = yu then false
+      else if not (if yu then ends b bits xb xs wx else ends b bits yb ys wy) then false
+      else begin
+        let u = sx (cget bi (if yu then yb else xb)) sh in
+        let e0 = cget bi t and e1 = cget bi (t + 1) in
+        let r0 = if yu then icmp_eval op e0 u else icmp_eval op u e0 in
+        let same =
+          e0 = e1
+          ||
+          match op with
+          | Ops.CEq | Ops.CNe -> (u < e0 && u < e1) || (u > e0 && u > e1)
+          | Ops.CLt | Ops.CLe | Ops.CGt | Ops.CGe ->
+              r0 = if yu then icmp_eval op e1 u else icmp_eval op u e1
+        in
+        same
+        && begin
+          set_uniform b d (if r0 then 1L else 0L);
+          true
+        end
+      end
+    end
+
+(* Integer-to-integer casts. Sign-normalising twice is normalising to
+   the narrower width, so sext, trunc and a same-width bitcast keep the
+   operand's base and stride at a width no wider than the operand's; a
+   zext is affine when the operand's low [sbits] bits do not wrap. *)
+let sym_cast (b : Tcode.banks) (cast : Tcode.tcast) d (x : Tcode.isrc) : (unit -> bool) option =
+  let bi = b.Tcode.bi and vw = b.Tcode.vw in
+  let xb, xs, xw = Tcode.sview b x in
+  let keep w () =
+    let wx = vw.(xw) in
+    wx > 0 && put b d (min wx w) (cget bi xb) (cget bi xs)
+  in
+  match cast with
+  | Tcode.CSext (sbits, dbits) -> Some (keep (min sbits dbits))
+  | Tcode.CTrunc dbits -> Some (keep dbits)
+  | Tcode.CBitII -> Some (keep 64)
+  | Tcode.CZext (sbits, dbits) when sbits >= 64 -> Some (keep dbits)
+  | Tcode.CZext (sbits, dbits) ->
+      let zmask = Int64.sub (Int64.shift_left 1L sbits) 1L and ssh = shift_of sbits in
+      Some
+        (fun () ->
+          vw.(xw) >= sbits
+          &&
+          let u0 = Int64.logand (cget bi xb) zmask and st = sx (cget bi xs) ssh in
+          (sbits <= 32 || st = 0L)
+          &&
+          let last = Int64.add u0 (Int64.mul st (Int64.of_int (b.Tcode.n0 - 1))) in
+          Int64.logand last zmask = last && put b d dbits u0 st)
+  | Tcode.CSiToFp _ | Tcode.CFpToSi _ | Tcode.CFpExt | Tcode.CFpTrunc | Tcode.CBitFF
+  | Tcode.CBitIF | Tcode.CBitFI ->
+      None
+
+(* Thread coordinates: lane 0's value from the lane loop, with stride
+   1 for tid.x and 0 for the rest. tid.x and tid.z are affine only while
+   the warp's lanes stay in one row of the block (always, for a 1-D
+   launch). *)
+let sym_query (b : Tcode.banks) (wl : Tcode.wlaunch) (q : Tcode.tquery) d : unit -> bool =
+  let db = b.Tcode.sb + (2 * d) in
+  let lane0_value = query_lanes b.Tcode.bi wl q db in
+  let stride = match q with Tcode.QTidX -> 1L | _ -> 0L in
+  let in_row = match q with Tcode.QTidX | Tcode.QTidZ -> true | _ -> false in
+  fun () ->
+    ((not in_row) || wl.Tcode.btx + b.Tcode.n0 <= wl.Tcode.bx)
+    && lane0_uniform b lane0_value d
+    && begin
+      cset b.Tcode.bi (db + 1) stride;
+      true
+    end
+
+(* Fill [abuf] with the addresses operand [pa] holds on lanes
+   [ls.(0..n-1)]. Returns whether they are [a0 + s * l]: the operand is
+   uniform or exactly affine, read from its tag without touching a lane
+   cell. An address is the operand's value modulo 2^63 (Int64.to_int,
+   as Gmem reads it), which is affine whenever the value is. *)
+let collect (b : Tcode.banks) (pa : Tcode.isrc) : int array -> int -> bool =
+  let bi = b.Tcode.bi and ab = b.Tcode.abuf and vw = b.Tcode.vw in
+  let pb, ps, pw = Tcode.sview b pa and pc = Tcode.icell b pa and pm = Tcode.imask pa in
+  fun ls n ->
+    let w = Array.unsafe_get vw pw in
+    if w = 64 then begin
+      let a0 = Int64.to_int (cget bi pb) and s = Int64.to_int (cget bi ps) in
+      for j = 0 to n - 1 do
+        Array.unsafe_set ab j (a0 + (s * Array.unsafe_get ls j))
+      done;
+      true
+    end
+    else begin
+      if w > 0 then materialise b pw;
+      for j = 0 to n - 1 do
+        Array.unsafe_set ab j (Int64.to_int (iget bi pc pm (Array.unsafe_get ls j)))
+      done;
+      false
+    end
+
+(* the lines of the [act] collected addresses: affine ones under the
+   entry mask (lanes 0..act-1) in O(lines) *)
+let coalesce (b : Tcode.banks) wl ~affine act =
+  if affine && act = b.Tcode.n0 then touch_affine b wl act else touch_collected b wl act
+
+(* ------------------------------------------------------------------ *)
 (* The compiler: one closure per instruction, applied to the number of
    active lanes. Counter updates and the fuel check stay per
    instruction, so the out-of-fuel point is exact. *)
@@ -874,8 +1209,10 @@ let compile_instr (b : Tcode.banks) (wl : Tcode.wlaunch) ~frame ~(sites : Tcode.
   | Tcode.TIBin (op, bits, d, x, y) | Tcode.TIBinLong (op, bits, d, x, y) ->
       let long = match ti with Tcode.TIBinLong _ -> true | _ -> false in
       guard b (iread y @ iread x)
-        (alu b wl d ~long
-           (ibin_lanes bi op bits (Tcode.dcell b d) (ic x) (im x) (ic y) (im y)))
+        (alu ?sym:(match d with Tcode.DV r -> Some (sym_ibin b op bits r x y) | Tcode.DS _ -> None)
+           b wl d ~long
+           (concrete b (ivr x @ ivr y) (dvr d)
+              (ibin_lanes bi op bits (Tcode.dcell b d) (ic x) (im x) (ic y) (im y))))
   | Tcode.TFBin (op, r32, d, x, y) | Tcode.TFBinLong (op, r32, d, x, y) ->
       let long = match ti with Tcode.TFBinLong _ -> true | _ -> false in
       let dc = Tcode.dcell b d in
@@ -883,53 +1220,73 @@ let compile_instr (b : Tcode.banks) (wl : Tcode.wlaunch) ~frame ~(sites : Tcode.
         (alu b wl d ~long (then_round b r32 dc (fbin_lanes bf op dc (fc x) (fm x) (fc y) (fm y))))
   | Tcode.TICmp (op, bits, d, x, y) ->
       guard b (iread y @ iread x)
-        (alu b wl d ~long:false
-           (icmp_lanes bi op bits (Tcode.dcell b d) (ic x) (im x) (ic y) (im y)))
+        (alu ?sym:(match d with Tcode.DV r -> Some (sym_icmp b op bits r x y) | Tcode.DS _ -> None)
+           b wl d ~long:false
+           (concrete b (ivr x @ ivr y) (dvr d)
+              (icmp_lanes bi op bits (Tcode.dcell b d) (ic x) (im x) (ic y) (im y))))
   | Tcode.TFCmp (op, d, x, y) ->
       guard b (fread y @ fread x)
         (alu b wl d ~long:false
-           (fcmp_lanes bi bf op (Tcode.dcell b d) (fc x) (fm x) (fc y) (fm y)))
+           (concrete b [] (dvr d) (fcmp_lanes bi bf op (Tcode.dcell b d) (fc x) (fm x) (fc y) (fm y))))
   | Tcode.TSelI (d, cnd, x, y) ->
       let dc = Tcode.dcell b d and c = ic cnd and cm = im cnd in
+      let rs = ivr cnd @ ivr x @ ivr y in
       let x = ic x and xm = im x and ra = iread x and rb = iread y in
       let y = ic y and ym = im y in
       guard b (iread cnd)
         (alu b wl d ~long:false
-           (sel_lanes b cnd ra rb (fun ls n ->
-                for j = 0 to n - 1 do
-                  let l = Array.unsafe_get ls j in
-                  iset bi dc l (if iget bi c cm l <> 0L then iget bi x xm l else iget bi y ym l)
-                done)))
+           (concrete b rs (dvr d)
+              (sel_lanes b cnd ra rb (fun ls n ->
+                   for j = 0 to n - 1 do
+                     let l = Array.unsafe_get ls j in
+                     iset bi dc l (if iget bi c cm l <> 0L then iget bi x xm l else iget bi y ym l)
+                   done))))
   | Tcode.TSelF (d, cnd, x, y) ->
       let dc = Tcode.dcell b d and c = ic cnd and cm = im cnd in
+      let rs = ivr cnd in
       let x = fc x and xm = fm x and ra = fread x and rb = fread y in
       let y = fc y and ym = fm y in
       guard b (iread cnd)
         (alu b wl d ~long:false
-           (sel_lanes b cnd ra rb (fun ls n ->
-                for j = 0 to n - 1 do
-                  let l = Array.unsafe_get ls j in
-                  fset bf dc l (if iget bi c cm l <> 0L then fget bf x xm l else fget bf y ym l)
-                done)))
+           (concrete b rs (-1)
+              (sel_lanes b cnd ra rb (fun ls n ->
+                   for j = 0 to n - 1 do
+                     let l = Array.unsafe_get ls j in
+                     fset bf dc l (if iget bi c cm l <> 0L then fget bf x xm l else fget bf y ym l)
+                   done))))
   | Tcode.TCast (cast, d, ia, fa) ->
       let dc = Tcode.dcell b d in
-      let reads, x, xm =
+      let reads, x, xm, rs =
         match cast with
         | Tcode.CSiToFp _ | Tcode.CZext _ | Tcode.CSext _ | Tcode.CTrunc _ | Tcode.CBitIF
         | Tcode.CBitII ->
-            (iread ia, ic ia, im ia)
+            (iread ia, ic ia, im ia, ivr ia)
         | Tcode.CFpToSi _ | Tcode.CFpExt | Tcode.CFpTrunc | Tcode.CBitFF | Tcode.CBitFI ->
-            (fread fa, fc fa, fm fa)
+            (fread fa, fc fa, fm fa, [])
       in
+      let dr =
+        match cast with
+        | Tcode.CFpToSi _ | Tcode.CZext _ | Tcode.CSext _ | Tcode.CTrunc _ | Tcode.CBitFI
+        | Tcode.CBitII ->
+            dvr d
+        | Tcode.CSiToFp _ | Tcode.CFpExt | Tcode.CFpTrunc | Tcode.CBitFF | Tcode.CBitIF -> -1
+      in
+      let sym = match d with Tcode.DV r -> sym_cast b cast r ia | Tcode.DS _ -> None in
       let r32 = match cast with Tcode.CSiToFp (_, r) -> r | Tcode.CFpTrunc -> true | _ -> false in
-      guard b reads (alu b wl d ~long:false (then_round b r32 dc (cast_lanes b cast dc x xm)))
+      guard b reads
+        (alu ?sym b wl d ~long:false
+           (concrete b rs dr (then_round b r32 dc (cast_lanes b cast dc x xm))))
   | Tcode.TMovI (d, x) ->
-      guard b (iread x) (alu b wl d ~long:false (movi_lanes bi (Tcode.dcell b d) (ic x) (im x)))
+      guard b (iread x)
+        (alu ?sym:(match d with Tcode.DV r -> sym_cast b Tcode.CBitII r x | Tcode.DS _ -> None)
+           b wl d ~long:false
+           (concrete b (ivr x) (dvr d) (movi_lanes bi (Tcode.dcell b d) (ic x) (im x))))
   | Tcode.TMovF (d, x) ->
       guard b (fread x) (alu b wl d ~long:false (movf_lanes bf (Tcode.dcell b d) (fc x) (fm x)))
   | Tcode.TLd (space, mty, d, pa, site) -> (
-      let st = sites.(site) and p = ic pa and pm = im pa in
-      let load = load_lanes b wl mty (Tcode.dcell b d) p pm in
+      let st = sites.(site) and collect = collect b pa and ab = b.Tcode.abuf in
+      let dr = if Tcode.mty_is_float mty then -1 else dvr d in
+      let load = concrete b [] dr (load_lanes b wl mty (Tcode.dcell b d)) in
       guard b (iread pa)
         (match d with
         | Tcode.DS _ ->
@@ -938,7 +1295,8 @@ let compile_instr (b : Tcode.banks) (wl : Tcode.wlaunch) ~frame ~(sites : Tcode.
               let c = wl.Tcode.ctr in
               c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
               c.Counters.smem <- c.Counters.smem + 1;
-              touch_one b wl (Int64.to_int (iget bi p pm 0));
+              ignore (collect lane0 1);
+              touch_one b wl (Array.unsafe_get ab 0);
               record_site b wl st act;
               load lane0 1
         | Tcode.DV _ ->
@@ -949,23 +1307,31 @@ let compile_instr (b : Tcode.banks) (wl : Tcode.wlaunch) ~frame ~(sites : Tcode.
               c.Counters.vmem_warp <- c.Counters.vmem_warp + 1;
               c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
               if scratch then c.Counters.scratch_ld <- c.Counters.scratch_ld + 1;
+              let affine = collect ls act in
               load ls act;
-              touch_collected b wl act;
+              coalesce b wl ~affine act;
               record_site b wl st act))
   | Tcode.TSt (space, mty, iv, fv, pa, site) ->
-      let st = sites.(site) and scratch = space = Mach.SScratch in
-      let store = store_lanes b wl mty (ic iv) (im iv) (fc fv) (fm fv) (ic pa) (im pa) in
-      let vreads = if Tcode.mty_is_float mty then fread fv else iread iv in
-      guard b (iread pa @ vreads) (fun act ->
+      let st = sites.(site) and scratch = space = Mach.SScratch and collect = collect b pa in
+      let float = Tcode.mty_is_float mty in
+      let store =
+        concrete b (if float then [] else ivr iv) (-1)
+          (store_lanes b wl mty (ic iv) (im iv) (fc fv) (fm fv))
+      in
+      guard b (iread pa @ if float then fread fv else iread iv) (fun act ->
           let c = wl.Tcode.ctr in
           c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
           c.Counters.vmem_warp <- c.Counters.vmem_warp + 1;
           c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
           if scratch then c.Counters.scratch_st <- c.Counters.scratch_st + 1;
+          let affine = collect ls act in
           store ls act;
-          touch_collected b wl act;
+          coalesce b wl ~affine act;
           record_site b wl st act)
-  | Tcode.TQuery (q, d) -> alu b wl d ~long:false (query_lanes bi wl q (Tcode.dcell b d))
+  | Tcode.TQuery (q, d) ->
+      alu ?sym:(match d with Tcode.DV r -> Some (sym_query b wl q r) | Tcode.DS _ -> None)
+        b wl d ~long:false
+        (concrete b [] (dvr d) (query_lanes bi wl q (Tcode.dcell b d)))
   | Tcode.TMath1 (op, r32, d, x) ->
       let dc = Tcode.dcell b d in
       guard b (fread x) (math b wl d (then_round b r32 dc (math1_lanes bf op dc (fc x) (fm x))))
@@ -985,14 +1351,22 @@ let compile_instr (b : Tcode.banks) (wl : Tcode.wlaunch) ~frame ~(sites : Tcode.
                   fset bf dc l ((fget bf x xm l *. fget bf y' ym l) +. fget bf zc zm l)
                 done)))
   | Tcode.TAtomic (kind, dst, pa, iv, fv, site) ->
-      let st = sites.(site) and p = ic pa and pm = im pa in
-      let d, dm =
+      let st = sites.(site) and collect = collect b pa and ab = b.Tcode.abuf in
+      let d, dm, dr =
         match (dst, kind) with
-        | Some d, _ -> (Tcode.dcell b d, match d with Tcode.DV _ -> -1 | Tcode.DS _ -> 0)
-        | None, Tcode.AAddI32 -> (Tcode.idiscard b, 0)
-        | None, (Tcode.AAddF32 | Tcode.AAddF64) -> (Tcode.fdiscard b, 0)
+        | Some d, _ ->
+            ( Tcode.dcell b d,
+              (match d with Tcode.DV _ -> -1 | Tcode.DS _ -> 0),
+              if kind = Tcode.AAddI32 then dvr d else -1 )
+        | None, Tcode.AAddI32 -> (Tcode.idiscard b, 0, -1)
+        | None, (Tcode.AAddF32 | Tcode.AAddF64) -> (Tcode.fdiscard b, 0, -1)
       in
-      let atomic = atomic_lanes b wl kind d dm (ic iv) (im iv) (fc fv) (fm fv) p pm in
+      let atomic =
+        concrete b
+          (if kind = Tcode.AAddI32 then ivr iv else [])
+          dr
+          (atomic_lanes b wl kind d dm (ic iv) (im iv) (fc fv) (fm fv))
+      in
       (* the operand is read after the first lane's bounds check *)
       let vreads = match kind with Tcode.AAddI32 -> iread iv | _ -> fread fv in
       let width = match kind with Tcode.AAddF64 -> 8 | _ -> 4 in
@@ -1002,14 +1376,15 @@ let compile_instr (b : Tcode.banks) (wl : Tcode.wlaunch) ~frame ~(sites : Tcode.
           c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
           c.Counters.atomics <- c.Counters.atomics + 1;
           c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
+          let affine = collect ls act in
           (match vreads with
           | [] -> ()
           | _ ->
-              let ai = Int64.to_int (iget bi p pm (Array.unsafe_get ls 0)) in
-              if ai <= 0 || ai + width > Bytes.length wl.Tcode.data then oob ai width;
+              let ai = Array.unsafe_get ab 0 in
+              if ai <= 0 || ai > Bytes.length wl.Tcode.data - width then oob ai width;
               check_reads serr vreads);
           atomic ls act;
-          touch_collected b wl act;
+          coalesce b wl ~affine act;
           record_site b wl st act)
   | Tcode.TBarrier ->
       fun _ ->
@@ -1018,17 +1393,29 @@ let compile_instr (b : Tcode.banks) (wl : Tcode.wlaunch) ~frame ~(sites : Tcode.
   | Tcode.TFrame (d, off) ->
       (* every active lane writes; a scalar destination keeps the last *)
       let dc = Tcode.dcell b d and dm = match d with Tcode.DV _ -> -1 | Tcode.DS _ -> 0 in
-      let count = alu b wl d ~long:false (fun _ _ -> ()) in
+      let write =
+        concrete b [] (dvr d) (fun ls n ->
+            let s0 = wl.Tcode.scratch0 in
+            for j = 0 to n - 1 do
+              let l = Array.unsafe_get ls j in
+              iset bi dc (l land dm) (Int64.add (Int64.of_int (s0 + (l * frame))) off)
+            done)
+      in
+      let sym =
+        match d with
+        | Tcode.DV r ->
+            Some
+              (fun () -> put b r 64 (Int64.add (Int64.of_int wl.Tcode.scratch0) off) (Int64.of_int frame))
+        | Tcode.DS _ -> None
+      in
+      let count = alu ?sym b wl d ~long:false (fun _ _ -> ()) in
       fun act ->
         count act;
-        let s0 = wl.Tcode.scratch0 in
-        for j = 0 to act - 1 do
-          let l = Array.unsafe_get ls j in
-          iset bi dc (l land dm) (Int64.add (Int64.of_int (s0 + (l * frame))) off)
-        done
+        if dm = 0 || act <> b.Tcode.n0 then write ls act
   | Tcode.TArg (k, d) ->
       let dc = Tcode.dcell b d in
       let lanes, scalar = match d with Tcode.DS _ -> (lane0, true) | Tcode.DV _ -> (ls, false) in
+      let dr = dvr d in
       fun act ->
         let c = wl.Tcode.ctr in
         c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
@@ -1046,9 +1433,13 @@ let compile_instr (b : Tcode.banks) (wl : Tcode.wlaunch) ~frame ~(sites : Tcode.
               | Konst.KInt (iv, _) -> iv
               | _ -> 0L
             in
-            for j = 0 to n - 1 do
-              iset bi dc (Array.unsafe_get lanes j) iv
-            done
+            if (not scalar) && act = b.Tcode.n0 then set_uniform b dr iv
+            else begin
+              if not scalar then concrete_dst b dr act;
+              for j = 0 to n - 1 do
+                iset bi dc (Array.unsafe_get lanes j) iv
+              done
+            end
         end
   | Tcode.TSpillStS (slot, rid) ->
       let sc = b.Tcode.ub + rid and sspi = b.Tcode.sspi and sspf = b.Tcode.sspf in
@@ -1068,6 +1459,7 @@ let compile_instr (b : Tcode.banks) (wl : Tcode.wlaunch) ~frame ~(sites : Tcode.
         c.Counters.spill_st <- c.Counters.spill_st + 1;
         c.Counters.scratch_st <- c.Counters.scratch_st + 1;
         c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
+        concrete_reg b rid;
         let sp = wl.Tcode.spill0 + (slot * 8 * lanes) in
         for j = 0 to act - 1 do
           let l = Array.unsafe_get ls j in
@@ -1075,7 +1467,7 @@ let compile_instr (b : Tcode.banks) (wl : Tcode.wlaunch) ~frame ~(sites : Tcode.
           b_set64u spi ((sc + l) lsl 3) (b_get64u bi ((rc + l) lsl 3));
           Array.unsafe_set spf (sc + l) (Array.unsafe_get bf (rc + l))
         done;
-        touch_collected b wl act
+        coalesce b wl ~affine:true act
   | Tcode.TSpillLd (slot, Tcode.DS rid) ->
       let dc = b.Tcode.ub + rid and sspi = b.Tcode.sspi and sspf = b.Tcode.sspf in
       fun _ ->
@@ -1094,6 +1486,7 @@ let compile_instr (b : Tcode.banks) (wl : Tcode.wlaunch) ~frame ~(sites : Tcode.
         c.Counters.spill_ld <- c.Counters.spill_ld + 1;
         c.Counters.scratch_ld <- c.Counters.scratch_ld + 1;
         c.Counters.vmem_thread <- c.Counters.vmem_thread + act;
+        concrete_dst b rid act;
         let sp = wl.Tcode.spill0 + (slot * 8 * lanes) in
         for j = 0 to act - 1 do
           let l = Array.unsafe_get ls j in
@@ -1101,12 +1494,14 @@ let compile_instr (b : Tcode.banks) (wl : Tcode.wlaunch) ~frame ~(sites : Tcode.
           b_set64u bi ((rc + l) lsl 3) (b_get64u spi ((sc + l) lsl 3));
           Array.unsafe_set bf (rc + l) (Array.unsafe_get spf (sc + l))
         done;
-        touch_collected b wl act
+        coalesce b wl ~affine:true act
   | Tcode.TTrap e -> fun _ -> raise e
   | Tcode.TIBinBad (op, bits, scalar, x, y) ->
       (* Refexec's first lane reads y, then x, and Konst.binop fails *)
       let xc = ic x and xm = im x and yc = ic y and ym = im y in
+      let rs = ivr x @ ivr y in
       guard b (iread y @ iread x) (fun _ ->
+          List.iter (concrete_reg b) rs;
           let l = if scalar then 0 else Array.unsafe_get ls 0 in
           let yv = iget bi yc ym l in
           let xv = iget bi xc xm l in
@@ -1118,7 +1513,8 @@ let compile_term (b : Tcode.banks) : Tcode.tterm -> Tcode.cterm = function
   | Tcode.TTtrap e -> Tcode.KTrap e
   | Tcode.TTcbr (cnd, t, e) ->
       let g = match cnd with Tcode.IG g -> g | _ -> -1 in
-      Tcode.KCbr (Tcode.icell b cnd, Tcode.imask cnd, g, t, e)
+      let r = match cnd with Tcode.IV r -> r | _ -> -1 in
+      Tcode.KCbr (Tcode.icell b cnd, Tcode.imask cnd, g, r, t, e)
 
 (* A warp state for [p] on a [lanes]-wide warp. *)
 let compile (p : Tcode.program) ~lanes : Tcode.wstate =
@@ -1186,17 +1582,23 @@ let rec run (w : Tcode.wstate) (ipdom : int array) (bid : int) (mask : int64) (s
     | Tcode.KBr l -> run w ipdom l mask stop
     | Tcode.KRet -> 0L
     | Tcode.KTrap e -> raise e
-    | Tcode.KCbr (cc, cm, g, t, e) ->
+    | Tcode.KCbr (cc, cm, g, r, t, e) ->
         let c = wl.Tcode.ctr and bi = b.Tcode.bi in
         c.Counters.branches <- c.Counters.branches + 1;
         c.Counters.warp_instrs <- c.Counters.warp_instrs + 1;
+        let sym = cm <> 0 && b.Tcode.vw.(r) > 0 in
+        let sc = b.Tcode.sb + (2 * r) in
         let tm =
           if cm = 0 then begin
             (* uniform condition: every active lane agrees *)
             if g >= 0 && b.Tcode.serr.(g) != Resolved then raise b.Tcode.serr.(g);
             if b_get64u bi (cc lsl 3) <> 0L then mask else 0L
           end
+          else if sym && cget bi (sc + 1) = 0L then
+            (* a uniform register: its base is every lane's value *)
+            if cget bi sc <> 0L then mask else 0L
           else begin
+            if sym then materialise b r;
             (* accumulate the taken mask in two int halves: an
                [int64 ref] would box on every update *)
             let lo = ref 0 and hi = ref 0 in
@@ -1287,6 +1689,7 @@ let run_block (w : Tcode.wstate) (p : Tcode.program) ~warp ~block ~nwarps_per_bl
       if lanes_active >= 64 then -1L else Int64.sub (Int64.shift_left 1L lanes_active) 1L
     in
     Tcode.reset w.Tcode.wb;
+    w.Tcode.wb.Tcode.n0 <- lanes_active;
     let s0 = wl.Tcode.scratch_base + (((blk * block) + base_lane) * wl.Tcode.thread_frame) in
     wl.Tcode.scratch0 <- s0;
     wl.Tcode.spill0 <- s0 + (warp * frame);

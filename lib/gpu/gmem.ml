@@ -49,9 +49,11 @@ let free t addr =
       t.free_lists <- (a, size) :: t.free_lists
   | None -> () (* double free or foreign pointer: ignored, like cudaFree *)
 
+(* [a > length - len], not [a + len > length]: the sum wraps for an
+   address near max_int *)
 let check t addr len =
   let a = Int64.to_int addr in
-  if a <= 0 || a + len > Bytes.length t.data then
+  if a <= 0 || a > Bytes.length t.data - len then
     Util.failf "device memory access out of range: 0x%x (+%d)" a len
 
 let read_i64 t addr =

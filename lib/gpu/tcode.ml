@@ -205,21 +205,41 @@ let f32_cell () : f32cell = Bigarray.Array1.create Bigarray.float32 Bigarray.c_l
 (* The registers of one warp. Both banks start with [vregs * lanes]
    vector cells (register r, lane l at r * lanes + l) followed at [ub]
    by one cell per scalar register. The integer bank goes on with the
-   program's integer constants and symbols, the float bank with its
-   float constants, and each ends in a discard cell, the destination of
-   an atomic whose old value nobody reads. Integer cells are int64s in
-   a byte buffer (see the unboxing note in Exec); float cells a flat
-   float array, which OCaml already stores unboxed. The register and
-   spill cells are zeroed before each warp ([reset]), so reuse is
-   indistinguishable from the reference's fresh arrays; constants are
-   written once, symbols per launch. *)
+   program's integer constants and symbols, then the value tags' cells
+   (below), a zero cell, four scratch cells the symbolic evaluation
+   writes, and ends in a discard cell, the destination of an atomic
+   whose old value nobody reads; the float bank goes on with its float
+   constants and ends in a discard cell. Integer cells are int64s in a
+   byte buffer (see the unboxing note in Exec); float cells a flat
+   float array, which OCaml already stores unboxed.
+
+   Value tags. The integer half of vector register r is either
+   materialised ([vw.(r) = 0]: its lane cells hold its value) or
+   symbolic: [vw.(r) = w] in 1..64 and the cells [sb + 2r] and
+   [sb + 2r + 1] hold a base and a stride, meaning lane l holds the
+   base plus l times the stride, sign-normalised to w bits. Stride 0
+   is a uniform value, and a value whose lanes do not wrap at w bits
+   is kept at w = 64 (exact). Only the lanes of the warp's entry mask
+   ([n0], a prefix) are meaningful; no instruction reads the others.
+   [vw.(nvr)] is always 64: a scalar register, constant or symbol
+   reads as the uniform value of its cell, with the zero cell as its
+   stride.
+
+   [reset] makes every vector register the uniform 0 and zeroes the
+   scalar, float and spill cells, so reuse is indistinguishable from
+   the reference's fresh arrays without writing every integer lane
+   cell; constants are written once, symbols per launch. *)
 type banks = {
   lanes : int; (* warp width the banks are sized for *)
   ub : int; (* cell of scalar register 0 *)
   nsr : int;
   nik : int;
+  nvr : int;
+  sb : int; (* base cell of vector register 0's tag *)
   bi : Bytes.t;
   bf : float array;
+  vw : int array; (* per vector register: 0, or the width of its symbolic value *)
+  mutable n0 : int; (* lanes in the current warp's entry mask *)
   spi : Bytes.t; (* spill_slots * lanes int64 cells *)
   spf : float array;
   sspi : Bytes.t; (* spill_slots int64 cells *)
@@ -259,13 +279,23 @@ let dcell b = function DV r -> r * b.lanes | DS r -> b.ub + r
 let idiscard b = (Bytes.length b.bi / 8) - 1
 let fdiscard b = Array.length b.bf - 1
 
-(* Zero the register and spill cells; [abuf], [dedup] and [act] are
-   rewritten before every read. *)
+(* the zero cell, and the first of the four scratch cells *)
+let zcell b = b.sb + (2 * b.nvr)
+let tcell b = zcell b + 1
+
+(* An operand's symbolic view: its base cell, stride cell and the [vw]
+   slot holding its width. *)
+let sview b = function
+  | IV r -> (b.sb + (2 * r), b.sb + (2 * r) + 1, r)
+  | (IS _ | IK _ | IG _) as s -> (icell b s, zcell b, b.nvr)
+
+(* [abuf], [dedup] and [act] are rewritten before every read *)
 let reset b =
-  let regs = b.ub + b.nsr in
   b.alo <- -1;
-  Bytes.fill b.bi 0 (regs * 8) '\000';
-  Array.fill b.bf 0 regs 0.0;
+  Array.fill b.vw 0 b.nvr 64;
+  Bytes.fill b.bi (b.sb * 8) (b.nvr * 16) '\000';
+  Bytes.fill b.bi (b.ub * 8) (b.nsr * 8) '\000';
+  Array.fill b.bf 0 (b.ub + b.nsr) 0.0;
   Bytes.fill b.spi 0 (Bytes.length b.spi) '\000';
   Array.fill b.spf 0 (Array.length b.spf) 0.0;
   Bytes.fill b.sspi 0 (Bytes.length b.sspi) '\000';
@@ -316,8 +346,9 @@ type cterm =
   | KBr of int
   | KRet
   | KTrap of exn
-  | KCbr of int * int * int * int * int
-      (* condition cell, lane mask, symbol slot or -1, then, else *)
+  | KCbr of int * int * int * int * int * int
+      (* condition cell, lane mask, symbol slot or -1, vector register
+         or -1, then, else *)
 
 (* A compiled block: one closure per instruction, applied to the
    number of active lanes. *)
@@ -346,16 +377,24 @@ let banks_create (p : program) lanes =
   let nsp = max 1 f.Mach.spill_slots in
   let ub = nvr * lanes in
   let nik = Array.length p.iconsts and nfk = Array.length p.fconsts in
-  let bi = Bytes.make ((ub + nsr + nik + Array.length p.syms + 1) * 8) '\000' in
+  let sb = ub + nsr + nik + Array.length p.syms in
+  (* The cells [reset] writes before every warp are left as allocated,
+     and so are the vector lane cells, which nothing reads before a
+     materialisation writes them. The integer bank ends in the tags,
+     the zero cell, four scratch cells and the discard cell. *)
+  let bi = Bytes.create ((sb + (2 * nvr) + 6) * 8) in
+  Bytes.fill bi (ub * 8) (Bytes.length bi - (ub * 8)) '\000';
   Array.iteri (fun k v -> Bytes.set_int64_ne bi ((ub + nsr + k) * 8) v) p.iconsts;
-  let bf = Array.make (ub + nsr + nfk + 1) 0.0 in
+  let bf = Array.create_float (ub + nsr + nfk + 1) in
+  Array.fill bf ub (nsr + nfk + 1) 0.0;
   Array.blit p.fconsts 0 bf (ub + nsr) nfk;
+  let vw = Array.make (nvr + 1) 64 in
   {
-    lanes; ub; nsr; nik; bi; bf;
-    spi = Bytes.make (nsp * lanes * 8) '\000';
-    spf = Array.make (nsp * lanes) 0.0;
-    sspi = Bytes.make (nsp * 8) '\000';
-    sspf = Array.make nsp 0.0;
+    lanes; ub; nsr; nik; nvr; sb; bi; bf; vw; n0 = lanes;
+    spi = Bytes.create (nsp * lanes * 8);
+    spf = Array.create_float (nsp * lanes);
+    sspi = Bytes.create (nsp * 8);
+    sspf = Array.create_float nsp;
     abuf = Array.make (max 1 lanes) 0;
     dedup = linedup_create lanes;
     act = Array.make 64 0;

@@ -577,7 +577,8 @@ let shape_symbols g = if g = "g" then 64L else failwith ("no device symbol " ^ g
    one: on the multicore schedule they run at the same time), v12/v13 =
    v3 + 8/16,
    v4/v5 and v6/v7 integer and float sources, v14 = tid land 1; s0 = 5,
-   s1 = 2.5, s2 = out; the lanes with (tid lxor key) < limit enter *)
+   s1 = 2.5, s2 = out; the lanes with (tid lxor key) < limit enter, or
+   for a negative key those with (tid land -key) < limit *)
 let op_entry ~key ~limit =
   let b op ty d x y = ins (Mach.Obin (op, ty)) (Some (vr d)) [ x; y ] in
   let i64 = Types.i64 and f64 = Types.f64 in
@@ -603,13 +604,13 @@ let op_entry ~key ~limit =
     ins (Mach.Oarg 1) (Some (sr 0)) [];
     ins (Mach.Oarg 2) (Some (sr 1)) [];
     ins (Mach.Oarg 0) (Some (sr 2)) [];
-    b Ops.Xor i64 8 (v 1) (kint key);
+    (if key >= 0 then b Ops.Xor i64 8 (v 1) (kint key) else b Ops.And i64 8 (v 1) (kint (-key)));
     ins (Mach.Ocmp (Ops.CLt, i64)) (Some (vr 9)) [ v 8; kint limit ];
   ]
 
 type obs = OI of Mach.reg | OF of Mach.reg | ONone
 
-let op_kernel ?(term = Mach.Tbr "done") ~key ~limit code obs =
+let op_kernel ?(term = Mach.Tbr "done") ?(pre = []) ?(fin = []) ?(extra = []) ~key ~limit code obs =
   let i64 = Types.i64 and f64 = Types.f64 in
   let observe =
     match obs with
@@ -621,14 +622,15 @@ let op_kernel ?(term = Mach.Tbr "done") ~key ~limit code obs =
     Mach.sym = "op";
     blocks =
       [
-        { Mach.mlab = "entry"; code = op_entry ~key ~limit;
+        { Mach.mlab = "entry"; code = op_entry ~key ~limit @ pre;
           term = Mach.Tcbr (Mach.Rs (vr 9), "body", "done") };
         { Mach.mlab = "body"; code = code @ observe; term };
-        { Mach.mlab = "done"; code = []; term = Mach.Tret };
-      ];
+      ]
+      @ extra
+      @ [ { Mach.mlab = "done"; code = fin; term = Mach.Tret } ];
     params = [];
     arg_tys = [ Types.ptr Types.i64; Types.i64; Types.f64 ];
-    vregs = 16;
+    vregs = 24;
     sregs = 4;
     frame = 16;
     spill_slots = 2;
@@ -641,18 +643,21 @@ let op_kernel ?(term = Mach.Tbr "done") ~key ~limit code obs =
 let shape_dev = { Device.mi250x with Device.l2_bytes = 1 lsl 16 }
 let shape_out = 64 * 128
 
+(* the arena's bytes from [out] on: the output buffer, then the launch's
+   scratch and the free tail, which loads may read but no shape writes
+   before reading *)
+let shape_image = Bytes.init ((1 lsl 15) - 64) (fun i -> Char.chr (((i * 37) + (i / 64)) land 0xff))
+
 (* One launch of [k] under [mode] (profile armed unless multicore): the
    outcome, the output buffer (pre-filled with a byte pattern), the
    site table and the L2 model afterwards. *)
-let run_op mode k =
+let run_op ~block mode k =
   let mem = Gmem.create ~capacity:(1 lsl 15) () and l2 = L2cache.create shape_dev in
   let out = Gmem.alloc mem shape_out in
-  for i = 0 to shape_out - 1 do
-    Gmem.write_u8 mem (Int64.add out (Int64.of_int i)) ((i * 37) + (i / 64) land 0xff)
-  done;
+  Bytes.blit shape_image 0 mem.Gmem.data (Int64.to_int out) (Bytes.length shape_image);
   let launch () =
     match
-      launch_mode mode ~device:shape_dev ~mem ~l2 ~symbols:shape_symbols k ~grid:2 ~block:64
+      launch_mode mode ~device:shape_dev ~mem ~l2 ~symbols:shape_symbols k ~grid:2 ~block
         ~args:[| Konst.kint ~bits:64 out; Konst.ki64 5; Konst.kf64 2.5; Konst.kbool true; Konst.KNull |]
     with
     | r -> Ok r.Exec.counters
@@ -662,16 +667,22 @@ let run_op mode k =
   let snap = String.init shape_out (fun i -> Char.chr (Gmem.read_u8 mem (Int64.add out (Int64.of_int i)))) in
   (res, snap, sites, l2)
 
-let masks = [ ("full", 0, 64); ("partial", 3, 40); ("lane 5", 5, 1) ]
+(* the lanes that enter the body, as (name, key, limit, block size):
+   all of them, lanes 0-39, lane 5 alone *)
+let masks = [ ("full", 0, 64, 64); ("partial", 3, 40, 64); ("lane 5", 5, 1, 64) ]
 
-let check_shape (name, code, obs, term) =
+(* and all lanes of a 40-thread block, whose warps start on a 40-lane
+   prefix mask, and the lanes whose bit 1 is clear (pairs with gaps) *)
+let sym_masks = masks @ [ ("prefix", 0, 64, 40); ("scattered", -2, 1, 64) ]
+
+let check_shape ?(masks = masks) ?pre ?fin ?extra (name, code, obs, term) =
   List.iter
-    (fun (mname, key, limit) ->
-      let k = op_kernel ?term ~key ~limit code obs in
-      let r0, s0, p0, l0 = run_op Reference k in
+    (fun (mname, key, limit, block) ->
+      let k = op_kernel ?term ?pre ?fin ?extra ~key ~limit code obs in
+      let r0, s0, p0, l0 = run_op ~block Reference k in
       let what = Printf.sprintf "%s (%s)" name mname in
       let same mode =
-        let r, s, p, l = run_op mode k in
+        let r, s, p, l = run_op ~block mode k in
         let m = mode_name mode in
         (match (r0, r) with
         | Ok c0, Ok c ->
@@ -835,12 +846,16 @@ let alu_shapes =
   in
   ibin @ fbin @ cmp @ sel @ cast @ mov @ alias @ order
 
+(* an address whose end, [a + len], wraps past max_int: the bounds
+   check must still fail it *)
+let near_max = 0x3FFF_FFFF_FFFF_FFFC
+
 let mem_shapes =
   let i32 = Types.i32 and i64 = Types.i64 and f32 = Types.f32 and f64 = Types.f64 in
   let tys = [ Types.TBool; i8; i32; i64; f32; f64; Types.TVoid ] in
   let addrs =
     [ ("V", Mach.Rs (vr 13)); ("S", Mach.Rs (sr 2)); ("K", kint 88); ("G", Mach.Gs "g");
-      ("Gbad", Mach.Gs "missing"); ("oob", kint 1_000_000) ]
+      ("Gbad", Mach.Gs "missing"); ("oob", kint 1_000_000); ("near max_int", kint near_max) ]
   in
   let load =
     List.concat_map
@@ -910,7 +925,7 @@ let mem_shapes =
                   ])
               vk)
           [ ("V", Mach.Rs (vr 13)); ("S", Mach.Rs (sr 2)); ("Gbad", Mach.Gs "missing");
-            ("oob", kint 1_000_000) ])
+            ("oob", kint 1_000_000); ("near max_int", kint near_max) ])
       [
         ("gpu.atomic.add.i32", i32, [ KV; KK; KGbad ]);
         ("gpu.atomic.add.f32", f32, [ KV; KS; KG ]);
@@ -1023,7 +1038,405 @@ let misc_shapes =
 
 let shape_groups = [ ("alu", alu_shapes); ("memory", mem_shapes); ("misc", misc_shapes) ]
 
-let test_shape_group shapes () = List.iter check_shape shapes
+let test_shape_group shapes () = List.iter (fun sh -> check_shape sh) shapes
+
+(* ---- symbolic values ---- *)
+
+(* Under its entry mask, Exec keeps integer values that are uniform or
+   affine in the lane as a tag (base, stride, width) and evaluates
+   index arithmetic, compares, casts and addresses on the tag. These
+   shapes build such operands in block "entry" (v16 affine, v17 a
+   second affine, v18 uniform), so they reach block "body" symbolic,
+   and then read or overwrite them there: under the full and the
+   prefix mask on the tag, under the partial, scattered and lane-5
+   masks through materialised lanes. [fin] runs in block "done", after
+   reconvergence; [extra] blocks sit between "body" and "done". *)
+type sym_case = {
+  pre : Mach.minstr list;
+  fin : Mach.minstr list;
+  extra : Mach.mblock list;
+  sh : string * Mach.minstr list * obs * Mach.mterm option;
+}
+
+let sym_shapes =
+  let i32 = Types.i32 and i64 = Types.i64 and f64 = Types.f64 in
+  let v r = Mach.Rs (vr r) in
+  let bin op ty d a b = ins (Mach.Obin (op, ty)) (Some (vr d)) [ a; b ] in
+  let case ?(pre = []) ?(fin = []) ?(extra = []) ?term name code obs =
+    { pre; fin; extra; sh = (name, code, obs, term) }
+  in
+  (* v[r] = tid * stride + base at [ty], from a tid of its own: block
+     "entry" has materialised v1, reading it in v8's xor *)
+  let affine ?(ty = i64) r ~stride ~base =
+    [ ins (Mach.Oquery "gpu.tid.x") (Some (vr r)) []; bin Ops.Mul ty r (v r) (kint stride);
+      bin Ops.Add ty r (v r) (kint base) ]
+  in
+  let tyn = Types.to_string in
+  let binops =
+    List.concat_map
+      (fun op ->
+        let strides =
+          match op with Ops.Add | Ops.Sub | Ops.Mul | Ops.Shl -> [ 0; 1; -1; 4; 8; 136 ] | _ -> [ 1 ]
+        in
+        List.concat_map
+          (fun ty ->
+            List.concat_map
+              (fun st ->
+                let pre =
+                  affine ~ty 16 ~stride:st ~base:(-70) @ affine ~ty 17 ~stride:3 ~base:9
+                  @ [ ins (Mach.Omov ty) (Some (vr 18)) [ kint 6 ] ]
+                in
+                List.map
+                  (fun (pn, a, b) ->
+                    case ~pre
+                      (Printf.sprintf "%s %s stride %d %s" (Ops.binop_to_string op) (tyn ty) st pn)
+                      [ bin op ty 10 a b ] (OI vdst))
+                  [ ("AU", v 16, v 18); ("UA", v 18, v 16); ("AA", v 16, v 17);
+                    ("AS", v 16, Mach.Rs (sr 0)); ("KA", kint 3, v 16); ("AK70", v 16, kint 70) ])
+              strides)
+          [ i64; i32; i8 ])
+      Ops.[ Add; Sub; Mul; Shl; And; Or; Xor; LShr; AShr; SMin; SMax; SDiv; SRem ]
+  in
+  (* lanes below, inside and above the uniform, and i32 lanes that
+     cross 2^31 *)
+  let cmps =
+    List.concat_map
+      (fun op ->
+        List.concat_map
+          (fun ty ->
+            List.concat_map
+              (fun (st, base) ->
+                let pre = affine ~ty 16 ~stride:st ~base in
+                List.concat_map
+                  (fun u ->
+                    let name o = Printf.sprintf "icmp %s %s %d*tid%+d %s %d" (Ops.cmpop_to_string op) (tyn ty) st base o u in
+                    [
+                      case ~pre (name "AU") [ ins (Mach.Ocmp (op, ty)) (Some vdst) [ v 16; kint u ] ] (OI vdst);
+                      case ~pre (name "UA") [ ins (Mach.Ocmp (op, ty)) (Some vdst) [ kint u; v 16 ] ] (OI vdst);
+                    ])
+                  [ -1000; 0; 40; 2000 ])
+              [ (1, 0); (-3, 100); (0, 5); (0x2000000, 0x70000000) ])
+          [ i32; i64 ])
+      Ops.[ CEq; CNe; CLt; CLe; CGt; CGe ]
+  in
+  (* an i64 affine value crossing 2^63 between lanes *)
+  let wide =
+    let pre =
+      affine 16 ~stride:1 ~base:0x3FFF_FFFF_FFFF_FFE0
+      @ [ bin Ops.Add i64 16 (v 16) (kint 0x3FFF_FFFF_FFFF_FFFF) ]
+    in
+    (* v18 = 2^63 - 16, which lane 17 equals *)
+    let big = [ ins (Mach.Omov i64) (Some (vr 18)) [ kint 0x3FFF_FFFF_FFFF_FFF8 ]; bin Ops.Add i64 18 (v 18) (v 18) ] in
+    [
+      case ~pre "i64 lanes crossing 2^63, compared" [ ins (Mach.Ocmp (Ops.CLt, i64)) (Some vdst) [ v 16; kint 0 ] ] (OI vdst);
+      case ~pre:(pre @ big) "i64 lanes crossing 2^63, equal to 2^63 - 16"
+        [ ins (Mach.Ocmp (Ops.CEq, i64)) (Some vdst) [ v 16; v 18 ] ] (OI vdst);
+      case ~pre:(pre @ big) "i64 lanes crossing 2^63, below 2^63 - 16"
+        [ ins (Mach.Ocmp (Ops.CLt, i64)) (Some vdst) [ v 16; v 18 ] ] (OI vdst);
+      case ~pre "i64 lanes crossing 2^63, added" [ bin Ops.Add i64 10 (v 16) (kint 7) ] (OI vdst);
+      case ~pre "i64 lanes crossing 2^63, truncated" [ ins (Mach.Ocast (Ops.Trunc, i32, i64)) (Some vdst) [ v 16 ] ] (OI vdst);
+    ]
+  in
+  let casts =
+    List.concat_map
+      (fun (st, base) ->
+        let pre = affine ~ty:i32 16 ~stride:st ~base in
+        let one (cn, op, dty, sty) =
+          case ~pre (Printf.sprintf "%s %d*tid%+d" cn st base)
+            [ ins (Mach.Ocast (op, dty, sty)) (Some vdst) [ v 16 ] ] (OI vdst)
+        in
+        List.map one
+          Ops.
+            [
+              ("sext i64<-i32", Sext, i64, i32); ("zext i64<-i32", Zext, i64, i32);
+              ("trunc i8<-i32", Trunc, i8, i32); ("sext i32<-i8", Sext, i32, i8);
+              ("zext i32<-i8", Zext, i32, i8); ("bitcast i32", Bitcast, i32, i32);
+              ("zext i64<-i1", Zext, i64, Types.TBool);
+            ]
+        @ [
+            (* a wrapped i32 read at 64 bits, and again at 32 *)
+            case ~pre (Printf.sprintf "sext then add i64 %d*tid%+d" st base)
+              [ ins (Mach.Ocast (Ops.Sext, i64, i32)) (Some (vr 17)) [ v 16 ]; bin Ops.Add i64 10 (v 17) (v 17) ]
+              (OI vdst);
+            case ~pre (Printf.sprintf "add i64 of i32 %d*tid%+d" st base)
+              [ bin Ops.Add i64 10 (v 16) (kint 1) ] (OI vdst);
+            case ~pre (Printf.sprintf "trunc, sext, add i32 %d*tid%+d" st base)
+              [ ins (Mach.Ocast (Ops.Trunc, i8, i32)) (Some (vr 17)) [ v 16 ];
+                ins (Mach.Ocast (Ops.Sext, i32, i8)) (Some (vr 17)) [ v 17 ];
+                bin Ops.Add i32 10 (v 17) (kint 1) ]
+              (OI vdst);
+          ])
+      [ (1, 5); (0x2000000, 0x70000000); (0x1000000, -0x10000000); (-0x2000000, -0x70000000);
+        (0, 0x7fffffff); (3, -1); (-1, 0); (40, 100) ]
+  in
+  (* v16 = out + tid * stride + base *)
+  let addr ~stride ~base = affine 16 ~stride ~base @ [ bin Ops.Add i64 16 (v 16) (v 0) ] in
+  let mem =
+    (* loads read past the output buffer, which the other block of a
+       multicore launch writes at the same time *)
+    let loads =
+      List.concat_map
+        (fun (st, base) ->
+          List.map
+            (fun ty ->
+              let d, o = if Types.is_float ty then (fdst, fun d -> OF d) else (vdst, fun d -> OI d) in
+              case ~pre:(addr ~stride:st ~base:(shape_out + base))
+                (Printf.sprintf "load %s [out + %d + %d*tid%+d]" (tyn ty) shape_out st base)
+                [ ins (Mach.Old (Mach.SGlobal, ty)) (Some d) [ v 16 ] ] (o d))
+            [ Types.TBool; i8; i32; i64; Types.f32; f64 ])
+        [ (0, 88); (8, 0); (-8, 4000); (4, 16); (64, 0); (100, 8); (136, 0); (1024, 0); (-1024, 10240) ]
+    in
+    let stores =
+      List.concat_map
+        (fun (st, base) ->
+          List.map
+            (fun ty ->
+              let value = if Types.is_float ty then v 6 else v 4 in
+              case ~pre:(addr ~stride:st ~base)
+                (Printf.sprintf "store %s [out + %d*tid%+d]" (tyn ty) st base)
+                [ ins (Mach.Ost (Mach.SGlobal, ty)) None [ value; v 16 ] ] ONone)
+            [ Types.TBool; i8; i32; i64; f64 ])
+        [ (0, 88); (8, 0); (-8, 4000); (129, 0); (1024, 0) ]
+    in
+    let atomics =
+      List.concat_map
+        (fun (st, base) ->
+          [
+            case ~pre:(addr ~stride:st ~base)
+              (Printf.sprintf "atomic add i32 [out + %d*tid%+d]" st base)
+              [ ins (Mach.Oatomic "gpu.atomic.add.i32") (Some vdst) [ v 16; v 5 ] ] (OI vdst);
+            case ~pre:(addr ~stride:st ~base)
+              (Printf.sprintf "atomic add f64 [out + %d*tid%+d]" st base)
+              [ ins (Mach.Oatomic "gpu.atomic.add.f64") None [ v 16; v 6 ] ] ONone;
+          ])
+        [ (0, 88); (4, 0); (8, 0); (1024, 0) ]
+    in
+    (* lanes at max_int - 3 + 8 * tid, and lanes 2^63 apart (Gmem reads
+       an address modulo 2^63) *)
+    let odd =
+      let near = affine 16 ~stride:8 ~base:near_max in
+      let apart =
+        [ ins (Mach.Oquery "gpu.tid.x") (Some (vr 16)) [];
+          bin Ops.Mul i64 16 (v 16) (kint 0x2000_0000_0000_0000); bin Ops.Shl i64 16 (v 16) (kint 2);
+          bin Ops.Add i64 16 (v 16) (v 0); bin Ops.Add i64 16 (v 16) (kint shape_out) ]
+      in
+      [
+        case ~pre:near "load i64 [max_int - 3 + 8*tid]" [ ins (Mach.Old (Mach.SGlobal, i64)) (Some vdst) [ v 16 ] ] (OI vdst);
+        case ~pre:near "store i64 [max_int - 3 + 8*tid]" [ ins (Mach.Ost (Mach.SGlobal, i64)) None [ v 4; v 16 ] ] ONone;
+        case ~pre:near "atomic add i32 [max_int - 3 + 8*tid]"
+          [ ins (Mach.Oatomic "gpu.atomic.add.i32") None [ v 16; kint 1 ] ] ONone;
+        case ~pre:apart "load i64 [out + 8192 + 2^63*tid]" [ ins (Mach.Old (Mach.SGlobal, i64)) (Some vdst) [ v 16 ] ] (OI vdst);
+        case ~pre:apart "store i64 [out + 8192 + 2^63*tid]" [ ins (Mach.Ost (Mach.SGlobal, i64)) None [ v 1; v 16 ] ] ONone;
+      ]
+    in
+    loads @ stores @ atomics @ odd
+  in
+  (* v16 (5 * tid + 11) overwritten in the body, stored after
+     reconvergence: the lanes the body skipped keep their value *)
+  let overwrite =
+    let pre = affine 16 ~stride:5 ~base:11 and fin = [ st64 16 3 ] in
+    List.map
+      (fun (n, code) -> case ~pre ~fin ("overwritten in the body by " ^ n) code ONone)
+      [
+        ("add", [ bin Ops.Add i64 16 (v 16) (kint 1000) ]);
+        ("and", [ bin Ops.And i64 16 (v 16) (kint 0xff) ]);
+        ("mov", [ ins (Mach.Omov i64) (Some (vr 16)) [ kint 77 ] ]);
+        ("arg", [ ins (Mach.Oarg 1) (Some (vr 16)) [] ]);
+        ("float arg", [ ins (Mach.Oarg 2) (Some (vr 16)) [] ]);
+        ("query", [ ins (Mach.Oquery "gpu.ctaid.x") (Some (vr 16)) [] ]);
+        ("tid", [ ins (Mach.Oquery "gpu.tid.x") (Some (vr 16)) [] ]);
+        ("frame", [ ins Mach.Oframe (Some (vr 16)) [ kint 8 ] ]);
+        ("load", [ ins (Mach.Old (Mach.SGlobal, i64)) (Some (vr 16)) [ v 3 ] ]);
+        ("float load", [ ins (Mach.Old (Mach.SGlobal, f64)) (Some (vr 16)) [ v 3 ] ]);
+        ("spill", [ ins (Mach.Ospill_st 0) None [ v 5 ]; ins (Mach.Ospill_ld 0) (Some (vr 16)) [] ]);
+        ("compare", [ ins (Mach.Ocmp (Ops.CLt, i64)) (Some (vr 16)) [ v 16; kint 100 ] ]);
+        ("sext", [ ins (Mach.Ocast (Ops.Sext, i64, i32)) (Some (vr 16)) [ v 16 ] ]);
+        ("fptosi", [ ins (Mach.Ocast (Ops.FpToSi, i64, f64)) (Some (vr 16)) [ v 6 ] ]);
+        ("select", [ ins (Mach.Osel i64) (Some (vr 16)) [ v 14; v 16; kint 9 ] ]);
+        ("atomic", [ ins (Mach.Oatomic "gpu.atomic.add.i32") (Some (vr 16)) [ v 3; kint 1 ] ]);
+        ("itself", [ bin Ops.Mul i64 16 (v 16) (v 16) ]);
+      ]
+  in
+  let spills =
+    let pre = affine 16 ~stride:(-4) ~base:300 in
+    [
+      case ~pre "spill a symbolic register"
+        [ ins (Mach.Ospill_st 1) None [ v 16 ]; ins (Mach.Ospill_ld 1) (Some vdst) [] ] (OI vdst);
+      case ~pre:(pre @ [ ins (Mach.Ospill_st 1) None [ v 16 ] ])
+        "spilled under the entry mask, reloaded in the body"
+        [ ins (Mach.Ospill_ld 1) (Some vdst) [] ] (OI vdst);
+      case ~pre "spilled to a scalar"
+        [ ins (Mach.Ospill_st 0) None [ v 16 ]; ins (Mach.Ospill_ld 0) (Some sdst) [] ] (OI sdst);
+    ]
+  in
+  (* block "body" branches on [c] to "t" (stores 1) or "e" (stores 2) *)
+  let branches =
+    let store k = [ ins (Mach.Ost (Mach.SGlobal, i64)) None [ kint k; v 3 ] ] in
+    let extra =
+      [ { Mach.mlab = "t"; code = store 1; term = Mach.Tbr "done" };
+        { Mach.mlab = "e"; code = store 2; term = Mach.Tbr "done" } ]
+    in
+    List.map
+      (fun (n, pre) ->
+        case ~pre ~extra ~term:(Mach.Tcbr (v 17, "t", "e")) ("branch on " ^ n) [] ONone)
+      [
+        ("an affine register", affine 17 ~stride:1 ~base:0);
+        ("a uniform 0", affine 17 ~stride:0 ~base:0);
+        ("a uniform 7", affine 17 ~stride:0 ~base:7);
+        ("a uniform compare", affine 16 ~stride:1 ~base:0 @ [ ins (Mach.Ocmp (Ops.CLt, i64)) (Some (vr 17)) [ v 16; kint 1000 ] ]);
+        ("a divergent compare", affine 16 ~stride:1 ~base:0 @ [ ins (Mach.Ocmp (Ops.CLt, i64)) (Some (vr 17)) [ v 16; kint 10 ] ]);
+      ]
+  in
+  let misc =
+    List.map
+      (fun q -> case ("query " ^ q) [ ins (Mach.Oquery q) (Some vdst) [] ] (OI vdst))
+      [ "gpu.tid.x"; "gpu.tid.y"; "gpu.tid.z"; "gpu.ctaid.x"; "gpu.ntid.x"; "gpu.nctaid.x" ]
+    @ [
+        case "frame" [ ins Mach.Oframe (Some vdst) [ kint 4 ] ] (OI vdst);
+        case "arg" [ ins (Mach.Oarg 1) (Some vdst) [] ] (OI vdst);
+        case "bool arg" [ ins (Mach.Oarg 3) (Some vdst) [] ] (OI vdst);
+        case ~pre:(affine 16 ~stride:2 ~base:1) "mov" [ ins (Mach.Omov i64) (Some vdst) [ v 16 ] ] (OI vdst);
+        case ~pre:(affine 16 ~stride:2 ~base:1) "to a scalar" [ bin Ops.Add i64 3 (v 16) (kint 1) ] (OI sdst);
+        case ~pre:(affine 16 ~stride:2 ~base:1) "to float" [ ins (Mach.Ocast (Ops.SiToFp, f64, i64)) (Some fdst) [ v 16 ] ] (OF fdst);
+        case ~pre:(affine 16 ~stride:2 ~base:1) "select"
+          [ ins (Mach.Osel i64) (Some vdst) [ v 14; v 16; v 1 ] ] (OI vdst);
+      ]
+  in
+  binops @ cmps @ wide @ casts @ mem @ overwrite @ spills @ branches @ misc
+
+let test_sym_shapes () =
+  List.iter
+    (fun c ->
+      let extra = c.extra in
+      check_shape ~masks:sym_masks ~pre:c.pre ~fin:c.fin ~extra c.sh)
+    sym_shapes
+
+(* ---- random affine index chains ---- *)
+
+(* The index arithmetic kernels run: i = ctaid * ntid + tid in i32,
+   j = i * c1 + c2 (i32, wrapping for some constants), widened to i64
+   by sext or zext (or computed in i64, truncated to i32 and sign
+   extended), less the widened c2, scaled by a shift or a multiply and
+   added to a base pointer: a load from there goes to out[i], and when
+   the chain is injective a store of i goes there too. Constants near
+   2^31 make lanes wrap, and so fail the launch out of range; both
+   engines must agree on memory, every counter (L2 hits and misses
+   included) and the failure. *)
+type chain = {
+  c1 : int;
+  c2 : int;
+  widen : Ops.castop option; (* None: computed in i64, truncated, sign extended *)
+  scale : [ `Shl of int | `Mul of int ];
+  lty : Types.ty;
+  cblock : int;
+}
+
+let chain_span = 1 lsl 19
+
+let chain_kernel c =
+  let i32 = Types.i32 and i64 = Types.i64 in
+  let v r = Mach.Rs (vr r) in
+  let bin op ty d a b = ins (Mach.Obin (op, ty)) (Some (vr d)) [ a; b ] in
+  let w1 = match c.widen with None -> i64 | Some _ -> i32 in
+  let widen d x =
+    match c.widen with
+    | Some op -> [ ins (Mach.Ocast (op, i64, i32)) (Some (vr d)) [ x ] ]
+    | None ->
+        [ ins (Mach.Ocast (Ops.Trunc, i32, i64)) (Some (vr d)) [ x ];
+          ins (Mach.Ocast (Ops.Sext, i64, i32)) (Some (vr d)) [ v d ] ]
+  in
+  let scaled = match c.scale with `Shl k -> bin Ops.Shl i64 7 (v 6) (kint k) | `Mul m -> bin Ops.Mul i64 7 (v 6) (kint m) in
+  let width = Types.size_of c.lty in
+  let injective = c.c1 <> 0 && (match c.scale with `Shl k -> 1 lsl k >= 8 | `Mul m -> abs m >= 8) in
+  let code =
+    [
+      ins (Mach.Oarg 0) (Some (vr 0)) [];
+      ins (Mach.Oarg 1) (Some (vr 1)) [];
+      ins (Mach.Oquery "gpu.tid.x") (Some (vr 2)) [];
+      ins (Mach.Oquery "gpu.ctaid.x") (Some (vr 3)) [];
+      ins (Mach.Oquery "gpu.ntid.x") (Some (vr 4)) [];
+      bin Ops.Mul i32 3 (v 3) (v 4);
+      bin Ops.Add i32 3 (v 3) (v 2);
+      bin Ops.Mul w1 5 (v 3) (kint c.c1);
+      bin Ops.Add w1 5 (v 5) (kint c.c2);
+      ins (Mach.Omov w1) (Some (vr 8)) [ kint c.c2 ];
+    ]
+    @ widen 6 (v 5) @ widen 9 (v 8)
+    @ [
+        bin Ops.Sub i64 6 (v 6) (v 9);
+        scaled;
+        bin Ops.Add i64 7 (v 7) (v 1);
+        ins (Mach.Old (Mach.SGlobal, c.lty)) (Some (vr 10)) [ v 7 ];
+        ins (Mach.Ocast (Ops.Sext, i64, i32)) (Some (vr 11)) [ v 3 ];
+        bin Ops.Shl i64 11 (v 11) (kint 3);
+        bin Ops.Add i64 11 (v 11) (v 0);
+        ins (Mach.Ost (Mach.SGlobal, c.lty)) None [ v 10; v 11 ];
+      ]
+    @ (if injective && width <= 8 then [ ins (Mach.Ost (Mach.SGlobal, Types.i64)) None [ v 3; v 7 ] ] else [])
+  in
+  {
+    Mach.sym = "chain";
+    blocks = [ { Mach.mlab = "entry"; code; term = Mach.Tret } ];
+    params = [];
+    arg_tys = [ Types.ptr Types.i64; Types.ptr Types.i64 ];
+    vregs = 12; sregs = 1; frame = 0; spill_slots = 0; launch_bounds = None;
+    max_pressure_v = 0; max_pressure_s = 0;
+  }
+
+let chain_input = lazy (Bytes.init (2 * chain_span) (fun k -> Char.chr ((k * 151) lxor (k lsr 9) land 0xff)))
+
+(* One launch of a chain under [mode]: the outcome, and the arena *)
+let run_chain mode c =
+  let dev = Device.mi250x in
+  let mem = Gmem.create ~capacity:(4 * chain_span) () and l2 = L2cache.create dev in
+  let out = Gmem.alloc mem (8 * 2 * c.cblock) in
+  let inp = Gmem.alloc mem (2 * chain_span) in
+  Bytes.blit (Lazy.force chain_input) 0 mem.Gmem.data (Int64.to_int inp) (2 * chain_span);
+  let k = chain_kernel c in
+  let r =
+    match
+      launch_mode mode ~device:dev ~mem ~l2 ~symbols:(fun _ -> 0L) k ~grid:2 ~block:c.cblock
+        ~args:[| Konst.kint ~bits:64 out; Konst.kint ~bits:64 (Int64.add inp (Int64.of_int chain_span)) |]
+    with
+    | r -> Ok r.Exec.counters
+    | exception e -> Error (Printexc.to_string e)
+  in
+  (r, Bytes.copy mem.Gmem.data)
+
+let chain_gen =
+  let open QCheck.Gen in
+  let c1 = oneofl [ 0; 1; -1; 2; 3; 8; -5; 0x100; 0x1000000; 0x40000000 ] in
+  let c2 =
+    oneof
+      [ oneofl [ 0; 5; -7; 0x7FFFFFF0; -0x7FFFFFF0; 0x7FFFFF00; 0x3FFFFFFF; -0x80000000 ];
+        map (fun x -> x - 0x80000000) (int_bound 0xFFFFFFFF) ]
+  in
+  let widen = oneofl [ Some Ops.Sext; Some Ops.Zext; None ] in
+  let scale = oneof [ map (fun k -> `Shl k) (int_bound 5); map (fun m -> `Mul m) (oneofl [ 1; 2; 4; 8; 12; 16; 200; -8 ]) ] in
+  let lty = oneofl [ Types.TInt 8; Types.i32; Types.i64; Types.f64 ] in
+  map
+    (fun (c1, c2, widen, (scale, lty, cblock)) -> { c1; c2; widen; scale; lty; cblock })
+    (quad c1 c2 widen (triple scale lty (int_range 1 160)))
+
+let print_chain c =
+  Printf.sprintf "c1=%d c2=%d widen=%s scale=%s ty=%s block=%d" c.c1 c.c2
+    (match c.widen with Some op -> Ops.castop_to_string op | None -> "i64+trunc+sext")
+    (match c.scale with `Shl k -> Printf.sprintf "shl %d" k | `Mul m -> Printf.sprintf "mul %d" m)
+    (Types.to_string c.lty) c.cblock
+
+let qcheck_affine_chains =
+  QCheck.Test.make ~name:"affine index chains: reference = threaded = multicore" ~count:150
+    (QCheck.make ~print:print_chain chain_gen)
+    (fun c ->
+      let r0, m0 = run_chain Reference c in
+      List.for_all
+        (fun mode ->
+          let r, m = run_chain mode c in
+          match (r0, r) with
+          | Ok c0, Ok c -> c0 = c && Bytes.equal m0 m
+          | Error e0, Error e -> e0 = e && (mode = Multicore || Bytes.equal m0 m)
+          | _ -> false)
+        [ Threaded; Multicore ])
 
 (* ---- f32 rounding through the warp state's float32 cell ---- *)
 
@@ -1163,11 +1576,13 @@ let () =
           Alcotest.test_case "multicore launches reuse warp states" `Quick
             test_multicore_reuse_allocation;
           qtest qcheck_f32_round;
+          qtest qcheck_affine_chains;
         ] );
       ( "shapes",
         List.map
           (fun (name, shapes) -> Alcotest.test_case name `Quick (test_shape_group shapes))
-          shape_groups );
+          shape_groups
+        @ [ Alcotest.test_case "symbolic" `Quick test_sym_shapes ] );
       ( "decode",
         List.map
           (fun ((name, _) as c) -> Alcotest.test_case name `Quick (test_decode_total_case c))
