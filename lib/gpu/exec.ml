@@ -744,7 +744,11 @@ let touch_line (wl : Tcode.wlaunch) (la : int) =
   | Tcode.Direct l2 ->
       if L2cache.access_line l2 la then c.Counters.l2_hits <- c.Counters.l2_hits + 1
       else c.Counters.l2_misses <- c.Counters.l2_misses + 1
-  | Tcode.Record v -> Util.Vec.push v la
+  | Tcode.Record ->
+      let n = wl.Tcode.tlen in
+      if n = Array.length wl.Tcode.trace then Tcode.grow_trace wl;
+      Array.unsafe_set wl.Tcode.trace n la;
+      wl.Tcode.tlen <- n + 1
 
 (* line addresses are non-negative, so when the line size is a power of
    two (it is on every modelled device) the division is a shift *)
@@ -1742,48 +1746,66 @@ let launch ?domains ?tcode ~(device : Device.t) ~(mem : Gmem.t) ~(l2 : L2cache.t
     end
     else begin
       (* Parallel block schedule: execute chunks of blocks across the
-         domain pool with per-block counters and cache-line traces,
-         then merge counters additively and replay traces serially in
-         block order through the shared L2 - the model sees exactly
-         the serial access sequence, so hits/misses (and the derived
-         timing) match the serial schedule bit for bit. Chunking
-         bounds the memory held by traces. The launch takes one warp
-         state per domain from the program up front (so the first
-         launch compiles them all), each task pops one for its block
-         and pushes it back, and the program gets them back when the
-         launch completes. A block's counters and trace, written on
-         every instruction, are allocated by the task that runs it, in
-         its own domain's heap, so neighbouring blocks running on two
-         domains never write one cache line. *)
+         domain pool, then replay the chunk's cache-line traces
+         serially in block order through the shared L2 - the model
+         sees exactly the serial access sequence, so hits/misses (and
+         the derived timing) match the serial schedule bit for bit.
+         Chunking bounds the memory held by traces. The launch takes
+         one warp state per domain from the program up front (so the
+         first launch compiles them all), each task pops one for its
+         block and pushes it back, and the program gets them back when
+         the launch completes. A block appends its lines to its
+         state's trace, noting where they start and end (a state that
+         runs several blocks of a chunk holds their lines one after
+         another), and the replay empties the traces; the buffers stay
+         with the states from launch to launch. A block counts into
+         its domain's counters for the launch, which the domain
+         allocates in its own heap the first time it runs a block, so
+         two domains never write one cache line. Nothing is allocated
+         per block. *)
       let pool = Pool.shared ~size:ndom in
-      let free = Atomic.make (List.init (min ndom grid) (fun _ -> acquire p ~lanes:warp)) in
+      let states = List.init (min ndom grid) (fun _ -> acquire p ~lanes:warp) in
+      let free = Atomic.make states in
       let chunk = 4 * ndom in
+      let owner = Array.make chunk (List.hd states) in
+      let lo = Array.make chunk 0 and hi = Array.make chunk 0 in
+      (* (domain, its counters) for each domain that ran a block; only
+         a domain adds its own entry *)
+      let dctrs = Atomic.make [] in
       let start = ref 0 in
       while !start < grid do
         let n = min chunk (grid - !start) in
-        let per_block = Array.make n Tcode.idle_ctr in
-        let traces = Array.make n Tcode.idle_trace in
         Pool.run pool
           (fun i ->
-            let ctr = Counters.create () and trace = Util.Vec.create 0 in
-            per_block.(i) <- ctr;
-            traces.(i) <- trace;
             let w = match Tcode.pop free with Some w -> w | None -> acquire p ~lanes:warp in
-            setup w p env ctr (Tcode.Record trace);
+            let d = (Domain.self () :> int) in
+            let ctr =
+              match List.assoc_opt d (Atomic.get dctrs) with
+              | Some c -> c
+              | None ->
+                  let c = Counters.create () in
+                  Tcode.push dctrs (d, c);
+                  c
+            in
+            setup w p env ctr Tcode.Record;
+            owner.(i) <- w;
+            lo.(i) <- w.Tcode.wl.Tcode.tlen;
             run_block w p ~warp ~block ~nwarps_per_block (!start + i);
+            hi.(i) <- w.Tcode.wl.Tcode.tlen;
             Tcode.push free w)
           n;
         for i = 0 to n - 1 do
-          Counters.add counters per_block.(i);
-          Util.Vec.iter
-            (fun la ->
-              if L2cache.access_line l2 la then
-                counters.Counters.l2_hits <- counters.Counters.l2_hits + 1
-              else counters.Counters.l2_misses <- counters.Counters.l2_misses + 1)
-            traces.(i)
+          let wl = owner.(i).Tcode.wl in
+          for k = lo.(i) to hi.(i) - 1 do
+            if L2cache.access_line l2 (Array.unsafe_get wl.Tcode.trace k) then
+              counters.Counters.l2_hits <- counters.Counters.l2_hits + 1
+            else counters.Counters.l2_misses <- counters.Counters.l2_misses + 1
+          done;
+          wl.Tcode.tlen <- 0
         done;
         start := !start + n
       done;
+      List.iter (fun (_, c) -> Counters.add counters c) (Atomic.get dctrs);
       List.iter (release p) (Atomic.get free);
       "multicore"
     end

@@ -1,6 +1,17 @@
 (* Device global memory: a flat byte arena with a bump/free-list
    allocator. Addresses are plain int64 offsets (address 0 is kept
-   unmapped so null dereferences fail loudly). *)
+   unmapped so null dereferences fail loudly).
+
+   Every arena - a device context's, a host program's, a serve
+   tenant's - starts at [initial_bytes] and doubles when an allocation
+   needs more. An access is in range exactly when it lies in
+   [1, size), where size is the arena's current length: the bytes
+   between the break and that end read as zeros, and one byte past it
+   fails. A correct program touches only what it allocated, so it sees
+   no difference from a larger arena. No HeCBench cell uses more than
+   270 KB of device memory, while zero-filling a 16 MB device and a
+   16 MB host arena would be most of a cold run's major-heap
+   allocation. *)
 
 open Proteus_support
 open Proteus_ir
@@ -12,17 +23,30 @@ type t = {
   mutable allocated : (int * int) list; (* live allocations, for free() *)
 }
 
-let create ?(capacity = 1 lsl 24) () =
-  { data = Bytes.make capacity '\000'; brk = 64; free_lists = []; allocated = [] }
+(* the break starts past the null guard, so no capacity is below it *)
+let null_guard = 64
+let initial_bytes = 1 lsl 16
 
+let create ?(capacity = initial_bytes) () =
+  {
+    data = Bytes.make (max capacity null_guard) '\000';
+    brk = null_guard;
+    free_lists = [];
+    allocated = [];
+  }
+
+(* Grow to at least [n] bytes by doubling. The old bytes are copied
+   into an uninitialised buffer and only the new tail is zeroed. *)
 let ensure t n =
-  if n > Bytes.length t.data then begin
-    let cap = ref (Bytes.length t.data) in
+  let len = Bytes.length t.data in
+  if n > len then begin
+    let cap = ref len in
     while !cap < n do
       cap := !cap * 2
     done;
-    let nd = Bytes.make !cap '\000' in
-    Bytes.blit t.data 0 nd 0 (Bytes.length t.data);
+    let nd = Bytes.create !cap in
+    Bytes.blit t.data 0 nd 0 len;
+    Bytes.fill nd len (!cap - len) '\000';
     t.data <- nd
   end
 

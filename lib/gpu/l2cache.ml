@@ -7,8 +7,8 @@ type t = {
   set_mask : int; (* sets - 1 when [sets] is a power of two, else -1 *)
   ways : int;
   line : int;
-  tags : int array array; (* set -> way -> tag (-1 empty) *)
-  stamp : int array array; (* LRU timestamps *)
+  tags : int array; (* set s, way w at [s * ways + w]: tag (-1 empty) *)
+  stamp : int array; (* LRU timestamps, laid out like [tags] *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -16,21 +16,22 @@ type t = {
 
 let create (dev : Device.t) =
   let lines = dev.Device.l2_bytes / dev.Device.l2_line in
-  let sets = max 1 (lines / dev.Device.l2_ways) in
+  let ways = dev.Device.l2_ways in
+  let sets = max 1 (lines / ways) in
   {
     sets;
     set_mask = (if sets land (sets - 1) = 0 then sets - 1 else -1);
-    ways = dev.Device.l2_ways;
+    ways;
     line = dev.Device.l2_line;
-    tags = Array.make_matrix sets dev.Device.l2_ways (-1);
-    stamp = Array.make_matrix sets dev.Device.l2_ways 0;
+    tags = Array.make (sets * ways) (-1);
+    stamp = Array.make (sets * ways) 0;
     tick = 0;
     hits = 0;
     misses = 0;
   }
 
 let reset t =
-  Array.iter (fun row -> Array.fill row 0 (Array.length row) (-1)) t.tags;
+  Array.fill t.tags 0 (Array.length t.tags) (-1);
   t.hits <- 0;
   t.misses <- 0
 
@@ -42,27 +43,28 @@ let access_line t (line_addr : int) : bool =
   t.tick <- t.tick + 1;
   let set = if t.set_mask >= 0 then line_addr land t.set_mask else line_addr mod t.sets in
   let tag = line_addr in
-  let row = t.tags.(set) and st = t.stamp.(set) in
-  let ways = t.ways in
+  let tags = t.tags and st = t.stamp in
+  let base = set * t.ways in
+  let stop = base + t.ways in
   (* tags are unique within a set (insertion only overwrites), so the
      scan can stop at the first match *)
-  let w = ref 0 in
-  while !w < ways && Array.unsafe_get row !w <> tag do
+  let w = ref base in
+  while !w < stop && Array.unsafe_get tags !w <> tag do
     incr w
   done;
-  if !w < ways then begin
+  if !w < stop then begin
     Array.unsafe_set st !w t.tick;
     t.hits <- t.hits + 1;
     true
   end
   else begin
     t.misses <- t.misses + 1;
-    (* evict LRU *)
-    let victim = ref 0 in
-    for w = 1 to ways - 1 do
+    (* evict LRU: the lowest stamp, the first way among equals *)
+    let victim = ref base in
+    for w = base + 1 to stop - 1 do
       if Array.unsafe_get st w < Array.unsafe_get st !victim then victim := w
     done;
-    row.(!victim) <- tag;
+    tags.(!victim) <- tag;
     st.(!victim) <- t.tick;
     false
   end

@@ -40,7 +40,6 @@
    it. When editing, change Refexec.run_warp first and mirror the
    semantics here. *)
 
-open Proteus_support
 open Proteus_ir
 open Proteus_backend
 
@@ -302,9 +301,10 @@ let reset b =
   Array.fill b.sspf 0 (Array.length b.sspf) 0.0
 
 (* Where deduped cache-line accesses go: straight into the shared L2
-   model (serial schedule) or into a per-block trace that is replayed
-   serially after a parallel launch. *)
-type line_sink = Direct of L2cache.t | Record of int Util.Vec.t
+   model (serial schedule) or appended to the state's trace
+   ([wlaunch.trace]), which the multicore schedule replays serially
+   after each chunk of blocks. *)
+type line_sink = Direct of L2cache.t | Record
 
 (* The values of the launch a warp state runs (in the multicore
    schedule, of the thread-block), written before it runs. The compiled
@@ -321,6 +321,11 @@ type wlaunch = {
   mutable data : Bytes.t; (* the arena: execution never grows it *)
   mutable ctr : Counters.t;
   mutable sink : line_sink;
+  (* the recorded lines are [trace.(0 .. tlen - 1)]; the buffer
+     belongs to the state and is kept, not reallocated, across chunks
+     and launches *)
+  mutable trace : int array;
+  mutable tlen : int;
   mutable args : Konst.t array;
   mutable profile : Counters.site_table option;
   mutable line : int; (* L2 line size *)
@@ -408,27 +413,32 @@ let banks_create (p : program) lanes =
 (* what an idle state points at; never written, since a launch sets
    every field before it runs *)
 let idle_ctr = Counters.create ()
-let idle_trace : int Util.Vec.t = Util.Vec.create 0
-let idle_sink = Record idle_trace
 
 let wlaunch_create () =
   {
     pad_a0 = 0; pad_a1 = 0; pad_a2 = 0; pad_a3 = 0; pad_a4 = 0; pad_a5 = 0; pad_a6 = 0;
-    pad_a7 = 0; data = Bytes.empty; ctr = idle_ctr; sink = idle_sink; args = [||];
-    profile = None; line = 1; lsh = 0; gx = 0; bx = 1; scratch_base = 0; thread_frame = 0;
-    bix = 0; btx = 0; scratch0 = 0; spill0 = 0; fuel = 0; pad_z0 = 0; pad_z1 = 0;
-    pad_z2 = 0; pad_z3 = 0; pad_z4 = 0; pad_z5 = 0; pad_z6 = 0; pad_z7 = 0;
+    pad_a7 = 0; data = Bytes.empty; ctr = idle_ctr; sink = Record; trace = [||]; tlen = 0;
+    args = [||]; profile = None; line = 1; lsh = 0; gx = 0; bx = 1; scratch_base = 0;
+    thread_frame = 0; bix = 0; btx = 0; scratch0 = 0; spill0 = 0; fuel = 0; pad_z0 = 0;
+    pad_z1 = 0; pad_z2 = 0; pad_z3 = 0; pad_z4 = 0; pad_z5 = 0; pad_z6 = 0; pad_z7 = 0;
   }
 
 (* Drop a finished launch's values. The state outlives them: it keeps
-   no arena, trace or arguments alive, and the launch's young counters
-   and sink are not promoted for being referenced from it. *)
+   no arena, L2 model or arguments alive, and the launch's young
+   counters are not promoted for being referenced from it. The trace
+   buffer stays: it is the state's own. *)
 let idle wl =
   wl.data <- Bytes.empty;
   wl.ctr <- idle_ctr;
-  wl.sink <- idle_sink;
+  wl.sink <- Record;
   wl.args <- [||];
   wl.profile <- None
+
+(* Make room for at least one more recorded line. *)
+let grow_trace wl =
+  let t = Array.make (max 64 (2 * Array.length wl.trace)) 0 in
+  Array.blit wl.trace 0 t 0 wl.tlen;
+  wl.trace <- t
 
 (* A lock-free stack of idle warp states. A launch pops one (Exec
    compiles a new state only when the stack is empty) and pushes it back

@@ -134,8 +134,6 @@ let build_module (kernels : int) : Ir.modul =
 
 let backend_name = function Device.Amd -> "amd" | Device.Nvidia -> "nvidia"
 
-let serve_arena_bytes = 1 lsl 16
-
 (* ---- construction ------------------------------------------------ *)
 
 (* Deterministic initial contents for a tenant's output buffer, a
@@ -199,11 +197,7 @@ let create ?(config = Config.default) ?(vendor = Device.Amd) ?(tenants = 4)
   in
   let flight = match flight with Some f -> f | None -> Flight.create () in
   let mk_tenant idx name =
-    (* a tenant holds two n-element buffers and a per-launch scratch
-       frame, so it starts from a small arena (grown on demand) rather
-       than Gmem's 16 MB default: zero-filling 16 MB per tenant was
-       most of a serve session's set-up time *)
-    let rt = Gpurt.create ~mem_bytes:serve_arena_bytes (Device.by_vendor vendor) in
+    let rt = Gpurt.create (Device.by_vendor vendor) in
     ignore (Gpurt.load_module rt obj);
     let tcfg =
       match List.assoc_opt name tenant_faults with

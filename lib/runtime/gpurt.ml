@@ -58,12 +58,10 @@ type ctx = {
     Exec.launch_result;
 }
 
-(* [mem_bytes] is the device arena's initial capacity (Gmem's default
-   when absent); the arena grows on demand past it. *)
-let create ?(cost = Costmodel.default) ?mem_bytes (device : Device.t) : ctx =
+let create ?(cost = Costmodel.default) (device : Device.t) : ctx =
   {
     device;
-    mem = Gmem.create ?capacity:mem_bytes ();
+    mem = Gmem.create ();
     l2 = L2cache.create device;
     clock = Clock.create ();
     cost;

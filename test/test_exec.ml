@@ -1526,6 +1526,246 @@ let test_multicore_reuse_allocation () =
   Alcotest.(check bool) "at most one idle state per domain" true
     (List.length (Atomic.get p.Tcode.states) <= 2)
 
+(* ---- the arena range rule ---- *)
+
+(* An arena starts at [Gmem.initial_bytes] and doubles on demand, and
+   an access is in range exactly when it lies below the arena's current
+   length. [grown_arena] takes a default arena to 128 KB through two
+   allocations, checking that the growth kept every byte the 64 KB
+   arena held (past the break included) and zeroed the new tail. *)
+let grown_arena () =
+  let mem = Gmem.create () in
+  let first = Gmem.initial_bytes in
+  let a = Gmem.alloc mem 40_000 in
+  for i = 64 to first - 1 do
+    Bytes.set mem.Gmem.data i (Char.chr ((i * 7) land 0xff))
+  done;
+  let b = Gmem.alloc mem 60_000 in
+  check Alcotest.int "grown to 128 KB" (1 lsl 17) (Bytes.length mem.Gmem.data);
+  let kept = ref true and zero = ref true in
+  for i = 64 to first - 1 do
+    if Bytes.get mem.Gmem.data i <> Char.chr ((i * 7) land 0xff) then kept := false
+  done;
+  for i = first to (1 lsl 17) - 1 do
+    if Bytes.get mem.Gmem.data i <> '\000' then zero := false
+  done;
+  Alcotest.(check bool) "growth keeps the old bytes" true !kept;
+  Alcotest.(check bool) "growth zeroes the new tail" true !zero;
+  (mem, a, b)
+
+let range_ldst =
+  lazy
+    (compile_kernel
+       {|__global__ void ldst(double* src, double* dst, double* out, int n) {
+           int i = blockIdx.x * blockDim.x + threadIdx.x;
+           if (i < n) { out[i] = 2.0 * (double)i; }
+           if (i == n) { *dst = *src + 1.0; }
+         }|}
+       "ldst")
+
+let range_atomic =
+  lazy
+    (compile_kernel
+       {|__global__ void bump(float* acc, double* out, int n) {
+           int i = blockIdx.x * blockDim.x + threadIdx.x;
+           if (i < n) { out[i] = (double)i; }
+           if (i == n) { atomicAdd(acc, 1.5f); }
+         }|}
+       "bump")
+
+(* One launch on a fresh grown arena, lane 0 of block 1 touching the
+   arena's end [back] bytes from it ([`Load], [`Store] or [`Atomic]):
+   the counters and [out] with the word at the end, or the failure
+   with the L2 model's totals. *)
+let range_launch mode what back =
+  let dev = Device.mi250x in
+  let mem, out, _ = grown_arena () and l2 = L2cache.create dev in
+  let len = Bytes.length mem.Gmem.data in
+  let edge = Int64.of_int (len - back) and inside = Int64.of_int (len - 8) in
+  let n = 64 in
+  let k, args =
+    match what with
+    | `Load -> (range_ldst, [| edge; inside |])
+    | `Store -> (range_ldst, [| inside; edge |])
+    | `Atomic -> (range_atomic, [| edge |])
+  in
+  let args =
+    Array.append (Array.map (Konst.kint ~bits:64) args) [| Konst.kint ~bits:64 out; Konst.ki32 n |]
+  in
+  match
+    launch_mode mode ~device:dev ~mem ~l2 ~symbols:(fun _ -> 0L) (Lazy.force k) ~grid:2
+      ~block:64 ~args
+  with
+  | r ->
+      let tail = Gmem.read_f64 mem inside and atom = Gmem.read_f32 mem (Int64.of_int (len - 4)) in
+      let outs = List.init n (fun i -> Gmem.read_f64 mem (Int64.add out (Int64.of_int (8 * i)))) in
+      Ok (r.Exec.counters, r.Exec.engine, tail, atom, outs)
+  | exception Failure msg -> Error (msg, l2.L2cache.hits, l2.L2cache.misses)
+
+let test_arena_range_rule () =
+  let mem, _, b = grown_arena () in
+  let len = Bytes.length mem.Gmem.data in
+  Alcotest.(check bool) "the break lies below the end" true (mem.Gmem.brk < len - 8);
+  check Alcotest.int "a read past the break is zero" 0 (Gmem.read_u8 mem (Int64.of_int (len - 1)));
+  check (Alcotest.float 0.0) "the allocation that grew it reads zero past the old end" 0.0
+    (Gmem.read_f64 mem (Int64.add b 30_000L));
+  (try
+     ignore (Gmem.read_u8 mem (Int64.of_int len));
+     Alcotest.fail "a read at the end succeeded"
+   with Failure _ -> ());
+  List.iter
+    (fun (what, name, width) ->
+      (* the last in-range address: every engine completes the same way *)
+      let r0 = range_launch Reference what width in
+      (match r0 with
+      | Ok (_, _, tail, atom, _) ->
+          if what = `Atomic then check (Alcotest.float 0.0) "atomic at the end" 1.5 atom
+          else check (Alcotest.float 0.0) (name ^ " at the end") 1.0 tail
+      | Error (e, _, _) -> Alcotest.failf "%s at the end failed: %s" name e);
+      List.iter
+        (fun mode ->
+          let r = range_launch mode what width in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at the end, %s: counters and memory" name (mode_name mode))
+            true
+            (match (r0, r) with
+            | Ok (c0, _, t0, a0, o0), Ok (c, _, t, a, o) -> c0 = c && t0 = t && a0 = a && o0 = o
+            | _ -> false))
+        [ Threaded; Multicore ];
+      (* one byte further: the same failure everywhere, and the same L2
+         totals serially (the multicore schedule replays no trace of a
+         failed chunk) *)
+      let e0 = range_launch Reference what (width - 1) in
+      List.iter
+        (fun mode ->
+          match (e0, range_launch mode what (width - 1)) with
+          | Error (m0, h0, x0), Error (m, h, x) ->
+              check Alcotest.string (Printf.sprintf "%s past the end, %s" name (mode_name mode)) m0 m;
+              if mode = Threaded then
+                Alcotest.(check (pair int int))
+                  (Printf.sprintf "%s past the end, L2 totals" name) (h0, x0) (h, x)
+          | _ -> Alcotest.failf "%s one byte past the end did not fail on every engine" name)
+        [ Threaded; Multicore ])
+    [ (`Load, "load", 8); (`Store, "store", 8); (`Atomic, "atomic", 4) ];
+  (* the load/store kernel really ran the multicore schedule *)
+  match range_launch Multicore `Load 8 with
+  | Ok (_, engine, _, _, _) -> check Alcotest.string "schedule" "multicore" engine
+  | Error (e, _, _) -> Alcotest.failf "multicore load failed: %s" e
+
+(* ---- multicore line traces ---- *)
+
+(* A multicore launch on 4 domains runs its grid in chunks of 16
+   blocks. Each block appends its cache lines to the trace buffer of
+   the warp state it ran on, and the chunk's traces replay in block
+   order through the shared L2 once the chunk is done. [lines_kernel]
+   gives block 0 ~125x the lines of every other block (250 loop trips
+   of 5 lines against one read and one write of 5 lines), and the grid
+   has 3 chunks and a 1-block tail: ~1,700 lines a launch, so the state
+   that runs block 0 grows its buffer to 2,048 and never again. [bad]
+   names a block that reads out of range. *)
+let lines_kernel =
+  lazy
+    (compile_kernel
+       {|__global__ void lines(double* a, double* out, int heavy, int bad) {
+           int b = blockIdx.x;
+           int t = threadIdx.x;
+           int reps = 1;
+           if (b == 0) { reps = heavy; }
+           double s = 0.0;
+           for (int j = 0; j < reps; j++) { s = s + a[j * 64 + t]; }
+           if (b == bad) { s = s + a[t + 100000000]; }
+           out[b * 64 + t] = s;
+         }|}
+       "lines")
+
+let lines_grid = (3 * 16) + 1
+let lines_heavy = 250
+
+(* One launch of [lines_kernel] on a fresh device: the output and the
+   counters, or the failure message. *)
+let lines_launch ?tcode ?(grid = lines_grid) ?(heavy = lines_heavy) ?(bad = -1) mode =
+  let dev = Device.mi250x in
+  let mem = Gmem.create () and l2 = L2cache.create dev in
+  let a = Gmem.alloc mem (lines_heavy * 64 * 8) and out = Gmem.alloc mem (grid * 64 * 8) in
+  for i = 0 to (lines_heavy * 64) - 1 do
+    Gmem.write_f64 mem (Int64.add a (Int64.of_int (8 * i))) (float_of_int (i mod 97))
+  done;
+  match
+    launch_mode ?tcode mode ~device:dev ~mem ~l2 ~symbols:(fun _ -> 0L) (Lazy.force lines_kernel)
+      ~grid ~block:64
+      ~args:[| Konst.kint ~bits:64 a; Konst.kint ~bits:64 out; Konst.ki32 heavy; Konst.ki32 bad |]
+  with
+  | r ->
+      let snap =
+        String.init (grid * 64 * 8) (fun i -> Char.chr (Gmem.read_u8 mem (Int64.add out (Int64.of_int i))))
+      in
+      Ok (snap, r.Exec.counters, r.Exec.engine)
+  | exception Failure msg -> Error msg
+
+let same_run what r0 r =
+  match (r0, r) with
+  | Ok (s0, c0, _), Ok (s, c, _) ->
+      check Alcotest.string (what ^ ": output") s0 s;
+      Alcotest.(check bool) (what ^ ": counters") true (c0 = c);
+      Alcotest.(check bool) (what ^ ": L2 traffic") true (c.Counters.l2_hits > 0 && c.Counters.l2_misses > 0)
+  | Error e0, Error e -> check Alcotest.string (what ^ ": failure") e0 e
+  | Ok _, Error e -> Alcotest.failf "%s failed: %s" what e
+  | Error e, Ok _ -> Alcotest.failf "%s completed; the reference failed: %s" what e
+
+let lines_of = function Ok (_, c, _) -> c.Counters.mem_lines | Error e -> Alcotest.failf "failed: %s" e
+
+let test_multicore_traces () =
+  (* the premise: block 0 records over 100x the lines of another block *)
+  let heavy_block = lines_of (lines_launch ~grid:1 Reference) in
+  let light_block = lines_of (lines_launch ~grid:2 Reference) - heavy_block in
+  Alcotest.(check bool)
+    (Printf.sprintf "block 0 has %d lines, the others %d" heavy_block light_block)
+    true (heavy_block >= 100 * light_block);
+  let p = Tcode.decode (Lazy.force lines_kernel) in
+  let expect = lines_launch Reference in
+  same_run "serial" expect (lines_launch ~tcode:p Threaded);
+  for i = 1 to 4 do
+    let r = lines_launch ~tcode:p Multicore in
+    (match r with
+    | Ok (_, _, e) -> check Alcotest.string "schedule" "multicore" e
+    | Error _ -> ());
+    same_run (Printf.sprintf "multicore launch %d" i) expect r
+  done;
+  (* A state whose buffer holds more lines than the whole launch
+     records (the one that ran block 0 does) never grows it again: the
+     next launch must append into that very buffer. *)
+  let total = lines_of expect in
+  let big =
+    List.filter_map
+      (fun (w : Tcode.wstate) ->
+        let t = w.Tcode.wl.Tcode.trace in
+        if Array.length t >= total then Some (w, t) else None)
+      (Atomic.get p.Tcode.states)
+  in
+  Alcotest.(check bool) "a state holds a buffer for the whole launch" true (big <> []);
+  same_run "multicore launch 5" expect (lines_launch ~tcode:p Multicore);
+  List.iter
+    (fun ((w : Tcode.wstate), t) ->
+      Alcotest.(check bool) "the launch reused the state's buffer" true (w.Tcode.wl.Tcode.trace == t))
+    big;
+  Alcotest.(check bool) "idle states hold no lines" true
+    (List.for_all (fun (w : Tcode.wstate) -> w.Tcode.wl.Tcode.tlen = 0) (Atomic.get p.Tcode.states));
+  (* a block failing mid-chunk fails the launch as the reference does,
+     and the launches after it are unaffected *)
+  let bad = 16 + 4 in
+  same_run "failing launch" (lines_launch ~bad Reference) (lines_launch ~tcode:p ~bad Multicore);
+  same_run "after the failure" expect (lines_launch ~tcode:p Multicore);
+  same_run "serial after the failure" expect (lines_launch ~tcode:p Threaded);
+  (* two domains launching the shared program at once *)
+  let doms =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () -> List.init 3 (fun _ -> lines_launch ~tcode:p Multicore)))
+  in
+  List.iteri
+    (fun d dom ->
+      List.iteri (fun i r -> same_run (Printf.sprintf "domain %d launch %d" d i) expect r) (Domain.join dom))
+    doms
+
 (* ---- whole-application differential: the full HeCBench suite ---- *)
 
 (* Run an app end to end (AOT-compiled, so only the executor varies)
@@ -1575,6 +1815,9 @@ let () =
             test_failed_launch_frees_scratch;
           Alcotest.test_case "multicore launches reuse warp states" `Quick
             test_multicore_reuse_allocation;
+          Alcotest.test_case "arena range rule" `Quick test_arena_range_rule;
+          Alcotest.test_case "multicore traces reuse the states' buffers" `Quick
+            test_multicore_traces;
           qtest qcheck_f32_round;
           qtest qcheck_affine_chains;
         ] );

@@ -48,6 +48,23 @@ let test_gmem_null_deref () =
   Alcotest.(check bool) "null deref raises" true
     (try ignore (Gmem.read_f64 m 0L); false with Failure _ -> true)
 
+(* A capacity below the 64-byte null guard the break starts at is
+   raised to it: doubling a zero-length arena never reached the size an
+   allocation needed, and a negative one failed in [Bytes.make]. *)
+let test_gmem_tiny_capacity () =
+  List.iter
+    (fun capacity ->
+      let m = Gmem.create ~capacity () in
+      check Alcotest.int (Printf.sprintf "capacity %d: arena length" capacity) 64
+        (Bytes.length m.Gmem.data);
+      let a = Gmem.alloc m 100 in
+      Gmem.write_f64 m a 2.5;
+      check (Alcotest.float 0.0) (Printf.sprintf "capacity %d: grown and usable" capacity) 2.5
+        (Gmem.read_f64 m a);
+      Alcotest.(check bool) (Printf.sprintf "capacity %d: covers the allocation" capacity) true
+        (Bytes.length m.Gmem.data >= Int64.to_int a + 100))
+    [ 0; 1; -5; 63 ]
+
 (* ---- L2 ---- *)
 
 let test_l2_hit_miss () =
@@ -76,6 +93,61 @@ let test_l2_reset () =
   L2cache.reset l2;
   check Alcotest.int "hits cleared" 0 l2.L2cache.hits;
   Alcotest.(check bool) "cold after reset" false (L2cache.access l2 128L)
+
+(* The L2 model against a list-based LRU: each set is its tags, most
+   recent first, at most [ways] long. A stream of accesses to a few
+   sets, each drawing from [ways + 4] tags so most accesses conflict,
+   with an occasional reset, must give the same hit or miss on every
+   access and leave each set holding the same tags, so victims leave
+   in the same order. Both devices' geometries run: MI250X has a
+   power-of-two set count (the masked index), V100 does not ([mod]). *)
+let prop_l2_matches_list_lru =
+  let gen =
+    QCheck.Gen.(
+      pair (oneofl [ Device.mi250x; Device.v100 ])
+        (list_size (int_range 1 400)
+           (frequency
+              [ (1, return None);
+                (60, map (fun (s, k) -> Some (s, k)) (pair (int_bound 2) (int_bound 19))) ])))
+  in
+  let print (d, ops) =
+    Printf.sprintf "%s: %s" d.Device.name
+      (String.concat " "
+         (List.map (function None -> "reset" | Some (s, k) -> Printf.sprintf "%d/%d" s k) ops))
+  in
+  QCheck.Test.make ~name:"L2 model = list-based LRU on conflicting streams" ~count:200
+    (QCheck.make ~print gen)
+    (fun (dev, ops) ->
+      let l2 = L2cache.create dev in
+      let sets = l2.L2cache.sets and ways = l2.L2cache.ways in
+      (* three sets spread over the index range, [ways + 4] tags each *)
+      let set_of s = [| 0; sets / 3; sets - 1 |].(s) in
+      let lru = Array.make 3 [] in
+      let hits = ref 0 and misses = ref 0 in
+      let held set =
+        List.sort compare
+          (List.filter (fun t -> t >= 0)
+             (Array.to_list (Array.sub l2.L2cache.tags (set * ways) ways)))
+      in
+      List.for_all
+        (function
+          | None ->
+              L2cache.reset l2;
+              Array.fill lru 0 3 [];
+              hits := 0;
+              misses := 0;
+              l2.L2cache.hits = 0 && l2.L2cache.misses = 0
+          | Some (s, k) ->
+              let k = k mod (ways + 4) in
+              let line = set_of s + (k * sets) in
+              let hit = List.mem line lru.(s) in
+              let rest = List.filter (( <> ) line) lru.(s) in
+              lru.(s) <- line :: List.filteri (fun i _ -> i < ways - 1) rest;
+              if hit then incr hits else incr misses;
+              L2cache.access l2 (Int64.of_int (line * l2.L2cache.line)) = hit
+              && l2.L2cache.hits = !hits && l2.L2cache.misses = !misses
+              && held (set_of s) = List.sort compare lru.(s))
+        ops)
 
 (* ---- executor helpers ---- *)
 
@@ -348,12 +420,14 @@ let () =
           Alcotest.test_case "distinct allocations" `Quick test_gmem_alloc_distinct;
           Alcotest.test_case "free/reuse" `Quick test_gmem_free_reuse;
           Alcotest.test_case "null deref" `Quick test_gmem_null_deref;
+          Alcotest.test_case "capacity below the null guard" `Quick test_gmem_tiny_capacity;
         ] );
       ( "l2",
         [
           Alcotest.test_case "hit/miss" `Quick test_l2_hit_miss;
           Alcotest.test_case "LRU eviction" `Quick test_l2_lru_eviction;
           Alcotest.test_case "reset" `Quick test_l2_reset;
+          qtest prop_l2_matches_list_lru;
         ] );
       ( "executor",
         [

@@ -101,6 +101,35 @@ let test_lulesh_insensitive () =
     true
     (Float.abs (aot -. full) /. aot < 0.10)
 
+(* Allocation gate for a cold Proteus run. Arenas are sized by use
+   (they start at 64 KB and double), so one FEY-KAC run on AMD, with
+   the executor on one domain, allocates fewer than [cold_major_words_max]
+   words directly on the major heap; the two zero-filled 16 MB arenas
+   (device and host) every run used to start from were 4M words alone.
+   The first run compiles the executable, which [Harness] then caches;
+   the second, measured, run starts from a fresh persistent cache.
+   Direct major words are major minus promoted words, with a full major
+   collection and minor collections around the run as in the serve
+   gate (test_serve). *)
+let cold_major_words_max = 1_000_000.0
+
+let test_cold_run_allocation () =
+  let config = { Proteus_core.Config.default with Proteus_core.Config.exec_domains = 1 } in
+  let run () = Harness.run ~config (find "fey-kac") Device.Amd Harness.Proteus_cold in
+  ignore (run ());
+  Gc.full_major ();
+  Gc.minor ();
+  let g0 = Gc.quick_stat () in
+  let m = run () in
+  Gc.minor ();
+  let g1 = Gc.quick_stat () in
+  Alcotest.(check bool) "run valid" true m.Harness.ok;
+  let direct (g : Gc.stat) = g.Gc.major_words -. g.Gc.promoted_words in
+  let major = direct g1 -. direct g0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f direct major words < %.0f" major cold_major_words_max)
+    true (major < cold_major_words_max)
+
 let agreement_cases =
   List.concat_map
     (fun (a : App.t) ->
@@ -117,6 +146,9 @@ let () =
   Alcotest.run "hecbench"
     [
       ("suite", [ Alcotest.test_case "composition" `Quick test_suite_composition ]);
+      ( "allocation",
+        [ Alcotest.test_case "cold FEY-KAC run under 1M direct major words" `Quick
+            test_cold_run_allocation ] );
       ("agreement", agreement_cases);
       ( "jitify",
         [
