@@ -9,7 +9,8 @@
    (--advise FILE), a non-empty array of per-kernel impact objects
    with a consistent argument table (scores sorted descending, the
    recommended list matching per-argument flags, no pointer argument
-   recommended). *)
+   recommended). --golden GOLDEN FILE compares a report with its
+   committed golden as trees, wall-clock fields left out. *)
 
 open Proteus_support.Json
 
@@ -384,6 +385,49 @@ let check_sarif json =
     results;
   (List.length rule_ids, List.length results)
 
+(* ---- golden trees (--golden GOLDEN FILE) ---- *)
+
+(* The wall-clock fields: the only part of a validate or advise report
+   that differs between two runs of one commit. *)
+let wall_fields = [ "advise_ms"; "validate_ms"; "targets"; "total_wall_s" ]
+
+let rec strip_wall = function
+  | Obj fs ->
+      Obj
+        (List.filter_map
+           (fun (k, v) -> if List.mem k wall_fields then None else Some (k, strip_wall v))
+           fs)
+  | Arr xs -> Arr (List.map strip_wall xs)
+  | v -> v
+
+(* The path of the first difference between two trees: key order,
+   array lengths, strings and numbers all count. *)
+let rec first_diff path a b =
+  let first f xs ys =
+    List.fold_left2 (fun acc x y -> if acc = None then f x y else acc) None xs ys
+  in
+  match (a, b) with
+  | Obj fa, Obj fb when List.map fst fa = List.map fst fb ->
+      first (fun (k, x) (_, y) -> first_diff (path ^ "." ^ k) x y) fa fb
+  | Arr xa, Arr xb when List.length xa = List.length xb ->
+      first Fun.id
+        (List.mapi (fun i x y -> first_diff (Printf.sprintf "%s[%d]" path i) x y) xa)
+        xb
+  | _ -> if a = b then None else Some path
+
+(* On a mismatch, print the fresh report whole: a deliberate change
+   replaces the golden with it. *)
+let check_golden golden_path path fresh =
+  let ic = open_in_bin golden_path in
+  let golden = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match first_diff "$" (strip_wall (parse golden)) (strip_wall (parse fresh)) with
+  | None -> Printf.printf "bench_check: %s matches %s\n" path golden_path
+  | Some at ->
+      Printf.eprintf "bench_check: %s differs from %s at %s; fresh output:\n%s\n" path
+        golden_path at fresh;
+      exit 1
+
 let () =
   let mode, path =
     match Sys.argv with
@@ -394,9 +438,11 @@ let () =
     | [| _; "--serve"; p |] -> (`Serve, p)
     | [| _; "--transval"; p |] -> (`Transval, p)
     | [| _; "--sarif"; p |] -> (`Sarif, p)
+    | [| _; "--golden"; g; p |] -> (`Golden g, p)
     | _ ->
         prerr_endline
-          "usage: bench_check [--advise|--perf|--tier|--serve|--transval|--sarif] FILE.json";
+          "usage: bench_check [--advise|--perf|--tier|--serve|--transval|--sarif \
+           | --golden GOLDEN.json] FILE.json";
         exit 2
   in
   let ic = open_in_bin path in
@@ -404,6 +450,7 @@ let () =
   close_in ic;
   try
     match (mode, parse src) with
+    | `Golden g, _ -> check_golden g path src
     | `Perf, json ->
         let cells = check_perf json in
         Printf.printf "bench_check: %s ok (%d perf cells)\n" path cells
