@@ -319,15 +319,20 @@ int main() { return 0; }
   in
   (* daxpy is too small to show how codegen scales: SW4CK's five
      kernels (~2,400 Mach instructions, heavy register pressure) *)
-  let sw4ck =
+  let sw4ck_device vendor =
     let a = List.find (fun (a : App.t) -> a.App.name = "SW4CK") Suite.apps in
-    let m =
-      (Proteus_frontend.Compile.compile ~name:a.App.name
-         ~vendor:Proteus_frontend.Lower.Cuda a.App.source)
-        .Proteus_frontend.Compile.device
-    in
-    ignore (Proteus_opt.Pipeline.optimize_o3 m);
-    m
+    (Proteus_frontend.Compile.compile ~name:a.App.name ~vendor a.App.source)
+      .Proteus_frontend.Compile.device
+  in
+  let sw4ck = sw4ck_device Proteus_frontend.Lower.Cuda in
+  ignore (Proteus_opt.Pipeline.optimize_o3 sw4ck);
+  (* O3 alone on a real kernel: every run optimizes a fresh clone of
+     the unoptimised module (a shallow copy, cheap next to O3) *)
+  let test_o3_sw4ck =
+    let m = sw4ck_device Proteus_frontend.Lower.Hip in
+    Test.make ~name:"opt:O3 SW4CK (AMD device)"
+      (Staged.stage (fun () ->
+           ignore (Proteus_opt.Pipeline.optimize_o3 (Proteus_ir.Ir.clone_module m))))
   in
   let test_gcn_sw4ck =
     Test.make ~name:"backend:GCN codegen SW4CK"
@@ -382,7 +387,7 @@ int main() { return 0; }
   in
   let tests =
     [
-      test_frontend; test_bitcode; test_o3; test_gcn; test_ptx; test_gcn_sw4ck;
+      test_frontend; test_bitcode; test_o3; test_o3_sw4ck; test_gcn; test_ptx; test_gcn_sw4ck;
       test_ptx_sw4ck; test_exec_sw4ck; test_exec_adam; test_hash;
     ]
   in

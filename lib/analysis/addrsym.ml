@@ -250,7 +250,7 @@ let create ?(phi_linear = false) (m : Ir.modul) (f : Ir.func) : t =
   (* -------------------- guards (dominating branch conditions) ----- *)
   let cfg = Cfg.build f in
   let dom = Dom.compute cfg in
-  let live = Cfg.reachable cfg in
+  let live = Util.Sset.of_list (List.map (Cfg.label cfg) cfg.rpo) in
   let block_guards : (string, (Affine.t * Ops.cmpop * int) list) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -294,28 +294,28 @@ let create ?(phi_linear = false) (m : Ir.modul) (f : Ir.func) : t =
     | Some g -> g
     | None ->
         let acc = ref [] in
-        let rec walk l =
-          match Dom.idom dom l with
-          | Some p when p <> l ->
-              (match (Ir.find_block f p).Ir.term with
-              | Ir.TCondBr (c, tl, el) when tl <> el ->
-                  let edge_holds target =
-                    Dom.dominates dom target label
-                    && Cfg.preds cfg target = [ p ]
-                  in
-                  let taken =
-                    if edge_holds tl then Some true
-                    else if edge_holds el then Some false
-                    else None
-                  in
-                  (match Option.map (guard_of_cond c) taken with
-                  | Some (Some g) -> acc := g :: !acc
-                  | _ -> ())
-              | _ -> ());
-              walk p
-          | _ -> ()
+        let rec walk b l =
+          let p = dom.Dom.idom.(l) in
+          if p >= 0 && p <> l then begin
+            (match cfg.blocks.(p).Ir.term with
+            | Ir.TCondBr (c, tl, el) when tl <> el ->
+                let edge_holds target =
+                  let t = Cfg.index cfg target in
+                  Dom.dominates dom t b && cfg.pred.(t) = [ p ]
+                in
+                let taken =
+                  if edge_holds tl then Some true
+                  else if edge_holds el then Some false
+                  else None
+                in
+                (match Option.map (guard_of_cond c) taken with
+                | Some (Some g) -> acc := g :: !acc
+                | _ -> ())
+            | _ -> ());
+            walk b p
+          end
         in
-        walk label;
+        Option.iter (fun b -> walk b b) (Hashtbl.find_opt cfg.index label);
         Hashtbl.replace block_guards label !acc;
         !acc
   in

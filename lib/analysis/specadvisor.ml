@@ -8,7 +8,7 @@
    computes the *runtime-constant impact* — what would fold, prune or
    unroll if the JIT pinned that value — and scores it with a cost
    model whose counters mirror what SCCP and the unroller actually do
-   (Pass.counters exposes the measured twins for calibration).
+   (Pass.stats carries the measured twins for calibration).
 
    Machinery, per kernel of a Normalize.clone'd module:
 
@@ -716,9 +716,6 @@ let json_of_programs (progs : (string * kernel_impact list) list) : Json.t =
 (* Calibration hook: measure what the optimizer actually folded.       *)
 
 (* Run the O3 pipeline on [m] (typically a specialized clone) and
-   return the SCCP/unroll counter delta — the measured twin of the
-   static prediction. *)
-let measure_o3 (m : Ir.modul) : Proteus_opt.Pass.counters =
-  let before = Proteus_opt.Pass.read_counters () in
-  ignore (Proteus_opt.Pipeline.optimize_o3 m);
-  Proteus_opt.Pass.counters_diff ~before (Proteus_opt.Pass.read_counters ())
+   return its stats, whose SCCP/unroll counts are the measured twin of
+   the static prediction. *)
+let measure_o3 (m : Ir.modul) : Proteus_opt.Pass.stats = Proteus_opt.Pipeline.optimize_o3 m

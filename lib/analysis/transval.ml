@@ -1275,7 +1275,9 @@ let rec eval_func ctx ~depth (f : Ir.func) ~(args : term list) ~guard0 ~mem0 :
       if Util.Sset.mem l region then Hashtbl.replace edges (b, l) (g, mem)
       else exits := ((b, l), g, mem) :: !exits
     in
-    let order = List.filter (fun b -> Util.Sset.mem b region) cfg.Cfg.rpo in
+    let order =
+      List.filter (fun b -> Util.Sset.mem b region) (List.map (Cfg.label cfg) cfg.rpo)
+    in
     List.iter
       (fun b ->
         if not (Hashtbl.mem consumed b) then begin
@@ -1286,7 +1288,9 @@ let rec eval_func ctx ~depth (f : Ir.func) ~(args : term list) ~guard0 ~mem0 :
                   match Hashtbl.find_opt edges (p, b) with
                   | Some (g, mem) -> Some (p, g, mem)
                   | None -> None)
-                (Cfg.preds cfg b)
+                (* in label order, as the guards and memories merge *)
+                (List.sort compare
+                   (List.map (Cfg.label cfg) cfg.pred.(Cfg.index cfg b)))
           in
           if incoming <> [] then begin
             let loop_here =
@@ -1380,7 +1384,7 @@ let rec eval_func ctx ~depth (f : Ir.func) ~(args : term list) ~guard0 ~mem0 :
             (fun s ->
               if not (Util.Sset.mem s l.Loopinfo.body) then
                 raise (Give_up ("loop exit outside header at " ^ b)))
-            (Cfg.succs cfg b))
+            (List.map (Cfg.label cfg) cfg.succ.(Cfg.index cfg b)))
       l.Loopinfo.body;
     let g0 = mk_or (List.map (fun (_, g, _) -> g) incoming) in
     let entry_mem = merge_mems (List.map (fun (_, g, m) -> (g, m)) incoming) in
@@ -1705,7 +1709,7 @@ let rec eval_func ctx ~depth (f : Ir.func) ~(args : term list) ~guard0 ~mem0 :
     in
     (exit_label, g0, mem')
   in
-  let region = Util.Sset.of_list cfg.Cfg.rpo in
+  let region = Util.Sset.of_list (List.map (Cfg.label cfg) cfg.rpo) in
   let entry_label = (Ir.entry f).Ir.label in
   let _exits =
     region_eval ~region ~entry_label ~entry_edges:[ ("<entry>", guard0, mem0) ]

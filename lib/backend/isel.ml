@@ -16,7 +16,7 @@ let split_critical_edges (f : Ir.func) : unit =
       if List.length succs > 1 then
         List.iter
           (fun s ->
-            if List.length (Cfg.preds cfg s) > 1 then begin
+            if List.length cfg.Cfg.pred.(Cfg.index cfg s) > 1 then begin
               (* new block on the edge b -> s *)
               incr counter;
               let label = Printf.sprintf "%s.crit%d" b.Ir.label !counter in

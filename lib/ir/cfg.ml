@@ -1,74 +1,77 @@
-(* CFG utilities over a function's blocks: successor/predecessor maps,
-   orderings, reachability. *)
-
-open Proteus_support
+(* The control-flow graph of a function over block indices: block i is
+   the i-th of [f.blocks]. Labels are converted at the edges, through
+   [index] and [blocks]. *)
 
 type t = {
-  func : Ir.func;
-  succs : string list Util.Smap.t;
-  preds : string list Util.Smap.t;
-  postorder : string list; (* reachable blocks, postorder *)
-  rpo : string list;       (* reverse postorder *)
+  blocks : Ir.block array;         (* f.blocks, by position *)
+  index : (string, int) Hashtbl.t; (* label -> position *)
+  succ : int list array;           (* successors, in terminator order *)
+  pred : int list array;           (* predecessors, reachable or not, in block order *)
+  rpo : int list;                  (* blocks reachable from the entry, reverse postorder *)
+  reachable : bool array;
 }
 
-let successors_of (f : Ir.func) =
-  List.fold_left
-    (fun m (b : Ir.block) -> Util.Smap.add b.label (Ir.successors b.term) m)
-    Util.Smap.empty f.blocks
+(* The blocks, the label table and the successor lists. A branch to a
+   label no block carries is not an edge. *)
+let graph (f : Ir.func) =
+  let blocks = Array.of_list f.blocks in
+  let n = Array.length blocks in
+  let index = Hashtbl.create (2 * n) in
+  (* the first block of a label wins, as in Ir.find_block *)
+  for i = n - 1 downto 0 do
+    Hashtbl.replace index blocks.(i).Ir.label i
+  done;
+  let succ =
+    Array.map
+      (fun (b : Ir.block) -> List.filter_map (Hashtbl.find_opt index) (Ir.successors b.term))
+      blocks
+  in
+  (blocks, index, succ)
 
-let build (f : Ir.func) =
-  let succs = successors_of f in
-  let preds = ref Util.Smap.empty in
-  List.iter
-    (fun (b : Ir.block) -> preds := Util.Smap.add b.label [] !preds)
-    f.blocks;
-  Util.Smap.iter
-    (fun from tos ->
-      List.iter
-        (fun t ->
-          let cur = try Util.Smap.find t !preds with Not_found -> [] in
-          preds := Util.Smap.add t (cur @ [ from ]) !preds)
-        tos)
-    succs;
-  (* DFS postorder from entry. *)
-  let visited = ref Util.Sset.empty in
+(* Depth-first search over [0, n) from [root], following each [succ]
+   list in order: the reverse postorder of the nodes it reaches, and
+   the mask of those nodes. *)
+let dfs n root (succ : int -> int list) =
+  let seen = Array.make n false in
   let post = ref [] in
-  let rec dfs l =
-    if not (Util.Sset.mem l !visited) then begin
-      visited := Util.Sset.add l !visited;
-      List.iter dfs (try Util.Smap.find l succs with Not_found -> []);
-      post := l :: !post
+  let rec go v =
+    if not seen.(v) then begin
+      seen.(v) <- true;
+      List.iter go (succ v);
+      post := v :: !post
     end
   in
-  (match f.blocks with b :: _ -> dfs b.label | [] -> ());
-  let rpo = !post in
-  { func = f; succs; preds = !preds; postorder = List.rev rpo; rpo }
+  if n > 0 then go root;
+  (!post, seen)
 
-(* Successors of [blocks.(i)] as indices into [blocks], the shape
-   Dom.ipostdoms takes. *)
-let succ_indices (blocks : Ir.block array) : int -> int list =
-  let index = Hashtbl.create (2 * Array.length blocks) in
-  Array.iteri (fun i (b : Ir.block) -> Hashtbl.replace index b.label i) blocks;
-  fun i -> List.map (Hashtbl.find index) (Ir.successors blocks.(i).term)
+let build (f : Ir.func) =
+  let blocks, index, succ = graph f in
+  let n = Array.length blocks in
+  let pred = Array.make n [] in
+  for i = n - 1 downto 0 do
+    List.iter (fun s -> pred.(s) <- i :: pred.(s)) succ.(i)
+  done;
+  let rpo, reachable = dfs n 0 (Array.get succ) in
+  { blocks; index; succ; pred; rpo; reachable }
 
-let succs t l = try Util.Smap.find l t.succs with Not_found -> []
-let preds t l = try Util.Smap.find l t.preds with Not_found -> []
-let reachable t = Util.Sset.of_list t.rpo
+let index t l = Hashtbl.find t.index l
+let label t i = t.blocks.(i).Ir.label
 
 (* Drop blocks not reachable from entry; prune stale phi entries. *)
 let remove_unreachable (f : Ir.func) =
-  let t = build f in
-  let live = reachable t in
-  let changed = List.exists (fun (b : Ir.block) -> not (Util.Sset.mem b.label live)) f.blocks in
+  let blocks, index, succ = graph f in
+  let _, live = dfs (Array.length blocks) 0 (Array.get succ) in
+  let changed = Array.exists not live in
   if changed then begin
-    f.blocks <- List.filter (fun (b : Ir.block) -> Util.Sset.mem b.label live) f.blocks;
+    f.blocks <- List.filteri (fun i _ -> live.(i)) f.blocks;
+    let live_label l = match Hashtbl.find_opt index l with Some i -> live.(i) | None -> false in
     List.iter
       (fun (b : Ir.block) ->
         b.insts <-
           List.map
             (function
               | Ir.IPhi (d, incoming) ->
-                  Ir.IPhi (d, List.filter (fun (l, _) -> Util.Sset.mem l live) incoming)
+                  Ir.IPhi (d, List.filter (fun (l, _) -> live_label l) incoming)
               | i -> i)
             b.insts)
       f.blocks

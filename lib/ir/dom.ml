@@ -1,144 +1,32 @@
 (* Dominator tree, dominance frontiers and immediate postdominators,
    after Cooper, Harvey & Kennedy, "A Simple, Fast Dominance
-   Algorithm". *)
+   Algorithm". One solver serves both: dominators run it forward from
+   the entry, postdominators on the reverse graph from a virtual exit.
 
-open Proteus_support
+   Blocks are Cfg indices. [children] and [frontier] list blocks in
+   label order: mem2reg follows both, and the order it walks in decides
+   the order of phi incomings and the numbers of the registers it
+   creates, which reach the printed IR. *)
 
 type t = {
   cfg : Cfg.t;
-  idom : string Util.Smap.t;            (* immediate dominator; entry maps to itself *)
-  children : string list Util.Smap.t;   (* dominator-tree children *)
-  frontier : Util.Sset.t Util.Smap.t Lazy.t;
+  idom : int array;                    (* entry maps to itself, an unreachable block to -1 *)
+  children : int list array;           (* dominator-tree children *)
+  frontier : int list array Lazy.t;
       (* dominance frontier, built on first use (mem2reg); a Dom.t
          belongs to one pass run and never crosses domains *)
-  order : int Util.Smap.t;              (* RPO index, for intersect *)
 }
 
-let compute (cfg : Cfg.t) =
-  let rpo = cfg.rpo in
-  let order =
-    List.fold_left
-      (fun (m, i) l -> (Util.Smap.add l i m, i + 1))
-      (Util.Smap.empty, 0) rpo
-    |> fst
-  in
-  let entry = match rpo with e :: _ -> e | [] -> Util.failf "Dom.compute: empty CFG" in
-  let idom = ref (Util.Smap.singleton entry entry) in
-  let intersect a b =
-    let rec go a b =
-      if a = b then a
-      else
-        let ia = Util.Smap.find a order and ib = Util.Smap.find b order in
-        if ia > ib then go (Util.Smap.find a !idom) b else go a (Util.Smap.find b !idom)
-    in
-    go a b
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun b ->
-        if b <> entry then begin
-          let processed_preds =
-            List.filter
-              (fun p -> Util.Smap.mem p !idom && Util.Smap.mem p order)
-              (Cfg.preds cfg b)
-          in
-          match processed_preds with
-          | [] -> ()
-          | first :: rest ->
-              let new_idom = List.fold_left intersect first rest in
-              if
-                (not (Util.Smap.mem b !idom))
-                || Util.Smap.find b !idom <> new_idom
-              then begin
-                idom := Util.Smap.add b new_idom !idom;
-                changed := true
-              end
-        end)
-      rpo
-  done;
-  let children =
-    Util.Smap.fold
-      (fun b d acc ->
-        if b = entry then acc
-        else
-          let cur = try Util.Smap.find d acc with Not_found -> [] in
-          Util.Smap.add d (cur @ [ b ]) acc)
-      !idom Util.Smap.empty
-  in
-  let idom = !idom in
-  (* Dominance frontiers. *)
-  let frontier =
-    lazy
-      (let frontier = ref Util.Smap.empty in
-       let add_df n x =
-         let cur = try Util.Smap.find n !frontier with Not_found -> Util.Sset.empty in
-         frontier := Util.Smap.add n (Util.Sset.add x cur) !frontier
-       in
-       List.iter
-         (fun b ->
-           let preds = List.filter (fun p -> Util.Smap.mem p order) (Cfg.preds cfg b) in
-           if List.length preds >= 2 then
-             List.iter
-               (fun p ->
-                 let rec runner r =
-                   if r <> Util.Smap.find b idom then begin
-                     add_df r b;
-                     runner (Util.Smap.find r idom)
-                   end
-                 in
-                 runner p)
-               preds)
-         rpo;
-       !frontier)
-  in
-  { cfg; idom; children; frontier; order }
-
-let idom t l = Util.Smap.find_opt l t.idom
-let children t l = try Util.Smap.find l t.children with Not_found -> []
-let frontier t l =
-  try Util.Smap.find l (Lazy.force t.frontier) with Not_found -> Util.Sset.empty
-
-(* Does [a] dominate [b]? Walk [b]'s idom chain. *)
-let dominates t a b =
-  let rec go b = if a = b then true else match idom t b with
-    | Some d when d <> b -> go d
-    | _ -> false
-  in
-  go b
-
-(* Preorder walk of the dominator tree from the entry. *)
-let preorder t =
-  let entry = match t.cfg.Cfg.rpo with e :: _ -> e | [] -> Util.failf "Dom.preorder" in
-  let rec go l = l :: List.concat_map go (children t l) in
-  go entry
-
-(* Immediate postdominators over blocks [0, n): the same iteration run
-   on the reverse graph, rooted at a virtual exit that every block
-   without successors flows into. [ipdom.(b)] is the block where all
-   paths from [b] reconverge; -1 means they reconverge only at exit,
-   which is also the answer for a block with no path to a return. *)
-let ipostdoms (n : int) (succs : int -> int list) : int array =
-  let exit = n in
-  (* reverse-graph successors: the exit's are the returning blocks *)
-  let outs = Array.init n (fun b -> match succs b with [] -> [ exit ] | ss -> ss) in
-  let ins = Array.make (n + 1) [] in
-  Array.iteri (fun b ss -> List.iter (fun s -> ins.(s) <- b :: ins.(s)) ss) outs;
-  let visited = Array.make (n + 1) false in
-  let rpo = ref [] in
-  let rec dfs b =
-    if not visited.(b) then begin
-      visited.(b) <- true;
-      List.iter dfs ins.(b);
-      rpo := b :: !rpo
-    end
-  in
-  dfs exit;
-  let order = Array.make (n + 1) 0 in
-  List.iteri (fun i b -> order.(b) <- i) !rpo;
-  let idom = Array.make (n + 1) (-1) in (* -1 = not yet processed *)
-  idom.(exit) <- exit;
+(* The Cooper-Harvey-Kennedy iteration over nodes [0, n): [rpo] is the
+   reverse postorder of the nodes reachable from its head, the root,
+   and [preds v] the nodes with an edge into [v]. Returns the immediate
+   dominators: the root maps to itself, an unreached node to -1. *)
+let solve n (rpo : int list) (preds : int -> int list) : int array =
+  let order = Array.make n 0 in
+  List.iteri (fun i v -> order.(v) <- i) rpo;
+  let idom = Array.make n (-1) in
+  let root = List.hd rpo in
+  idom.(root) <- root;
   let rec intersect a b =
     if a = b then a
     else if order.(a) > order.(b) then intersect idom.(a) b
@@ -148,16 +36,76 @@ let ipostdoms (n : int) (succs : int -> int list) : int array =
   while !changed do
     changed := false;
     List.iter
-      (fun b ->
-        if b <> exit then
-          match List.filter (fun s -> idom.(s) >= 0) outs.(b) with
+      (fun v ->
+        if v <> root then
+          match List.filter (fun p -> idom.(p) >= 0) (preds v) with
           | [] -> ()
           | first :: rest ->
               let d = List.fold_left intersect first rest in
-              if idom.(b) <> d then begin
-                idom.(b) <- d;
+              if idom.(v) <> d then begin
+                idom.(v) <- d;
                 changed := true
               end)
-      !rpo
+      rpo
   done;
+  idom
+
+let compute (cfg : Cfg.t) =
+  if cfg.rpo = [] then failwith "Dom.compute: empty CFG";
+  let n = Array.length cfg.blocks in
+  let idom = solve n cfg.rpo (Array.get cfg.pred) in
+  (* the reachable blocks, last label first: prepending in this order
+     leaves every list in label order *)
+  let desc = List.sort (fun a b -> compare (Cfg.label cfg b) (Cfg.label cfg a)) cfg.rpo in
+  let children = Array.make n [] in
+  List.iter (fun b -> if idom.(b) <> b then children.(idom.(b)) <- b :: children.(idom.(b))) desc;
+  (* The entry is in no frontier: the function's start enters it too,
+     so no phi can be placed there. *)
+  let frontier =
+    lazy
+      (let df = Array.make n [] in
+       List.iter
+         (fun b ->
+           match List.filter (Array.get cfg.reachable) cfg.pred.(b) with
+           | _ :: _ :: _ as preds when idom.(b) <> b ->
+               let rec runner r =
+                 if r <> idom.(b) then begin
+                   (match df.(r) with x :: _ when x = b -> () | l -> df.(r) <- b :: l);
+                   runner idom.(r)
+                 end
+               in
+               List.iter runner preds
+           | _ -> ())
+         desc;
+       df)
+  in
+  { cfg; idom; children; frontier }
+
+let children t b = t.children.(b)
+let frontier t b = (Lazy.force t.frontier).(b)
+
+(* Does [a] dominate [b]? Walk [b]'s idom chain. *)
+let dominates t a b =
+  let rec go b =
+    a = b
+    ||
+    let d = t.idom.(b) in
+    d >= 0 && d <> b && go d
+  in
+  go b
+
+(* Immediate postdominators over blocks [0, n): the solver run on the
+   reverse graph, rooted at a virtual exit that every block without
+   successors flows into. [ipdom.(b)] is the block where all paths
+   from [b] reconverge; -1 means they reconverge only at exit, which is
+   also the answer for a block with no path to a return. *)
+let ipostdoms (n : int) (succs : int -> int list) : int array =
+  let exit = n in
+  (* forward successors, the exit standing for a return: on the reverse
+     graph they are the predecessors, and [ins] the successors *)
+  let outs = Array.init n (fun b -> match succs b with [] -> [ exit ] | ss -> ss) in
+  let ins = Array.make (n + 1) [] in
+  Array.iteri (fun b ss -> List.iter (fun s -> ins.(s) <- b :: ins.(s)) ss) outs;
+  let rpo, _ = Cfg.dfs (n + 1) exit (Array.get ins) in
+  let idom = solve (n + 1) rpo (Array.get outs) (* never read for the exit *) in
   Array.init n (fun b -> if idom.(b) = exit then -1 else idom.(b))

@@ -1,4 +1,6 @@
-(* Natural loop detection from back edges in the dominator tree. *)
+(* Natural loop detection from back edges in the dominator tree,
+   computed over Cfg indices. A loop is described by labels for its
+   readers. *)
 
 open Proteus_support
 
@@ -13,60 +15,56 @@ type loop = {
 type t = { loops : loop list }
 
 let compute (cfg : Cfg.t) (dom : Dom.t) =
-  let back_edges =
-    List.concat_map
-      (fun b ->
-        List.filter_map
-          (fun s -> if Dom.dominates dom s b then Some (b, s) else None)
-          (Cfg.succs cfg b))
-      cfg.Cfg.rpo
-  in
-  (* Group back edges by header. *)
-  let by_header =
-    List.fold_left
-      (fun m (latch, header) ->
-        let cur = try Util.Smap.find header m with Not_found -> [] in
-        Util.Smap.add header (latch :: cur) m)
-      Util.Smap.empty back_edges
-  in
-  let natural_loop header latches =
-    let body = ref (Util.Sset.singleton header) in
+  let n = Array.length cfg.blocks in
+  let label = Cfg.label cfg in
+  (* Back edges b -> h, grouped by header; each header's latches in the
+     reverse of the order the RPO walk meets them. *)
+  let latches = Array.make n [] in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun s -> if Dom.dominates dom s b then latches.(s) <- b :: latches.(s))
+        cfg.succ.(b))
+    cfg.rpo;
+  let natural_loop h =
+    let body = Array.make n false in
+    body.(h) <- true;
     let rec add b =
-      if not (Util.Sset.mem b !body) then begin
-        body := Util.Sset.add b !body;
-        List.iter add (Cfg.preds cfg b)
+      if not body.(b) then begin
+        body.(b) <- true;
+        List.iter add cfg.pred.(b)
       end
     in
-    List.iter add latches;
-    !body
+    List.iter add latches.(h);
+    (h, body, Array.fold_left (fun k x -> if x then k + 1 else k) 0 body)
   in
+  (* Headers in descending label order: LICM and unroll walk the loops
+     in this order (innermost_first is a stable sort), so it reaches
+     the optimized IR. *)
   let raw =
-    Util.Smap.fold
-      (fun header latches acc ->
-        (header, latches, natural_loop header latches) :: acc)
-      by_header []
+    List.init n Fun.id
+    |> List.filter (fun h -> latches.(h) <> [])
+    |> List.sort (fun a b -> compare (label b) (label a))
+    |> List.map natural_loop
   in
   (* Nesting: a loop's parent is the smallest other loop containing its header. *)
   let loops =
     List.map
-      (fun (header, latches, body) ->
-        let enclosing =
-          List.filter
-            (fun (h', _, b') -> h' <> header && Util.Sset.mem header b')
-            raw
-        in
+      (fun (h, body, _) ->
+        let enclosing = List.filter (fun (h', b', _) -> h' <> h && b'.(h)) raw in
         let parent =
-          match
-            List.sort
-              (fun (_, _, a) (_, _, b) ->
-                compare (Util.Sset.cardinal a) (Util.Sset.cardinal b))
-              enclosing
-          with
-          | (h, _, _) :: _ -> Some h
+          match List.stable_sort (fun (_, _, a) (_, _, b) -> compare a b) enclosing with
+          | (p, _, _) :: _ -> Some (label p)
           | [] -> None
         in
-        let depth = 1 + List.length enclosing in
-        { header; latches; body; depth; parent })
+        let members = Seq.filter (Array.get body) (Seq.init n Fun.id) in
+        {
+          header = label h;
+          latches = List.map label latches.(h);
+          body = Util.Sset.of_seq (Seq.map label members);
+          depth = 1 + List.length enclosing;
+          parent;
+        })
       raw
   in
   { loops }
@@ -74,13 +72,14 @@ let compute (cfg : Cfg.t) (dom : Dom.t) =
 let innermost_first t =
   List.sort (fun a b -> compare b.depth a.depth) t.loops
 
-let loop_of_header t h = List.find_opt (fun l -> l.header = h) t.loops
-
 (* Blocks in the loop with a successor outside it. *)
 let exiting_blocks (cfg : Cfg.t) l =
   Util.Sset.fold
     (fun b acc ->
-      if List.exists (fun s -> not (Util.Sset.mem s l.body)) (Cfg.succs cfg b) then
-        b :: acc
+      if
+        List.exists
+          (fun s -> not (Util.Sset.mem (Cfg.label cfg s) l.body))
+          cfg.succ.(Cfg.index cfg b)
+      then b :: acc
       else acc)
     l.body []

@@ -38,10 +38,9 @@ let control_dependents (ipdom : int array) (succs : int list) (b : int) : int li
 
 let compute (f : Ir.func) : t =
   let divergent = Array.make (Ir.nregs f) false in
-  let blocks = Array.of_list f.Ir.blocks in
-  let succs = Cfg.succ_indices blocks in
+  let cfg = Cfg.build f in
+  let blocks = cfg.blocks and succs = Array.get cfg.succ and label = Cfg.label cfg in
   let ipdom = Dom.ipostdoms (Array.length blocks) succs in
-  let label i = blocks.(i).Ir.label in
   let div_op = function Ir.Reg r -> divergent.(r) | Ir.Imm _ | Ir.Glob _ -> false in
   let div_blocks = ref Util.Sset.empty in
   let region = ref Util.Sset.empty in

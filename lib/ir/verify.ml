@@ -128,20 +128,17 @@ let verify_func (m : Ir.modul) (f : Ir.func) =
     && Util.Sset.cardinal label_set = List.length labels
   then begin
     let cfg = Cfg.build f in
-    let live = Cfg.reachable cfg in
     let dom = Dom.compute cfg in
-    let entry_label = (Ir.entry f).Ir.label in
     (* First definition site of each register: (block, instruction
        index); parameters are defined "before" the entry block. *)
     let def_site = Hashtbl.create 64 in
-    List.iter (fun (_, r) -> Hashtbl.replace def_site r (entry_label, -1)) f.params;
-    List.iter
-      (fun (b : Ir.block) ->
+    List.iter (fun (_, r) -> Hashtbl.replace def_site r (0, -1)) f.params;
+    List.iteri
+      (fun bi (b : Ir.block) ->
         List.iteri
           (fun k i ->
             match Ir.def_of i with
-            | Some d when not (Hashtbl.mem def_site d) ->
-                Hashtbl.replace def_site d (b.label, k)
+            | Some d when not (Hashtbl.mem def_site d) -> Hashtbl.replace def_site d (bi, k)
             | _ -> ())
           b.insts)
       f.blocks;
@@ -160,13 +157,13 @@ let verify_func (m : Ir.modul) (f : Ir.func) =
           | _ -> ())
         (match i with `Instr i -> Ir.operands_of i | `Term t -> Ir.term_operands t)
     in
-    List.iter
-      (fun (b : Ir.block) ->
-        if Util.Sset.mem b.label live then begin
-          let preds =
-            List.filter (fun p -> Util.Sset.mem p live) (Cfg.preds cfg b.label)
+    Array.iteri
+      (fun bi (b : Ir.block) ->
+        if cfg.reachable.(bi) then begin
+          let pred_set =
+            List.filter (Array.get cfg.reachable) cfg.pred.(bi)
+            |> List.map (Cfg.label cfg) |> Util.Sset.of_list
           in
-          let pred_set = Util.Sset.of_list preds in
           List.iteri
             (fun k i ->
               match i with
@@ -194,7 +191,7 @@ let verify_func (m : Ir.modul) (f : Ir.func) =
                       | Ir.Reg r
                         when Util.Sset.mem l pred_set
                              && not
-                                  (dominates_use ~use_block:l
+                                  (dominates_use ~use_block:(Cfg.index cfg l)
                                      ~use_idx:max_int r) ->
                           err
                             "%s: phi value r%d does not dominate incoming edge \
@@ -202,11 +199,11 @@ let verify_func (m : Ir.modul) (f : Ir.func) =
                             b.label r l
                       | _ -> ())
                     incoming
-              | _ -> check_dominance b.label k b.label (`Instr i))
+              | _ -> check_dominance bi k b.label (`Instr i))
             b.insts;
-          check_dominance b.label (List.length b.insts) b.label (`Term b.term)
+          check_dominance bi (List.length b.insts) b.label (`Term b.term)
         end)
-      f.blocks
+      cfg.blocks
   end;
   !errs
 

@@ -40,4 +40,4 @@ let run (m : Ir.modul) (f : Ir.func) : bool =
   done;
   !changed
 
-let pass = { Pass.name = "dce"; run }
+let pass = { Pass.name = "dce"; run = (fun _ -> run) }

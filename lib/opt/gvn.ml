@@ -57,8 +57,6 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
   else begin
     let cfg = Cfg.build f in
     let dom = Dom.compute cfg in
-    let block = Hashtbl.create 64 in
-    List.iter (fun (b : Ir.block) -> Hashtbl.replace block b.Ir.label b) f.Ir.blocks;
     let changed = ref false in
     let repl : (int, Ir.operand) Hashtbl.t = Hashtbl.create 16 in
     let rec resolve o =
@@ -70,8 +68,8 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
     (* Scoped table: each dominator-tree node pushes its definitions and
        pops them when its subtree is done. *)
     let table : (key, Ir.operand) Hashtbl.t = Hashtbl.create 64 in
-    let rec walk label =
-      let b = Hashtbl.find block label in
+    let rec walk bi =
+      let b = cfg.blocks.(bi) in
       let added = ref [] in
       b.Ir.insts <-
         List.filter
@@ -89,10 +87,10 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
                     true)
             | _ -> true)
           b.Ir.insts;
-      List.iter walk (Dom.children dom label);
+      List.iter walk (Dom.children dom bi);
       List.iter (Hashtbl.remove table) !added
     in
-    walk (List.hd f.Ir.blocks).Ir.label;
+    walk 0;
     (* The walk keys instructions through [resolve] but leaves them as
        they were: rewrite every operand once, here. *)
     if !changed then
@@ -104,4 +102,4 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
     !changed
   end
 
-let pass = { Pass.name = "gvn"; run }
+let pass = { Pass.name = "gvn"; run = (fun _ -> run) }

@@ -13,7 +13,11 @@ let is_hoistable_shape = function
 
 (* The unique predecessor of the header outside the loop, if any. *)
 let preheader_of (cfg : Cfg.t) (l : Loopinfo.loop) =
-  match List.filter (fun p -> not (Util.Sset.mem p l.Loopinfo.body)) (Cfg.preds cfg l.Loopinfo.header) with
+  match
+    List.filter
+      (fun p -> not (Util.Sset.mem (Cfg.label cfg p) l.Loopinfo.body))
+      cfg.pred.(Cfg.index cfg l.Loopinfo.header)
+  with
   | [ p ] -> Some p
   | _ -> None
 
@@ -29,12 +33,12 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
       (fun (l : Loopinfo.loop) ->
         match preheader_of cfg l with
         | None -> ()
-        | Some ph_label ->
-            let ph = Ir.find_block f ph_label in
+        | Some p ->
+            let ph = cfg.blocks.(p) in
             (* Only use the preheader if its sole successor is the
                header (otherwise hoisting would execute speculatively on
                other paths - harmless here but noisy). *)
-            if Cfg.succs cfg ph_label = [ l.Loopinfo.header ] then begin
+            if cfg.succ.(p) = [ Cfg.index cfg l.Loopinfo.header ] then begin
               (* Registers defined inside the loop. *)
               let defined_in_loop = ref Util.Iset.empty in
               Util.Sset.iter
@@ -86,4 +90,4 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
     !changed
   end
 
-let pass = { Pass.name = "licm"; run }
+let pass = { Pass.name = "licm"; run = (fun _ -> run) }

@@ -3,48 +3,24 @@
    fixpoint and accounts "work units" (instructions visited), which the
    JIT runtime's compile-time cost model consumes. *)
 
-open Proteus_support
 open Proteus_ir
-
-type t = { name : string; run : Ir.modul -> Ir.func -> bool }
 
 type stats = {
   mutable work : int; (* instructions visited across all pass runs *)
   mutable runs : (string * int) list; (* pass name -> run count *)
-}
-
-let mk_stats () = { work = 0; runs = [] }
-
-(* Fine-grained fold/prune counters, exposed for the specialization
-   cost model (Specadvisor): the advisor's static predictions are
-   calibrated against what SCCP and the unroller actually did after
-   arguments were folded to constants. Process-global and cumulative;
-   snapshot with [read_counters] before/after an optimization run and
-   subtract. *)
-type counters = {
+  (* What SCCP and the unroller did, which SpecAdvisor's static
+     predictions are calibrated against. Each run counts into its own
+     record, so concurrent runs on several domains stay apart. *)
   mutable sccp_folds : int; (* instructions SCCP replaced by constants *)
   mutable sccp_branches : int; (* conditional branches SCCP proved one-sided *)
   mutable unroll_loops : int; (* loops fully unrolled *)
   mutable unroll_copies : int; (* loop-body instruction copies emitted *)
 }
 
-let counters = { sccp_folds = 0; sccp_branches = 0; unroll_loops = 0; unroll_copies = 0 }
+type t = { name : string; run : stats -> Ir.modul -> Ir.func -> bool }
 
-let read_counters () =
-  {
-    sccp_folds = counters.sccp_folds;
-    sccp_branches = counters.sccp_branches;
-    unroll_loops = counters.unroll_loops;
-    unroll_copies = counters.unroll_copies;
-  }
-
-let counters_diff ~(before : counters) (after : counters) =
-  {
-    sccp_folds = after.sccp_folds - before.sccp_folds;
-    sccp_branches = after.sccp_branches - before.sccp_branches;
-    unroll_loops = after.unroll_loops - before.unroll_loops;
-    unroll_copies = after.unroll_copies - before.unroll_copies;
-  }
+let mk_stats () =
+  { work = 0; runs = []; sccp_folds = 0; sccp_branches = 0; unroll_loops = 0; unroll_copies = 0 }
 
 let func_size (f : Ir.func) =
   List.fold_left (fun acc (b : Ir.block) -> acc + List.length b.insts + 1) 0 f.blocks
@@ -67,7 +43,7 @@ let run_pass stats (p : t) (m : Ir.modul) : bool =
         if f.Ir.is_decl || f.Ir.blocks = [] then changed
         else begin
           bump stats p.name (func_size f);
-          let c = p.run m f in
+          let c = p.run stats m f in
           c || changed
         end)
       false m.funcs
@@ -82,5 +58,3 @@ let run_pipeline ?(max_iters = 4) stats (pipeline : t list) (m : Ir.modul) : uni
     if changed && n < max_iters then iterate (n + 1)
   in
   iterate 1
-
-let _ = Util.failf

@@ -76,23 +76,17 @@ let feasible_succs lat = function
 
 (* The fixpoint, solved one instruction at a time: the lattice value of
    every register, and which of [f.blocks] (by position) are executable.
-   Blocks are indices; block b's k-th successor edge has id 2b + k; each
+   Blocks are Cfg indices; block b's k-th successor edge has id 2b + k; each
    instruction and terminator has an id, and [users.(r)] lists the ids
    reading r. A lowered register re-queues only its readers in executable
    blocks that are not queued yet; a new edge into an executable block
    re-evaluates only its phis. A register is lowered at most twice and an
    edge marked once: the work is linear in operands plus edges x phis. *)
 let solve (f : Ir.func) : lat array * bool array =
-  let blocks = Array.of_list f.Ir.blocks in
+  let cfg = Cfg.build f in
+  let blocks = cfg.blocks in
   let nb = Array.length blocks in
-  let index = Hashtbl.create (2 * nb) in
-  Array.iteri (fun b (blk : Ir.block) -> Hashtbl.replace index blk.Ir.label b) blocks;
-  let succs =
-    Array.map
-      (fun (b : Ir.block) -> List.filter_map (Hashtbl.find_opt index) (Ir.successors b.Ir.term))
-      blocks
-  in
-  let edge_id p s = Option.map (( + ) (2 * p)) (List.find_index (( = ) s) succs.(p)) in
+  let edge_id p s = Option.map (( + ) (2 * p)) (List.find_index (( = ) s) cfg.succ.(p)) in
   (* block b's instructions have ids first_id.(b) .. first_id.(b + 1) - 2,
      its terminator first_id.(b + 1) - 1; [code.(id)] is None for it *)
   let first_id = Array.make (nb + 1) 0 in
@@ -137,7 +131,7 @@ let solve (f : Ir.func) : lat array * bool array =
     end
   in
   let exec_from b l =
-    Option.bind (Hashtbl.find_opt index l) (fun p -> edge_id p b)
+    Option.bind (Hashtbl.find_opt cfg.index l) (fun p -> edge_id p b)
     |> Option.fold ~none:false ~some:(Array.get edge_exec)
   in
   let eval id =
@@ -147,7 +141,7 @@ let solve (f : Ir.func) : lat array * bool array =
     | None ->
         List.iter
           (fun l ->
-            let s = Hashtbl.find index l in
+            let s = Cfg.index cfg l in
             let e = Option.get (edge_id b s) in
             if not edge_exec.(e) then begin
               edge_exec.(e) <- true;
@@ -175,7 +169,7 @@ let solve (f : Ir.func) : lat array * bool array =
   in
   loop ()
 
-let run (_m : Ir.modul) (f : Ir.func) : bool =
+let run (stats : Pass.stats) (_m : Ir.modul) (f : Ir.func) : bool =
   let lat, exec = solve f in
   (* Apply results: substitute constants, fold proven branches. *)
   let changed = ref false in
@@ -188,7 +182,7 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
       if exec.(b) then begin
         (* account proven branches before fold_const_branches rewrites them *)
         (match (blk.Ir.term, feasible_succs lat blk.Ir.term) with
-        | Ir.TCondBr _, [ _ ] -> Pass.(counters.sccp_branches <- counters.sccp_branches + 1)
+        | Ir.TCondBr _, [ _ ] -> stats.Pass.sccp_branches <- stats.Pass.sccp_branches + 1
         | _ -> ());
         blk.Ir.insts <-
           List.filter
@@ -196,7 +190,7 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
               match Option.map (Array.get lat) (Ir.def_of i) with
               | Some (Const _) ->
                   changed := true;
-                  Pass.(counters.sccp_folds <- counters.sccp_folds + 1);
+                  stats.Pass.sccp_folds <- stats.Pass.sccp_folds + 1;
                   false
               | _ -> true)
             blk.Ir.insts;

@@ -1,7 +1,6 @@
 (* CFG cleanup: dead block removal, constant branch folding, empty block
    threading, linear block merging and trivial phi elimination. *)
 
-open Proteus_support
 open Proteus_ir
 
 let fold_const_branches (f : Ir.func) =
@@ -44,54 +43,37 @@ let thread_empty_blocks (f : Ir.func) =
   while !continue_ do
     continue_ := false;
     let cfg = Cfg.build f in
+    let has_phis (b : Ir.block) = List.exists (function Ir.IPhi _ -> true | _ -> false) b.Ir.insts in
+    (* (block, its target) for the first block that can be bypassed *)
     let candidate =
-      List.find_opt
-        (fun (b : Ir.block) ->
-          match (b.Ir.insts, b.Ir.term) with
-          | [], Ir.TBr target
-            when target <> b.Ir.label
-                 && (match f.Ir.blocks with
-                    | hd :: _ -> hd.Ir.label <> b.Ir.label
-                    | [] -> true) -> (
-              let tb = Ir.find_block f target in
-              let target_has_phis =
-                List.exists (function Ir.IPhi _ -> true | _ -> false) tb.Ir.insts
+      Seq.find_map
+        (fun i ->
+          let b = cfg.blocks.(i) in
+          match (b.Ir.insts, b.Ir.term, cfg.succ.(i)) with
+          | [], Ir.TBr _, [ t ] when t <> i && i <> 0 ->
+              let branches_to_target p = List.mem t cfg.succ.(p) in
+              let ok =
+                if has_phis cfg.blocks.(t) then
+                  match cfg.pred.(i) with [ p ] -> not (branches_to_target p) | _ -> false
+                else not (List.exists branches_to_target cfg.pred.(i))
               in
-              let preds = Cfg.preds cfg b.Ir.label in
-              let pred_also_branches_to_target =
-                List.exists (fun p -> List.mem target (Cfg.succs cfg p)) preds
-              in
-              ((not target_has_phis) && not pred_also_branches_to_target)
-              || target_has_phis
-                 &&
-                 match preds with
-                 | [ p ] -> not (List.mem target (Cfg.succs cfg p))
-                 | _ -> false)
-          | _ -> false)
-        f.Ir.blocks
+              if ok then Some (i, t) else None
+          | _ -> None)
+        (Seq.init (Array.length cfg.blocks) Fun.id)
     in
     match candidate with
     | None -> ()
-    | Some b ->
-        let target = (match b.Ir.term with Ir.TBr t -> t | _ -> assert false) in
-        let tb = Ir.find_block f target in
-        let target_has_phis =
-          List.exists (function Ir.IPhi _ -> true | _ -> false) tb.Ir.insts
+    | Some (i, t) ->
+        let b = cfg.blocks.(i) and target = Cfg.label cfg t in
+        let retarget p =
+          let pb = cfg.blocks.(p) in
+          pb.Ir.term <- Ir.retarget_term pb.Ir.term ~from_label:b.Ir.label ~to_label:target
         in
-        let preds = Cfg.preds cfg b.Ir.label in
-        if not target_has_phis then
-          List.iter
-            (fun p ->
-              let pb = Ir.find_block f p in
-              pb.Ir.term <-
-                Ir.retarget_term pb.Ir.term ~from_label:b.Ir.label ~to_label:target)
-            preds
+        if not (has_phis cfg.blocks.(t)) then List.iter retarget cfg.pred.(i)
         else begin
-          let p = List.hd preds in
-          let pb = Ir.find_block f p in
-          pb.Ir.term <-
-            Ir.retarget_term pb.Ir.term ~from_label:b.Ir.label ~to_label:target;
-          Ir.retarget_phis f ~from_label:b.Ir.label ~to_label:p
+          let p = List.hd cfg.pred.(i) in
+          retarget p;
+          Ir.retarget_phis f ~from_label:b.Ir.label ~to_label:(Cfg.label cfg p)
         end;
         f.Ir.blocks <-
           List.filter (fun (x : Ir.block) -> x.Ir.label <> b.Ir.label) f.Ir.blocks;
@@ -110,20 +92,17 @@ let merge_linear (f : Ir.func) =
     continue_ := false;
     let cfg = Cfg.build f in
     let mergeable =
-      List.find_opt
-        (fun (b : Ir.block) ->
-          match b.Ir.term with
-          | Ir.TBr s ->
-              s <> b.Ir.label
-              && Cfg.preds cfg s = [ b.Ir.label ]
-              && Util.Sset.mem b.Ir.label (Cfg.reachable cfg)
-          | _ -> false)
-        f.Ir.blocks
+      Seq.find_map
+        (fun i ->
+          match (cfg.blocks.(i).Ir.term, cfg.succ.(i)) with
+          | Ir.TBr _, [ s ] when s <> i && cfg.pred.(s) = [ i ] && cfg.reachable.(i) ->
+              Some (cfg.blocks.(i), cfg.blocks.(s))
+          | _ -> None)
+        (Seq.init (Array.length cfg.blocks) Fun.id)
     in
     match mergeable with
-    | Some b ->
-        let s = (match b.Ir.term with Ir.TBr s -> s | _ -> assert false) in
-        let sb = Ir.find_block f s in
+    | Some (b, sb) ->
+        let s = sb.Ir.label in
         (* Phis in s have a single incoming (from b): replace uses.
            [replace_uses] rebuilds instruction lists rather than
            mutating in place, so resolve one phi at a time and re-read
@@ -201,4 +180,4 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
   let c5 = remove_trivial_phis f in
   c1 || c2 || c3 || c4 || c5
 
-let pass = { Pass.name = "simplifycfg"; run }
+let pass = { Pass.name = "simplifycfg"; run = (fun _ -> run) }

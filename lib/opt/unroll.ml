@@ -34,11 +34,13 @@ type plan = {
    updated env after executing the always-executed blocks. *)
 let eval_iteration (f : Ir.func) (dom : Dom.t) (l : Loopinfo.loop) (latch : string)
     (env : Konst.t Util.Imap.t) : (bool * Konst.t Util.Imap.t) option =
+  let cfg = dom.Dom.cfg in
+  let latch = Cfg.index cfg latch in
   let always =
     (* blocks in the loop that execute every iteration, in RPO *)
     List.filter
-      (fun lbl -> Util.Sset.mem lbl l.Loopinfo.body && Dom.dominates dom lbl latch)
-      dom.Dom.cfg.Cfg.rpo
+      (fun b -> Util.Sset.mem (Cfg.label cfg b) l.Loopinfo.body && Dom.dominates dom b latch)
+      cfg.rpo
   in
   let env = ref env in
   let known = function
@@ -48,8 +50,8 @@ let eval_iteration (f : Ir.func) (dom : Dom.t) (l : Loopinfo.loop) (latch : stri
   in
   let decision = ref None in
   List.iter
-    (fun lbl ->
-      let b = Ir.find_block f lbl in
+    (fun bi ->
+      let b = cfg.blocks.(bi) in
       List.iter
         (fun i ->
           match (i, Ir.def_of i) with
@@ -84,7 +86,7 @@ let eval_iteration (f : Ir.func) (dom : Dom.t) (l : Loopinfo.loop) (latch : stri
               | None -> ())
           | _, _ -> ())
         b.Ir.insts;
-      if lbl = l.Loopinfo.header then
+      if b.Ir.label = l.Loopinfo.header then
         match b.Ir.term with
         | Ir.TCondBr (c, _, _) -> decision := known c
         | _ -> ())
@@ -96,7 +98,8 @@ let analyze (f : Ir.func) (cfg : Cfg.t) (dom : Dom.t) (l : Loopinfo.loop) : plan
   match l.Loopinfo.latches with
   | [ latch ] -> (
       let header = l.Loopinfo.header in
-      let hb = Ir.find_block f header in
+      let h = Cfg.index cfg header in
+      let hb = cfg.blocks.(h) in
       match hb.Ir.term with
       | Ir.TCondBr (_, a, b) -> (
           let in_loop x = Util.Sset.mem x l.Loopinfo.body in
@@ -113,10 +116,9 @@ let analyze (f : Ir.func) (cfg : Cfg.t) (dom : Dom.t) (l : Loopinfo.loop) : plan
               (Loopinfo.exiting_blocks cfg l)
           then None
           else
-            match
-              List.filter (fun p -> not (in_loop p)) (Cfg.preds cfg header)
-            with
-            | [ preheader ] when Cfg.succs cfg preheader = [ header ] -> (
+            match List.filter (fun p -> not (in_loop (Cfg.label cfg p))) cfg.pred.(h) with
+            | [ p ] when cfg.succ.(p) = [ h ] -> (
+                let preheader = Cfg.label cfg p in
                 (* header phis with init from preheader and next from latch *)
                 let phis = ref [] in
                 let ok = ref true in
@@ -360,7 +362,7 @@ let apply (f : Ir.func) (p : plan) : unit =
       end)
     f.Ir.blocks
 
-let run (_m : Ir.modul) (f : Ir.func) : bool =
+let run (stats : Pass.stats) (_m : Ir.modul) (f : Ir.func) : bool =
   ignore (Cfg.remove_unreachable f);
   if f.Ir.blocks = [] then false
   else begin
@@ -379,9 +381,8 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
                   (fun lbl acc -> acc + List.length (Ir.find_block f lbl).Ir.insts)
                   plan.body 0
               in
-              Pass.counters.Pass.unroll_loops <- Pass.counters.Pass.unroll_loops + 1;
-              Pass.counters.Pass.unroll_copies <-
-                Pass.counters.Pass.unroll_copies + ((plan.trips + 1) * body_size);
+              stats.Pass.unroll_loops <- stats.Pass.unroll_loops + 1;
+              stats.Pass.unroll_copies <- stats.Pass.unroll_copies + ((plan.trips + 1) * body_size);
               apply f plan;
               ignore (Cfg.remove_unreachable f);
               true

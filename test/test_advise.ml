@@ -329,6 +329,28 @@ let test_fold_calibration () =
     (Printf.sprintf "specialized code is smaller (%d < %d)" spec_insts base_insts)
     true (spec_insts < base_insts)
 
+(* Each O3 run counts into its own Pass.stats: two domains measuring
+   different modules at once see exactly their serial counts. *)
+let test_measure_o3_concurrent () =
+  let host name =
+    let a = List.find (fun (a : Proteus_hecbench.App.t) -> a.name = name) Proteus_hecbench.Suite.apps in
+    (Proteus_frontend.Compile.compile ~name ~vendor:Proteus_frontend.Lower.Hip a.source)
+      .Proteus_frontend.Compile.host
+  in
+  let counts m =
+    let s = Specadvisor.measure_o3 (Ir.clone_module m) in
+    Proteus_opt.Pass.(
+      Printf.sprintf "folds=%d branches=%d loops=%d copies=%d" s.sccp_folds s.sccp_branches
+        s.unroll_loops s.unroll_copies)
+  in
+  let mods = [ host "RSBENCH"; host "WSM5" ] in
+  let serial = List.map counts mods in
+  let concurrent =
+    List.map (fun m -> Domain.spawn (fun () -> List.init 20 (fun _ -> counts m))) mods
+    |> List.map Domain.join
+  in
+  List.iter2 (fun want got -> List.iter (check Alcotest.string "counts" want) got) serial concurrent
+
 let () =
   Alcotest.run "advise"
     [
@@ -368,5 +390,7 @@ let () =
         [
           Alcotest.test_case "predicted folds materialize under SCCP" `Quick
             test_fold_calibration;
+          Alcotest.test_case "concurrent O3 runs keep their own counts" `Quick
+            test_measure_o3_concurrent;
         ] );
     ]

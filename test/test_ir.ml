@@ -389,18 +389,24 @@ let build_diamond () =
 let test_cfg_diamond () =
   let f = build_diamond () in
   let cfg = Cfg.build f in
-  check Alcotest.(slist string compare) "entry succs" [ "l"; "r" ] (Cfg.succs cfg "entry");
-  check Alcotest.(slist string compare) "join preds" [ "l"; "r" ] (Cfg.preds cfg "j");
+  let labels = List.map (Cfg.label cfg) in
+  check Alcotest.(slist string compare) "entry succs" [ "l"; "r" ]
+    (labels cfg.Cfg.succ.(Cfg.index cfg "entry"));
+  check Alcotest.(slist string compare) "join preds" [ "l"; "r" ]
+    (labels cfg.Cfg.pred.(Cfg.index cfg "j"));
   check Alcotest.int "all reachable" 4 (List.length cfg.Cfg.rpo)
 
 let test_dom_diamond () =
   let f = build_diamond () in
-  let dom = Dom.compute (Cfg.build f) in
-  check Alcotest.(option string) "idom(l)" (Some "entry") (Dom.idom dom "l");
-  check Alcotest.(option string) "idom(j)" (Some "entry") (Dom.idom dom "j");
-  Alcotest.(check bool) "entry dominates j" true (Dom.dominates dom "entry" "j");
-  Alcotest.(check bool) "l does not dominate j" false (Dom.dominates dom "l" "j");
-  Alcotest.(check bool) "j in DF(l)" true (Util.Sset.mem "j" (Dom.frontier dom "l"))
+  let cfg = Cfg.build f in
+  let dom = Dom.compute cfg in
+  let ix = Cfg.index cfg in
+  let idom l = match dom.Dom.idom.(ix l) with -1 -> None | d -> Some (Cfg.label cfg d) in
+  check Alcotest.(option string) "idom(l)" (Some "entry") (idom "l");
+  check Alcotest.(option string) "idom(j)" (Some "entry") (idom "j");
+  Alcotest.(check bool) "entry dominates j" true (Dom.dominates dom (ix "entry") (ix "j"));
+  Alcotest.(check bool) "l does not dominate j" false (Dom.dominates dom (ix "l") (ix "j"));
+  Alcotest.(check bool) "j in DF(l)" true (List.mem (ix "j") (Dom.frontier dom (ix "l")))
 
 let build_loop () =
   let f = Ir.create_func "looper" [ ("n", Types.i32) ] Types.i32 in
@@ -517,6 +523,90 @@ let ipostdoms_oracle (n : int) (succs : int -> int list) : int array =
 let check_ipostdoms name n succs =
   check Alcotest.(array int) name (ipostdoms_oracle n succs) (Dom.ipostdoms n succs)
 
+(* Dominators by the definition: [d] dominates a reachable [b] iff [b]
+   is unreachable from the entry once [d] is deleted. Checks the Cfg
+   views, Dom's idom (the entry maps to itself, an unreachable block to
+   -1), [dominates] on every pair, the children, and the frontier:
+   [y] is in DF([x]) iff [x] dominates a reachable predecessor of [y]
+   but does not strictly dominate [y]. The entry is in no frontier,
+   since the function's start also enters it. Children and frontiers
+   list blocks in label order. *)
+let check_dominators name (cfg : Cfg.t) =
+  let n = Array.length cfg.Cfg.blocks and succ = cfg.Cfg.succ in
+  let reach_without w =
+    let seen = Array.make n false in
+    let rec go v =
+      if v <> w && not seen.(v) then begin
+        seen.(v) <- true;
+        List.iter go succ.(v)
+      end
+    in
+    if n > 0 then go 0;
+    seen
+  in
+  let reach = reach_without (-1) in
+  let doms =
+    Array.init n (fun d ->
+        let r = reach_without d in
+        Array.init n (fun b -> reach.(b) && (b = d || not r.(b))))
+  in
+  let all = List.init n Fun.id in
+  let by_label = List.sort (fun a b -> compare (Cfg.label cfg a) (Cfg.label cfg b)) all in
+  let idom b =
+    if not reach.(b) then -1
+    else if b = 0 then 0
+    else
+      let strict = List.filter (fun d -> d <> b && doms.(d).(b)) all in
+      List.find (fun d -> List.for_all (fun d' -> doms.(d').(d)) strict) strict
+  in
+  let what s = Printf.sprintf "%s: %s" name s in
+  check Alcotest.(array bool) (what "reachable") reach cfg.Cfg.reachable;
+  check Alcotest.(slist int compare) (what "rpo") (List.filter (Array.get reach) all) cfg.Cfg.rpo;
+  check Alcotest.(array (list int)) (what "pred")
+    (Array.init n (fun b -> List.filter (fun p -> List.mem b succ.(p)) all))
+    cfg.Cfg.pred;
+  let dom = Dom.compute cfg in
+  check Alcotest.(array int) (what "idom") (Array.init n idom) dom.Dom.idom;
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if Dom.dominates dom a b <> (a = b || doms.(a).(b)) then
+            Alcotest.failf "%s: dominates %d %d" name a b)
+        all)
+    all;
+  check Alcotest.(array (list int)) (what "children")
+    (Array.init n (fun d -> List.filter (fun b -> b <> 0 && idom b = d) by_label))
+    dom.Dom.children;
+  let in_frontier x y =
+    y <> 0 && reach.(x) && reach.(y)
+    && (not (x <> y && doms.(x).(y)))
+    && List.exists (fun p -> reach.(p) && doms.(x).(p) && List.mem y succ.(p)) all
+  in
+  check Alcotest.(array (list int)) (what "frontier")
+    (Array.init n (fun x -> List.filter (in_frontier x) by_label))
+    (Array.init n (Dom.frontier dom))
+
+(* A function with the shape of [g]: block i, labelled so that label
+   order is not block order, returns, branches or branches on a
+   parameter to its one or two successors. *)
+let func_of_graph (g : int list array) =
+  let f = Ir.create_func "g" [ ("c", Types.TBool) ] Types.TVoid in
+  let c = Ir.Reg (snd (List.hd f.Ir.params)) in
+  let label i = Printf.sprintf "b%d" ((7 * i + 3) mod 11) in
+  f.Ir.blocks <-
+    List.mapi
+      (fun i ss ->
+        let term =
+          match List.map label ss with
+          | [] -> Ir.TRet None
+          | [ s ] -> Ir.TBr s
+          | t :: e :: _ -> Ir.TCondBr (c, t, e)
+        in
+        { Ir.label = label i; insts = []; term })
+      (Array.to_list g);
+  f
+
 let bundled_sources =
   List.map
     (fun (a : Proteus_hecbench.App.t) ->
@@ -533,20 +623,28 @@ let aot_kernels vendor (name, src) =
   (Proteus_driver.Driver.compile ~name ~vendor ~mode:Proteus_driver.Driver.Aot src)
     .Proteus_driver.Driver.fatbin.Proteus_backend.Mach.kernels
 
-(* every bundled and HeCBench kernel, as O3 IR and as machine code for
-   both vendors *)
+(* every bundled and HeCBench function, host and device, as IR before
+   and after O3, and every kernel as machine code for both vendors *)
 let test_ipostdoms_bundled () =
   List.iter
     (fun (name, src) ->
-      let m = Proteus_frontend.Compile.compile_device_only ~name src in
-      ignore (Proteus_opt.Pipeline.optimize_o3 m);
+      let u = Proteus_frontend.Compile.compile ~name ~vendor:Proteus_frontend.Lower.Hip src in
+      let check_funcs stage (m : Ir.modul) =
+        List.iter
+          (fun (f : Ir.func) ->
+            if f.Ir.blocks <> [] then begin
+              let cfg = Cfg.build f and what = Printf.sprintf "%s/%s %s IR" name f.Ir.fname stage in
+              check_ipostdoms what (Array.length cfg.Cfg.blocks) (Array.get cfg.Cfg.succ);
+              check_dominators what cfg
+            end)
+          m.Ir.funcs
+      in
       List.iter
-        (fun (f : Ir.func) ->
-          let blocks = Array.of_list f.Ir.blocks in
-          check_ipostdoms
-            (Printf.sprintf "%s/%s IR" name f.Ir.fname)
-            (Array.length blocks) (Cfg.succ_indices blocks))
-        m.Ir.funcs;
+        (fun m ->
+          check_funcs "unoptimised" m;
+          ignore (Proteus_opt.Pipeline.optimize_o3 m);
+          check_funcs "O3" m)
+        [ u.Proteus_frontend.Compile.host; u.Proteus_frontend.Compile.device ];
       List.iter
         (fun (vendor, vn) ->
           List.iter
@@ -572,23 +670,56 @@ let test_ipostdoms_corner_cases () =
     | _ -> []
   in
   check Alcotest.(array int) "ipdoms" [| 4; -1; -1; -1; -1; 4 |] (Dom.ipostdoms 6 succs);
-  check_ipostdoms "oracle" 6 succs
+  check_ipostdoms "oracle" 6 succs;
+  check_dominators "hand CFG" (Cfg.build (func_of_graph (Array.init 6 succs)));
+  (* 0 -> 1 | 2; 1 -> 3 | 3 (two arms, one block); 2 -> 2 | 0 (self loop
+     and a back edge into the entry); 4 is unreachable and falls into 3 *)
+  let g = [| [ 1; 2 ]; [ 3; 3 ]; [ 2; 0 ]; []; [ 3 ] |] in
+  check_ipostdoms "entry back edge" 5 (Array.get g);
+  let cfg = Cfg.build (func_of_graph g) in
+  check Alcotest.(array (list int)) "one edge for two arms" [| [ 1; 2 ]; [ 3 ]; [ 2; 0 ]; []; [ 3 ] |]
+    cfg.Cfg.succ;
+  check_dominators "entry back edge" cfg;
+  check Alcotest.(array int) "idoms" [| 0; 0; 0; 1; -1 |] (Dom.compute cfg).Dom.idom
 
-(* random CFGs: self-loops, blocks unreachable from the entry and blocks
+(* random CFGs: back edges into the entry, self-loops, two-armed
+   branches to one block, blocks unreachable from the entry and blocks
    that cannot reach a return all occur *)
+let random_cfg =
+  QCheck.Gen.(
+    int_range 1 10 >>= fun n ->
+    list_repeat n (int_range 0 2 >>= fun k -> list_repeat k (int_range 0 (n - 1))))
+
 let qcheck_ipostdoms_random =
-  let gen =
-    QCheck.Gen.(
-      int_range 1 10 >>= fun n ->
-      list_repeat n (int_range 0 2 >>= fun k -> list_repeat k (int_range 0 (n - 1))))
-  in
   let print g = String.concat "; " (List.map (fun ss -> String.concat "," (List.map string_of_int ss)) g) in
   QCheck.Test.make ~name:"ipostdoms matches the brute-force definition" ~count:500
-    (QCheck.make ~print gen) (fun g ->
+    (QCheck.make ~print random_cfg) (fun g ->
       let succ = Array.of_list g in
       let succs b = succ.(b) in
       let n = Array.length succ in
+      check_dominators "random CFG" (Cfg.build (func_of_graph succ));
       Dom.ipostdoms n succs = ipostdoms_oracle n succs)
+
+(* the generator, from the property's seed, yields every shape the
+   solvers have a special case for *)
+let test_random_cfg_shapes () =
+  let gs = QCheck.Gen.generate ~rand:(Random.State.make [| Qseed.seed |]) ~n:500 random_cfg in
+  let count p = List.length (List.filter p gs) in
+  let edges g = List.concat (List.mapi (fun i ss -> List.map (fun s -> (i, s)) ss) g) in
+  let unreachable g =
+    let g = Array.of_list g and seen = Hashtbl.create 8 in
+    let rec go v = if not (Hashtbl.mem seen v) then (Hashtbl.replace seen v (); List.iter go g.(v)) in
+    go 0;
+    Hashtbl.length seen < Array.length g
+  in
+  List.iter
+    (fun (what, n) -> if n = 0 then Alcotest.failf "no random CFG has %s" what)
+    [
+      ("a back edge into the entry", count (fun g -> List.exists (fun (_, s) -> s = 0) (edges g)));
+      ("a self loop", count (fun g -> List.exists (fun (i, s) -> i = s) (edges g)));
+      ("a two-armed branch to one block", count (List.exists (function [ a; b ] -> a = b | _ -> false)));
+      ("an unreachable block", count unreachable);
+    ]
 
 (* Tcode's reconvergence table for every HeCBench kernel on both
    vendors, as the earlier set-based postdominator routine computed it *)
@@ -715,6 +846,7 @@ let () =
           Alcotest.test_case "self-loop, unreachable, no return" `Quick
             test_ipostdoms_corner_cases;
           qtest qcheck_ipostdoms_random;
+          Alcotest.test_case "random CFGs have every special shape" `Quick test_random_cfg_shapes;
           Alcotest.test_case "HeCBench Tcode ipdom golden" `Quick test_ipdom_golden;
         ] );
     ]

@@ -209,7 +209,7 @@ let o3_checking_sccp (m : Ir.modul) =
     if p.Pass.name <> "sccp" then p
     else
       { p with
-        Pass.run = (fun m f -> if not (solvers_agree f) then bad := f.Ir.fname :: !bad; p.Pass.run m f) }
+        Pass.run = (fun st m f -> if not (solvers_agree f) then bad := f.Ir.fname :: !bad; p.Pass.run st m f) }
   in
   ignore (Pipeline.run ~passes:(List.map check Pipeline.o3) m);
   !bad
@@ -580,14 +580,12 @@ let o3_rows () =
           let u = Compile.compile ~name ~vendor src in
           List.map
             (fun (side, m) ->
-              let before = Pass.read_counters () in
               let s = Pipeline.optimize_o3 m in
-              let c = Pass.counters_diff ~before (Pass.read_counters ()) in
               Printf.sprintf "%s/%s/%s %s work=%d folds=%d branches=%d loops=%d copies=%d" name
                 (Lower.vendor_to_string vendor) side
                 (Digest.to_hex (Digest.string (Irpp.module_to_string m)))
-                s.Pass.work c.Pass.sccp_folds c.Pass.sccp_branches c.Pass.unroll_loops
-                c.Pass.unroll_copies)
+                s.Pass.work s.Pass.sccp_folds s.Pass.sccp_branches s.Pass.unroll_loops
+                s.Pass.unroll_copies)
             [ ("host", u.Compile.host); ("device", u.Compile.device) ])
         [ Lower.Hip; Lower.Cuda ])
     golden_programs
