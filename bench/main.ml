@@ -377,6 +377,21 @@ int main() { return 0; }
   in
   let test_exec_sw4ck = exec_case "SW4CK" Device.Amd in
   let test_exec_adam = exec_case "ADAM" Device.Nvidia in
+  (* the warm-launch path: a cache hit on a one-tenant Serve whose one
+     kernel was compiled before timing starts (key, lookup, Stats, the
+     decoded program, a 2-warp kernel). The context keeps a profile
+     record per launch; dropping them every 1,024 launches keeps the
+     heap the same size from sample to sample. *)
+  let test_warm_hit =
+    let sv = Proteus_core.Serve.create ~tenants:1 ~kernels:1 () in
+    Proteus_core.Serve.launch sv ~tenant:0 ~kernel:0;
+    let rt = (Proteus_core.Serve.jit sv ~tenant:0).Proteus_core.Jit.rt in
+    Test.make ~name:"proteus:warm hit (serve kernel, AMD)"
+      (Staged.stage (fun () ->
+           Proteus_core.Serve.launch sv ~tenant:0 ~kernel:0;
+           if rt.Proteus_runtime.Gpurt.launches land 1023 = 0 then
+             rt.Proteus_runtime.Gpurt.profiles <- []))
+  in
   let test_hash =
     Test.make ~name:"cache:specialization hash"
       (Staged.stage (fun () ->
@@ -388,7 +403,7 @@ int main() { return 0; }
   let tests =
     [
       test_frontend; test_bitcode; test_o3; test_o3_sw4ck; test_gcn; test_ptx; test_gcn_sw4ck;
-      test_ptx_sw4ck; test_exec_sw4ck; test_exec_adam; test_hash;
+      test_ptx_sw4ck; test_exec_sw4ck; test_exec_adam; test_warm_hit; test_hash;
     ]
   in
   let benchmark test =

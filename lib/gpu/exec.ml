@@ -28,8 +28,6 @@ open Proteus_support
 open Proteus_ir
 open Proteus_backend
 
-let popcount = Util.popcount64
-
 exception Trap = Tcode.Trap
 
 (* Unchecked fixed-width byte-buffer access (native byte order). The
@@ -1550,6 +1548,16 @@ let release (p : Tcode.program) (w : Tcode.wstate) =
 (* SIMT control flow over integer block ids. The stop sentinel -2
    matches no block, like the reference's None (ipdom exit is -1). *)
 
+(* Append to [ls] from position [n] the lanes [l], [l + 1], ... whose
+   bit is set in [h], up to its highest set bit; the new length. *)
+let rec active_lanes (ls : int array) n h l =
+  if h = 0 then n
+  else if h land 1 <> 0 then begin
+    Array.unsafe_set ls n l;
+    active_lanes ls (n + 1) (h lsr 1) (l + 1)
+  end
+  else active_lanes ls n (h lsr 1) (l + 1)
+
 let rec run (w : Tcode.wstate) (ipdom : int array) (bid : int) (mask : int64) (stop : int) :
     int64 =
   if bid = stop || Int64.equal mask 0L then mask
@@ -1557,20 +1565,13 @@ let rec run (w : Tcode.wstate) (ipdom : int array) (bid : int) (mask : int64) (s
     let b = w.Tcode.wb and wl = w.Tcode.wl in
     let blk = w.Tcode.wcode.(bid) in
     (* the mask is constant across a block's straight-line body, so
-       its popcount and active-lane list are computed on block entry,
+       its active-lane list and count are computed on block entry,
        and only when the mask differs from the last block's *)
     let ls = b.Tcode.act in
     let lo = Int64.to_int (Int64.logand mask 0xffffffffL) in
     let hi = Int64.to_int (Int64.shift_right_logical mask 32) in
     if lo <> b.Tcode.alo || hi <> b.Tcode.ahi then begin
-      let aj = ref 0 in
-      for l = 0 to b.Tcode.lanes - 1 do
-        if Int64.logand mask (Int64.shift_left 1L l) <> 0L then begin
-          Array.unsafe_set ls !aj l;
-          incr aj
-        end
-      done;
-      b.Tcode.nact <- popcount mask;
+      b.Tcode.nact <- active_lanes ls (active_lanes ls 0 lo 0) hi 32;
       b.Tcode.alo <- lo;
       b.Tcode.ahi <- hi
     end;

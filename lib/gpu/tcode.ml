@@ -225,9 +225,13 @@ let f32_cell () : f32cell = Bigarray.Array1.create Bigarray.float32 Bigarray.c_l
    stride.
 
    [reset] makes every vector register the uniform 0 and zeroes the
-   scalar, float and spill cells, so reuse is indistinguishable from
-   the reference's fresh arrays without writing every integer lane
-   cell; constants are written once, symbols per launch. *)
+   scalar and spill cells and the float cells of the vector registers
+   some instruction of the program can write as floats ([fz], from
+   [program.fruns]); constants are written once, symbols per launch.
+   The other vector float cells are zeroed once, when the banks are
+   created, and no instruction ever writes them, so they still hold
+   0.0: reuse is indistinguishable from the reference's fresh arrays
+   without writing every lane cell. *)
 type banks = {
   lanes : int; (* warp width the banks are sized for *)
   ub : int; (* cell of scalar register 0 *)
@@ -238,6 +242,7 @@ type banks = {
   bi : Bytes.t;
   bf : float array;
   vw : int array; (* per vector register: 0, or the width of its symbolic value *)
+  fz : int array; (* the float cells [reset] zeroes: first cell, count, first cell, ... *)
   mutable n0 : int; (* lanes in the current warp's entry mask *)
   spi : Bytes.t; (* spill_slots * lanes int64 cells *)
   spf : float array;
@@ -294,7 +299,11 @@ let reset b =
   Array.fill b.vw 0 b.nvr 64;
   Bytes.fill b.bi (b.sb * 8) (b.nvr * 16) '\000';
   Bytes.fill b.bi (b.ub * 8) (b.nsr * 8) '\000';
-  Array.fill b.bf 0 (b.ub + b.nsr) 0.0;
+  let fz = b.fz in
+  for k = 0 to (Array.length fz / 2) - 1 do
+    Array.fill b.bf fz.(2 * k) fz.((2 * k) + 1) 0.0
+  done;
+  Array.fill b.bf b.ub b.nsr 0.0;
   Bytes.fill b.spi 0 (Bytes.length b.spi) '\000';
   Array.fill b.spf 0 (Array.length b.spf) 0.0;
   Bytes.fill b.sspi 0 (Bytes.length b.sspi) '\000';
@@ -373,6 +382,9 @@ type program = {
   iconsts : int64 array; (* [IK] slots *)
   fconsts : float array; (* [FK] slots *)
   syms : string array; (* [IG] slots *)
+  fruns : (int * int) array;
+      (* the vector registers whose float half some instruction can
+         write, as runs (first register, count) in ascending order *)
   states : wstate list Atomic.t; (* idle warp states (see [pop]) *)
 }
 
@@ -383,19 +395,26 @@ let banks_create (p : program) lanes =
   let ub = nvr * lanes in
   let nik = Array.length p.iconsts and nfk = Array.length p.fconsts in
   let sb = ub + nsr + nik + Array.length p.syms in
-  (* The cells [reset] writes before every warp are left as allocated,
-     and so are the vector lane cells, which nothing reads before a
-     materialisation writes them. The integer bank ends in the tags,
-     the zero cell, four scratch cells and the discard cell. *)
+  (* The integer cells [reset] writes before every warp are left as
+     allocated, and so are the integer lane cells, which nothing reads
+     before a materialisation writes them. The integer bank ends in the
+     tags, the zero cell, four scratch cells and the discard cell. Every
+     float cell starts at 0.0: [reset] keeps only the ones the program
+     can write there. *)
   let bi = Bytes.create ((sb + (2 * nvr) + 6) * 8) in
   Bytes.fill bi (ub * 8) (Bytes.length bi - (ub * 8)) '\000';
   Array.iteri (fun k v -> Bytes.set_int64_ne bi ((ub + nsr + k) * 8) v) p.iconsts;
-  let bf = Array.create_float (ub + nsr + nfk + 1) in
-  Array.fill bf ub (nsr + nfk + 1) 0.0;
+  let bf = Array.make (ub + nsr + nfk + 1) 0.0 in
   Array.blit p.fconsts 0 bf (ub + nsr) nfk;
   let vw = Array.make (nvr + 1) 64 in
+  let fz = Array.make (2 * Array.length p.fruns) 0 in
+  Array.iteri
+    (fun k (r, n) ->
+      fz.(2 * k) <- r * lanes;
+      fz.((2 * k) + 1) <- n * lanes)
+    p.fruns;
   {
-    lanes; ub; nsr; nik; nvr; sb; bi; bf; vw; n0 = lanes;
+    lanes; ub; nsr; nik; nvr; sb; bi; bf; vw; fz; n0 = lanes;
     spi = Bytes.create (nsp * lanes * 8);
     spf = Array.create_float (nsp * lanes);
     sspi = Bytes.create (nsp * 8);
@@ -806,6 +825,43 @@ let decode_instr c ~site (i : Mach.minstr) : tinstr =
       let s = slot c s in
       TSpillLd (s, dst_of c d)
 
+(* The vector register whose float half [ti] may write. An argument's
+   kind is known only at run time, and a spill reload writes both
+   halves. *)
+let float_dst (ti : tinstr) : int option =
+  let v = function DV r -> Some r | DS _ -> None in
+  match ti with
+  | TFBin (_, _, d, _, _) | TFBinLong (_, _, d, _, _) | TSelF (d, _, _, _) | TMovF (d, _)
+  | TMath1 (_, _, d, _) | TMath2 (_, _, d, _, _) | TFma (_, d, _, _, _) | TArg (_, d)
+  | TSpillLd (_, d)
+  | TCast ((CSiToFp _ | CFpExt | CFpTrunc | CBitFF | CBitIF), d, _, _)
+  | TLd (_, (MF32 | MF64), d, _, _)
+  | TAtomic ((AAddF32 | AAddF64), Some d, _, _, _, _) ->
+      v d
+  | TCast ((CFpToSi _ | CZext _ | CSext _ | CTrunc _ | CBitFI | CBitII), _, _, _)
+  | TLd (_, (MBool | MI8 | MI32 | MI64 | MNone _), _, _, _)
+  | TAtomic (_, _, _, _, _, _)
+  | TIBin _ | TIBinLong _ | TICmp _ | TFCmp _ | TSelI _ | TMovI _ | TSt _ | TQuery _
+  | TBarrier | TFrame _ | TSpillStS _ | TSpillStV _ | TTrap _ | TIBinBad _ ->
+      None
+
+(* The runs of [float_dst] registers among [nvr], ascending. *)
+let float_runs nvr (blocks : tblock array) : (int * int) array =
+  let w = Array.make nvr false in
+  Array.iter
+    (fun b -> Array.iter (fun ti -> Option.iter (fun r -> w.(r) <- true) (float_dst ti)) b.tcode)
+    blocks;
+  let runs = ref [] and r = ref 0 in
+  while !r < nvr do
+    if w.(!r) then begin
+      let s = !r in
+      while !r < nvr && w.(!r) do incr r done;
+      runs := (s, !r - s) :: !runs
+    end
+    else incr r
+  done;
+  Array.of_list (List.rev !runs)
+
 let decode (f : Mach.mfunc) : program =
   if f.Mach.blocks = [] then fail "Tcode.decode: kernel %s has no blocks" f.Mach.sym;
   let n = List.length f.Mach.blocks in
@@ -879,6 +935,7 @@ let decode (f : Mach.mfunc) : program =
     iconsts = Array.of_list (List.rev c.iks);
     fconsts = Array.of_list (List.rev c.fks);
     syms = Array.of_list (List.rev c.sgs);
+    fruns = float_runs c.nvr blocks;
     states = Atomic.make [];
   }
 

@@ -57,23 +57,37 @@ let build (f : Ir.func) =
 let index t l = Hashtbl.find t.index l
 let label t i = t.blocks.(i).Ir.label
 
+(* Drop the blocks [live] does not mark and the phi entries from them. *)
+let drop (f : Ir.func) index live =
+  f.blocks <- List.filteri (fun i _ -> live.(i)) f.blocks;
+  let live_label l = match Hashtbl.find_opt index l with Some i -> live.(i) | None -> false in
+  List.iter
+    (fun (b : Ir.block) ->
+      b.insts <-
+        List.map
+          (function
+            | Ir.IPhi (d, incoming) ->
+                Ir.IPhi (d, List.filter (fun (l, _) -> live_label l) incoming)
+            | i -> i)
+          b.insts)
+    f.blocks
+
 (* Drop blocks not reachable from entry; prune stale phi entries. *)
 let remove_unreachable (f : Ir.func) =
   let blocks, index, succ = graph f in
   let _, live = dfs (Array.length blocks) 0 (Array.get succ) in
   let changed = Array.exists not live in
-  if changed then begin
-    f.blocks <- List.filteri (fun i _ -> live.(i)) f.blocks;
-    let live_label l = match Hashtbl.find_opt index l with Some i -> live.(i) | None -> false in
-    List.iter
-      (fun (b : Ir.block) ->
-        b.insts <-
-          List.map
-            (function
-              | Ir.IPhi (d, incoming) ->
-                  Ir.IPhi (d, List.filter (fun (l, _) -> live_label l) incoming)
-              | i -> i)
-            b.insts)
-      f.blocks
-  end;
+  if changed then drop f index live;
   changed
+
+(* [remove_unreachable f], then the graph of what is left. The graph
+   that finds every block reachable is that graph, so a pass that
+   starts with both builds one graph when nothing is dropped, which is
+   nearly always. *)
+let prune (f : Ir.func) : t =
+  let t = build f in
+  if Array.for_all Fun.id t.reachable then t
+  else begin
+    drop f t.index t.reachable;
+    build f
+  end

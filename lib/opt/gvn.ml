@@ -52,10 +52,9 @@ let instr_key (f : Ir.func) resolve (i : Ir.instr) : key option =
   | _ -> None
 
 let run (_m : Ir.modul) (f : Ir.func) : bool =
-  ignore (Cfg.remove_unreachable f);
+  let cfg = Cfg.prune f in
   if f.Ir.blocks = [] then false
   else begin
-    let cfg = Cfg.build f in
     let dom = Dom.compute cfg in
     let changed = ref false in
     let repl : (int, Ir.operand) Hashtbl.t = Hashtbl.create 16 in

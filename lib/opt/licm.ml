@@ -22,10 +22,9 @@ let preheader_of (cfg : Cfg.t) (l : Loopinfo.loop) =
   | _ -> None
 
 let run (_m : Ir.modul) (f : Ir.func) : bool =
-  ignore (Cfg.remove_unreachable f);
+  let cfg = Cfg.prune f in
   if f.Ir.blocks = [] then false
   else begin
-    let cfg = Cfg.build f in
     let dom = Dom.compute cfg in
     let li = Loopinfo.compute cfg dom in
     let changed = ref false in

@@ -32,11 +32,10 @@ let promotable_allocas (f : Ir.func) : (int * Types.ty) list =
   List.filter (fun (d, _) -> not (Util.Iset.mem d !disqualified)) !candidates
 
 let run (_m : Ir.modul) (f : Ir.func) : bool =
-  ignore (Cfg.remove_unreachable f);
+  let cfg = Cfg.prune f in
   let allocas = promotable_allocas f in
   if allocas = [] then false
   else begin
-    let cfg = Cfg.build f in
     let dom = Dom.compute cfg in
     let alloca_set =
       List.fold_left (fun s (d, _) -> Util.Iset.add d s) Util.Iset.empty allocas

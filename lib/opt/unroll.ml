@@ -363,10 +363,9 @@ let apply (f : Ir.func) (p : plan) : unit =
     f.Ir.blocks
 
 let run (stats : Pass.stats) (_m : Ir.modul) (f : Ir.func) : bool =
-  ignore (Cfg.remove_unreachable f);
+  let cfg = Cfg.prune f in
   if f.Ir.blocks = [] then false
   else begin
-    let cfg = Cfg.build f in
     let dom = Dom.compute cfg in
     let li = Loopinfo.compute cfg dom in
     (* Unroll at most one loop per run (innermost first); the pipeline

@@ -36,13 +36,14 @@ let mask_of_args (args : int list) : int64 =
       if i >= 1 && i <= 64 then Int64.logor acc (Int64.shift_left 1L (i - 1)) else acc)
     0L args
 
-(* Walk the mask from bit 63 down, consing each set bit's argument
-   index, so the list comes out ascending with no intermediate list. *)
+(* The argument indices of the set bits, ascending. Each step takes
+   the lowest set bit and clears it, so the walk visits only set bits;
+   the bits below it count its index. *)
 let args_of_mask (mask : int64) : int list =
-  let rec go bit acc =
-    if bit < 0 then acc
+  let rec go m =
+    if Int64.equal m 0L then []
     else
-      let set = not (Int64.equal (Int64.logand mask (Int64.shift_left 1L bit)) 0L) in
-      go (bit - 1) (if set then (bit + 1) :: acc else acc)
+      let low = Int64.logand m (Int64.neg m) in
+      (Proteus_support.Util.popcount64 (Int64.pred low) + 1) :: go (Int64.logxor m low)
   in
-  go 63 []
+  go mask

@@ -139,12 +139,28 @@ let classify_exn (e : exn) : severity =
 
 type slot = { mutable trig : trigger; mutable calls : int; mutable injected : int }
 
-type t = { slots : (point * slot) list }
+(* one slot per point, in [all_points] order *)
+type t = { slots : slot array }
+
+let index = function
+  | Fetch_bitcode -> 0
+  | Decode -> 1
+  | Specialize -> 2
+  | Specialize_corrupt -> 3
+  | Optimize -> 4
+  | Verify -> 5
+  | Codegen -> 6
+  | Cache_read -> 7
+  | Cache_write -> 8
+  | Cache_lock -> 9
+  | Stage_timeout -> 10
+  | Disk_full -> 11
+  | Mem_pressure -> 12
 
 let create () =
-  { slots = List.map (fun p -> (p, { trig = Off; calls = 0; injected = 0 })) all_points }
+  { slots = Array.of_list (List.map (fun _ -> { trig = Off; calls = 0; injected = 0 }) all_points) }
 
-let slot t p = List.assq p t.slots
+let slot t p = t.slots.(index p)
 
 let set t p trig = (slot t p).trig <- trig
 
@@ -266,15 +282,16 @@ let fires (t : t) (p : point) : bool = eval_trigger (slot t p)
 
 let calls t p = (slot t p).calls
 let injected t p = (slot t p).injected
-let total_injected t = List.fold_left (fun acc (_, s) -> acc + s.injected) 0 t.slots
-let armed t = List.exists (fun (_, s) -> s.trig <> Off) t.slots
+let total_injected t = Array.fold_left (fun acc s -> acc + s.injected) 0 t.slots
+let armed t = Array.exists (fun s -> s.trig <> Off) t.slots
 
 let to_string t =
   let armed_slots =
     List.filter_map
-      (fun (p, s) ->
+      (fun p ->
+        let s = slot t p in
         if s.trig = Off then None
         else Some (Printf.sprintf "%s=%s" (point_name p) (trigger_to_string s.trig)))
-      t.slots
+      all_points
   in
   if armed_slots = [] then "no-faults" else String.concat "," armed_slots

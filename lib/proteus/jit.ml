@@ -859,7 +859,9 @@ let launch (t : t) ~(mid : string) ~(sym : string) ~(grid : int) ~(block : int)
    end
    else
      let qk = qkey t ~mid ~sym in
-     match Hashtbl.find_opt t.quarantine qk with
+     (* as in [note_success]: the usual table is empty, and the length
+        test then skips hashing [qk] *)
+     match if Hashtbl.length t.quarantine = 0 then None else Hashtbl.find_opt t.quarantine qk with
      | Some q when q.cooldown > 0 ->
          (* quarantined: serve from the AOT binary, tick down the backoff *)
          if q.cooldown <> max_int then q.cooldown <- q.cooldown - 1;

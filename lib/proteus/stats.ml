@@ -75,7 +75,7 @@ type t = {
       (* per-specialization-key profile: launch counts and cumulative
          simulated kernel seconds; feeds the PROTEUS_TIER_THRESHOLD
          hot-key gate and the adaptive SpecAdvisor threshold *)
-  kernel_launches : (string, int) Hashtbl.t; (* (mid/sym) -> launches *)
+  kernel_launches : (string, int ref) Hashtbl.t; (* (mid/sym) -> launches *)
 }
 
 and key_profile = {
@@ -140,12 +140,16 @@ let record_launch_overhead t (seconds : float) =
 (* Per-kernel (mid/sym) launch counts, for the adaptive advise
    threshold: returns the count after the bump. *)
 let record_kernel_launch t k : int =
-  let n = 1 + Option.value (Hashtbl.find_opt t.kernel_launches k) ~default:0 in
-  Hashtbl.replace t.kernel_launches k n;
-  n
+  match Hashtbl.find_opt t.kernel_launches k with
+  | Some n ->
+      incr n;
+      !n
+  | None ->
+      Hashtbl.add t.kernel_launches k (ref 1);
+      1
 
 let kernel_launch_count t k =
-  Option.value (Hashtbl.find_opt t.kernel_launches k) ~default:0
+  match Hashtbl.find_opt t.kernel_launches k with Some n -> !n | None -> 0
 
 (* Record one stage's real wall-clock latency into its histogram. *)
 let record_stage_latency t stage (seconds : float) =

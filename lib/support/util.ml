@@ -20,16 +20,21 @@ module Fnv = struct
     done;
     !h
 
-  (* the 8 bytes of [x], least significant first *)
+  let[@inline] add_byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) prime
+
+  (* the 8 bytes of [x], least significant first, taken from its two
+     32-bit halves as native ints *)
   let add_int64 h (x : int64) =
-    let h = ref h in
-    for i = 0 to 7 do
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.logand (Int64.shift_right_logical x (8 * i)) 0xffL))
-          prime
-    done;
-    !h
+    let lo = Int64.to_int x land 0xffffffff in
+    let hi = Int64.to_int (Int64.shift_right_logical x 32) in
+    let h = add_byte h (lo land 0xff) in
+    let h = add_byte h ((lo lsr 8) land 0xff) in
+    let h = add_byte h ((lo lsr 16) land 0xff) in
+    let h = add_byte h (lo lsr 24) in
+    let h = add_byte h (hi land 0xff) in
+    let h = add_byte h ((hi lsr 8) land 0xff) in
+    let h = add_byte h ((hi lsr 16) land 0xff) in
+    add_byte h (hi lsr 24)
 
   let add_int h x = add_int64 h (Int64.of_int x)
 
@@ -38,9 +43,12 @@ module Fnv = struct
   (* 16 lowercase hex digits, most significant first (= "%016Lx") *)
   let to_hex h =
     let b = Bytes.create 16 in
-    for i = 0 to 15 do
-      let d = Int64.to_int (Int64.shift_right_logical h (60 - (4 * i))) land 0xf in
-      Bytes.unsafe_set b i (String.unsafe_get "0123456789abcdef" d)
+    let hi = Int64.to_int (Int64.shift_right_logical h 32) in
+    let lo = Int64.to_int h land 0xffffffff in
+    for i = 0 to 7 do
+      let sh = 28 - (4 * i) in
+      Bytes.unsafe_set b i (String.unsafe_get "0123456789abcdef" ((hi lsr sh) land 0xf));
+      Bytes.unsafe_set b (i + 8) (String.unsafe_get "0123456789abcdef" ((lo lsr sh) land 0xf))
     done;
     Bytes.unsafe_to_string b
 end

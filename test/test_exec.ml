@@ -251,7 +251,11 @@ let stale_kernel () =
     max_pressure_s = 0;
   }
 
-type step = Diff of float * int | Hot of int | Diff_oob | Stale
+(* [Stale_partial]: the stale-read kernel on 96-thread blocks, so each
+   block runs a full warp and then a 32-lane one on the same state, and
+   the next block's full warp reads the float register the partial warp
+   wrote before writing it *)
+type step = Diff of float * int | Hot of int | Diff_oob | Stale | Stale_partial
 
 (* One device universe running [steps] in order: the diff kernel [kd],
    the spilling [kh] and the stale-read [ks], through their decoded
@@ -280,11 +284,11 @@ let run_steps ~reference ks steps =
   let snap () =
     String.init bytes (fun i -> Char.chr (Gmem.read_u8 mem (Int64.add out (Int64.of_int i))))
   in
-  let launch k p ~grid args =
+  let launch ?(block = 64) k p ~grid args =
     match
       launch_mode ~tcode:p
         (if reference then Reference else Threaded)
-        ~device:dev ~mem ~l2 ~symbols:(fun _ -> 0L) k ~grid ~block:64 ~args
+        ~device:dev ~mem ~l2 ~symbols:(fun _ -> 0L) k ~grid ~block ~args
     with
     | r -> Ok (snap (), r.Exec.counters)
     | exception Failure msg -> Error msg
@@ -303,7 +307,8 @@ let run_steps ~reference ks steps =
       | Hot n ->
           launch ks.kh ks.ph ~grid:((n + 63) / 64)
             [| Konst.kint ~bits:64 v; Konst.kint ~bits:64 out; Konst.ki32 n |]
-      | Stale -> launch ks.ks ks.ps ~grid:2 [| Konst.kint ~bits:64 out |])
+      | Stale -> launch ks.ks ks.ps ~grid:2 [| Konst.kint ~bits:64 out |]
+      | Stale_partial -> launch ~block:96 ks.ks ks.ps ~grid:3 [| Konst.kint ~bits:64 out |])
     steps
 
 let test_buffer_reuse_interleaved () =
@@ -313,7 +318,7 @@ let test_buffer_reuse_interleaved () =
     && ks.kd.Mach.spill_slots = 0 && ks.kh.Mach.spill_slots > 0);
   let steps =
     [ Diff (1.5, 200); Hot 200; Stale; Diff (-2.0, 100); Hot 130; Diff_oob; Stale;
-      Diff (0.5, 200); Hot 200; Stale; Diff (3.0, 70) ]
+      Diff (0.5, 200); Hot 200; Stale; Stale_partial; Diff (3.0, 70); Stale_partial; Stale ]
   in
   let expect = run_steps ~reference:true ks steps in
   let got = run_steps ~reference:false ks steps in
@@ -648,16 +653,55 @@ let shape_out = 64 * 128
    before reading *)
 let shape_image = Bytes.init ((1 lsl 15) - 64) (fun i -> Char.chr (((i * 37) + (i / 64)) land 0xff))
 
+(* Tcode.reset zeroes only the float cells of the registers in the
+   program's [fruns]; the others keep what the banks were created with,
+   so no instruction may write them. [sentinel_states p n] holds [n]
+   idle warp states of [p] with a NaN sentinel in every such cell, and
+   [sentinel_intact] checks that a launch left them all in place. A
+   wrongly classified instruction shows up both ways: the sentinel is
+   overwritten, or the next warp reads a stale float the reference's
+   fresh arrays do not have. *)
+let sentinel = 0x7ff4_5e47_1e0d_cafeL
+
+(* [f] on the first cell and the cell count of each register outside
+   [p.fruns] *)
+let iter_unwritten (p : Tcode.program) (b : Tcode.banks) f =
+  let written = Array.make b.Tcode.nvr false in
+  Array.iter (fun (r, n) -> Array.fill written r n true) p.Tcode.fruns;
+  Array.iteri (fun r w -> if not w then f (r * b.Tcode.lanes) b.Tcode.lanes) written
+
+let sentinel_states p n =
+  let ws = List.init n (fun _ -> Exec.acquire p ~lanes:shape_dev.Device.warp_size) in
+  List.iter
+    (fun (w : Tcode.wstate) ->
+      let bf = w.Tcode.wb.Tcode.bf in
+      iter_unwritten p w.Tcode.wb (fun c n -> Array.fill bf c n (Int64.float_of_bits sentinel)))
+    ws;
+  List.iter (Exec.release p) ws;
+  ws
+
+let sentinel_intact p ws =
+  List.for_all
+    (fun (w : Tcode.wstate) ->
+      let bf = w.Tcode.wb.Tcode.bf and ok = ref true in
+      iter_unwritten p w.Tcode.wb (fun c n ->
+          for i = c to c + n - 1 do
+            if not (Int64.equal (Int64.bits_of_float bf.(i)) sentinel) then ok := false
+          done);
+      !ok)
+    ws
+
 (* One launch of [k] under [mode] (profile armed unless multicore): the
    outcome, the output buffer (pre-filled with a byte pattern), the
-   site table and the L2 model afterwards. *)
-let run_op ~block mode k =
+   site table and the L2 model afterwards. [tcode] is the executor's
+   decoded program, if held. *)
+let run_op ?tcode ~block mode k =
   let mem = Gmem.create ~capacity:(1 lsl 15) () and l2 = L2cache.create shape_dev in
   let out = Gmem.alloc mem shape_out in
   Bytes.blit shape_image 0 mem.Gmem.data (Int64.to_int out) (Bytes.length shape_image);
   let launch () =
     match
-      launch_mode mode ~device:shape_dev ~mem ~l2 ~symbols:shape_symbols k ~grid:2 ~block
+      launch_mode ?tcode mode ~device:shape_dev ~mem ~l2 ~symbols:shape_symbols k ~grid:2 ~block
         ~args:[| Konst.kint ~bits:64 out; Konst.ki64 5; Konst.kf64 2.5; Konst.kbool true; Konst.KNull |]
     with
     | r -> Ok r.Exec.counters
@@ -682,8 +726,14 @@ let check_shape ?(masks = masks) ?pre ?fin ?extra (name, code, obs, term) =
       let r0, s0, p0, l0 = run_op ~block Reference k in
       let what = Printf.sprintf "%s (%s)" name mname in
       let same mode =
-        let r, s, p, l = run_op ~block mode k in
+        (* the states the launch runs on: one serially, one per block
+           on the multicore schedule *)
+        let tcode = Tcode.decode k in
+        let ws = sentinel_states tcode (if mode = Multicore then 2 else 1) in
+        let r, s, p, l = run_op ~tcode ~block mode k in
         let m = mode_name mode in
+        if not (sentinel_intact tcode ws) then
+          Alcotest.failf "%s, %s: a float cell outside the written registers changed" what m;
         (match (r0, r) with
         | Ok c0, Ok c ->
             if c0 <> c then Alcotest.failf "%s, %s: counters differ" what m

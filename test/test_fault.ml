@@ -122,6 +122,26 @@ let test_trigger_semantics () =
     (count_raises (fun () -> Fault.hit every Fault.Decode) 4);
   check Alcotest.int "calls counted" 4 (Fault.calls every Fault.Decode)
 
+(* Every point has a slot of its own: a call to one point counts on
+   that point alone, whatever its place in [all_points], and an armed
+   point fires only where it is armed. *)
+let test_slots_per_point () =
+  List.iteri
+    (fun i p ->
+      let t = Fault.of_plan [ (p, Fault.Always) ] in
+      for _ = 1 to i + 1 do
+        ignore (Fault.fires t p)
+      done;
+      List.iter
+        (fun q ->
+          let calls = if q == p then i + 1 else 0 in
+          check Alcotest.int (Fault.point_name q ^ " calls") calls (Fault.calls t q);
+          check Alcotest.int (Fault.point_name q ^ " injected") calls (Fault.injected t q))
+        Fault.all_points;
+      check Alcotest.int "total injected" (i + 1) (Fault.total_injected t);
+      check Alcotest.string "armed plan" (Fault.point_name p ^ "=always") (Fault.to_string t))
+    Fault.all_points
+
 let test_plan_of_string () =
   (match Fault.plan_of_string "decode=always, cache-read=nth:2" with
   | Ok [ (Fault.Decode, Fault.Always); (Fault.Cache_read, Fault.Nth 2) ] -> ()
@@ -586,6 +606,7 @@ let () =
           Alcotest.test_case "trigger parsing" `Quick test_trigger_parsing;
           Alcotest.test_case "point names roundtrip" `Quick test_point_names_roundtrip;
           Alcotest.test_case "trigger semantics" `Quick test_trigger_semantics;
+          Alcotest.test_case "one slot per point" `Quick test_slots_per_point;
           Alcotest.test_case "schedule parsing" `Quick test_plan_of_string;
           Alcotest.test_case "env plan layering" `Quick test_env_plan;
         ] );

@@ -68,6 +68,25 @@ let qcheck_mask_roundtrip =
       let uniq = List.sort_uniq compare args in
       Annotate.args_of_mask (Annotate.mask_of_args uniq) = uniq)
 
+(* [args_of_mask] visits only the set bits; the reference tests all
+   64 bits from the top down. Masks 0, -1 (all 64 arguments) and bit 63
+   alone come first, then random masks. *)
+let qcheck_args_of_mask =
+  let walk64 mask =
+    let rec go bit acc =
+      if bit < 0 then acc
+      else
+        let set = not (Int64.equal (Int64.logand mask (Int64.shift_left 1L bit)) 0L) in
+        go (bit - 1) (if set then (bit + 1) :: acc else acc)
+    in
+    go 63 []
+  in
+  QCheck.Test.make ~name:"args_of_mask = the 64-bit walk" ~count:500
+    QCheck.(
+      frequency
+        [ (1, always 0L); (1, always (-1L)); (1, always Int64.min_int); (17, int64) ])
+    (fun m -> Annotate.args_of_mask m = walk64 m)
+
 (* ---- extraction ---- *)
 
 let test_extract_standalone () =
@@ -573,6 +592,7 @@ let () =
         [
           Alcotest.test_case "parsed from source" `Quick test_annotations_parsed;
           qtest qcheck_mask_roundtrip;
+          qtest qcheck_args_of_mask;
         ] );
       ("extract", [ Alcotest.test_case "standalone module" `Quick test_extract_standalone ]);
       ( "plugin",

@@ -183,6 +183,7 @@ let test_tcode_invalidation () =
       iconsts = [||];
       fconsts = [||];
       syms = [||];
+      fruns = [||];
       states = Atomic.make [];
     }
   in

@@ -26,10 +26,58 @@ let test_fnv_int64_order () =
   let h2 = Util.Fnv.add_int64 (Util.Fnv.add_int64 Util.Fnv.offset_basis 2L) 1L in
   Alcotest.(check bool) "order matters" false (Int64.equal h1 h2)
 
+(* add_int64 and to_hex work on 32-bit halves; the references take
+   the bytes one at a time and print with %016Lx *)
+let qcheck_fnv_halves =
+  let bytewise h x =
+    let h = ref h in
+    for i = 0 to 7 do
+      h :=
+        Int64.mul
+          (Int64.logxor !h (Int64.logand (Int64.shift_right_logical x (8 * i)) 0xffL))
+          Util.Fnv.prime
+    done;
+    !h
+  in
+  QCheck.Test.make ~name:"fnv add_int64 and to_hex = bytewise references" ~count:500
+    QCheck.(
+      pair
+        (frequency [ (1, always 0L); (1, always (-1L)); (1, always Int64.min_int); (7, int64) ])
+        (frequency [ (1, always (-1L)); (1, always Int64.max_int); (8, int64) ]))
+    (fun (h, x) ->
+      Int64.equal (Util.Fnv.add_int64 h x) (bytewise h x)
+      && Util.Fnv.to_hex x = Printf.sprintf "%016Lx" x)
+
 let qcheck_fnv_hex_len =
   QCheck.Test.make ~name:"fnv hex digest is 16 chars" ~count:200
     QCheck.string
     (fun s -> String.length (Util.hash_hex s) = 16)
+
+(* ---- Pool ---- *)
+
+(* The default domain count is read once, at start-up: two domains
+   reading it at the same time see what a serial read sees, and that
+   is the environment's value. *)
+let test_pool_default_domains () =
+  let go = Atomic.make false in
+  let read () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    Pool.default_domains ()
+  in
+  let d1 = Domain.spawn read and d2 = Domain.spawn read in
+  Atomic.set go true;
+  let a = Domain.join d1 and b = Domain.join d2 in
+  let serial = Pool.default_domains () in
+  check Alcotest.int "first domain" serial a;
+  check Alcotest.int "second domain" serial b;
+  let expect =
+    match Option.bind (Sys.getenv_opt "PROTEUS_EXEC_DOMAINS") (fun s -> int_of_string_opt (String.trim s)) with
+    | Some n when n >= 1 -> n
+    | _ -> max 1 (Domain.recommended_domain_count ())
+  in
+  check Alcotest.int "the environment's value" expect serial
 
 (* ---- Vec ---- *)
 
@@ -339,7 +387,9 @@ let () =
           Alcotest.test_case "empty" `Quick test_fnv_empty;
           Alcotest.test_case "order-sensitive" `Quick test_fnv_int64_order;
           qtest qcheck_fnv_hex_len;
+          qtest qcheck_fnv_halves;
         ] );
+      ("pool", [ Alcotest.test_case "default domains read once" `Quick test_pool_default_domains ]);
       ( "vec",
         [
           Alcotest.test_case "push/get/set" `Quick test_vec_push_get;
