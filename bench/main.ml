@@ -784,7 +784,7 @@ let transval_bench () =
 (* tier: tiered compilation (PR 8) -- cold-launch latency with and
    without the background tier-up pipeline.  Per (app, vendor) we run
    AOT, non-tiered Proteus (cold cache) and tiered Proteus (cold cache,
-   PROTEUS_TIER_THRESHOLD=1 so every reused key tiers up).  Outputs
+   tier_threshold 1 so every reused key tiers up).  Outputs
    must be bit-identical across all three, the tiered first JIT launch
    must not be slower than the blocking one (tier 0 dispatches the AOT
    artifact instead of waiting on O3), the steady-state launch overhead
@@ -878,14 +878,7 @@ let serve_bench () =
   header "Multi-tenant serve: shared store, seeded Zipf workload";
   let open Proteus_core in
   let module Workload = Proteus_fuzz.Workload in
-  let launches =
-    match Sys.getenv_opt "PROTEUS_SERVE_LAUNCHES" with
-    | Some v -> (
-        match int_of_string_opt (String.trim v) with
-        | Some n when n > 0 -> n
-        | _ -> 1_000_000)
-    | None -> 1_000_000
-  in
+  let launches = Proteus_support.(Knob.get Knob.serve_launches) in
   let tenants = 4 and kernels = 16 and seed = 42 and skew = 1.1 and domains = 4 in
   let w = Workload.generate ~seed ~tenants ~kernels ~launches ~skew in
   let t0 = Unix.gettimeofday () in

@@ -615,7 +615,7 @@ let fuzz_cmd =
   in
   let count =
     Arg.(value & opt int 200 & info [ "count" ]
-           ~doc:"Number of kernels to generate ($(b,PROTEUS_FUZZ_BUDGET) overrides for soak runs).")
+           ~doc:"Number of kernels to generate (raise it for soak runs).")
   in
   let max_stmts =
     Arg.(value & opt int 12 & info [ "max-stmts" ] ~doc:"Statement budget per generated kernel.")
@@ -634,12 +634,6 @@ let fuzz_cmd =
            ~doc:"Arm fault points, e.g. $(b,specialize-corrupt=always) (same syntax as bench).")
   in
   let go seed count max_stmts oracle out inject =
-    let count =
-      match Sys.getenv_opt "PROTEUS_FUZZ_BUDGET" with
-      | Some v -> (
-          match int_of_string_opt v with Some n when n > 0 -> n | _ -> count)
-      | None -> count
-    in
     let oracles =
       match oracle with
       | None -> Proteus_fuzz.Oracle.all_oracles
@@ -873,9 +867,13 @@ let serve_cmd =
            ~doc:"Zipf exponent for kernel popularity (0 = uniform).")
   in
   let quota =
-    Arg.(value & opt int 0 & info [ "tenant-quota" ]
-           ~doc:"Per-tenant memory-tier byte quota (0 = unlimited; \
-                 $(b,PROTEUS_TENANT_QUOTA) sets the default).")
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 0 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "invalid byte count %S (want an integer >= 0)" s))
+    in
+    Arg.(value & opt (conv (parse, Format.pp_print_int)) 0 & info [ "tenant-quota" ]
+           ~doc:"Per-tenant memory-tier byte quota (0 = unlimited).")
   in
   let domains =
     Arg.(value & opt int 1 & info [ "domains" ]
@@ -949,10 +947,7 @@ let serve_cmd =
                   | plan -> Some (n, plan))
                 names)
     in
-    let config =
-      if quota > 0 then { Config.default with Config.tenant_quota = quota }
-      else Config.default
-    in
+    let config = { Config.default with Config.tenant_quota = quota } in
     let sv =
       Serve.create ~config ~tenants:w.Workload.tenants ~kernels:w.Workload.kernels
         ~tenant_faults ()

@@ -5,13 +5,13 @@
    Size limits with LRU eviction are implemented on both levels (the
    paper's Sec. 3.4 describes this as in-development work; this
    reproduction includes it). Limits come from the constructor or the
-   PROTEUS_MEM_CACHE_LIMIT / PROTEUS_DISK_CACHE_LIMIT environment
-   variables (bytes; 0 or unset = unlimited).
+   PROTEUS_MEM_CACHE_LIMIT / PROTEUS_DISK_CACHE_LIMIT knobs (bytes;
+   0 or unset = unlimited).
 
    Multi-tenancy (DESIGN.md "Multi-tenant service"): every memory-tier
    entry carries an optional [owner] — the tenant whose launch paid
-   for the artifact. A per-tenant byte quota (PROTEUS_TENANT_QUOTA or
-   the [tenant_quota] constructor argument) bounds how much of the
+   for the artifact. A per-tenant byte quota (the [tenant_quota]
+   constructor argument, from Config.tenant_quota) bounds how much of the
    shared memory tier any one owner can pin: when an insert pushes an
    owner over quota, that owner's own least-recently-used entries are
    evicted first, so a tenant with a pathological key stream evicts
@@ -94,7 +94,6 @@ type t = {
   mutable lock_contended : int; (* acquisitions that had to wait *)
   mutable reaped_tmp : int; (* crashed writers' .tmp litter removed by the sweep *)
   mutable reaped_locks : int; (* stale .lock files removed by the sweep *)
-  mutable limit_rejections : int; (* malformed PROTEUS_*_CACHE_LIMIT values rejected *)
   mutable disk_degrades : int; (* times the persistent tier was dropped under pressure *)
   mutable disk_disabled : bool; (* degradation ladder: stop writing to disk *)
   mutable tick_hook : string -> unit;
@@ -102,39 +101,6 @@ type t = {
          writes; the crash-torture harness uses it to kill the process
          mid-write at a chosen tick *)
 }
-
-(* Parse a byte-count limit from the environment; 0 or unset =
-   unlimited. A malformed or negative value is a misconfiguration the
-   operator should hear about: warn once per variable on stderr and
-   report the rejection so the caller can count it (these used to be
-   silently treated as unlimited). *)
-let warned_limits : (string, unit) Hashtbl.t = Hashtbl.create 4
-let warned_mu = Mutex.create ()
-
-let env_limit name : int * bool =
-  match Sys.getenv_opt name with
-  | None -> (0, false)
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> (n, false)
-      | _ ->
-          Mutex.lock warned_mu;
-          if not (Hashtbl.mem warned_limits name) then begin
-            Hashtbl.replace warned_limits name ();
-            Printf.eprintf
-              "proteus: ignoring malformed %s=%S (want a non-negative byte count)\n%!"
-              name s
-          end;
-          Mutex.unlock warned_mu;
-          (0, true))
-
-let env_timeout_ms name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some x when x >= 0.0 -> x
-      | _ -> default)
-  | None -> default
 
 (* ---- in-process serialization ------------------------------------ *)
 
@@ -416,26 +382,13 @@ let recover t =
               end)
           (Sys.readdir d)
 
-let create ?(persistent_dir : string option) ?mem_limit ?disk_limit ?tenant_quota
-    ?faults ?lock_timeout_ms () =
+let create ?(persistent_dir : string option) ?mem_limit ?disk_limit ?(tenant_quota = 0)
+    ?faults ?(lock_timeout_ms = 1000.0) () =
   (* Recursive, race-tolerant creation: a missing parent or a
      concurrent creator must not kill the host program. *)
   Option.iter Util.mkdir_p persistent_dir;
-  let mem_limit, mem_rej =
-    match mem_limit with
-    | Some l -> (l, false)
-    | None -> env_limit "PROTEUS_MEM_CACHE_LIMIT"
-  in
-  let disk_limit, disk_rej =
-    match disk_limit with
-    | Some l -> (l, false)
-    | None -> env_limit "PROTEUS_DISK_CACHE_LIMIT"
-  in
-  let tenant_quota, quota_rej =
-    match tenant_quota with
-    | Some l -> (l, false)
-    | None -> env_limit "PROTEUS_TENANT_QUOTA"
-  in
+  let mem_limit = match mem_limit with Some l -> l | None -> Knob.get Knob.mem_cache_limit in
+  let disk_limit = match disk_limit with Some l -> l | None -> Knob.get Knob.disk_cache_limit in
   let t =
     {
       mem = Hashtbl.create 32;
@@ -456,19 +409,12 @@ let create ?(persistent_dir : string option) ?mem_limit ?disk_limit ?tenant_quot
       corruptions = 0;
       mu = Mutex.create ();
       faults;
-      lock_timeout_ms =
-        (match lock_timeout_ms with
-        | Some ms -> ms
-        | None -> env_timeout_ms "PROTEUS_LOCK_TIMEOUT_MS" 1000.0);
+      lock_timeout_ms;
       lock_wait = Hist.create ();
       lock_waits = 0;
       lock_contended = 0;
       reaped_tmp = 0;
       reaped_locks = 0;
-      limit_rejections =
-        (if mem_rej then 1 else 0)
-        + (if disk_rej then 1 else 0)
-        + (if quota_rej then 1 else 0);
       disk_degrades = 0;
       disk_disabled = false;
       tick_hook = ignore;

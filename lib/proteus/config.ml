@@ -10,19 +10,9 @@
    arguments scoring below [spec_threshold], trading a little folding
    for fewer JIT compiles and smaller caches; [Spec_none] keys no
    argument values (launch bounds still apply under LB). *)
-type spec_policy = Spec_all | Spec_advise | Spec_none
+type spec_policy = Proteus_support.Knob.spec_policy = Spec_all | Spec_advise | Spec_none
 
-let policy_name = function
-  | Spec_all -> "all"
-  | Spec_advise -> "advise"
-  | Spec_none -> "none"
-
-let policy_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "all" -> Some Spec_all
-  | "advise" -> Some Spec_advise
-  | "none" -> Some Spec_none
-  | _ -> None
+let policy_name p = fst (List.find (fun (_, q) -> q = p) Proteus_support.Knob.spec_policies)
 
 type t = {
   enable_rcf : bool; (* runtime constant folding of kernel arguments *)
@@ -37,11 +27,11 @@ type t = {
       (* launches a quarantined kernel skips JIT before one retry is
          allowed (doubling on repeated failure); 0 = quarantine forever *)
   verify_jit : bool;
-      (* PROTEUS_VERIFY: re-run the IR verifier + KernelSan on
-         post-specialize and post-O3 IR; a violation becomes a counted
-         AOT fallback instead of reaching codegen *)
+      (* shorthand for [verify_level] 1: re-run the IR verifier +
+         KernelSan on post-specialize and post-O3 IR; a violation becomes
+         a counted AOT fallback instead of reaching codegen *)
   verify_level : int;
-      (* PROTEUS_VERIFY=2 additionally runs TransVal translation
+      (* PROTEUS_VERIFY; level 2 additionally runs TransVal translation
          validation: post-specialize IR is proven equivalent to the
          decoded IR (spec args substituted) and post-O3 IR to
          post-specialize. A refuted verdict is contained exactly like a
@@ -57,23 +47,22 @@ type t = {
          else the recommended domain count); 1 forces serial execution *)
   spec_policy : spec_policy; (* PROTEUS_SPEC_POLICY=all|advise|none *)
   spec_threshold : float;
-      (* PROTEUS_SPEC_THRESHOLD: minimum SpecAdvisor score an argument
-         needs to stay in the key under the advise policy *)
+      (* minimum SpecAdvisor score an argument needs to stay in the key
+         under the advise policy *)
   stage_deadline_ms : float;
-      (* PROTEUS_STAGE_DEADLINE_MS: wall-clock budget per JIT stage; an
-         overrun is a transient failure (retried with backoff, then
-         AOT). 0 disables the check - the default, so tier-1 runs stay
-         free of wall-clock nondeterminism *)
+      (* wall-clock budget per JIT stage; an overrun is a transient
+         failure (retried with backoff, then AOT). 0 disables the check
+         - the default, so tier-1 runs stay free of wall-clock
+         nondeterminism *)
   retry_max : int;
-      (* PROTEUS_RETRY_MAX: transient-failure retries per launch before
-         the AOT fallback; permanent failures never retry *)
+      (* transient-failure retries per launch before the AOT fallback;
+         permanent failures never retry *)
   retry_backoff_ms : float;
-      (* PROTEUS_RETRY_BACKOFF_MS: base of the jittered exponential
-         backoff between retries, charged to the simulated clock *)
+      (* base of the jittered exponential backoff between retries,
+         charged to the simulated clock *)
   lock_timeout_ms : float;
-      (* PROTEUS_LOCK_TIMEOUT_MS: bound on waiting for a cross-process
-         cache entry lock; a timeout is a transient failure. 0 waits
-         forever *)
+      (* bound on waiting for a cross-process cache entry lock; a
+         timeout is a transient failure. 0 waits forever *)
   tier : bool;
       (* PROTEUS_TIER=on: tiered compilation. A cold launch dispatches
          the AOT artifact immediately and the specialized O3 compile
@@ -81,78 +70,41 @@ type t = {
          cache before a later launch. Off (the default) keeps the
          paper's block-on-first-launch behaviour *)
   tier_threshold : int;
-      (* PROTEUS_TIER_THRESHOLD: launches a specialization key must
-         accumulate before it is hot enough to spend a background O3
-         compile on (profile-guided gate; minimum 1) *)
+      (* launches a specialization key must accumulate before it is hot
+         enough to spend a background O3 compile on (profile-guided
+         gate; minimum 1) *)
   tenant_quota : int;
-      (* PROTEUS_TENANT_QUOTA: bytes one tenant may pin in the shared
-         memory cache tier before its own LRU entries are evicted;
-         0 = unlimited. Only meaningful when a Cachestore is shared
-         across tenants (the serve loop) *)
+      (* bytes one tenant may pin in the shared memory cache tier
+         before its own LRU entries are evicted; 0 = unlimited. Only
+         meaningful when a Cachestore is shared across tenants (the
+         serve loop) *)
 }
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n >= 0 -> n | _ -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some x when x >= 0.0 -> x
-      | _ -> default)
-  | None -> default
-
-let env_policy name default =
-  match Sys.getenv_opt name with
-  | Some s -> Option.value (policy_of_string s) ~default
-  | None -> default
-
-(* PROTEUS_VERIFY is a level: booleans keep their historical meaning
-   (on = 1) and "2" opts into translation validation. *)
-let env_verify_level name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "0" | "false" | "no" | "off" | "" -> 0
-      | "1" | "true" | "yes" | "on" -> 1
-      | "2" -> 2
-      | _ -> default)
-  | None -> default
-
-let env_bool name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "1" | "true" | "yes" | "on" -> true
-      | "0" | "false" | "no" | "off" | "" -> false
-      | _ -> default)
-  | None -> default
-
+(* The four fields with a knob (Proteus_support.Knob) read it when this
+   module is initialised; the rest are constants. *)
 let default =
+  let module K = Proteus_support.Knob in
   {
     enable_rcf = true;
     enable_lb = true;
     use_mem_cache = true;
     persistent_dir = None;
     fault_plan = [];
-    quarantine_threshold = env_int "PROTEUS_QUARANTINE_THRESHOLD" 3;
-    quarantine_backoff = env_int "PROTEUS_QUARANTINE_BACKOFF" 16;
-    verify_jit = env_verify_level "PROTEUS_VERIFY" 0 >= 1;
-    verify_level = env_verify_level "PROTEUS_VERIFY" 0;
-    verify_strict = env_bool "PROTEUS_VERIFY_STRICT" false;
+    quarantine_threshold = 3;
+    quarantine_backoff = 16;
+    verify_jit = false;
+    verify_level = K.get K.verify;
+    verify_strict = K.get K.verify_strict;
     exec_domains = 0;
-    spec_policy = env_policy "PROTEUS_SPEC_POLICY" Spec_all;
-    spec_threshold =
-      env_float "PROTEUS_SPEC_THRESHOLD" Proteus_analysis.Specadvisor.default_threshold;
-    stage_deadline_ms = env_float "PROTEUS_STAGE_DEADLINE_MS" 0.0;
-    retry_max = env_int "PROTEUS_RETRY_MAX" 2;
-    retry_backoff_ms = env_float "PROTEUS_RETRY_BACKOFF_MS" 1.0;
-    lock_timeout_ms = env_float "PROTEUS_LOCK_TIMEOUT_MS" 1000.0;
-    tier = env_bool "PROTEUS_TIER" false;
-    tier_threshold = max 1 (env_int "PROTEUS_TIER_THRESHOLD" 2);
-    tenant_quota = env_int "PROTEUS_TENANT_QUOTA" 0;
+    spec_policy = K.get K.spec_policy;
+    spec_threshold = Proteus_analysis.Specadvisor.default_threshold;
+    stage_deadline_ms = 0.0;
+    retry_max = 2;
+    retry_backoff_ms = 1.0;
+    lock_timeout_ms = 1000.0;
+    tier = K.get K.tier;
+    tier_threshold = 2;
+    tenant_quota = 0;
   }
 
 (* Paper mode names *)

@@ -2,9 +2,9 @@
    testing). Every stage of Proteus.Jit.launch is bracketed by a named
    injection point; a plan arms any subset of points with a trigger
    (always, fail-on-Nth-call, fail-every-Kth-call). Plans come from
-   Config.t (programmatic, used by the tests) or from PROTEUS_FAULT_*
-   environment variables (used by the bench driver), so a failure at
-   any stage can be reproduced exactly.
+   Config.t (programmatic, used by the tests) or from the
+   PROTEUS_FAULT_<POINT> knobs, so a failure at any stage can be
+   reproduced exactly.
 
    This module must stay dependency-free within proteus_core: Config
    references it, not the other way around. *)
@@ -46,22 +46,6 @@ let point_name = function
   | Disk_full -> "disk-full"
   | Mem_pressure -> "mem-pressure"
 
-(* environment-variable suffix: PROTEUS_FAULT_<this> *)
-let point_env_suffix = function
-  | Fetch_bitcode -> "FETCH_BITCODE"
-  | Decode -> "DECODE"
-  | Specialize -> "SPECIALIZE"
-  | Specialize_corrupt -> "SPECIALIZE_CORRUPT"
-  | Optimize -> "OPTIMIZE"
-  | Verify -> "VERIFY"
-  | Codegen -> "CODEGEN"
-  | Cache_read -> "CACHE_READ"
-  | Cache_write -> "CACHE_WRITE"
-  | Cache_lock -> "CACHE_LOCK"
-  | Stage_timeout -> "STAGE_TIMEOUT"
-  | Disk_full -> "DISK_FULL"
-  | Mem_pressure -> "MEM_PRESSURE"
-
 (* ---- failure taxonomy --------------------------------------------
 
    Transient failures are environmental and worth retrying (lock
@@ -90,11 +74,8 @@ let point_of_name s =
   let norm = String.map (function '_' -> '-' | c -> c) s in
   List.find_opt (fun p -> point_name p = norm) all_points
 
-type trigger =
-  | Off
-  | Always
-  | Nth of int (* fail exactly the Nth call (1-based) to this point *)
-  | Every of int (* fail every Kth call to this point *)
+(* The trigger syntax is the FAULT_<POINT> knobs' value syntax. *)
+type trigger = Proteus_support.Knob.trigger = Off | Always | Nth of int | Every of int
 
 let trigger_to_string = function
   | Off -> "off"
@@ -102,21 +83,7 @@ let trigger_to_string = function
   | Nth n -> Printf.sprintf "nth:%d" n
   | Every k -> Printf.sprintf "every:%d" k
 
-let trigger_of_string s : (trigger, string) result =
-  let s = String.lowercase_ascii (String.trim s) in
-  let parse_n ctor prefix =
-    let plen = String.length prefix in
-    let body = String.sub s plen (String.length s - plen) in
-    match int_of_string_opt body with
-    | Some n when n > 0 -> Ok (ctor n)
-    | _ -> Error (Printf.sprintf "bad count in fault trigger %S" s)
-  in
-  if s = "off" || s = "0" || s = "" then Ok Off
-  else if s = "always" || s = "1" then Ok Always
-  else if String.length s > 4 && String.sub s 0 4 = "nth:" then parse_n (fun n -> Nth n) "nth:"
-  else if String.length s > 6 && String.sub s 0 6 = "every:" then
-    parse_n (fun n -> Every n) "every:"
-  else Error (Printf.sprintf "unknown fault trigger %S (off|always|nth:N|every:K)" s)
+let trigger_of_string = Proteus_support.Knob.trigger_of_string
 
 (* A plan is the declarative description (stored in Config.t); [t] is
    the armed instance with per-point call counters. *)
@@ -169,24 +136,12 @@ let of_plan (plan : plan) : t =
   List.iter (fun (p, trig) -> set t p trig) plan;
   t
 
-(* Read PROTEUS_FAULT_* environment variables into [t]. Malformed
-   values are ignored (the runtime must never crash on bad knobs). *)
-let apply_env (t : t) : t =
-  List.iter
-    (fun p ->
-      match Sys.getenv_opt ("PROTEUS_FAULT_" ^ point_env_suffix p) with
-      | Some v -> ( match trigger_of_string v with Ok trig -> set t p trig | Error _ -> ())
-      | None -> ())
-    all_points;
-  t
-
-(* Environment variables arm points the programmatic plan is silent
-   about; a point named in [base] wins over its env var (code that
-   passes an explicit plan has the stronger claim). *)
+(* The FAULT_<POINT> knobs arm points the programmatic plan is silent
+   about; a point named in [base] wins over its knob (code that passes
+   an explicit plan has the stronger claim). *)
 let of_env ?(base : plan = []) () : t =
-  let t = apply_env (create ()) in
-  List.iter (fun (p, trig) -> set t p trig) base;
-  t
+  let knob p = Proteus_support.Knob.(get (fault (point_name p))) in
+  of_plan (List.map (fun p -> (p, knob p)) all_points @ base)
 
 (* Parse a whole schedule, "decode=always,cache-read=nth:2"; used by
    the bench driver's --inject-faults mode. Unknown points or triggers

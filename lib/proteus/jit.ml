@@ -33,7 +33,7 @@ type qstate = {
 
 (* One enqueued background (tier-up) compile. The job is created on
    the launching domain when a specialization key crosses the
-   PROTEUS_TIER_THRESHOLD gate, submitted to the domain pool's async
+   Config.tier_threshold gate, submitted to the domain pool's async
    queue, and runs at the next launch boundary's drain. Its result
    travels back through [tj_ticket]; everything that mutates shared
    state (cache swap, tcode invalidation, stats, quarantine) happens
@@ -132,7 +132,7 @@ let charge t s =
 exception Stage_failure of Fault.point * exn
 
 (* Run one pipeline stage: fire the fault-injection points, run the
-   stage under its wall-clock deadline (PROTEUS_STAGE_DEADLINE_MS;
+   stage under its wall-clock deadline (Config.stage_deadline_ms;
    cooperative and post-hoc - see Deadline), record its real latency
    into the per-stage histogram, and tag any escaping exception with
    the stage so the launch-level handler can account it.
@@ -352,7 +352,7 @@ let compile_specialization (t : t) ~(bitcode : string) ~(sym : string)
       transval_gate t ~phase:"after specialize" ~subst ~reference ~candidate:m
         ~sym ()
   | None -> ());
-  if t.config.Config.verify_jit then verify_ir t m ~sym;
+  if vlevel >= 1 then verify_ir t m ~sym;
   let m_spec = if vlevel >= 2 then Some (Ir.clone_module m) else None in
   (* O3 pipeline *)
   in_stage t Fault.Optimize (fun () ->
@@ -363,7 +363,7 @@ let compile_specialization (t : t) ~(bitcode : string) ~(sym : string)
   | Some reference ->
       transval_gate t ~phase:"after O3" ~reference ~candidate:m ~sym ()
   | None -> ());
-  if t.config.Config.verify_jit then verify_ir t m ~sym;
+  if vlevel >= 1 then verify_ir t m ~sym;
   (* backend code generation *)
   let obj =
     in_stage t Fault.Codegen @@ fun () ->
@@ -537,7 +537,7 @@ let policy_spec_values (t : t) ~(mid : string) ~(sym : string)
 (* ---- launch ------------------------------------------------------ *)
 
 (* Enqueue a background O3 compile for a hot specialization key, if it
-   crossed the PROTEUS_TIER_THRESHOLD launch-count gate and is not
+   crossed the Config.tier_threshold launch-count gate and is not
    already pending. The job itself runs at a later launch boundary's
    drain (see [drain_tier]); here we only capture its inputs. *)
 let maybe_enqueue_tier (t : t) ~(mid : string) ~(sym : string) ~(key : Speckey.t)
@@ -832,7 +832,6 @@ let drain_tier (t : t) : unit =
    into the printable Stats ledger after every launch. *)
 let sync_cache_counters t =
   t.stats.Stats.cache_corruptions <- t.cache.Cachestore.corruptions;
-  t.stats.Stats.env_rejections <- t.cache.Cachestore.limit_rejections;
   t.stats.Stats.lock_waits <- t.cache.Cachestore.lock_waits;
   t.stats.Stats.lock_contended <- t.cache.Cachestore.lock_contended;
   t.stats.Stats.disk_degrades <- t.cache.Cachestore.disk_degrades

@@ -8,7 +8,7 @@
      the backend) rather than a client-chosen module name, so two
      tenants submitting byte-identical device IR dedup onto one
      compile and one cache entry, while the store's per-entry [owner]
-     and PROTEUS_TENANT_QUOTA keep any one tenant from pinning the
+     and Config.tenant_quota keep any one tenant from pinning the
      whole shared memory tier.
    - Each tenant gets its OWN Jit.t, Gpurt context (device memory +
      simulated clock), Stats ledger, fault set and quarantine table.

@@ -50,12 +50,11 @@ type t = {
   mutable flight_suppressed : int; (* duplicate compiles coalesced onto a leader *)
   mutable retries : int; (* launch re-attempts after a transient failure *)
   mutable retry_successes : int; (* launches that succeeded on a retry *)
-  mutable deadline_overruns : int; (* stages that ran past PROTEUS_STAGE_DEADLINE_MS *)
+  mutable deadline_overruns : int; (* stages that ran past Config.stage_deadline_ms *)
   mutable degrade_events : int; (* degradation-ladder steps taken (mem pressure) *)
   mutable degrade_level : int; (* gauge: 0 full .. 3 AOT-only *)
   mutable degraded_launches : int; (* launches served AOT because the ladder hit bottom *)
   mutable disk_degrades : int; (* times the persistent cache tier was dropped *)
-  mutable env_rejections : int; (* malformed PROTEUS_*_CACHE_LIMIT values rejected *)
   mutable lock_waits : int; (* cross-process cache entry-lock acquisitions *)
   mutable lock_contended : int; (* acquisitions that had to wait *)
   lock_wait_hist : Hist.t; (* seconds acquiring entry locks *)
@@ -73,7 +72,7 @@ type t = {
   swap_hist : Hist.t; (* simulated enqueue -> publish latency per tier-up *)
   profiles : (string, key_profile) Hashtbl.t;
       (* per-specialization-key profile: launch counts and cumulative
-         simulated kernel seconds; feeds the PROTEUS_TIER_THRESHOLD
+         simulated kernel seconds; feeds the Config.tier_threshold
          hot-key gate and the adaptive SpecAdvisor threshold *)
   kernel_launches : (string, int ref) Hashtbl.t; (* (mid/sym) -> launches *)
 }
@@ -96,7 +95,7 @@ let create () =
     cache_entries_by_policy = Hashtbl.create 4;
     flight_leads = 0; flight_suppressed = 0; retries = 0; retry_successes = 0;
     deadline_overruns = 0; degrade_events = 0; degrade_level = 0;
-    degraded_launches = 0; disk_degrades = 0; env_rejections = 0;
+    degraded_launches = 0; disk_degrades = 0;
     lock_waits = 0; lock_contended = 0;
     lock_wait_hist = Hist.create (); launch_hist = Hist.create ();
     stage_hist = Hashtbl.create 8;
@@ -248,7 +247,7 @@ let to_pairs s =
   let resilience =
     if s.flight_leads = 0 && s.flight_suppressed = 0 && s.retries = 0
        && s.deadline_overruns = 0 && s.degrade_events = 0 && s.disk_degrades = 0
-       && s.degraded_launches = 0 && s.env_rejections = 0 && s.lock_waits = 0
+       && s.degraded_launches = 0 && Knob.rejections () = 0 && s.lock_waits = 0
     then []
     else
       [
@@ -261,7 +260,7 @@ let to_pairs s =
         ("degrade-level", string_of_int s.degrade_level);
         ("degraded-launches", string_of_int s.degraded_launches);
         ("disk-degrades", string_of_int s.disk_degrades);
-        ("env-rejections", string_of_int s.env_rejections);
+        ("env-rejections", string_of_int (Knob.rejections ()));
         ("lock-waits", string_of_int s.lock_waits);
         ("lock-contended", string_of_int s.lock_contended);
       ]

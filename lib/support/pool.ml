@@ -43,25 +43,13 @@ type t = {
   async_done : Condition.t;
 }
 
-let env_size () =
-  match Sys.getenv_opt "PROTEUS_EXEC_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | _ -> None)
-  | None -> None
-
 (* Fixed at program start: module initialisation runs on the main
    domain before any other domain exists, so every later reader, on
    any domain, sees the one value without a lock or a [Lazy]. A
    launch that passes no domain count reads it, and a getenv per
    launch cost ~0.5 us, as much as a small kernel's whole set-up. *)
 let default_domains =
-  let n =
-    match env_size () with
-    | Some n -> n
-    | None -> max 1 (Domain.recommended_domain_count ())
-  in
+  let n = Knob.get Knob.exec_domains in
   fun () -> n
 
 let create ?size () =

@@ -254,11 +254,12 @@ let test_verify_gate_rejects_corruption () =
 
 let test_verify_gate_off_by_default () =
   check Alcotest.bool "off by default" false Config.default.Config.verify_jit;
-  (* PROTEUS_VERIFY parsing *)
+  (* boolean knob parsing, through the knob table's reader *)
+  let module Knob = Proteus_support.Knob in
   List.iter
     (fun (v, expected) ->
-      Unix.putenv "PROTEUS_VERIFY_TEST" v;
-      check Alcotest.bool v expected (Config.env_bool "PROTEUS_VERIFY_TEST" false))
+      Unix.putenv "PROTEUS_VERIFY_STRICT" v;
+      check Alcotest.bool v expected (Knob.get Knob.verify_strict))
     [ ("1", true); ("true", true); ("ON", true); ("0", false); ("no", false); ("", false) ]
 
 (* ------------------------------------------------------------------ *)

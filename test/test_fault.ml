@@ -155,6 +155,7 @@ let test_plan_of_string () =
   | Ok _ -> Alcotest.fail "missing trigger accepted"
 
 let test_env_plan () =
+  let before = Proteus_support.Knob.rejections () in
   Unix.putenv "PROTEUS_FAULT_DECODE" "every:2";
   Unix.putenv "PROTEUS_FAULT_CACHE_WRITE" "garbage-value";
   let f = Fault.of_env ~base:[ (Fault.Codegen, Fault.Always) ] () in
@@ -162,9 +163,10 @@ let test_env_plan () =
   Unix.putenv "PROTEUS_FAULT_CACHE_WRITE" "off";
   check Alcotest.int "env decode armed (every:2 fires 1 of 2)" 1
     (count_raises (fun () -> Fault.hit f Fault.Decode) 2);
-  (* malformed env value ignored, runtime keeps going *)
+  (* malformed env value falls back to off and is counted, runtime keeps going *)
   check Alcotest.int "malformed env ignored" 0
     (count_raises (fun () -> Fault.hit f Fault.Cache_write) 3);
+  check Alcotest.int "malformed env counted" 1 (Proteus_support.Knob.rejections () - before);
   check Alcotest.int "programmatic base retained" 2
     (count_raises (fun () -> Fault.hit f Fault.Codegen) 2)
 

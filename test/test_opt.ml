@@ -595,20 +595,10 @@ let golden_config policy dir =
   {
     Proteus_core.Config.default with
     persistent_dir = Some dir;
-    quarantine_threshold = 3;
-    quarantine_backoff = 16;
-    verify_jit = false;
     verify_level = 0;
     verify_strict = false;
     spec_policy = policy;
-    spec_threshold = Proteus_analysis.Specadvisor.default_threshold;
-    stage_deadline_ms = 0.0;
-    retry_max = 2;
-    retry_backoff_ms = 1.0;
-    lock_timeout_ms = 1000.0;
     tier = false;
-    tier_threshold = 2;
-    tenant_quota = 0;
   }
 
 let cache_rows () =

@@ -290,17 +290,19 @@ let test_recovery_sweep () =
   rm_rf dir
 
 let test_env_limit_rejected () =
+  let before = Knob.rejections () in
   Unix.putenv "PROTEUS_MEM_CACHE_LIMIT" "-5";
   Unix.putenv "PROTEUS_DISK_CACHE_LIMIT" "lots";
   let c = Cachestore.create () in
   (* reset to the valid "unlimited" spelling for later tests *)
   Unix.putenv "PROTEUS_MEM_CACHE_LIMIT" "0";
   Unix.putenv "PROTEUS_DISK_CACHE_LIMIT" "0";
-  check Alcotest.int "both malformed limits rejected" 2 c.Cachestore.limit_rejections;
+  check Alcotest.int "both malformed limits rejected" 2 (Knob.rejections () - before);
   check Alcotest.int "fail-safe to unlimited" 0 c.Cachestore.mem_limit;
   (* a well-formed value is accepted silently *)
-  let c2 = Cachestore.create () in
-  check Alcotest.int "valid limits accepted" 0 c2.Cachestore.limit_rejections
+  let before = Knob.rejections () in
+  ignore (Cachestore.create ());
+  check Alcotest.int "valid limits accepted" 0 (Knob.rejections () - before)
 
 (* ---- multi-domain torture ---- *)
 

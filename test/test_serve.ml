@@ -14,32 +14,7 @@ open Proteus_fuzz
 
 let check = Alcotest.check
 
-(* Deterministic qcheck seeding, same contract as the main suite's
-   Qseed (that module belongs to the other test stanza): fixed seed by
-   default, PROTEUS_QCHECK_SEED to rotate or replay. *)
-let qseed =
-  match Sys.getenv_opt "PROTEUS_QCHECK_SEED" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n -> n
-      | None ->
-          Printf.eprintf "PROTEUS_QCHECK_SEED=%S is not an integer\n%!" s;
-          exit 2)
-  | None -> 0x5eed
-
-let qtest cell =
-  let name, speed, run =
-    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| qseed |]) cell
-  in
-  ( name,
-    speed,
-    fun () ->
-      try run ()
-      with e ->
-        Printf.eprintf
-          "[qcheck] %s failed under seed %d (replay with PROTEUS_QCHECK_SEED=%d)\n%!"
-          name qseed qseed;
-        raise e )
+let qtest = Qseed.qtest
 
 let tmpdir () =
   let d = Filename.temp_file "proteus-serve" "" in

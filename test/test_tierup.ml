@@ -1,4 +1,4 @@
-(* Tiered-compilation tests: the PROTEUS_TIER_THRESHOLD launch-count
+(* Tiered-compilation tests: the Config.tier_threshold launch-count
    gate, cold-launch latency (never block a launch on O3), hot-swap
    publication (generation bump + decoded-code invalidation), exact
    containment parity for failed background compiles, and the adaptive

@@ -449,6 +449,27 @@ let test_gate_level1_skips_tv () =
   check Alcotest.int "no transval at level 1" 0
     (s.Stats.tv_proven + s.Stats.tv_unproven + s.Stats.tv_refuted)
 
+(* Level 2 includes level 1 whether or not [verify_jit] is set: a
+   compile enters the Verify stage for post-specialize TransVal, the
+   IR verifier and post-O3 TransVal, so the third entry fails only if
+   the IR verifier ran in between. *)
+let test_gate_level2_runs_verifier () =
+  List.iter
+    (fun verify_jit ->
+      let out, s =
+        run_gate
+          {
+            Config.default with
+            Config.verify_jit;
+            verify_level = 2;
+            fault_plan = [ (Fault.Verify, Fault.Nth 3) ];
+          }
+      in
+      let what = Printf.sprintf "verify_jit=%b" verify_jit in
+      check Alcotest.string (what ^ ": output is AOT-identical") aot_output out;
+      check Alcotest.int (what ^ ": one fallback") 1 s.Stats.fallbacks)
+    [ false; true ]
+
 let () =
   Alcotest.run "transval"
     [
@@ -489,5 +510,7 @@ let () =
             test_gate_armed;
           Alcotest.test_case "level 1 skips validation" `Quick
             test_gate_level1_skips_tv;
+          Alcotest.test_case "level 2 runs the IR verifier" `Quick
+            test_gate_level2_runs_verifier;
         ] );
     ]

@@ -72,12 +72,7 @@ let test_pool_default_domains () =
   let serial = Pool.default_domains () in
   check Alcotest.int "first domain" serial a;
   check Alcotest.int "second domain" serial b;
-  let expect =
-    match Option.bind (Sys.getenv_opt "PROTEUS_EXEC_DOMAINS") (fun s -> int_of_string_opt (String.trim s)) with
-    | Some n when n >= 1 -> n
-    | _ -> max 1 (Domain.recommended_domain_count ())
-  in
-  check Alcotest.int "the environment's value" expect serial
+  check Alcotest.int "the environment's value" (Knob.get Knob.exec_domains) serial
 
 (* ---- Vec ---- *)
 
