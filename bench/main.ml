@@ -334,6 +334,25 @@ int main() { return 0; }
       (Staged.stage (fun () ->
            ignore (Proteus_opt.Pipeline.optimize_o3 (Proteus_ir.Ir.clone_module m))))
   in
+  (* O3 on a small kernel, where the fixed cost of each pass run
+     dominates: serve_k3 as a serve-churn miss specializes it (argument
+     1 folded to 5, launch bounds for blocks of 32), a fresh clone per
+     run *)
+  let test_o3_serve =
+    let open Proteus_core in
+    let sym = Serve.kernel_sym 3 in
+    let m =
+      Proteus_ir.Bitcode.decode_module
+        (Extract.bitcode_of_kernel (Serve.build_module 4) sym)
+    in
+    Specialize.apply Config.default m ~kernel:sym
+      ~spec_values:[ (1, Proteus_ir.Konst.ki64 5) ]
+      ~block:32
+      ~resolve_global:(fun g -> failwith ("serve kernel reads global " ^ g));
+    Test.make ~name:"opt:O3 serve kernel (AMD, specialized)"
+      (Staged.stage (fun () ->
+           ignore (Proteus_opt.Pipeline.optimize_o3 (Proteus_ir.Ir.clone_module m))))
+  in
   let test_gcn_sw4ck =
     Test.make ~name:"backend:GCN codegen SW4CK"
       (Staged.stage (fun () -> ignore (Proteus_backend.Gcn.compile sw4ck)))
@@ -402,8 +421,8 @@ int main() { return 0; }
   in
   let tests =
     [
-      test_frontend; test_bitcode; test_o3; test_o3_sw4ck; test_gcn; test_ptx; test_gcn_sw4ck;
-      test_ptx_sw4ck; test_exec_sw4ck; test_exec_adam; test_warm_hit; test_hash;
+      test_frontend; test_bitcode; test_o3; test_o3_sw4ck; test_o3_serve; test_gcn; test_ptx;
+      test_gcn_sw4ck; test_ptx_sw4ck; test_exec_sw4ck; test_exec_adam; test_warm_hit; test_hash;
     ]
   in
   let benchmark test =

@@ -315,7 +315,7 @@ let create ?(phi_linear = false) (m : Ir.modul) (f : Ir.func) : t =
             walk b p
           end
         in
-        Option.iter (fun b -> walk b b) (Hashtbl.find_opt cfg.index label);
+        Option.iter (fun b -> walk b b) (Cfg.index_opt cfg label);
         Hashtbl.replace block_guards label !acc;
         !acc
   in

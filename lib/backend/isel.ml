@@ -41,8 +41,8 @@ let split_critical_edges (f : Ir.func) : unit =
 type ctx = {
   func : Ir.func;
   uni : Uniformity.t;
-  reg_map : (int, Mach.reg) Hashtbl.t;
-  scratch_regs : (int, bool) Hashtbl.t; (* IR regs holding scratch-derived pointers *)
+  reg_map : Mach.reg option array; (* by IR register *)
+  scratch_regs : bool array; (* IR regs holding scratch-derived pointers *)
   mutable next_v : int;
   mutable next_s : int;
   mutable frame : int;
@@ -61,12 +61,12 @@ let fresh_reg ctx cls =
       r
 
 let reg_for ctx (r : int) : Mach.reg =
-  match Hashtbl.find_opt ctx.reg_map r with
+  match ctx.reg_map.(r) with
   | Some mr -> mr
   | None ->
       let cls = if Uniformity.is_divergent ctx.uni r then Mach.CV else Mach.CS in
       let mr = fresh_reg ctx cls in
-      Hashtbl.replace ctx.reg_map r mr;
+      ctx.reg_map.(r) <- Some mr;
       mr
 
 let src_of ctx = function
@@ -75,7 +75,7 @@ let src_of ctx = function
   | Ir.Glob g -> Mach.Gs g
 
 let is_scratch_ptr ctx = function
-  | Ir.Reg r -> Hashtbl.mem ctx.scratch_regs r
+  | Ir.Reg r -> ctx.scratch_regs.(r)
   | _ -> false
 
 let elem_size ctx (ptr : Ir.operand) =
@@ -91,8 +91,8 @@ let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
     {
       func = f;
       uni;
-      reg_map = Hashtbl.create 64;
-      scratch_regs = Hashtbl.create 8;
+      reg_map = Array.make (Ir.nregs f) None;
+      scratch_regs = Array.make (Ir.nregs f) false;
       next_v = 0;
       next_s = 0;
       frame = 0;
@@ -105,8 +105,8 @@ let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
     changed := false;
     Ir.iter_instrs f (fun i ->
         let mark d =
-          if not (Hashtbl.mem ctx.scratch_regs d) then begin
-            Hashtbl.replace ctx.scratch_regs d true;
+          if not ctx.scratch_regs.(d) then begin
+            ctx.scratch_regs.(d) <- true;
             changed := true
           end
         in
@@ -191,21 +191,21 @@ let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
               in
               add :: mul :: acc
             end)
-    | Ir.ICall (dst, q, []) when Ir.Intrinsics.is_gpu_query q ->
-        emit (Mach.Oquery q) (Option.map (reg_for ctx) dst) []
-    | Ir.ICall (Some d, name, args) when Ir.Intrinsics.is_math name ->
-        emit
-          (Mach.Omath (name, Ir.reg_ty f d))
-          (Some (reg_for ctx d))
-          (List.map (src_of ctx) args)
-    | Ir.ICall (dst, name, [ p; v ]) when Ir.Intrinsics.is_atomic name ->
-        emit (Mach.Oatomic name)
-          (Option.map (reg_for ctx) dst)
-          [ src_of ctx p; src_of ctx v ]
-    | Ir.ICall (None, name, _) when name = Ir.Intrinsics.barrier ->
-        emit Mach.Obarrier None []
-    | Ir.ICall (_, name, _) ->
-        Util.failf "Isel: residual call to @%s in %s (inlining failed?)" name f.Ir.fname
+    | Ir.ICall (dst, name, args) -> (
+        match (Ir.Intrinsics.classify name, dst, args) with
+        | Some Ir.Intrinsics.Query, _, [] ->
+            emit (Mach.Oquery name) (Option.map (reg_for ctx) dst) []
+        | Some (Ir.Intrinsics.Math _), Some d, _ ->
+            emit
+              (Mach.Omath (name, Ir.reg_ty f d))
+              (Some (reg_for ctx d))
+              (List.map (src_of ctx) args)
+        | Some Ir.Intrinsics.Atomic, _, [ p; v ] ->
+            emit (Mach.Oatomic name)
+              (Option.map (reg_for ctx) dst)
+              [ src_of ctx p; src_of ctx v ]
+        | Some Ir.Intrinsics.Barrier, None, _ -> emit Mach.Obarrier None []
+        | _ -> Util.failf "Isel: residual call to @%s in %s (inlining failed?)" name f.Ir.fname)
     | Ir.IPhi (d, _) ->
         (* dst register materialised; copies are emitted in predecessors *)
         ignore (reg_for ctx d);
@@ -269,6 +269,12 @@ let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
     done;
     List.rev !result
   in
+  (* a function without phis has no copies to place *)
+  let has_phis =
+    List.exists
+      (fun (b : Ir.block) -> List.exists (function Ir.IPhi _ -> true | _ -> false) b.Ir.insts)
+      f.Ir.blocks
+  in
   (* Kernel arguments are loaded from the kernarg segment at entry. *)
   let arg_loads =
     List.mapi (fun i r -> { Mach.op = Mach.Oarg i; dst = Some r; srcs = [] }) params
@@ -281,7 +287,7 @@ let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
       (fun (b : Ir.block) ->
         let code = List.rev (List.fold_left lower_instr [] b.Ir.insts) in
         let code = if b.Ir.label = entry_label then arg_loads @ code else code in
-        let code = code @ phi_copies_for b.Ir.label in
+        let code = if has_phis then code @ phi_copies_for b.Ir.label else code in
         let term =
           match b.Ir.term with
           | Ir.TBr l -> Mach.Tbr l

@@ -14,7 +14,7 @@ type t = {
   children : int list array;           (* dominator-tree children *)
   frontier : int list array Lazy.t;
       (* dominance frontier, built on first use (mem2reg); a Dom.t
-         belongs to one pass run and never crosses domains *)
+         is shared only by the pass runs of one optimizer run *)
 }
 
 (* The Cooper-Harvey-Kennedy iteration over nodes [0, n): [rpo] is the
@@ -50,13 +50,13 @@ let solve n (rpo : int list) (preds : int -> int list) : int array =
   done;
   idom
 
-let compute (cfg : Cfg.t) =
+let compute_fresh (cfg : Cfg.t) =
   if cfg.rpo = [] then failwith "Dom.compute: empty CFG";
   let n = Array.length cfg.blocks in
   let idom = solve n cfg.rpo (Array.get cfg.pred) in
   (* the reachable blocks, last label first: prepending in this order
      leaves every list in label order *)
-  let desc = List.sort (fun a b -> compare (Cfg.label cfg b) (Cfg.label cfg a)) cfg.rpo in
+  let desc = List.sort (fun a b -> String.compare (Cfg.label cfg b) (Cfg.label cfg a)) cfg.rpo in
   let children = Array.make n [] in
   List.iter (fun b -> if idom.(b) <> b then children.(idom.(b)) <- b :: children.(idom.(b))) desc;
   (* The entry is in no frontier: the function's start enters it too,
@@ -80,6 +80,19 @@ let compute (cfg : Cfg.t) =
        df)
   in
   { cfg; idom; children; frontier }
+
+type Cfg.tree += Tree of t
+
+(* Inside [Cfg.reusing], a graph's tree is solved once and kept with
+   it. *)
+let compute (cfg : Cfg.t) =
+  match Cfg.memo_of cfg with
+  | Some { tree = Some (Tree d); _ } -> d
+  | Some m ->
+      let d = compute_fresh cfg in
+      m.tree <- Some (Tree d);
+      d
+  | None -> compute_fresh cfg
 
 let children t b = t.children.(b)
 let frontier t b = (Lazy.force t.frontier).(b)

@@ -29,14 +29,13 @@ let make_env ~load ~store ~extern ~global_addr ~alloca
   { load; store; extern; global_addr; alloca; gpu_query; atomic; fuel }
 
 let eval_math name args =
-  match (args, Ir.Intrinsics.is_math name) with
-  | [ Konst.KFloat (x, bits) ], true when List.mem name Ir.Intrinsics.math_unary ->
+  match (args, Ir.Intrinsics.classify name) with
+  | [ Konst.KFloat (x, bits) ], Some (Ir.Intrinsics.Math 1) ->
       Konst.KFloat (Konst.round_fbits bits (Ir.Intrinsics.eval_math_unary name x), bits)
-  | [ Konst.KFloat (x, bits); Konst.KFloat (y, _) ], true
-    when List.mem name Ir.Intrinsics.math_binary ->
+  | [ Konst.KFloat (x, bits); Konst.KFloat (y, _) ], Some (Ir.Intrinsics.Math 2) ->
       Konst.KFloat (Konst.round_fbits bits (Ir.Intrinsics.eval_math_binary name x y), bits)
-  | [ Konst.KFloat (x, bits); Konst.KFloat (y, _); Konst.KFloat (z, _) ], true
-    when name = "math.fma" ->
+  | [ Konst.KFloat (x, bits); Konst.KFloat (y, _); Konst.KFloat (z, _) ],
+    Some (Ir.Intrinsics.Math 3) ->
       Konst.KFloat (Konst.round_fbits bits ((x *. y) +. z), bits)
   | _ -> Util.failf "Interp: bad math intrinsic call %s/%d" name (List.length args)
 
@@ -56,21 +55,21 @@ let rec call_function env (m : Ir.modul) (f : Ir.func) (args : Konst.t list) :
   let exec_call dst callee cargs =
     let vals = List.map eval cargs in
     let result =
-      if Ir.Intrinsics.is_math callee then Some (eval_math callee vals)
-      else if Ir.Intrinsics.is_gpu_query callee then
-        match env.gpu_query callee with
-        | Some v -> Some v
-        | None -> Util.failf "Interp: %s outside device context" callee
-      else if Ir.Intrinsics.is_atomic callee then
-        match vals with
-        | [ p; v ] -> Some (env.atomic callee (Konst.as_int p) v)
-        | _ -> Util.failf "Interp: atomic arity"
-      else if callee = Ir.Intrinsics.barrier then None
-      else if callee = Ir.Intrinsics.dbg_loc then None
-      else
-        match Ir.find_func_opt m callee with
-        | Some g when not g.is_decl -> call_function env m g vals
-        | _ -> env.extern callee vals
+      match Ir.Intrinsics.classify callee with
+      | Some (Ir.Intrinsics.Math _) -> Some (eval_math callee vals)
+      | Some Ir.Intrinsics.Query -> (
+          match env.gpu_query callee with
+          | Some v -> Some v
+          | None -> Util.failf "Interp: %s outside device context" callee)
+      | Some Ir.Intrinsics.Atomic -> (
+          match vals with
+          | [ p; v ] -> Some (env.atomic callee (Konst.as_int p) v)
+          | _ -> Util.failf "Interp: atomic arity")
+      | Some (Ir.Intrinsics.Barrier | Ir.Intrinsics.Dbg_loc) -> None
+      | None -> (
+          match Ir.find_func_opt m callee with
+          | Some g when not g.is_decl -> call_function env m g vals
+          | _ -> env.extern callee vals)
     in
     match (dst, result) with
     | Some d, Some v -> regs.(d) <- v

@@ -166,6 +166,20 @@ let operands_of = function
   | IPhi (_, incoming) -> List.map snd incoming
   | IAlloca _ -> []
 
+(* [List.iter fn (operands_of i)] without building the list. *)
+let iter_operands fn = function
+  | IBin (_, _, a, b) | ICmp (_, _, a, b) | IGep (_, a, b) | IStore (a, b) ->
+      fn a;
+      fn b
+  | ISelect (_, a, b, c) ->
+      fn a;
+      fn b;
+      fn c
+  | ICast (_, _, a) | ILoad (_, a) -> fn a
+  | ICall (_, _, args) -> List.iter fn args
+  | IPhi (_, incoming) -> List.iter (fun (_, v) -> fn v) incoming
+  | IAlloca _ -> ()
+
 let term_operands = function
   | TCondBr (c, _, _) -> [ c ]
   | TRet (Some v) -> [ v ]
@@ -210,7 +224,7 @@ let use_counts f =
   let count o = match o with Reg r -> counts.(r) <- counts.(r) + 1 | _ -> () in
   List.iter
     (fun b ->
-      List.iter (fun i -> List.iter count (operands_of i)) b.insts;
+      List.iter (iter_operands count) b.insts;
       List.iter count (term_operands b.term))
     f.blocks;
   counts
@@ -295,15 +309,39 @@ module Intrinsics = struct
   let math_binary = [ "math.pow"; "math.atan2" ]
   let math_ternary = [ "math.fma" ]
 
-  let is_gpu_query n =
-    List.mem n
-      [ tid_x; tid_y; tid_z; ctaid_x; ctaid_y; ctaid_z; ntid_x; ntid_y; ntid_z;
-        nctaid_x; nctaid_y; nctaid_z ]
+  let gpu_queries =
+    [ tid_x; tid_y; tid_z; ctaid_x; ctaid_y; ctaid_z; ntid_x; ntid_y; ntid_z;
+      nctaid_x; nctaid_y; nctaid_z ]
 
-  let is_math n = List.mem n math_unary || List.mem n math_binary || List.mem n math_ternary
-  let is_atomic n = List.mem n [ atomic_add_f32; atomic_add_f64; atomic_add_i32 ]
-  let is_intrinsic n =
-    is_gpu_query n || is_math n || is_atomic n || n = barrier || n = dbg_loc
+  let atomics = [ atomic_add_f32; atomic_add_f64; atomic_add_i32 ]
+
+  type kind = Query | Math of int (* arity *) | Atomic | Barrier | Dbg_loc
+
+  (* Every intrinsic name and its kind, built once from the lists above.
+     Passes classify every call they meet, so this is a hash lookup,
+     not a walk over the lists. Read-only after module initialization,
+     so domains share it. *)
+  let kinds : kind Util.Stbl.t =
+    let t = Util.Stbl.create 32 in
+    let add kind = List.iter (fun n -> Util.Stbl.replace t n kind) in
+    add Query gpu_queries;
+    add (Math 1) math_unary;
+    add (Math 2) math_binary;
+    add (Math 3) math_ternary;
+    add Atomic atomics;
+    add Barrier [ barrier ];
+    add Dbg_loc [ dbg_loc ];
+    t
+
+  let classify n = Util.Stbl.find_opt kinds n
+  let is_gpu_query n = match classify n with Some Query -> true | _ -> false
+  let is_math n = match classify n with Some (Math _) -> true | _ -> false
+  let is_atomic n = match classify n with Some Atomic -> true | _ -> false
+  let is_intrinsic n = Option.is_some (classify n)
+
+  (* No effect and no memory read: a call with an unused result can go,
+     and two calls with equal arguments are one value. *)
+  let is_pure n = match classify n with Some (Math _ | Query) -> true | _ -> false
 
   let eval_math_unary n x =
     match n with

@@ -44,7 +44,7 @@ let compute (cfg : Cfg.t) (dom : Dom.t) =
   let raw =
     List.init n Fun.id
     |> List.filter (fun h -> latches.(h) <> [])
-    |> List.sort (fun a b -> compare (label b) (label a))
+    |> List.sort (fun a b -> String.compare (label b) (label a))
     |> List.map natural_loop
   in
   (* Nesting: a loop's parent is the smallest other loop containing its header. *)

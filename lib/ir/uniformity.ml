@@ -59,16 +59,17 @@ let compute (f : Ir.func) : t =
         List.iter
           (fun i ->
             match i with
-            | Ir.ICall (Some d, q, _) when Ir.Intrinsics.is_gpu_query q ->
-                (* thread ids are per-lane; block ids and dims are uniform *)
-                if
-                  q = Ir.Intrinsics.tid_x || q = Ir.Intrinsics.tid_y
-                  || q = Ir.Intrinsics.tid_z
-                then set d
-            | Ir.ICall (Some d, a, _) when Ir.Intrinsics.is_atomic a -> set d
-            | Ir.ICall (Some d, m, args) when Ir.Intrinsics.is_math m ->
-                if List.exists div_op args then set d
-            | Ir.ICall (Some d, _, _) -> set d (* unknown calls: conservative *)
+            | Ir.ICall (Some d, callee, args) -> (
+                match Ir.Intrinsics.classify callee with
+                | Some Ir.Intrinsics.Query ->
+                    (* thread ids are per-lane; block ids and dims are uniform *)
+                    if
+                      callee = Ir.Intrinsics.tid_x || callee = Ir.Intrinsics.tid_y
+                      || callee = Ir.Intrinsics.tid_z
+                    then set d
+                | Some (Ir.Intrinsics.Math _) -> if List.exists div_op args then set d
+                (* atomics, and unknown calls: conservative *)
+                | _ -> set d)
             | Ir.IAlloca (d, _, _) -> set d (* per-thread stack address *)
             | Ir.ILoad (d, p) -> if div_op p then set d
             | Ir.IBin (d, _, a, b') -> if div_op a || div_op b' then set d

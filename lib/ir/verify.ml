@@ -9,11 +9,13 @@ let verify_func (m : Ir.modul) (f : Ir.func) =
   let errs = ref [] in
   let err fmt = Format.kasprintf (fun s -> errs := (f.fname ^ ": " ^ s) :: !errs) fmt in
   if (not f.is_decl) && f.blocks = [] then err "defined function has no blocks";
-  let labels = List.map (fun (b : Ir.block) -> b.label) f.blocks in
-  let label_set = Util.Sset.of_list labels in
-  if Util.Sset.cardinal label_set <> List.length labels then err "duplicate block labels";
+  (* The graph indexes each label once, so a repeated label leaves fewer
+     entries than blocks. *)
+  let cfg = Cfg.build f in
+  let labels_unique = Util.Stbl.length cfg.index = Array.length cfg.blocks in
+  if not labels_unique then err "duplicate block labels";
   let check_label where l =
-    if not (Util.Sset.mem l label_set) then err "%s: unknown block %%%s" where l
+    if not (Util.Stbl.mem cfg.index l) then err "%s: unknown block %%%s" where l
   in
   let defined = Array.make (Ir.nregs f) false in
   List.iter (fun (_, r) -> defined.(r) <- true) f.params;
@@ -53,7 +55,7 @@ let verify_func (m : Ir.modul) (f : Ir.func) =
           (match i with
           | Ir.IPhi _ -> if !seen_nonphi then err "%s: phi after non-phi" b.label
           | _ -> seen_nonphi := true);
-          List.iter (check_operand b.label) (Ir.operands_of i);
+          Ir.iter_operands (check_operand b.label) i;
           match i with
           | Ir.IBin (d, op, x, y) ->
               let dt = Ir.reg_ty f d in
@@ -122,74 +124,105 @@ let verify_func (m : Ir.modul) (f : Ir.func) =
      buggy specializer or optimizer breaks first, so the JIT verify
      gate leans on them. Skipped when labels are broken (no sane CFG)
      and for unreachable blocks (dominance is undefined there). *)
-  if
-    (not f.is_decl)
-    && f.blocks <> []
-    && Util.Sset.cardinal label_set = List.length labels
-  then begin
-    let cfg = Cfg.build f in
+  if (not f.is_decl) && f.blocks <> [] && labels_unique then begin
     let dom = Dom.compute cfg in
-    (* First definition site of each register: (block, instruction
-       index); parameters are defined "before" the entry block. *)
-    let def_site = Hashtbl.create 64 in
-    List.iter (fun (_, r) -> Hashtbl.replace def_site r (0, -1)) f.params;
-    List.iteri
+    let nregs = Ir.nregs f in
+    (* First definition site of each register: block [def_block.(r)]
+       (-1 for none), instruction [def_idx.(r)]; parameters are defined
+       "before" the entry block. *)
+    let def_block = Array.make nregs (-1) and def_idx = Array.make nregs 0 in
+    List.iter
+      (fun (_, r) ->
+        if r >= 0 && r < nregs && def_block.(r) < 0 then begin
+          def_block.(r) <- 0;
+          def_idx.(r) <- -1
+        end)
+      f.params;
+    Array.iteri
       (fun bi (b : Ir.block) ->
         List.iteri
           (fun k i ->
             match Ir.def_of i with
-            | Some d when not (Hashtbl.mem def_site d) -> Hashtbl.replace def_site d (bi, k)
+            | Some d when d >= 0 && d < nregs && def_block.(d) < 0 ->
+                def_block.(d) <- bi;
+                def_idx.(d) <- k
             | _ -> ())
           b.insts)
-      f.blocks;
+      cfg.blocks;
+    (* undefined and out-of-range registers are reported above *)
     let dominates_use ~use_block ~use_idx r =
-      match Hashtbl.find_opt def_site r with
-      | None -> true (* undefined: already reported above *)
-      | Some (db, dk) ->
-          if db = use_block then dk < use_idx else Dom.dominates dom db use_block
+      r < 0 || r >= nregs
+      ||
+      let db = def_block.(r) in
+      db < 0 || if db = use_block then def_idx.(r) < use_idx else Dom.dominates dom db use_block
     in
-    let check_dominance b k where i =
+    let check_dominance b k where operands =
       List.iter
         (fun o ->
           match o with
           | Ir.Reg r when not (dominates_use ~use_block:b ~use_idx:k r) ->
               err "%s: use of r%d is not dominated by its definition" where r
           | _ -> ())
-        (match i with `Instr i -> Ir.operands_of i | `Term t -> Ir.term_operands t)
+        operands
     in
+    (* [pred_mark.(p) = bi]: p is a reachable predecessor of block bi;
+       [inc_mark.(p) = stamp]: the phi being checked has an incoming
+       value from p *)
+    let nb = Array.length cfg.blocks in
+    let pred_mark = Array.make nb (-1) and inc_mark = Array.make nb (-1) in
+    let stamp = ref 0 in
     Array.iteri
       (fun bi (b : Ir.block) ->
         if cfg.reachable.(bi) then begin
-          let pred_set =
-            List.filter (Array.get cfg.reachable) cfg.pred.(bi)
-            |> List.map (Cfg.label cfg) |> Util.Sset.of_list
+          let preds = List.filter (Array.get cfg.reachable) cfg.pred.(bi) in
+          List.iter (fun p -> pred_mark.(p) <- bi) preds;
+          let is_pred l =
+            match Cfg.index_opt cfg l with Some p -> pred_mark.(p) = bi | None -> false
           in
           List.iteri
             (fun k i ->
               match i with
               | Ir.IPhi (_, incoming) ->
-                  let inc_labels = List.map fst incoming in
-                  let inc_set = Util.Sset.of_list inc_labels in
-                  if Util.Sset.cardinal inc_set <> List.length inc_labels then
-                    err "%s: phi has duplicate incoming labels" b.label;
-                  Util.Sset.iter
-                    (fun l ->
-                      if not (Util.Sset.mem l pred_set) then
-                        err "%s: phi incoming from non-predecessor %%%s" b.label l)
-                    inc_set;
-                  Util.Sset.iter
-                    (fun p ->
-                      if not (Util.Sset.mem p inc_set) then
-                        err "%s: phi is missing an incoming value for predecessor %%%s"
-                          b.label p)
-                    pred_set;
+                  incr stamp;
+                  let dup = ref false and unknown = ref [] in
+                  List.iter
+                    (fun (l, _) ->
+                      let seen =
+                        match Cfg.index_opt cfg l with
+                        | Some p ->
+                            let seen = inc_mark.(p) = !stamp in
+                            inc_mark.(p) <- !stamp;
+                            seen
+                        | None ->
+                            let seen = List.mem l !unknown in
+                            unknown := l :: !unknown;
+                            seen
+                      in
+                      if seen then dup := true)
+                    incoming;
+                  if !dup then err "%s: phi has duplicate incoming labels" b.label;
+                  (* reported in label order *)
+                  if List.exists (fun (l, _) -> not (is_pred l)) incoming then
+                    List.iter
+                      (fun l ->
+                        if not (is_pred l) then
+                          err "%s: phi incoming from non-predecessor %%%s" b.label l)
+                      (List.sort_uniq String.compare (List.map fst incoming));
+                  let missing p = inc_mark.(p) <> !stamp in
+                  if List.exists missing preds then
+                    List.iter
+                      (fun l ->
+                        if missing (Cfg.index cfg l) then
+                          err "%s: phi is missing an incoming value for predecessor %%%s"
+                            b.label l)
+                      (List.sort String.compare (List.map (Cfg.label cfg) preds));
                   (* A phi value must be available at the end of its
                      incoming edge, not at the phi itself. *)
                   List.iter
                     (fun (l, v) ->
                       match v with
                       | Ir.Reg r
-                        when Util.Sset.mem l pred_set
+                        when is_pred l
                              && not
                                   (dominates_use ~use_block:(Cfg.index cfg l)
                                      ~use_idx:max_int r) ->
@@ -199,9 +232,9 @@ let verify_func (m : Ir.modul) (f : Ir.func) =
                             b.label r l
                       | _ -> ())
                     incoming
-              | _ -> check_dominance bi k b.label (`Instr i))
+              | _ -> check_dominance bi k b.label (Ir.operands_of i))
             b.insts;
-          check_dominance bi (List.length b.insts) b.label (`Term b.term)
+          check_dominance bi (List.length b.insts) b.label (Ir.term_operands b.term)
         end)
       cfg.blocks
   end;

@@ -1,24 +1,19 @@
 (* Dead code elimination: removes instructions whose results are unused
    and which have no side effects. Iterates locally until stable. *)
 
+open Proteus_support
 open Proteus_ir
 
-let is_pure_call callee =
-  Ir.Intrinsics.is_math callee || Ir.Intrinsics.is_gpu_query callee
-
-let has_side_effect (m : Ir.modul) = function
+(* Atomics, barriers and calls to defined or external functions may
+   all have effects. *)
+let has_side_effect = function
   | Ir.IStore _ -> true
-  | Ir.ICall (_, callee, _) ->
-      if is_pure_call callee then false
-      else if Ir.Intrinsics.is_atomic callee || callee = Ir.Intrinsics.barrier then true
-      else (
-        (* Calls to defined or external functions may have effects. *)
-        match Ir.find_func_opt m callee with Some _ -> true | None -> true)
+  | Ir.ICall (_, callee, _) -> not (Ir.Intrinsics.is_pure callee)
   | Ir.IBin _ | Ir.ICmp _ | Ir.ISelect _ | Ir.ICast _ | Ir.ILoad _ | Ir.IGep _
   | Ir.IPhi _ | Ir.IAlloca _ ->
       false
 
-let run (m : Ir.modul) (f : Ir.func) : bool =
+let run (_m : Ir.modul) (f : Ir.func) : bool =
   let changed = ref false in
   let continue_ = ref true in
   while !continue_ do
@@ -28,12 +23,14 @@ let run (m : Ir.modul) (f : Ir.func) : bool =
       (fun (b : Ir.block) ->
         let keep i =
           match Ir.def_of i with
-          | Some d when uses.(d) = 0 && not (has_side_effect m i) -> false
+          | Some d when uses.(d) = 0 && not (has_side_effect i) -> false
           | _ -> true
         in
-        let before = List.length b.insts in
-        b.insts <- List.filter keep b.insts;
-        if List.length b.insts <> before then removed := true)
+        let kept = Util.filter_shared keep b.insts in
+        if kept != b.insts then begin
+          b.insts <- kept;
+          removed := true
+        end)
       f.Ir.blocks;
     if !removed then changed := true;
     continue_ := !removed

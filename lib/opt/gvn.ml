@@ -1,5 +1,6 @@
 (* Global value numbering / dominator-scoped CSE over pure instructions. *)
 
+open Proteus_support
 open Proteus_ir
 
 (* Operand keys equate exactly what the printed forms "r<n>",
@@ -34,6 +35,53 @@ type key =
   | Gep of Types.ty * okey * okey
   | Call of string * okey list
 
+let okey_equal a b =
+  match (a, b) with
+  | R x, R y -> Int.equal x y
+  | I (v, w), I (v', w') -> Int64.equal v v' && Int.equal w w'
+  | F x, F y -> Int64.equal x y
+  | K x, K y | G x, G y -> String.equal x y
+  | (R _ | I _ | F _ | K _ | G _), _ -> false
+
+let okey_hash = function
+  | R r -> r
+  | I (v, w) -> (Int64.to_int v * 31) + w
+  | F x -> Int64.to_int x
+  | K s | G s -> Hashtbl.hash s
+
+let key_equal a b =
+  match (a, b) with
+  | Bin (o, t, x, y), Bin (o', t', x', y') ->
+      o = o' && Types.equal t t' && okey_equal x x' && okey_equal y y'
+  | Cmp (o, x, y), Cmp (o', x', y') -> o = o' && okey_equal x x' && okey_equal y y'
+  | Sel (c, x, y), Sel (c', x', y') -> okey_equal c c' && okey_equal x x' && okey_equal y y'
+  | Cast (o, t, x), Cast (o', t', x') -> o = o' && Types.equal t t' && okey_equal x x'
+  | Gep (t, x, y), Gep (t', x', y') -> Types.equal t t' && okey_equal x x' && okey_equal y y'
+  | Call (c, xs), Call (c', xs') -> String.equal c c' && List.equal okey_equal xs xs'
+  | (Bin _ | Cmp _ | Sel _ | Cast _ | Gep _ | Call _), _ -> false
+
+(* The hash reads the operands and the constructor only: keys that
+   differ in operator or type alone share a bucket, where [key_equal]
+   tells them apart. *)
+let key_hash k =
+  let mix h o = (h * 65599) + okey_hash o in
+  match k with
+  | Bin (_, _, x, y) -> mix (mix 1 x) y
+  | Cmp (_, x, y) -> mix (mix 2 x) y
+  | Sel (c, x, y) -> mix (mix (mix 3 c) x) y
+  | Cast (_, _, x) -> mix 4 x
+  | Gep (_, x, y) -> mix (mix 5 x) y
+  | Call (_, xs) -> List.fold_left mix 6 xs
+
+(* Keys hashed and compared by the functions above rather than by the
+   polymorphic ones, which walk the variant generically. *)
+module Table = Hashtbl.Make (struct
+  type t = key
+
+  let equal = key_equal
+  let hash = key_hash
+end)
+
 (* The key of [i] once [resolve] has renamed its operands. *)
 let instr_key (f : Ir.func) resolve (i : Ir.instr) : key option =
   let operand_key o = operand_key (resolve o) in
@@ -46,8 +94,7 @@ let instr_key (f : Ir.func) resolve (i : Ir.instr) : key option =
   | Ir.ISelect (_, c, a, b) -> Some (Sel (operand_key c, operand_key a, operand_key b))
   | Ir.ICast (d, op, a) -> Some (Cast (op, ty_key (Ir.reg_ty f d), operand_key a))
   | Ir.IGep (d, p, idx) -> Some (Gep (ty_key (Ir.reg_ty f d), operand_key p, operand_key idx))
-  | Ir.ICall (Some _, callee, args)
-    when Ir.Intrinsics.is_math callee || Ir.Intrinsics.is_gpu_query callee ->
+  | Ir.ICall (Some _, callee, args) when Ir.Intrinsics.is_pure callee ->
       Some (Call (callee, List.map operand_key args))
   | _ -> None
 
@@ -57,37 +104,37 @@ let run (_m : Ir.modul) (f : Ir.func) : bool =
   else begin
     let dom = Dom.compute cfg in
     let changed = ref false in
-    let repl : (int, Ir.operand) Hashtbl.t = Hashtbl.create 16 in
+    (* [repl.(r)]: the operand that replaces register r, if any *)
+    let repl = Array.make (Ir.nregs f) None in
     let rec resolve o =
       match o with
-      | Ir.Reg r -> (
-          match Hashtbl.find_opt repl r with Some v -> resolve v | None -> o)
+      | Ir.Reg r -> ( match repl.(r) with Some v -> resolve v | None -> o)
       | _ -> o
     in
     (* Scoped table: each dominator-tree node pushes its definitions and
        pops them when its subtree is done. *)
-    let table : (key, Ir.operand) Hashtbl.t = Hashtbl.create 64 in
+    let table : Ir.operand Table.t = Table.create 16 in
     let rec walk bi =
       let b = cfg.blocks.(bi) in
       let added = ref [] in
       b.Ir.insts <-
-        List.filter
+        Util.filter_shared
           (fun i ->
             match (instr_key f resolve i, Ir.def_of i) with
             | Some key, Some d -> (
-                match Hashtbl.find_opt table key with
+                match Table.find_opt table key with
                 | Some v ->
-                    Hashtbl.replace repl d v;
+                    repl.(d) <- Some v;
                     changed := true;
                     false
                 | None ->
-                    Hashtbl.add table key (Ir.Reg d);
+                    Table.add table key (Ir.Reg d);
                     added := key :: !added;
                     true)
             | _ -> true)
           b.Ir.insts;
       List.iter walk (Dom.children dom bi);
-      List.iter (Hashtbl.remove table) !added
+      List.iter (Table.remove table) !added
     in
     walk 0;
     (* The walk keys instructions through [resolve] but leaves them as

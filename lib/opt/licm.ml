@@ -7,8 +7,7 @@ open Proteus_ir
 
 let is_hoistable_shape = function
   | Ir.IBin _ | Ir.ICmp _ | Ir.ISelect _ | Ir.ICast _ | Ir.IGep _ -> true
-  | Ir.ICall (Some _, callee, _) ->
-      Ir.Intrinsics.is_math callee || Ir.Intrinsics.is_gpu_query callee
+  | Ir.ICall (Some _, callee, _) -> Ir.Intrinsics.is_pure callee
   | _ -> false
 
 (* The unique predecessor of the header outside the loop, if any. *)
@@ -23,7 +22,7 @@ let preheader_of (cfg : Cfg.t) (l : Loopinfo.loop) =
 
 let run (_m : Ir.modul) (f : Ir.func) : bool =
   let cfg = Cfg.prune f in
-  if f.Ir.blocks = [] then false
+  if f.Ir.blocks = [] || not (Cfg.has_cycle cfg) then false
   else begin
     let dom = Dom.compute cfg in
     let li = Loopinfo.compute cfg dom in

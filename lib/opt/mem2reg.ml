@@ -14,22 +14,25 @@ let promotable_allocas (f : Ir.func) : (int * Types.ty) list =
       match i with
       | Ir.IAlloca (d, ty, 1) -> candidates := (d, ty) :: !candidates
       | _ -> ());
-  let disqualified = ref Util.Iset.empty in
-  let dq r = disqualified := Util.Iset.add r !disqualified in
-  List.iter
-    (fun (b : Ir.block) ->
+  match !candidates with
+  | [] -> []
+  | candidates ->
+      let disqualified = ref Util.Iset.empty in
+      let dq r = disqualified := Util.Iset.add r !disqualified in
       List.iter
-        (fun i ->
-          match i with
-          | Ir.ILoad (_, Ir.Reg _) -> ()
-          | Ir.IStore (v, Ir.Reg _) -> (
-              (* storing the alloca's own address escapes it *)
-              match v with Ir.Reg r -> dq r | _ -> ())
-          | _ -> List.iter (function Ir.Reg r -> dq r | _ -> ()) (Ir.operands_of i))
-        b.Ir.insts;
-      List.iter (function Ir.Reg r -> dq r | _ -> ()) (Ir.term_operands b.Ir.term))
-    f.Ir.blocks;
-  List.filter (fun (d, _) -> not (Util.Iset.mem d !disqualified)) !candidates
+        (fun (b : Ir.block) ->
+          List.iter
+            (fun i ->
+              match i with
+              | Ir.ILoad (_, Ir.Reg _) -> ()
+              | Ir.IStore (v, Ir.Reg _) -> (
+                  (* storing the alloca's own address escapes it *)
+                  match v with Ir.Reg r -> dq r | _ -> ())
+              | _ -> Ir.iter_operands (function Ir.Reg r -> dq r | _ -> ()) i)
+            b.Ir.insts;
+          List.iter (function Ir.Reg r -> dq r | _ -> ()) (Ir.term_operands b.Ir.term))
+        f.Ir.blocks;
+      List.filter (fun (d, _) -> not (Util.Iset.mem d !disqualified)) candidates
 
 let run (_m : Ir.modul) (f : Ir.func) : bool =
   let cfg = Cfg.prune f in

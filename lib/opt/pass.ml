@@ -5,9 +5,12 @@
 
 open Proteus_ir
 
+(* How often one pass ran: once per defined function per sweep. *)
+type run_count = { pass : string; mutable count : int }
+
 type stats = {
   mutable work : int; (* instructions visited across all pass runs *)
-  mutable runs : (string * int) list; (* pass name -> run count *)
+  mutable runs : run_count list; (* one cell per pass name *)
   (* What SCCP and the unroller did, which SpecAdvisor's static
      predictions are calibrated against. Each run counts into its own
      record, so concurrent runs on several domains stay apart. *)
@@ -28,24 +31,36 @@ let func_size (f : Ir.func) =
 let module_size (m : Ir.modul) =
   List.fold_left (fun acc f -> acc + func_size f) 0 m.funcs
 
-let bump stats name work =
-  stats.work <- stats.work + work;
-  stats.runs <-
-    (match List.assoc_opt name stats.runs with
-    | Some n -> (name, n + 1) :: List.remove_assoc name stats.runs
-    | None -> (name, 1) :: stats.runs)
+(* The counter cell of pass [name], added on its first run. *)
+let run_cell stats name =
+  let rec find = function
+    | r :: _ when String.equal r.pass name -> r
+    | _ :: rest -> find rest
+    | [] ->
+        let r = { pass = name; count = 0 } in
+        stats.runs <- r :: stats.runs;
+        r
+  in
+  find stats.runs
+
+(* Pass name -> run count, for the passes that ran at least once. *)
+let run_counts stats =
+  List.filter_map (fun r -> if r.count > 0 then Some (r.pass, r.count) else None) stats.runs
 
 (* Run one pass over all defined functions of a module. *)
 let run_pass stats (p : t) (m : Ir.modul) : bool =
+  let cell = run_cell stats p.name in
   let changed =
     List.fold_left
-      (fun changed f ->
-        if f.Ir.is_decl || f.Ir.blocks = [] then changed
-        else begin
-          bump stats p.name (func_size f);
-          let c = p.run stats m f in
-          c || changed
-        end)
+      (fun changed (f : Ir.func) ->
+        match f.blocks with
+        | [] -> changed
+        | _ when f.is_decl -> changed
+        | _ ->
+            stats.work <- stats.work + func_size f;
+            cell.count <- cell.count + 1;
+            let c = p.run stats m f in
+            c || changed)
       false m.funcs
   in
   if changed then Ir.touch_module m;

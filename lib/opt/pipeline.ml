@@ -45,9 +45,9 @@ let strip_debug (m : Ir.modul) : unit =
 let run ?(passes = o3) (m : Ir.modul) : Pass.stats =
   let stats = Pass.mk_stats () in
   strip_debug m;
-  Pass.run_pipeline stats passes m;
-  Verify.verify_module m;
-  m.Ir.funcs <- List.map (fun f -> f) m.Ir.funcs;
+  Cfg.reusing (fun () ->
+      Pass.run_pipeline stats passes m;
+      Verify.verify_module m);
   stats
 
 let optimize_o3 m = run ~passes:o3 m

@@ -33,8 +33,9 @@ let fold_const_branches (f : Ir.func) =
   !changed
 
 (* An empty block that just branches on is bypassed, provided the final
-   target's phis can be kept consistent. *)
-let thread_empty_blocks (f : Ir.func) =
+   target's phis can be kept consistent. [cfg] is the graph of [f] as
+   it stands. *)
+let thread_empty_blocks (f : Ir.func) (cfg : Cfg.t) =
   (* One rewiring per inner step, against a freshly built CFG: a stale
      predecessor/successor view across several edits can otherwise
      introduce duplicate phi predecessors. *)
@@ -42,7 +43,7 @@ let thread_empty_blocks (f : Ir.func) =
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
-    let cfg = Cfg.build f in
+    let cfg = if !changed then Cfg.build f else cfg in
     let has_phis (b : Ir.block) = List.exists (function Ir.IPhi _ -> true | _ -> false) b.Ir.insts in
     (* (block, its target) for the first block that can be bypassed *)
     let candidate =
@@ -84,13 +85,13 @@ let thread_empty_blocks (f : Ir.func) =
   !changed
 
 (* Merge b -> s when s is b's unique successor and b is s's unique
-   predecessor. *)
-let merge_linear (f : Ir.func) =
+   predecessor. [cfg] is the graph of [f] as it stands. *)
+let merge_linear (f : Ir.func) (cfg : Cfg.t) =
   let changed = ref false in
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
-    let cfg = Cfg.build f in
+    let cfg = if !changed then Cfg.build f else cfg in
     let mergeable =
       Seq.find_map
         (fun i ->
@@ -172,11 +173,15 @@ let remove_trivial_phis (f : Ir.func) =
     f.Ir.blocks;
   !changed
 
+(* A run that changes nothing builds one graph: the one [Cfg.prune]
+   returns serves both rewrites until one of them edits the function. *)
 let run (_m : Ir.modul) (f : Ir.func) : bool =
   let c1 = fold_const_branches f in
-  let c2 = Cfg.remove_unreachable f in
-  let c3 = thread_empty_blocks f in
-  let c4 = merge_linear f in
+  let nblocks = List.length f.Ir.blocks in
+  let cfg = Cfg.prune f in
+  let c2 = Array.length cfg.blocks <> nblocks in
+  let c3 = thread_empty_blocks f cfg in
+  let c4 = merge_linear f (if c3 then Cfg.build f else cfg) in
   let c5 = remove_trivial_phis f in
   c1 || c2 || c3 || c4 || c5
 

@@ -364,7 +364,7 @@ let apply (f : Ir.func) (p : plan) : unit =
 
 let run (stats : Pass.stats) (_m : Ir.modul) (f : Ir.func) : bool =
   let cfg = Cfg.prune f in
-  if f.Ir.blocks = [] then false
+  if f.Ir.blocks = [] || not (Cfg.has_cycle cfg) then false
   else begin
     let dom = Dom.compute cfg in
     let li = Loopinfo.compute cfg dom in

@@ -140,6 +140,10 @@ end
 
 module Smap = Map.Make (String)
 module Sset = Set.Make (String)
+
+(* String-keyed tables that hash and compare as strings, not through
+   the polymorphic hash and compare. *)
+module Stbl = Hashtbl.Make (String)
 module Imap = Map.Make (Int)
 module Iset = Set.Make (Int)
 
@@ -269,6 +273,19 @@ let list_index_of p l =
     | _ :: tl -> go (i + 1) tl
   in
   go 0 l
+
+(* [List.filter keep l], with [keep] applied in order, that returns [l]
+   itself when [keep] holds for every element: a pass that deletes
+   nothing allocates nothing. *)
+let filter_shared keep l =
+  let rec go = function
+    | [] -> []
+    | x :: rest as l ->
+        let k = keep x in
+        let rest' = go rest in
+        if not k then rest' else if rest' == rest then l else x :: rest'
+  in
+  go l
 
 let human_bytes n =
   if n < 1024 then Printf.sprintf "%dB" n

@@ -201,12 +201,50 @@ let test_clone_independent () =
     ((Ir.entry f).Ir.insts <> [])
 
 (* ------------------------------------------------------------------ *)
+(* Intrinsic names *)
+
+(* The hashed classification answers exactly what membership in the
+   name lists answers, for every intrinsic and for near misses. *)
+let test_intrinsic_classification () =
+  let open Ir.Intrinsics in
+  let queries =
+    [ tid_x; tid_y; tid_z; ctaid_x; ctaid_y; ctaid_z; ntid_x; ntid_y; ntid_z;
+      nctaid_x; nctaid_y; nctaid_z ]
+  and atoms = [ atomic_add_f32; atomic_add_f64; atomic_add_i32 ] in
+  check Alcotest.(list string) "the 12 queries" queries gpu_queries;
+  check Alcotest.(list string) "the 3 atomics" atoms atomics;
+  let math = math_unary @ math_binary @ math_ternary in
+  let near_misses = [ "math.sqr"; "math.sqrtx"; "gpu.tid.w"; ""; "serve_k0" ] in
+  List.iter
+    (fun n ->
+      let is l = List.mem n l in
+      let expect what want got = check Alcotest.bool (Printf.sprintf "%S %s" n what) want got in
+      expect "is_math" (is math) (is_math n);
+      expect "is_gpu_query" (is queries) (is_gpu_query n);
+      expect "is_atomic" (is atoms) (is_atomic n);
+      expect "is_pure" (is math || is queries) (is_pure n);
+      expect "is_intrinsic"
+        (is math || is queries || is atoms || n = barrier || n = dbg_loc)
+        (is_intrinsic n);
+      let arity = match classify n with Some (Math k) -> k | _ -> 0 in
+      check Alcotest.int (Printf.sprintf "%S arity" n)
+        (if is math_unary then 1
+         else if is math_binary then 2
+         else if is math_ternary then 3
+         else 0)
+        arity;
+      expect "is barrier" (n = barrier) (classify n = Some Barrier);
+      expect "is dbg.loc" (n = dbg_loc) (classify n = Some Dbg_loc))
+    (math @ queries @ atoms @ [ barrier; dbg_loc ] @ near_misses)
+
+(* ------------------------------------------------------------------ *)
 (* Verifier *)
 
-let expect_invalid name f =
+(* The verifier rejects [f] with exactly the diagnostics [diags]. *)
+let expect_invalid name f diags =
   let m = module_with [ f ] in
   match Verify.check m with
-  | Error _ -> ()
+  | Error errs -> check Alcotest.(list string) (name ^ ": diagnostics") diags errs
   | Ok () -> Alcotest.failf "%s: verifier accepted invalid IR" name
 
 let test_verify_undefined_reg () =
@@ -214,7 +252,7 @@ let test_verify_undefined_reg () =
   let b = Builder.create f in
   let bogus = Ir.fresh_reg f Types.i32 in
   Builder.ret b (Some (Ir.Reg bogus));
-  expect_invalid "undefined reg" f
+  expect_invalid "undefined reg" f [ "bad: entry: use of undefined register r0" ]
 
 let test_verify_type_mismatch () =
   let f = Ir.create_func "bad" [ ("x", Types.f64) ] Types.f64 in
@@ -223,19 +261,19 @@ let test_verify_type_mismatch () =
   let d = Ir.fresh_reg f Types.f64 in
   Builder.add_instr b (Ir.IBin (d, Ops.Add, x, x));
   Builder.ret b (Some (Ir.Reg d));
-  expect_invalid "int op on float" f
+  expect_invalid "int op on float" f [ "bad: entry: int binop on double" ]
 
 let test_verify_bad_branch () =
   let f = Ir.create_func "bad" [] Types.TVoid in
   let b = Builder.create f in
   Builder.br b "nowhere";
-  expect_invalid "branch to unknown label" f
+  expect_invalid "branch to unknown label" f [ "bad: entry: unknown block %nowhere" ]
 
 let test_verify_ret_type () =
   let f = Ir.create_func "bad" [] Types.i32 in
   let b = Builder.create f in
   Builder.ret b (Some (Ir.Imm (Konst.kf64 1.0)));
-  expect_invalid "wrong return type" f
+  expect_invalid "wrong return type" f [ "bad: entry: expected i32, got double" ]
 
 let test_verify_double_def () =
   let f = Ir.create_func "bad" [] Types.TVoid in
@@ -244,7 +282,7 @@ let test_verify_double_def () =
   Builder.add_instr b (Ir.IBin (d, Ops.Add, Ir.Imm (Konst.ki32 1), Ir.Imm (Konst.ki32 2)));
   Builder.add_instr b (Ir.IBin (d, Ops.Add, Ir.Imm (Konst.ki32 3), Ir.Imm (Konst.ki32 4)));
   Builder.ret b None;
-  expect_invalid "register defined twice" f
+  expect_invalid "register defined twice" f [ "bad: register r0 defined twice" ]
 
 let test_verify_phi_after_nonphi () =
   let f = Ir.create_func "bad" [] Types.TVoid in
@@ -255,6 +293,7 @@ let test_verify_phi_after_nonphi () =
   Builder.add_instr b (Ir.IPhi (p, [ ("entry", Ir.Imm (Konst.ki32 0)) ]));
   Builder.ret b None;
   expect_invalid "phi after non-phi" f
+    [ "bad: entry: phi after non-phi"; "bad: entry: phi incoming from non-predecessor %entry" ]
 
 (* ---- phi / dominance invariants over a diamond CFG ----
 
@@ -297,6 +336,7 @@ let test_verify_phi_missing_incoming () =
         Builder.ret b (Some p))
   in
   expect_invalid "phi missing an incoming for predecessor e" f
+    [ "dia: join: phi is missing an incoming value for predecessor %e" ]
 
 let test_verify_phi_duplicate_incoming () =
   let f =
@@ -305,6 +345,7 @@ let test_verify_phi_duplicate_incoming () =
         Builder.ret b (Some p))
   in
   expect_invalid "phi with duplicate incoming labels" f
+    [ "dia: join: phi has duplicate incoming labels" ]
 
 let test_verify_phi_nonpred_incoming () =
   let f =
@@ -316,6 +357,7 @@ let test_verify_phi_nonpred_incoming () =
         Builder.ret b (Some p))
   in
   expect_invalid "phi incoming from non-predecessor" f
+    [ "dia: join: phi incoming from non-predecessor %entry" ]
 
 let test_verify_phi_value_edge_dominance () =
   (* the e-defined value is not available at the end of the t->join
@@ -326,11 +368,13 @@ let test_verify_phi_value_edge_dominance () =
         Builder.ret b (Some p))
   in
   expect_invalid "phi value must dominate its incoming edge" f
+    [ "dia: join: phi value r3 does not dominate incoming edge from %t" ]
 
 let test_verify_branch_def_no_dominance () =
   (* using a branch-local value at the join without a phi *)
   let f = build_diamond (fun b tv _ -> Builder.ret b (Some tv)) in
   expect_invalid "use at join not dominated by branch-local def" f
+    [ "dia: join: use of r2 is not dominated by its definition" ]
 
 let test_verify_accepts_good () =
   let m = module_with [ build_abs_add () ] in
@@ -690,15 +734,68 @@ let random_cfg =
     int_range 1 10 >>= fun n ->
     list_repeat n (int_range 0 2 >>= fun k -> list_repeat k (int_range 0 (n - 1))))
 
+let print_cfg g =
+  String.concat "; " (List.map (fun ss -> String.concat "," (List.map string_of_int ss)) g)
+
 let qcheck_ipostdoms_random =
-  let print g = String.concat "; " (List.map (fun ss -> String.concat "," (List.map string_of_int ss)) g) in
   QCheck.Test.make ~name:"ipostdoms matches the brute-force definition" ~count:500
-    (QCheck.make ~print random_cfg) (fun g ->
+    (QCheck.make ~print:print_cfg random_cfg) (fun g ->
       let succ = Array.of_list g in
       let succs b = succ.(b) in
       let n = Array.length succ in
       check_dominators "random CFG" (Cfg.build (func_of_graph succ));
       Dom.ipostdoms n succs = ipostdoms_oracle n succs)
+
+(* Cfg.has_cycle is true exactly when some block reachable from the
+   entry lies on a cycle, so it is true wherever Loopinfo finds a loop *)
+let qcheck_has_cycle_random =
+  QCheck.Test.make ~name:"has_cycle = a reachable cycle exists" ~count:500
+    (QCheck.make ~print:print_cfg random_cfg) (fun g ->
+      let succ = Array.of_list g in
+      let n = Array.length succ in
+      (* [reach v] : the blocks one or more edges from v *)
+      let reach v =
+        let seen = Array.make n false in
+        let rec go u =
+          List.iter
+            (fun s ->
+              if not seen.(s) then begin
+                seen.(s) <- true;
+                go s
+              end)
+            succ.(u)
+        in
+        go v;
+        seen
+      in
+      let cfg = Cfg.build (func_of_graph succ) in
+      let cyclic = List.exists (fun v -> (reach v).(v)) cfg.Cfg.rpo in
+      let loops = (Loopinfo.compute cfg (Dom.compute cfg)).Loopinfo.loops in
+      Cfg.has_cycle cfg = cyclic && (loops = [] || cyclic))
+
+(* Inside Cfg.reusing a build returns the kept graph, and Dom.compute
+   its kept tree, while the block list, labels and terminators are
+   physically the ones it was built from; outside, builds are fresh. *)
+let test_cfg_reuse () =
+  let f = func_of_graph [| [ 1; 2 ]; [ 3 ]; [ 3 ]; [] |] in
+  Alcotest.(check bool) "fresh outside reusing" false (Cfg.build f == Cfg.build f);
+  Cfg.reusing (fun () ->
+      let g = Cfg.build f in
+      Alcotest.(check bool) "kept" true (Cfg.build f == g);
+      Alcotest.(check bool) "tree kept" true (Dom.compute g == Dom.compute (Cfg.build f));
+      let b1 = List.nth f.Ir.blocks 1 in
+      b1.Ir.insts <- [ Ir.IStore (Ir.Imm (Konst.ki32 0), Ir.Imm (Konst.ki32 0)) ];
+      Alcotest.(check bool) "kept across an instruction edit" true (Cfg.build f == g);
+      b1.Ir.term <- Ir.TBr (Cfg.label g 2);
+      let g' = Cfg.build f in
+      Alcotest.(check bool) "rebuilt after a terminator edit" false (g' == g);
+      check Alcotest.(array (list int)) "new edges" [| [ 1; 2 ]; [ 2 ]; [ 3 ]; [] |] g'.Cfg.succ;
+      (List.nth f.Ir.blocks 3).Ir.label <- "renamed";
+      Alcotest.(check bool) "rebuilt after a label edit" false (Cfg.build f == g');
+      let g'' = Cfg.build f in
+      f.Ir.blocks <- List.filter (fun _ -> true) f.Ir.blocks;
+      Alcotest.(check bool) "rebuilt for a new block list" false (Cfg.build f == g''));
+  Alcotest.(check bool) "fresh after reusing returns" false (Cfg.build f == Cfg.build f)
 
 (* the generator, from the property's seed, yields every shape the
    solvers have a special case for *)
@@ -796,6 +893,12 @@ let () =
           qtest qcheck_konst_mul_matches_int32;
           qtest qcheck_konst_roundtrip;
         ] );
+      ( "intrinsics",
+        [
+          Alcotest.test_case "classification = list membership" `Quick
+            test_intrinsic_classification;
+        ]
+      );
       ( "construction",
         [
           Alcotest.test_case "build + interpret" `Quick test_build_and_interp;
@@ -837,6 +940,8 @@ let () =
           Alcotest.test_case "loop info" `Quick test_loopinfo;
           Alcotest.test_case "loop semantics" `Quick test_loop_interp;
           Alcotest.test_case "unreachable removal" `Quick test_remove_unreachable;
+          qtest qcheck_has_cycle_random;
+          Alcotest.test_case "graph reuse inside an optimizer run" `Quick test_cfg_reuse;
           Alcotest.test_case "interpreter fuel" `Quick test_interp_fuel;
         ] );
       ( "postdominators",

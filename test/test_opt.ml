@@ -551,19 +551,33 @@ let test_o3_on_host_modules () =
   ignore (Pipeline.optimize_o3 m);
   Verify.verify_module m
 
+(* Every pass runs once per defined function per sweep. O3 sweeps this
+   module twice: the first sweep changes it, the second changes
+   nothing. [f] stays defined beside the kernel, so each count is
+   2 functions x 2 sweeps x the pass's slots in Pipeline.o3. *)
 let test_pass_work_accounting () =
-  let m = device_of {|__device__ int f(int x) { return x * 2 + 1; }|} in
+  let m =
+    device_of
+      {|__device__ int f(int x) { return x * 2 + 1; }
+        __global__ void k(int* o, int n) { for (int i = 0; i < 4; i++) o[i] = f(n + i); }|}
+  in
   let s = Pipeline.optimize_o3 m in
-  Alcotest.(check bool) "work units recorded" true (s.Pass.work > 0);
-  Alcotest.(check bool) "passes ran" true (List.length s.Pass.runs > 3)
+  check Alcotest.int "work units" 661 s.Pass.work;
+  check
+    Alcotest.(list (pair string int))
+    "runs per pass"
+    [ ("dce", 4); ("gvn", 8); ("inline", 4); ("instcombine", 8); ("licm", 4); ("mem2reg", 4);
+      ("sccp", 8); ("simplifycfg", 12); ("unroll", 4) ]
+    (List.sort compare (Pass.run_counts s))
 
 (* ---- golden O3 digests ---- *)
 
 (* The optimizer's output is a fixed point: a faster pass must return
    the same IR, so the simulated compile charge (Pass.work) and the
    counters SpecAdvisor calibrates against stay put. One row per
-   program x vendor x module pins a digest of the post-O3 text, the
-   work and the four counter deltas; one row per HeCBench Proteus cell
+   program x vendor x module, and one per serve kernel as a serve miss
+   compiles it, pins a digest of the post-O3 text, the work and the
+   four counter deltas; one row per HeCBench Proteus cell
    x spec policy pins the JIT objects a cold run writes to its
    persistent cache. A deliberate change to optimizer output replaces
    [golden] with the fresh table the failure prints. *)
@@ -571,6 +585,14 @@ let test_pass_work_accounting () =
 let golden_programs =
   List.map (fun (a : Proteus_hecbench.App.t) -> (a.name, a.source)) Proteus_hecbench.Suite.apps
   @ List.map (fun (s : Proteus_examples.Sources.t) -> (s.name, s.source)) Proteus_examples.Sources.all
+
+(* O3 over [m], then its row: the digest of the printed module, the
+   work and the four counters. *)
+let o3_row label m =
+  let s = Pipeline.optimize_o3 m in
+  Printf.sprintf "%s %s work=%d folds=%d branches=%d loops=%d copies=%d" label
+    (Digest.to_hex (Digest.string (Irpp.module_to_string m)))
+    s.Pass.work s.Pass.sccp_folds s.Pass.sccp_branches s.Pass.unroll_loops s.Pass.unroll_copies
 
 let o3_rows () =
   List.concat_map
@@ -580,15 +602,26 @@ let o3_rows () =
           let u = Compile.compile ~name ~vendor src in
           List.map
             (fun (side, m) ->
-              let s = Pipeline.optimize_o3 m in
-              Printf.sprintf "%s/%s/%s %s work=%d folds=%d branches=%d loops=%d copies=%d" name
-                (Lower.vendor_to_string vendor) side
-                (Digest.to_hex (Digest.string (Irpp.module_to_string m)))
-                s.Pass.work s.Pass.sccp_folds s.Pass.sccp_branches s.Pass.unroll_loops
-                s.Pass.unroll_copies)
+              o3_row (Printf.sprintf "%s/%s/%s" name (Lower.vendor_to_string vendor) side) m)
             [ ("host", u.Compile.host); ("device", u.Compile.device) ])
         [ Lower.Hip; Lower.Cuda ])
     golden_programs
+
+(* The serve loop's 16 kernels as a serve-churn miss compiles them:
+   the AMD section's bitcode decoded, argument 1 folded to j + 2 and
+   launch bounds set for blocks of 32. *)
+let serve_rows () =
+  let open Proteus_core in
+  let kernels = 16 in
+  let m = Serve.build_module kernels in
+  List.init kernels (fun j ->
+      let sym = Serve.kernel_sym j in
+      let k = Bitcode.decode_module (Extract.bitcode_of_kernel m sym) in
+      Specialize.apply Config.default k ~kernel:sym
+        ~spec_values:[ (1, Konst.ki64 (j + 2)) ]
+        ~block:32
+        ~resolve_global:(fun g -> Alcotest.failf "serve kernel reads global %s" g);
+      o3_row (sym ^ "/amd/spec") k)
 
 (* Every field Config.default takes from the environment, spelled out. *)
 let golden_config policy dir =
@@ -673,6 +706,22 @@ montecarlo_pi/hip/host b752b770b45c0c3d8e1566ad516b9099 work=56 folds=0 branches
 montecarlo_pi/hip/device d5b4bd5f1b0f3871d82b753e35ff3986 work=1156 folds=0 branches=0 loops=0 copies=0
 montecarlo_pi/cuda/host faedb74e44b27ff7eab174b75033124e work=56 folds=0 branches=0 loops=0 copies=0
 montecarlo_pi/cuda/device d5b4bd5f1b0f3871d82b753e35ff3986 work=1156 folds=0 branches=0 loops=0 copies=0
+serve_k0/amd/spec a61af7675b5a001f6921658e155f198b work=480 folds=0 branches=0 loops=0 copies=0
+serve_k1/amd/spec a526786d4184d7756babfbb621c386ff work=504 folds=0 branches=0 loops=0 copies=0
+serve_k2/amd/spec e6d772fdb2daee3195d3fa1a4af2e1b6 work=504 folds=0 branches=0 loops=0 copies=0
+serve_k3/amd/spec 03f2efe7dd1e81e1e281a27d709816ba work=504 folds=0 branches=0 loops=0 copies=0
+serve_k4/amd/spec dca2e2c0802b6fdc532c73e78dd8b50b work=504 folds=0 branches=0 loops=0 copies=0
+serve_k5/amd/spec b91d1a5740cc6428aa340014d0088f4c work=504 folds=0 branches=0 loops=0 copies=0
+serve_k6/amd/spec b861e7a44b875441b0ec3fc4f331a1d3 work=504 folds=0 branches=0 loops=0 copies=0
+serve_k7/amd/spec 60d4e1c5976d9d9ce87b494fa1474793 work=504 folds=0 branches=0 loops=0 copies=0
+serve_k8/amd/spec 994e0a8b0d4ece0e858d54869c5373f4 work=504 folds=0 branches=0 loops=0 copies=0
+serve_k9/amd/spec 10fe252b72a7d7a2c160c20da0578d3c work=504 folds=0 branches=0 loops=0 copies=0
+serve_k10/amd/spec 261f97b7d7ab3e76b1758596ef0a6f61 work=504 folds=0 branches=0 loops=0 copies=0
+serve_k11/amd/spec 8da6c905ae106318ff50be1d7e1cb675 work=504 folds=0 branches=0 loops=0 copies=0
+serve_k12/amd/spec dba97f46431d3aff1073598c499cd2b1 work=504 folds=0 branches=0 loops=0 copies=0
+serve_k13/amd/spec 88bcc7c987b34e4758bdfb3c627de583 work=504 folds=0 branches=0 loops=0 copies=0
+serve_k14/amd/spec b856936f6d1affa8f4e03e7010e5fc88 work=504 folds=0 branches=0 loops=0 copies=0
+serve_k15/amd/spec 7d731c8f1f482f7ca10ebf03018421a2 work=504 folds=0 branches=0 loops=0 copies=0
 ADAM/amd/all objects=1 dc160203479e301b88477d4d7a1f31a3
 ADAM/amd/advise objects=1 dc160203479e301b88477d4d7a1f31a3
 ADAM/amd/none objects=1 6ef729bcecdbef9d7d1a19a7260034c8
@@ -712,7 +761,7 @@ SW4CK/nvidia/none objects=5 4e52da2eefcefcb1db35c2e9c39177bb
 |}
 
 let test_golden_digests () =
-  let fresh = o3_rows () @ cache_rows () in
+  let fresh = o3_rows () @ serve_rows () @ cache_rows () in
   let expected = String.split_on_char '\n' (String.trim golden) in
   if fresh <> expected then begin
     Printf.eprintf "fresh golden table:\n%s\n%!" (String.concat "\n" fresh);
