@@ -310,12 +310,13 @@ int main() { return 0; }
   ignore (Proteus_opt.Pipeline.optimize_o3 o3);
   let test_gcn =
     Test.make ~name:"backend:GCN codegen daxpy"
-      (Staged.stage (fun () -> ignore (Proteus_backend.Gcn.compile o3)))
+      (Staged.stage (fun () ->
+           ignore (Proteus_runtime.Toolchain.compile ~vendor:Device.Amd o3)))
   in
   let test_ptx =
     Test.make ~name:"backend:PTX emit+ptxas daxpy"
       (Staged.stage (fun () ->
-           ignore (Proteus_backend.Ptxas.compile (Proteus_backend.Ptx.emit o3))))
+           ignore (Proteus_runtime.Toolchain.compile ~vendor:Device.Nvidia o3)))
   in
   (* daxpy is too small to show how codegen scales: SW4CK's five
      kernels (~2,400 Mach instructions, heavy register pressure) *)
@@ -355,12 +356,13 @@ int main() { return 0; }
   in
   let test_gcn_sw4ck =
     Test.make ~name:"backend:GCN codegen SW4CK"
-      (Staged.stage (fun () -> ignore (Proteus_backend.Gcn.compile sw4ck)))
+      (Staged.stage (fun () ->
+           ignore (Proteus_runtime.Toolchain.compile ~vendor:Device.Amd sw4ck)))
   in
   let test_ptx_sw4ck =
     Test.make ~name:"backend:PTX emit+ptxas SW4CK"
       (Staged.stage (fun () ->
-           ignore (Proteus_backend.Ptxas.compile (Proteus_backend.Ptx.emit sw4ck))))
+           ignore (Proteus_runtime.Toolchain.compile ~vendor:Device.Nvidia sw4ck)))
   in
   (* the executor alone: an AOT app's heaviest launch (most
      warp-instructions), replayed with its decoded program on a copy

@@ -597,15 +597,7 @@ let report_normalized ?(device = Device.mi250x) (m : Ir.modul) :
   let open Proteus_backend in
   let mo = Ir.clone_module m in
   ignore (Proteus_opt.Pipeline.optimize_o3 mo);
-  let obj =
-    match device.Device.vendor with
-    | Device.Amd -> Gcn.compile mo
-    | Device.Nvidia ->
-        let globals =
-          List.filter (fun (g : Ir.gvar) -> not g.Ir.gextern) mo.Ir.globals
-        in
-        Ptxas.compile ~globals (Ptx.emit mo)
-  in
+  let obj, _ = Proteus_runtime.Toolchain.compile ~vendor:device.Device.vendor mo in
   let mfunc_of sym =
     List.find_opt (fun (k : Mach.mfunc) -> k.Mach.sym = sym) obj.Mach.kernels
   in

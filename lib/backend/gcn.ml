@@ -39,20 +39,3 @@ let lower_kernel (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
   in
   Regalloc.apply mf cfg;
   mf
-
-(* Compile every kernel of a device module into a GCN object. Device
-   functions must have been inlined by the optimizer. *)
-let compile (m : Ir.modul) : Mach.obj =
-  let kernels =
-    List.filter_map
-      (fun (f : Ir.func) ->
-        if f.Ir.kind = Ir.Kernel && not f.Ir.is_decl then Some (lower_kernel m f)
-        else None)
-      m.Ir.funcs
-  in
-  {
-    Mach.okind = Mach.VGcn;
-    kernels;
-    oglobals = List.filter (fun (g : Ir.gvar) -> not g.Ir.gextern) m.Ir.globals;
-    sections = [];
-  }

@@ -214,9 +214,10 @@ let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
         let off = Hashtbl.find frame_off d in
         emit Mach.Oframe (Some (reg_for ctx d)) [ Mach.Ki (Konst.kint ~bits:64 (Int64.of_int off)) ]
   in
-  (* Phi copies per predecessor edge, sequentialised to respect
-     simultaneous-assignment semantics. *)
-  let phi_copies_for (pred_label : string) : Mach.minstr list =
+  (* Phi copies on the edges out of [pred_label] into its successors
+     [succs], sequentialised to respect simultaneous-assignment
+     semantics. *)
+  let phi_copies_for (pred_label : string) (succs : string list) : Mach.minstr list =
     let copies = ref [] in
     List.iter
       (fun (b : Ir.block) ->
@@ -230,21 +231,17 @@ let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
                 | None -> ())
             | _ -> ())
           b.Ir.insts)
-      (List.filter
-         (fun (b : Ir.block) ->
-           List.mem b.Ir.label (Ir.successors (Ir.find_block f pred_label).Ir.term))
-         f.Ir.blocks);
+      (List.filter (fun (b : Ir.block) -> List.mem b.Ir.label succs) f.Ir.blocks);
     (* order copies: emit ones whose destination is not read by pending
-       copies first; break cycles with a temporary *)
+       copies first; break cycles with a temporary. Every round retires
+       at least one pending copy, so the loop ends. *)
     let result = ref [] in
     let pending = ref !copies in
     let emit_copy (d, s, ty) =
       result := { Mach.op = Mach.Omov ty; dst = Some d; srcs = [ s ] } :: !result
     in
     let reads_reg r (_, s, _) = match s with Mach.Rs r' -> r' = r | _ -> false in
-    let guard = ref 0 in
-    while !pending <> [] && !guard < 1000 do
-      incr guard;
+    while !pending <> [] do
       match
         List.partition
           (fun (d, _, _) -> not (List.exists (reads_reg d) !pending))
@@ -287,7 +284,9 @@ let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
       (fun (b : Ir.block) ->
         let code = List.rev (List.fold_left lower_instr [] b.Ir.insts) in
         let code = if b.Ir.label = entry_label then arg_loads @ code else code in
-        let code = if has_phis then code @ phi_copies_for b.Ir.label else code in
+        let code =
+          if has_phis then code @ phi_copies_for b.Ir.label (Ir.successors b.Ir.term) else code
+        in
         let term =
           match b.Ir.term with
           | Ir.TBr l -> Mach.Tbr l

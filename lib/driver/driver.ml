@@ -48,17 +48,8 @@ let compile ?(name = "app") ?(diagnostics = true) ?(werror = false)
   in
   let dev_stats = Proteus_opt.Pipeline.optimize_o3 device in
   let host_stats = Proteus_opt.Pipeline.optimize_o3 host in
-  let obj, ptx =
-    match vendor with
-    | Device.Amd -> Hip.aot_compile_device device
-    | Device.Nvidia -> Cuda.aot_compile_device device
-  in
-  let obj = { obj with Mach.sections = obj.Mach.sections @ sections } in
-  let fatbin =
-    match vendor with
-    | Device.Amd -> Hip.embed_fatbin obj
-    | Device.Nvidia -> Cuda.embed_fatbin obj
-  in
+  let obj, ptx = Toolchain.compile ~vendor device in
+  let fatbin = Toolchain.embed ~vendor { obj with Mach.sections = sections } in
   Verify.verify_module host;
   {
     name;

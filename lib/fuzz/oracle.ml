@@ -55,6 +55,9 @@ let default_opts () = { oracles = all_oracles; faults = Proteus_core.Fault.of_pl
 
 exception Fail of failure
 
+(* every oracle compiles for the AMD target *)
+let amd_obj m = fst (Proteus_runtime.Toolchain.compile ~vendor:Device.Amd m)
+
 let failf oracle fmt =
   Printf.ksprintf (fun s -> raise (Fail { oracle; detail = s })) fmt
 
@@ -359,7 +362,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
        once unarmed) *)
     if sel "b" then
       guard "b" (fun () ->
-          let obj = Gcn.compile m3 in
+          let obj = amd_obj m3 in
           let mk = Mach.find_kernel obj gk.Gen.sym in
           let sr, cr, dr, pr = machine_run ~profile:true Reference mk gk l in
           let st, ct, dt, pt = machine_run ~profile:true Threaded mk gk l in
@@ -417,7 +420,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
             ksan_errors "d" "specialized" ms;
             tick ()
           end;
-          let obj = Gcn.compile ms in
+          let obj = amd_obj ms in
           let mk = Mach.find_kernel obj gk.Gen.sym in
           let dev = Device.mi250x in
           let l2 = L2cache.create dev in
@@ -469,7 +472,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
           Proteus_core.Specialize.apply config ms ~kernel:gk.Gen.sym ~spec_values:keep
             ~block:l.Gen.block ~resolve_global:(global_of rig);
           ignore (Proteus_opt.Pipeline.optimize_o3 ms);
-          let obj = Gcn.compile ms in
+          let obj = amd_obj ms in
           let mk = Mach.find_kernel obj gk.Gen.sym in
           let dev = Device.mi250x in
           let l2 = L2cache.create dev in
@@ -489,7 +492,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
           let m = clone_module m0 in
           ignore (Proteus_opt.Pipeline.optimize_o3 m);
           let sites = Pl.classify_module m in
-          let obj = Gcn.compile m in
+          let obj = amd_obj m in
           let mk = Mach.find_kernel obj gk.Gen.sym in
           let rig = make_rig gk l in
           let dev = Device.mi250x in
@@ -549,7 +552,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
           let stream switch_at =
             let rig = make_rig gk l in
             (* tier-0: the unspecialized artifact *)
-            let mk0 = Mach.find_kernel (Gcn.compile (clone_module m3)) gk.Gen.sym in
+            let mk0 = Mach.find_kernel (amd_obj (clone_module m3)) gk.Gen.sym in
             (* tier-1: specialized on this stream's argument values,
                exactly the object the background compile would publish *)
             let ms =
@@ -568,7 +571,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
             Proteus_core.Specialize.apply config ms ~kernel:gk.Gen.sym ~spec_values
               ~block:l.Gen.block ~resolve_global:(global_of rig);
             ignore (Proteus_opt.Pipeline.optimize_o3 ms);
-            let mk1 = Mach.find_kernel (Gcn.compile ms) gk.Gen.sym in
+            let mk1 = Mach.find_kernel (amd_obj ms) gk.Gen.sym in
             let dev = Device.mi250x in
             let l2 = L2cache.create dev in
             for r = 0 to rounds - 1 do
@@ -661,7 +664,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
                 (* semantics-preserving damage (a dropped duplicate phi
                    edge) may legitimately prove; execution must agree *)
                 ignore (Proteus_opt.Pipeline.optimize_o3 ms);
-                let obj = Gcn.compile ms in
+                let obj = amd_obj ms in
                 let mk = Mach.find_kernel obj gk.Gen.sym in
                 let dev = Device.mi250x in
                 let l2 = L2cache.create dev in

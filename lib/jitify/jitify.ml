@@ -97,11 +97,10 @@ let instantiate (t : t) (p : program) ~(sym : string)
         f.Ir.params;
       let pstats = Proteus_opt.Pipeline.optimize_o3 m in
       charge t (float_of_int pstats.Proteus_opt.Pass.work *. cost.Costmodel.opt_per_work_s);
-      let ptx = Ptx.emit m in
+      let obj, ptx = Toolchain.compile ~vendor:Device.Nvidia m in
       charge t
         (float_of_int (String.length ptx)
         *. (cost.Costmodel.ptx_emit_per_byte_s +. cost.Costmodel.ptxas_per_byte_s));
-      let obj = Ptxas.compile ~globals:[] ptx in
       let k = Mach.find_kernel obj sym in
       charge t
         (float_of_int (String.length (Mach.encode_obj obj))

@@ -133,9 +133,8 @@ exception Stage_failure of Fault.point * exn
 
 (* Run one pipeline stage: fire the fault-injection points, run the
    stage under its wall-clock deadline (Config.stage_deadline_ms;
-   cooperative and post-hoc - see Deadline), record its real latency
-   into the per-stage histogram, and tag any escaping exception with
-   the stage so the launch-level handler can account it.
+   cooperative and post-hoc - see Deadline), and tag any escaping
+   exception with the stage so the launch-level handler can account it.
    Already-tagged exceptions pass through untouched (an outer stage
    must not re-attribute an inner stage's failure). *)
 let in_stage t (p : Fault.point) (f : unit -> 'a) : 'a =
@@ -154,23 +153,9 @@ let in_stage t (p : Fault.point) (f : unit -> 'a) : 'a =
             })
      end
    with e -> raise (Stage_failure (p, e)));
-  let t0 = Unix.gettimeofday () in
-  let record () =
-    Stats.record_stage_latency t.stats (Fault.point_name p)
-      (Unix.gettimeofday () -. t0)
-  in
-  match
-    Deadline.run ~label:(Fault.point_name p)
-      ~limit_ms:t.config.Config.stage_deadline_ms f
-  with
-  | r ->
-      record ();
-      r
-  | exception (Stage_failure _ as e) ->
-      record ();
-      raise e
-  | exception e ->
-      record ();
+  try Deadline.run ~label:(Fault.point_name p) ~limit_ms:t.config.Config.stage_deadline_ms f with
+  | Stage_failure _ as e -> raise e
+  | e ->
       (match e with
       | Deadline.Exceeded _ ->
           t.stats.Stats.deadline_overruns <- t.stats.Stats.deadline_overruns + 1
@@ -367,25 +352,20 @@ let compile_specialization (t : t) ~(bitcode : string) ~(sym : string)
   (* backend code generation *)
   let obj =
     in_stage t Fault.Codegen @@ fun () ->
-    match t.vendor with
+    (* the linked module holds [sym] alone and no globals *)
+    let obj, ptx = Toolchain.compile ~vendor:t.vendor m in
+    let n = List.fold_left (fun acc k -> acc + Mach.instr_count k) 0 obj.Mach.kernels in
+    (match t.vendor with
     | Device.Amd ->
-        let f = Ir.find_func m sym in
-        let mf = Gcn.lower_kernel m f in
         charge t
-          (float_of_int (Mach.instr_count mf)
-          *. (cost.Costmodel.isel_per_instr_s +. cost.Costmodel.regalloc_per_instr_s));
-        { Mach.okind = Mach.VGcn; kernels = [ mf ]; oglobals = []; sections = [] }
+          (float_of_int n
+          *. (cost.Costmodel.isel_per_instr_s +. cost.Costmodel.regalloc_per_instr_s))
     | Device.Nvidia ->
         (* NVPTX emits PTX text; the PTX compiler produces the binary *)
-        let ptx = Ptx.emit m in
         charge t (float_of_int (String.length ptx) *. cost.Costmodel.ptx_emit_per_byte_s);
-        let obj = Ptxas.compile ~globals:[] ptx in
         charge t (float_of_int (String.length ptx) *. cost.Costmodel.ptxas_per_byte_s);
-        let n =
-          List.fold_left (fun acc k -> acc + Mach.instr_count k) 0 obj.Mach.kernels
-        in
-        charge t (float_of_int n *. cost.Costmodel.regalloc_per_instr_s);
-        obj
+        charge t (float_of_int n *. cost.Costmodel.regalloc_per_instr_s));
+    obj
   in
   t.stats.Stats.compiles <- t.stats.Stats.compiles + 1;
   t.stats.Stats.real_compile_s <-

@@ -164,18 +164,13 @@ let create ?(config = Config.default) ?(vendor = Device.Amd) ?(tenants = 4)
      stay serial inside it (see module comment) *)
   let config = { config with Config.exec_domains = 1 } in
   let m = build_module kernels in
-  let lowered =
-    List.map (fun (f : Ir.func) -> Gcn.lower_kernel m f) m.Ir.funcs
-  in
   let sections =
     List.map
       (fun (f : Ir.func) ->
         (Plugin.jit_section f.Ir.fname, Extract.bitcode_of_kernel m f.Ir.fname))
       m.Ir.funcs
   in
-  let obj =
-    { Mach.okind = Mach.VGcn; kernels = lowered; oglobals = []; sections }
-  in
+  let obj = { (fst (Toolchain.compile ~vendor m)) with Mach.sections } in
   let specs =
     Array.init kernels (fun j ->
         let bc = List.assoc (Plugin.jit_section (kernel_sym j)) sections in

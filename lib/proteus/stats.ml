@@ -59,7 +59,6 @@ type t = {
   mutable lock_contended : int; (* acquisitions that had to wait *)
   lock_wait_hist : Hist.t; (* seconds acquiring entry locks *)
   launch_hist : Hist.t; (* per-launch simulated JIT overhead (deterministic) *)
-  stage_hist : (string, Hist.t) Hashtbl.t; (* stage name -> real wall-clock latency *)
   (* tiered compilation: profile-guided background O3 *)
   mutable tier_launches : int; (* launches served from the tier-0 artifact *)
   mutable tierups : int; (* background O3 compiles published (hot swaps) *)
@@ -98,7 +97,6 @@ let create () =
     degraded_launches = 0; disk_degrades = 0;
     lock_waits = 0; lock_contended = 0;
     lock_wait_hist = Hist.create (); launch_hist = Hist.create ();
-    stage_hist = Hashtbl.create 8;
     tier_launches = 0; tierups = 0; tierup_failures = 0; tier_compile_s = 0.0;
     first_launch_s = nan; steady_launch_s = nan;
     swap_hist = Hist.create ();
@@ -149,22 +147,6 @@ let record_kernel_launch t k : int =
 
 let kernel_launch_count t k =
   match Hashtbl.find_opt t.kernel_launches k with Some n -> !n | None -> 0
-
-(* Record one stage's real wall-clock latency into its histogram. *)
-let record_stage_latency t stage (seconds : float) =
-  let h =
-    match Hashtbl.find_opt t.stage_hist stage with
-    | Some h -> h
-    | None ->
-        let h = Hist.create () in
-        Hashtbl.add t.stage_hist stage h;
-        h
-  in
-  Hist.record h seconds
-
-let stage_latencies t =
-  Hashtbl.fold (fun s h acc -> (s, h) :: acc) t.stage_hist []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let record_cache_entry t policy =
   let n = Option.value (Hashtbl.find_opt t.cache_entries_by_policy policy) ~default:0 in

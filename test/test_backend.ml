@@ -151,6 +151,42 @@ let test_isel_frame_for_arrays () =
            b.Mach.code)
        mf.Mach.blocks)
 
+(* A loop whose 1001 header phis form a shift chain (p_i <- p_(i+1)
+   on the latch edge): every latch copy reads the destination of the
+   next, so sequentialising them retires one copy per round, and all
+   1001 must be placed. *)
+let test_isel_phi_chain () =
+  let n = 1001 in
+  let f = Ir.create_func ~kind:Ir.Kernel "chain" [ ("n", Types.i64) ] Types.TVoid in
+  let b = Builder.create f in
+  let entry = Builder.current_block b in
+  let header = Builder.new_block b "header" in
+  let latch = Builder.new_block b "latch" in
+  let exit = Builder.new_block b "exit" in
+  Builder.br b header.Ir.label;
+  let p = Array.init n (fun _ -> Ir.fresh_reg f Types.i64) in
+  header.Ir.insts <-
+    List.init n (fun i ->
+        let next = if i + 1 < n then Ir.Reg p.(i + 1) else Ir.Imm (Konst.ki64 1) in
+        Ir.IPhi (p.(i), [ (entry.Ir.label, Ir.Imm (Konst.ki64 i)); (latch.Ir.label, next) ]));
+  Builder.position_at b header;
+  let c = Builder.cmp b Ops.CLt (Ir.Reg p.(0)) (Ir.Reg (snd (List.hd f.Ir.params))) in
+  Builder.cond_br b c latch.Ir.label exit.Ir.label;
+  Builder.position_at b latch;
+  Builder.br b header.Ir.label;
+  Builder.position_at b exit;
+  Builder.ret b None;
+  let m =
+    { Ir.mid = "chain"; mname = "chain"; mtarget = Ir.TDevice; globals = []; funcs = [ f ];
+      annotations = []; ctors = []; mgen = 0 }
+  in
+  let mf = Isel.lower_func m f in
+  let mb = List.find (fun (mb : Mach.mblock) -> mb.Mach.mlab = latch.Ir.label) mf.Mach.blocks in
+  check Alcotest.int "latch copies" n
+    (List.length
+       (List.filter (fun (i : Mach.minstr) -> match i.Mach.op with Mach.Omov _ -> true | _ -> false)
+          mb.Mach.code))
+
 (* ---- register caps ---- *)
 
 let test_gcn_caps () =
@@ -294,9 +330,11 @@ let test_remat_reduces_movs () =
 
 (* ---- object encode/decode ---- *)
 
+let gcn_obj m = fst (Proteus_runtime.Toolchain.compile ~vendor:Proteus_gpu.Device.Amd m)
+
 let test_obj_roundtrip () =
   let m = device_of daxpy_src in
-  let obj = Gcn.compile m in
+  let obj = gcn_obj m in
   let obj = { obj with Mach.sections = [ (".jit.daxpy", "some bitcode bytes") ] } in
   let bytes = Mach.encode_obj obj in
   let obj' = Mach.decode_obj bytes in
@@ -322,10 +360,10 @@ let test_codegen_pure () =
         }|}
   in
   let before = Irpp.module_to_string m in
-  let gcn = Mach.encode_obj (Gcn.compile m) in
+  let gcn = Mach.encode_obj (gcn_obj m) in
   let ptx = Ptx.emit m in
   check Alcotest.string "module unchanged" before (Irpp.module_to_string m);
-  check Alcotest.string "GCN object repeats" gcn (Mach.encode_obj (Gcn.compile m));
+  check Alcotest.string "GCN object repeats" gcn (Mach.encode_obj (gcn_obj m));
   check Alcotest.string "PTX repeats" ptx (Ptx.emit m)
 
 (* ---- the allocator against the reference it replaced ---- *)
@@ -569,6 +607,7 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_isel_structure;
           Alcotest.test_case "frames for local arrays" `Quick test_isel_frame_for_arrays;
+          Alcotest.test_case "a 1001-phi shift chain keeps every copy" `Quick test_isel_phi_chain;
         ] );
       ( "caps",
         [

@@ -23,11 +23,7 @@ let compile_kernel ?(vendor = Device.Amd) src sym =
   in
   let m = (Compile.compile ~vendor:fe_vendor src).Compile.device in
   ignore (Proteus_opt.Pipeline.optimize_o3 m);
-  let obj =
-    match vendor with
-    | Device.Amd -> Gcn.compile m
-    | Device.Nvidia -> Ptxas.compile ~globals:m.Ir.globals (Ptx.emit m)
-  in
+  let obj, _ = Toolchain.compile ~vendor m in
   Mach.find_kernel obj sym
 
 type engine_mode = Reference | Threaded | Multicore

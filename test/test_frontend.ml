@@ -77,11 +77,7 @@ let run_host ?(vendor = Device.Nvidia) src =
   let rt = Gpurt.create (Device.by_vendor vendor) in
   (* AOT-compile the device side so kernels can launch *)
   ignore (Proteus_opt.Pipeline.optimize_o3 u.Compile.device);
-  let obj, _ =
-    match vendor with
-    | Device.Amd -> Hip.aot_compile_device u.Compile.device
-    | Device.Nvidia -> Cuda.aot_compile_device u.Compile.device
-  in
+  let obj, _ = Toolchain.compile ~vendor u.Compile.device in
   let _ = Gpurt.load_module rt obj in
   Hostexec.run rt u.Compile.host
 

@@ -155,11 +155,7 @@ let compile_kernel ?(vendor = Device.Amd) src sym =
   let fe_vendor = match vendor with Device.Amd -> Lower.Hip | Device.Nvidia -> Lower.Cuda in
   let m = (Compile.compile ~vendor:fe_vendor src).Compile.device in
   ignore (Proteus_opt.Pipeline.optimize_o3 m);
-  let obj =
-    match vendor with
-    | Device.Amd -> Gcn.compile m
-    | Device.Nvidia -> Ptxas.compile ~globals:m.Ir.globals (Ptx.emit m)
-  in
+  let obj, _ = Proteus_runtime.Toolchain.compile ~vendor m in
   (m, Mach.find_kernel obj sym)
 
 let fresh_rig vendor =

@@ -223,6 +223,22 @@ let test_one_reader () =
         Alcotest.failf "%s calls getenv on a PROTEUS_ name; read it through Knob.get" f)
     (Lazy.force readers)
 
+(* the vendor decision (GCN straight to a binary, or PTX then ptxas)
+   lives in lib/runtime/toolchain.ml: nothing outside the backend and
+   that module calls a vendor's codegen or a per-vendor toolchain *)
+let test_one_toolchain () =
+  let call = Str.regexp "\\bPtxas\\.compile\\|\\bGcn\\.lower_kernel\\|\\b\\(Hip\\|Cuda\\)\\." in
+  let exempt f =
+    String.starts_with ~prefix:"../lib/backend/" f || f = "../lib/runtime/toolchain.ml"
+  in
+  List.iter
+    (fun f ->
+      let code, _ = scan (In_channel.with_open_bin f In_channel.input_all) in
+      match all_matches call code with
+      | m :: _ when not (exempt f) -> Alcotest.failf "%s names %s; compile through Toolchain" f m
+      | _ -> ())
+    (Lazy.force sources)
+
 (* the scanner itself: a name in a comment is not a literal, one in a
    quoted string or after a '"' character literal is *)
 let test_scanner () =
@@ -269,5 +285,6 @@ let () =
           Alcotest.test_case "PROTEUS_ literals name table entries" `Quick test_names_in_table;
           Alcotest.test_case "only knob.ml reads the environment" `Quick test_one_reader;
           Alcotest.test_case "README rows match the table" `Quick test_readme_rows;
+          Alcotest.test_case "only Toolchain picks a vendor backend" `Quick test_one_toolchain;
         ] );
     ]

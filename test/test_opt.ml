@@ -579,8 +579,9 @@ let test_pass_work_accounting () =
    compiles it, pins a digest of the post-O3 text, the work and the
    four counter deltas; one row per HeCBench Proteus cell
    x spec policy pins the JIT objects a cold run writes to its
-   persistent cache. A deliberate change to optimizer output replaces
-   [golden] with the fresh table the failure prints. *)
+   persistent cache, and one per app x vendor x driver mode the device
+   object the driver embeds. A deliberate change to optimizer output
+   replaces [golden] with the fresh table the failure prints. *)
 
 let golden_programs =
   List.map (fun (a : Proteus_hecbench.App.t) -> (a.name, a.source)) Proteus_hecbench.Suite.apps
@@ -663,6 +664,26 @@ let cache_rows () =
                 (Digest.to_hex (Digest.string (String.concat "\n" body))))
             Proteus_core.Config.[ Spec_all; Spec_advise; Spec_none ])
         [ Proteus_gpu.Device.Amd; Proteus_gpu.Device.Nvidia ])
+    Suite.apps
+
+(* One row per HeCBench app x vendor x driver mode: the digest of the
+   embedded device object and the PTX size, which feeds the
+   compile-time cost model. Harness.compile_app caches its exes, so the
+   Proteus ones are the exes [cache_rows] runs. *)
+let aot_rows () =
+  let open Proteus_hecbench in
+  List.concat_map
+    (fun (a : App.t) ->
+      List.concat_map
+        (fun (vendor, vname) ->
+          List.map
+            (fun (mode, mname) ->
+              let exe = Harness.compile_app a vendor mode in
+              let fatbin = Proteus_backend.Mach.encode_obj exe.Proteus_driver.Driver.fatbin in
+              Printf.sprintf "%s/%s/%s fatbin=%s ptx_bytes=%d" a.App.name vname mname
+                (Digest.to_hex (Digest.string fatbin)) exe.Proteus_driver.Driver.ptx_bytes)
+            Proteus_driver.Driver.[ (Aot, "aot"); (Proteus, "proteus") ])
+        Proteus_gpu.Device.[ (Amd, "amd"); (Nvidia, "nvidia") ])
     Suite.apps
 
 let golden = {|
@@ -758,15 +779,39 @@ SW4CK/amd/none objects=5 211891d1042ebef9e96f530011f0329d
 SW4CK/nvidia/all objects=5 e4944d394b61021768f7937ac35ca75a
 SW4CK/nvidia/advise objects=5 8e57b4eb33d28875d3ab564528b1c9a8
 SW4CK/nvidia/none objects=5 4e52da2eefcefcb1db35c2e9c39177bb
+ADAM/amd/aot fatbin=435f6671f70e21d108f1c20726339bea ptx_bytes=0
+ADAM/amd/proteus fatbin=8f2042adeb1fe7e33a1e57d4f32bd71a ptx_bytes=0
+ADAM/nvidia/aot fatbin=521c1f410019fed41cf5b7cdd1a3cea7 ptx_bytes=3068
+ADAM/nvidia/proteus fatbin=695072a712e93952a9f013493d52ec0b ptx_bytes=3110
+RSBENCH/amd/aot fatbin=65425f0f8e86d67e40db1276f8a7ace6 ptx_bytes=0
+RSBENCH/amd/proteus fatbin=65219c3de64e12767184a776f1d1dc18 ptx_bytes=0
+RSBENCH/nvidia/aot fatbin=636d80d8a49a34246413cb63d49f3ba6 ptx_bytes=46790
+RSBENCH/nvidia/proteus fatbin=aa7c06088e75fda303a31a1a1a8e2814 ptx_bytes=46835
+WSM5/amd/aot fatbin=b92f15c5ae622d871ca1fb105e2a99a2 ptx_bytes=0
+WSM5/amd/proteus fatbin=110155aa43858c0d561d296dcbfd9c54 ptx_bytes=0
+WSM5/nvidia/aot fatbin=863e9dd7d5da9556f9bdc2cace27bc38 ptx_bytes=20540
+WSM5/nvidia/proteus fatbin=0ba066d197dcf88b950f20dae4d87a64 ptx_bytes=20584
+FEY-KAC/amd/aot fatbin=72f8b241e4080b2529d39506454803d1 ptx_bytes=0
+FEY-KAC/amd/proteus fatbin=e8d75204096525f91de17a4f22526def ptx_bytes=0
+FEY-KAC/nvidia/aot fatbin=65cbd02b457b6bf20c2cc61c0b4e82ce ptx_bytes=3317
+FEY-KAC/nvidia/proteus fatbin=50be38ddcf05b8239366349d861379c0 ptx_bytes=3361
+LULESH/amd/aot fatbin=13430f6d7169450404e7852f1bd38952 ptx_bytes=0
+LULESH/amd/proteus fatbin=8f90504686356a6944befb9d2a54abcb ptx_bytes=0
+LULESH/nvidia/aot fatbin=b64f34b88d81ad17df94046b0dd03e5f ptx_bytes=3792
+LULESH/nvidia/proteus fatbin=d7b69b7216ff190e014845578ed8cfcd ptx_bytes=3887
+SW4CK/amd/aot fatbin=3b7f3ba2875d19317422213773681587 ptx_bytes=0
+SW4CK/amd/proteus fatbin=a2b9dcb322de37bd2e38abb1bb019161 ptx_bytes=0
+SW4CK/nvidia/aot fatbin=695bb38f323780b34ee0c0bf7bfcb0fa ptx_bytes=78184
+SW4CK/nvidia/proteus fatbin=67001cc386ffe041807e7534b776e310 ptx_bytes=78414
 |}
 
 let test_golden_digests () =
-  let fresh = o3_rows () @ serve_rows () @ cache_rows () in
+  let fresh = o3_rows () @ serve_rows () @ cache_rows () @ aot_rows () in
   let expected = String.split_on_char '\n' (String.trim golden) in
   if fresh <> expected then begin
     Printf.eprintf "fresh golden table:\n%s\n%!" (String.concat "\n" fresh);
     List.iter (fun row -> if not (List.mem row expected) then Printf.eprintf "changed: %s\n%!" row) fresh;
-    Alcotest.failf "O3 output or JIT cache objects differ from the golden table (%d rows)"
+    Alcotest.failf "O3 output or JIT or AOT objects differ from the golden table (%d rows)"
       (List.length expected)
   end
 

@@ -15,11 +15,7 @@ let compile_unit ?(vendor = Device.Nvidia) src =
   let fe = match vendor with Device.Amd -> Lower.Hip | Device.Nvidia -> Lower.Cuda in
   let u = Compile.compile ~vendor:fe src in
   ignore (Proteus_opt.Pipeline.optimize_o3 u.Compile.device);
-  let obj, _ =
-    match vendor with
-    | Device.Amd -> Hip.aot_compile_device u.Compile.device
-    | Device.Nvidia -> Cuda.aot_compile_device u.Compile.device
-  in
+  let obj, _ = Toolchain.compile ~vendor u.Compile.device in
   (u, obj)
 
 (* ---- module loading & symbols ---- *)
@@ -162,9 +158,9 @@ let test_device_global_shared_between_kernels () =
 let test_cuda_fatbin_drops_sections () =
   let _, obj = compile_unit {|__global__ void k(int* p) { p[0] = 1; } int main(){return 0;}|} in
   let obj = { obj with Mach.sections = [ (".jit.k", "data") ] } in
-  let cuda = Cuda.embed_fatbin obj in
+  let cuda = Toolchain.embed ~vendor:Device.Nvidia obj in
   check Alcotest.int "CUDA strips custom sections" 0 (List.length cuda.Mach.sections);
-  let hip = Hip.embed_fatbin obj in
+  let hip = Toolchain.embed ~vendor:Device.Amd obj in
   check Alcotest.int "HIP keeps them" 1 (List.length hip.Mach.sections)
 
 let test_vendor_flavours_run_same_program () =
