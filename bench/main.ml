@@ -907,16 +907,7 @@ let serve_bench () =
   Serve.run_sharded sv ~domains w.Workload.schedule;
   Serve.finish sv;
   let wall = Unix.gettimeofday () -. t0 in
-  let rows = Serve.report sv in
-  let total = Serve.total sv in
-  Printf.printf "%-8s %9s %9s %9s %9s %9s %6s %10s\n" "tenant" "launches"
-    "hit-rate" "compiles" "p50-ms" "p99-ms" "fback" "resident";
-  List.iter
-    (fun (r : Serve.tenant_report) ->
-      Printf.printf "%-8s %9d %9.4f %9d %9.4f %9.4f %6d %10d\n" r.Serve.tr_tenant
-        r.tr_launches r.tr_hit_rate r.tr_compiles r.tr_p50_ms r.tr_p99_ms
-        r.tr_fallbacks r.tr_resident_bytes)
-    (rows @ [ total ]);
+  Serve.print_report sv;
   (* gate 1: concurrent outputs bit-identical to serial replay *)
   let replay_identical =
     let ok = ref true in
@@ -961,13 +952,8 @@ let serve_bench () =
     done;
     !ok
   in
-  let sane (r : Serve.tenant_report) =
-    r.Serve.tr_p50_ms <= r.tr_p99_ms && r.tr_hit_rate >= 0.0 && r.tr_hit_rate <= 1.0
-  in
   let ok =
-    replay_identical && isolation_ok
-    && List.for_all sane (total :: rows)
-    && total.Serve.tr_launches = launches
+    replay_identical && isolation_ok && (Serve.total sv).Serve.to_launches = launches
   in
   Printf.printf
     "serve: %d launches, %d domains in %.1fs (%.0f launches/s); replay %s, \
@@ -976,25 +962,10 @@ let serve_bench () =
     (float_of_int launches /. wall)
     (if replay_identical then "identical" else "DIVERGED")
     (if isolation_ok then "held" else "LEAKED");
-  let row_json (r : Serve.tenant_report) =
-    Json.Obj
-      [
-        ("tenant", Json.Str r.Serve.tr_tenant);
-        ("launches", Json.int r.tr_launches);
-        ("hits", Json.int r.tr_hits);
-        ("compiles", Json.int r.tr_compiles);
-        ("hit_rate", Json.Num r.tr_hit_rate);
-        ("p50_ms", Json.Num r.tr_p50_ms);
-        ("p99_ms", Json.Num r.tr_p99_ms);
-        ("fallbacks", Json.int r.tr_fallbacks);
-        ("quarantined", Json.int r.tr_quarantined);
-        ("resident_bytes", Json.int r.tr_resident_bytes);
-      ]
-  in
   serve_summary :=
     Some
       (Json.Obj
-         [
+         ([
            ("tenants", Json.int tenants);
            ("kernels", Json.int kernels);
            ("launches", Json.int launches);
@@ -1005,9 +976,8 @@ let serve_bench () =
            ("replay_identical", Json.Bool replay_identical);
            ("isolation_ok", Json.Bool isolation_ok);
            ("wall_s", Json.Num wall);
-           ("total", row_json total);
-           ("per_tenant", Json.Arr (List.map row_json rows));
-         ]);
+         ]
+         @ Serve.report_json sv));
   if not ok then begin
     Printf.printf "\nserve gate failed\n";
     exit 1

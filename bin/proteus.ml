@@ -17,6 +17,20 @@ let read_file path =
   close_in ic;
   s
 
+(* A frontend error (lexing, parsing, typing a source file) is a
+   diagnostic about the user's program, not an internal error: print it
+   at its position in [file] and exit 1. *)
+let frontend file f =
+  try f ()
+  with Proteus_frontend.Ast.Error (p, msg) ->
+    Printf.eprintf "%s:%d:%d: error: %s\n" file p.Proteus_frontend.Ast.line p.col msg;
+    exit 1
+
+(* The device module the analysis commands read, with source locations. *)
+let device_module name source =
+  frontend name (fun () ->
+      Proteus_frontend.Compile.compile_device_only ~name ~debug:true source)
+
 let vendor_conv =
   let parse = function
     | "amd" | "hip" -> Ok Device.Amd
@@ -59,8 +73,9 @@ let compile_cmd =
     let mode = if proteus then Proteus_driver.Driver.Proteus else Proteus_driver.Driver.Aot in
     let exe =
       try
-        Proteus_driver.Driver.compile ~name:(Filename.basename file) ~werror ~advise
-          ~vendor ~mode source
+        frontend file (fun () ->
+            Proteus_driver.Driver.compile ~name:(Filename.basename file) ~werror ~advise
+              ~vendor ~mode source)
       with Proteus_core.Plugin.Werror msg ->
         Printf.eprintf "proteus: error: %s\n" msg;
         exit 1
@@ -147,7 +162,7 @@ let analyze_cmd =
     let per_file =
       List.map
         (fun (name, source) ->
-          let m = Proteus_frontend.Compile.compile_device_only ~name ~debug:true source in
+          let m = device_module name source in
           let findings = Kernelsan.analyze_module m in
           let shown = Kernelsan.reportable ~all findings in
           shown_total := !shown_total + List.length shown;
@@ -201,8 +216,7 @@ let advise_cmd =
     Arg.(value
          & opt (enum [ ("text", `Text); ("machine", `Machine) ]) `Text
          & info [ "format" ]
-             ~doc:"Output format: $(b,text) or $(b,machine) (JSON, the schema \
-                   bench_check --advise validates).")
+             ~doc:"Output format: $(b,text) or $(b,machine) (JSON).")
   in
   let auto =
     Arg.(value & flag & info [ "auto-annotate" ]
@@ -233,7 +247,7 @@ let advise_cmd =
     let advised =
       List.map
         (fun (name, source) ->
-          let m = Proteus_frontend.Compile.compile_device_only ~name ~debug:true source in
+          let m = device_module name source in
           (name, source, Specadvisor.advise_module ~threshold m))
         targets
     in
@@ -328,9 +342,7 @@ let perflint_cmd =
     let results =
       List.map
         (fun (name, source) ->
-          let m =
-            Proteus_frontend.Compile.compile_device_only ~name ~debug:true source
-          in
+          let m = device_module name source in
           (name, Perflint.report_module ~device m))
         targets
     in
@@ -419,9 +431,7 @@ let transval_cmd =
     let results =
       List.map
         (fun (name, source) ->
-          let reference =
-            Proteus_frontend.Compile.compile_device_only ~name ~debug:true source
-          in
+          let reference = device_module name source in
           let candidate = Proteus_ir.Ir.clone_module reference in
           ignore (Proteus_opt.Pipeline.optimize_o3 candidate);
           (name, Transval.check_module_pair ~reference ~candidate ()))
@@ -497,7 +507,8 @@ let run_cmd =
     let source = read_file file in
     let mode = if proteus then Proteus_driver.Driver.Proteus else Proteus_driver.Driver.Aot in
     let exe =
-      Proteus_driver.Driver.compile ~name:(Filename.basename file) ~vendor ~mode source
+      frontend file (fun () ->
+          Proteus_driver.Driver.compile ~name:(Filename.basename file) ~vendor ~mode source)
     in
     let config =
       {
@@ -955,17 +966,7 @@ let serve_cmd =
     if domains > 1 then Serve.run_sharded sv ~domains w.Workload.schedule
     else Serve.run sv w.Workload.schedule;
     Serve.finish sv;
-    Printf.printf "%-8s %9s %9s %9s %9s %9s %9s %6s %6s %10s\n" "tenant"
-      "launches" "hits" "hit-rate" "compiles" "p50-ms" "p99-ms" "fback" "quar"
-      "resident";
-    let row (r : Serve.tenant_report) =
-      Printf.printf "%-8s %9d %9d %9.3f %9d %9.4f %9.4f %6d %6d %10d\n"
-        r.Serve.tr_tenant r.tr_launches r.tr_hits r.tr_hit_rate r.tr_compiles
-        r.tr_p50_ms r.tr_p99_ms r.tr_fallbacks r.tr_quarantined
-        r.tr_resident_bytes
-    in
-    List.iter row (Serve.report sv);
-    row (Serve.total sv);
+    Serve.print_report sv;
     if verify then begin
       let bad = ref 0 in
       for tn = 0 to w.Workload.tenants - 1 do

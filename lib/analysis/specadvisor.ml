@@ -706,8 +706,8 @@ let json_of_kernel ~(program : string) (k : kernel_impact) : Json.t =
         ("args", Arr (List.map json_of_arg k.ranked));
       ])
 
-(* JSON array over (program, reports) pairs; the schema bench_check
-   --advise validates. *)
+(* JSON array over (program, reports) pairs, the report
+   `proteus advise --format machine` prints. *)
 let json_of_programs (progs : (string * kernel_impact list) list) : Json.t =
   Json.Arr
     (List.concat_map (fun (p, ks) -> List.map (json_of_kernel ~program:p) ks) progs)

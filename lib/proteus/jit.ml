@@ -629,11 +629,13 @@ let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : i
            compile runs per key no matter how the misses interleave.
            Flights are keyed on (key, tier): this synchronous O3 path
            must never coalesce onto a tier-0 leader's cheaper artifact. *)
+        let compiled = ref false in
         let outcome =
           Flight.run t.flight ~key:key_str ~tier:1 (fun () ->
               match Cachestore.peek_mem t.cache key with
               | Some e -> e
               | None ->
+                  compiled := true;
                   let bitcode = fetch_bitcode t sym in
                   let obj =
                     compile_specialization t ~bitcode ~sym ~spec_values ~block
@@ -648,19 +650,20 @@ let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : i
                     t.stats.Stats.object_bytes + e.Cachestore.bytes;
                   e)
         in
-        let e =
-          match outcome with
-          | Flight.Led e ->
-              t.stats.Stats.flight_leads <- t.stats.Stats.flight_leads + 1;
-              e
-          | Flight.Coalesced e ->
-              (* a duplicate compile suppressed: this launch pays only
-                 the module-load cost of the shared artifact *)
-              t.stats.Stats.flight_suppressed <-
-                t.stats.Stats.flight_suppressed + 1;
-              e
-        in
-        charge t (float_of_int e.Cachestore.bytes *. cost.Costmodel.module_load_per_byte_s);
+        let e = match outcome with Flight.Led e | Flight.Coalesced e -> e in
+        if !compiled then begin
+          t.stats.Stats.flight_leads <- t.stats.Stats.flight_leads + 1;
+          charge t (float_of_int e.Cachestore.bytes *. cost.Costmodel.module_load_per_byte_s)
+        end
+        else begin
+          (* served by another launch's compile: a follower of its
+             flight, or a leader whose re-check found its entry. In a
+             serial run this launch's lookup would have hit, so it
+             counts and costs exactly a memory hit, and the service
+             totals do not depend on which tenant won the race. *)
+          t.stats.Stats.flight_suppressed <- t.stats.Stats.flight_suppressed + 1;
+          t.stats.Stats.mem_hits <- t.stats.Stats.mem_hits + 1
+        end;
         `Entry e
   in
   let overhead = Clock.read t.rt.Gpurt.clock -. clock_before in

@@ -299,44 +299,47 @@ let tenant_name (t : t) ~(tenant : int) : string = t.sv_tenants.(tenant).tn_name
 let jit (t : t) ~(tenant : int) : Jit.t = t.sv_tenants.(tenant).tn_jit
 let stats (t : t) ~(tenant : int) : Stats.t = t.sv_tenants.(tenant).tn_jit.Jit.stats
 
-(* ---- per-tenant report ------------------------------------------- *)
+(* ---- report ------------------------------------------------------ *)
 
+(* Per tenant, only what follows from that tenant's own launch stream.
+   Who compiles a kernel two tenants share, and so each tenant's hits,
+   compiles, latencies and resident bytes, depends on the domain
+   schedule; those appear on the totals row only, where they do not
+   (Jit counts a launch served by another launch's compile as a memory
+   hit). *)
 type tenant_report = {
   tr_tenant : string;
   tr_launches : int;
-  tr_hits : int;
-  tr_compiles : int;
-  tr_hit_rate : float;
-  tr_p50_ms : float;
-  tr_p99_ms : float;
   tr_fallbacks : int;
   tr_quarantined : int;
-  tr_resident_bytes : int;
 }
 
-let tenant_report (t : t) ~(tenant : int) : tenant_report =
-  let tn = t.sv_tenants.(tenant) in
-  let s = tn.tn_jit.Jit.stats in
-  let ms x = if Float.is_nan x then 0.0 else x *. 1e3 in
-  {
-    tr_tenant = tn.tn_name;
-    tr_launches = s.Stats.jit_launches;
-    tr_hits = s.Stats.mem_hits + s.Stats.disk_hits;
-    tr_compiles = s.Stats.compiles;
-    tr_hit_rate = Stats.hit_rate s;
-    tr_p50_ms = ms (Hist.p50 s.Stats.launch_hist);
-    tr_p99_ms = ms (Hist.p99 s.Stats.launch_hist);
-    tr_fallbacks = s.Stats.fallbacks;
-    tr_quarantined = s.Stats.quarantined_launches;
-    tr_resident_bytes = Cachestore.tenant_size t.sv_store tn.tn_name;
-  }
+type total = {
+  to_launches : int;
+  to_hits : int;
+  to_compiles : int;
+  to_hit_rate : float;
+  to_p50_ms : float;
+  to_p99_ms : float;
+  to_fallbacks : int;
+  to_quarantined : int;
+  to_resident_bytes : int;
+}
 
 let report (t : t) : tenant_report list =
-  List.init (Array.length t.sv_tenants) (fun i -> tenant_report t ~tenant:i)
+  Array.to_list t.sv_tenants
+  |> List.map (fun tn ->
+         let s = tn.tn_jit.Jit.stats in
+         {
+           tr_tenant = tn.tn_name;
+           tr_launches = s.Stats.jit_launches;
+           tr_fallbacks = s.Stats.fallbacks;
+           tr_quarantined = s.Stats.quarantined_launches;
+         })
 
-(* Aggregate of the per-tenant rows. Percentiles come from the merged
-   launch-overhead histograms, not an average of percentiles. *)
-let total (t : t) : tenant_report =
+(* Percentiles come from the merged launch-overhead histograms, not an
+   average of percentiles. *)
+let total (t : t) : total =
   let merged = Hist.create () in
   Array.iter
     (fun tn -> Hist.merge ~into:merged tn.tn_jit.Jit.stats.Stats.launch_hist)
@@ -346,18 +349,71 @@ let total (t : t) : tenant_report =
   let hits = sum (fun s -> s.Stats.mem_hits + s.Stats.disk_hits) in
   let ms x = if Float.is_nan x then 0.0 else x *. 1e3 in
   {
-    tr_tenant = "total";
-    tr_launches = launches;
-    tr_hits = hits;
-    tr_compiles = sum (fun s -> s.Stats.compiles);
-    tr_hit_rate =
+    to_launches = launches;
+    to_hits = hits;
+    to_compiles = sum (fun s -> s.Stats.compiles);
+    to_hit_rate =
       (if launches = 0 then 0.0 else float_of_int hits /. float_of_int launches);
-    tr_p50_ms = ms (Hist.p50 merged);
-    tr_p99_ms = ms (Hist.p99 merged);
-    tr_fallbacks = sum (fun s -> s.Stats.fallbacks);
-    tr_quarantined = sum (fun s -> s.Stats.quarantined_launches);
-    tr_resident_bytes = Cachestore.mem_size t.sv_store;
+    to_p50_ms = ms (Hist.p50 merged);
+    to_p99_ms = ms (Hist.p99 merged);
+    to_fallbacks = sum (fun s -> s.Stats.fallbacks);
+    to_quarantined = sum (fun s -> s.Stats.quarantined_launches);
+    to_resident_bytes = Cachestore.mem_size t.sv_store;
   }
+
+let tenant_fields (r : tenant_report) : (string * Json.t) list =
+  [
+    ("tenant", Json.Str r.tr_tenant);
+    ("launches", Json.int r.tr_launches);
+    ("fallbacks", Json.int r.tr_fallbacks);
+    ("quarantined", Json.int r.tr_quarantined);
+  ]
+
+let total_fields (o : total) : (string * Json.t) list =
+  [
+    ("tenant", Json.Str "total");
+    ("launches", Json.int o.to_launches);
+    ("hits", Json.int o.to_hits);
+    ("compiles", Json.int o.to_compiles);
+    ("hit_rate", Json.Num o.to_hit_rate);
+    ("p50_ms", Json.Num o.to_p50_ms);
+    ("p99_ms", Json.Num o.to_p99_ms);
+    ("fallbacks", Json.int o.to_fallbacks);
+    ("quarantined", Json.int o.to_quarantined);
+    ("resident_bytes", Json.int o.to_resident_bytes);
+  ]
+
+(* The report as JSON fields: the totals row, then one row per tenant. *)
+let report_json (t : t) : (string * Json.t) list =
+  [
+    ("total", Json.Obj (total_fields (total t)));
+    ("per_tenant", Json.Arr (List.map (fun r -> Json.Obj (tenant_fields r)) (report t)));
+  ]
+
+(* The same report as a text table: one column per totals field, "-"
+   where a tenant row has no such field. *)
+let print_report (t : t) : unit =
+  let total_row = total_fields (total t) in
+  let rows = List.map tenant_fields (report t) @ [ total_row ] in
+  let cols = List.map fst total_row in
+  let cell row c =
+    match List.assoc_opt c row with
+    | Some (Json.Str s) -> s
+    | Some v -> Json.to_string v
+    | None -> "-"
+  in
+  let width c = List.fold_left (fun w r -> max w (String.length (cell r c))) (String.length c) rows in
+  let line cells =
+    print_endline
+      (String.concat " "
+         (List.mapi
+            (fun i (c, s) ->
+              if i = 0 then Printf.sprintf "%-*s" (width c) s
+              else Printf.sprintf "%*s" (width c) s)
+            (List.combine cols cells)))
+  in
+  line cols;
+  List.iter (fun r -> line (List.map (cell r) cols)) rows
 
 (* ---- serial replay ----------------------------------------------- *)
 

@@ -301,29 +301,10 @@ let to_pairs s =
 let to_string s =
   "jit " ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) (to_pairs s))
 
-(* ---- per-tenant segments (multi-tenant serve) -------------------- *)
+(* ---- hit rate (multi-tenant serve) ------------------------------- *)
 
 (* Cache hit rate over this ledger's launches: both cache tiers count
    as hits; tier-0 serves and misses do not. 0 when nothing launched. *)
 let hit_rate s : float =
   if s.jit_launches = 0 then 0.0
   else float_of_int (s.mem_hits + s.disk_hits) /. float_of_int s.jit_launches
-
-(* One tenant's printable stats segment: the per-session counters the
-   serve loop reports, each key prefixed with the tenant name so N
-   segments concatenate into one unambiguous ledger. Latency
-   percentiles come from the per-launch overhead histogram. *)
-let tenant_pairs ~(tenant : string) s : (string * string) list =
-  let ms x =
-    if Float.is_nan x then "nan" else Printf.sprintf "%.6f" (x *. 1e3)
-  in
-  [
-    (tenant ^ ".launches", string_of_int s.jit_launches);
-    (tenant ^ ".hits", string_of_int (s.mem_hits + s.disk_hits));
-    (tenant ^ ".hit-rate", Printf.sprintf "%.4f" (hit_rate s));
-    (tenant ^ ".compiles", string_of_int s.compiles);
-    (tenant ^ ".fallbacks", string_of_int s.fallbacks);
-    (tenant ^ ".quarantined", string_of_int s.quarantined_launches);
-    (tenant ^ ".p50-ms", ms (Hist.p50 s.launch_hist));
-    (tenant ^ ".p99-ms", ms (Hist.p99 s.launch_hist));
-  ]

@@ -351,6 +351,47 @@ let test_measure_o3_concurrent () =
   in
   List.iter2 (fun want got -> List.iter (check Alcotest.string "counts" want) got) serial concurrent
 
+(* ---- report contracts: every bundled kernel's ranking is what the
+   advise spec policy relies on ---- *)
+
+let test_report_contracts () =
+  List.iter
+    (fun (name, src) ->
+      let reports = Specadvisor.advise_module (compile name src) in
+      Alcotest.(check bool) (name ^ " has kernel reports") true (reports <> []);
+      List.iter
+        (fun (k : Specadvisor.kernel_impact) ->
+          let ctx what = Printf.sprintf "%s/%s: %s" name k.Specadvisor.kernel what in
+          let args = k.Specadvisor.ranked in
+          check Alcotest.int (ctx "one row per parameter plus launch")
+            (k.Specadvisor.nparams + 1) (List.length args);
+          check Alcotest.(list int) (ctx "argument indices")
+            (List.init (k.Specadvisor.nparams + 1) Fun.id)
+            (List.sort compare (List.map (fun a -> a.Specadvisor.index) args));
+          let scores = List.map (fun a -> a.Specadvisor.score) args in
+          check Alcotest.(list (float 0.0)) (ctx "descending scores")
+            (List.sort (fun a b -> compare b a) scores) scores;
+          check Alcotest.(list int) (ctx "recommended = flagged parameters")
+            (List.sort compare
+               (List.filter_map
+                  (fun a ->
+                    if a.Specadvisor.index > 0 && a.Specadvisor.recommended then
+                      Some a.Specadvisor.index
+                    else None)
+                  args))
+            (Specadvisor.recommended_args k);
+          List.iter
+            (fun (a : Specadvisor.arg_impact) ->
+              if a.Specadvisor.recommended then begin
+                let arg what = ctx (Printf.sprintf "arg %d %s" a.Specadvisor.index what) in
+                Alcotest.(check bool) (arg "at or above threshold") true
+                  (a.Specadvisor.score >= k.Specadvisor.threshold);
+                Alcotest.(check bool) (arg "not a pointer") false a.Specadvisor.is_ptr
+              end)
+            args)
+        reports)
+    bundled
+
 let () =
   Alcotest.run "advise"
     [
@@ -375,6 +416,11 @@ let () =
         [
           Alcotest.test_case "signatures stable across compilations" `Quick
             test_advisor_deterministic;
+        ] );
+      ( "contracts",
+        [
+          Alcotest.test_case "every bundled kernel's ranking" `Quick
+            test_report_contracts;
         ] );
       ( "normalization",
         [

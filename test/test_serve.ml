@@ -417,7 +417,11 @@ let test_unscoped_fault_hits_all () =
 
 (* Shared-store economics: N tenants over one store compile each
    distinct kernel exactly once between them, and a serial run and a
-   sharded run produce bit-identical tenant outputs. *)
+   sharded run produce bit-identical tenant outputs. The service
+   totals do not depend on the schedule: a launch served by another
+   tenant's compile counts and costs a memory hit, so every 4-domain
+   run reports the serial run's totals field by field. The uniform
+   16-kernel workload makes tenants race for most compiles. *)
 let test_serve_shared_compile_once () =
   let w = Workload.generate ~seed:5 ~tenants:4 ~kernels:6 ~launches:600 ~skew:1.0 in
   let distinct =
@@ -439,6 +443,29 @@ let test_serve_shared_compile_once () =
       (Printf.sprintf "tenant %d serial = sharded" tn)
       (Serve.output sv ~tenant:tn)
       (Serve.output sv2 ~tenant:tn)
+  done;
+  let w = Workload.generate ~seed:5 ~tenants:4 ~kernels:16 ~launches:2000 ~skew:0.0 in
+  let sv = Serve.create ~tenants:4 ~kernels:16 () in
+  Serve.run sv w.Workload.schedule;
+  Serve.finish sv;
+  let serial = Serve.total sv in
+  let launches sv = List.map (fun r -> r.Serve.tr_launches) (Serve.report sv) in
+  for rep = 1 to 5 do
+    let sv4 = Serve.create ~tenants:4 ~kernels:16 () in
+    Serve.run_sharded sv4 ~domains:4 w.Workload.schedule;
+    Serve.finish sv4;
+    let o = Serve.total sv4 in
+    let int what = check Alcotest.int (Printf.sprintf "run %d: total %s" rep what) in
+    let num what = check (Alcotest.float 0.0) (Printf.sprintf "run %d: total %s" rep what) in
+    int "launches" serial.Serve.to_launches o.Serve.to_launches;
+    int "compiles" serial.Serve.to_compiles o.Serve.to_compiles;
+    int "hits" serial.Serve.to_hits o.Serve.to_hits;
+    num "hit rate" serial.Serve.to_hit_rate o.Serve.to_hit_rate;
+    num "p50" serial.Serve.to_p50_ms o.Serve.to_p50_ms;
+    num "p99" serial.Serve.to_p99_ms o.Serve.to_p99_ms;
+    int "resident bytes" serial.Serve.to_resident_bytes o.Serve.to_resident_bytes;
+    check Alcotest.(list int) (Printf.sprintf "run %d: tenant launches" rep)
+      (launches sv) (launches sv4)
   done
 
 (* Per-tenant quotas inside the serve loop: a tight quota caps each
