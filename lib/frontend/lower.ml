@@ -512,7 +512,7 @@ and lower_call fe pos name args : Ir.operand * cty =
       | _ -> (
           (* 2. vendor runtime API (host only) *)
           match (g.side, api_base name) with
-          | Fhost, Some base -> lower_vendor_call fe pos base args
+          | Fhost, Some base -> lower_vendor_call fe pos name base args
           | _, _ -> (
               match name with
               | "printf" when g.side = Fhost ->
@@ -571,14 +571,18 @@ and lower_call fe pos name args : Ir.operand * cty =
                       (Builder.call fe.b (ir_ty s.sret) name vals, s.sret)
                   | None -> error pos "call to undeclared function %s" name))))
 
-and lower_vendor_call fe pos base args : Ir.operand * cty =
+(* [name] is the call as the user spelled it, [base] the vendor-neutral
+   API it names *)
+and lower_vendor_call fe pos name base args : Ir.operand * cty =
   let g = fe.g in
-  let v name = (match g.vendor with Cuda -> "cuda" | Hip -> "hip") ^ name in
+  let v base = (match g.vendor with Cuda -> "cuda" | Hip -> "hip") ^ base in
   let arg i = List.nth args i in
-  let expect n = if List.length args <> n then error pos "%s expects %d arguments" base n in
+  let expect n = if List.length args <> n then error pos "%s expects %d arguments" name n in
   match base with
   | "Malloc" ->
-      expect 1;
+      if List.length args <> 1 then
+        error pos "%s takes one argument, a byte count, and returns the pointer: p = %s(bytes)"
+          name name;
       let sz = coerce fe pos (lower_expr fe (arg 0)) Clong in
       (Builder.call fe.b (ir_ty (Cptr Cvoid)) (v "Malloc") [ sz ], Cptr Cvoid)
   | "Free" ->
@@ -594,7 +598,7 @@ and lower_vendor_call fe pos base args : Ir.operand * cty =
   | "DeviceSynchronize" ->
       expect 0;
       (Builder.call fe.b Types.TVoid (v "DeviceSynchronize") [], Cvoid)
-  | b -> error pos "unsupported runtime API %s" b
+  | _ -> error pos "unsupported runtime API %s" name
 
 and lower_launch fe pos (l : launch) : Ir.operand * cty =
   let g = fe.g in

@@ -17,7 +17,7 @@
    evicted first, so a tenant with a pathological key stream evicts
    itself, never its neighbours. Global and per-tenant byte totals are
    running counters maintained by the single put/remove pair every
-   mutation path (insert, swap, LRU evict, quota evict, shrink) goes
+   mutation path (insert, LRU evict, quota evict, shrink) goes
    through, under the store mutex.
 
    Persistent entries are integrity-protected: each file carries a
@@ -89,7 +89,6 @@ type t = {
   mu : Mutex.t; (* in-process: serializes all public operations *)
   faults : Fault.t option; (* injection hooks: cache-lock, disk-full *)
   lock_timeout_ms : float; (* bound on waiting for a cross-process entry lock *)
-  lock_wait : Hist.t; (* seconds spent acquiring entry locks *)
   mutable lock_waits : int; (* entry-lock acquisitions *)
   mutable lock_contended : int; (* acquisitions that had to wait *)
   mutable reaped_tmp : int; (* crashed writers' .tmp litter removed by the sweep *)
@@ -410,7 +409,6 @@ let create ?(persistent_dir : string option) ?mem_limit ?disk_limit ?(tenant_quo
       mu = Mutex.create ();
       faults;
       lock_timeout_ms;
-      lock_wait = Hist.create ();
       lock_waits = 0;
       lock_contended = 0;
       reaped_tmp = 0;
@@ -555,7 +553,6 @@ let acquire_entry_lock t path : Unix.file_descr =
    with _ -> () (* an unstampable lock still locks; the sweep trial-locks anyway *));
   t.lock_waits <- t.lock_waits + 1;
   if !contended then t.lock_contended <- t.lock_contended + 1;
-  Hist.record t.lock_wait (Unix.gettimeofday () -. t0);
   t.tick_hook "locked";
   fd
 
@@ -635,12 +632,6 @@ let insert ?(tier = 1) ?owner t (key : Speckey.t) (obj : Mach.obj) : entry =
   | Some path when not t.disk_disabled -> write_persistent t path data
   | _ -> ());
   e
-
-(* The hot-swap entry point of ROADMAP #2's tier-up, by name: [insert]
-   already has the required semantics (generation bump, tcode drop,
-   atomic rename over the old file); [swap ~tier:1] publishes a
-   background O3 artifact over whatever tier served the key before. *)
-let swap = insert
 
 (* ---- degradation-ladder hooks (driven by Jit) -------------------- *)
 

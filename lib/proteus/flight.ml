@@ -16,13 +16,9 @@
    if the compile failed, every coalesced launch sees the same failure
    and takes the same contained AOT fallback.
 
-   Flights are keyed by (key, tier), not key alone. Tiered compilation
-   can have two compiles of the same specialization key legitimately
-   in flight at different optimization tiers, and a caller wanting the
-   O3 artifact must not coalesce onto a leader producing the cheap
-   tier-0 one - it would be handed a lower tier than it asked for and
-   cache it as if it were the higher. Callers that predate tiering
-   pass tier 0 implicitly and behave exactly as before. *)
+   Flights are keyed by the key string alone: the synchronous miss and
+   the tier-up compile both produce the one O3 artifact of a key, so
+   either may coalesce onto the other. *)
 
 type 'a flight = {
   mutable outcome : ('a, exn) result option; (* None while in flight *)
@@ -31,7 +27,7 @@ type 'a flight = {
 type 'a t = {
   mu : Mutex.t;
   closed : Condition.t; (* signalled whenever any flight closes *)
-  inflight : (string * int, 'a flight) Hashtbl.t;
+  inflight : (string, 'a flight) Hashtbl.t;
   mutable leads : int; (* calls that executed the work *)
   mutable suppressed : int; (* calls that coalesced onto a leader *)
 }
@@ -49,8 +45,7 @@ let create () =
    followers differently (a follower pays no compile cost). *)
 type 'a outcome = Led of 'a | Coalesced of 'a
 
-let run (t : 'a t) ~(key : string) ?(tier = 0) (f : unit -> 'a) : 'a outcome =
-  let key = (key, tier) in
+let run (t : 'a t) ~(key : string) (f : unit -> 'a) : 'a outcome =
   Mutex.lock t.mu;
   match Hashtbl.find_opt t.inflight key with
   | None ->
@@ -82,12 +77,3 @@ let run (t : 'a t) ~(key : string) ?(tier = 0) (f : unit -> 'a) : 'a outcome =
 
 let leads t = t.leads
 let suppressed t = t.suppressed
-
-(* Flights currently open (leader still compiling). The serve loop
-   polls this for its load report; it is advisory — the value can be
-   stale by the time the caller reads it. *)
-let inflight t =
-  Mutex.lock t.mu;
-  let n = Hashtbl.length t.inflight in
-  Mutex.unlock t.mu;
-  n

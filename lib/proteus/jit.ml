@@ -31,22 +31,17 @@ type qstate = {
   mutable cur_backoff : int; (* backoff applied on the next quarantine *)
 }
 
-(* One enqueued background (tier-up) compile. The job is created on
-   the launching domain when a specialization key crosses the
-   Config.tier_threshold gate, submitted to the domain pool's async
-   queue, and runs at the next launch boundary's drain. Its result
-   travels back through [tj_ticket]; everything that mutates shared
-   state (cache swap, tcode invalidation, stats, quarantine) happens
-   at publication on the launching domain, never inside the job. *)
+(* One armed background (tier-up) compile: the inputs a launch
+   captured when its specialization key crossed the
+   Config.tier_threshold gate. This JIT runs it itself at its next
+   launch boundary (see [drain_tier]). *)
 type tier_job = {
   tj_key : Speckey.t;
   tj_mid : string;
   tj_sym : string;
   tj_spec_values : (int * Konst.t) list;
   tj_block : int;
-  tj_enqueued_s : float; (* simulated clock at enqueue, for swap latency *)
-  tj_sim : float ref; (* simulated seconds the background compile charged *)
-  tj_ticket : (Mach.obj, exn) result option Atomic.t;
+  tj_armed_s : float; (* simulated clock when armed, for swap latency *)
 }
 
 type t = {
@@ -75,10 +70,9 @@ type t = {
          on the first launch under the advise policy. The full report
          (not just the statically recommended indices) is kept so the
          adaptive tier policy can re-filter it against measured reuse *)
-  pool : Pool.t; (* domain pool carrying the async tier-up queue *)
-  pending_tier : (string, tier_job) Hashtbl.t;
-      (* spec key -> in-flight background compile; doubles as the
-         dedupe set so a hot key is enqueued at most once at a time *)
+  mutable pending_tier : tier_job option;
+      (* the tier-up compile the last launch armed, if any: [launch]
+         drains it at its top and a launch arms at most one *)
   mutable charge_sink : (float -> unit) option;
       (* when set, [charge] redirects simulated cost here instead of
          advancing the shared clock: a background compile occupies a
@@ -116,8 +110,7 @@ let create ?(config = Config.default) ?cache ?flight ?tenant (rt : Gpurt.ctx)
     quarantine = Hashtbl.create 8;
     registered_vars = Hashtbl.create 8;
     advice = Hashtbl.create 8;
-    pool = Pool.get ();
-    pending_tier = Hashtbl.create 8;
+    pending_tier = None;
     charge_sink = None;
   }
 
@@ -516,55 +509,57 @@ let policy_spec_values (t : t) ~(mid : string) ~(sym : string)
 
 (* ---- launch ------------------------------------------------------ *)
 
-(* Enqueue a background O3 compile for a hot specialization key, if it
-   crossed the Config.tier_threshold launch-count gate and is not
-   already pending. The job itself runs at a later launch boundary's
-   drain (see [drain_tier]); here we only capture its inputs. *)
-let maybe_enqueue_tier (t : t) ~(mid : string) ~(sym : string) ~(key : Speckey.t)
+(* Arm a background O3 compile for a hot specialization key once it
+   crosses the Config.tier_threshold launch-count gate. The job runs
+   at the next launch boundary's drain (see [drain_tier]); here we
+   only capture its inputs. *)
+let arm_tier (t : t) ~(mid : string) ~(sym : string) ~(key : Speckey.t)
     ~(spec_values : (int * Konst.t) list) ~(block : int) : unit =
-  let ks = Speckey.to_string key in
-  if
-    (not (Hashtbl.mem t.pending_tier ks))
-    && Stats.key_launches t.stats ks >= t.config.Config.tier_threshold
-  then begin
-    let job =
-      {
-        tj_key = key;
-        tj_mid = mid;
-        tj_sym = sym;
-        tj_spec_values = spec_values;
-        tj_block = block;
-        tj_enqueued_s = Clock.read t.rt.Gpurt.clock;
-        tj_sim = ref 0.0;
-        tj_ticket = Atomic.make None;
-      }
-    in
-    Hashtbl.replace t.pending_tier ks job;
-    Pool.submit t.pool (fun () ->
-        (* Runs on the domain that drains the async queue. Simulated
-           cost is redirected into the job's private accumulator: the
-           compile occupies a spare core, not the client's timeline.
-           Real wall time, work counters and fault points behave
-           exactly as in a synchronous compile. *)
-        let saved = t.charge_sink in
-        t.charge_sink <- Some (fun s -> job.tj_sim := !(job.tj_sim) +. s);
-        let res =
-          try
-            let bitcode = fetch_bitcode t job.tj_sym in
-            Ok
-              (compile_specialization t ~bitcode ~sym:job.tj_sym
-                 ~spec_values:job.tj_spec_values ~block:job.tj_block)
-          with e -> Error e
-        in
-        t.charge_sink <- saved;
-        Atomic.set job.tj_ticket (Some res))
-  end
+  if Stats.key_launches t.stats (Speckey.to_string key) >= t.config.Config.tier_threshold then
+    t.pending_tier <-
+      Some
+        {
+          tj_key = key;
+          tj_mid = mid;
+          tj_sym = sym;
+          tj_spec_values = spec_values;
+          tj_block = block;
+          tj_armed_s = Clock.read t.rt.Gpurt.clock;
+        }
+
+(* The one compile routine, for a synchronous miss and a tier-up job
+   alike. Single-flight: concurrent compiles of one key coalesce onto
+   one leader. The leader re-checks the memory tier inside its flight
+   (double-checked locking: another flight may have finished between
+   the caller's lookup and here), so at most one compile runs per key
+   no matter how launches interleave. Returns the entry and whether
+   this call compiled it. *)
+let compile_entry (t : t) ~(key : Speckey.t) ~(sym : string)
+    ~(spec_values : (int * Konst.t) list) ~(block : int) : Cachestore.entry * bool =
+  let compiled = ref false in
+  let outcome =
+    Flight.run t.flight ~key:(Speckey.to_string key) (fun () ->
+        match Cachestore.peek_mem t.cache key with
+        | Some e -> e
+        | None ->
+            compiled := true;
+            let bitcode = fetch_bitcode t sym in
+            let obj = compile_specialization t ~bitcode ~sym ~spec_values ~block in
+            let e =
+              in_stage t Fault.Cache_write (fun () ->
+                  Cachestore.insert ?owner:t.tenant t.cache key obj)
+            in
+            Stats.record_cache_entry t.stats (Config.policy_name t.config.Config.spec_policy);
+            t.stats.Stats.object_bytes <- t.stats.Stats.object_bytes + e.Cachestore.bytes;
+            e)
+  in
+  ((match outcome with Flight.Led e | Flight.Coalesced e -> e), !compiled)
 
 (* The JIT path proper: raises Stage_failure on any contained error.
    Returns the tier that served the launch: 1 for a specialized cached
    object, 0 for the AOT artifact a cold tiered launch dispatches while
-   its O3 compile waits in the background queue. [qk] is the launch's
-   [qkey], built once by [launch]. *)
+   its O3 compile waits for the next launch boundary. [qk] is the
+   launch's [qkey], built once by [launch]. *)
 let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : int)
     ~(block : int) ~(args : Konst.t array) ~(spec_mask : int64) : int =
   let cost = t.rt.Gpurt.cost in
@@ -590,8 +585,7 @@ let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : i
       ~launch_bounds:(if t.config.Config.enable_lb then Some block else None)
   in
   charge t cost.Costmodel.cache_hash_s;
-  let key_str = Speckey.to_string key in
-  let profile = Stats.record_key_launch t.stats key_str in
+  let profile = Stats.record_key_launch t.stats (Speckey.to_string key) in
   let served =
     match
       in_stage t Fault.Cache_read (fun () ->
@@ -615,43 +609,15 @@ let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : i
         `Entry e
     | Cachestore.Miss when t.config.Config.tier ->
         (* Tiered cold launch: never block on O3. Serve the AOT
-           artifact now; once the key is hot enough, queue the
-           specialized compile for a later boundary's drain. The
-           launch pays only hash + lookup + enqueue bookkeeping. *)
-        maybe_enqueue_tier t ~mid ~sym ~key ~spec_values ~block;
+           artifact now; once the key is hot enough, arm the
+           specialized compile for the next boundary's drain. The
+           launch pays only hash + lookup + arming bookkeeping. *)
+        arm_tier t ~mid ~sym ~key ~spec_values ~block;
         t.stats.Stats.tier_launches <- t.stats.Stats.tier_launches + 1;
         `Tier0
     | Cachestore.Miss ->
-        (* Single-flight: concurrent identical launches coalesce onto
-           one compile. The winner re-checks the memory tier inside its
-           flight (double-checked locking: another flight may have
-           finished between our lookup and here), so at most one
-           compile runs per key no matter how the misses interleave.
-           Flights are keyed on (key, tier): this synchronous O3 path
-           must never coalesce onto a tier-0 leader's cheaper artifact. *)
-        let compiled = ref false in
-        let outcome =
-          Flight.run t.flight ~key:key_str ~tier:1 (fun () ->
-              match Cachestore.peek_mem t.cache key with
-              | Some e -> e
-              | None ->
-                  compiled := true;
-                  let bitcode = fetch_bitcode t sym in
-                  let obj =
-                    compile_specialization t ~bitcode ~sym ~spec_values ~block
-                  in
-                  let e =
-                    in_stage t Fault.Cache_write (fun () ->
-                        Cachestore.insert ?owner:t.tenant t.cache key obj)
-                  in
-                  Stats.record_cache_entry t.stats
-                    (Config.policy_name t.config.Config.spec_policy);
-                  t.stats.Stats.object_bytes <-
-                    t.stats.Stats.object_bytes + e.Cachestore.bytes;
-                  e)
-        in
-        let e = match outcome with Flight.Led e | Flight.Coalesced e -> e in
-        if !compiled then begin
+        let e, compiled = compile_entry t ~key ~sym ~spec_values ~block in
+        if compiled then begin
           t.stats.Stats.flight_leads <- t.stats.Stats.flight_leads + 1;
           charge t (float_of_int e.Cachestore.bytes *. cost.Costmodel.module_load_per_byte_s)
         end
@@ -747,69 +713,49 @@ let step_down t ~(reason : string) : unit =
 
 (* ---- tier-up drain / publication --------------------------------- *)
 
-(* Drain the async queue at a launch boundary and publish every
-   completed background compile: swap the specialized object into the
-   versioned cache (generation bump), drop the symbol's decoded tcode
-   so the next launch decodes the swapped-in code, and account the
-   job's privately-accumulated simulated compile time. A failed
-   background compile is contained with exact parity to a synchronous
-   one — recorded per stage, counted toward quarantine — except that
-   no fallback is counted: the launches it would have served already
-   ran correctly on the AOT artifact. Nothing raised here may reach
-   the client. *)
+(* Run the armed tier-up job, if any, at a launch boundary, through
+   the same routine as a synchronous miss: a key another launch has
+   compiled in the meantime compiles nothing and counts no tier-up.
+   The job's simulated cost goes to [tier_compile_s], not the client's
+   clock. A failed background compile is contained with exact parity
+   to a synchronous one - recorded per stage, counted toward
+   quarantine - except that no fallback is counted: the launches it
+   would have served already ran correctly on the AOT artifact.
+   Nothing raised here may reach the client. *)
 let drain_tier (t : t) : unit =
-  if Hashtbl.length t.pending_tier > 0 then begin
-    Pool.drain_async t.pool;
-    let completed =
-      Hashtbl.fold
-        (fun ks job acc ->
-          match Atomic.get job.tj_ticket with
-          | Some res -> (ks, job, res) :: acc
-          | None -> acc)
-        t.pending_tier []
-      (* deterministic publication order regardless of hash layout *)
-      |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-    in
-    List.iter
-      (fun (ks, job, res) ->
-        Hashtbl.remove t.pending_tier ks;
-        t.stats.Stats.tier_compile_s <-
-          t.stats.Stats.tier_compile_s +. !(job.tj_sim);
-        match
-          match res with
-          | Error e -> raise e
-          | Ok obj ->
-              let e =
-                in_stage t Fault.Cache_write (fun () ->
-                    Cachestore.swap ~tier:1 ?owner:t.tenant t.cache job.tj_key obj)
-              in
-              Stats.record_cache_entry t.stats
-                (Config.policy_name t.config.Config.spec_policy);
-              t.stats.Stats.object_bytes <-
-                t.stats.Stats.object_bytes + e.Cachestore.bytes
-        with
-        | () ->
-            Gpurt.invalidate_tcode t.rt job.tj_sym;
-            t.stats.Stats.tierups <- t.stats.Stats.tierups + 1;
-            Hist.record t.stats.Stats.swap_hist
-              (Clock.read t.rt.Gpurt.clock -. job.tj_enqueued_s);
-            note_success t (qkey t ~mid:job.tj_mid ~sym:job.tj_sym)
-        | exception e ->
-            let stage_name =
-              match e with
-              | Stage_failure (p, _) -> Fault.point_name p
-              | _ -> "tierup"
-            in
-            (match e with
-            | Stage_failure (Fault.Verify, _) ->
-                t.stats.Stats.verify_rejections <-
-                  t.stats.Stats.verify_rejections + 1
-            | _ -> ());
-            t.stats.Stats.tierup_failures <- t.stats.Stats.tierup_failures + 1;
-            Stats.record_failure t.stats stage_name;
-            note_failure t (qstate t (qkey t ~mid:job.tj_mid ~sym:job.tj_sym)))
-      completed
-  end
+  match t.pending_tier with
+  | None -> ()
+  | Some job -> (
+      t.pending_tier <- None;
+      let sim = ref 0.0 in
+      t.charge_sink <- Some (fun s -> sim := !sim +. s);
+      let res =
+        try
+          Ok
+            (compile_entry t ~key:job.tj_key ~sym:job.tj_sym
+               ~spec_values:job.tj_spec_values ~block:job.tj_block)
+        with e -> Error e
+      in
+      t.charge_sink <- None;
+      t.stats.Stats.tier_compile_s <- t.stats.Stats.tier_compile_s +. !sim;
+      let qk = qkey t ~mid:job.tj_mid ~sym:job.tj_sym in
+      match res with
+      | Ok (_, false) -> ()
+      | Ok (_, true) ->
+          t.stats.Stats.tierups <- t.stats.Stats.tierups + 1;
+          Hist.record t.stats.Stats.swap_hist (Clock.read t.rt.Gpurt.clock -. job.tj_armed_s);
+          note_success t qk
+      | Error e ->
+          let stage_name =
+            match e with Stage_failure (p, _) -> Fault.point_name p | _ -> "tierup"
+          in
+          (match e with
+          | Stage_failure (Fault.Verify, _) ->
+              t.stats.Stats.verify_rejections <- t.stats.Stats.verify_rejections + 1
+          | _ -> ());
+          t.stats.Stats.tierup_failures <- t.stats.Stats.tierup_failures + 1;
+          Stats.record_failure t.stats stage_name;
+          note_failure t (qstate t qk))
 
 (* Counters the cache store maintains under its own mutex, mirrored
    into the printable Stats ledger after every launch. *)
@@ -828,8 +774,8 @@ let sync_cache_counters t =
 let launch (t : t) ~(mid : string) ~(sym : string) ~(grid : int) ~(block : int)
     ~(args : Konst.t array) ~(spec_mask : int64) : unit =
   t.stats.Stats.jit_launches <- t.stats.Stats.jit_launches + 1;
-  (* launch boundary: publish any background compiles that completed,
-     so this launch's cache lookup can already see the swapped tier *)
+  (* launch boundary: run the tier-up job the last launch armed, so
+     this launch's cache lookup can already see its entry *)
   drain_tier t;
   (* pressure poll: at most one ladder step per launch *)
   if Fault.fires t.faults Fault.Mem_pressure then

@@ -63,7 +63,6 @@ type tenant = {
 
 type t = {
   sv_store : Cachestore.t;
-  sv_flight : Cachestore.entry Flight.t;
   sv_kernels : kernel_spec array;
   sv_tenants : tenant array;
   sv_n : int;
@@ -146,7 +145,7 @@ let initial_y ~(name : string) ~(i : int) : int64 =
   Int64.of_string ("0x" ^ Util.Fnv.to_hex h)
 
 let create ?(config = Config.default) ?(vendor = Device.Amd) ?(tenants = 4)
-    ?names ?(kernels = 8) ?(n = 64) ?(block = 32) ?store ?flight
+    ?names ?(kernels = 8) ?(n = 64) ?(block = 32) ?store
     ?(tenant_faults : (string * Fault.plan) list = []) () : t =
   if tenants <= 0 then invalid_arg "Serve.create: tenants must be positive";
   if kernels <= 0 then invalid_arg "Serve.create: kernels must be positive";
@@ -190,7 +189,7 @@ let create ?(config = Config.default) ?(vendor = Device.Amd) ?(tenants = 4)
           ~tenant_quota:config.Config.tenant_quota
           ~lock_timeout_ms:config.Config.lock_timeout_ms ()
   in
-  let flight = match flight with Some f -> f | None -> Flight.create () in
+  let flight = Flight.create () in
   let mk_tenant idx name =
     let rt = Gpurt.create (Device.by_vendor vendor) in
     ignore (Gpurt.load_module rt obj);
@@ -222,7 +221,6 @@ let create ?(config = Config.default) ?(vendor = Device.Amd) ?(tenants = 4)
   in
   {
     sv_store = store;
-    sv_flight = flight;
     sv_kernels = specs;
     sv_tenants = Array.of_list (List.mapi mk_tenant names);
     sv_n = n;
@@ -292,7 +290,6 @@ let output (t : t) ~(tenant : int) : string =
   Buffer.contents b
 
 let store (t : t) : Cachestore.t = t.sv_store
-let flight_table (t : t) : Cachestore.entry Flight.t = t.sv_flight
 let tenant_count (t : t) : int = Array.length t.sv_tenants
 let kernel_count (t : t) : int = Array.length t.sv_kernels
 let tenant_name (t : t) ~(tenant : int) : string = t.sv_tenants.(tenant).tn_name

@@ -57,18 +57,17 @@ type t = {
   mutable disk_degrades : int; (* times the persistent cache tier was dropped *)
   mutable lock_waits : int; (* cross-process cache entry-lock acquisitions *)
   mutable lock_contended : int; (* acquisitions that had to wait *)
-  lock_wait_hist : Hist.t; (* seconds acquiring entry locks *)
   launch_hist : Hist.t; (* per-launch simulated JIT overhead (deterministic) *)
   (* tiered compilation: profile-guided background O3 *)
   mutable tier_launches : int; (* launches served from the tier-0 artifact *)
-  mutable tierups : int; (* background O3 compiles published (hot swaps) *)
+  mutable tierups : int; (* background O3 compiles published *)
   mutable tierup_failures : int; (* contained background-compile failures *)
   mutable tier_compile_s : float;
       (* simulated seconds of background compilation - spent off the
          launch critical path, never charged to the shared clock *)
   mutable first_launch_s : float; (* overhead of the first JIT launch; nan until set *)
   mutable steady_launch_s : float; (* overhead of the most recent JIT launch *)
-  swap_hist : Hist.t; (* simulated enqueue -> publish latency per tier-up *)
+  swap_hist : Hist.t; (* simulated arm -> publish latency per tier-up *)
   profiles : (string, key_profile) Hashtbl.t;
       (* per-specialization-key profile: launch counts and cumulative
          simulated kernel seconds; feeds the Config.tier_threshold
@@ -96,7 +95,7 @@ let create () =
     deadline_overruns = 0; degrade_events = 0; degrade_level = 0;
     degraded_launches = 0; disk_degrades = 0;
     lock_waits = 0; lock_contended = 0;
-    lock_wait_hist = Hist.create (); launch_hist = Hist.create ();
+    launch_hist = Hist.create ();
     tier_launches = 0; tierups = 0; tierup_failures = 0; tier_compile_s = 0.0;
     first_launch_s = nan; steady_launch_s = nan;
     swap_hist = Hist.create ();

@@ -202,13 +202,6 @@ let get_tcode ctx ?tcode (k : Mach.mfunc) : Tcode.program =
           Hashtbl.replace ctx.tcodes k.Mach.sym p;
           p)
 
-(* Tiered hot swap: when the JIT publishes a new generation of a
-   kernel's object it drops the decoded program cached under that
-   symbol, so the next launch decodes the swapped-in code instead of
-   paying a physical-equality mismatch on stale tcode. Removing a
-   symbol that was never decoded is a no-op. *)
-let invalidate_tcode ctx (sym : string) : unit = Hashtbl.remove ctx.tcodes sym
-
 let launch_mfunc ctx ?tcode (k : Mach.mfunc) ~grid ~block ~(args : Konst.t array) :
     unit =
   Clock.advance ctx.clock ctx.cost.Costmodel.launch_s;

@@ -3,7 +3,8 @@
    to pay per kernel launch, so the pool is created once (lazily, on
    first parallel launch) and reused for the life of the process.
 
-   Sizing: PROTEUS_EXEC_DOMAINS if set (>= 1), else
+   Sizing: the caller passes the size; the executor's default is
+   PROTEUS_EXEC_DOMAINS if set (>= 1), else
    Domain.recommended_domain_count, read once when this module is
    initialised (see [default_domains]). Size 1 means "no workers": [run]
    degenerates to a plain loop on the calling domain, so callers never
@@ -35,12 +36,6 @@ type t = {
   mutable workers : unit Domain.t list; (* size - 1 spawned lazily *)
   mutable spawned : bool;
   mutable shutdown : bool;
-  (* async one-shot submissions (tier-up compiles): a FIFO of deferred
-     thunks, drained at explicit boundaries rather than raced by the
-     batch workers *)
-  aqueue : (unit -> unit) Queue.t;
-  mutable apending : int; (* submitted, not yet finished *)
-  async_done : Condition.t;
 }
 
 (* Fixed at program start: module initialisation runs on the main
@@ -52,8 +47,7 @@ let default_domains =
   let n = Knob.get Knob.exec_domains in
   fun () -> n
 
-let create ?size () =
-  let size = max 1 (match size with Some n -> n | None -> default_domains ()) in
+let create ~size =
   {
     size;
     mutex = Mutex.create ();
@@ -63,12 +57,7 @@ let create ?size () =
     workers = [];
     spawned = false;
     shutdown = false;
-    aqueue = Queue.create ();
-    apending = 0;
-    async_done = Condition.create ();
   }
-
-let size t = t.size
 
 (* Claim and run indices of [j] until exhausted. Returns when every
    index this domain claimed has finished. *)
@@ -150,73 +139,6 @@ let run t (fn : int -> unit) (n : int) : unit =
     match List.sort compare j.exns with (_, e) :: _ -> raise e | [] -> ()
   end
 
-(* ---- async one-shot submissions (tier-up compiles) ----------------
-
-   [submit] enqueues a thunk; [drain_async] runs every enqueued thunk
-   to completion and returns only when none remain in flight. Thunks
-   execute on whichever domain drains - deferral takes the work off
-   the submitting launch's critical path, and running it at an
-   explicit boundary keeps execution deterministic (the batch workers
-   never steal from this queue, so a thunk observes exactly the state
-   present at its drain point). The queue is mutex-protected end to
-   end: any number of domains may submit and drain concurrently (the
-   resilience torture does), and a thunk started by one drainer is
-   awaited by every other drainer before it returns.
-
-   Thunks must contain their own failures (catch and record); an
-   escaping exception is swallowed here so one bad submission can
-   never poison the queue or the draining launch. *)
-
-let submit t (fn : unit -> unit) : unit =
-  Mutex.lock t.mutex;
-  Queue.push fn t.aqueue;
-  t.apending <- t.apending + 1;
-  Mutex.unlock t.mutex
-
-let async_pending t : int =
-  Mutex.lock t.mutex;
-  let n = t.apending in
-  Mutex.unlock t.mutex;
-  n
-
-let drain_async t : unit =
-  Mutex.lock t.mutex;
-  let rec go () =
-    if not (Queue.is_empty t.aqueue) then begin
-      let fn = Queue.pop t.aqueue in
-      Mutex.unlock t.mutex;
-      (try fn () with _ -> ());
-      Mutex.lock t.mutex;
-      t.apending <- t.apending - 1;
-      if t.apending = 0 then Condition.broadcast t.async_done;
-      go ()
-    end
-    else if t.apending > 0 then begin
-      (* another domain is mid-thunk: wait for it to finish *)
-      Condition.wait t.async_done t.mutex;
-      go ()
-    end
-  in
-  go ();
-  Mutex.unlock t.mutex
-
-(* [run_collect pool f n] is [run] for tasks with results: executes
-   f 0 .. f (n-1) across the pool and returns the results indexed by
-   task. Each slot is written exactly once by whichever domain claimed
-   the index, and [run]'s barrier orders those writes before the
-   caller reads the array back. The multi-tenant serve loop uses this
-   to fan tenant sessions out across domains and gather their
-   per-session reports. *)
-let run_collect (t : t) (fn : int -> 'a) (n : int) : 'a array =
-  if n <= 0 then [||]
-  else begin
-    let out = Array.make n None in
-    run t (fun i -> out.(i) <- Some (fn i)) n;
-    Array.map
-      (function Some v -> v | None -> Util.failf "Pool.run_collect: task dropped")
-      out
-  end
-
 (* Process-wide pools, memoized by size: the GPU executor asks for one
    per configured domain count, and tests force small explicit sizes
    without disturbing the default pool. *)
@@ -230,11 +152,9 @@ let shared ~size =
     match Hashtbl.find_opt shared_tbl size with
     | Some p -> p
     | None ->
-        let p = create ~size () in
+        let p = create ~size in
         Hashtbl.add shared_tbl size p;
         p
   in
   Mutex.unlock shared_mu;
   p
-
-let get () = shared ~size:(default_domains ())

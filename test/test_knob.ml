@@ -223,21 +223,35 @@ let test_one_reader () =
         Alcotest.failf "%s calls getenv on a PROTEUS_ name; read it through Knob.get" f)
     (Lazy.force readers)
 
+(* Fails if a source that [exempt] does not cover names [re] outside
+   comments and string literals; [fix] says where the call belongs. *)
+let source_gate ~(re : Str.regexp) ~(exempt : string -> bool) ~(fix : string) =
+  List.iter
+    (fun f ->
+      let code, _ = scan (In_channel.with_open_bin f In_channel.input_all) in
+      match all_matches re code with
+      | m :: _ when not (exempt f) -> Alcotest.failf "%s names %s; %s" f m fix
+      | _ -> ())
+    (Lazy.force sources)
+
 (* the vendor decision (GCN straight to a binary, or PTX then ptxas)
    lives in lib/runtime/toolchain.ml: nothing outside the backend and
    that module calls a vendor's codegen or a per-vendor toolchain *)
 let test_one_toolchain () =
-  let call = Str.regexp "\\bPtxas\\.compile\\|\\bGcn\\.lower_kernel\\|\\b\\(Hip\\|Cuda\\)\\." in
-  let exempt f =
-    String.starts_with ~prefix:"../lib/backend/" f || f = "../lib/runtime/toolchain.ml"
-  in
-  List.iter
-    (fun f ->
-      let code, _ = scan (In_channel.with_open_bin f In_channel.input_all) in
-      match all_matches call code with
-      | m :: _ when not (exempt f) -> Alcotest.failf "%s names %s; compile through Toolchain" f m
-      | _ -> ())
-    (Lazy.force sources)
+  source_gate
+    ~re:(Str.regexp "\\bPtxas\\.compile\\|\\bGcn\\.lower_kernel\\|\\b\\(Hip\\|Cuda\\)\\.")
+    ~exempt:(fun f ->
+      String.starts_with ~prefix:"../lib/backend/" f || f = "../lib/runtime/toolchain.ml")
+    ~fix:"compile through Toolchain"
+
+(* the domain pool runs the executor's blocks and the serve loop's
+   shards, nothing else: a JIT runs its deferred tier-up compile itself,
+   at its own launch boundary, so no second scheduler can grow *)
+let test_one_scheduler () =
+  source_gate ~re:(Str.regexp "\\bPool\\.")
+    ~exempt:(fun f ->
+      List.mem f [ "../lib/support/pool.ml"; "../lib/gpu/exec.ml"; "../lib/proteus/serve.ml" ])
+    ~fix:"only the executor and the serve loop use the domain pool"
 
 (* the scanner itself: a name in a comment is not a literal, one in a
    quoted string or after a '"' character literal is *)
@@ -286,5 +300,6 @@ let () =
           Alcotest.test_case "only knob.ml reads the environment" `Quick test_one_reader;
           Alcotest.test_case "README rows match the table" `Quick test_readme_rows;
           Alcotest.test_case "only Toolchain picks a vendor backend" `Quick test_one_toolchain;
+          Alcotest.test_case "only exec and serve use the domain pool" `Quick test_one_scheduler;
         ] );
     ]

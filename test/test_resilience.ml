@@ -195,39 +195,6 @@ let test_flight_propagates_failure () =
   Alcotest.(check bool) "follower sees the leader's failure" true
     (Domain.join follower)
 
-(* Flights are keyed on (key, tier): a launch that needs the
-   specialized O3 artifact must never coalesce onto a concurrent
-   tier-0 leader and come back with the cheaper object. *)
-let test_flight_tier_isolation () =
-  let fl = Flight.create () in
-  let in_flight = Atomic.make false in
-  let release = Atomic.make false in
-  let t0_leader =
-    Domain.spawn (fun () ->
-        Flight.run fl ~key:"k" ~tier:0 (fun () ->
-            Atomic.set in_flight true;
-            while not (Atomic.get release) do
-              Domain.cpu_relax ()
-            done;
-            0))
-  in
-  while not (Atomic.get in_flight) do
-    Domain.cpu_relax ()
-  done;
-  (* the tier-0 flight for "k" is open; an O3 caller on the same key
-     must lead its own flight, not join it *)
-  (match Flight.run fl ~key:"k" ~tier:1 (fun () -> 3) with
-  | Flight.Led 3 -> ()
-  | Flight.Led _ -> Alcotest.fail "tier-1 flight ran the wrong thunk"
-  | Flight.Coalesced _ ->
-      Alcotest.fail "tier-1 caller coalesced onto a tier-0 leader");
-  Atomic.set release true;
-  (match Domain.join t0_leader with
-  | Flight.Led 0 -> ()
-  | _ -> Alcotest.fail "tier-0 leader must lead");
-  check Alcotest.int "two independent leads" 2 (Flight.leads fl);
-  check Alcotest.int "nothing suppressed across tiers" 0 (Flight.suppressed fl)
-
 (* ---- entry generations (hot swap) ---- *)
 
 let test_generation_bumps () =
@@ -235,7 +202,7 @@ let test_generation_bumps () =
   let c = Cachestore.create ~persistent_dir:dir () in
   let e1 = Cachestore.insert c (spec_key 1) (dummy_obj 1) in
   check Alcotest.int "first generation" 1 e1.Cachestore.generation;
-  let e2 = Cachestore.swap c (spec_key 1) (dummy_obj 2) in
+  let e2 = Cachestore.insert c (spec_key 1) (dummy_obj 2) in
   check Alcotest.int "hot swap bumps the generation" 2 e2.Cachestore.generation;
   (* the bump survives the disk round-trip: a fresh store sees gen 2 *)
   let c2 = Cachestore.create ~persistent_dir:dir () in
@@ -367,76 +334,43 @@ let test_torture () =
   done;
   rm_rf dir
 
-(* Tiered torture: the same 4-domain race, but misses are served
-   tier-0 and the O3 compiles travel through the pool's async queue,
-   with every domain draining (and therefore running) other domains'
-   submissions. The oracle: exactly one O3 compile per hot key no
-   matter how submissions and drains interleave, every published entry
-   carries the tier-1 tag, and the store survives concurrent swaps
-   with zero corruption. *)
+(* Tiered torture: 4 domains serve 4 tenants with tiering on, over one
+   shared store with a persistent directory. Misses are served tier-0,
+   and each tenant's JIT runs the tier-up compiles it armed at its own
+   launch boundaries. Oracles, on each of 5 runs of a uniform 16-kernel
+   workload: exactly one compile per kernel across every tenant, every
+   tenant's output bit-identical to a serial single-tenant replay, and
+   a recovery sweep over the directory that finds no corruption. *)
 let test_tiered_torture () =
-  let dir = tmpdir () in
-  let c = Cachestore.create ~persistent_dir:dir () in
-  let fl = Flight.create () in
-  let pool = Pool.create ~size:ndomains () in
-  let compiles = Array.init nkeys (fun _ -> Atomic.make 0) in
-  let key_launches = Array.init nkeys (fun _ -> Atomic.make 0) in
-  let tier_threshold = 2 in
-  let tier_compile k () =
-    (* the background job: single-flight + double-check, then publish
-       via the versioned swap - the same dance the JIT's drain does *)
-    let key = spec_key k in
-    match Cachestore.lookup c key with
-    | Cachestore.Mem_hit _ | Cachestore.Disk_hit _ -> ()
-    | Cachestore.Miss -> (
-        match
-          Flight.run fl ~key:(Speckey.to_string key) ~tier:1 (fun () ->
-              match Cachestore.peek_mem c key with
-              | Some e -> e
-              | None ->
-                  Atomic.incr compiles.(k);
-                  Cachestore.swap ~tier:1 c key (dummy_obj k))
-        with
-        | Flight.Led _ | Flight.Coalesced _ -> ())
+  let module Workload = Proteus_fuzz.Workload in
+  let tenants = 4 and kernels = 16 in
+  let w = Workload.generate ~seed:5 ~tenants ~kernels ~launches:2000 ~skew:0.0 in
+  let config = { Config.default with Config.tier = true } in
+  let replay = Serve.create ~config ~tenants ~kernels () in
+  let expected =
+    Array.init tenants (fun tn -> Serve.replay_output ~config replay ~tenant:tn w.Workload.schedule)
   in
-  let worker wid () =
-    let rng = Util.Rng.create (0xF00D + wid) in
-    for r = 0 to rounds - 1 do
-      let k = if r < nkeys then r else Util.Rng.int rng nkeys in
-      (match Cachestore.lookup c (spec_key k) with
-      | Cachestore.Mem_hit _ | Cachestore.Disk_hit _ -> ()
-      | Cachestore.Miss ->
-          (* tier-0 service: no blocking compile; arm a background one
-             once the key is hot (several domains may arm the same key:
-             the flight inside the job dedupes the compile) *)
-          if Atomic.fetch_and_add key_launches.(k) 1 + 1 >= tier_threshold then
-            Pool.submit pool (tier_compile k));
-      (* a launch boundary every few rounds: drain whatever any domain
-         submitted, on this domain *)
-      if r mod 8 = 7 then Pool.drain_async pool
-    done;
-    Pool.drain_async pool
-  in
-  let domains = List.init ndomains (fun i -> Domain.spawn (worker i)) in
-  List.iter Domain.join domains;
-  check Alcotest.int "async queue fully drained" 0 (Pool.async_pending pool);
-  Array.iteri
-    (fun k n ->
-      check Alcotest.int (Printf.sprintf "key %d O3-compiled exactly once" k) 1
-        (Atomic.get n))
-    compiles;
-  (* every key is hot and published, at tier 1, with zero corruption *)
-  let c2 = Cachestore.create ~persistent_dir:dir () in
-  check Alcotest.int "no corruption" 0 c2.Cachestore.corruptions;
-  check Alcotest.int "one entry file per key" nkeys (List.length (cache_entries dir));
-  for k = 0 to nkeys - 1 do
-    match Cachestore.lookup c2 (spec_key k) with
-    | Cachestore.Disk_hit e ->
-        check Alcotest.int (Printf.sprintf "key %d published at tier 1" k) 1
-          e.Cachestore.tier
-    | _ -> Alcotest.fail (Printf.sprintf "key %d must disk-hit after the run" k)
-  done;
-  rm_rf dir
+  for rep = 1 to 5 do
+    let dir = tmpdir () in
+    let sv =
+      Serve.create ~config:{ config with Config.persistent_dir = Some dir } ~tenants ~kernels ()
+    in
+    Serve.run_sharded sv ~domains:ndomains w.Workload.schedule;
+    Serve.finish sv;
+    check Alcotest.int
+      (Printf.sprintf "run %d: one compile per kernel" rep)
+      kernels (Serve.total sv).Serve.to_compiles;
+    Array.iteri
+      (fun tn out ->
+        check Alcotest.string
+          (Printf.sprintf "run %d: tenant %d output = serial replay" rep tn)
+          out (Serve.output sv ~tenant:tn))
+      expected;
+    let swept = Cachestore.create ~persistent_dir:dir () in
+    check Alcotest.int (Printf.sprintf "run %d: no corruption" rep) 0
+      swept.Cachestore.corruptions;
+    rm_rf dir
+  done
 
 (* Multi-tenant serve torture: 4 domains serve 4 tenants over ONE
    shared content-addressed store and single-flight table, driven by a
@@ -464,7 +398,7 @@ let test_serve_torture () =
   let sv = Serve.create ~config ~tenants ~kernels () in
   Serve.run_sharded sv ~domains:4 w.Workload.schedule;
   Serve.finish sv;
-  (* exactly one compile per (content hash, tier), all tenants combined *)
+  (* exactly one compile per content hash, all tenants combined *)
   let distinct =
     List.length
       (List.sort_uniq compare (List.map snd (Array.to_list w.Workload.schedule)))
@@ -532,8 +466,6 @@ let () =
           Alcotest.test_case "concurrent calls coalesce" `Quick test_flight_coalesces;
           Alcotest.test_case "leader failure reaches followers" `Quick
             test_flight_propagates_failure;
-          Alcotest.test_case "tiers never coalesce across each other" `Quick
-            test_flight_tier_isolation;
         ] );
       ( "cachestore",
         [
@@ -548,7 +480,7 @@ let () =
         [
           Alcotest.test_case "4 domains, one compile per key, no corruption"
             `Quick test_torture;
-          Alcotest.test_case "tiered: one async O3 per hot key, no corruption"
+          Alcotest.test_case "tiered serve: one compile per kernel"
             `Quick test_tiered_torture;
           Alcotest.test_case
             "serve: 4 domains x 4 tenants, one compile per content hash, \

@@ -1,6 +1,7 @@
 (* Tiered-compilation tests: the Config.tier_threshold launch-count
    gate, cold-launch latency (never block a launch on O3), hot-swap
-   publication (generation bump + decoded-code invalidation), exact
+   publication (generation bump, no stale decoded code, one compile
+   per key across tenants), exact
    containment parity for failed background compiles, and the adaptive
    SpecAdvisor threshold that specializes statically-declined arguments
    once measured reuse exceeds break-even. *)
@@ -140,7 +141,7 @@ let test_swap_generation_and_tier () =
   let e1 = Cachestore.insert ~tier:0 c (spec_key 1) (dummy_obj 1) in
   check Alcotest.int "placeholder tier recorded" 0 e1.Cachestore.tier;
   check Alcotest.int "first generation" 1 e1.Cachestore.generation;
-  let e2 = Cachestore.swap ~tier:1 c (spec_key 1) (dummy_obj 2) in
+  let e2 = Cachestore.insert ~tier:1 c (spec_key 1) (dummy_obj 2) in
   check Alcotest.int "swap publishes tier 1" 1 e2.Cachestore.tier;
   check Alcotest.int "swap bumps the generation" 2 e2.Cachestore.generation;
   (* the tier tag survives the disk frame (v3) across a restart *)
@@ -152,49 +153,37 @@ let test_swap_generation_and_tier () =
   | _ -> Alcotest.fail "expected a disk hit");
   rm_rf dir
 
-(* A published swap drops the per-symbol decoded program, so the next
-   launch decodes the swapped-in code instead of running stale tcode. *)
+(* A tier-up publishes a new kernel under a symbol the runtime has
+   already decoded. The launch must run the new code: [Gpurt.get_tcode]
+   rejects a program decoded from any other kernel, whether the
+   runtime's symbol table or the caller holds it. *)
 let test_tcode_invalidation () =
   let rt = Gpurt.create Device.mi250x in
-  let k =
-    {
-      Mach.sym = "swapped";
-      blocks = [];
-      params = [];
-      arg_tys = [];
-      vregs = 0;
-      sregs = 0;
-      frame = 0;
-      spill_slots = 0;
-      launch_bounds = None;
-      max_pressure_v = 0;
-      max_pressure_s = 0;
-    }
+  let kernel () =
+    Mach.find_kernel (fst (Toolchain.compile ~vendor:Device.Amd (Serve.build_module 1)))
+      (Serve.kernel_sym 0)
   in
-  (* populate the decoded-code cache directly, then invalidate *)
-  let prog =
-    {
-      Tcode.tf = k;
-      entry = 0;
-      blocks = [||];
-      ipdom = [||];
-      sites = [||];
-      has_atomics = false;
-      iconsts = [||];
-      fconsts = [||];
-      syms = [||];
-      fruns = [||];
-      states = Atomic.make [];
-    }
-  in
-  Hashtbl.replace rt.Gpurt.tcodes "swapped" prog;
-  Alcotest.(check bool) "decoded program present" true
-    (Hashtbl.mem rt.Gpurt.tcodes "swapped");
-  Gpurt.invalidate_tcode rt "swapped";
-  Alcotest.(check bool) "decoded program dropped" false
-    (Hashtbl.mem rt.Gpurt.tcodes "swapped");
-  (* invalidating an absent symbol is a no-op *)
-  Gpurt.invalidate_tcode rt "never-decoded"
+  let k1 = kernel () in
+  let p1 = Gpurt.get_tcode rt k1 in
+  Alcotest.(check bool) "first launch runs the first kernel" true (p1.Tcode.tf == k1);
+  let k2 = kernel () in
+  Alcotest.(check bool) "same symbol, new kernel" true
+    (k2.Mach.sym = k1.Mach.sym && k2 != k1);
+  Alcotest.(check bool) "table entry is not reused for the new kernel" true
+    ((Gpurt.get_tcode rt k2).Tcode.tf == k2);
+  Alcotest.(check bool) "a stale program passed in is not reused either" true
+    ((Gpurt.get_tcode rt ~tcode:p1 k2).Tcode.tf == k2)
+
+(* Two tenants share one store and take turns on one kernel. Each arms
+   its own tier-up job; the first to drain compiles and the other finds
+   the entry in the store, so the kernel compiles once. *)
+let test_serve_one_compile () =
+  let sv = Serve.create ~config:tier_config ~tenants:2 ~kernels:1 () in
+  Serve.run sv [| (0, 0); (1, 0); (0, 0); (1, 0); (0, 0); (1, 0) |];
+  Serve.finish sv;
+  check Alcotest.int "one compile" 1 (Serve.total sv).Serve.to_compiles;
+  check Alcotest.int "one tier-up" 1
+    ((Serve.stats sv ~tenant:0).Stats.tierups + (Serve.stats sv ~tenant:1).Stats.tierups)
 
 (* ---- async-failure containment parity ---- *)
 
@@ -317,6 +306,7 @@ let () =
           Alcotest.test_case "generation bump + tier tag" `Quick
             test_swap_generation_and_tier;
           Alcotest.test_case "tcode invalidation" `Quick test_tcode_invalidation;
+          Alcotest.test_case "two tenants, one compile" `Quick test_serve_one_compile;
         ] );
       ( "containment",
         [
