@@ -21,7 +21,7 @@
    through, under the store mutex.
 
    Persistent entries are integrity-protected: each file carries a
-   versioned header (magic, format version, generation, payload
+   versioned header (magic, format version, two reserved words, payload
    length, CRC32) and is written atomically (.tmp + rename). A
    corrupt, truncated or undecodable file is deleted on lookup and
    reported as a Miss — the JIT recompiles and heals the cache;
@@ -37,7 +37,10 @@
      whole old bytes or whole new bytes, and the CRC catches the rest;
    - [create] runs a recovery sweep that reaps .tmp/.lock litter left
      by crashed writers and deletes any entry that fails frame
-     validation, so the store always starts clean. *)
+     validation, so the store always starts clean;
+   - [compile_once] is the store's one compile-once routine: its own
+     single-flight table coalesces concurrent compiles of a key, so
+     every JIT sharing the store shares the flight table too. *)
 
 open Proteus_support
 open Proteus_backend
@@ -46,21 +49,13 @@ open Proteus_backend
    this object, built lazily on first launch and kept with the entry so
    a memory hit skips both prepare and decode. It is not persisted -
    decode is cheap relative to compilation; only the object survives on
-   disk. [generation] counts replacements of the object under this key
-   (versioned hot-swap): a re-insert bumps it and starts with empty
-   tcodes, so stale decoded code can never outlive the object it was
-   decoded from. *)
+   disk. A re-insert over a resident key replaces the entry, so stale
+   decoded code can never outlive the object it was decoded from. *)
 type entry = {
   obj : Mach.obj;
   bytes : int;
   mutable last_used : int;
   mutable tcodes : (string * Proteus_gpu.Tcode.program) list;
-  generation : int;
-  tier : int;
-      (* which compilation tier produced the object: 0 = cheap /
-         unspecialized placeholder, 1 = specialized O3. The tiered JIT
-         uses it to tell a placeholder artifact from the real thing
-         when deciding whether a hit still needs a background tier-up. *)
   owner : string option;
       (* tenant that paid for this artifact; the unit per-tenant
          quotas are charged against. None for single-tenant use. *)
@@ -83,7 +78,6 @@ type t = {
   mutable evictions_mem : int;
   mutable evictions_disk : int;
   mutable evictions_quota : int; (* memory evictions forced by a tenant quota *)
-  mutable stored_bytes : int; (* bytes written to the persistent cache this run *)
   mutable corruptions : int; (* corrupt/truncated/unreadable entries discarded *)
   (* concurrency & recovery *)
   mu : Mutex.t; (* in-process: serializes all public operations *)
@@ -99,6 +93,9 @@ type t = {
       (* progress callback fired at labelled points inside persistent
          writes; the crash-torture harness uses it to kill the process
          mid-write at a chosen tick *)
+  flight : entry Flight.t;
+      (* single-flight compile groups keyed by specialization key, for
+         [compile_once] *)
 }
 
 (* ---- in-process serialization ------------------------------------ *)
@@ -120,7 +117,7 @@ let touch t e =
 
 (* All in-memory insertions and removals go through these two helpers
    so [mem_bytes] and the per-owner totals stay running counters that
-   an eviction, swap or overwrite can never leave stale: a removed or
+   an eviction or overwrite can never leave stale: a removed or
    replaced entry decrements both ledgers in the same critical section
    that takes it out of the table (the previous implementation
    re-folded the whole table on every insert to learn its size, which
@@ -242,23 +239,24 @@ let path_for t (key : Speckey.t) =
   Option.map (fun d -> Filename.concat d (Speckey.cache_filename key)) t.persistent_dir
 
 (* ---- persistent entry format ----
-   magic "PJTC" | u32 format version | u32 generation | u32 tier |
+   magic "PJTC" | u32 format version | u32 reserved | u32 reserved |
    u64 payload length | u32 CRC32(payload) | payload
-   (Mach.encode_obj bytes). Version 2 added the generation word;
-   version 3 added the tier word (tiered compilation). Older-version
-   files fail validation and are healed by recompilation. *)
+   (Mach.encode_obj bytes). The two reserved words once held a
+   generation counter and a tier tag; they are written as 1 and ignored
+   on read, so files written with either value still load. Files of
+   another version fail validation and are healed by recompilation. *)
 
 let magic = "PJTC"
 let format_version = 3l
 let header_bytes = 4 + 4 + 4 + 4 + 8 + 4
 
-let encode_entry ~(generation : int) ~(tier : int) (payload : string) : string =
+let encode_entry (payload : string) : string =
   let b = Buffer.create (header_bytes + String.length payload) in
   Buffer.add_string b magic;
   let w = Util.Bytesio.W.create () in
   Util.Bytesio.W.u32 w format_version;
-  Util.Bytesio.W.u32 w (Int32.of_int generation);
-  Util.Bytesio.W.u32 w (Int32.of_int tier);
+  Util.Bytesio.W.u32 w 1l;
+  Util.Bytesio.W.u32 w 1l;
   Util.Bytesio.W.u64 w (Int64.of_int (String.length payload));
   Util.Bytesio.W.u32 w (Util.Crc32.string payload);
   Buffer.add_string b (Util.Bytesio.W.contents w);
@@ -266,24 +264,23 @@ let encode_entry ~(generation : int) ~(tier : int) (payload : string) : string =
   Buffer.contents b
 
 (* Validate header + checksum; any violation raises (the caller maps
-   it to a counted corruption + Miss). Returns payload + generation +
-   tier. *)
-let decode_entry (data : string) : string * int * int =
+   it to a counted corruption + Miss). Returns the payload. *)
+let decode_entry (data : string) : string =
   if String.length data < header_bytes then Util.failf "cache entry truncated header";
   if String.sub data 0 4 <> magic then Util.failf "cache entry bad magic";
   let r = Util.Bytesio.R.create (String.sub data 4 (header_bytes - 4)) in
   let version = Util.Bytesio.R.u32 r in
   if version <> format_version then
     Util.failf "cache entry format version %ld (want %ld)" version format_version;
-  let generation = Int32.to_int (Util.Bytesio.R.u32 r) in
-  let tier = Int32.to_int (Util.Bytesio.R.u32 r) in
+  ignore (Util.Bytesio.R.u32 r : int32);
+  ignore (Util.Bytesio.R.u32 r : int32);
   let len = Int64.to_int (Util.Bytesio.R.u64 r) in
   let crc = Util.Bytesio.R.u32 r in
   if len < 0 || String.length data - header_bytes <> len then
     Util.failf "cache entry truncated payload";
   let payload = String.sub data header_bytes len in
   if Util.Crc32.string payload <> crc then Util.failf "cache entry checksum mismatch";
-  (payload, generation, tier)
+  payload
 
 let read_whole_file path : string =
   let ic = open_in_bin path in
@@ -404,7 +401,6 @@ let create ?(persistent_dir : string option) ?mem_limit ?disk_limit ?(tenant_quo
       evictions_mem = 0;
       evictions_disk = 0;
       evictions_quota = 0;
-      stored_bytes = 0;
       corruptions = 0;
       mu = Mutex.create ();
       faults;
@@ -416,6 +412,7 @@ let create ?(persistent_dir : string option) ?mem_limit ?disk_limit ?(tenant_quo
       disk_degrades = 0;
       disk_disabled = false;
       tick_hook = ignore;
+      flight = Flight.create ();
     }
   in
   recover t;
@@ -432,9 +429,9 @@ type outcome = Mem_hit of entry | Disk_hit of entry | Miss
 (* Read + decode one persistent entry; channel closed on every path.
    The reported size is the payload's (the in-memory object), not the
    file's: integrity framing doesn't count against cache limits. *)
-let load_persistent path : Mach.obj * int * int * int =
-  let payload, generation, tier = decode_entry (read_whole_file path) in
-  (Mach.decode_obj payload, String.length payload, generation, tier)
+let load_persistent path : Mach.obj * int =
+  let payload = decode_entry (read_whole_file path) in
+  (Mach.decode_obj payload, String.length payload)
 
 let lookup ?owner t (key : Speckey.t) : outcome =
   locked_op t @@ fun () ->
@@ -448,13 +445,10 @@ let lookup ?owner t (key : Speckey.t) : outcome =
       match path_for t key with
       | Some path when Sys.file_exists path -> (
           match load_persistent path with
-          | obj, len, generation, tier ->
+          | obj, len ->
               (* promotion from disk charges the promoting tenant: it is
                  the one re-pinning the artifact in the shared tier *)
-              let e =
-                { obj; bytes = len; last_used = 0; tcodes = []; generation; tier;
-                  owner }
-              in
+              let e = { obj; bytes = len; last_used = 0; tcodes = []; owner } in
               touch t e;
               mem_put t k e;
               enforce_tenant_quota t owner;
@@ -477,6 +471,24 @@ let lookup ?owner t (key : Speckey.t) : outcome =
    locking), and that probe must not perturb hit/miss accounting. *)
 let peek_mem t (key : Speckey.t) : entry option =
   locked t @@ fun () -> Hashtbl.find_opt t.mem (Speckey.to_string key)
+
+(* Compile [key] at most once across every caller of this store.
+   Concurrent calls coalesce onto one flight; its leader re-checks the
+   memory tier (another flight may have finished between the caller's
+   lookup and here) and runs [f], which compiles and inserts, only when
+   no entry is resident. A leader's exception reaches every follower.
+   Returns the entry and whether this call ran [f]. *)
+let compile_once t (key : Speckey.t) (f : unit -> entry) : entry * bool =
+  let compiled = ref false in
+  let outcome =
+    Flight.run t.flight ~key:(Speckey.to_string key) (fun () ->
+        match peek_mem t key with
+        | Some e -> e
+        | None ->
+            compiled := true;
+            f ())
+  in
+  ((match outcome with Flight.Led e | Flight.Coalesced e -> e), !compiled)
 
 (* ---- persistent writes ------------------------------------------- *)
 
@@ -596,9 +608,7 @@ let write_persistent t path (data : string) : unit =
       Unix.rename tmp path;
       t.tick_hook "renamed"
     with
-    | () ->
-        t.stored_bytes <- t.stored_bytes + String.length data;
-        enforce_disk_limit t
+    | () -> enforce_disk_limit t
     | exception Unix.Unix_error ((Unix.ENOSPC | Unix.EFBIG), _, _) ->
         (try Sys.remove tmp with _ -> ());
         degrade_disk t ~reason:"device full"
@@ -607,23 +617,14 @@ let write_persistent t path (data : string) : unit =
         raise e
   end
 
-let insert ?(tier = 1) ?owner t (key : Speckey.t) (obj : Mach.obj) : entry =
+(* A re-insert over a resident key replaces the entry, which starts
+   with no decoded code. *)
+let insert ?owner t (key : Speckey.t) (obj : Mach.obj) : entry =
   locked_op t @@ fun () ->
   let k = Speckey.to_string key in
-  (* versioned hot-swap: replacing an entry bumps its generation and
-     starts with no decoded code, so stale tcodes can never outlive
-     the object they were decoded from *)
-  let generation =
-    match Hashtbl.find_opt t.mem k with
-    | Some old -> old.generation + 1
-    | None -> 1
-  in
   let payload = Mach.encode_obj obj in
-  let data = encode_entry ~generation ~tier payload in
-  let e =
-    { obj; bytes = String.length payload; last_used = 0; tcodes = []; generation;
-      tier; owner }
-  in
+  let data = encode_entry payload in
+  let e = { obj; bytes = String.length payload; last_used = 0; tcodes = []; owner } in
   touch t e;
   mem_put t k e;
   enforce_tenant_quota t owner;

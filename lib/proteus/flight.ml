@@ -1,14 +1,15 @@
 (* Single-flight execution groups: concurrent calls that share a key
    coalesce onto one execution of the work function - the first caller
    (the leader) runs it, every other caller (a follower) blocks until
-   the leader publishes its result, then shares it. The JIT uses this
-   to guarantee at most one in-flight compile per specialization key
+   the leader publishes its result, then shares it. Each code cache
+   (Cachestore) owns one table and runs its [compile_once] through it,
+   so there is at most one in-flight compile per specialization key
    across the domain pool: N identical concurrent launches cost one
    compile, not N.
 
    A group closes when its leader finishes: callers arriving after
-   that start a fresh flight, which is correct for the JIT because the
-   leader's artifact is in the code cache by then (the leader re-checks
+   that start a fresh flight, which is correct for the code cache
+   because the leader's artifact is in it by then (the leader re-checks
    the cache inside its flight - double-checked locking - so a fresh
    flight after a completed one finds a hit and compiles nothing).
 

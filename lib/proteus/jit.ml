@@ -56,13 +56,7 @@ type t = {
   cache : Cachestore.t;
   stats : Stats.t;
   faults : Fault.t;
-  flight : Cachestore.entry Flight.t;
-      (* single-flight compile groups keyed by specialization key:
-         concurrent identical launches coalesce onto one compile *)
   rng : Util.Rng.t; (* deterministic jitter for retry backoff *)
-  mutable degrade_level : int;
-      (* resource-pressure degradation ladder: 0 full service,
-         1 no decoded-code tier, 2 shrunk memory cache, 3 AOT-only *)
   quarantine : (string, qstate) Hashtbl.t;
   registered_vars : (string, unit) Hashtbl.t;
   advice : (string, Proteus_analysis.Specadvisor.kernel_impact option) Hashtbl.t;
@@ -80,13 +74,13 @@ type t = {
          launch stream. Only ever set around a drained tier job. *)
 }
 
-(* [cache] and [flight] default to private instances (the paper's
-   single-process behaviour); the multi-tenant serve loop passes one
-   shared store and one shared flight table so N tenants dedup
-   compiles against each other. A shared cache keeps its own fault set
-   (from its creator) — per-tenant injected faults fire only in this
-   JIT's pipeline stages, never inside the shared store. *)
-let create ?(config = Config.default) ?cache ?flight ?tenant (rt : Gpurt.ctx)
+(* [cache] defaults to a private store (the paper's single-process
+   behaviour); the multi-tenant serve loop passes one shared store, and
+   with it the store's flight table, so N tenants dedup compiles
+   against each other. A shared cache keeps its own fault set (from its
+   creator) — per-tenant injected faults fire only in this JIT's
+   pipeline stages, never inside the shared store. *)
+let create ?(config = Config.default) ?cache ?tenant (rt : Gpurt.ctx)
     (vendor : Device.vendor) : t =
   rt.Gpurt.exec_domains <- config.Config.exec_domains;
   let faults = Fault.of_env ~base:config.Config.fault_plan () in
@@ -104,9 +98,7 @@ let create ?(config = Config.default) ?cache ?flight ?tenant (rt : Gpurt.ctx)
             ~lock_timeout_ms:config.Config.lock_timeout_ms ());
     stats = Stats.create ();
     faults;
-    flight = (match flight with Some f -> f | None -> Flight.create ());
     rng = Util.Rng.create 0x5EED;
-    degrade_level = 0;
     quarantine = Hashtbl.create 8;
     registered_vars = Hashtbl.create 8;
     advice = Hashtbl.create 8;
@@ -290,7 +282,6 @@ let compile_specialization (t : t) ~(bitcode : string) ~(sym : string)
   let m =
     in_stage t Fault.Decode @@ fun () ->
     charge t (float_of_int (String.length bitcode) *. cost.Costmodel.bitcode_parse_per_byte_s);
-    t.stats.Stats.bitcode_bytes <- t.stats.Stats.bitcode_bytes + String.length bitcode;
     Bitcode.decode_module bitcode
   in
   let vlevel = Config.effective_verify_level t.config in
@@ -335,7 +326,6 @@ let compile_specialization (t : t) ~(bitcode : string) ~(sym : string)
   (* O3 pipeline *)
   in_stage t Fault.Optimize (fun () ->
       let pstats = Proteus_opt.Pipeline.optimize_o3 m in
-      t.stats.Stats.compile_work <- t.stats.Stats.compile_work + pstats.Proteus_opt.Pass.work;
       charge t (float_of_int pstats.Proteus_opt.Pass.work *. cost.Costmodel.opt_per_work_s));
   (match m_spec with
   | Some reference ->
@@ -528,43 +518,31 @@ let arm_tier (t : t) ~(mid : string) ~(sym : string) ~(key : Speckey.t)
         }
 
 (* The one compile routine, for a synchronous miss and a tier-up job
-   alike. Single-flight: concurrent compiles of one key coalesce onto
-   one leader. The leader re-checks the memory tier inside its flight
-   (double-checked locking: another flight may have finished between
-   the caller's lookup and here), so at most one compile runs per key
-   no matter how launches interleave. Returns the entry and whether
-   this call compiled it. *)
+   alike: [Cachestore.compile_once] runs it at most once per key across
+   every JIT sharing the store. Returns the entry and whether this call
+   compiled it. *)
 let compile_entry (t : t) ~(key : Speckey.t) ~(sym : string)
     ~(spec_values : (int * Konst.t) list) ~(block : int) : Cachestore.entry * bool =
-  let compiled = ref false in
-  let outcome =
-    Flight.run t.flight ~key:(Speckey.to_string key) (fun () ->
-        match Cachestore.peek_mem t.cache key with
-        | Some e -> e
-        | None ->
-            compiled := true;
-            let bitcode = fetch_bitcode t sym in
-            let obj = compile_specialization t ~bitcode ~sym ~spec_values ~block in
-            let e =
-              in_stage t Fault.Cache_write (fun () ->
-                  Cachestore.insert ?owner:t.tenant t.cache key obj)
-            in
-            Stats.record_cache_entry t.stats (Config.policy_name t.config.Config.spec_policy);
-            t.stats.Stats.object_bytes <- t.stats.Stats.object_bytes + e.Cachestore.bytes;
-            e)
-  in
-  ((match outcome with Flight.Led e | Flight.Coalesced e -> e), !compiled)
+  Cachestore.compile_once t.cache key (fun () ->
+      let bitcode = fetch_bitcode t sym in
+      let obj = compile_specialization t ~bitcode ~sym ~spec_values ~block in
+      let e =
+        in_stage t Fault.Cache_write (fun () ->
+            Cachestore.insert ?owner:t.tenant t.cache key obj)
+      in
+      Stats.record_cache_entry t.stats (Config.policy_name t.config.Config.spec_policy);
+      e)
 
 (* The JIT path proper: raises Stage_failure on any contained error.
-   Returns the tier that served the launch: 1 for a specialized cached
-   object, 0 for the AOT artifact a cold tiered launch dispatches while
-   its O3 compile waits for the next launch boundary. [qk] is the
-   launch's [qkey], built once by [launch]. *)
+   Returns whether JIT-compiled code ran: false for the AOT artifact a
+   cold tiered launch dispatches while its O3 compile waits for the
+   next launch boundary. [qk] is the launch's [qkey], built once by
+   [launch]. *)
 let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : int)
-    ~(block : int) ~(args : Konst.t array) ~(spec_mask : int64) : int =
+    ~(block : int) ~(args : Konst.t array) ~(spec_mask : int64) : bool =
   let cost = t.rt.Gpurt.cost in
   let clock_before = Clock.read t.rt.Gpurt.clock in
-  ignore (Stats.record_kernel_launch t.stats qk);
+  Stats.record_kernel_launch t.stats qk;
   let spec_values =
     if t.config.Config.enable_rcf || t.config.Config.enable_lb then
       List.filter_map
@@ -585,7 +563,7 @@ let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : i
       ~launch_bounds:(if t.config.Config.enable_lb then Some block else None)
   in
   charge t cost.Costmodel.cache_hash_s;
-  let profile = Stats.record_key_launch t.stats (Speckey.to_string key) in
+  Stats.record_key_launch t.stats (Speckey.to_string key);
   let served =
     match
       in_stage t Fault.Cache_read (fun () ->
@@ -636,44 +614,37 @@ let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : i
   t.stats.Stats.jit_overhead_s <- t.stats.Stats.jit_overhead_s +. overhead;
   Hist.record t.stats.Stats.launch_hist overhead;
   Stats.record_launch_overhead t.stats overhead;
-  let kernel_t0 = Clock.read t.rt.Gpurt.clock in
-  let tier =
-    match served with
-    | `Tier0 ->
-        (* the AOT kernel is always resident (the plugin never strips
-           it); dispatch it exactly like the containment fallback *)
-        Gpurt.launch_kernel t.rt ~sym ~grid ~block ~args;
-        0
-    | `Entry entry ->
-        let k = Mach.find_kernel entry.Cachestore.obj sym in
-        (* decoded-code tier: reuse the threaded program attached to this
-           cache entry, or decode once and attach it. Ladder step 1 (and
-           below) attaches nothing: the launch passes no program, so
-           Gpurt.get_tcode takes it from the runtime's one-per-symbol
-           table (decoding when the symbol's kernel changed). Every
-           launch runs on the one threaded engine either way; the step
-           drops the per-entry copies, not the engine. *)
-        let tcode =
-          if t.degrade_level >= 1 then None
-          else
-            match List.assoc_opt sym entry.Cachestore.tcodes with
-            | Some p when p.Tcode.tf == k ->
-                t.stats.Stats.tcode_hits <- t.stats.Stats.tcode_hits + 1;
-                Some p
-            | _ ->
-                let p = Tcode.decode k in
-                t.stats.Stats.tcode_decodes <- t.stats.Stats.tcode_decodes + 1;
-                entry.Cachestore.tcodes <-
-                  (sym, p) :: List.remove_assoc sym entry.Cachestore.tcodes;
-                Some p
-        in
-        Gpurt.launch_mfunc t.rt ?tcode k ~grid ~block ~args;
-        entry.Cachestore.tier
-  in
-  (* per-key kernel-time profile: simulated seconds this key spent
-     executing, the observed side of the tier-up payoff model *)
-  Stats.record_kernel_time profile (Clock.read t.rt.Gpurt.clock -. kernel_t0);
-  tier
+  match served with
+  | `Tier0 ->
+      (* the AOT kernel is always resident (the plugin never strips
+         it); dispatch it exactly like the containment fallback *)
+      Gpurt.launch_kernel t.rt ~sym ~grid ~block ~args;
+      false
+  | `Entry entry ->
+      let k = Mach.find_kernel entry.Cachestore.obj sym in
+      (* decoded-code tier: reuse the threaded program attached to this
+         cache entry, or decode once and attach it. Ladder step 1 (and
+         below) attaches nothing: the launch passes no program, so
+         Gpurt.get_tcode takes it from the runtime's one-per-symbol
+         table (decoding when the symbol's kernel changed). Every
+         launch runs on the one threaded engine either way; the step
+         drops the per-entry copies, not the engine. *)
+      let tcode =
+        if t.stats.Stats.degrade_level >= 1 then None
+        else
+          match List.assoc_opt sym entry.Cachestore.tcodes with
+          | Some p when p.Tcode.tf == k ->
+              t.stats.Stats.tcode_hits <- t.stats.Stats.tcode_hits + 1;
+              Some p
+          | _ ->
+              let p = Tcode.decode k in
+              t.stats.Stats.tcode_decodes <- t.stats.Stats.tcode_decodes + 1;
+              entry.Cachestore.tcodes <-
+                (sym, p) :: List.remove_assoc sym entry.Cachestore.tcodes;
+              Some p
+      in
+      Gpurt.launch_mfunc t.rt ?tcode k ~grid ~block ~args;
+      true
 
 (* Launch the AOT-compiled kernel embedded in the fatbinary: the
    containment escape hatch. The plugin never removes kernels from the
@@ -699,16 +670,16 @@ let degrade_level_name = function
    logged and counted; steps do not reverse within a run (recovering
    capacity is a restart decision, not a flapping one). *)
 let step_down t ~(reason : string) : unit =
-  if t.degrade_level < 3 then begin
-    t.degrade_level <- t.degrade_level + 1;
-    t.stats.Stats.degrade_events <- t.stats.Stats.degrade_events + 1;
-    t.stats.Stats.degrade_level <- t.degrade_level;
-    (match t.degrade_level with
+  let s = t.stats in
+  if s.Stats.degrade_level < 3 then begin
+    s.Stats.degrade_level <- s.Stats.degrade_level + 1;
+    s.Stats.degrade_events <- s.Stats.degrade_events + 1;
+    (match s.Stats.degrade_level with
     | 1 -> Cachestore.drop_tcodes t.cache
     | 2 -> Cachestore.shrink_mem t.cache
     | _ -> ());
     Printf.eprintf "proteus: %s: degrading to %s (step %d/3)\n%!" reason
-      (degrade_level_name t.degrade_level) t.degrade_level
+      (degrade_level_name s.Stats.degrade_level) s.Stats.degrade_level
   end
 
 (* ---- tier-up drain / publication --------------------------------- *)
@@ -780,7 +751,7 @@ let launch (t : t) ~(mid : string) ~(sym : string) ~(grid : int) ~(block : int)
   (* pressure poll: at most one ladder step per launch *)
   if Fault.fires t.faults Fault.Mem_pressure then
     step_down t ~reason:"memory pressure";
-  (if t.degrade_level >= 3 then begin
+  (if t.stats.Stats.degrade_level >= 3 then begin
      (* ladder bottom: deliberate AOT-only service, not a failure *)
      t.stats.Stats.degraded_launches <- t.stats.Stats.degraded_launches + 1;
      aot_fallback t ~sym ~grid ~block ~args
@@ -800,13 +771,13 @@ let launch (t : t) ~(mid : string) ~(sym : string) ~(grid : int) ~(block : int)
      | _ ->
          let rec attempt (n : int) : unit =
            match jit_launch t ~qk ~mid ~sym ~grid ~block ~args ~spec_mask with
-           | tier ->
+           | jitted ->
                if n > 0 then
                  t.stats.Stats.retry_successes <- t.stats.Stats.retry_successes + 1;
                (* a tier-0 serve says nothing about JIT pipeline health:
                   it must not clear the consecutive-failure streak a
                   failed background compile is building toward quarantine *)
-               if tier > 0 then note_success t qk
+               if jitted then note_success t qk
            | exception e ->
                let transient =
                  match e with

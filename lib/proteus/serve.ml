@@ -2,8 +2,8 @@
    submitting launches to one shared runtime.
 
    What is shared and what is not:
-   - ONE content-addressed Cachestore and ONE single-flight table
-     serve every tenant. Cache keys are derived from
+   - ONE content-addressed Cachestore, and with it the store's
+     single-flight table, serves every tenant. Cache keys are derived from
      [Speckey.content_mid] (a hash of the kernel's device IR bytes and
      the backend) rather than a client-chosen module name, so two
      tenants submitting byte-identical device IR dedup onto one
@@ -189,7 +189,6 @@ let create ?(config = Config.default) ?(vendor = Device.Amd) ?(tenants = 4)
           ~tenant_quota:config.Config.tenant_quota
           ~lock_timeout_ms:config.Config.lock_timeout_ms ()
   in
-  let flight = Flight.create () in
   let mk_tenant idx name =
     let rt = Gpurt.create (Device.by_vendor vendor) in
     ignore (Gpurt.load_module rt obj);
@@ -198,7 +197,7 @@ let create ?(config = Config.default) ?(vendor = Device.Amd) ?(tenants = 4)
       | Some plan -> { config with Config.fault_plan = config.Config.fault_plan @ plan }
       | None -> config
     in
-    let jit = Jit.create ~config:tcfg ~cache:store ~flight ~tenant:name rt vendor in
+    let jit = Jit.create ~config:tcfg ~cache:store ~tenant:name rt vendor in
     let x = Gpurt.dmalloc rt (n * 8) in
     let y = Gpurt.dmalloc rt (n * 8) in
     for i = 0 to n - 1 do

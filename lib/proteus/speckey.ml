@@ -42,9 +42,8 @@ let cache_filename t = Printf.sprintf "cache-jit-%s.o" t.hash
    device IR to the same backend produce the same [content_mid], so
    their speckeys (and cache entries) collide on purpose — the shared
    store deduplicates the compile. Composed with [compute] (which
-   folds in the spec values and launch bounds) and the store's tier
-   frame word, the full artifact identity is
-   hash(device IR, spec key, backend, tier). *)
+   folds in the spec values and launch bounds), the full artifact
+   identity is hash(device IR, spec key, backend). *)
 let content_mid ~(device_ir : string) ~(backend : string) : string =
   let h = Util.Fnv.offset_basis in
   let h = Util.Fnv.add_string h device_ir in

@@ -13,9 +13,6 @@ type t = {
   mutable disk_hits : int;
   mutable compiles : int;
   mutable jit_overhead_s : float; (* simulated seconds spent off the critical kernel path *)
-  mutable compile_work : int; (* optimizer work units *)
-  mutable bitcode_bytes : int;
-  mutable object_bytes : int;
   mutable real_compile_s : float; (* actual wall-clock of our pipeline *)
   (* decoded-code cache tier: threaded-code programs attached to code
      cache entries; a hit skips decoding on a warm launch *)
@@ -68,22 +65,17 @@ type t = {
   mutable first_launch_s : float; (* overhead of the first JIT launch; nan until set *)
   mutable steady_launch_s : float; (* overhead of the most recent JIT launch *)
   swap_hist : Hist.t; (* simulated arm -> publish latency per tier-up *)
-  profiles : (string, key_profile) Hashtbl.t;
-      (* per-specialization-key profile: launch counts and cumulative
-         simulated kernel seconds; feeds the Config.tier_threshold
-         hot-key gate and the adaptive SpecAdvisor threshold *)
-  kernel_launches : (string, int ref) Hashtbl.t; (* (mid/sym) -> launches *)
-}
-
-and key_profile = {
-  mutable kp_launches : int;
-  mutable kp_kernel_s : float; (* cumulative simulated seconds in the kernel *)
+  profiles : (string, int ref) Hashtbl.t;
+      (* spec key -> launches; feeds the Config.tier_threshold hot-key
+         gate *)
+  kernel_launches : (string, int ref) Hashtbl.t;
+      (* (mid/sym) -> launches; feeds the adaptive SpecAdvisor threshold *)
 }
 
 let create () =
   {
     jit_launches = 0; mem_hits = 0; disk_hits = 0; compiles = 0; jit_overhead_s = 0.0;
-    compile_work = 0; bitcode_bytes = 0; object_bytes = 0; real_compile_s = 0.0;
+    real_compile_s = 0.0;
     tcode_decodes = 0; tcode_hits = 0;
     fallbacks = 0; failures_by_stage = Hashtbl.create 8; quarantine_events = 0;
     quarantined_launches = 0; quarantine_retries = 0; cache_corruptions = 0;
@@ -103,49 +95,23 @@ let create () =
     kernel_launches = Hashtbl.create 8;
   }
 
-(* ---- per-spec-key launch profile (tier-up gate) ---- *)
+(* ---- launch counts: per spec key and per (mid/sym) kernel ---- *)
 
-let profile t key : key_profile =
-  match Hashtbl.find_opt t.profiles key with
-  | Some p -> p
-  | None ->
-      let p = { kp_launches = 0; kp_kernel_s = 0.0 } in
-      Hashtbl.add t.profiles key p;
-      p
+let bump tbl k =
+  match Hashtbl.find_opt tbl k with
+  | Some n -> incr n
+  | None -> Hashtbl.add tbl k (ref 1)
 
-(* Record one launch of [key] and return its profile, which the
-   launch then hands to [record_kernel_time]: one table lookup per
-   launch, not two. *)
-let record_key_launch t key : key_profile =
-  let p = profile t key in
-  p.kp_launches <- p.kp_launches + 1;
-  p
-
-let record_kernel_time (p : key_profile) (seconds : float) =
-  p.kp_kernel_s <- p.kp_kernel_s +. seconds
-
-let key_launches t key =
-  match Hashtbl.find_opt t.profiles key with Some p -> p.kp_launches | None -> 0
-
+let count tbl k = match Hashtbl.find_opt tbl k with Some n -> !n | None -> 0
+let record_key_launch t key = bump t.profiles key
+let key_launches t key = count t.profiles key
 let profiled_keys t = Hashtbl.length t.profiles
+let record_kernel_launch t k = bump t.kernel_launches k
+let kernel_launch_count t k = count t.kernel_launches k
 
 let record_launch_overhead t (seconds : float) =
   if Float.is_nan t.first_launch_s then t.first_launch_s <- seconds;
   t.steady_launch_s <- seconds
-
-(* Per-kernel (mid/sym) launch counts, for the adaptive advise
-   threshold: returns the count after the bump. *)
-let record_kernel_launch t k : int =
-  match Hashtbl.find_opt t.kernel_launches k with
-  | Some n ->
-      incr n;
-      !n
-  | None ->
-      Hashtbl.add t.kernel_launches k (ref 1);
-      1
-
-let kernel_launch_count t k =
-  match Hashtbl.find_opt t.kernel_launches k with Some n -> !n | None -> 0
 
 let record_cache_entry t policy =
   let n = Option.value (Hashtbl.find_opt t.cache_entries_by_policy policy) ~default:0 in

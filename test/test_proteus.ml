@@ -486,9 +486,9 @@ let test_mem_cache_running_byte_total () =
      the running total still matches a fresh fold after mass eviction *)
   check Alcotest.int "total exact after evictions" (folded ())
     (Cachestore.mem_size c);
-  (* swap path (tier-up publication over a resident key) goes through
-     the identical put helper: no double count, tier recorded *)
-  let _ = Cachestore.insert ~tier:1 c (key 10) (dummy_obj ()) in
+  (* a tier-up publication over a resident key goes through the
+     identical put helper: no double count *)
+  let _ = Cachestore.insert c (key 10) (dummy_obj ()) in
   check Alcotest.int "swap keeps total exact" (folded ()) (Cachestore.mem_size c);
   (* per-owner ledger: owned inserts, quota-free store — the ledger
      must track a by-owner fold across insert, overwrite, swap and
@@ -512,7 +512,7 @@ let test_mem_cache_running_byte_total () =
     (c2.Cachestore.evictions_mem > 0);
   (* swap that moves a key to a different owner must transfer the bytes
      between the two ledgers, not leak them into both *)
-  let _ = Cachestore.insert ~tier:1 ~owner:"B" c2 (key 10) (dummy_obj ()) in
+  let _ = Cachestore.insert ~owner:"B" c2 (key 10) (dummy_obj ()) in
   check Alcotest.int "A ledger exact after cross-owner swap" (folded2 "A")
     (Cachestore.tenant_size c2 "A");
   check Alcotest.int "B ledger exact after cross-owner swap" (folded2 "B")

@@ -1,12 +1,14 @@
 (* Concurrency and crash-recovery tests: histogram percentile
    estimation, stage deadlines and retry backoff, single-flight
-   compilation groups, cache entry generations (hot swap), the startup
-   recovery sweep, cache-limit env validation, and a multi-domain
-   torture run proving exactly one compile per specialization key with
+   compilation groups, the persistent frame's reserved words, the
+   startup recovery sweep, cache-limit env validation, and multi-domain
+   torture runs proving exactly one compile per specialization key with
    stable hit/miss accounting and zero corruption. *)
 
 open Proteus_support
+open Proteus_ir
 open Proteus_backend
+open Proteus_gpu
 open Proteus_core
 
 let check = Alcotest.check
@@ -195,21 +197,45 @@ let test_flight_propagates_failure () =
   Alcotest.(check bool) "follower sees the leader's failure" true
     (Domain.join follower)
 
-(* ---- entry generations (hot swap) ---- *)
+(* ---- persistent frame: the two reserved words ---- *)
 
-let test_generation_bumps () =
+(* A v3 frame as it was written when its two words after the version
+   held a generation counter and a tier tag. *)
+let frame_v3 ~(w1 : int) ~(w2 : int) (payload : string) : string =
+  let w = Util.Bytesio.W.create () in
+  Buffer.add_string w "PJTC";
+  List.iter (Util.Bytesio.W.u32 w) [ 3l; Int32.of_int w1; Int32.of_int w2 ];
+  Util.Bytesio.W.u64 w (Int64.of_int (String.length payload));
+  Util.Bytesio.W.u32 w (Util.Crc32.string payload);
+  Buffer.add_string w payload;
+  Buffer.contents w
+
+(* A cache file written with a bumped generation (2) and a tier-0 tag
+   still loads: the store ignores both words on read. What the store
+   writes has the same layout and size, with both words set to 1. *)
+let test_reserved_words () =
+  let dir = tmpdir () in
+  let obj = dummy_obj 7 in
+  let payload = Mach.encode_obj obj in
+  write_file
+    (Filename.concat dir (Speckey.cache_filename (spec_key 7)))
+    (frame_v3 ~w1:2 ~w2:0 payload);
+  let c = Cachestore.create ~persistent_dir:dir () in
+  check Alcotest.int "the sweep keeps the frame" 0 c.Cachestore.corruptions;
+  (match Cachestore.lookup c (spec_key 7) with
+  | Cachestore.Disk_hit e ->
+      Alcotest.(check bool) "same object" true (e.Cachestore.obj = obj)
+  | _ -> Alcotest.fail "expected a disk hit");
+  check Alcotest.int "no corruption on lookup" 0 c.Cachestore.corruptions;
+  rm_rf dir;
   let dir = tmpdir () in
   let c = Cachestore.create ~persistent_dir:dir () in
-  let e1 = Cachestore.insert c (spec_key 1) (dummy_obj 1) in
-  check Alcotest.int "first generation" 1 e1.Cachestore.generation;
-  let e2 = Cachestore.insert c (spec_key 1) (dummy_obj 2) in
-  check Alcotest.int "hot swap bumps the generation" 2 e2.Cachestore.generation;
-  (* the bump survives the disk round-trip: a fresh store sees gen 2 *)
-  let c2 = Cachestore.create ~persistent_dir:dir () in
-  (match Cachestore.lookup c2 (spec_key 1) with
-  | Cachestore.Disk_hit e ->
-      check Alcotest.int "persisted generation" 2 e.Cachestore.generation
-  | _ -> Alcotest.fail "expected a disk hit");
+  ignore (Cachestore.insert c (spec_key 7) obj);
+  check Alcotest.string "written frame: reserved words 1, same size"
+    (frame_v3 ~w1:1 ~w2:1 payload)
+    (In_channel.with_open_bin
+       (Filename.concat dir (Speckey.cache_filename (spec_key 7)))
+       In_channel.input_all);
   rm_rf dir
 
 (* ---- recovery sweep ---- *)
@@ -280,8 +306,8 @@ let ndomains = 4
 let test_torture () =
   let dir = tmpdir () in
   let c = Cachestore.create ~persistent_dir:dir () in
-  let fl = Flight.create () in
   let compiles = Array.init nkeys (fun _ -> Atomic.make 0) in
+  let ran = Atomic.make 0 in
   let worker wid () =
     let rng = Util.Rng.create (0xBEEF + wid) in
     for r = 0 to rounds - 1 do
@@ -290,18 +316,13 @@ let test_torture () =
       let key = spec_key k in
       match Cachestore.lookup c key with
       | Cachestore.Mem_hit _ | Cachestore.Disk_hit _ -> ()
-      | Cachestore.Miss -> (
-          match
-            Flight.run fl ~key:(Speckey.to_string key) (fun () ->
-                (* double-checked: a flight right after a completed one
-                   must find the leader's artifact, not recompile *)
-                match Cachestore.peek_mem c key with
-                | Some e -> e
-                | None ->
-                    Atomic.incr compiles.(k);
-                    Cachestore.insert c key (dummy_obj k))
-          with
-          | Flight.Led _ | Flight.Coalesced _ -> ())
+      | Cachestore.Miss ->
+          let _, compiled =
+            Cachestore.compile_once c key (fun () ->
+                Atomic.incr compiles.(k);
+                Cachestore.insert c key (dummy_obj k))
+          in
+          if compiled then Atomic.incr ran
     done
   in
   let domains = List.init ndomains (fun i -> Domain.spawn (worker i)) in
@@ -317,8 +338,7 @@ let test_torture () =
   (* hit/miss accounting stays conserved under concurrency *)
   check Alcotest.int "lookups = hits + misses" (ndomains * rounds)
     (c.Cachestore.mem_hits + c.Cachestore.disk_hits + c.Cachestore.misses);
-  Alcotest.(check bool) "suppression or clean handoff only" true
-    (Flight.leads fl + Flight.suppressed fl >= nkeys);
+  check Alcotest.int "compile_once reports each compile once" nkeys (Atomic.get ran);
   (* nothing corrupted, nothing leaked: a fresh store sweeps nothing
      and disk-hits every key *)
   let c2 = Cachestore.create ~persistent_dir:dir () in
@@ -333,6 +353,50 @@ let test_torture () =
     | _ -> Alcotest.fail (Printf.sprintf "key %d must disk-hit after the run" k)
   done;
   rm_rf dir
+
+(* Two JITs created on one store, with nothing else shared, race over
+   the same keys on 2 domains: the store's own flight table makes each
+   key compile once, on each of 5 runs. The JITs launch on the runtime
+   contexts of a two-tenant Serve (its device buffers and loaded
+   object); 8 kernels x 2 specialized values give 16 keys. *)
+let test_two_jits_one_store () =
+  let kernels = 8 and values = [| 2L; 3L |] in
+  let nkeys = kernels * Array.length values in
+  for rep = 1 to 5 do
+    let sv = Serve.create ~tenants:2 ~kernels () in
+    let store = Cachestore.create () in
+    let config = { Config.default with Config.exec_domains = 1 } in
+    let worker tn () =
+      let t = sv.Serve.sv_tenants.(tn) in
+      let jit = Jit.create ~config ~cache:store t.Serve.tn_rt Device.Amd in
+      let rng = Util.Rng.create (rep * 7 + tn) in
+      for r = 0 to (2 * nkeys) - 1 do
+        let key = if r < nkeys then (r + (tn * 5)) mod nkeys else Util.Rng.int rng nkeys in
+        let ks = sv.Serve.sv_kernels.(key mod kernels) in
+        Jit.launch jit ~mid:ks.Serve.ks_mid ~sym:ks.Serve.ks_sym ~grid:sv.Serve.sv_grid
+          ~block:sv.Serve.sv_block
+          ~args:
+            [|
+              Konst.kint ~bits:64 values.(key / kernels);
+              Konst.kint ~bits:64 t.Serve.tn_x;
+              Konst.kint ~bits:64 t.Serve.tn_y;
+              Konst.ki32 sv.Serve.sv_n;
+            |]
+          ~spec_mask:(Lazy.force Serve.spec_mask)
+      done;
+      jit.Jit.stats
+    in
+    let domains = List.init 2 (fun tn -> Domain.spawn (worker tn)) in
+    let stats = List.map Domain.join domains in
+    check Alcotest.int
+      (Printf.sprintf "run %d: one compile per key" rep)
+      nkeys
+      (List.fold_left (fun acc s -> acc + s.Stats.compiles) 0 stats);
+    check Alcotest.int
+      (Printf.sprintf "run %d: no fallback" rep)
+      0
+      (List.fold_left (fun acc s -> acc + s.Stats.fallbacks) 0 stats)
+  done
 
 (* Tiered torture: 4 domains serve 4 tenants with tiering on, over one
    shared store with a persistent directory. Misses are served tier-0,
@@ -469,8 +533,8 @@ let () =
         ] );
       ( "cachestore",
         [
-          Alcotest.test_case "hot swap bumps generations" `Quick
-            test_generation_bumps;
+          Alcotest.test_case "reserved frame words ignored on read" `Quick
+            test_reserved_words;
           Alcotest.test_case "recovery sweep reaps crash litter" `Quick
             test_recovery_sweep;
           Alcotest.test_case "malformed cache limits rejected" `Quick
@@ -486,5 +550,7 @@ let () =
             "serve: 4 domains x 4 tenants, one compile per content hash, \
              replay-identical, no corruption"
             `Quick test_serve_torture;
+          Alcotest.test_case "two Jits on one store: one compile per key"
+            `Quick test_two_jits_one_store;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Tiered-compilation tests: the Config.tier_threshold launch-count
    gate, cold-launch latency (never block a launch on O3), hot-swap
-   publication (generation bump, no stale decoded code, one compile
-   per key across tenants), exact
+   publication (a re-insert replaces the entry, no stale decoded code,
+   one compile per key across tenants), exact
    containment parity for failed background compiles, and the adaptive
    SpecAdvisor threshold that specializes statically-declined arguments
    once measured reuse exceeds break-even. *)
@@ -109,7 +109,7 @@ let test_cold_launch_latency () =
   Alcotest.(check bool) "steady-state overhead matches non-tiered" true
     (s_on.Stats.steady_launch_s <= s_off.Stats.steady_launch_s *. 1.5 +. 1e-9)
 
-(* ---- hot-swap publication: generation bump + tier tag ---- *)
+(* ---- hot-swap publication: a re-insert replaces the entry ---- *)
 
 let tmpdir () =
   let d = Filename.temp_file "proteus-tier" "" in
@@ -135,22 +135,35 @@ let dummy_obj k =
     sections = [ ("s", Printf.sprintf "payload-%d-%s" k (String.make 64 'x')) ];
   }
 
-let test_swap_generation_and_tier () =
+(* A compile that publishes over a resident key (owned by another
+   tenant, with a decoded program attached) replaces the object, drops
+   the decoded program, moves the bytes between the owners' ledgers,
+   and is what a restarted store loads from disk. *)
+let test_reinsert_replaces () =
   let dir = tmpdir () in
   let c = Cachestore.create ~persistent_dir:dir () in
-  let e1 = Cachestore.insert ~tier:0 c (spec_key 1) (dummy_obj 1) in
-  check Alcotest.int "placeholder tier recorded" 0 e1.Cachestore.tier;
-  check Alcotest.int "first generation" 1 e1.Cachestore.generation;
-  let e2 = Cachestore.insert ~tier:1 c (spec_key 1) (dummy_obj 2) in
-  check Alcotest.int "swap publishes tier 1" 1 e2.Cachestore.tier;
-  check Alcotest.int "swap bumps the generation" 2 e2.Cachestore.generation;
-  (* the tier tag survives the disk frame (v3) across a restart *)
+  let e1 = Cachestore.insert ~owner:"A" c (spec_key 1) (dummy_obj 1) in
+  let k =
+    Mach.find_kernel (fst (Toolchain.compile ~vendor:Device.Amd (Serve.build_module 1)))
+      (Serve.kernel_sym 0)
+  in
+  e1.Cachestore.tcodes <- [ (k.Mach.sym, Tcode.decode k) ];
+  let obj2 = { (dummy_obj 2) with Mach.sections = [ ("s", String.make 200 'y') ] } in
+  let e2 = Cachestore.insert ~owner:"B" c (spec_key 1) obj2 in
+  Alcotest.(check bool) "the resident entry is the new one" true
+    (match Cachestore.peek_mem c (spec_key 1) with Some e -> e == e2 | None -> false);
+  Alcotest.(check bool) "it holds the new object" true (e2.Cachestore.obj == obj2);
+  check Alcotest.int "no decoded programs carried over" 0 (List.length e2.Cachestore.tcodes);
+  check Alcotest.int "global ledger = the new entry" e2.Cachestore.bytes (Cachestore.mem_size c);
+  check Alcotest.int "old owner's ledger emptied" 0 (Cachestore.tenant_size c "A");
+  check Alcotest.int "new owner's ledger charged" e2.Cachestore.bytes
+    (Cachestore.tenant_size c "B");
   let c2 = Cachestore.create ~persistent_dir:dir () in
   (match Cachestore.lookup c2 (spec_key 1) with
   | Cachestore.Disk_hit e ->
-      check Alcotest.int "persisted tier" 1 e.Cachestore.tier;
-      check Alcotest.int "persisted generation" 2 e.Cachestore.generation
+      Alcotest.(check bool) "a restart loads the new object" true (e.Cachestore.obj = obj2)
   | _ -> Alcotest.fail "expected a disk hit");
+  check Alcotest.int "no corruption" 0 c2.Cachestore.corruptions;
   rm_rf dir
 
 (* A tier-up publishes a new kernel under a symbol the runtime has
@@ -303,8 +316,8 @@ let () =
         ] );
       ( "swap",
         [
-          Alcotest.test_case "generation bump + tier tag" `Quick
-            test_swap_generation_and_tier;
+          Alcotest.test_case "re-insert replaces the entry" `Quick
+            test_reinsert_replaces;
           Alcotest.test_case "tcode invalidation" `Quick test_tcode_invalidation;
           Alcotest.test_case "two tenants, one compile" `Quick test_serve_one_compile;
         ] );
