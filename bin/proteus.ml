@@ -859,7 +859,7 @@ let crashtest_cmd =
 
 (* Multi-tenant JIT service: N simulated client sessions submit a
    seeded Zipf launch schedule to one shared runtime (one
-   content-addressed artifact store, one single-flight table,
+   content-addressed artifact store that compiles each key once,
    per-tenant stats/faults/quarantine). See lib/proteus/serve.ml. *)
 
 let serve_cmd =

@@ -38,9 +38,16 @@
    - [create] runs a recovery sweep that reaps .tmp/.lock litter left
      by crashed writers and deletes any entry that fails frame
      validation, so the store always starts clean;
-   - [compile_once] is the store's one compile-once routine: its own
-     single-flight table coalesces concurrent compiles of a key, so
-     every JIT sharing the store shares the flight table too. *)
+   - [compile_once] is the store's one compile-once routine: a caller
+     whose key another caller is compiling waits for that compile, then
+     re-checks the memory tier, so every JIT sharing the store compiles
+     each key once. A failed compile is not shared: the next waiter
+     compiles the key itself, under its own stages and faults.
+
+   A store created for one vendor serves only that vendor's objects
+   from disk: AMD and NVIDIA builds of one program share cache keys,
+   and an entry of the other kind is a Miss, overwritten by the
+   recompile. *)
 
 open Proteus_support
 open Proteus_backend
@@ -93,9 +100,9 @@ type t = {
       (* progress callback fired at labelled points inside persistent
          writes; the crash-torture harness uses it to kill the process
          mid-write at a chosen tick *)
-  flight : entry Flight.t;
-      (* single-flight compile groups keyed by specialization key, for
-         [compile_once] *)
+  kind : Mach.vendor_obj option; (* the object kind this store serves; None = any *)
+  compiling : (string, unit) Hashtbl.t; (* keys a [compile_once] caller is compiling *)
+  compiled : Condition.t; (* signalled whenever one of them finishes *)
 }
 
 (* ---- in-process serialization ------------------------------------ *)
@@ -378,7 +385,7 @@ let recover t =
               end)
           (Sys.readdir d)
 
-let create ?(persistent_dir : string option) ?mem_limit ?disk_limit ?(tenant_quota = 0)
+let create ?(persistent_dir : string option) ?vendor ?mem_limit ?disk_limit ?(tenant_quota = 0)
     ?faults ?(lock_timeout_ms = 1000.0) () =
   (* Recursive, race-tolerant creation: a missing parent or a
      concurrent creator must not kill the host program. *)
@@ -412,7 +419,12 @@ let create ?(persistent_dir : string option) ?mem_limit ?disk_limit ?(tenant_quo
       disk_degrades = 0;
       disk_disabled = false;
       tick_hook = ignore;
-      flight = Flight.create ();
+      kind =
+        Option.map
+          (function Proteus_gpu.Device.Amd -> Mach.VGcn | Proteus_gpu.Device.Nvidia -> Mach.VSass)
+          vendor;
+      compiling = Hashtbl.create 8;
+      compiled = Condition.create ();
     }
   in
   recover t;
@@ -445,6 +457,11 @@ let lookup ?owner t (key : Speckey.t) : outcome =
       match path_for t key with
       | Some path when Sys.file_exists path -> (
           match load_persistent path with
+          | obj, _ when t.kind <> None && t.kind <> Some obj.Mach.okind ->
+              (* another vendor's object under the same key: not damage,
+                 just not loadable here; the recompile overwrites it *)
+              t.misses <- t.misses + 1;
+              Miss
           | obj, len ->
               (* promotion from disk charges the promoting tenant: it is
                  the one re-pinning the artifact in the shared tier *)
@@ -466,29 +483,37 @@ let lookup ?owner t (key : Speckey.t) : outcome =
           t.misses <- t.misses + 1;
           Miss)
 
-(* Memory-tier-only, non-counting probe: the single-flight winner
-   re-checks under its flight before compiling (double-checked
-   locking), and that probe must not perturb hit/miss accounting. *)
+(* Memory-tier-only probe that does not perturb hit/miss accounting. *)
 let peek_mem t (key : Speckey.t) : entry option =
   locked t @@ fun () -> Hashtbl.find_opt t.mem (Speckey.to_string key)
 
-(* Compile [key] at most once across every caller of this store.
-   Concurrent calls coalesce onto one flight; its leader re-checks the
-   memory tier (another flight may have finished between the caller's
-   lookup and here) and runs [f], which compiles and inserts, only when
-   no entry is resident. A leader's exception reaches every follower.
-   Returns the entry and whether this call ran [f]. *)
+(* Compile [key] at most once across every caller of this store. A
+   caller waits while another caller compiles the key, then re-checks
+   the memory tier (that compile, or one that finished between the
+   caller's lookup and here, may have inserted it) and runs [f], which
+   compiles and inserts, only when no entry is resident. [f] is the
+   caller's own, so a failed compile raises in its caller alone and the
+   next waiter compiles the key itself. Returns the entry and whether
+   this call ran [f]. *)
 let compile_once t (key : Speckey.t) (f : unit -> entry) : entry * bool =
-  let compiled = ref false in
-  let outcome =
-    Flight.run t.flight ~key:(Speckey.to_string key) (fun () ->
-        match peek_mem t key with
-        | Some e -> e
-        | None ->
-            compiled := true;
-            f ())
-  in
-  ((match outcome with Flight.Led e | Flight.Coalesced e -> e), !compiled)
+  let k = Speckey.to_string key in
+  Mutex.lock t.mu;
+  while Hashtbl.mem t.compiling k do
+    Condition.wait t.compiled t.mu
+  done;
+  match Hashtbl.find_opt t.mem k with
+  | Some e ->
+      Mutex.unlock t.mu;
+      (e, false)
+  | None ->
+      Hashtbl.replace t.compiling k ();
+      Mutex.unlock t.mu;
+      Fun.protect
+        ~finally:(fun () ->
+          locked t @@ fun () ->
+          Hashtbl.remove t.compiling k;
+          Condition.broadcast t.compiled)
+        (fun () -> (f (), true))
 
 (* ---- persistent writes ------------------------------------------- *)
 

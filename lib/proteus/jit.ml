@@ -74,12 +74,13 @@ type t = {
          launch stream. Only ever set around a drained tier job. *)
 }
 
-(* [cache] defaults to a private store (the paper's single-process
-   behaviour); the multi-tenant serve loop passes one shared store, and
-   with it the store's flight table, so N tenants dedup compiles
-   against each other. A shared cache keeps its own fault set (from its
-   creator) — per-tenant injected faults fire only in this JIT's
-   pipeline stages, never inside the shared store. *)
+(* [cache] defaults to a private store for [vendor] (the paper's
+   single-process behaviour); the multi-tenant serve loop passes one
+   shared store, whose [Cachestore.compile_once] makes N tenants dedup
+   compiles against each other. A shared cache keeps its own fault set
+   (from its creator) — per-tenant injected faults fire only in this
+   JIT's pipeline stages, never inside the shared store, and a compile
+   that fails in one tenant's stages is not handed to another. *)
 let create ?(config = Config.default) ?cache ?tenant (rt : Gpurt.ctx)
     (vendor : Device.vendor) : t =
   rt.Gpurt.exec_domains <- config.Config.exec_domains;
@@ -93,7 +94,7 @@ let create ?(config = Config.default) ?cache ?tenant (rt : Gpurt.ctx)
       (match cache with
       | Some c -> c
       | None ->
-          Cachestore.create ?persistent_dir:config.Config.persistent_dir ~faults
+          Cachestore.create ?persistent_dir:config.Config.persistent_dir ~vendor ~faults
             ~tenant_quota:config.Config.tenant_quota
             ~lock_timeout_ms:config.Config.lock_timeout_ms ());
     stats = Stats.create ();
@@ -406,6 +407,18 @@ let note_failure t (q : qstate) =
     end
   end
 
+(* Account one contained failure of the kernel [qk] names: the stage it
+   escaped from ([outside] when no instrumented stage tagged it), a
+   verify-gate rejection, and a strike toward quarantine. *)
+let record_contained t ~qk ~(outside : string) (e : exn) : unit =
+  let stage_name = match e with Stage_failure (p, _) -> Fault.point_name p | _ -> outside in
+  (match e with
+  | Stage_failure (Fault.Verify, _) ->
+      t.stats.Stats.verify_rejections <- t.stats.Stats.verify_rejections + 1
+  | _ -> ());
+  Stats.record_failure t.stats stage_name;
+  note_failure t (qstate t qk)
+
 (* A success clears the kernel's streak. The usual table is empty, and
    the length test then skips hashing [qk]. *)
 let note_success t qk =
@@ -518,8 +531,10 @@ let arm_tier (t : t) ~(mid : string) ~(sym : string) ~(key : Speckey.t)
         }
 
 (* The one compile routine, for a synchronous miss and a tier-up job
-   alike: [Cachestore.compile_once] runs it at most once per key across
-   every JIT sharing the store. Returns the entry and whether this call
+   alike: [Cachestore.compile_once] runs it only when no other JIT
+   sharing the store is compiling the key and no entry is resident, so
+   a key compiles once unless a compile fails; then this JIT compiles
+   it in its own stages. Returns the entry and whether this call
    compiled it. *)
 let compile_entry (t : t) ~(key : Speckey.t) ~(sym : string)
     ~(spec_values : (int * Konst.t) list) ~(block : int) : Cachestore.entry * bool =
@@ -567,12 +582,8 @@ let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : i
   let served =
     match
       in_stage t Fault.Cache_read (fun () ->
-          let outcome =
-            if t.config.Config.use_mem_cache then Cachestore.lookup ?owner:t.tenant t.cache key
-            else Cachestore.Miss
-          in
-          t.stats.Stats.cache_corruptions <- t.cache.Cachestore.corruptions;
-          outcome)
+          if t.config.Config.use_mem_cache then Cachestore.lookup ?owner:t.tenant t.cache key
+          else Cachestore.Miss)
     with
     | Cachestore.Mem_hit e ->
         t.stats.Stats.mem_hits <- t.stats.Stats.mem_hits + 1;
@@ -600,11 +611,11 @@ let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : i
           charge t (float_of_int e.Cachestore.bytes *. cost.Costmodel.module_load_per_byte_s)
         end
         else begin
-          (* served by another launch's compile: a follower of its
-             flight, or a leader whose re-check found its entry. In a
-             serial run this launch's lookup would have hit, so it
-             counts and costs exactly a memory hit, and the service
-             totals do not depend on which tenant won the race. *)
+          (* served by another launch's compile, which this launch
+             waited for or found on its re-check. In a serial run this
+             launch's lookup would have hit, so it counts and costs
+             exactly a memory hit, and the service totals do not depend
+             on which tenant won the race. *)
           t.stats.Stats.flight_suppressed <- t.stats.Stats.flight_suppressed + 1;
           t.stats.Stats.mem_hits <- t.stats.Stats.mem_hits + 1
         end;
@@ -717,16 +728,8 @@ let drain_tier (t : t) : unit =
           Hist.record t.stats.Stats.swap_hist (Clock.read t.rt.Gpurt.clock -. job.tj_armed_s);
           note_success t qk
       | Error e ->
-          let stage_name =
-            match e with Stage_failure (p, _) -> Fault.point_name p | _ -> "tierup"
-          in
-          (match e with
-          | Stage_failure (Fault.Verify, _) ->
-              t.stats.Stats.verify_rejections <- t.stats.Stats.verify_rejections + 1
-          | _ -> ());
           t.stats.Stats.tierup_failures <- t.stats.Stats.tierup_failures + 1;
-          Stats.record_failure t.stats stage_name;
-          note_failure t (qstate t qk))
+          record_contained t ~qk ~outside:"tierup" e)
 
 (* Counters the cache store maintains under its own mutex, mirrored
    into the printable Stats ledger after every launch. *)
@@ -798,19 +801,8 @@ let launch (t : t) ~(mid : string) ~(sym : string) ~(grid : int) ~(block : int)
                  attempt (n + 1)
                end
                else begin
-                 let stage_name =
-                   match e with
-                   | Stage_failure (p, _) -> Fault.point_name p
-                   | _ -> "launch" (* escaped outside any instrumented stage *)
-                 in
-                 (match e with
-                 | Stage_failure (Fault.Verify, _) ->
-                     t.stats.Stats.verify_rejections <-
-                       t.stats.Stats.verify_rejections + 1
-                 | _ -> ());
                  t.stats.Stats.fallbacks <- t.stats.Stats.fallbacks + 1;
-                 Stats.record_failure t.stats stage_name;
-                 note_failure t (qstate t qk);
+                 record_contained t ~qk ~outside:"launch" e;
                  aot_fallback t ~sym ~grid ~block ~args
                end
          in

@@ -2,8 +2,8 @@
    submitting launches to one shared runtime.
 
    What is shared and what is not:
-   - ONE content-addressed Cachestore, and with it the store's
-     single-flight table, serves every tenant. Cache keys are derived from
+   - ONE content-addressed Cachestore serves every tenant, and its
+     compile-once wait dedups their compiles. Cache keys are derived from
      [Speckey.content_mid] (a hash of the kernel's device IR bytes and
      the backend) rather than a client-chosen module name, so two
      tenants submitting byte-identical device IR dedup onto one
@@ -185,7 +185,7 @@ let create ?(config = Config.default) ?(vendor = Device.Amd) ?(tenants = 4)
     | None ->
         (* the shared store carries no tenant's fault set: injected
            per-tenant faults fire in that tenant's pipeline only *)
-        Cachestore.create ?persistent_dir:config.Config.persistent_dir
+        Cachestore.create ?persistent_dir:config.Config.persistent_dir ~vendor
           ~tenant_quota:config.Config.tenant_quota
           ~lock_timeout_ms:config.Config.lock_timeout_ms ()
   in
@@ -302,7 +302,11 @@ let stats (t : t) ~(tenant : int) : Stats.t = t.sv_tenants.(tenant).tn_jit.Jit.s
    compiles, latencies and resident bytes, depends on the domain
    schedule; those appear on the totals row only, where they do not
    (Jit counts a launch served by another launch's compile as a memory
-   hit). *)
+   hit). One exception: under a fault scoped to one tenant, with more
+   than one domain, that tenant's fallbacks and quarantined launches
+   (and so the totals' hits) depend on how often a healthy tenant
+   compiles a shared kernel first and serves it a hit. A healthy
+   tenant's own counts never move: a failed compile is not handed on. *)
 type tenant_report = {
   tr_tenant : string;
   tr_launches : int;

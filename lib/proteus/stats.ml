@@ -2,7 +2,7 @@
    compilation overhead (simulated and real), code-cache sizes, the
    fault-containment ledger (AOT fallbacks, failures by JIT stage,
    quarantine activity, cache corruption), and the resilience ledger
-   (single-flight coalescing, transient retries, deadline overruns,
+   (compile-once waits, transient retries, deadline overruns,
    degradation-ladder steps) with p50/p90/p99 latency histograms. *)
 
 open Proteus_support
@@ -42,9 +42,9 @@ type t = {
   mutable advise_time_s : float; (* wall-clock spent in SpecAdvisor at JIT time *)
   cache_entries_by_policy : (string, int) Hashtbl.t;
       (* policy name -> code-cache entries inserted under that policy *)
-  (* resilience: single-flight, retries/deadlines, degradation ladder *)
-  mutable flight_leads : int; (* cache-miss compiles this process led *)
-  mutable flight_suppressed : int; (* duplicate compiles coalesced onto a leader *)
+  (* resilience: compile-once, retries/deadlines, degradation ladder *)
+  mutable flight_leads : int; (* cache-miss compiles this process ran *)
+  mutable flight_suppressed : int; (* misses served by another launch's compile *)
   mutable retries : int; (* launch re-attempts after a transient failure *)
   mutable retry_successes : int; (* launches that succeeded on a retry *)
   mutable deadline_overruns : int; (* stages that ran past Config.stage_deadline_ms *)

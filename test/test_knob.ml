@@ -253,12 +253,12 @@ let test_one_scheduler () =
       List.mem f [ "../lib/support/pool.ml"; "../lib/gpu/exec.ml"; "../lib/proteus/serve.ml" ])
     ~fix:"only the executor and the serve loop use the domain pool"
 
-(* compile-once is the code cache's: every store builds its own flight
-   table and [Cachestore.compile_once] is the one way in, so no caller
-   can share a store without sharing its flight table *)
-let test_one_flight_table () =
-  source_gate ~re:(Str.regexp "\\bFlight\\.")
-    ~exempt:(fun f -> List.mem f [ "../lib/proteus/cachestore.ml"; "../lib/proteus/flight.ml" ])
+(* a compile waits on another compile only inside the store: the pool
+   waits for its jobs, [Cachestore.compile_once] for a key another caller
+   is compiling, and nothing else blocks on a condition *)
+let test_one_compile_wait () =
+  source_gate ~re:(Str.regexp "\\bCondition\\.")
+    ~exempt:(fun f -> List.mem f [ "../lib/support/pool.ml"; "../lib/proteus/cachestore.ml" ])
     ~fix:"compile once through Cachestore.compile_once"
 
 (* the scanner itself: a name in a comment is not a literal, one in a
@@ -309,6 +309,6 @@ let () =
           Alcotest.test_case "README rows match the table" `Quick test_readme_rows;
           Alcotest.test_case "only Toolchain picks a vendor backend" `Quick test_one_toolchain;
           Alcotest.test_case "only exec and serve use the domain pool" `Quick test_one_scheduler;
-          Alcotest.test_case "only the store owns a flight table" `Quick test_one_flight_table;
+          Alcotest.test_case "only pool and store use Condition" `Quick test_one_compile_wait;
         ] );
     ]

@@ -409,6 +409,30 @@ let test_source_change_invalidates_cache () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir
 
+(* AMD and NVIDIA builds of one program share their cache keys: an
+   NVIDIA run over a directory an AMD run filled must not load the GCN
+   object. It compiles, overwrites the entry, and a second NVIDIA run
+   disk-hits its own object. *)
+let test_vendor_change_misses () =
+  let dir = tmpdir () in
+  let config = { Config.default with Config.persistent_dir = Some dir } in
+  let run vendor =
+    Driver.run ~config (Driver.compile ~name:"v" ~vendor ~mode:Driver.Proteus daxpy_src)
+  in
+  let _ = run Device.Amd in
+  let nv = run Device.Nvidia and nv_warm = run Device.Nvidia in
+  (match (nv.Driver.jit, nv_warm.Driver.jit) with
+  | Some s, Some w ->
+      check Alcotest.int "NVIDIA compiles" 1 s.Stats.compiles;
+      check Alcotest.int "no disk hit on the GCN object" 0 s.Stats.disk_hits;
+      check Alcotest.int "not counted as corruption" 0 s.Stats.cache_corruptions;
+      check Alcotest.int "warm NVIDIA loads its own object" 1 w.Stats.disk_hits;
+      check Alcotest.int "warm NVIDIA does not compile" 0 w.Stats.compiles
+  | _ -> Alcotest.fail "no stats");
+  check Alcotest.string "expected checksum" "sum=587776\n" nv.Driver.output;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
 let test_lb_sets_launch_bounds () =
   (* specialize with LB and check the JIT-compiled kernel's attribute *)
   let u = Compile.compile ~vendor:Lower.Cuda daxpy_src in
@@ -628,6 +652,7 @@ let () =
           Alcotest.test_case "rcf not slower" `Quick test_rcf_reduces_kernel_time;
           Alcotest.test_case "device-global linking" `Quick test_device_global_linking;
           Alcotest.test_case "source change invalidates" `Quick test_source_change_invalidates_cache;
+          Alcotest.test_case "vendor change misses" `Quick test_vendor_change_misses;
           Alcotest.test_case "LB attribute" `Quick test_lb_sets_launch_bounds;
           Alcotest.test_case "RCF argument folding" `Quick test_rcf_folds_arguments;
         ] );

@@ -1,6 +1,6 @@
 (* Concurrency and crash-recovery tests: histogram percentile
-   estimation, stage deadlines and retry backoff, single-flight
-   compilation groups, the persistent frame's reserved words, the
+   estimation, stage deadlines and retry backoff, the store's
+   compile-once wait, the persistent frame's reserved words, the
    startup recovery sweep, cache-limit env validation, and multi-domain
    torture runs proving exactly one compile per specialization key with
    stable hit/miss accounting and zero corruption. *)
@@ -127,75 +127,87 @@ let test_backoff_schedule () =
   check (Alcotest.float 1e-9) "custom cap" 3.0
     (Deadline.backoff_ms ~max_ms:3.0 ~base_ms:100.0 ~attempt:4 ~rand:0.5 ())
 
-(* ---- single-flight groups ---- *)
+(* ---- compile-once ---- *)
 
-let test_flight_sequential () =
-  let fl = Flight.create () in
-  (match Flight.run fl ~key:"a" (fun () -> 1) with
-  | Flight.Led 1 -> ()
-  | _ -> Alcotest.fail "first call must lead");
-  (* the first flight closed, so a second call leads a fresh one *)
-  (match Flight.run fl ~key:"a" (fun () -> 2) with
-  | Flight.Led 2 -> ()
-  | _ -> Alcotest.fail "post-close call must lead again");
-  check Alcotest.int "two leads" 2 (Flight.leads fl);
-  check Alcotest.int "nothing suppressed" 0 (Flight.suppressed fl)
+let wait_for flag =
+  while not (Atomic.get flag) do
+    Domain.cpu_relax ()
+  done
 
-let test_flight_coalesces () =
-  let fl = Flight.create () in
-  let in_flight = Atomic.make false in
+let test_compile_once_sequential () =
+  let c = Cachestore.create () in
+  let key = spec_key 0 in
+  let e, ran = Cachestore.compile_once c key (fun () -> Cachestore.insert c key (dummy_obj 0)) in
+  Alcotest.(check bool) "first call compiles" true ran;
+  let e2, ran2 =
+    Cachestore.compile_once c key (fun () -> Alcotest.fail "a resident key must not compile")
+  in
+  Alcotest.(check bool) "second call compiles nothing" false ran2;
+  Alcotest.(check bool) "second call returns the resident entry" true (e2 == e)
+
+(* A second caller arrives while the first is compiling: it waits, and
+   returns the first caller's entry without running its own [f]. The
+   leader holds its compile open 50 ms after the follower starts. *)
+let test_compile_once_coalesced () =
+  let c = Cachestore.create () in
+  let key = spec_key 0 in
+  let compiling = Atomic.make false and follower_started = Atomic.make false in
   let leader =
     Domain.spawn (fun () ->
-        Flight.run fl ~key:"k" (fun () ->
-            Atomic.set in_flight true;
-            (* hold the flight open until the follower has joined *)
-            while Flight.suppressed fl < 1 do
-              Domain.cpu_relax ()
-            done;
-            42))
+        Cachestore.compile_once c key (fun () ->
+            Atomic.set compiling true;
+            wait_for follower_started;
+            Unix.sleepf 0.05;
+            Cachestore.insert c key (dummy_obj 42)))
   in
-  while not (Atomic.get in_flight) do
-    Domain.cpu_relax ()
-  done;
-  let follower = Domain.spawn (fun () -> Flight.run fl ~key:"k" (fun () -> 99)) in
-  let lv = Domain.join leader and fv = Domain.join follower in
-  Alcotest.(check bool) "leader led with its own result" true (lv = Flight.Led 42);
-  Alcotest.(check bool) "follower shares the leader's result" true
-    (fv = Flight.Coalesced 42);
-  check Alcotest.int "one lead" 1 (Flight.leads fl);
-  check Alcotest.int "one suppressed" 1 (Flight.suppressed fl)
+  wait_for compiling;
+  let follower =
+    Domain.spawn (fun () ->
+        Atomic.set follower_started true;
+        Cachestore.compile_once c key (fun () -> Cachestore.insert c key (dummy_obj 99)))
+  in
+  let le, lran = Domain.join leader and fe, fran = Domain.join follower in
+  Alcotest.(check bool) "leader compiled" true lran;
+  Alcotest.(check bool) "follower compiled nothing" false fran;
+  Alcotest.(check bool) "follower returns the leader's entry" true (fe == le)
 
 exception Boom
 
-let test_flight_propagates_failure () =
-  let fl = Flight.create () in
-  let in_flight = Atomic.make false in
+(* The first caller's compile fails while a second waits: the failure
+   stays with the first, and the second compiles the key itself. *)
+let test_compile_once_failed_leader () =
+  let c = Cachestore.create () in
+  let key = spec_key 0 in
+  let compiling = Atomic.make false and follower_started = Atomic.make false in
   let leader =
     Domain.spawn (fun () ->
-        try
-          ignore
-            (Flight.run fl ~key:"k" (fun () ->
-                 Atomic.set in_flight true;
-                 while Flight.suppressed fl < 1 do
-                   Domain.cpu_relax ()
-                 done;
-                 raise Boom));
-          false
-        with Boom -> true)
+        match
+          Cachestore.compile_once c key (fun () ->
+              Atomic.set compiling true;
+              wait_for follower_started;
+              Unix.sleepf 0.05;
+              raise Boom)
+        with
+        | _ -> false
+        | exception Boom -> true)
   in
-  while not (Atomic.get in_flight) do
-    Domain.cpu_relax ()
-  done;
+  wait_for compiling;
   let follower =
     Domain.spawn (fun () ->
-        try
-          ignore (Flight.run fl ~key:"k" (fun () -> 1));
-          false
-        with Boom -> true)
+        Atomic.set follower_started true;
+        match
+          Cachestore.compile_once c key (fun () -> Cachestore.insert c key (dummy_obj 7))
+        with
+        | r -> Some r
+        | exception _ -> None)
   in
-  Alcotest.(check bool) "leader sees its failure" true (Domain.join leader);
-  Alcotest.(check bool) "follower sees the leader's failure" true
-    (Domain.join follower)
+  Alcotest.(check bool) "leader sees its own failure" true (Domain.join leader);
+  match Domain.join follower with
+  | None -> Alcotest.fail "the follower was handed the leader's failure"
+  | Some (e, ran) ->
+      Alcotest.(check bool) "follower compiled the key itself" true ran;
+      Alcotest.(check bool) "its entry is resident" true
+        (Cachestore.peek_mem c key = Some e)
 
 (* ---- persistent frame: the two reserved words ---- *)
 
@@ -523,13 +535,14 @@ let () =
           Alcotest.test_case "backoff schedule, jitter, cap" `Quick
             test_backoff_schedule;
         ] );
-      ( "flight",
+      ( "compile",
         [
-          Alcotest.test_case "sequential calls each lead" `Quick
-            test_flight_sequential;
-          Alcotest.test_case "concurrent calls coalesce" `Quick test_flight_coalesces;
-          Alcotest.test_case "leader failure reaches followers" `Quick
-            test_flight_propagates_failure;
+          Alcotest.test_case "second call compiles nothing" `Quick
+            test_compile_once_sequential;
+          Alcotest.test_case "follower waits for the open compile" `Quick
+            test_compile_once_coalesced;
+          Alcotest.test_case "failed leader: follower compiles" `Quick
+            test_compile_once_failed_leader;
         ] );
       ( "cachestore",
         [

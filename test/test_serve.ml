@@ -415,6 +415,37 @@ let test_unscoped_fault_hits_all () =
       (Jit.quarantined_kernels (Serve.jit sv ~tenant:tn) <> [])
   done
 
+(* A fault scoped to T0 fails every one of T0's compiles, while 4
+   domains serve all four tenants a uniform workload: a healthy tenant
+   that waits on T0's failing compile compiles the kernel itself, so on
+   each of 5 runs T1-T3 take no fallback and no quarantined launch, and
+   every tenant's output equals its serial replay. *)
+let test_scoped_fault_not_shared () =
+  let w = Workload.generate ~seed:42 ~tenants:4 ~kernels:8 ~launches:4000 ~skew:0.0 in
+  let tenant_faults = [ ("T0", [ (Fault.Optimize, Fault.Always) ]) ] in
+  let replay = Serve.create ~tenants:4 ~kernels:8 ~tenant_faults () in
+  let expected =
+    Array.init 4 (fun tn -> Serve.replay_output replay ~tenant:tn w.Workload.schedule)
+  in
+  for rep = 1 to 5 do
+    let sv = Serve.create ~tenants:4 ~kernels:8 ~tenant_faults () in
+    Serve.run_sharded sv ~domains:4 w.Workload.schedule;
+    Serve.finish sv;
+    for tn = 1 to 3 do
+      let s = Serve.stats sv ~tenant:tn in
+      check Alcotest.int (Printf.sprintf "run %d: T%d fallbacks" rep tn) 0 s.Stats.fallbacks;
+      check Alcotest.int
+        (Printf.sprintf "run %d: T%d quarantined launches" rep tn)
+        0 s.Stats.quarantined_launches
+    done;
+    Array.iteri
+      (fun tn out ->
+        check Alcotest.string
+          (Printf.sprintf "run %d: tenant %d output = serial replay" rep tn)
+          out (Serve.output sv ~tenant:tn))
+      expected
+  done
+
 (* Shared-store economics: N tenants over one store compile each
    distinct kernel exactly once between them, and a serial run and a
    sharded run produce bit-identical tenant outputs. The service
@@ -576,6 +607,8 @@ let () =
             test_tenant_isolation;
           Alcotest.test_case "unscoped fault hits every tenant" `Quick
             test_unscoped_fault_hits_all;
+          Alcotest.test_case "scoped fault is not handed on" `Quick
+            test_scoped_fault_not_shared;
         ] );
       ( "service",
         [
