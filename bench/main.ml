@@ -572,10 +572,10 @@ let advise_bench () =
    specialize-corrupt points run with the PROTEUS_VERIFY=1 gate on;
    for those, containment additionally requires counted verify
    rejections (corruption detected, not silently executed).
-   Pressure-class points (disk-full, mem-pressure) are absorbed by the
-   degradation ladder rather than the fallback path, so their
-   containment contract is output equivalence plus counted degradation
-   steps, with no requirement that launches fell back.                *)
+   The one pressure point, disk-full, is absorbed by dropping the
+   persistent cache tier rather than by the fallback path, so its
+   containment contract is output equivalence plus a counted disk
+   degrade, with no requirement that launches fell back.              *)
 
 let inject_faults () =
   header "Fault-injection sweep: AOT-equivalence under per-stage JIT failures";
@@ -609,10 +609,10 @@ let inject_faults () =
                   let contained =
                     match m.Harness.stats with
                     | Some s ->
-                        if Fault.is_pressure_point point then
-                          (* absorbed by the degradation ladder: the
-                             run must have stepped down, not fallen *)
-                          s.Stats.degrade_events + s.Stats.disk_degrades > 0
+                        if point = Fault.Disk_full then
+                          (* absorbed by the store: the run must have
+                             dropped its disk tier, not fallen back *)
+                          s.Stats.disk_degrades > 0
                         else
                           s.Stats.fallbacks + s.Stats.quarantined_launches
                           >= s.Stats.jit_launches

@@ -71,7 +71,7 @@ type entry = {
 type t = {
   mem : (string, entry) Hashtbl.t;
   persistent_dir : string option;
-  mutable mem_limit : int; (* bytes; 0 = unlimited; shrunk by the degradation ladder *)
+  mem_limit : int; (* bytes; 0 = unlimited *)
   disk_limit : int;
   tenant_quota : int; (* bytes one owner may pin in memory; 0 = unlimited *)
   tenant_bytes : (string, int) Hashtbl.t;
@@ -95,7 +95,7 @@ type t = {
   mutable reaped_tmp : int; (* crashed writers' .tmp litter removed by the sweep *)
   mutable reaped_locks : int; (* stale .lock files removed by the sweep *)
   mutable disk_degrades : int; (* times the persistent tier was dropped under pressure *)
-  mutable disk_disabled : bool; (* degradation ladder: stop writing to disk *)
+  mutable disk_disabled : bool; (* disk full: stop writing to disk *)
   mutable tick_hook : string -> unit;
       (* progress callback fired at labelled points inside persistent
          writes; the crash-torture harness uses it to kill the process
@@ -556,13 +556,7 @@ let acquire_entry_lock t path : Unix.file_descr =
           let waited_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
           if t.lock_timeout_ms > 0.0 && waited_ms > t.lock_timeout_ms then begin
             (try Unix.close fd with _ -> ());
-            raise
-              (Deadline.Exceeded
-                 {
-                   Deadline.label = "cache-lock:" ^ Filename.basename path;
-                   elapsed_ms = waited_ms;
-                   limit_ms = t.lock_timeout_ms;
-                 })
+            raise (Fault.Lock_timeout (lp, waited_ms))
           end;
           Unix.sleepf 0.001;
           try_lock ()
@@ -658,20 +652,6 @@ let insert ?owner t (key : Speckey.t) (obj : Mach.obj) : entry =
   | Some path when not t.disk_disabled -> write_persistent t path data
   | _ -> ());
   e
-
-(* ---- degradation-ladder hooks (driven by Jit) -------------------- *)
-
-(* Step 1: drop the decoded-code tier attached to memory entries. *)
-let drop_tcodes t =
-  locked t @@ fun () -> Hashtbl.iter (fun _ e -> e.tcodes <- []) t.mem
-
-(* Step 2: halve the in-memory budget (to half of current usage when
-   previously unlimited) and evict down to it immediately. *)
-let shrink_mem t =
-  locked t @@ fun () ->
-  let target = max 1 (t.mem_bytes / 2) in
-  t.mem_limit <- (if t.mem_limit = 0 then target else min t.mem_limit target);
-  enforce_mem_limit t
 
 (* ---- sizes & maintenance ----------------------------------------- *)
 

@@ -50,10 +50,10 @@ type t = {
       (* minimum SpecAdvisor score an argument needs to stay in the key
          under the advise policy *)
   stage_deadline_ms : float;
-      (* wall-clock budget per JIT stage; an overrun is a transient
-         failure (retried with backoff, then AOT). 0 disables the check
-         - the default, so tier-1 runs stay free of wall-clock
-         nondeterminism *)
+      (* budget per JIT stage in simulated milliseconds: the cost model's
+         charges during one stage are compared with it. An overrun
+         recurs for its key, so it is a permanent failure (AOT fallback
+         and a quarantine strike, no retry). 0 disables the check *)
   retry_max : int;
       (* transient-failure retries per launch before the AOT fallback;
          permanent failures never retry *)

@@ -22,14 +22,11 @@ type point =
   | Cache_read
   | Cache_write
   | Cache_lock (* contention/timeout acquiring the shared cache store *)
-  | Stage_timeout (* a stage ran past its deadline (Deadline.Exceeded) *)
   | Disk_full (* ENOSPC-class failure writing the persistent cache *)
-  | Mem_pressure (* host memory pressure observed at launch entry *)
 
 let all_points =
   [ Fetch_bitcode; Decode; Specialize; Specialize_corrupt; Optimize; Verify;
-    Codegen; Cache_read; Cache_write; Cache_lock; Stage_timeout; Disk_full;
-    Mem_pressure ]
+    Codegen; Cache_read; Cache_write; Cache_lock; Disk_full ]
 
 let point_name = function
   | Fetch_bitcode -> "fetch-bitcode"
@@ -42,32 +39,28 @@ let point_name = function
   | Cache_read -> "cache-read"
   | Cache_write -> "cache-write"
   | Cache_lock -> "cache-lock"
-  | Stage_timeout -> "stage-timeout"
   | Disk_full -> "disk-full"
-  | Mem_pressure -> "mem-pressure"
 
 (* ---- failure taxonomy --------------------------------------------
 
    Transient failures are environmental and worth retrying (lock
-   contention, a deadline overrun, a momentarily-full disk); permanent
-   ones are deterministic properties of the kernel or the pipeline
-   (a decode error will decode wrong again) and go straight to the
-   quarantine policy. Pressure points are neither: they are absorbed
-   by the degradation ladder and never surface as a launch failure. *)
+   contention); permanent ones are deterministic properties of the
+   kernel or the pipeline (a decode error will decode wrong again, a
+   stage over its simulated budget will overrun again) and go straight
+   to the quarantine policy. The one pressure point, disk-full, is
+   neither: the store drops its persistent tier and the launch never
+   sees a failure. *)
 
 type severity = Transient | Permanent
 
+(* The severity an [Injected p] carries. Specialize-corrupt and
+   disk-full never raise (their sites call [fires]); they sit with the
+   permanent points only to keep the match exhaustive. *)
 let point_severity = function
-  | Cache_lock | Stage_timeout | Disk_full | Mem_pressure -> Transient
+  | Cache_lock -> Transient
   | Fetch_bitcode | Decode | Specialize | Specialize_corrupt | Optimize
-  | Verify | Codegen | Cache_read | Cache_write ->
+  | Verify | Codegen | Cache_read | Cache_write | Disk_full ->
       Permanent
-
-(* Pressure-class points feed the degradation ladder (step down, keep
-   serving) instead of the fallback/quarantine path. *)
-let is_pressure_point = function
-  | Disk_full | Mem_pressure -> true
-  | _ -> false
 
 let point_of_name s =
   let s = String.lowercase_ascii (String.trim s) in
@@ -91,16 +84,20 @@ type plan = (point * trigger) list
 
 exception Injected of point
 
+(* A cross-process cache entry lock stayed held past the store's
+   [lock_timeout_ms]: names the lock file and how long the wait was. *)
+exception Lock_timeout of string * float
+
 (* Classify an exception that escaped a pipeline stage. Injected
-   faults carry their point's severity; a real deadline overrun is
-   transient by definition (the work completed, it was just slow);
-   everything else - decode errors, verifier rejections, OS errors
-   other than the pressure class - is treated as permanent because
-   retrying deterministic work reproduces the failure. *)
+   faults carry their point's severity; a lock timeout is transient by
+   definition (another process holds the entry for now); everything
+   else - decode errors, verifier rejections, budget overruns, OS
+   errors other than the EAGAIN class - is treated as permanent
+   because retrying deterministic work reproduces the failure. *)
 let classify_exn (e : exn) : severity =
   match e with
   | Injected p -> point_severity p
-  | Proteus_support.Deadline.Exceeded _ -> Transient
+  | Lock_timeout _ -> Transient
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR | Unix.EBUSY), _, _) -> Transient
   | _ -> Permanent
 
@@ -120,9 +117,7 @@ let index = function
   | Cache_read -> 7
   | Cache_write -> 8
   | Cache_lock -> 9
-  | Stage_timeout -> 10
-  | Disk_full -> 11
-  | Mem_pressure -> 12
+  | Disk_full -> 10
 
 let create () =
   { slots = Array.of_list (List.map (fun _ -> { trig = Off; calls = 0; injected = 0 }) all_points) }

@@ -15,7 +15,15 @@
    consecutive failures the (mid, sym) kernel is quarantined: later
    launches skip JIT entirely until a backoff of
    [Config.quarantine_backoff] launches expires (doubling after each
-   failed retry), serving-stack style. *)
+   failed retry), serving-stack style.
+
+   Stage budgets: with [Config.stage_deadline_ms] > 0, a stage whose
+   cost-model charges exceed that many simulated milliseconds fails
+   like any other stage. Simulated time does not depend on the host,
+   so an overrun recurs for its key: it falls back and strikes toward
+   quarantine without a retry. Only transient failures (a cache entry
+   lock held by another process, the EAGAIN class) retry, with
+   jittered exponential backoff on the simulated clock. *)
 
 open Proteus_support
 open Proteus_ir
@@ -67,6 +75,9 @@ type t = {
   mutable pending_tier : tier_job option;
       (* the tier-up compile the last launch armed, if any: [launch]
          drains it at its top and a launch arms at most one *)
+  charged : Clock.t;
+      (* every simulated second [charge] has booked, wherever it went:
+         [in_stage] reads a stage's cost off it *)
   mutable charge_sink : (float -> unit) option;
       (* when set, [charge] redirects simulated cost here instead of
          advancing the shared clock: a background compile occupies a
@@ -104,10 +115,12 @@ let create ?(config = Config.default) ?cache ?tenant (rt : Gpurt.ctx)
     registered_vars = Hashtbl.create 8;
     advice = Hashtbl.create 8;
     pending_tier = None;
+    charged = Clock.create ();
     charge_sink = None;
   }
 
 let charge t s =
+  Clock.advance t.charged s;
   match t.charge_sink with
   | Some sink -> sink s
   | None -> Clock.advance t.rt.Gpurt.clock s
@@ -117,36 +130,35 @@ let charge t s =
 (* A JIT failure tagged with the pipeline stage it escaped from. *)
 exception Stage_failure of Fault.point * exn
 
-(* Run one pipeline stage: fire the fault-injection points, run the
-   stage under its wall-clock deadline (Config.stage_deadline_ms;
-   cooperative and post-hoc - see Deadline), and tag any escaping
-   exception with the stage so the launch-level handler can account it.
-   Already-tagged exceptions pass through untouched (an outer stage
-   must not re-attribute an inner stage's failure). *)
+(* A stage charged this many simulated milliseconds, more than
+   Config.stage_deadline_ms allows. *)
+exception Over_budget of float
+
+(* Run one pipeline stage: fire its fault-injection point, hold it to
+   its simulated budget when Config.stage_deadline_ms is > 0, and tag
+   any escaping exception with the stage so the launch-level handler
+   can account it. An overrun fails the stage after its work is done,
+   because the key's next compile would cost the same. Already-tagged
+   exceptions pass through untouched (an outer stage must not
+   re-attribute an inner stage's failure). *)
 let in_stage t (p : Fault.point) (f : unit -> 'a) : 'a =
-  (try
-     Fault.hit t.faults p;
-     (* the simulated deadline overrun: stage-timeout models a stage
-        that blew its budget, without doing any actual slow work *)
-     if Fault.fires t.faults Fault.Stage_timeout then begin
-       t.stats.Stats.deadline_overruns <- t.stats.Stats.deadline_overruns + 1;
-       raise
-         (Deadline.Exceeded
-            {
-              Deadline.label = Fault.point_name p;
-              elapsed_ms = infinity;
-              limit_ms = t.config.Config.stage_deadline_ms;
-            })
-     end
-   with e -> raise (Stage_failure (p, e)));
-  try Deadline.run ~label:(Fault.point_name p) ~limit_ms:t.config.Config.stage_deadline_ms f with
+  (try Fault.hit t.faults p with e -> raise (Stage_failure (p, e)));
+  let budget_ms = t.config.Config.stage_deadline_ms in
+  try
+    if budget_ms <= 0.0 then f ()
+    else begin
+      let before = Clock.read t.charged in
+      let r = f () in
+      let spent_ms = (Clock.read t.charged -. before) *. 1e3 in
+      if spent_ms > budget_ms then begin
+        t.stats.Stats.deadline_overruns <- t.stats.Stats.deadline_overruns + 1;
+        raise (Over_budget spent_ms)
+      end;
+      r
+    end
+  with
   | Stage_failure _ as e -> raise e
-  | e ->
-      (match e with
-      | Deadline.Exceeded _ ->
-          t.stats.Stats.deadline_overruns <- t.stats.Stats.deadline_overruns + 1
-      | _ -> ());
-      raise (Stage_failure (p, e))
+  | e -> raise (Stage_failure (p, e))
 
 (* ---- JIT pipeline stages ----------------------------------------- *)
 
@@ -185,7 +197,9 @@ let fetch_bitcode (t : t) (sym : string) : string =
           in
           let len = len_of t.rt.Gpurt.modules in
           (* cuModuleGetGlobal + device-to-host read *)
-          Gpurt.read_device_bytes t.rt addr len
+          let bc = Gpurt.read_device_bytes t.rt addr len in
+          charge t (Costmodel.xfer t.rt.Gpurt.cost len);
+          bc
       | None -> Util.failf "Proteus: device global %s not found (was the plugin run?)" gname)
 
 let resolve_global (t : t) (name : string) : int64 =
@@ -552,12 +566,13 @@ let compile_entry (t : t) ~(key : Speckey.t) ~(sym : string)
    Returns whether JIT-compiled code ran: false for the AOT artifact a
    cold tiered launch dispatches while its O3 compile waits for the
    next launch boundary. [qk] is the launch's [qkey], built once by
-   [launch]. *)
-let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : int)
-    ~(block : int) ~(args : Konst.t array) ~(spec_mask : int64) : bool =
+   [launch]. [first] is false on a retry, which must not count the
+   launch into the kernel and key profiles a second time. *)
+let jit_launch (t : t) ~(first : bool) ~(qk : string) ~(mid : string) ~(sym : string)
+    ~(grid : int) ~(block : int) ~(args : Konst.t array) ~(spec_mask : int64) : bool =
   let cost = t.rt.Gpurt.cost in
   let clock_before = Clock.read t.rt.Gpurt.clock in
-  Stats.record_kernel_launch t.stats qk;
+  if first then Stats.record_kernel_launch t.stats qk;
   let spec_values =
     if t.config.Config.enable_rcf || t.config.Config.enable_lb then
       List.filter_map
@@ -578,7 +593,7 @@ let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : i
       ~launch_bounds:(if t.config.Config.enable_lb then Some block else None)
   in
   charge t cost.Costmodel.cache_hash_s;
-  Stats.record_key_launch t.stats (Speckey.to_string key);
+  if first then Stats.record_key_launch t.stats (Speckey.to_string key);
   let served =
     match
       in_stage t Fault.Cache_read (fun () ->
@@ -634,27 +649,20 @@ let jit_launch (t : t) ~(qk : string) ~(mid : string) ~(sym : string) ~(grid : i
   | `Entry entry ->
       let k = Mach.find_kernel entry.Cachestore.obj sym in
       (* decoded-code tier: reuse the threaded program attached to this
-         cache entry, or decode once and attach it. Ladder step 1 (and
-         below) attaches nothing: the launch passes no program, so
-         Gpurt.get_tcode takes it from the runtime's one-per-symbol
-         table (decoding when the symbol's kernel changed). Every
-         launch runs on the one threaded engine either way; the step
-         drops the per-entry copies, not the engine. *)
+         cache entry, or decode once and attach it *)
       let tcode =
-        if t.stats.Stats.degrade_level >= 1 then None
-        else
-          match List.assoc_opt sym entry.Cachestore.tcodes with
-          | Some p when p.Tcode.tf == k ->
-              t.stats.Stats.tcode_hits <- t.stats.Stats.tcode_hits + 1;
-              Some p
-          | _ ->
-              let p = Tcode.decode k in
-              t.stats.Stats.tcode_decodes <- t.stats.Stats.tcode_decodes + 1;
-              entry.Cachestore.tcodes <-
-                (sym, p) :: List.remove_assoc sym entry.Cachestore.tcodes;
-              Some p
+        match List.assoc_opt sym entry.Cachestore.tcodes with
+        | Some p when p.Tcode.tf == k ->
+            t.stats.Stats.tcode_hits <- t.stats.Stats.tcode_hits + 1;
+            p
+        | _ ->
+            let p = Tcode.decode k in
+            t.stats.Stats.tcode_decodes <- t.stats.Stats.tcode_decodes + 1;
+            entry.Cachestore.tcodes <-
+              (sym, p) :: List.remove_assoc sym entry.Cachestore.tcodes;
+            p
       in
-      Gpurt.launch_mfunc t.rt ?tcode k ~grid ~block ~args;
+      Gpurt.launch_mfunc t.rt ~tcode k ~grid ~block ~args;
       true
 
 (* Launch the AOT-compiled kernel embedded in the fatbinary: the
@@ -665,33 +673,6 @@ let aot_fallback (t : t) ~(sym : string) ~(grid : int) ~(block : int)
   if not (Gpurt.has_kernel t.rt sym) then
     Util.failf "Proteus: no AOT fallback for kernel %s" sym;
   Gpurt.launch_kernel t.rt ~sym ~grid ~block ~args
-
-(* ---- resource-pressure degradation ladder ------------------------ *)
-
-let degrade_level_name = function
-  | 0 -> "full"
-  | 1 -> "no-tcode"
-  | 2 -> "small-mem"
-  | _ -> "aot-only"
-
-(* One deliberate step down, never an abort: 1 drops the decoded
-   programs attached to cache entries (launches keep running on the one
-   threaded engine, through the runtime's one-program-per-symbol
-   table), 2 shrinks the memory cache, 3 serves AOT only. Each step is
-   logged and counted; steps do not reverse within a run (recovering
-   capacity is a restart decision, not a flapping one). *)
-let step_down t ~(reason : string) : unit =
-  let s = t.stats in
-  if s.Stats.degrade_level < 3 then begin
-    s.Stats.degrade_level <- s.Stats.degrade_level + 1;
-    s.Stats.degrade_events <- s.Stats.degrade_events + 1;
-    (match s.Stats.degrade_level with
-    | 1 -> Cachestore.drop_tcodes t.cache
-    | 2 -> Cachestore.shrink_mem t.cache
-    | _ -> ());
-    Printf.eprintf "proteus: %s: degrading to %s (step %d/3)\n%!" reason
-      (degrade_level_name s.Stats.degrade_level) s.Stats.degrade_level
-  end
 
 (* ---- tier-up drain / publication --------------------------------- *)
 
@@ -739,11 +720,24 @@ let sync_cache_counters t =
   t.stats.Stats.lock_contended <- t.cache.Cachestore.lock_contended;
   t.stats.Stats.disk_degrades <- t.cache.Cachestore.disk_degrades
 
+(* Jittered exponential backoff: base * 2^attempt, scaled by a jitter
+   factor in [0.5, 1.0) drawn from [rand] (a float in [0,1)). Capped at
+   [max_ms] so a long retry chain cannot wait unboundedly. The caller
+   supplies the draw (from a seeded Util.Rng), so a retry schedule can
+   be reproduced exactly. *)
+let backoff_ms ?(max_ms = 1000.0) ~(base_ms : float) ~(attempt : int)
+    ~(rand : float) () : float =
+  let base_ms = if base_ms <= 0.0 then 0.0 else base_ms in
+  let attempt = if attempt < 0 then 0 else if attempt > 20 then 20 else attempt in
+  let raw = base_ms *. float_of_int (1 lsl attempt) in
+  let jitter = 0.5 +. (0.5 *. (if rand < 0.0 then 0.0 else if rand >= 1.0 then 0.999999 else rand)) in
+  Float.min (raw *. jitter) max_ms
+
 (* The __jit_launch_kernel entry point: JIT under containment, AOT on
    any contained failure, quarantine on repeated failure. Transient
-   failures (lock contention, deadline overruns - see
-   Fault.classify_exn) retry up to Config.retry_max times with
-   jittered exponential backoff before falling back; permanent ones
+   failures (lock contention - see Fault.classify_exn) retry up to
+   Config.retry_max times with jittered exponential backoff before
+   falling back; permanent ones, stage-budget overruns among them,
    fall back and count toward quarantine immediately. *)
 let launch (t : t) ~(mid : string) ~(sym : string) ~(grid : int) ~(block : int)
     ~(args : Konst.t array) ~(spec_mask : int64) : unit =
@@ -751,62 +745,52 @@ let launch (t : t) ~(mid : string) ~(sym : string) ~(grid : int) ~(block : int)
   (* launch boundary: run the tier-up job the last launch armed, so
      this launch's cache lookup can already see its entry *)
   drain_tier t;
-  (* pressure poll: at most one ladder step per launch *)
-  if Fault.fires t.faults Fault.Mem_pressure then
-    step_down t ~reason:"memory pressure";
-  (if t.stats.Stats.degrade_level >= 3 then begin
-     (* ladder bottom: deliberate AOT-only service, not a failure *)
-     t.stats.Stats.degraded_launches <- t.stats.Stats.degraded_launches + 1;
-     aot_fallback t ~sym ~grid ~block ~args
-   end
-   else
-     let qk = qkey t ~mid ~sym in
-     (* as in [note_success]: the usual table is empty, and the length
-        test then skips hashing [qk] *)
-     match if Hashtbl.length t.quarantine = 0 then None else Hashtbl.find_opt t.quarantine qk with
-     | Some q when q.cooldown > 0 ->
-         (* quarantined: serve from the AOT binary, tick down the backoff *)
-         if q.cooldown <> max_int then q.cooldown <- q.cooldown - 1;
-         t.stats.Stats.quarantined_launches <- t.stats.Stats.quarantined_launches + 1;
-         if q.cooldown = 0 then
-           t.stats.Stats.quarantine_retries <- t.stats.Stats.quarantine_retries + 1;
-         aot_fallback t ~sym ~grid ~block ~args
-     | _ ->
-         let rec attempt (n : int) : unit =
-           match jit_launch t ~qk ~mid ~sym ~grid ~block ~args ~spec_mask with
-           | jitted ->
-               if n > 0 then
-                 t.stats.Stats.retry_successes <- t.stats.Stats.retry_successes + 1;
-               (* a tier-0 serve says nothing about JIT pipeline health:
-                  it must not clear the consecutive-failure streak a
-                  failed background compile is building toward quarantine *)
-               if jitted then note_success t qk
-           | exception e ->
-               let transient =
-                 match e with
-                 | Stage_failure (_, inner) ->
-                     Fault.classify_exn inner = Fault.Transient
-                 | _ -> false
-               in
-               if transient && n < t.config.Config.retry_max then begin
-                 t.stats.Stats.retries <- t.stats.Stats.retries + 1;
-                 (* jittered exponential backoff, charged to the simulated
-                    clock (deterministic: the jitter comes from a seeded
-                    Rng, the clock from the cost model) *)
-                 let delay_ms =
-                   Deadline.backoff_ms ~base_ms:t.config.Config.retry_backoff_ms
-                     ~attempt:n ~rand:(Util.Rng.float t.rng) ()
-                 in
-                 charge t (delay_ms *. 1e-3);
-                 attempt (n + 1)
-               end
-               else begin
-                 t.stats.Stats.fallbacks <- t.stats.Stats.fallbacks + 1;
-                 record_contained t ~qk ~outside:"launch" e;
-                 aot_fallback t ~sym ~grid ~block ~args
-               end
-         in
-         attempt 0);
+  let qk = qkey t ~mid ~sym in
+  (* as in [note_success]: the usual table is empty, and the length
+     test then skips hashing [qk] *)
+  (match if Hashtbl.length t.quarantine = 0 then None else Hashtbl.find_opt t.quarantine qk with
+  | Some q when q.cooldown > 0 ->
+      (* quarantined: serve from the AOT binary, tick down the backoff *)
+      if q.cooldown <> max_int then q.cooldown <- q.cooldown - 1;
+      t.stats.Stats.quarantined_launches <- t.stats.Stats.quarantined_launches + 1;
+      if q.cooldown = 0 then
+        t.stats.Stats.quarantine_retries <- t.stats.Stats.quarantine_retries + 1;
+      aot_fallback t ~sym ~grid ~block ~args
+  | _ ->
+      let rec attempt (n : int) : unit =
+        match jit_launch t ~first:(n = 0) ~qk ~mid ~sym ~grid ~block ~args ~spec_mask with
+        | jitted ->
+            if n > 0 then
+              t.stats.Stats.retry_successes <- t.stats.Stats.retry_successes + 1;
+            (* a tier-0 serve says nothing about JIT pipeline health:
+               it must not clear the consecutive-failure streak a
+               failed background compile is building toward quarantine *)
+            if jitted then note_success t qk
+        | exception e ->
+            let transient =
+              match e with
+              | Stage_failure (_, inner) -> Fault.classify_exn inner = Fault.Transient
+              | _ -> false
+            in
+            if transient && n < t.config.Config.retry_max then begin
+              t.stats.Stats.retries <- t.stats.Stats.retries + 1;
+              (* jittered exponential backoff, charged to the simulated
+                 clock (deterministic: the jitter comes from a seeded
+                 Rng, the clock from the cost model) *)
+              let delay_ms =
+                backoff_ms ~base_ms:t.config.Config.retry_backoff_ms ~attempt:n
+                  ~rand:(Util.Rng.float t.rng) ()
+              in
+              charge t (delay_ms *. 1e-3);
+              attempt (n + 1)
+            end
+            else begin
+              t.stats.Stats.fallbacks <- t.stats.Stats.fallbacks + 1;
+              record_contained t ~qk ~outside:"launch" e;
+              aot_fallback t ~sym ~grid ~block ~args
+            end
+      in
+      attempt 0);
   sync_cache_counters t
 
 (* --------------------------------------------------------------- *)

@@ -2,8 +2,8 @@
    compilation overhead (simulated and real), code-cache sizes, the
    fault-containment ledger (AOT fallbacks, failures by JIT stage,
    quarantine activity, cache corruption), and the resilience ledger
-   (compile-once waits, transient retries, deadline overruns,
-   degradation-ladder steps) with p50/p90/p99 latency histograms. *)
+   (compile-once waits, transient retries, stage-budget overruns, the
+   disk-full degrade) with p50/p90/p99 latency histograms. *)
 
 open Proteus_support
 
@@ -42,15 +42,13 @@ type t = {
   mutable advise_time_s : float; (* wall-clock spent in SpecAdvisor at JIT time *)
   cache_entries_by_policy : (string, int) Hashtbl.t;
       (* policy name -> code-cache entries inserted under that policy *)
-  (* resilience: compile-once, retries/deadlines, degradation ladder *)
+  (* resilience: compile-once, retries, stage budgets, disk-full *)
   mutable flight_leads : int; (* cache-miss compiles this process ran *)
   mutable flight_suppressed : int; (* misses served by another launch's compile *)
   mutable retries : int; (* launch re-attempts after a transient failure *)
   mutable retry_successes : int; (* launches that succeeded on a retry *)
-  mutable deadline_overruns : int; (* stages that ran past Config.stage_deadline_ms *)
-  mutable degrade_events : int; (* degradation-ladder steps taken (mem pressure) *)
-  mutable degrade_level : int; (* gauge: 0 full .. 3 AOT-only *)
-  mutable degraded_launches : int; (* launches served AOT because the ladder hit bottom *)
+  mutable deadline_overruns : int;
+      (* stages that charged more simulated time than Config.stage_deadline_ms *)
   mutable disk_degrades : int; (* times the persistent cache tier was dropped *)
   mutable lock_waits : int; (* cross-process cache entry-lock acquisitions *)
   mutable lock_contended : int; (* acquisitions that had to wait *)
@@ -84,8 +82,7 @@ let create () =
     spec_skipped_args = 0; advise_time_s = 0.0;
     cache_entries_by_policy = Hashtbl.create 4;
     flight_leads = 0; flight_suppressed = 0; retries = 0; retry_successes = 0;
-    deadline_overruns = 0; degrade_events = 0; degrade_level = 0;
-    degraded_launches = 0; disk_degrades = 0;
+    deadline_overruns = 0; disk_degrades = 0;
     lock_waits = 0; lock_contended = 0;
     launch_hist = Hist.create ();
     tier_launches = 0; tierups = 0; tierup_failures = 0; tier_compile_s = 0.0;
@@ -193,8 +190,8 @@ let to_pairs s =
   in
   let resilience =
     if s.flight_leads = 0 && s.flight_suppressed = 0 && s.retries = 0
-       && s.deadline_overruns = 0 && s.degrade_events = 0 && s.disk_degrades = 0
-       && s.degraded_launches = 0 && Knob.rejections () = 0 && s.lock_waits = 0
+       && s.deadline_overruns = 0 && s.disk_degrades = 0
+       && Knob.rejections () = 0 && s.lock_waits = 0
     then []
     else
       [
@@ -203,9 +200,6 @@ let to_pairs s =
         ("retries", string_of_int s.retries);
         ("retry-successes", string_of_int s.retry_successes);
         ("deadline-overruns", string_of_int s.deadline_overruns);
-        ("degrade-events", string_of_int s.degrade_events);
-        ("degrade-level", string_of_int s.degrade_level);
-        ("degraded-launches", string_of_int s.degraded_launches);
         ("disk-degrades", string_of_int s.disk_degrades);
         ("env-rejections", string_of_int (Knob.rejections ()));
         ("lock-waits", string_of_int s.lock_waits);

@@ -175,13 +175,14 @@ let memcpy_d2d ctx ~src ~dst ~bytes =
   Clock.advance ctx.clock (float_of_int bytes /. (ctx.device.Device.mem_bw *. ctx.device.Device.clock_ghz *. 1e9) +. 2.0e-6)
 
 (* Read back a device-resident global (used by the CUDA Proteus path to
-   pull embedded LLVM IR out of device memory, cuModuleGetGlobal-style). *)
+   pull embedded LLVM IR out of device memory, cuModuleGetGlobal-style).
+   Only reads: the caller charges the transfer ([Costmodel.xfer]) to
+   whichever clock its work runs on. *)
 let read_device_bytes ctx addr len =
   let b = Bytes.create len in
   for i = 0 to len - 1 do
     Bytes.set b i (Char.chr (Gmem.read_u8 ctx.mem (Int64.add addr (Int64.of_int i))))
   done;
-  Clock.advance ctx.clock (Costmodel.xfer ctx.cost len);
   Bytes.to_string b
 
 (* ---- kernel launch ---- *)

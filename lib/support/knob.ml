@@ -112,9 +112,7 @@ let faults =
       ("PROTEUS_FAULT_CACHE_READ", "fail the code-cache lookup");
       ("PROTEUS_FAULT_CACHE_WRITE", "fail the code-cache insert");
       ("PROTEUS_FAULT_CACHE_LOCK", "time out on a cache entry lock (transient: retried)");
-      ("PROTEUS_FAULT_STAGE_TIMEOUT", "overrun a stage deadline (transient: retried)");
       ("PROTEUS_FAULT_DISK_FULL", "fail a persistent-cache write as disk full (pressure)");
-      ("PROTEUS_FAULT_MEM_PRESSURE", "report host memory pressure at launch (pressure)");
     ]
 
 let fault point =

@@ -184,16 +184,14 @@ let fault_config point =
 
 let failure_stage_of_point = function
   | Fault.Specialize_corrupt -> "verify"
-  (* cache-lock fires inside the cache lookup and the stage-timeout
-     check runs at the first stage a launch enters, so both surface as
-     cache-read failures *)
-  | Fault.Cache_lock | Fault.Stage_timeout -> "cache-read"
+  (* cache-lock fires inside the cache lookup, so it surfaces as a
+     cache-read failure *)
+  | Fault.Cache_lock -> "cache-read"
   | p -> Fault.point_name p
 
-(* pressure points are absorbed by the degradation ladder, not the AOT
-   fallback path; they get dedicated tests below *)
-let fallback_points =
-  List.filter (fun p -> not (Fault.is_pressure_point p)) Fault.all_points
+(* disk-full is absorbed by dropping the persistent tier, not by the
+   AOT fallback path; it gets a dedicated test below *)
+let fallback_points = List.filter (fun p -> p <> Fault.Disk_full) Fault.all_points
 
 let containment_test point () =
   let r = run_daxpy (fault_config point) in
@@ -296,21 +294,7 @@ let test_quarantine_disabled () =
   check Alcotest.int "all launches fell back" 6 s.Stats.fallbacks;
   check Alcotest.int "never quarantined" 0 s.Stats.quarantined_launches
 
-(* ---- pressure points: degradation ladder, transient retry ---- *)
-
-let test_mem_pressure_degrades () =
-  let config =
-    { Config.default with Config.fault_plan = [ (Fault.Mem_pressure, Fault.Always) ] }
-  in
-  let r = run_daxpy config in
-  check Alcotest.string "output under pressure" aot_output r.Driver.output;
-  let s = jit_stats r in
-  check Alcotest.int "walked the full ladder" 3 s.Stats.degrade_events;
-  check Alcotest.int "bottom rung reached" 3 s.Stats.degrade_level;
-  Alcotest.(check bool) "AOT-only launches counted" true
-    (s.Stats.degraded_launches >= 1);
-  check Alcotest.int "degradation is not failure" 0 s.Stats.fallbacks;
-  check Alcotest.int "no stage failures recorded" 0 (Stats.failures_total s)
+(* ---- disk-full degrade, transient retry ---- *)
 
 let test_disk_full_degrades () =
   let dir = tmpdir () in
@@ -330,21 +314,6 @@ let test_disk_full_degrades () =
   check Alcotest.int "nothing persisted" 0 (List.length (cache_entries dir));
   rm_rf dir
 
-let test_transient_timeout_retry_succeeds () =
-  (* a single injected stage timeout is transient: the launch retries
-     with backoff and succeeds without touching the AOT path *)
-  let config =
-    { Config.default with Config.fault_plan = [ (Fault.Stage_timeout, Fault.Nth 1) ] }
-  in
-  let r = run_daxpy config in
-  check Alcotest.string "output" aot_output r.Driver.output;
-  let s = jit_stats r in
-  check Alcotest.int "one retry" 1 s.Stats.retries;
-  check Alcotest.int "retry recovered" 1 s.Stats.retry_successes;
-  check Alcotest.int "no fallback" 0 s.Stats.fallbacks;
-  check Alcotest.int "compiled once" 1 s.Stats.compiles;
-  Alcotest.(check bool) "overrun counted" true (s.Stats.deadline_overruns >= 1)
-
 let test_transient_lock_retry_succeeds () =
   let config =
     { Config.default with Config.fault_plan = [ (Fault.Cache_lock, Fault.Nth 1) ] }
@@ -363,7 +332,7 @@ let test_transient_exhausts_to_fallback () =
   let config =
     {
       Config.default with
-      Config.fault_plan = [ (Fault.Stage_timeout, Fault.Always) ];
+      Config.fault_plan = [ (Fault.Cache_lock, Fault.Always) ];
       quarantine_threshold = 0;
     }
   in
@@ -375,6 +344,42 @@ let test_transient_exhausts_to_fallback () =
   check Alcotest.int "retries exhausted each launch" 12 s.Stats.retries;
   check Alcotest.int "no retry recovered" 0 s.Stats.retry_successes
 
+(* A retried launch is still one launch: the kernel and key profiles
+   that feed the tier-up gate and the adaptive SpecAdvisor threshold
+   count it once. The first cache lookup fails transiently and the one
+   launch of this program recovers on its retry. *)
+let test_retry_counts_once () =
+  let src = Str.global_replace (Str.regexp_string "r < 6") "r < 1" daxpy_src in
+  let exe = Driver.compile ~name:"retry-once" ~vendor:Device.Amd ~mode:Driver.Proteus src in
+  let config =
+    { Config.default with Config.fault_plan = [ (Fault.Cache_lock, Fault.Nth 1) ] }
+  in
+  let s = jit_stats (Driver.run ~config exe) in
+  check Alcotest.int "one launch" 1 s.Stats.jit_launches;
+  check Alcotest.int "recovered on a retry" 1 s.Stats.retry_successes;
+  let counts tbl = Hashtbl.fold (fun _ n acc -> !n :: acc) tbl [] in
+  check Alcotest.(list int) "key launches" [ 1 ] (counts s.Stats.profiles);
+  check Alcotest.(list int) "kernel launches" [ 1 ] (counts s.Stats.kernel_launches)
+
+(* The same recovery under tiering: a cold key arms its tier-up only
+   after tier_threshold real launches, so launches 1 and 2 are served
+   tier-0, as without the fault. *)
+let test_retry_keeps_tier_gate () =
+  let config =
+    {
+      Config.default with
+      Config.tier = true;
+      tier_threshold = 2;
+      fault_plan = [ (Fault.Cache_lock, Fault.Nth 1) ];
+    }
+  in
+  let r = run_daxpy config in
+  check Alcotest.string "output" aot_output r.Driver.output;
+  let s = jit_stats r in
+  check Alcotest.int "recovered on a retry" 1 s.Stats.retry_successes;
+  check Alcotest.int "two launches served tier-0" 2 s.Stats.tier_launches;
+  check Alcotest.int "one tier-up" 1 s.Stats.tierups
+
 let test_env_fault_injection_end_to_end () =
   Unix.putenv "PROTEUS_FAULT_OPTIMIZE" "always";
   let r = run_daxpy Config.default in
@@ -382,6 +387,46 @@ let test_env_fault_injection_end_to_end () =
   check Alcotest.string "output under env fault" aot_output r.Driver.output;
   Alcotest.(check bool) "optimize failures counted" true
     (failure_count (jit_stats r) "optimize" >= 1)
+
+(* ---- stage budgets on the simulated clock ---- *)
+
+let budget_config ms = { Config.default with Config.stage_deadline_ms = ms }
+
+(* A budget no charging stage fits in: each compile overruns at the
+   bitcode fetch, the same way every time, so every launch runs the AOT
+   kernel, nothing retries, and quarantine engages after the default
+   three strikes. *)
+let test_tiny_budget_falls_back vendor () =
+  let r = run_daxpy ~vendor (budget_config 1e-9) in
+  check Alcotest.string "AOT-identical output" aot_output r.Driver.output;
+  let s = jit_stats r in
+  check Alcotest.int "all launches contained" s.Stats.jit_launches
+    (s.Stats.fallbacks + s.Stats.quarantined_launches);
+  check Alcotest.int "no retries" 0 s.Stats.retries;
+  check Alcotest.int "quarantine engaged" 1 s.Stats.quarantine_events;
+  check Alcotest.int "three strikes" 3 s.Stats.fallbacks;
+  check Alcotest.int "one overrun per fallback" 3 s.Stats.deadline_overruns;
+  check Alcotest.int "overruns at the bitcode fetch" 3 (failure_count s "fetch-bitcode");
+  check Alcotest.int "nothing compiled" 0 s.Stats.compiles
+
+(* The run's simulated time and every printed counter but the
+   wall-clock ones and the process-wide ones *)
+let simulated_ledger (r : Driver.run_result) =
+  let skip =
+    [ "real-compile"; "advise-time"; "tv-p50"; "tv-p99"; "normalize-hits";
+      "normalize-misses"; "env-rejections" ]
+  in
+  ( r.Driver.end_to_end_s,
+    List.filter (fun (k, _) -> not (List.mem k skip)) (Stats.to_pairs (jit_stats r)) )
+
+(* A budget of 0 is off, and one far above any stage's cost never
+   trips: both runs read the default run's ledger. *)
+let test_budget_off_or_ample vendor () =
+  let ledger = Alcotest.(pair (float 0.0) (list (pair string string))) in
+  let default = simulated_ledger (run_daxpy ~vendor Config.default) in
+  check ledger "budget 0" default (simulated_ledger (run_daxpy ~vendor (budget_config 0.0)));
+  check ledger "ample budget" default
+    (simulated_ledger (run_daxpy ~vendor (budget_config 1e12)))
 
 (* ---- host hook containment ---- *)
 
@@ -583,10 +628,9 @@ let hecbench_fault_sweep () =
             m.Harness.output;
           match m.Harness.stats with
           | Some s ->
-              if Fault.is_pressure_point point then
-                (* pressure is absorbed by degradation, not failure *)
-                Alcotest.(check bool) (tag ^ " degraded") true
-                  (s.Stats.degrade_events + s.Stats.disk_degrades >= 1)
+              if point = Fault.Disk_full then
+                (* a full disk is absorbed by the store, not failure *)
+                Alcotest.(check bool) (tag ^ " degraded") true (s.Stats.disk_degrades >= 1)
               else begin
                 Alcotest.(check bool) (tag ^ " contained") true
                   (Stats.failures_total s >= 1);
@@ -622,16 +666,26 @@ let () =
         @ [ Alcotest.test_case "NVIDIA path too" `Quick containment_nvidia_test ] );
       ( "degrade-retry",
         [
-          Alcotest.test_case "mem-pressure walks the degradation ladder" `Quick
-            test_mem_pressure_degrades;
           Alcotest.test_case "disk-full drops the persistent tier" `Quick
             test_disk_full_degrades;
-          Alcotest.test_case "transient timeout retries and recovers" `Quick
-            test_transient_timeout_retry_succeeds;
           Alcotest.test_case "transient lock failure retries and recovers" `Quick
             test_transient_lock_retry_succeeds;
           Alcotest.test_case "exhausted retries fall back" `Quick
             test_transient_exhausts_to_fallback;
+          Alcotest.test_case "a retried launch counts once" `Quick test_retry_counts_once;
+          Alcotest.test_case "a retry does not arm the tier-up early" `Quick
+            test_retry_keeps_tier_gate;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "tiny budget falls back, no retry (AMD)" `Quick
+            (test_tiny_budget_falls_back Device.Amd);
+          Alcotest.test_case "tiny budget falls back, no retry (NVIDIA)" `Quick
+            (test_tiny_budget_falls_back Device.Nvidia);
+          Alcotest.test_case "budget 0 or ample leaves the ledger alone (AMD)" `Quick
+            (test_budget_off_or_ample Device.Amd);
+          Alcotest.test_case "budget 0 or ample leaves the ledger alone (NVIDIA)" `Quick
+            (test_budget_off_or_ample Device.Nvidia);
         ] );
       ( "quarantine",
         [

@@ -62,9 +62,7 @@ let cases =
       Case (fault "cache-read", "every:5", Every 5, "every:x");
       Case (fault "cache-write", "0", Off, "garbage-value");
       Case (fault "cache-lock", "nth:1", Nth 1, "nth1");
-      Case (fault "stage-timeout", "always", Always, "alway");
       Case (fault "disk-full", "every:3", Every 3, "every");
-      Case (fault "mem-pressure", "nth:2", Nth 2, "nth:two");
       Case (serve_launches, "20000", 20000, "0");
       Case (qcheck_seed, "0x2a", 42, "seed");
     ]
@@ -107,7 +105,12 @@ let test_unknown_counted () =
       let err, _ = with_stderr (fun () -> Knob.get Knob.tier) in
       check Alcotest.string (name ^ " not warned again") "" err;
       check Alcotest.int (name ^ " not counted again") 1 (Knob.rejections () - before))
-    [ ("PROTEUS_RETRY_MAX", "3"); ("PROTEUS_TENANT_QUOTA", "lots") ]
+    [
+      ("PROTEUS_RETRY_MAX", "3");
+      ("PROTEUS_TENANT_QUOTA", "lots");
+      ("PROTEUS_FAULT_STAGE_TIMEOUT", "always");
+      ("PROTEUS_FAULT_MEM_PRESSURE", "nth:2");
+    ]
 
 (* ---- the one-reader rule ---- *)
 

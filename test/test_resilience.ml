@@ -1,5 +1,5 @@
 (* Concurrency and crash-recovery tests: histogram percentile
-   estimation, stage deadlines and retry backoff, the store's
+   estimation, simulated stage budgets and retry backoff, the store's
    compile-once wait, the persistent frame's reserved words, the
    startup recovery sweep, cache-limit env validation, and multi-domain
    torture runs proving exactly one compile per specialization key with
@@ -94,19 +94,39 @@ let test_hist_merge_and_clear () =
   Hist.clear a;
   check Alcotest.int "cleared" 0 (Hist.count a)
 
-(* ---- deadlines and backoff ---- *)
+(* ---- stage budgets and backoff ---- *)
 
+(* A JIT whose stages are held to [budget_ms] simulated milliseconds *)
+let budget_jit budget_ms =
+  let config = { Config.default with Config.stage_deadline_ms = budget_ms } in
+  Serve.jit (Serve.create ~config ~tenants:1 ~kernels:1 ()) ~tenant:0
+
+(* A stage charging 2 simulated ms passes with the budget off (0) or
+   over its cost. *)
 let test_deadline_pass () =
-  check Alcotest.int "disabled (limit 0)" 5 (Deadline.run ~limit_ms:0.0 (fun () -> 5));
-  check Alcotest.int "under budget" 7 (Deadline.run ~limit_ms:10_000.0 (fun () -> 7))
+  List.iter
+    (fun budget_ms ->
+      let jt = budget_jit budget_ms in
+      let r =
+        Jit.in_stage jt Fault.Optimize (fun () ->
+            Jit.charge jt 2e-3;
+            5)
+      in
+      check Alcotest.int (Printf.sprintf "budget %g: result" budget_ms) 5 r;
+      check Alcotest.int (Printf.sprintf "budget %g: no overrun" budget_ms) 0
+        jt.Jit.stats.Stats.deadline_overruns)
+    [ 0.0; 3.0; 10_000.0 ]
 
+(* The same stage under a 1 ms budget: it fails tagged with its stage,
+   permanent (the key's next compile costs the same), and counted. *)
 let test_deadline_trips () =
-  match Deadline.run ~label:"slow" ~limit_ms:1.0 (fun () -> Unix.sleepf 0.02) with
+  let jt = budget_jit 1.0 in
+  match Jit.in_stage jt Fault.Optimize (fun () -> Jit.charge jt 2e-3) with
   | () -> Alcotest.fail "overrun not detected"
-  | exception Deadline.Exceeded o ->
-      check Alcotest.string "label" "slow" o.Deadline.label;
-      Alcotest.(check bool) "elapsed exceeds limit" true
-        (o.Deadline.elapsed_ms > o.Deadline.limit_ms)
+  | exception Jit.Stage_failure (Fault.Optimize, (Jit.Over_budget spent_ms as e)) ->
+      check (Alcotest.float 1e-9) "simulated ms charged" 2.0 spent_ms;
+      Alcotest.(check bool) "permanent" true (Fault.classify_exn e = Fault.Permanent);
+      check Alcotest.int "counted" 1 jt.Jit.stats.Stats.deadline_overruns
 
 let test_backoff_schedule () =
   (* rand=0 pins jitter at the 0.5 floor: the schedule is exactly
@@ -116,16 +136,16 @@ let test_backoff_schedule () =
       check (Alcotest.float 1e-9)
         (Printf.sprintf "attempt %d" attempt)
         expect
-        (Deadline.backoff_ms ~base_ms:2.0 ~attempt ~rand:0.0 ()))
+        (Jit.backoff_ms ~base_ms:2.0 ~attempt ~rand:0.0 ()))
     [ (0, 1.0); (1, 2.0); (2, 4.0); (3, 8.0) ];
   (* jitter stays within [0.5, 1.0) of the raw delay *)
-  let hi = Deadline.backoff_ms ~base_ms:2.0 ~attempt:2 ~rand:0.999 () in
+  let hi = Jit.backoff_ms ~base_ms:2.0 ~attempt:2 ~rand:0.999 () in
   Alcotest.(check bool) "jitter under raw" true (hi < 8.0 && hi >= 4.0);
   (* the cap bounds any attempt count, even absurd ones *)
   check (Alcotest.float 1e-9) "capped" 1000.0
-    (Deadline.backoff_ms ~base_ms:100.0 ~attempt:10 ~rand:0.9999 ());
+    (Jit.backoff_ms ~base_ms:100.0 ~attempt:10 ~rand:0.9999 ());
   check (Alcotest.float 1e-9) "custom cap" 3.0
-    (Deadline.backoff_ms ~max_ms:3.0 ~base_ms:100.0 ~attempt:4 ~rand:0.5 ())
+    (Jit.backoff_ms ~max_ms:3.0 ~base_ms:100.0 ~attempt:4 ~rand:0.5 ())
 
 (* ---- compile-once ---- *)
 
@@ -308,6 +328,59 @@ let test_env_limit_rejected () =
   let before = Knob.rejections () in
   ignore (Cachestore.create ());
   check Alcotest.int "valid limits accepted" 0 (Knob.rejections () - before)
+
+(* ---- a real entry-lock timeout ---- *)
+
+(* A child process holds one entry's lock with lockf until the parent
+   closes its end of [release]. It is forked while this module
+   initialises, because OCaml cannot fork once the tests have started
+   domains. *)
+let lock_dir = tmpdir ()
+let () = at_exit (fun () -> rm_rf lock_dir)
+
+let lock_store =
+  Cachestore.create ~persistent_dir:lock_dir ~mem_limit:0 ~disk_limit:0
+    ~lock_timeout_ms:20.0 ()
+
+let lock_key = spec_key 99
+let lock_entry = Option.get (Cachestore.path_for lock_store lock_key)
+
+let lock_holder =
+  let ready_r, ready_w = Unix.pipe () in
+  let release_r, release_w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close ready_r;
+      Unix.close release_w;
+      let fd =
+        Unix.openfile (Cachestore.lock_path lock_entry) [ Unix.O_RDWR; Unix.O_CREAT ] 0o644
+      in
+      Unix.lockf fd Unix.F_LOCK 0;
+      ignore (Unix.write_substring ready_w "!" 0 1);
+      (* returns once the parent closes its end or exits *)
+      ignore (Unix.read release_r (Bytes.create 1) 0 1);
+      Unix._exit 0
+  | pid ->
+      Unix.close ready_w;
+      Unix.close release_r;
+      (pid, ready_r, release_w)
+
+let test_lock_timeout () =
+  let pid, ready, release = lock_holder in
+  check Alcotest.int "holder has the lock" 1 (Unix.read ready (Bytes.create 1) 0 1);
+  (match Cachestore.insert lock_store lock_key (dummy_obj 99) with
+  | _ -> Alcotest.fail "insert went ahead under another process's lock"
+  | exception (Fault.Lock_timeout (lock, waited_ms) as e) ->
+      check Alcotest.string "names the entry's lock" (Cachestore.lock_path lock_entry) lock;
+      Alcotest.(check bool) "waited past the timeout" true (waited_ms > 20.0);
+      Alcotest.(check bool) "transient" true (Fault.classify_exn e = Fault.Transient));
+  Alcotest.(check bool) "no file under the entry's name" false (Sys.file_exists lock_entry);
+  check Alcotest.(list string) "only the lock file on disk"
+    [ Filename.basename (Cachestore.lock_path lock_entry) ]
+    (Array.to_list (Sys.readdir lock_dir));
+  Unix.close release;
+  ignore (Unix.waitpid [] pid);
+  Unix.close ready
 
 (* ---- multi-domain torture ---- *)
 
@@ -552,6 +625,8 @@ let () =
             test_recovery_sweep;
           Alcotest.test_case "malformed cache limits rejected" `Quick
             test_env_limit_rejected;
+          Alcotest.test_case "a held entry lock times out, transient" `Quick
+            test_lock_timeout;
         ] );
       ( "torture",
         [

@@ -580,6 +580,31 @@ let test_warm_launch_allocation () =
        warm_minor_words_max)
     true (minor < warm_minor_words_max)
 
+(* A stage budget is measured on the simulated clock, so whether a
+   stage overruns depends neither on the host nor on the schedule: a
+   tiny budget reads the same overrun and fallback totals on 1 and on
+   4 domains. *)
+let test_budget_schedule_free () =
+  let config = { Config.default with Config.stage_deadline_ms = 1e-9 } in
+  let w = Workload.generate ~seed:7 ~tenants:4 ~kernels:8 ~launches:800 ~skew:1.0 in
+  let totals domains =
+    let sv = Serve.create ~config ~tenants:4 ~kernels:8 () in
+    Serve.run_sharded sv ~domains w.Workload.schedule;
+    Serve.finish sv;
+    ( sum_stats sv (fun s -> s.Stats.deadline_overruns),
+      sum_stats sv (fun s -> s.Stats.fallbacks) )
+  in
+  let serial_overruns, serial_fallbacks = totals 1 in
+  Alcotest.(check bool) "stages overran" true (serial_overruns > 0);
+  check Alcotest.int "one overrun per fallback" serial_overruns serial_fallbacks;
+  for rep = 1 to 3 do
+    let overruns, fallbacks = totals 4 in
+    check Alcotest.int (Printf.sprintf "run %d: overruns on 4 domains" rep) serial_overruns
+      overruns;
+    check Alcotest.int (Printf.sprintf "run %d: fallbacks on 4 domains" rep) serial_fallbacks
+      fallbacks
+  done
+
 let () =
   Alcotest.run "serve"
     [
@@ -618,5 +643,7 @@ let () =
             test_serve_tenant_quota;
           Alcotest.test_case "warm launches stay off the major heap" `Quick
             test_warm_launch_allocation;
+          Alcotest.test_case "budget overruns do not depend on the schedule" `Quick
+            test_budget_schedule_free;
         ] );
     ]
