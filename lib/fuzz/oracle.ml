@@ -30,6 +30,10 @@
        leave exactly the same memory as the all-tier-0 and all-O3
        streams, for every switch point k.
 
+   Every O3 run of every oracle also checks the pass memo: a run the
+   memo skips is re-run on a clone and must change nothing (the
+   failure is the running oracle's).
+
    Every run builds its own memory rig with a deterministic layout
    (module globals first, then parameter buffers in order, contents
    seeded from the launch), so snapshots compare byte-for-byte across
@@ -306,6 +310,16 @@ let machine_run ?(profile = false) engine (mk : Mach.mfunc) (k : Gen.kernel)
 let clone_module (m : Ir.modul) : Ir.modul =
   Bitcode.decode_module (Bitcode.encode_module m)
 
+(* O3 with the pass memo's checking twin: every run the memo skips is
+   re-run on a clone and must keep the pass contracts. *)
+let o3 oracle (m : Ir.modul) =
+  let on_skip p m f =
+    Option.iter
+      (failf oracle "pass memo skipped a run that breaks a pass contract: %s")
+      (Proteus_opt.Pass.recheck p m f)
+  in
+  ignore (Proteus_opt.Pipeline.run ~on_skip m)
+
 let ksan_errors oracle what (m : Ir.modul) =
   match Proteus_analysis.Kernelsan.errors (Proteus_analysis.Kernelsan.analyze_module m) with
   | [] -> ()
@@ -338,7 +352,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
     let m3 =
       guard "a" (fun () ->
           let m = clone_module m0 in
-          ignore (Proteus_opt.Pipeline.optimize_o3 m);
+          o3 "a" m;
           m)
     in
     (* (d) on the O3 form: verifier + KernelSan *)
@@ -412,7 +426,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
             Proteus_core.Fault.fires opts.faults Proteus_core.Fault.Specialize_corrupt
           in
           if corrupt then Proteus_core.Jit.corrupt_ir ms ~sym:gk.Gen.sym;
-          ignore (Proteus_opt.Pipeline.optimize_o3 ms);
+          o3 "c" ms;
           (* (d) on the specialized form - skipped when deliberately
              corrupted, so the execution comparison does the catching *)
           if sel "d" && not corrupt then begin
@@ -471,7 +485,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
           in
           Proteus_core.Specialize.apply config ms ~kernel:gk.Gen.sym ~spec_values:keep
             ~block:l.Gen.block ~resolve_global:(global_of rig);
-          ignore (Proteus_opt.Pipeline.optimize_o3 ms);
+          o3 "e" ms;
           let obj = amd_obj ms in
           let mk = Mach.find_kernel obj gk.Gen.sym in
           let dev = Device.mi250x in
@@ -490,7 +504,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
       guard "f" (fun () ->
           let module Pl = Proteus_analysis.Perflint in
           let m = clone_module m0 in
-          ignore (Proteus_opt.Pipeline.optimize_o3 m);
+          o3 "f" m;
           let sites = Pl.classify_module m in
           let obj = amd_obj m in
           let mk = Mach.find_kernel obj gk.Gen.sym in
@@ -570,7 +584,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
             in
             Proteus_core.Specialize.apply config ms ~kernel:gk.Gen.sym ~spec_values
               ~block:l.Gen.block ~resolve_global:(global_of rig);
-            ignore (Proteus_opt.Pipeline.optimize_o3 ms);
+            o3 "g" ms;
             let mk1 = Mach.find_kernel (amd_obj ms) gk.Gen.sym in
             let dev = Device.mi250x in
             let l2 = L2cache.create dev in
@@ -663,7 +677,7 @@ let run_source (opts : opts) ~(src : string) (gk : Gen.kernel) (l : Gen.launch) 
             | Tv.Proven ->
                 (* semantics-preserving damage (a dropped duplicate phi
                    edge) may legitimately prove; execution must agree *)
-                ignore (Proteus_opt.Pipeline.optimize_o3 ms);
+                o3 "h" ms;
                 let obj = amd_obj ms in
                 let mk = Mach.find_kernel obj gk.Gen.sym in
                 let dev = Device.mi250x in

@@ -41,12 +41,13 @@ let strip_debug (m : Ir.modul) : unit =
     m.Ir.funcs
 
 (* Run a pipeline over a module; returns accumulated work units (an
-   input to the JIT compile-time cost model). *)
-let run ?(passes = o3) (m : Ir.modul) : Pass.stats =
+   input to the JIT compile-time cost model). [on_skip] is
+   [Pass.run_pipeline]'s. *)
+let run ?(passes = o3) ?on_skip (m : Ir.modul) : Pass.stats =
   let stats = Pass.mk_stats () in
   strip_debug m;
   Cfg.reusing (fun () ->
-      Pass.run_pipeline stats passes m;
+      Pass.run_pipeline ?on_skip stats passes m;
       Verify.verify_module m);
   stats
 

@@ -211,6 +211,10 @@ let run (stats : Pass.stats) (_m : Ir.modul) (f : Ir.func) : bool =
      constant register there is nothing to substitute or delete. *)
   let rewrites = Array.exists is_const lat in
   let changed = ref false in
+  (* one-sided branches, counted only if the run changes something:
+     a clean run adds nothing to [stats] (Pass.t), and one whose
+     condition is already an immediate changes nothing *)
+  let branches = ref 0 in
   let rewrite = function
     | Ir.Reg r as o -> ( match lat.(r) with Const k -> changed := true; Ir.Imm k | _ -> o)
     | o -> o
@@ -221,9 +225,7 @@ let run (stats : Pass.stats) (_m : Ir.modul) (f : Ir.func) : bool =
         (* account proven branches before fold_const_branches rewrites them *)
         (match blk.Ir.term with
         | Ir.TCondBr _ -> (
-            match feasible_succs lat blk.Ir.term with
-            | [ _ ] -> stats.Pass.sccp_branches <- stats.Pass.sccp_branches + 1
-            | _ -> ())
+            match feasible_succs lat blk.Ir.term with [ _ ] -> incr branches | _ -> ())
         | _ -> ());
         if rewrites then begin
           blk.Ir.insts <-
@@ -242,6 +244,7 @@ let run (stats : Pass.stats) (_m : Ir.modul) (f : Ir.func) : bool =
       end)
     f.Ir.blocks;
   if !changed then begin
+    stats.Pass.sccp_branches <- stats.Pass.sccp_branches + !branches;
     ignore (Simplifycfg.fold_const_branches f);
     ignore (Cfg.remove_unreachable f)
   end;

@@ -29,7 +29,9 @@
 
    Concurrency (see DESIGN.md "Concurrency & recovery"):
    - every public operation serializes on an in-process mutex, so one
-     store can be hammered from the whole domain pool;
+     store can be hammered from the whole domain pool; an insert's disk
+     write runs outside it, so a wait on another process's entry lock
+     stalls that insert alone, never another key's lookup;
    - writers additionally take a per-entry cross-process advisory lock
      (Unix.lockf on <entry>.lock, stamped with the holder's PID), so
      many processes can share one cache directory;
@@ -542,7 +544,7 @@ let lock_path path = path ^ ".lock"
    locking that the path still names our inode and start over if not.
    Readers take no lock at all: entries are replaced by atomic rename,
    so a read sees whole old bytes or whole new bytes, never a mix. *)
-let acquire_entry_lock t path : Unix.file_descr =
+let acquire_entry_lock t path : Unix.file_descr * bool =
   let lp = lock_path path in
   let t0 = Unix.gettimeofday () in
   let contended = ref false in
@@ -582,10 +584,7 @@ let acquire_entry_lock t path : Unix.file_descr =
      let s = string_of_int (Unix.getpid ()) ^ "\n" in
      ignore (Unix.write_substring fd s 0 (String.length s))
    with _ -> () (* an unstampable lock still locks; the sweep trial-locks anyway *));
-  t.lock_waits <- t.lock_waits + 1;
-  if !contended then t.lock_contended <- t.lock_contended + 1;
-  t.tick_hook "locked";
-  fd
+  (fd, !contended)
 
 let release_entry_lock fd =
   (try Unix.lockf fd Unix.F_ULOCK 0 with _ -> ());
@@ -595,62 +594,86 @@ let release_entry_lock fd =
    can kill the process with a genuinely partial .tmp on disk. *)
 let write_chunk_bytes = 256
 
+(* Writers of one entry path in this process, one at a time: [lockf]
+   locks belong to the process and the .tmp name carries its pid, so
+   two domains writing one path would share both. *)
+let writers_mu = Mutex.create ()
+let writer_done = Condition.create ()
+let writing : (string, unit) Hashtbl.t = Hashtbl.create 8
+
+let one_writer path f =
+  Mutex.lock writers_mu;
+  while Hashtbl.mem writing path do
+    Condition.wait writer_done writers_mu
+  done;
+  Hashtbl.replace writing path ();
+  Mutex.unlock writers_mu;
+  Fun.protect f ~finally:(fun () ->
+      Mutex.protect writers_mu @@ fun () ->
+      Hashtbl.remove writing path;
+      Condition.broadcast writer_done)
+
 (* Atomic persistent write: all-or-nothing via .tmp + rename under the
    per-entry lock, so a crash mid-write can never leave a half-entry
-   under the final name - only reapable .tmp/.lock litter. *)
+   under the final name - only reapable .tmp/.lock litter. It runs
+   outside the store mutex and takes it only for the store fields it
+   updates. *)
 let write_persistent t path (data : string) : unit =
-  let injected_full =
-    match t.faults with
-    | Some fl -> Fault.fires fl Fault.Disk_full
-    | None -> false
-  in
-  if injected_full then degrade_disk t ~reason:"injected disk-full"
-  else begin
-    let lockfd = acquire_entry_lock t path in
-    Fun.protect ~finally:(fun () -> release_entry_lock lockfd) @@ fun () ->
-    let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-    match
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          let n = String.length data in
-          let off = ref 0 in
-          while !off < n do
-            let len = min write_chunk_bytes (n - !off) in
-            output_substring oc data !off len;
-            flush oc;
-            t.tick_hook "tmp-write";
-            off := !off + len
-          done);
-      t.tick_hook "tmp-closed";
-      Unix.rename tmp path;
-      t.tick_hook "renamed"
-    with
-    | () -> enforce_disk_limit t
-    | exception Unix.Unix_error ((Unix.ENOSPC | Unix.EFBIG), _, _) ->
-        (try Sys.remove tmp with _ -> ());
-        degrade_disk t ~reason:"device full"
-    | exception e ->
-        (try Sys.remove tmp with _ -> ());
-        raise e
-  end
+  one_writer path @@ fun () ->
+  let lockfd, contended = acquire_entry_lock t path in
+  Fun.protect ~finally:(fun () -> release_entry_lock lockfd) @@ fun () ->
+  locked t (fun () ->
+      t.lock_waits <- t.lock_waits + 1;
+      if contended then t.lock_contended <- t.lock_contended + 1);
+  t.tick_hook "locked";
+  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
+  match
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        let n = String.length data in
+        let off = ref 0 in
+        while !off < n do
+          let len = min write_chunk_bytes (n - !off) in
+          output_substring oc data !off len;
+          flush oc;
+          t.tick_hook "tmp-write";
+          off := !off + len
+        done);
+    t.tick_hook "tmp-closed";
+    Unix.rename tmp path;
+    t.tick_hook "renamed"
+  with
+  | () -> locked t (fun () -> enforce_disk_limit t)
+  | exception Unix.Unix_error ((Unix.ENOSPC | Unix.EFBIG), _, _) ->
+      (try Sys.remove tmp with _ -> ());
+      locked t (fun () -> degrade_disk t ~reason:"device full")
+  | exception e ->
+      (try Sys.remove tmp with _ -> ());
+      raise e
 
 (* A re-insert over a resident key replaces the entry, which starts
-   with no decoded code. *)
+   with no decoded code. The memory tier is updated under the store
+   mutex, the disk write after it. *)
 let insert ?owner t (key : Speckey.t) (obj : Mach.obj) : entry =
-  locked_op t @@ fun () ->
   let k = Speckey.to_string key in
   let payload = Mach.encode_obj obj in
-  let data = encode_entry payload in
   let e = { obj; bytes = String.length payload; last_used = 0; tcodes = []; owner } in
-  touch t e;
-  mem_put t k e;
-  enforce_tenant_quota t owner;
-  enforce_mem_limit t;
-  (match path_for t key with
-  | Some path when not t.disk_disabled -> write_persistent t path data
-  | _ -> ());
+  let write_to =
+    locked_op t @@ fun () ->
+    touch t e;
+    mem_put t k e;
+    enforce_tenant_quota t owner;
+    enforce_mem_limit t;
+    match path_for t key with
+    | Some _ when t.disk_disabled -> None
+    | Some _ when Option.fold ~none:false ~some:(fun fl -> Fault.fires fl Fault.Disk_full) t.faults ->
+        degrade_disk t ~reason:"injected disk-full";
+        None
+    | path -> path
+  in
+  Option.iter (fun path -> write_persistent t path (encode_entry payload)) write_to;
   e
 
 (* ---- sizes & maintenance ----------------------------------------- *)

@@ -327,6 +327,22 @@ let test_sccp_div_by_zero () =
   | ds -> Alcotest.failf "expected one math call, got %d" (List.length ds));
   Alcotest.(check bool) "nothing to fold" false (Pass.run_pass stats Sccp.pass m)
 
+(* A branch on a condition that is already an immediate is one-sided,
+   but SCCP neither proved it nor changes it: a run with nothing else
+   to fold returns false and counts nothing, so skipping it loses no
+   count. *)
+let test_sccp_clean_run_counts_nothing () =
+  let m, f = ssa_of {|__device__ int f(int x) { int r = x; if (x > 3) r = x + 1; return r; }|} "f" in
+  List.iter
+    (fun (b : Ir.block) ->
+      match b.Ir.term with
+      | Ir.TCondBr (_, t, e) -> b.Ir.term <- Ir.TCondBr (Ir.Imm (Konst.kbool true), t, e)
+      | _ -> ())
+    f.Ir.blocks;
+  let st = Pass.mk_stats () in
+  Alcotest.(check bool) "nothing to change" false (Pass.run_pass st Sccp.pass m);
+  check Alcotest.int "no branch counted" 0 st.Pass.sccp_branches
+
 (* ---- DCE ---- *)
 
 let test_dce () =
@@ -551,10 +567,29 @@ let test_o3_on_host_modules () =
   ignore (Pipeline.optimize_o3 m);
   Verify.verify_module m
 
+(* Serve kernel [j] as a serve-churn miss compiles it: the AMD
+   section's bitcode decoded, argument 1 folded to j + 2 and launch
+   bounds set for blocks of 32. *)
+let serve_kernels = 16
+let serve_module = lazy (Proteus_core.Serve.build_module serve_kernels)
+
+let serve_kernel j =
+  let open Proteus_core in
+  let sym = Serve.kernel_sym j in
+  let k = Bitcode.decode_module (Extract.bitcode_of_kernel (Lazy.force serve_module) sym) in
+  Specialize.apply Config.default k ~kernel:sym
+    ~spec_values:[ (1, Konst.ki64 (j + 2)) ]
+    ~block:32
+    ~resolve_global:(fun g -> Alcotest.failf "serve kernel reads global %s" g);
+  k
+
+let charged_runs s = List.fold_left (fun acc (_, n) -> acc + n) 0 (Pass.run_counts s)
+
 (* Every pass runs once per defined function per sweep. O3 sweeps this
    module twice: the first sweep changes it, the second changes
    nothing. [f] stays defined beside the kernel, so each count is
-   2 functions x 2 sweeps x the pass's slots in Pipeline.o3. *)
+   2 functions x 2 sweeps x the pass's slots in Pipeline.o3. A run the
+   memo skips counts like one that ran. *)
 let test_pass_work_accounting () =
   let m =
     device_of
@@ -568,7 +603,46 @@ let test_pass_work_accounting () =
     "runs per pass"
     [ ("dce", 4); ("gvn", 8); ("inline", 4); ("instcombine", 8); ("licm", 4); ("mem2reg", 4);
       ("sccp", 8); ("simplifycfg", 12); ("unroll", 4) ]
-    (List.sort compare (Pass.run_counts s))
+    (List.sort compare (Pass.run_counts s));
+  (* The memo's effect on a serve kernel, which O3 sweeps twice: its
+     28 charged runs, of which the memo skips 15. *)
+  let skips = ref 0 in
+  let charged = charged_runs (Pipeline.run ~on_skip:(fun _ _ _ -> incr skips) (serve_kernel 3)) in
+  check Alcotest.int "charged runs" 28 charged;
+  check Alcotest.int "executed runs" 13 (charged - !skips)
+
+(* ---- the memo's contracts, checked ---- *)
+
+let counters (s : Pass.stats) =
+  (s.Pass.sccp_folds, s.Pass.sccp_branches, s.Pass.unroll_loops, s.Pass.unroll_copies)
+
+(* O3 over [m] with every run that executes checked against the first
+   pass contract (a run that returns false changes neither the printed
+   function nor a counter), and every run the memo skips re-run on a
+   clone by [Pass.recheck]. Returns the charged runs, the skips and the
+   violations. *)
+let o3_checked (m : Ir.modul) =
+  let bad = ref [] and skips = ref 0 in
+  let checked (p : Pass.t) =
+    {
+      p with
+      Pass.run =
+        (fun st m f ->
+          let text = Irpp.func_to_string f and before = counters st in
+          let changed = p.Pass.run st m f in
+          if (not changed) && Irpp.func_to_string f <> text then
+            bad := Printf.sprintf "%s on %s: returned false, changed the function" p.name f.fname :: !bad;
+          if (not changed) && counters st <> before then
+            bad := Printf.sprintf "%s on %s: returned false, moved a counter" p.name f.fname :: !bad;
+          changed);
+    }
+  in
+  let on_skip p m f =
+    incr skips;
+    Option.iter (fun e -> bad := ("skipped " ^ e) :: !bad) (Pass.recheck p m f)
+  in
+  let s = Pipeline.run ~passes:(List.map checked Pipeline.o3) ~on_skip m in
+  (charged_runs s, !skips, List.rev !bad)
 
 (* ---- golden O3 digests ---- *)
 
@@ -608,21 +682,34 @@ let o3_rows () =
         [ Lower.Hip; Lower.Cuda ])
     golden_programs
 
-(* The serve loop's 16 kernels as a serve-churn miss compiles them:
-   the AMD section's bitcode decoded, argument 1 folded to j + 2 and
-   launch bounds set for blocks of 32. *)
+(* Every module of the golden corpus through [o3_checked]: the memo's
+   two contracts hold on every run, executed or skipped. *)
+let test_memo_contracts () =
+  let modules =
+    List.concat_map
+      (fun (name, src) ->
+        List.concat_map
+          (fun vendor ->
+            let u = Compile.compile ~name ~vendor src in
+            [ u.Compile.host; u.Compile.device ])
+          [ Lower.Hip; Lower.Cuda ])
+      golden_programs
+    @ List.init serve_kernels serve_kernel
+  in
+  let runs, skips, bad =
+    List.fold_left
+      (fun (runs, skips, bad) m ->
+        let n, k, b = o3_checked m in
+        (runs + n, skips + k, bad @ b))
+      (0, 0, []) modules
+  in
+  Printf.printf "memo: %d of %d pass runs skipped, %d violations\n" skips runs (List.length bad);
+  check Alcotest.(list string) "no run breaks a contract" [] bad;
+  check Alcotest.bool "the memo skipped runs" true (skips > 0)
+
 let serve_rows () =
-  let open Proteus_core in
-  let kernels = 16 in
-  let m = Serve.build_module kernels in
-  List.init kernels (fun j ->
-      let sym = Serve.kernel_sym j in
-      let k = Bitcode.decode_module (Extract.bitcode_of_kernel m sym) in
-      Specialize.apply Config.default k ~kernel:sym
-        ~spec_values:[ (1, Konst.ki64 (j + 2)) ]
-        ~block:32
-        ~resolve_global:(fun g -> Alcotest.failf "serve kernel reads global %s" g);
-      o3_row (sym ^ "/amd/spec") k)
+  List.init serve_kernels (fun j ->
+      o3_row (Proteus_core.Serve.kernel_sym j ^ "/amd/spec") (serve_kernel j))
 
 (* Every field Config.default takes from the environment, spelled out. *)
 let golden_config policy dir =
@@ -836,6 +923,7 @@ let () =
           Alcotest.test_case "loop counter is not folded" `Quick test_sccp_loop_counter_stays;
           Alcotest.test_case "phi over a dead edge folds" `Quick test_sccp_phi_over_dead_edge_folds;
           Alcotest.test_case "constant division by zero" `Quick test_sccp_div_by_zero;
+          Alcotest.test_case "a clean run counts nothing" `Quick test_sccp_clean_run_counts_nothing;
           qtest qcheck_sccp_matches_reference;
           Alcotest.test_case "reference solver on HeCBench" `Quick test_sccp_matches_reference_hecbench;
         ] );
@@ -863,6 +951,7 @@ let () =
           Alcotest.test_case "sc+ternary regression" `Quick test_sc_ternary_regression;
           Alcotest.test_case "host module O3" `Quick test_o3_on_host_modules;
           Alcotest.test_case "work accounting" `Quick test_pass_work_accounting;
+          Alcotest.test_case "memo contracts and checking twin" `Quick test_memo_contracts;
           Alcotest.test_case "golden O3 digests" `Quick test_golden_digests;
         ] );
     ]

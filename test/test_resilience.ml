@@ -332,9 +332,28 @@ let test_env_limit_rejected () =
 (* ---- a real entry-lock timeout ---- *)
 
 (* A child process holds one entry's lock with lockf until the parent
-   closes its end of [release]. It is forked while this module
-   initialises, because OCaml cannot fork once the tests have started
-   domains. *)
+   writes to [release] or exits. A later holder inherits an earlier
+   one's [release], so closing it is not enough. It is forked while
+   this module initialises, because OCaml cannot fork once the tests
+   have started domains. *)
+let hold_lock entry =
+  let ready_r, ready_w = Unix.pipe () in
+  let release_r, release_w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close ready_r;
+      Unix.close release_w;
+      let fd = Unix.openfile (Cachestore.lock_path entry) [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+      Unix.lockf fd Unix.F_LOCK 0;
+      ignore (Unix.write_substring ready_w "!" 0 1);
+      (* returns once the parent writes or exits *)
+      ignore (Unix.read release_r (Bytes.create 1) 0 1);
+      Unix._exit 0
+  | pid ->
+      Unix.close ready_w;
+      Unix.close release_r;
+      (pid, ready_r, release_w)
+
 let lock_dir = tmpdir ()
 let () = at_exit (fun () -> rm_rf lock_dir)
 
@@ -344,26 +363,20 @@ let lock_store =
 
 let lock_key = spec_key 99
 let lock_entry = Option.get (Cachestore.path_for lock_store lock_key)
+let lock_holder = hold_lock lock_entry
 
-let lock_holder =
-  let ready_r, ready_w = Unix.pipe () in
-  let release_r, release_w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close ready_r;
-      Unix.close release_w;
-      let fd =
-        Unix.openfile (Cachestore.lock_path lock_entry) [ Unix.O_RDWR; Unix.O_CREAT ] 0o644
-      in
-      Unix.lockf fd Unix.F_LOCK 0;
-      ignore (Unix.write_substring ready_w "!" 0 1);
-      (* returns once the parent closes its end or exits *)
-      ignore (Unix.read release_r (Bytes.create 1) 0 1);
-      Unix._exit 0
-  | pid ->
-      Unix.close ready_w;
-      Unix.close release_r;
-      (pid, ready_r, release_w)
+(* A second holder, for an insert that waits on the lock from another
+   domain. *)
+let stall_dir = tmpdir ()
+let () = at_exit (fun () -> rm_rf stall_dir)
+let stall_timeout_ms = 1000.0
+
+let stall_store =
+  Cachestore.create ~persistent_dir:stall_dir ~mem_limit:0 ~disk_limit:0
+    ~lock_timeout_ms:stall_timeout_ms ()
+
+let stall_key = spec_key 98
+let stall_holder = hold_lock (Option.get (Cachestore.path_for stall_store stall_key))
 
 let test_lock_timeout () =
   let pid, ready, release = lock_holder in
@@ -378,6 +391,40 @@ let test_lock_timeout () =
   check Alcotest.(list string) "only the lock file on disk"
     [ Filename.basename (Cachestore.lock_path lock_entry) ]
     (Array.to_list (Sys.readdir lock_dir));
+  ignore (Unix.write_substring release "!" 0 1);
+  Unix.close release;
+  ignore (Unix.waitpid [] pid);
+  Unix.close ready
+
+(* An insert waiting on another process's entry lock holds no store
+   lock: its memory-tier entry shows at once, and a lookup of another
+   resident key returns well inside the lock timeout. *)
+let test_lookup_during_lock_wait () =
+  let pid, ready, release = stall_holder in
+  check Alcotest.int "holder has the lock" 1 (Unix.read ready (Bytes.create 1) 0 1);
+  let resident = spec_key 97 in
+  ignore (Cachestore.insert stall_store resident (dummy_obj 97));
+  let t0 = Unix.gettimeofday () in
+  let inserter =
+    Domain.spawn (fun () ->
+        match Cachestore.insert stall_store stall_key (dummy_obj 98) with
+        | _ -> false
+        | exception Fault.Lock_timeout _ -> true)
+  in
+  while Cachestore.peek_mem stall_store stall_key = None do
+    Domain.cpu_relax ()
+  done;
+  let hit =
+    match Cachestore.lookup stall_store resident with Cachestore.Mem_hit _ -> true | _ -> false
+  in
+  let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  Alcotest.(check bool) "resident key hits" true hit;
+  Alcotest.(check bool)
+    (Printf.sprintf "lookup back after %.1f ms of a %.0f ms lock timeout" ms stall_timeout_ms)
+    true
+    (ms < stall_timeout_ms /. 4.0);
+  Alcotest.(check bool) "the waiting insert timed out" true (Domain.join inserter);
+  ignore (Unix.write_substring release "!" 0 1);
   Unix.close release;
   ignore (Unix.waitpid [] pid);
   Unix.close ready
@@ -627,6 +674,8 @@ let () =
             test_env_limit_rejected;
           Alcotest.test_case "a held entry lock times out, transient" `Quick
             test_lock_timeout;
+          Alcotest.test_case "lookups go on while an insert waits on a lock" `Quick
+            test_lookup_during_lock_wait;
         ] );
       ( "torture",
         [
