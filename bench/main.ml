@@ -335,24 +335,54 @@ int main() { return 0; }
       (Staged.stage (fun () ->
            ignore (Proteus_opt.Pipeline.optimize_o3 (Proteus_ir.Ir.clone_module m))))
   in
-  (* O3 on a small kernel, where the fixed cost of each pass run
-     dominates: serve_k3 as a serve-churn miss specializes it (argument
-     1 folded to 5, launch bounds for blocks of 32), a fresh clone per
-     run *)
-  let test_o3_serve =
+  (* serve_k3 as a serve-churn miss compiles it: decoded from its
+     bitcode, argument 1 folded to 5, launch bounds for blocks of 32 *)
+  let serve_bitcode =
+    Proteus_core.Extract.bitcode_of_kernel (Proteus_core.Serve.build_module 4)
+      (Proteus_core.Serve.kernel_sym 3)
+  in
+  let serve_spec () =
     let open Proteus_core in
-    let sym = Serve.kernel_sym 3 in
-    let m =
-      Proteus_ir.Bitcode.decode_module
-        (Extract.bitcode_of_kernel (Serve.build_module 4) sym)
-    in
-    Specialize.apply Config.default m ~kernel:sym
+    let m = Proteus_ir.Bitcode.decode_module serve_bitcode in
+    Specialize.apply Config.default m ~kernel:(Serve.kernel_sym 3)
       ~spec_values:[ (1, Proteus_ir.Konst.ki64 5) ]
       ~block:32
       ~resolve_global:(fun g -> failwith ("serve kernel reads global " ^ g));
+    m
+  in
+  (* O3 on a small kernel, where the fixed cost of each pass run
+     dominates: a fresh clone per run *)
+  let test_o3_serve =
+    let m = serve_spec () in
     Test.make ~name:"opt:O3 serve kernel (AMD, specialized)"
       (Staged.stage (fun () ->
            ignore (Proteus_opt.Pipeline.optimize_o3 (Proteus_ir.Ir.clone_module m))))
+  in
+  (* the rest of that miss: decoding the bitcode, GCN codegen of the
+     O3 module, and the cache insert, which encodes the object (memory
+     tier only, so no disk write) *)
+  let test_bitcode_serve =
+    Test.make ~name:"bitcode:decode serve kernel"
+      (Staged.stage (fun () -> ignore (Proteus_ir.Bitcode.decode_module serve_bitcode)))
+  in
+  let serve_o3 = serve_spec () in
+  ignore (Proteus_opt.Pipeline.optimize_o3 serve_o3);
+  let test_gcn_serve =
+    Test.make ~name:"backend:GCN codegen serve kernel"
+      (Staged.stage (fun () ->
+           ignore (Proteus_runtime.Toolchain.compile ~vendor:Device.Amd serve_o3)))
+  in
+  let test_insert_serve =
+    let open Proteus_core in
+    let obj, _ = Proteus_runtime.Toolchain.compile ~vendor:Device.Amd serve_o3 in
+    let store = Cachestore.create ~vendor:Device.Amd () in
+    let key =
+      Speckey.compute ~mid:"bench" ~sym:(Serve.kernel_sym 3)
+        ~spec_values:[ (1, Proteus_ir.Konst.ki64 5) ]
+        ~launch_bounds:(Some 32)
+    in
+    Test.make ~name:"cache:insert serve kernel (memory tier)"
+      (Staged.stage (fun () -> ignore (Cachestore.insert store key obj)))
   in
   let test_gcn_sw4ck =
     Test.make ~name:"backend:GCN codegen SW4CK"
@@ -423,8 +453,9 @@ int main() { return 0; }
   in
   let tests =
     [
-      test_frontend; test_bitcode; test_o3; test_o3_sw4ck; test_o3_serve; test_gcn; test_ptx;
-      test_gcn_sw4ck; test_ptx_sw4ck; test_exec_sw4ck; test_exec_adam; test_warm_hit; test_hash;
+      test_frontend; test_bitcode; test_bitcode_serve; test_o3; test_o3_sw4ck; test_o3_serve;
+      test_gcn; test_gcn_serve; test_ptx; test_gcn_sw4ck; test_ptx_sw4ck; test_insert_serve;
+      test_exec_sw4ck; test_exec_adam; test_warm_hit; test_hash;
     ]
   in
   let benchmark test =

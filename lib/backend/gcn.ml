@@ -25,7 +25,7 @@ let vgpr_cap (lb : (int * int) option) =
 
 let sgpr_cap = 102
 
-let reg_units ty = max 1 (Types.size_of ty / 4)
+let reg_units ty = Int.max 1 (Types.size_of ty / 4)
 
 let lower_kernel (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
   let mf = Isel.lower_func m f in

@@ -6,37 +6,57 @@
 open Proteus_support
 open Proteus_ir
 
-(* Split critical edges so phi copies can be placed on edges safely. *)
-let split_critical_edges (f : Ir.func) : unit =
-  let cfg = Cfg.build f in
-  let counter = ref 0 in
-  List.iter
-    (fun (b : Ir.block) ->
-      let succs = Ir.successors b.Ir.term in
-      if List.length succs > 1 then
+(* Split critical edges so phi copies can be placed on edges safely.
+   The new blocks go after the others, in the order of their edges.
+   Returns the blocks of the result and their successors, by position,
+   as [Cfg.graph] would. *)
+let split_critical_edges (f : Ir.func) : Ir.block array * int list array =
+  let blocks, _, succ = Cfg.graph f in
+  let n = Array.length blocks in
+  let npred = Array.make n 0 in
+  Array.iter (List.iter (fun s -> npred.(s) <- npred.(s) + 1)) succ;
+  (* the new blocks, last first, with their one successor *)
+  let added = ref [] and count = ref 0 in
+  for bi = 0 to n - 1 do
+    let b = blocks.(bi) in
+    match succ.(bi) with
+    | _ :: _ :: _ as succs ->
         List.iter
-          (fun s ->
-            if List.length cfg.Cfg.pred.(Cfg.index cfg s) > 1 then begin
+          (fun si ->
+            if npred.(si) > 1 then begin
               (* new block on the edge b -> s *)
-              incr counter;
-              let label = Printf.sprintf "%s.crit%d" b.Ir.label !counter in
-              let nb = { Ir.label; insts = []; term = Ir.TBr s } in
-              f.Ir.blocks <- f.Ir.blocks @ [ nb ];
+              let s = blocks.(si).Ir.label in
+              incr count;
+              let label = b.Ir.label ^ ".crit" ^ string_of_int !count in
+              added := ({ Ir.label; insts = []; term = Ir.TBr s }, si) :: !added;
               b.Ir.term <- Ir.retarget_term b.Ir.term ~from_label:s ~to_label:label;
-              (* phis in s that came from b now come from the new block;
-                 only this edge's entries move. *)
-              let sb = Ir.find_block f s in
+              let k = n + !count - 1 in
+              succ.(bi) <- List.map (fun j -> if j = si then k else j) succ.(bi);
+              (* phis in s that came from b now come from the new
+                 block; only this edge's entries move. *)
+              let sb = blocks.(si) in
               sb.Ir.insts <-
                 List.map
                   (function
                     | Ir.IPhi (d, inc) ->
                         Ir.IPhi
-                          (d, List.map (fun (l, v) -> ((if l = b.Ir.label then label else l), v)) inc)
+                          ( d,
+                            List.map
+                              (fun (l, v) -> ((if String.equal l b.Ir.label then label else l), v))
+                              inc )
                     | i -> i)
                   sb.Ir.insts
             end)
-          succs)
-    f.Ir.blocks
+          succs
+    | _ -> ()
+  done;
+  match List.rev !added with
+  | [] -> (blocks, succ)
+  | added ->
+      let added = Array.of_list added in
+      let nbs = Array.map fst added in
+      f.Ir.blocks <- f.Ir.blocks @ Array.to_list nbs;
+      (Array.append blocks nbs, Array.append succ (Array.map (fun (_, si) -> [ si ]) added))
 
 type ctx = {
   func : Ir.func;
@@ -85,8 +105,8 @@ let elem_size ctx (ptr : Ir.operand) =
 
 let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
   let f = Ir.clone_func f in
-  split_critical_edges f;
-  let uni = Uniformity.compute f in
+  let blocks, succ = split_critical_edges f in
+  let uni = Uniformity.of_graph f blocks succ in
   let ctx =
     {
       func = f;
@@ -101,15 +121,15 @@ let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
   in
   (* Mark scratch provenance: alloca results and geps/casts on them. *)
   let changed = ref true in
+  let mark d =
+    if not ctx.scratch_regs.(d) then begin
+      ctx.scratch_regs.(d) <- true;
+      changed := true
+    end
+  in
   while !changed do
     changed := false;
     Ir.iter_instrs f (fun i ->
-        let mark d =
-          if not ctx.scratch_regs.(d) then begin
-            ctx.scratch_regs.(d) <- true;
-            changed := true
-          end
-        in
         match i with
         | Ir.IAlloca (d, _, _) -> mark d
         | Ir.IGep (d, p, _) when is_scratch_ptr ctx p -> mark d
@@ -119,15 +139,6 @@ let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
   (* Parameter registers, in order. *)
   let params = List.map (fun (_, r) -> reg_for ctx r) f.Ir.params in
   let arg_tys = List.map (fun (_, r) -> Ir.reg_ty f r) f.Ir.params in
-  (* Pre-assign frame offsets for allocas. *)
-  let frame_off : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  Ir.iter_instrs f (fun i ->
-      match i with
-      | Ir.IAlloca (d, ty, n) ->
-          let sz = Util.round_up (Types.size_of ty * n) 8 in
-          Hashtbl.replace frame_off d ctx.frame;
-          ctx.frame <- ctx.frame + sz
-      | _ -> ());
   let lower_instr (acc : Mach.minstr list) (i : Ir.instr) : Mach.minstr list =
     let emit op dst srcs = { Mach.op; dst; srcs } :: acc in
     match i with
@@ -210,28 +221,37 @@ let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
         (* dst register materialised; copies are emitted in predecessors *)
         ignore (reg_for ctx d);
         acc
-    | Ir.IAlloca (d, _, _) ->
-        let off = Hashtbl.find frame_off d in
+    | Ir.IAlloca (d, ty, n) ->
+        (* frame offsets in instruction order *)
+        let off = ctx.frame in
+        ctx.frame <- off + Util.round_up (Types.size_of ty * n) 8;
         emit Mach.Oframe (Some (reg_for ctx d)) [ Mach.Ki (Konst.kint ~bits:64 (Int64.of_int off)) ]
   in
-  (* Phi copies on the edges out of [pred_label] into its successors
-     [succs], sequentialised to respect simultaneous-assignment
-     semantics. *)
-  let phi_copies_for (pred_label : string) (succs : string list) : Mach.minstr list =
+  (* the blocks with phis, by position *)
+  let has_phis =
+    Array.map
+      (fun (b : Ir.block) -> List.exists (function Ir.IPhi _ -> true | _ -> false) b.Ir.insts)
+      blocks
+  in
+  (* Phi copies on the edges out of block [k] into its successors,
+     sequentialised to respect simultaneous-assignment semantics. *)
+  let phi_copies_for (k : int) : Mach.minstr list =
+    let pred_label = blocks.(k).Ir.label in
     let copies = ref [] in
     List.iter
-      (fun (b : Ir.block) ->
+      (fun s ->
         List.iter
           (fun i ->
             match i with
             | Ir.IPhi (d, inc) -> (
-                match List.assoc_opt pred_label inc with
-                | Some v ->
+                match List.find_opt (fun (l, _) -> String.equal l pred_label) inc with
+                | Some (_, v) ->
                     copies := (reg_for ctx d, src_of ctx v, Ir.reg_ty f d) :: !copies
                 | None -> ())
             | _ -> ())
-          b.Ir.insts)
-      (List.filter (fun (b : Ir.block) -> List.mem b.Ir.label succs) f.Ir.blocks);
+          blocks.(s).Ir.insts)
+      (* the successors with phis, in block order *)
+      (List.sort Int.compare (List.filter (Array.get has_phis) succ.(k)));
     (* order copies: emit ones whose destination is not read by pending
        copies first; break cycles with a temporary. Every round retires
        at least one pending copy, so the loop ends. *)
@@ -240,8 +260,9 @@ let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
     let emit_copy (d, s, ty) =
       result := { Mach.op = Mach.Omov ty; dst = Some d; srcs = [ s ] } :: !result
     in
-    let reads_reg r (_, s, _) = match s with Mach.Rs r' -> r' = r | _ -> false in
-    while !pending <> [] do
+    let same (r : Mach.reg) (r' : Mach.reg) = r.Mach.rid = r'.Mach.rid && r.Mach.rcls = r'.Mach.rcls in
+    let reads_reg r (_, s, _) = match s with Mach.Rs r' -> same r' r | _ -> false in
+    while match !pending with [] -> false | _ :: _ -> true do
       match
         List.partition
           (fun (d, _, _) -> not (List.exists (reads_reg d) !pending))
@@ -257,7 +278,7 @@ let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
             List.map
               (fun (d', s', ty') ->
                 match s' with
-                | Mach.Rs r when r = d -> (d', Mach.Rs tmp, ty')
+                | Mach.Rs r when same r d -> (d', Mach.Rs tmp, ty')
                 | _ -> (d', s', ty'))
               rest
       | ready, rest ->
@@ -266,26 +287,19 @@ let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
     done;
     List.rev !result
   in
-  (* a function without phis has no copies to place *)
-  let has_phis =
-    List.exists
-      (fun (b : Ir.block) -> List.exists (function Ir.IPhi _ -> true | _ -> false) b.Ir.insts)
-      f.Ir.blocks
-  in
   (* Kernel arguments are loaded from the kernarg segment at entry. *)
   let arg_loads =
     List.mapi (fun i r -> { Mach.op = Mach.Oarg i; dst = Some r; srcs = [] }) params
   in
-  let entry_label =
-    match f.Ir.blocks with b :: _ -> b.Ir.label | [] -> "entry"
-  in
-  let blocks =
-    List.map
-      (fun (b : Ir.block) ->
+  let any_phis = Array.exists Fun.id has_phis in
+  let mblocks =
+    List.mapi
+      (fun k (b : Ir.block) ->
         let code = List.rev (List.fold_left lower_instr [] b.Ir.insts) in
-        let code = if b.Ir.label = entry_label then arg_loads @ code else code in
+        let code = if k = 0 then arg_loads @ code else code in
         let code =
-          if has_phis then code @ phi_copies_for b.Ir.label (Ir.successors b.Ir.term) else code
+          (* a function without phis has no copies to place *)
+          if any_phis then code @ phi_copies_for k else code
         in
         let term =
           match b.Ir.term with
@@ -299,7 +313,7 @@ let lower_func (m : Ir.modul) (f : Ir.func) : Mach.mfunc =
   in
   {
     Mach.sym = f.Ir.fname;
-    blocks;
+    blocks = mblocks;
     params;
     arg_tys;
     vregs = ctx.next_v;

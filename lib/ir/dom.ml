@@ -19,11 +19,10 @@ type t = {
 
 (* The Cooper-Harvey-Kennedy iteration over nodes [0, n): [rpo] is the
    reverse postorder of the nodes reachable from its head, the root,
-   and [preds v] the nodes with an edge into [v]. Returns the immediate
-   dominators: the root maps to itself, an unreached node to -1. *)
-let solve n (rpo : int list) (preds : int -> int list) : int array =
-  let order = Array.make n 0 in
-  List.iteri (fun i v -> order.(v) <- i) rpo;
+   [order.(v)] the position of such a node [v] in it, and [preds v] the
+   nodes with an edge into [v]. Returns the immediate dominators: the
+   root maps to itself, an unreached node to -1. *)
+let solve n (rpo : int list) (order : int array) (preds : int -> int list) : int array =
   let idom = Array.make n (-1) in
   let root = List.hd rpo in
   idom.(root) <- root;
@@ -32,20 +31,24 @@ let solve n (rpo : int list) (preds : int -> int list) : int array =
     else if order.(a) > order.(b) then intersect idom.(a) b
     else intersect a idom.(b)
   in
+  (* [v]'s predecessors that have a dominator so far, met in order;
+     -1 when there is none *)
+  let rec meet d = function
+    | [] -> d
+    | p :: rest -> meet (if idom.(p) < 0 then d else if d < 0 then p else intersect d p) rest
+  in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
       (fun v ->
-        if v <> root then
-          match List.filter (fun p -> idom.(p) >= 0) (preds v) with
-          | [] -> ()
-          | first :: rest ->
-              let d = List.fold_left intersect first rest in
-              if idom.(v) <> d then begin
-                idom.(v) <- d;
-                changed := true
-              end)
+        if v <> root then begin
+          let d = meet (-1) (preds v) in
+          if d >= 0 && idom.(v) <> d then begin
+            idom.(v) <- d;
+            changed := true
+          end
+        end)
       rpo
   done;
   idom
@@ -53,7 +56,9 @@ let solve n (rpo : int list) (preds : int -> int list) : int array =
 let compute_fresh (cfg : Cfg.t) =
   if cfg.rpo = [] then failwith "Dom.compute: empty CFG";
   let n = Array.length cfg.blocks in
-  let idom = solve n cfg.rpo (Array.get cfg.pred) in
+  let order = Array.make n 0 in
+  List.iteri (fun i v -> order.(v) <- i) cfg.rpo;
+  let idom = solve n cfg.rpo order (Array.get cfg.pred) in
   (* the reachable blocks, last label first: prepending in this order
      leaves every list in label order *)
   let desc = List.sort (fun a b -> String.compare (Cfg.label cfg b) (Cfg.label cfg a)) cfg.rpo in
@@ -116,9 +121,33 @@ let ipostdoms (n : int) (succs : int -> int list) : int array =
   let exit = n in
   (* forward successors, the exit standing for a return: on the reverse
      graph they are the predecessors, and [ins] the successors *)
-  let outs = Array.init n (fun b -> match succs b with [] -> [ exit ] | ss -> ss) in
+  let to_exit = [ exit ] in
+  let outs b = match succs b with [] -> to_exit | ss -> ss in
   let ins = Array.make (n + 1) [] in
-  Array.iteri (fun b ss -> List.iter (fun s -> ins.(s) <- b :: ins.(s)) ss) outs;
-  let rpo, _ = Cfg.dfs (n + 1) exit (Array.get ins) in
-  let idom = solve (n + 1) rpo (Array.get outs) (* never read for the exit *) in
-  Array.init n (fun b -> if idom.(b) = exit then -1 else idom.(b))
+  let rec add b = function
+    | [] -> ()
+    | s :: rest ->
+        ins.(s) <- b :: ins.(s);
+        add b rest
+  in
+  for b = 0 to n - 1 do
+    add b (outs b)
+  done;
+  (* the reverse postorder from the exit, as [Cfg.dfs] walks it, put
+     before [rpo]; [order] marks the nodes seen, then numbers them *)
+  let order = Array.make (n + 1) (-1) in
+  let rec go rpo v =
+    if order.(v) >= 0 then rpo
+    else begin
+      order.(v) <- 0;
+      v :: List.fold_left go rpo ins.(v)
+    end
+  in
+  let rpo = go [] exit in
+  List.iteri (fun i v -> order.(v) <- i) rpo;
+  let idom = solve (n + 1) rpo order outs (* never read for the exit *) in
+  let ipdom = Array.sub idom 0 n in
+  for b = 0 to n - 1 do
+    if ipdom.(b) = exit then ipdom.(b) <- -1
+  done;
+  ipdom

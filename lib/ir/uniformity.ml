@@ -36,74 +36,83 @@ let control_dependents (ipdom : int array) (succs : int list) (b : int) : int li
   List.iter walk succs;
   !deps
 
-let compute (f : Ir.func) : t =
+(* Block flags of [of_graph]. *)
+let branch = 1
+let in_region = 2
+let tainted = 4
+
+(* The analysis of [f] over its graph: [blocks] are [f]'s blocks and
+   [succ] their successors, by position (as in a [Cfg]). *)
+let of_graph (f : Ir.func) (blocks : Ir.block array) (succ : int list array) : t =
+  let n = Array.length blocks in
+  let succs = Array.get succ in
+  let ipdom = Dom.ipostdoms n succs in
   let divergent = Array.make (Ir.nregs f) false in
-  let cfg = Cfg.build f in
-  let blocks = cfg.blocks and succs = Array.get cfg.succ and label = Cfg.label cfg in
-  let ipdom = Dom.ipostdoms (Array.length blocks) succs in
+  (* [settled.(r)]: r is divergent, or the result of a block-uniform
+     query, and no later sweep can change it *)
+  let settled = Array.make (Ir.nregs f) false in
   let div_op = function Ir.Reg r -> divergent.(r) | Ir.Imm _ | Ir.Glob _ -> false in
-  let div_blocks = ref Util.Sset.empty in
-  let region = ref Util.Sset.empty in
-  let tainted_blocks = ref Util.Sset.empty in
+  (* by block, these flags: ends in a divergent branch, lies in a
+     divergent region, gets divergent phis *)
+  let flags = Array.make n 0 in
+  let has b flag = flags.(b) land flag <> 0 and mark b flag = flags.(b) <- flags.(b) lor flag in
   let changed = ref true in
   while !changed do
     changed := false;
     let set d =
-      if not divergent.(d) then begin
-        divergent.(d) <- true;
-        changed := true
-      end
+      divergent.(d) <- true;
+      settled.(d) <- true;
+      changed := true
     in
-    Array.iteri
-      (fun bi (b : Ir.block) ->
-        List.iter
-          (fun i ->
-            match i with
-            | Ir.ICall (Some d, callee, args) -> (
-                match Ir.Intrinsics.classify callee with
-                | Some Ir.Intrinsics.Query ->
-                    (* thread ids are per-lane; block ids and dims are uniform *)
-                    if
-                      callee = Ir.Intrinsics.tid_x || callee = Ir.Intrinsics.tid_y
-                      || callee = Ir.Intrinsics.tid_z
-                    then set d
-                | Some (Ir.Intrinsics.Math _) -> if List.exists div_op args then set d
-                (* atomics, and unknown calls: conservative *)
-                | _ -> set d)
-            | Ir.IAlloca (d, _, _) -> set d (* per-thread stack address *)
-            | Ir.ILoad (d, p) -> if div_op p then set d
-            | Ir.IBin (d, _, a, b') -> if div_op a || div_op b' then set d
-            | Ir.ICmp (d, _, a, b') -> if div_op a || div_op b' then set d
-            | Ir.ISelect (d, c, a, b') ->
-                if div_op c || div_op a || div_op b' then set d
-            | Ir.ICast (d, _, a) -> if div_op a then set d
-            | Ir.IGep (d, p, idx) -> if div_op p || div_op idx then set d
-            | Ir.IPhi (d, inc) ->
-                if List.exists (fun (_, v) -> div_op v) inc then set d;
-                if Util.Sset.mem b.Ir.label !tainted_blocks then set d
-            | Ir.IStore _ | Ir.ICall (None, _, _) -> ())
-          b.Ir.insts;
-        (* divergent branches taint their control-dependence region *)
-        match b.Ir.term with
-        | Ir.TCondBr (c, _, _) when div_op c ->
-            if not (Util.Sset.mem b.Ir.label !div_blocks) then begin
-              div_blocks := Util.Sset.add b.Ir.label !div_blocks;
-              let deps = control_dependents ipdom (succs bi) bi in
-              List.iter (fun d -> region := Util.Sset.add (label d) !region) deps;
-              (* joins reachable from the divergent region get divergent phis *)
-              List.iter
-                (fun d ->
-                  List.iter
-                    (fun j -> tainted_blocks := Util.Sset.add (label j) !tainted_blocks)
-                    (d :: succs d))
-                deps;
-              changed := true
-            end
-        | _ -> ())
-      blocks
+    for bi = 0 to n - 1 do
+      List.iter
+        (fun i ->
+          match i with
+          | Ir.ICall (Some d, callee, args) when not settled.(d) -> (
+              match Ir.Intrinsics.classify callee with
+              | Some Ir.Intrinsics.Query ->
+                  (* thread ids are per-lane; block ids and dims are uniform *)
+                  if
+                    callee = Ir.Intrinsics.tid_x || callee = Ir.Intrinsics.tid_y
+                    || callee = Ir.Intrinsics.tid_z
+                  then set d
+                  else settled.(d) <- true
+              | Some (Ir.Intrinsics.Math _) -> if List.exists div_op args then set d
+              (* atomics, and unknown calls: conservative *)
+              | _ -> set d)
+          | Ir.IAlloca (d, _, _) when not settled.(d) -> set d (* per-thread stack address *)
+          | Ir.ILoad (d, p) when not settled.(d) -> if div_op p then set d
+          | (Ir.IBin (d, _, a, b') | Ir.ICmp (d, _, a, b')) when not settled.(d) ->
+              if div_op a || div_op b' then set d
+          | Ir.ISelect (d, c, a, b') when not settled.(d) ->
+              if div_op c || div_op a || div_op b' then set d
+          | Ir.ICast (d, _, a) when not settled.(d) -> if div_op a then set d
+          | Ir.IGep (d, p, idx) when not settled.(d) -> if div_op p || div_op idx then set d
+          | Ir.IPhi (d, inc) when not settled.(d) ->
+              if has bi tainted || List.exists (fun (_, v) -> div_op v) inc then set d
+          | _ -> ())
+        blocks.(bi).Ir.insts;
+      (* divergent branches taint their control-dependence region *)
+      match blocks.(bi).Ir.term with
+      | Ir.TCondBr (c, _, _) when (not (has bi branch)) && div_op c ->
+          mark bi branch;
+          let deps = control_dependents ipdom (succs bi) bi in
+          List.iter (fun d -> mark d in_region) deps;
+          (* joins reachable from the divergent region get divergent phis *)
+          List.iter (fun d -> List.iter (fun j -> mark j tainted) (d :: succs d)) deps;
+          changed := true
+      | _ -> ()
+    done
   done;
-  {
-    divergent;
-    divergent_branch_blocks = !div_blocks;
-    divergent_region = !region;
-  }
+  let labels flag =
+    let s = ref Util.Sset.empty in
+    for b = 0 to n - 1 do
+      if has b flag then s := Util.Sset.add blocks.(b).Ir.label !s
+    done;
+    !s
+  in
+  { divergent; divergent_branch_blocks = labels branch; divergent_region = labels in_region }
+
+let compute (f : Ir.func) : t =
+  let cfg = Cfg.build f in
+  of_graph f cfg.blocks cfg.succ

@@ -260,15 +260,14 @@ let format_version = 3l
 let header_bytes = 4 + 4 + 4 + 4 + 8 + 4
 
 let encode_entry (payload : string) : string =
+  let module W = Util.Bytesio.W in
   let b = Buffer.create (header_bytes + String.length payload) in
   Buffer.add_string b magic;
-  let w = Util.Bytesio.W.create () in
-  Util.Bytesio.W.u32 w format_version;
-  Util.Bytesio.W.u32 w 1l;
-  Util.Bytesio.W.u32 w 1l;
-  Util.Bytesio.W.u64 w (Int64.of_int (String.length payload));
-  Util.Bytesio.W.u32 w (Util.Crc32.string payload);
-  Buffer.add_string b (Util.Bytesio.W.contents w);
+  W.u32 b format_version;
+  W.u32 b 1l;
+  W.u32 b 1l;
+  W.u64 b (Int64.of_int (String.length payload));
+  W.u32 b (Util.Crc32.string payload);
   Buffer.add_string b payload;
   Buffer.contents b
 

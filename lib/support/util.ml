@@ -153,20 +153,13 @@ module Bytesio = struct
     type t = Buffer.t
 
     let create () = Buffer.create 256
-    let u8 b x = Buffer.add_char b (Char.chr (x land 0xff))
+    let u8 b x = Buffer.add_char b (Char.unsafe_chr (x land 0xff))
 
-    let u32 b (x : int32) =
-      for i = 0 to 3 do
-        u8 b (Int32.to_int (Int32.shift_right_logical x (8 * i)))
-      done
-
-    let u64 b (x : int64) =
-      for i = 0 to 7 do
-        u8 b (Int64.to_int (Int64.shift_right_logical x (8 * i)))
-      done
-
-    let int b x = u64 b (Int64.of_int x)
-    let f64 b x = u64 b (Int64.bits_of_float x)
+    (* one word at a time, little-endian *)
+    let u32 b (x : int32) = Buffer.add_int32_le b x
+    let u64 b (x : int64) = Buffer.add_int64_le b x
+    let int b x = Buffer.add_int64_le b (Int64.of_int x)
+    let f64 b x = Buffer.add_int64_le b (Int64.bits_of_float x)
 
     let str b s =
       int b (String.length s);
@@ -192,27 +185,36 @@ module Bytesio = struct
 
     let create s = { s; pos = 0 }
 
+    (* A word is read whole, after one check that all its bytes are
+       there; a short one fails as [u8] would on its first missing
+       byte. *)
+    let need r n =
+      if r.pos + n > String.length r.s then failwith "Bytesio.R.u8: truncated input"
+
     let u8 r =
-      if r.pos >= String.length r.s then failf "Bytesio.R.u8: truncated input";
-      let x = Char.code r.s.[r.pos] in
+      need r 1;
+      let x = Char.code (String.unsafe_get r.s r.pos) in
       r.pos <- r.pos + 1;
       x
 
     let u32 r =
-      let x = ref 0l in
-      for i = 0 to 3 do
-        x := Int32.logor !x (Int32.shift_left (Int32.of_int (u8 r)) (8 * i))
-      done;
-      !x
+      need r 4;
+      let x = String.get_int32_le r.s r.pos in
+      r.pos <- r.pos + 4;
+      x
 
     let u64 r =
-      let x = ref 0L in
-      for i = 0 to 7 do
-        x := Int64.logor !x (Int64.shift_left (Int64.of_int (u8 r)) (8 * i))
-      done;
-      !x
+      need r 8;
+      let x = String.get_int64_le r.s r.pos in
+      r.pos <- r.pos + 8;
+      x
 
-    let int r = Int64.to_int (u64 r)
+    let int r =
+      need r 8;
+      let x = Int64.to_int (String.get_int64_le r.s r.pos) in
+      r.pos <- r.pos + 8;
+      x
+
     let f64 r = Int64.float_of_bits (u64 r)
 
     let str r =

@@ -524,7 +524,7 @@ let test_regalloc_matches_reference () =
    live values in one block, and 200 across blocks of eight
    instructions. Words are counted on the minor heap plus those
    allocated directly in the major heap (arrays past 256 words).
-   Measured: 50, 50 and 68 words per instruction. The blocky kernel
+   Measured: 49, 49 and 65 words per instruction. The blocky kernel
    pays one live-in bitset per block, a word per 32 registers, so its
    figure grows with registers x blocks / instructions. The list-based
    allocator this replaced (test/refalloc.ml) measured 624, 5,572 and

@@ -131,6 +131,65 @@ let test_bytesio_truncated () =
     (Failure "Bytesio.R.u8: truncated input")
     (fun () -> ignore (Util.Bytesio.R.u64 r))
 
+let written fw x =
+  let w = Util.Bytesio.W.create () in
+  fw w x;
+  Util.Bytesio.W.contents w
+
+(* The on-disk format, byte by byte: every word little-endian, an int
+   as 8 bytes, a string or list as its int length then its items. A
+   round trip cannot see a change of byte order; these can. *)
+let test_bytesio_format () =
+  let module W = Util.Bytesio.W in
+  let bytes name expect fw x = check Alcotest.string name expect (written fw x) in
+  bytes "u32" "\x78\x56\x34\x12" W.u32 0x12345678l;
+  bytes "u32 negative" "\xfe\xff\xff\xff" W.u32 (-2l);
+  bytes "u64" "\x08\x07\x06\x05\x04\x03\x02\x01" W.u64 0x0102030405060708L;
+  bytes "u64 min" "\x00\x00\x00\x00\x00\x00\x00\x80" W.u64 Int64.min_int;
+  bytes "int" "\x34\x12\x00\x00\x00\x00\x00\x00" W.int 0x1234;
+  bytes "int negative" "\xfe\xff\xff\xff\xff\xff\xff\xff" W.int (-2);
+  bytes "int max" "\xff\xff\xff\xff\xff\xff\xff\x3f" W.int max_int;
+  bytes "int min" "\x00\x00\x00\x00\x00\x00\x00\xc0" W.int min_int;
+  bytes "f64" "\x00\x00\x00\x00\x00\x00\xf0\x3f" W.f64 1.0;
+  bytes "f64 negative" "\x00\x00\x00\x00\x00\x00\x04\xc0" W.f64 (-2.5);
+  bytes "str" "\x02\x00\x00\x00\x00\x00\x00\x00ab" W.str "ab";
+  bytes "empty str" "\x00\x00\x00\x00\x00\x00\x00\x00" W.str "";
+  bytes "list" "\x02\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\xff\xff\xff\xff"
+    (fun w -> W.list w W.u32)
+    [ 1l; -1l ];
+  (* reads from an offset that is not word-aligned *)
+  let module R = Util.Bytesio.R in
+  let r = R.create "\x07\x78\x56\x34\x12\xfe\xff\xff\xff\xff\xff\xff\xff\x01" in
+  check Alcotest.int "u8" 7 (R.u8 r);
+  check Alcotest.int32 "u32 at 1" 0x12345678l (R.u32 r);
+  check Alcotest.int "int at 5" (-2) (R.int r);
+  check Alcotest.bool "bool at 13" true (R.bool r);
+  check Alcotest.bool "at end" true (R.at_end r)
+
+(* A value cut short at any byte raises the same failure: a missing
+   byte of a word is the one [u8] reports, a short string body the one
+   [str] reports. *)
+let test_bytesio_cuts () =
+  let module W = Util.Bytesio.W in
+  let module R = Util.Bytesio.R in
+  let u8_fail = Failure "Bytesio.R.u8: truncated input"
+  and str_fail = Failure "Bytesio.R.str: truncated input" in
+  let cuts name s read failure_at =
+    for cut = 0 to String.length s - 1 do
+      Alcotest.check_raises
+        (Printf.sprintf "%s cut at %d" name cut)
+        (failure_at cut)
+        (fun () -> read (R.create (String.sub s 0 cut)))
+    done
+  in
+  cuts "u32" (written W.u32 0x12345678l) (fun r -> ignore (R.u32 r)) (fun _ -> u8_fail);
+  cuts "u64" (written W.u64 (-1L)) (fun r -> ignore (R.u64 r)) (fun _ -> u8_fail);
+  cuts "int" (written W.int 42) (fun r -> ignore (R.int r)) (fun _ -> u8_fail);
+  cuts "f64" (written W.f64 0.5) (fun r -> ignore (R.f64 r)) (fun _ -> u8_fail);
+  cuts "str" (written W.str "hello")
+    (fun r -> ignore (R.str r))
+    (fun cut -> if cut < 8 then u8_fail else str_fail)
+
 let qcheck_bytesio_i64 =
   QCheck.Test.make ~name:"bytesio u64 roundtrip" ~count:500 QCheck.int64 (fun x ->
       Int64.equal x (roundtrip_w_r Util.Bytesio.W.u64 Util.Bytesio.R.u64 x))
@@ -398,6 +457,8 @@ let () =
           Alcotest.test_case "strings" `Quick test_bytesio_str;
           Alcotest.test_case "truncated input" `Quick test_bytesio_truncated;
           Alcotest.test_case "options" `Quick test_bytesio_option;
+          Alcotest.test_case "byte format" `Quick test_bytesio_format;
+          Alcotest.test_case "every cut point" `Quick test_bytesio_cuts;
           qtest qcheck_bytesio_i64;
           qtest qcheck_bytesio_f64;
           qtest qcheck_bytesio_list;
