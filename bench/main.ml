@@ -327,6 +327,16 @@ int main() { return 0; }
   in
   let sw4ck = sw4ck_device Proteus_frontend.Lower.Cuda in
   ignore (Proteus_opt.Pipeline.optimize_o3 sw4ck);
+  (* the largest source (23 KB, ~8,000 tokens, straight-line blocks of
+     ~1,300 instructions): daxpy cannot show how the frontend scales *)
+  let test_frontend_sw4ck =
+    let a = List.find (fun (a : App.t) -> a.App.name = "SW4CK") Suite.apps in
+    Test.make ~name:"frontend:parse+lower SW4CK"
+      (Staged.stage (fun () ->
+           ignore
+             (Proteus_frontend.Compile.compile ~name:a.App.name
+                ~vendor:Proteus_frontend.Lower.Cuda a.App.source)))
+  in
   (* O3 alone on a real kernel: every run optimizes a fresh clone of
      the unoptimised module (a shallow copy, cheap next to O3) *)
   let test_o3_sw4ck =
@@ -453,7 +463,7 @@ int main() { return 0; }
   in
   let tests =
     [
-      test_frontend; test_bitcode; test_bitcode_serve; test_o3; test_o3_sw4ck; test_o3_serve;
+      test_frontend; test_frontend_sw4ck; test_bitcode; test_bitcode_serve; test_o3; test_o3_sw4ck; test_o3_serve;
       test_gcn; test_gcn_serve; test_ptx; test_gcn_sw4ck; test_ptx_sw4ck; test_insert_serve;
       test_exec_sw4ck; test_exec_adam; test_warm_hit; test_hash;
     ]

@@ -24,12 +24,31 @@ let is_digit c = c >= '0' && c <= '9'
 let is_id_char c = is_id_start c || is_digit c
 let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
+let is_keyword =
+  let t = Hashtbl.create 64 in
+  List.iter (fun k -> Hashtbl.replace t k ()) keywords;
+  Hashtbl.mem t
+
 (* Multi-character punctuators, longest first. *)
 let puncts =
   [ "<<<"; ">>>"; "<<="; ">>="; "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>";
     "++"; "--"; "+="; "-="; "*="; "/="; "%="; "&="; "|="; "^=";
     "+"; "-"; "*"; "/"; "%"; "="; "<"; ">"; "!"; "&"; "|"; "^"; "~"; "?"; ":";
     ","; ";"; "("; ")"; "{"; "}"; "["; "]"; "." ]
+
+(* [puncts] bucketed by first character, each bucket still longest first. *)
+let puncts_by_first =
+  let t = Array.make 256 [] in
+  List.iter (fun p -> t.(Char.code p.[0]) <- t.(Char.code p.[0]) @ [ p ]) puncts;
+  t
+
+(* The longest punctuator at [src.[i]], compared in place. *)
+let punct_at src i =
+  let n = String.length src in
+  let rec matches p k = k = String.length p || (src.[i + k] = p.[k] && matches p (k + 1)) in
+  List.find_opt
+    (fun p -> i + String.length p <= n && matches p 1)
+    puncts_by_first.(Char.code src.[i])
 
 let tokenize (src : string) : t =
   let n = String.length src in
@@ -76,7 +95,7 @@ let tokenize (src : string) : t =
         incr i
       done;
       let s = String.sub src start (!i - start) in
-      push (if List.mem s keywords then Tkw s else Tid s) p
+      push (if is_keyword s then Tkw s else Tid s) p
     end
     else if is_digit c || (c = '.' && !i + 1 < n && is_digit src.[!i + 1]) then begin
       let p = pos () in
@@ -165,14 +184,7 @@ let tokenize (src : string) : t =
     end
     else begin
       let p = pos () in
-      let matched =
-        List.find_opt
-          (fun s ->
-            let l = String.length s in
-            !i + l <= n && String.sub src !i l = s)
-          puncts
-      in
-      match matched with
+      match punct_at src !i with
       | Some s ->
           i := !i + String.length s;
           push (Tpunct s) p

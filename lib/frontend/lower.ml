@@ -95,7 +95,6 @@ type loopctx = { break_to : string; continue_to : string }
 
 type fenv = {
   g : genv;
-  func : Ir.func;
   b : Builder.t;
   mutable vars : var Util.Smap.t list; (* scope stack *)
   mutable loops : loopctx list;
@@ -311,17 +310,17 @@ let rec lower_expr fe (e : expr) : Ir.operand * cty =
       Builder.cond_br fe.b cb then_bb.Ir.label else_bb.Ir.label;
       Builder.position_at fe.b then_bb;
       let tv, tt = lower_expr fe t in
-      let t_end = (Builder.current_block fe.b).Ir.label in
+      let t_end = Builder.current_block fe.b in
       Builder.position_at fe.b else_bb;
       let fv, ft = lower_expr fe f in
-      let f_end = (Builder.current_block fe.b).Ir.label in
+      let f_end = Builder.current_block fe.b in
       let rty = if is_arith tt && is_arith ft then promote tt ft else tt in
       (* coercions must happen in the corresponding branch *)
-      Builder.position_at fe.b (Ir.find_block fe.func t_end);
+      Builder.position_at fe.b t_end;
       let tv = coerce fe e.epos (tv, tt) rty in
       Builder.br fe.b merge_bb.Ir.label;
       let t_end = (Builder.current_block fe.b).Ir.label in
-      Builder.position_at fe.b (Ir.find_block fe.func f_end);
+      Builder.position_at fe.b f_end;
       let fv = coerce fe e.epos (fv, ft) rty in
       Builder.br fe.b merge_bb.Ir.label;
       let f_end = (Builder.current_block fe.b).Ir.label in
@@ -784,7 +783,7 @@ let lower_fundef (g : genv) (fd : fundef) ~(irname : string) ~(kind : Ir.fkind)
       | Annotate _ -> ())
     fd.fattrs;
   let b = Builder.create f in
-  let fe = { g; func = f; b; vars = [ Util.Smap.empty ]; loops = []; fret = fd.fret } in
+  let fe = { g; b; vars = [ Util.Smap.empty ]; loops = []; fret = fd.fret } in
   (* Parameters are spilled to stack slots so they are assignable;
      mem2reg promotes them back to registers. *)
   let nextra = List.length extra_params in

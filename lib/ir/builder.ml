@@ -1,43 +1,82 @@
 (* Imperative IR construction: keeps an insertion point and allocates
-   fresh registers, mirroring llvm::IRBuilder. *)
+   fresh registers, mirroring llvm::IRBuilder.
 
-open Proteus_support
+   Appending to an immutable list costs its length, so the current
+   block's new instructions wait, newest first, in [pending] and are
+   spliced into [block.insts] once per visit: when the insertion point
+   moves ([position_at]), when the block is terminated ([set_term]) and
+   when a caller asks for it ([current_block]). A function read after
+   the builder's last call (which ends on a terminator or a move) thus
+   holds every instruction. *)
 
 type t = {
   func : Ir.func;
   mutable block : Ir.block;
-  mutable finished : Util.Sset.t; (* labels whose terminator is set *)
+  mutable pending : Ir.instr list; (* the block's unspliced instructions, newest first *)
+  mutable terminated : bool; (* the current block's terminator is set *)
+  finished : (string, unit) Hashtbl.t; (* labels whose terminator is set *)
+  labels : (string, int) Hashtbl.t;
+      (* the labels of [func] at [create] and from [new_block] -> the
+         least suffix [new_block] may still find free for that base *)
 }
 
 let create func =
   let block =
     match func.Ir.blocks with b :: _ -> b | [] -> Ir.add_block func "entry"
   in
-  { func; block; finished = Util.Sset.empty }
+  let labels = Hashtbl.create 16 in
+  List.iter (fun (blk : Ir.block) -> Hashtbl.replace labels blk.label 1) func.Ir.blocks;
+  { func; block; pending = []; terminated = false; finished = Hashtbl.create 16; labels }
 
-let position_at b block = b.block <- block
-let current_block b = b.block
+let flush b =
+  if b.pending <> [] then begin
+    b.block.insts <- b.block.insts @ List.rev b.pending;
+    b.pending <- []
+  end
 
+let position_at b block =
+  flush b;
+  b.block <- block;
+  b.terminated <- Hashtbl.mem b.finished block.label
+
+let current_block b =
+  flush b;
+  b.block
+
+(* Labels are uniquified so the frontend can reuse friendly names: the
+   first of [label], [label.1], [label.2], ... not yet in the function.
+   Labels are only ever added, so the suffixes below the one last handed
+   out for a base stay taken and the search resumes there. *)
 let new_block b label =
-  (* Labels are uniquified so the frontend can reuse friendly names. *)
-  let rec unique n i =
-    let cand = if i = 0 then n else Printf.sprintf "%s.%d" n i in
-    if List.exists (fun (blk : Ir.block) -> blk.label = cand) b.func.Ir.blocks then
-      unique n (i + 1)
-    else cand
+  let unique =
+    match Hashtbl.find_opt b.labels label with
+    | None -> label
+    | Some i ->
+        let rec go i =
+          let cand = Printf.sprintf "%s.%d" label i in
+          if Hashtbl.mem b.labels cand then go (i + 1)
+          else begin
+            Hashtbl.replace b.labels label (i + 1);
+            cand
+          end
+        in
+        go i
   in
-  Ir.add_block b.func (unique label 0)
+  Hashtbl.replace b.labels unique 1;
+  Ir.add_block b.func unique
 
-let terminated b = Util.Sset.mem b.block.label b.finished
+let terminated b = b.terminated
 
 (* Instructions after a terminator (e.g. code following a return) are
    dead by construction and silently dropped. *)
-let add_instr b i = if not (terminated b) then b.block.insts <- b.block.insts @ [ i ]
+let add_instr b i = if not b.terminated then b.pending <- i :: b.pending
 
 let set_term b t =
-  if not (terminated b) then begin
+  if not b.terminated then begin
+    flush b;
     b.block.term <- t;
-    b.finished <- Util.Sset.add b.block.label b.finished
+    b.terminated <- true;
+    Hashtbl.replace b.finished b.block.label ()
   end
 
 let fresh b ty = Ir.fresh_reg b.func ty
@@ -94,7 +133,7 @@ let alloca b ty n =
 
 let phi b ty incoming =
   let d = fresh b ty in
-  (* Phis must lead the block. *)
+  (* Phis must lead the block; the pending instructions follow them. *)
   b.block.insts <- Ir.IPhi (d, incoming) :: b.block.insts;
   Ir.Reg d
 

@@ -17,8 +17,8 @@ let promotable_allocas (f : Ir.func) : (int * Types.ty) list =
   match !candidates with
   | [] -> []
   | candidates ->
-      let disqualified = ref Util.Iset.empty in
-      let dq r = disqualified := Util.Iset.add r !disqualified in
+      let disqualified = Array.make (Ir.nregs f) false in
+      let dq r = disqualified.(r) <- true in
       List.iter
         (fun (b : Ir.block) ->
           List.iter
@@ -32,7 +32,7 @@ let promotable_allocas (f : Ir.func) : (int * Types.ty) list =
             b.Ir.insts;
           List.iter (function Ir.Reg r -> dq r | _ -> ()) (Ir.term_operands b.Ir.term))
         f.Ir.blocks;
-      List.filter (fun (d, _) -> not (Util.Iset.mem d !disqualified)) candidates
+      List.filter (fun (d, _) -> not disqualified.(d)) candidates
 
 let run (_m : Ir.modul) (f : Ir.func) : bool =
   let cfg = Cfg.prune f in

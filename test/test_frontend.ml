@@ -41,7 +41,45 @@ let test_lex_chevrons () =
 
 let test_lex_error () =
   Alcotest.(check bool) "bad char raises" true
-    (try ignore (Lexer.tokenize "int $x;"); false with Ast.Error _ -> true)
+    (try ignore (Lexer.tokenize "int $x;"); false with Ast.Error _ -> true);
+  match Lexer.tokenize "int x;\n  y = x @ 1;" with
+  | _ -> Alcotest.fail "'@' lexed"
+  | exception Ast.Error (p, msg) ->
+      check Alcotest.string "position" "2:9" (Ast.pos_to_string p);
+      check Alcotest.string "message" "unexpected character '@'" msg
+
+let show ts = String.concat " " (List.map Lexer.token_to_string ts)
+
+(* The keyword and punctuator tables: each entry lexes to itself, and
+   a longer punctuator wins over its prefixes. *)
+let test_lex_tables () =
+  List.iter
+    (fun k ->
+      match toks k with
+      | [ Lexer.Tkw k'; Lexer.Teof ] when k' = k -> ()
+      | ts -> Alcotest.failf "keyword %s: %s" k (show ts))
+    Lexer.keywords;
+  (match toks "voids _int" with
+  | [ Lexer.Tid "voids"; Lexer.Tid "_int"; Lexer.Teof ] -> ()
+  | ts -> Alcotest.failf "identifiers: %s" (show ts));
+  List.iter
+    (fun p ->
+      match toks p with
+      | [ Lexer.Tpunct p'; Lexer.Teof ] when p' = p -> ()
+      | ts -> Alcotest.failf "punctuator %s: %s" p (show ts))
+    Lexer.puncts;
+  List.iter
+    (fun (src, expected) ->
+      check Alcotest.string src (String.concat " " expected) (show (toks src)))
+    [
+      ("a<<=b", [ "a"; "'<<='"; "b"; "<eof>" ]);
+      ("k<<<g,b>>>(x)", [ "k"; "'<<<'"; "g"; "','"; "b"; "'>>>'"; "'('"; "x"; "')'"; "<eof>" ]);
+      ("a&&b", [ "a"; "'&&'"; "b"; "<eof>" ]);
+      ("a&b", [ "a"; "'&'"; "b"; "<eof>" ]);
+      ("a>>=b>>c>=d>e", [ "a"; "'>>='"; "b"; "'>>'"; "c"; "'>='"; "d"; "'>'"; "e"; "<eof>" ]);
+      ("i+++j", [ "i"; "'++'"; "'+'"; "j"; "<eof>" ]);
+      ("a<<", [ "a"; "'<<'"; "<eof>" ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Parser: structure and errors *)
@@ -289,6 +327,113 @@ let test_module_id_tracks_source () =
   Alcotest.(check bool) "different source, different mid" false
     (u1.Compile.device.Ir.mid = u2.Compile.device.Ir.mid)
 
+(* ------------------------------------------------------------------ *)
+(* Golden pre-O3 digests *)
+
+(* The frontend's output is a fixed point: O3 can absorb a reordered or
+   renamed instruction, so the modules are pinned as [Compile.compile]
+   returns them. One row per program x vendor x module, and one per
+   program x vendor for the device module with its dbg.loc markers. A
+   deliberate change to the frontend's output replaces [golden] with
+   the fresh table the failure prints. *)
+
+let golden_programs =
+  List.map (fun (a : Proteus_hecbench.App.t) -> (a.name, a.source)) Proteus_hecbench.Suite.apps
+  @ List.map (fun (s : Proteus_examples.Sources.t) -> (s.name, s.source)) Proteus_examples.Sources.all
+
+let frontend_rows () =
+  let row label m =
+    Printf.sprintf "%s %s" label (Digest.to_hex (Digest.string (Irpp.module_to_string m)))
+  in
+  List.concat_map
+    (fun (name, src) ->
+      List.concat_map
+        (fun vendor ->
+          let label side = Printf.sprintf "%s/%s/%s" name (Lower.vendor_to_string vendor) side in
+          let u = Compile.compile ~name ~vendor src in
+          let d = Compile.compile ~name ~debug:true ~vendor src in
+          [
+            row (label "host") u.Compile.host;
+            row (label "device") u.Compile.device;
+            row (label "device/debug") d.Compile.device;
+          ])
+        [ Lower.Hip; Lower.Cuda ])
+    golden_programs
+
+let golden = {|
+ADAM/hip/host 2ad60e5227d7bafbce2b5b388ec8089a
+ADAM/hip/device c65dd3ea21aaeaa09acd502a479fecf2
+ADAM/hip/device/debug 18e5c4cc9a2a76f8da91ee5de54c44a6
+ADAM/cuda/host 89bffd7efd3c3c3db9c5eb9d32e943fa
+ADAM/cuda/device c65dd3ea21aaeaa09acd502a479fecf2
+ADAM/cuda/device/debug 18e5c4cc9a2a76f8da91ee5de54c44a6
+RSBENCH/hip/host 9acf2e3a55045a3c97b98b167ae23700
+RSBENCH/hip/device b989b0cce7b5b3cd83a839e394ad1975
+RSBENCH/hip/device/debug bf2d19127eb5fb2a3c30d2de3ce34959
+RSBENCH/cuda/host 002cae2146313f94e8c6715ad16f3eb7
+RSBENCH/cuda/device b989b0cce7b5b3cd83a839e394ad1975
+RSBENCH/cuda/device/debug bf2d19127eb5fb2a3c30d2de3ce34959
+WSM5/hip/host ace65bdf8ceb9ab383109829595a9fa9
+WSM5/hip/device d9c790160baa68d92d7eeed20be0464f
+WSM5/hip/device/debug 1f1b923340bea9b3aa1b85b3e9773a50
+WSM5/cuda/host dcdf68d3c62de51f6955472d6ffc9efd
+WSM5/cuda/device d9c790160baa68d92d7eeed20be0464f
+WSM5/cuda/device/debug 1f1b923340bea9b3aa1b85b3e9773a50
+FEY-KAC/hip/host 4ef0151eddd98608101e1f2bacad124b
+FEY-KAC/hip/device e1df83fd08b0afc9638a5925e2bc5cfe
+FEY-KAC/hip/device/debug 37ccc4edffdc8f7909a3252ebc133cbe
+FEY-KAC/cuda/host 97914eb250e4e53794222407fe500468
+FEY-KAC/cuda/device e1df83fd08b0afc9638a5925e2bc5cfe
+FEY-KAC/cuda/device/debug 37ccc4edffdc8f7909a3252ebc133cbe
+LULESH/hip/host c8d01f80604c3598dd791d47bb2991ff
+LULESH/hip/device e3b75cb88b038deb07246e5f98d5b0c0
+LULESH/hip/device/debug f0efd83c7a1ebfc2b7d506688618d41f
+LULESH/cuda/host e63579dffe5dbe596f119bc861ce8aac
+LULESH/cuda/device e3b75cb88b038deb07246e5f98d5b0c0
+LULESH/cuda/device/debug f0efd83c7a1ebfc2b7d506688618d41f
+SW4CK/hip/host 87892245ed8c6457be3fd9f954bf410b
+SW4CK/hip/device 0b26f5a76aaa8bf50f96d9f2a1bfb0d6
+SW4CK/hip/device/debug f5927f641890d8a8d2a268380848b9ce
+SW4CK/cuda/host be0d7fc8d4e3e52817ff69f17d389fb6
+SW4CK/cuda/device 0b26f5a76aaa8bf50f96d9f2a1bfb0d6
+SW4CK/cuda/device/debug f5927f641890d8a8d2a268380848b9ce
+quickstart/hip/host 12fcfd7f670916d9454e719013f5245d
+quickstart/hip/device f0d13793e69a5ca2596d909718b672f0
+quickstart/hip/device/debug 8febe944b1799a41e1f157584eee0035
+quickstart/cuda/host 2a3c47793f0a1bcfb594bade517077f7
+quickstart/cuda/device f0d13793e69a5ca2596d909718b672f0
+quickstart/cuda/device/debug 8febe944b1799a41e1f157584eee0035
+adam_training/hip/host ab30f7490886cf56aaa0368d0ed360f0
+adam_training/hip/device 2b1c9054c404ff5e538dbc675b3493ca
+adam_training/hip/device/debug 2a728b7ee5b78d34211d7dafeecb287e
+adam_training/cuda/host 12caba70afa3f052d903c89795f486eb
+adam_training/cuda/device 2b1c9054c404ff5e538dbc675b3493ca
+adam_training/cuda/device/debug 2a728b7ee5b78d34211d7dafeecb287e
+heat_stencil/hip/host a4319cd1ab3e7d8a8ff699190cfe54c2
+heat_stencil/hip/device 51a03ac21fa1e7b4af6f0cafd9827f4c
+heat_stencil/hip/device/debug 2152d7cb8c5f6f4c98959fda94aae6e6
+heat_stencil/cuda/host aab105d6fe74a62c486b83261d417492
+heat_stencil/cuda/device 51a03ac21fa1e7b4af6f0cafd9827f4c
+heat_stencil/cuda/device/debug 2152d7cb8c5f6f4c98959fda94aae6e6
+montecarlo_pi/hip/host b752b770b45c0c3d8e1566ad516b9099
+montecarlo_pi/hip/device 39992b1e77174df33b326a7c1ef01cd6
+montecarlo_pi/hip/device/debug 3d13ca291c8bc3c1d1e1fea1fa0f5fc8
+montecarlo_pi/cuda/host faedb74e44b27ff7eab174b75033124e
+montecarlo_pi/cuda/device 39992b1e77174df33b326a7c1ef01cd6
+montecarlo_pi/cuda/device/debug 3d13ca291c8bc3c1d1e1fea1fa0f5fc8
+|}
+
+let test_golden_digests () =
+  let fresh = frontend_rows () in
+  let expected = String.split_on_char '\n' (String.trim golden) in
+  if fresh <> expected then begin
+    Printf.eprintf "fresh golden table:\n%s\n%!" (String.concat "\n" fresh);
+    List.iter
+      (fun row -> if not (List.mem row expected) then Printf.eprintf "changed: %s\n%!" row)
+      fresh;
+    Alcotest.failf "frontend output differs from the golden table (%d rows)" (List.length expected)
+  end
+
 let () =
   Alcotest.run "frontend"
     [
@@ -299,6 +444,7 @@ let () =
           Alcotest.test_case "comments" `Quick test_lex_comments;
           Alcotest.test_case "launch chevrons" `Quick test_lex_chevrons;
           Alcotest.test_case "errors" `Quick test_lex_error;
+          Alcotest.test_case "keyword and punctuator tables" `Quick test_lex_tables;
         ] );
       ( "parser",
         [
@@ -326,4 +472,5 @@ let () =
           Alcotest.test_case "split compilation" `Quick test_split_compilation;
           Alcotest.test_case "module id tracks source" `Quick test_module_id_tracks_source;
         ] );
+      ("golden", [ Alcotest.test_case "pre-O3 digests" `Quick test_golden_digests ]);
     ]

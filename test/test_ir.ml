@@ -162,6 +162,71 @@ let null_env () =
     ~alloca:(fun _ _ -> Alcotest.fail "no alloca in this test")
     ()
 
+(* The builder holds a block's new instructions aside until the
+   insertion point moves, the block is terminated or [current_block] is
+   asked for: the order must come out as written. *)
+let test_builder_order () =
+  let f = Ir.create_func "order" [ ("x", Types.i32) ] Types.i32 in
+  let b = Builder.create f in
+  let x = Ir.Reg (snd (List.hd f.Ir.params)) in
+  let one = Ir.Imm (Konst.ki32 1) in
+  let dests (blk : Ir.block) = List.filter_map Ir.def_of blk.Ir.insts in
+  let reg = function Ir.Reg r -> r | _ -> Alcotest.fail "not a register" in
+  let add v = reg (Builder.bin b Ops.Add Types.i32 v one) in
+  let other = Builder.new_block b "other" in
+  let a1 = add x in
+  let a2 = add (Ir.Reg a1) in
+  let entry = Builder.current_block b in
+  check Alcotest.(list int) "current_block sees the pending instructions" [ a1; a2 ] (dests entry);
+  let a3 = add (Ir.Reg a2) in
+  Builder.position_at b other;
+  check Alcotest.(list int) "a move splices them" [ a1; a2; a3 ] (dests entry);
+  let o1 = add x in
+  Builder.position_at b entry;
+  let a4 = add (Ir.Reg a3) in
+  let p = reg (Builder.phi b Types.i32 [ ("other", x) ]) in
+  let a5 = add (Ir.Reg a4) in
+  Builder.position_at b other;
+  let o2 = add (Ir.Reg o1) in
+  let p' = reg (Builder.phi b Types.i32 [ ("entry", x) ]) in
+  Builder.ret b (Some (Ir.Reg o2));
+  check Alcotest.(list int) "other" [ p'; o1; o2 ] (dests other);
+  Builder.position_at b entry;
+  let a6 = add (Ir.Reg a5) in
+  Builder.br b other.Ir.label;
+  check Alcotest.(list int) "entry" [ p; a1; a2; a3; a4; a5; a6 ] (dests entry);
+  check Alcotest.(list string) "blocks" [ "entry"; "other" ]
+    (List.map (fun (blk : Ir.block) -> blk.Ir.label) f.Ir.blocks)
+
+(* Code after a terminator is dead and dropped, also when the block is
+   visited again. *)
+let test_builder_drops_after_term () =
+  let f = Ir.create_func "dead" [ ("x", Types.i32) ] Types.i32 in
+  let b = Builder.create f in
+  let x = Ir.Reg (snd (List.hd f.Ir.params)) in
+  let live = Builder.bin b Ops.Add Types.i32 x x in
+  Builder.ret b (Some live);
+  check Alcotest.bool "terminated" true (Builder.terminated b);
+  ignore (Builder.bin b Ops.Mul Types.i32 x x);
+  Builder.br b "nowhere";
+  let next = Builder.new_block b "next" in
+  Builder.position_at b next;
+  check Alcotest.bool "a new block is open" false (Builder.terminated b);
+  Builder.unreachable b;
+  Builder.position_at b (Ir.entry f);
+  check Alcotest.bool "still terminated on return" true (Builder.terminated b);
+  ignore (Builder.bin b Ops.Sub Types.i32 x x);
+  let entry = Builder.current_block b in
+  check Alcotest.int "one instruction" 1 (List.length entry.Ir.insts);
+  Alcotest.(check bool) "the first terminator stays" true (entry.Ir.term = Ir.TRet (Some live))
+
+(* [new_block] picks the first free of label, label.1, label.2, ... *)
+let test_builder_labels () =
+  let f = Ir.create_func "labels" [] Types.TVoid in
+  let b = Builder.create f in
+  let names = List.map (fun l -> (Builder.new_block b l).Ir.label) [ "x"; "x"; "x.1"; "x"; "entry" ] in
+  check Alcotest.(list string) "unique labels" [ "x"; "x.1"; "x.1.1"; "x.2"; "entry.1" ] names
+
 let test_build_and_interp () =
   let f = build_abs_add () in
   let m = module_with [ f ] in
@@ -901,6 +966,10 @@ let () =
       );
       ( "construction",
         [
+          Alcotest.test_case "builder keeps instruction order" `Quick test_builder_order;
+          Alcotest.test_case "builder drops code after a terminator" `Quick
+            test_builder_drops_after_term;
+          Alcotest.test_case "builder label uniquing" `Quick test_builder_labels;
           Alcotest.test_case "build + interpret" `Quick test_build_and_interp;
           Alcotest.test_case "use counts / replace" `Quick test_use_counts_and_replace;
           Alcotest.test_case "clone independence" `Quick test_clone_independent;
